@@ -29,8 +29,9 @@ Typical use::
         print(decision.summary())
 
 Memo validity — the static-store contract — is *enforced* here: the
-engine snapshots the network-wide mutation token (the sum of every
-:class:`~repro.storage.datastore.LocalDataStore` mutation counter) and
+engine snapshots the network-wide mutation token (the network ledger's
+tick, advanced by every :class:`~repro.storage.datastore.LocalDataStore`
+write, store replacement and membership change — an O(1) read) and
 re-checks it on every recorded operation; any change drops all memos at
 once.  The memos additionally carry per-entry version checks, so even a
 mutation slipping between checks can never replay stale data.
@@ -690,9 +691,9 @@ class QueryEngine:
     def store_version(self) -> int:
         """The network-wide store mutation token, as currently stored.
 
-        Monotone: every store write anywhere bumps it.  The service layer
-        exposes it so clients can tell which store state an answer (or a
-        ``/stats`` reading) reflects.
+        Monotone: every store write (and membership change) anywhere
+        bumps it.  The service layer exposes it so clients can tell which
+        store state an answer (or a ``/stats`` reading) reflects.
         """
         return self.network.store_version_token()
 

@@ -140,7 +140,8 @@ class ChurnController:
             for partition in self.network.partitions
             if not any(self.network.peer(pid).online for pid in partition.peer_ids)
         ]
-        online = sum(1 for peer in self.network.peers if peer.online)
         return ChurnReport(
-            failed_peer_ids=failed, online_peers=online, dark_partitions=dark
+            failed_peer_ids=failed,
+            online_peers=self.network.n_peers - self.network.ledger.offline,
+            dark_partitions=dark,
         )

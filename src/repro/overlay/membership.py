@@ -32,6 +32,7 @@ from repro.overlay import keys as keyspace
 from repro.overlay.network import PGridNetwork
 from repro.overlay.peer import Peer
 from repro.overlay.routing import Partition
+from repro.storage.datastore import LocalDataStore
 from repro.storage.indexing import IndexEntry
 
 
@@ -54,9 +55,14 @@ class MembershipManager:
         network = self.network
         under = self._under_replicated()
         if under is not None:
-            return self._join_as_replica(under)
-        target = self._heaviest_splittable()
-        return self._split_partition(target)
+            peer = self._join_as_replica(under)
+        else:
+            peer = self._split_partition(self._heaviest_splittable())
+        # The mutation token covers membership itself: partition indices
+        # may have been renumbered and replica sets changed even when no
+        # store was written, and index-keyed memos must notice.
+        network.ledger.tick += 1
+        return peer
 
     def _under_replicated(self) -> Partition | None:
         want = self.network.config.replication
@@ -82,7 +88,9 @@ class MembershipManager:
 
     def _join_as_replica(self, partition: Partition) -> Peer:
         network = self.network
-        peer = Peer(len(network.peers), partition.path)
+        peer = Peer(
+            len(network.peers), partition.path, partition.index, network.ledger
+        )
         network.peers.append(peer)
         new_ids = partition.peer_ids + (peer.peer_id,)
         network.partitions[partition.index] = Partition(
@@ -104,7 +112,8 @@ class MembershipManager:
         left_path = old_path + "0"
         right_path = old_path + "1"
 
-        new_peer = Peer(len(network.peers), right_path)
+        # Its partition index is stamped by ``_install_partitions`` below.
+        new_peer = Peer(len(network.peers), right_path, -1, network.ledger)
         network.peers.append(new_peer)
 
         # The incumbent peers specialize to the '0' side; the newcomer
@@ -139,12 +148,7 @@ class MembershipManager:
             p for p in network.partitions if p.index != partition.index
         ]
         remaining.extend([left, right])
-        remaining.sort(key=lambda p: p.path)
-        network.partitions = [
-            Partition(i, p.path, p.peer_ids) for i, p in enumerate(remaining)
-        ]
-        network._paths = [p.path for p in network.partitions]
-        network.max_depth = max(len(p) for p in network._paths)
+        self._install_partitions(remaining)
         new_peer.replicas = []
         for peer_id in partition.peer_ids:
             network.peer(peer_id).replicas = [
@@ -181,7 +185,7 @@ class MembershipManager:
         peer = network.peer(peer_id)
         if not peer.online:
             raise OverlayError(f"peer {peer_id} is already offline")
-        partition = network.partition_for(peer.path)
+        partition = network.partition(peer.partition_index)
         survivors = [i for i in partition.peer_ids if i != peer_id]
         if survivors:
             network.partitions[partition.index] = Partition(
@@ -192,8 +196,9 @@ class MembershipManager:
                     i for i in survivors if i != survivor
                 ]
             peer.online = False
-            return
-        self._merge_into_leaf_sibling(partition, peer)
+        else:
+            self._merge_into_leaf_sibling(partition, peer)
+        network.ledger.tick += 1  # as in join(): an empty peer writes no store
 
     def _merge_into_leaf_sibling(self, partition: Partition, peer: Peer) -> None:
         network = self.network
@@ -221,13 +226,7 @@ class MembershipManager:
                 new_partitions.append(Partition(0, parent, absorber.peer_ids))
             else:
                 new_partitions.append(p)
-        new_partitions.sort(key=lambda p: p.path)
-        network.partitions = [
-            Partition(i, p.path, p.peer_ids)
-            for i, p in enumerate(new_partitions)
-        ]
-        network._paths = [p.path for p in network.partitions]
-        network.max_depth = max(len(p) for p in network._paths)
+        self._install_partitions(new_partitions)
         for member in absorber.peer_ids:
             receiver = network.peer(member)
             receiver.path = parent
@@ -238,9 +237,21 @@ class MembershipManager:
 
     # -- shared helpers -------------------------------------------------------------
 
-    def _replace_store(self, peer: Peer, entries: list[IndexEntry]) -> None:
-        from repro.storage.datastore import LocalDataStore
+    def _install_partitions(self, partitions: list[Partition]) -> None:
+        """Adopt a changed partition table: renumber in path order and
+        stamp every member peer with its partition's new index."""
+        network = self.network
+        partitions.sort(key=lambda p: p.path)
+        network.partitions = [
+            Partition(i, p.path, p.peer_ids) for i, p in enumerate(partitions)
+        ]
+        network._paths = [p.path for p in network.partitions]
+        network.max_depth = max(len(p) for p in network._paths)
+        for partition in network.partitions:
+            for peer_id in partition.peer_ids:
+                network.peer(peer_id).partition_index = partition.index
 
+    def _replace_store(self, peer: Peer, entries: list[IndexEntry]) -> None:
         store = LocalDataStore()
         store.add_bulk(entries)
         peer.store = store

@@ -69,14 +69,17 @@ class MessageTracer:
 
     ``record_log=True`` additionally retains full :class:`Message` records —
     useful in tests, prohibitive in 10⁵-peer sweeps.
+
+    The per-type and per-phase breakdowns are kept as one
+    ``(type, phase) -> [messages, bytes]`` table — a single dict probe per
+    charge — and folded into the :attr:`counts_by_type` /
+    :attr:`counts_by_phase` / :attr:`bytes_by_phase` views on read.
     """
 
     def __init__(self, record_log: bool = False):
         self.message_count = 0
         self.payload_bytes = 0
-        self.counts_by_type: Counter[str] = Counter()
-        self.counts_by_phase: Counter[str] = Counter()
-        self.bytes_by_phase: Counter[str] = Counter()
+        self._cells: dict[tuple[str, str], list[int]] = {}
         self.record_log = record_log
         self.log: list[Message] = []
 
@@ -89,11 +92,10 @@ class MessageTracer:
         phase: str = "query",
     ) -> None:
         """Account for one message."""
-        self.message_count += 1
-        self.payload_bytes += payload_bytes
-        self.counts_by_type[type.value] += 1
-        self.counts_by_phase[phase] += 1
-        self.bytes_by_phase[phase] += payload_bytes
+        # ``_value_`` is the member's plain attribute; ``.value`` pays a
+        # descriptor call, which this — the hottest accounting call —
+        # would pay on every message.
+        self._charge((type._value_, phase), 1, payload_bytes)
         if self.record_log:
             self.log.append(Message(type, sender, receiver, payload_bytes, phase))
 
@@ -107,22 +109,54 @@ class MessageTracer:
         """Account for ``count`` messages totalling ``payload_bytes`` at once.
 
         O(1) accounting for flows whose per-message loop is itself the
-        cost being avoided — the sampled naive-broadcast estimator charges
-        its extrapolated message counts here instead of iterating 10⁵
-        peers.  Bulk charges are *not* appended to the verbose
+        cost being avoided — a fetch's delegate/result fan, the shower
+        forwards, the sampled naive-broadcast estimator's extrapolated
+        counts.  Bulk charges are *not* appended to the verbose
         ``record_log`` (there are no per-message sender/receiver pairs to
-        record); counters and per-phase totals update exactly as ``count``
+        record), so callers fall back to per-message :meth:`send` when it
+        is on; counters and per-phase totals update exactly as ``count``
         individual :meth:`send` calls would.
         """
         if count < 0:
             raise ValueError(f"bulk message count must be >= 0, got {count}")
         if count == 0:
             return
+        self._charge((type._value_, phase), count, payload_bytes)
+
+    def _charge(self, key: tuple[str, str], count: int, payload_bytes: int) -> None:
+        """Add ``count`` messages of one ``(type, phase)`` to every total."""
         self.message_count += count
         self.payload_bytes += payload_bytes
-        self.counts_by_type[type.value] += count
-        self.counts_by_phase[phase] += count
-        self.bytes_by_phase[phase] += payload_bytes
+        cell = self._cells.get(key)
+        if cell is None:
+            self._cells[key] = [count, payload_bytes]
+        else:
+            cell[0] += count
+            cell[1] += payload_bytes
+
+    def _fold(self, axis: int, column: int) -> dict[str, int]:
+        """One column of the table (0 messages, 1 bytes) summed per type
+        (``axis`` 0) or per phase (``axis`` 1)."""
+        totals: dict[str, int] = {}
+        for key, cell in self._cells.items():
+            name = key[axis]
+            totals[name] = totals.get(name, 0) + cell[column]
+        return totals
+
+    @property
+    def counts_by_type(self) -> Counter[str]:
+        """Messages per :class:`MessageType` value."""
+        return Counter(self._fold(0, 0))
+
+    @property
+    def counts_by_phase(self) -> Counter[str]:
+        """Messages per phase."""
+        return Counter(self._fold(1, 0))
+
+    @property
+    def bytes_by_phase(self) -> Counter[str]:
+        """Payload bytes per phase."""
+        return Counter(self._fold(1, 1))
 
     def merge(self, other: "MessageTracer") -> None:
         """Fold another tracer's charges into this one.
@@ -134,11 +168,8 @@ class MessageTracer:
         appends in merge order, so a fanned-out flow reproduces the
         serial loop's ledger byte for byte.
         """
-        self.message_count += other.message_count
-        self.payload_bytes += other.payload_bytes
-        self.counts_by_type.update(other.counts_by_type)
-        self.counts_by_phase.update(other.counts_by_phase)
-        self.bytes_by_phase.update(other.bytes_by_phase)
+        for key, (count, payload_bytes) in other._cells.items():
+            self._charge(key, count, payload_bytes)
         if self.record_log and other.log:
             self.log.extend(other.log)
 
@@ -147,17 +178,15 @@ class MessageTracer:
         return TraceSnapshot(
             messages=self.message_count,
             payload_bytes=self.payload_bytes,
-            by_type=dict(self.counts_by_type),
-            by_phase=dict(self.counts_by_phase),
+            by_type=self._fold(0, 0),
+            by_phase=self._fold(1, 0),
         )
 
     def reset(self) -> None:
         """Zero all counters (between experiment cells)."""
         self.message_count = 0
         self.payload_bytes = 0
-        self.counts_by_type.clear()
-        self.counts_by_phase.clear()
-        self.bytes_by_phase.clear()
+        self._cells.clear()
         self.log.clear()
 
 

@@ -26,8 +26,8 @@ from repro.overlay import keys as keyspace
 from repro.overlay import trie
 from repro.overlay.faults import FaultInjector, FaultMode, FaultPlan, RetryPolicy
 from repro.overlay.hashing import CompositeKeyCodec
-from repro.overlay.messages import MessageTracer
-from repro.overlay.peer import Peer
+from repro.overlay.messages import MessageTracer, MessageType
+from repro.overlay.peer import NetworkLedger, Peer
 from repro.overlay.routing import Partition, Router
 from repro.storage.indexing import EntryFactory, IndexEntry
 from repro.storage.triple import Triple
@@ -86,12 +86,15 @@ class PGridNetwork:
                 f"{self.config.key_bits}; increase key_bits"
             )
 
+        #: Shared with every peer and store: the offline-peer count and
+        #: the mutation tick behind :meth:`store_version_token`.
+        self.ledger = NetworkLedger()
         self.peers: list[Peer] = []
         self.partitions: list[Partition] = []
         for index, path in enumerate(paths):
             peer_ids = []
             for __ in range(k):
-                peer = Peer(len(self.peers), path)
+                peer = Peer(len(self.peers), path, index, self.ledger)
                 self.peers.append(peer)
                 peer_ids.append(peer.peer_id)
             self.partitions.append(Partition(index, path, peer_ids))
@@ -131,7 +134,7 @@ class PGridNetwork:
             path = peer.path
             for level in range(len(path)):
                 sibling = keyspace.sibling_prefix(path, level)
-                lo, hi = self._partition_span(sibling)
+                lo, hi = self.partition_span(sibling)
                 count = hi - lo
                 if count <= 0:
                     raise OverlayError(
@@ -227,7 +230,7 @@ class PGridNetwork:
                 result.append(partition)
         return result
 
-    def _partition_span(self, prefix: str) -> tuple[int, int]:
+    def partition_span(self, prefix: str) -> tuple[int, int]:
         """Index range ``[lo, hi)`` of the partitions covered by ``prefix``.
 
         Paths are sorted and prefix-free, so every path extending
@@ -250,7 +253,7 @@ class PGridNetwork:
 
     def _partition_range(self, prefix: str) -> list[Partition]:
         """Partitions covered by ``prefix`` (contiguous span of the cover)."""
-        lo, hi = self._partition_span(prefix)
+        lo, hi = self.partition_span(prefix)
         return self.partitions[lo:hi]
 
     def _partition_range_scan(self, prefix: str) -> list[Partition]:
@@ -426,11 +429,7 @@ class PGridNetwork:
         by_partition: dict[int, list[IndexEntry]] = {}
         for entry in entries:
             peer = answers[entry.key]
-            by_partition.setdefault(self.partition_for(peer.path).index, []).append(
-                entry
-            )
-        from repro.overlay.messages import MessageType
-
+            by_partition.setdefault(peer.partition_index, []).append(entry)
         for index, partition_entries in by_partition.items():
             partition = self.partitions[index]
             payload = sum(e.payload_size() for e in partition_entries)
@@ -488,12 +487,12 @@ class PGridNetwork:
         return sum(peer.store.total_payload_bytes() for peer in self.peers)
 
     def store_version_token(self) -> int:
-        """Sum of all peers' store mutation counters.
+        """The monotone network-wide mutation token (the ledger's tick).
 
-        Store versions only ever increase, so the sum is a monotone
-        network-wide mutation token: equality with an earlier reading
-        proves no peer's store changed in between.  The
+        Every store write, every store a peer adopts and every membership
+        change advances it, so equality with an earlier reading proves no
+        peer's data and no partition index changed in between.  The
         :class:`~repro.engine.QueryEngine` compares it to decide when its
         whole-workload memos must be dropped.
         """
-        return sum(peer.store.version for peer in self.peers)
+        return self.ledger.tick

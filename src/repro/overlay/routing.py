@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.errors import PartitionUnreachableError, RoutingError
@@ -222,53 +222,79 @@ class Router:
     # -- batched retrieval ------------------------------------------------------
 
     def route_many(
-        self, keys: Iterable[str], start_id: int, phase: str = "batch"
+        self,
+        keys: Iterable[str],
+        start_id: int,
+        phase: str = "batch",
+        partition_of: Mapping[str, int] | None = None,
     ) -> dict[str, Peer]:
         """Route a batch of keys, contacting each responsible partition once.
 
         Returns a map from key to the peer answering it.  Cost: one routed
         walk to the nearest partition, then one ``FORWARD`` per further
         partition (shower-style), instead of a full routed walk per key.
+
+        ``partition_of`` carries partition indices the caller already
+        knows (object reconstruction remembers them per oid); only the
+        remaining keys are bisected.  On a healthy transport without a
+        verbose log the forwards are bulk-charged (identical counters).
         """
         unique = sorted(set(keys))
         if not unique:
             return {}
+        known = partition_of if partition_of is not None else {}
         by_partition: dict[int, list[str]] = defaultdict(list)
         for key in unique:
-            partition = self.network.partition_for(key)
-            by_partition[partition.index].append(key)
+            index = known.get(key)
+            if index is None:
+                index = self.network.partition_for(key).index
+            by_partition[index].append(key)
         injector = self.network.fault_injector
         faulty = injector is not None and injector.active
         degraded = faulty and self.network.fault_mode is FaultMode.DEGRADED
+        bulk = not faulty and not self.tracer.record_log
+        forwards = 0
         answers: dict[str, Peer] = {}
         previous: Peer | None = None
-        for index in sorted(by_partition):
-            partition = self.network.partition(index)
-            if faulty:
-                injector.session.record_target(partition)
-            if previous is None:
-                try:
-                    peer = self.route(partition.path, start_id, phase=phase)
-                except PartitionUnreachableError:
-                    if not degraded:
-                        raise
-                    injector.session.record_dark(partition)
-                    continue
-            elif faulty:
-                contacted = self._contact_partition(
-                    partition, previous.peer_id, phase
+        try:
+            for index in sorted(by_partition):
+                partition = self.network.partition(index)
+                if faulty:
+                    injector.session.record_target(partition)
+                if previous is None:
+                    try:
+                        peer = self.route(partition.path, start_id, phase=phase)
+                    except PartitionUnreachableError:
+                        if not degraded:
+                            raise
+                        injector.session.record_dark(partition)
+                        continue
+                elif faulty:
+                    contacted = self._contact_partition(
+                        partition, previous.peer_id, phase
+                    )
+                    if contacted is None:
+                        continue
+                    peer = contacted
+                else:
+                    peer = self._live_replica(partition)
+                    if bulk:
+                        forwards += 1
+                    else:
+                        self.tracer.send(
+                            MessageType.FORWARD, previous.peer_id, peer.peer_id,
+                            phase=phase,
+                        )
+                for key in by_partition[index]:
+                    answers[key] = peer
+                previous = peer
+        finally:
+            # Also on a dark partition's raise: the forwards before it
+            # were sent, exactly as the per-message loop charges them.
+            if forwards:
+                self.tracer.send_bulk(
+                    MessageType.FORWARD, forwards, 0, phase=phase
                 )
-                if contacted is None:
-                    continue
-                peer = contacted
-            else:
-                peer = self._live_replica(partition)
-                self.tracer.send(
-                    MessageType.FORWARD, previous.peer_id, peer.peer_id, phase=phase
-                )
-            for key in by_partition[index]:
-                answers[key] = peer
-            previous = peer
         return answers
 
     def retrieve_many(
@@ -458,7 +484,7 @@ class Router:
             MessageType.BROADCAST, sender, peer, payload_bytes, phase=phase
         ):
             return peer
-        partition = self.network.partition_for(peer.path)
+        partition = self.network.partition(peer.partition_index)
         for replica_id in peer.replicas:
             replica = self.network.peer(replica_id)
             if not replica.online:

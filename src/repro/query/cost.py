@@ -161,8 +161,10 @@ class StrategyCostModel:
         """Partitions holding the attribute's values (all, for schema level)."""
         if attribute == "":
             return self.network.n_partitions
-        prefix = self.network.codec.attr_prefix(attribute)
-        return max(1, len(self.network.partitions_under(prefix)))
+        lo, hi = self.network.partition_span(
+            self.network.codec.attr_prefix(attribute)
+        )
+        return max(1, hi - lo)
 
     def _reachable_fraction(self, attribute: str) -> float:
         """Fraction of the attribute's region partitions with a live replica.
@@ -170,11 +172,11 @@ class StrategyCostModel:
         The replica-aware leg of the model: under churn, a partition with
         every replica offline contributes neither broadcast targets nor
         rows, so region sizes and row counts scale by this fraction.  On
-        a healthy network (the common case, checked with one short-
-        circuiting scan) the fraction is exactly 1.0 and every prediction
-        stays bit-identical to the churn-unaware model.
+        a healthy network (the common case, one read of the network
+        ledger's offline count) the fraction is exactly 1.0 and every
+        prediction stays bit-identical to the churn-unaware model.
         """
-        if all(peer.online for peer in self.network.peers):
+        if not self.network.ledger.offline:
             return 1.0
         if attribute == "":
             partitions = self.network.partitions

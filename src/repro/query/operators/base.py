@@ -24,10 +24,11 @@ import random
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.core.errors import ExecutionError
+from repro.overlay.messages import MessageType
 from repro.overlay.network import PGridNetwork
 from repro.overlay.routing import Router
 from repro.similarity.filters import FilterConfig
@@ -187,14 +188,6 @@ class OperatorContext:
 
     # -- object reconstruction ---------------------------------------------------
 
-    def reconstruct_object(
-        self, peer, partition_index: int, key: str, oid: str
-    ) -> tuple[Triple, ...]:
-        """One oid peer's rebuild of a complete object (memoized when set)."""
-        if self.fetch_memo is not None:
-            return self.fetch_memo.triples_for(peer, partition_index, key, oid)
-        return _rebuild_triples(peer, key, oid)
-
     def fetch_objects(
         self,
         oids: Iterable[str],
@@ -216,74 +209,122 @@ class OperatorContext:
         delegate the same oid — an oid peer recognizes a query id it has
         already served and stays silent.  Delegation messages themselves
         are still charged (the duplicate request does travel).
+
+        With a :class:`FetchObjectsMemo` installed, an oid fetched before
+        takes its key, partition, triples and payload size from the
+        remembered :class:`ObjectRecord` — no hash, no bisect, no store
+        lookup.  On a healthy transport without a verbose log the
+        delegate and result fans are bulk-charged (identical counters);
+        the per-message loop stays the reference path.
         """
         router = self.router
-        unique_oids = sorted(set(oids))
+        memo = self.fetch_memo
+        unique_oids = set(oids)
         if not unique_oids:
             return {}
-        key_to_oid = {self.codec.oid_key(oid): oid for oid in unique_oids}
+        key_to_oid: dict[str, str] = {}
+        known_partitions: dict[str, int] = {}
+        for oid in unique_oids:
+            record = memo.peek(oid) if memo is not None else None
+            if record is None:
+                key = self.codec.oid_key(oid)
+            else:
+                key = record.key
+                known_partitions[key] = record.partition_index
+            key_to_oid[key] = oid
         if len(key_to_oid) != len(unique_oids):
             raise ExecutionError("oid key collision — increase key_bits")
         answers = router.route_many(
-            key_to_oid.keys(), delegating_peer_id, phase=phase
+            key_to_oid,
+            delegating_peer_id,
+            phase=phase,
+            partition_of=known_partitions,
         )
         objects: dict[str, tuple[Triple, ...]] = {}
         by_peer: dict[int, list[str]] = defaultdict(list)
         for key, peer in answers.items():
             by_peer[peer.peer_id].append(key)
+        rebuild = memo.triples_for if memo is not None else _rebuild_object
+        tracer = router.tracer
+        bulk = not tracer.record_log and not router.faults_active()
+        delegates = delegate_bytes = results = result_bytes = 0
         for peer_id, keys in by_peer.items():
             peer = self.network.peer(peer_id)
-            if not router.send_delegate(
-                delegating_peer_id,
-                peer_id,
-                query_bytes + sum(len(key_to_oid[k]) for k in keys),
-                phase=phase,
+            request_bytes = query_bytes + sum(len(key_to_oid[k]) for k in keys)
+            if bulk:
+                delegates += 1
+                delegate_bytes += request_bytes
+            elif not router.send_delegate(
+                delegating_peer_id, peer_id, request_bytes, phase=phase
             ):
                 # Delegation lost beyond retries (degraded mode): the oid
                 # peer never learns of the request, so its whole batch of
                 # candidates silently drops out of the result.
                 router.record_dropped_candidates(len(keys))
                 continue
-            fresh_triples: list[Triple] = []
+            payload = 0
             fresh_oids: list[str] = []
             fresh_signatures: list[tuple[int, str]] = []
             for key in keys:
                 oid = key_to_oid[key]
-                partition = self.network.partition_for(key)
-                triples = self.reconstruct_object(
-                    peer, partition.index, key, oid
-                )
-                if not triples:
+                record = rebuild(peer, key, oid)
+                if not record.triples:
                     continue
-                objects[oid] = triples
+                objects[oid] = record.triples
                 if seen_partitions is not None:
-                    signature = (partition.index, oid)
+                    signature = (record.partition_index, oid)
                     if signature in seen_partitions:
                         continue
                     seen_partitions.add(signature)
                     fresh_signatures.append(signature)
                 fresh_oids.append(oid)
-                fresh_triples.extend(triples)
-            if fresh_triples:
-                payload = sum(t.payload_size() for t in fresh_triples)
-                if not router.send_result(
-                    peer_id, initiator_id, payload, phase=phase
-                ):
-                    # Result message lost: the initiator never receives
-                    # this batch.  Un-record it (including the duplicate
-                    # suppression marks, so a later delegation of the
-                    # same oids can answer) and count the drop.
-                    for oid in fresh_oids:
-                        objects.pop(oid, None)
-                    if seen_partitions is not None:
-                        seen_partitions.difference_update(fresh_signatures)
-                    router.record_dropped_candidates(len(fresh_oids))
+                payload += record.payload_bytes
+            if not fresh_oids:
+                continue
+            if bulk:
+                results += 1
+                result_bytes += payload
+            elif not router.send_result(
+                peer_id, initiator_id, payload, phase=phase
+            ):
+                # Result message lost: the initiator never receives
+                # this batch.  Un-record it (including the duplicate
+                # suppression marks, so a later delegation of the
+                # same oids can answer) and count the drop.
+                for oid in fresh_oids:
+                    objects.pop(oid, None)
+                if seen_partitions is not None:
+                    seen_partitions.difference_update(fresh_signatures)
+                router.record_dropped_candidates(len(fresh_oids))
+        if bulk:
+            tracer.send_bulk(
+                MessageType.DELEGATE, delegates, delegate_bytes, phase=phase
+            )
+            if results:
+                tracer.send_bulk(
+                    MessageType.RESULT, results, result_bytes, phase=phase
+                )
         return objects
 
 
-def _rebuild_triples(peer, key: str, oid: str) -> tuple[Triple, ...]:
+class ObjectRecord(NamedTuple):
+    """One oid peer's rebuild of a complete object, with what the fetch
+    path would otherwise recompute per request."""
+
+    #: ``key(oid)`` — the md5-based uniform key, pure in the oid.
+    key: str
+    #: Index of the partition responsible for ``key``.
+    partition_index: int
+    #: Mutation counter of the store the triples were read from.
+    store_version: int
+    triples: tuple[Triple, ...]
+    #: Wire size of ``triples`` (result-message accounting).
+    payload_bytes: int
+
+
+def _rebuild_object(peer, key: str, oid: str) -> ObjectRecord:
     """The complete-object rebuild an oid peer performs for one request."""
-    return tuple(
+    triples = tuple(
         sorted(
             {
                 e.triple
@@ -292,6 +333,13 @@ def _rebuild_triples(peer, key: str, oid: str) -> tuple[Triple, ...]:
             },
             key=lambda t: (t.attribute, str(t.value)),
         )
+    )
+    return ObjectRecord(
+        key,
+        peer.partition_index,
+        peer.store.version,
+        triples,
+        sum(t.payload_size() for t in triples),
     )
 
 
@@ -303,19 +351,25 @@ class FetchObjectsMemo:
     "build complete object o from T'").  A benchmark workload requests
     the same oids over and over — top-N deepening rounds re-fetch every
     round's survivors, join probes re-fetch shared matches, and the
-    q-gram strategies re-fetch per delegating gram peer — so the rebuild
-    (a posting lookup plus a sorted dedup) is memoized per
-    ``(partition, oid key)`` under the same static-store contract as
+    q-gram strategies re-fetch per delegating gram peer — so the memo
+    keeps one :class:`ObjectRecord` per oid: a repeated fetch probes the
+    memo and does no key hash, no partition bisect, no posting lookup
+    and no payload re-sum.  It is bounded by the objects that exist (a
+    rebuild that finds nothing is not remembered), under the same
+    static-store contract as
     :class:`~repro.query.operators.similar.GramScanMemo`:
 
-    * outcomes are keyed per *partition* (replicas store identical data),
-      so hits are independent of which replica answered;
-    * every cached rebuild records the scanned store's mutation counter
+    * replicas of a partition store identical data, so a record is
+      independent of which replica answered;
+    * every record carries the scanned store's mutation counter
       (:attr:`LocalDataStore.version
-      <repro.storage.datastore.LocalDataStore>`) and recomputes when the
-      contacted replica reports any other version — and the owning
-      :class:`~repro.engine.QueryEngine` clears the memo outright when
-      its network-wide mutation check trips;
+      <repro.storage.datastore.LocalDataStore>`) and is rebuilt when the
+      contacted replica reports any other version;
+    * the owning :class:`~repro.engine.QueryEngine` drops the written
+      partitions' records on its own writes and clears the memo outright
+      when its network-wide mutation check trips — which every
+      membership change does, so a remembered partition index never
+      outlives a renumbering;
     * it is *cost-transparent*: delegation and result messages are
       charged from the reconstructed triples, which are identical cached
       or not, so measured message/byte series do not change (pinned by
@@ -324,43 +378,53 @@ class FetchObjectsMemo:
 
     def __init__(self, network):
         self.network = network
-        self._cache: dict[tuple, tuple[int, tuple[Triple, ...]]] = {}
+        self._cache: dict[str, ObjectRecord] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
 
-    def triples_for(
-        self, peer, partition_index: int, key: str, oid: str
-    ) -> tuple[Triple, ...]:
-        """The object stored under ``key``, rebuilt once per partition."""
-        signature = (partition_index, key, oid)
-        cached = self._cache.get(signature)
-        if cached is not None and cached[0] != peer.store.version:
+    def peek(self, oid: str) -> ObjectRecord | None:
+        """The remembered record of ``oid``, not yet validated against
+        any replica — its key and partition index are what routing needs."""
+        return self._cache.get(oid)
+
+    def triples_for(self, peer, key: str, oid: str) -> ObjectRecord:
+        """The object stored under ``key`` at ``peer`` — its whole
+        record, not only the triples — rebuilt at most once per store
+        version.  (The name is a layer boundary of the repo benchmark.)"""
+        record = self._cache.get(oid)
+        if record is not None:
+            if record.store_version == peer.store.version:
+                self.hits += 1
+                return record
             self.invalidations += 1
-            cached = None
-        if cached is None:
-            self.misses += 1
-            cached = (peer.store.version, _rebuild_triples(peer, key, oid))
-            self._cache[signature] = cached
+        self.misses += 1
+        record = _rebuild_object(peer, key, oid)
+        if record.triples:
+            self._cache[oid] = record
         else:
-            self.hits += 1
-        return cached[1]
+            self._cache.pop(oid, None)
+        return record
 
     def clear(self) -> None:
-        """Drop all cached rebuilds (call after any data mutation)."""
+        """Drop all records (call after any data mutation)."""
         self._cache.clear()
 
     def invalidate_partitions(self, partitions: "set[int]") -> int:
-        """Drop cached rebuilds of the given partitions only.
+        """Drop the records of the given partitions only.
 
         The delta-maintenance path of :class:`~repro.engine.QueryEngine`:
         a write that touched a known set of key partitions invalidates
         exactly those partitions' cached objects, and everything else
-        survives.  Returns the number of entries dropped.
+        survives.  Returns the number of records dropped.
         """
-        stale = [sig for sig in self._cache if sig[0] in partitions]
-        for sig in stale:
-            del self._cache[sig]
+        stale = [
+            oid
+            for oid, record in self._cache.items()
+            if record.partition_index in partitions
+        ]
+        for oid in stale:
+            del self._cache[oid]
         self.invalidations += len(stale)
         return len(stale)
 

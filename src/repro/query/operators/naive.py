@@ -247,7 +247,7 @@ def naive_similar(
             phase="broadcast",
         )
 
-    contacted = _with_partition_indices(ctx, peers, region_prefix)
+    contacted = [(peer, peer.partition_index) for peer in peers]
 
     # Local comparison at every contacted peer — computed once per
     # (s, a) region when a workload memo is installed (at the memo's
@@ -292,26 +292,6 @@ def naive_similar(
     result = _assemble_result(ctx, hits, initiator_id, comparison)
     result.extras["region_peers"] = len(peers)
     return result
-
-
-def _with_partition_indices(ctx, peers, region_prefix: str) -> list:
-    """Pair each contacted peer with its partition's index.
-
-    ``multicast_prefix`` contacts exactly one replica per partition, in
-    partition order, so the contacted list aligns with
-    ``partitions_under(region_prefix)`` — an O(P) zip instead of one
-    oracle bisection per peer.  Falls back to per-peer lookups if the
-    alignment assumption ever breaks (defensive; it cannot under the
-    current shower dissemination).
-    """
-    partitions = ctx.network.partitions_under(region_prefix)
-    if len(partitions) == len(peers):
-        return [
-            (peer, partition.index)
-            for peer, partition in zip(peers, partitions)
-        ]
-    partition_for = ctx.network.partition_for
-    return [(peer, partition_for(peer.path).index) for peer in peers]
 
 
 def _region_verifier(

@@ -210,17 +210,12 @@ def _gram_candidates(
     pool, and the body the serial reference loop runs inline.
     """
     candidate_oids: set[str] = set()
-    partition_index = (
-        ctx.network.partition_for(peer.path).index
-        if scan_memo is not None
-        else -1
-    )
     for key in keys:
         occurrences = gram_keys[key]
         if scan_memo is not None:
             candidate_oids.update(
                 scan_memo.candidate_oids(
-                    peer, partition_index, key, occurrences,
+                    peer, peer.partition_index, key, occurrences,
                     attribute, schema_level, d, ctx.filters,
                 )
             )

@@ -42,10 +42,10 @@ class LocalDataStore:
 
     __slots__ = (
         "_keys", "_entries", "_dirty", "_postings", "_kind_views",
-        "_payload_total", "version",
+        "_payload_total", "_ledger", "version",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, ledger=None) -> None:
         self._keys: list[str] = []
         self._entries: list[IndexEntry] = []
         self._dirty = False
@@ -54,6 +54,11 @@ class LocalDataStore:
         #: as a cache invalidation, turning the "static stores only"
         #: contract into an enforced check instead of a convention.
         self.version = 0
+        #: The owning network's shared ledger (any object with an integer
+        #: ``tick``), advanced together with ``version`` so the network
+        #: reads "did any store change?" in O(1).  ``None`` for a store
+        #: outside any network.
+        self._ledger = ledger
         #: Lazy ``key -> [entries]`` map; ``None`` until first use or after
         #: a bulk mutation invalidated it.
         self._postings: dict[str, list[IndexEntry]] | None = None
@@ -65,6 +70,20 @@ class LocalDataStore:
         #: Running payload total; ``None`` when it must be recomputed.
         self._payload_total: int | None = None
 
+    def attach(self, ledger) -> None:
+        """Re-home this store on ``ledger`` (a peer adopting it).
+
+        Swapping a peer's store changes what the network holds, so the
+        adoption itself counts as one mutation on the new ledger.
+        """
+        self._ledger = ledger
+        ledger.tick += 1
+
+    def _mutated(self) -> None:
+        self.version += 1
+        if self._ledger is not None:
+            self._ledger.tick += 1
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -74,7 +93,7 @@ class LocalDataStore:
 
     def add(self, entry: IndexEntry) -> None:
         """Insert one entry, keeping the store sorted."""
-        self.version += 1
+        self._mutated()
         self._ensure_sorted()
         index = bisect.bisect_right(self._keys, entry.key)
         self._keys.insert(index, entry.key)
@@ -104,7 +123,7 @@ class LocalDataStore:
                 added_bytes += entry.payload_size()
             count += 1
         if count:
-            self.version += 1
+            self._mutated()
             self._dirty = True
             self._postings = None
             self._kind_views = None
@@ -113,25 +132,35 @@ class LocalDataStore:
         return count
 
     def remove(self, entry: IndexEntry) -> bool:
-        """Remove one entry; returns False if it was not present."""
+        """Remove one entry; returns False if it was not present.
+
+        Gram keys of long strings collect hundreds of entries, so the
+        equal-key run is bounded by bisection and each candidate is
+        screened on its oid before the full (field-by-field) comparison.
+        """
         self._ensure_sorted()
-        index = bisect.bisect_left(self._keys, entry.key)
-        while index < len(self._keys) and self._keys[index] == entry.key:
-            if self._entries[index] == entry:
-                self.version += 1
-                del self._keys[index]
-                del self._entries[index]
-                if self._postings is not None:
-                    posting = self._postings.get(entry.key)
-                    if posting is not None:
-                        posting.remove(entry)
-                        if not posting:
-                            del self._postings[entry.key]
-                self._kind_views = None
-                if self._payload_total is not None:
-                    self._payload_total -= entry.payload_size()
-                return True
-            index += 1
+        key = entry.key
+        lo = bisect.bisect_left(self._keys, key)
+        hi = bisect.bisect_right(self._keys, key, lo)
+        oid = entry.triple.oid
+        entries = self._entries
+        for index in range(lo, hi):
+            candidate = entries[index]
+            if candidate.triple.oid != oid or candidate != entry:
+                continue
+            self._mutated()
+            del self._keys[index]
+            del entries[index]
+            if self._postings is not None:
+                # A posting list mirrors its key's run of the sorted store.
+                posting = self._postings[key]
+                del posting[index - lo]
+                if not posting:
+                    del self._postings[key]
+            self._kind_views = None
+            if self._payload_total is not None:
+                self._payload_total -= entry.payload_size()
+            return True
         return False
 
     # -- reads ---------------------------------------------------------------

@@ -166,3 +166,65 @@ class TestChurnCycle:
                 pass  # deep-sibling cases stay joined
         trie.validate_cover([p.path for p in network.partitions])
         assert all_words_reachable(network)
+
+
+class TestMutationToken:
+    """The token must move on *every* membership change.
+
+    The old token — the sum of all store versions — did not: a replica
+    leaving writes no store, and a store at version 2 replaced by two
+    fresh stores at version 1 keeps the sum, while partition indices
+    are renumbered underneath everything keyed by them.
+    """
+
+    @staticmethod
+    def members_indexed(network) -> bool:
+        return all(
+            network.peer(peer_id).partition_index == partition.index
+            for partition in network.partitions
+            for peer_id in partition.peer_ids
+        )
+
+    def test_token_strictly_increases_across_joins_and_leaves(self):
+        network = build_word_network(
+            n_peers=8, config=StoreConfig(seed=7, replication=2)
+        )
+        manager = MembershipManager(network)
+        readings = [network.store_version_token()]
+        joined = manager.join()  # splits the heaviest partition
+        readings.append(network.store_version_token())
+        manager.leave(network.partitions[0].peer_ids[0])  # survivors remain
+        readings.append(network.store_version_token())
+        manager.join()  # refills the under-replicated partition
+        readings.append(network.store_version_token())
+        manager.leave(joined.peer_id)  # last replica: merges into its sibling
+        readings.append(network.store_version_token())
+        assert readings == sorted(set(readings))
+
+    def test_split_of_a_rewritten_store_moves_the_token(self):
+        network = build_word_network(n_peers=8)
+        heaviest = max(
+            network.partitions,
+            key=lambda p: len(network.peer(p.peer_ids[0]).store),
+        )
+        store = network.peer(heaviest.peer_ids[0]).store
+        store.add(next(iter(store)))  # version 2: the old sum's blind spot
+        token = network.store_version_token()
+        MembershipManager(network).join()
+        assert network.store_version_token() > token
+
+    def test_members_carry_their_partition_index(self):
+        network = build_word_network(
+            n_peers=8, config=StoreConfig(seed=7, replication=2)
+        )
+        manager = MembershipManager(network)
+        assert self.members_indexed(network)
+        joined = [manager.join() for __ in range(5)]
+        assert self.members_indexed(network)
+        for peer in reversed(joined):
+            try:
+                manager.leave(peer.peer_id)
+            except OverlayError:
+                pass  # deep-sibling cases stay joined
+            assert self.members_indexed(network)
+        assert network.ledger.offline == sum(not p.online for p in network.peers)

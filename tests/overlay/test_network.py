@@ -151,3 +151,58 @@ class TestOracles:
         finally:
             for peer in network.peers:
                 peer.online = True
+
+
+class TestLedger:
+    """The shared ledger follows direct ``online`` / store writes."""
+
+    def test_offline_count_follows_direct_assignment(self):
+        network = build_word_network(n_peers=16)
+        assert network.ledger.offline == 0
+        network.peer(3).online = False
+        network.peer(3).online = False  # re-assignment is not a transition
+        network.peer(5).online = False
+        assert network.ledger.offline == 2
+        network.peer(3).online = True
+        network.peer(3).online = True
+        assert network.ledger.offline == 1
+        assert network.ledger.offline == sum(not p.online for p in network.peers)
+
+    def test_token_follows_direct_store_writes(self):
+        network = build_word_network(n_peers=16)
+        token = network.store_version_token()
+        assert network.store_version_token() == token  # reading is free
+        store = network.peer(2).store
+        entry = next(iter(store))
+        store.add(entry)
+        after_add = network.store_version_token()
+        assert after_add > token
+        assert store.remove(entry)
+        after_remove = network.store_version_token()
+        assert after_remove > after_add
+        assert not store.remove(
+            next(network.entry_factory.entries_for(Triple("x:0", TEXT_ATTR, "zz")))
+        )
+        assert store.add_bulk([]) == 0
+        assert network.store_version_token() == after_remove  # no-ops
+
+    def test_replaced_store_registers_and_keeps_registering(self):
+        from repro.storage.datastore import LocalDataStore
+
+        network = build_word_network(n_peers=16)
+        peer = network.peer(1)
+        entries = list(peer.store)
+        token = network.store_version_token()
+        fresh = LocalDataStore()
+        fresh.add_bulk(entries)  # not on the ledger yet
+        assert network.store_version_token() == token
+        peer.store = fresh
+        swapped = network.store_version_token()
+        assert swapped > token
+        peer.store.add(entries[0])
+        assert network.store_version_token() > swapped
+
+    def test_partition_index_matches_oracle(self):
+        network = build_word_network(n_peers=24, config=StoreConfig(seed=7, replication=2))
+        for peer in network.peers:
+            assert peer.partition_index == network.partition_for(peer.path).index

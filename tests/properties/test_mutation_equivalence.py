@@ -19,6 +19,11 @@ cost-transparent).
 Both engines see the exact same op sequence with explicit initiator
 peers, so their RNG streams never decouple; equivalence is exact, not
 statistical.
+
+After every rule the network ledger's O(1) bookkeeping is checked
+against the scans it replaced: the offline count, the mutation token
+(moves iff some store changed, never backwards) and every peer's
+partition index.
 """
 
 from hypothesis import settings
@@ -80,6 +85,9 @@ class MutationEquivalence(RuleBasedStateMachine):
         self.engines = (self.primary, self.reference)
         self.counter = 0
         self.live_batches: list[tuple[Triple, ...]] = []
+        #: Per engine: ``(token, every store's identity and version)`` as
+        #: of the previous invariant check.
+        self.seen = [self._store_state(engine) for engine in self.engines]
 
     def teardown(self):
         for engine in getattr(self, "engines", ()):
@@ -132,6 +140,20 @@ class MutationEquivalence(RuleBasedStateMachine):
         assert reports[0].failed_peer_ids == reports[1].failed_peer_ids
         assert not reports[0].dark_partitions
 
+    @rule(peer=st.integers(min_value=0, max_value=10**6))
+    def flip_online_directly(self, peer):
+        """``peer.online = ...`` behind the engine's back, both arms alike."""
+        peer_id = peer % self.primary.n_peers
+        network = self.primary.network
+        target = network.peer(peer_id)
+        if target.online and not any(
+            network.peer(replica).online for replica in target.replicas
+        ):
+            return  # queries need one live replica per partition
+        for engine in self.engines:
+            flipped = engine.network.peer(peer_id)
+            flipped.online = not flipped.online
+
     @precondition(lambda self: self.primary.churn.offline_peer_ids())
     @rule()
     def recover(self):
@@ -144,6 +166,13 @@ class MutationEquivalence(RuleBasedStateMachine):
 
     # -- invariants ---------------------------------------------------------------
 
+    @staticmethod
+    def _store_state(engine) -> tuple:
+        return (
+            engine.network.store_version_token(),
+            [(id(p.store), p.store.version) for p in engine.network.peers],
+        )
+
     @invariant()
     def stores_identical(self):
         if not hasattr(self, "engines"):
@@ -151,6 +180,26 @@ class MutationEquivalence(RuleBasedStateMachine):
         assert (
             self.primary.store_version == self.reference.store_version
         )
+
+    @invariant()
+    def ledger_matches_scans(self):
+        if not hasattr(self, "engines"):
+            return
+        for slot, engine in enumerate(self.engines):
+            network = engine.network
+            assert network.ledger.offline == sum(
+                not peer.online for peer in network.peers
+            )
+            for peer in network.peers:
+                assert (
+                    peer.partition_index
+                    == network.partition_for(peer.path).index
+                )
+            token, stores = self._store_state(engine)
+            seen_token, seen_stores = self.seen[slot]
+            assert token >= seen_token
+            assert (token != seen_token) == (stores != seen_stores)
+            self.seen[slot] = (token, stores)
 
 
 TestMutationEquivalence = MutationEquivalence.TestCase

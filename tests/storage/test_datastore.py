@@ -55,6 +55,45 @@ class TestBasics:
         assert not store.remove(foreign)
 
 
+class TestRemoveInLongRuns:
+    """One gram key shared by many entries, some of the same object."""
+
+    @staticmethod
+    def run_entries():
+        # "abab..." repeats its grams, so one oid owns several entries
+        # under one key; the other words share those keys.
+        return [
+            e
+            for e in entries_for_words(["abababab", "ababab", "abab", "babab"])
+            if e.kind is EntryKind.INSTANCE_GRAM
+        ]
+
+    def test_removes_exactly_the_given_entry(self):
+        entries = self.run_entries()
+        store = LocalDataStore()
+        store.add_bulk(entries)
+        key = max({e.key for e in entries}, key=lambda k: len(store.lookup(k)))
+        run = store.lookup(key)  # warms the postings map
+        assert len(run) >= 4
+        victim = run[len(run) // 2]
+        assert store.remove(victim)
+        expected = [e for e in run if e is not victim]
+        assert store.lookup(key) == expected
+        assert store.lookup_scan(key) == expected
+        assert not store.remove(victim)
+
+    def test_duplicate_entries_go_one_at_a_time(self):
+        entry = self.run_entries()[0]
+        store = LocalDataStore()
+        store.add_bulk([entry, entry])
+        store.lookup(entry.key)
+        assert store.remove(entry)
+        assert store.lookup(entry.key) == [entry]
+        assert store.remove(entry)
+        assert store.lookup(entry.key) == []
+        assert not store.remove(entry)
+
+
 class TestReads:
     def test_lookup_exact(self, store):
         entry = next(iter(store))

@@ -163,7 +163,12 @@ class TestMutationInvalidation:
         engine.similar("apple", TEXT_ATTR, 1, strategy="strings")
         assert len(engine.naive_memo) > 0
         peer = engine.network.peer(0)
-        peer.store.version += 1  # simulate an untracked mutation
+        entry = next(
+            engine.network.entry_factory.entries_for(
+                Triple("x:oob", TEXT_ATTR, "untracked")
+            )
+        )
+        peer.store.add(entry)  # a write that bypasses the engine
         assert engine.check_mutations() is True
         assert len(engine.naive_memo) == 0
         assert engine.check_mutations() is False

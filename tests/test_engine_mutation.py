@@ -95,6 +95,61 @@ class TestWritePath:
         assert _memo_entries(engine) == retained
 
 
+class TestMembershipChange:
+    def test_query_after_split_sees_no_stale_memo_entry(self):
+        """A split renumbers partitions under the index-keyed memos.
+
+        The split partition's store was written once after the bulk load
+        (version 2) and is replaced by two fresh stores at version 1 —
+        the case the old summed token could not see.  The token now
+        moves with every membership change, so the next recorded
+        operation drops every memo and answers — and charges — exactly
+        like an engine that never cached anything.
+        """
+        from repro.overlay.membership import MembershipManager
+
+        def build(**options):
+            return QueryEngine.build(
+                8, word_triples(), StoreConfig(seed=7), **options
+            )
+
+        def heaviest(network):
+            return max(
+                network.partitions,
+                key=lambda p: len(network.peer(p.peer_ids[0]).store),
+            )
+
+        engine, reference = build(), build(memoize=False)
+        network = engine.network
+        target = heaviest(network).index
+        oid = next(
+            f"x:{i}"
+            for i in range(10_000)
+            if network.partition_for(network.codec.oid_key(f"x:{i}")).index
+            == target
+        )
+        for each in (engine, reference):
+            each.insert([Triple(oid, TEXT_ATTR, "apricot")])
+            _warm(each)
+            assert heaviest(each.network).index == target
+            MembershipManager(each.network).join()
+        assert _memo_entries(engine) > 0  # still holding pre-split indices
+        assert engine.check_mutations() is True
+        assert _memo_entries(engine) == 0
+        for search in ("apple", "apricot", "cherry"):
+            for strategy in ("qgrams", "strings"):
+                got = engine.similar(search, TEXT_ATTR, 1, strategy=strategy)
+                want = reference.similar(search, TEXT_ATTR, 1, strategy=strategy)
+                assert [(m.oid, m.triples) for m in got.matches] == [
+                    (m.oid, m.triples) for m in want.matches
+                ]
+                assert engine.last_cost().messages == reference.last_cost().messages
+                assert (
+                    engine.last_cost().payload_bytes
+                    == reference.last_cost().payload_bytes
+                )
+
+
 class TestStatisticsDelta:
     def test_insert_patches_row_counts(self, engine):
         engine.analyze([TEXT_ATTR])
@@ -158,8 +213,8 @@ class TestChurnRegression:
         assert recovery.data_changed
         assert recovery.entries_copied > 0
         repaired = set(recovery.divergent_partitions)
-        for sig in engine.fetch_memo._cache:
-            assert sig[0] not in repaired
+        for record in engine.fetch_memo._cache.values():
+            assert record.partition_index not in repaired
         assert len(engine.fetch_memo) <= fetch_entries
 
     def test_queries_correct_after_divergent_recovery(self):
