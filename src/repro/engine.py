@@ -146,8 +146,8 @@ class QueryEngine:
         this engine (0 = exact).
     parallel_fanout:
         Thread count (>= 2) for the intra-query fan-out: per-peer
-        delegate work (gram-peer candidate scans, naive region
-        comparisons, broadcast query copies) runs on a
+        delegate work (gram-peer candidate scans, broadcast query
+        copies) runs on a
         :class:`~repro.overlay.fanout.FanOutExecutor` owned by this
         engine, with charges merged deterministically so every measured
         series stays bit-identical to the serial reference path.

@@ -126,8 +126,8 @@ class OperatorContext:
     decision_log: list = field(default_factory=list)
     #: Intra-query fan-out executor (see
     #: :class:`repro.overlay.fanout.FanOutExecutor`): per-peer delegate
-    #: work — region comparisons, gram posting scans, broadcast query
-    #: copies — runs on its thread pool with deterministic merging.
+    #: work — gram posting scans, broadcast query copies — runs on its
+    #: thread pool with deterministic merging.
     #: ``None`` (the default) keeps the serial reference path; measured
     #: series are bit-identical either way (property-tested).
     fanout: "FanOutExecutor | None" = None

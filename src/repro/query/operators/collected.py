@@ -34,8 +34,8 @@ from repro.query.operators.similar import (
     _candidate_strings,
     _decompose,
     _entry_gram,
-    _entry_matches,
     _gram_keys,
+    _matching_postings,
     _verify,
 )
 from repro.similarity.filters import CountFilter
@@ -110,9 +110,9 @@ def similar_collected(
         payload = 0
         for key in keys:
             occurrences = gram_keys[key]
-            for entry in peer.store.lookup(key):
-                if not _entry_matches(entry, attribute, occurrences[0], schema_level):
-                    continue
+            for entry in _matching_postings(
+                peer.store, key, occurrences[0].gram, attribute, schema_level
+            ):
                 stored = _entry_gram(entry)
                 if not any(
                     ctx.filters.admits(occurrence, stored, d)

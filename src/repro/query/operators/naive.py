@@ -18,6 +18,14 @@ matching peers return ``(oid, value)`` pairs and the initiator batch-
 fetches the complete objects, so the final result is identical in shape
 to the q-gram strategies'.
 
+A region comparison is one pass over a :class:`RegionColumn` — what
+the region's peers hold for the attribute, scanned once and independent
+of the query string — through the verifier's column path (a batch
+bit-parallel scan across all of the region's distinct strings when the
+column is retained and the kernel offers one).  The column is plain
+compute-side state: it charges nothing and decides nothing about
+messages.
+
 Two sweep-scale accelerations live here, both cost-transparent by
 construction:
 
@@ -54,6 +62,7 @@ from repro.query.operators.base import (
     OperatorContext,
 )
 from repro.query.operators.similar import SimilarResult
+from repro.similarity.kernels import EncodedColumn
 from repro.similarity.verify import BatchVerifier
 from repro.storage.indexing import EntryKind
 
@@ -97,6 +106,97 @@ class RegionComparison:
         return [entry for entry in entries if entry[2] <= d]
 
 
+class RegionColumn:
+    """What one naive region's peers compare, independent of the query.
+
+    Per partition: the ``(oid, string)`` rows a peer of that partition
+    compares, in store order — the attribute's values from its
+    ``ATTR_VALUE`` entries (each value exactly once; non-string values
+    are not comparable), or every entry's attribute *name* at schema
+    level — with the mutation counter of the store they were read from.
+    Across partitions: the distinct strings as one
+    :class:`~repro.similarity.kernels.EncodedColumn`, rebuilt only when
+    a slice was dropped or a re-scan changed some partition's rows.  A
+    ``retained`` column (the memo's) encodes them for the batch scan; a
+    column built for a single comparison does not — encoding a region
+    costs more than one per-candidate pass over it.
+
+    A slice is re-read whenever the contacted replica reports another
+    store version than the one scanned, so a column never answers from
+    rows older than the peer it is asked about.  Slices of partitions a
+    query did not contact are simply not consulted.
+    """
+
+    __slots__ = (
+        "region_prefix", "attribute", "schema_level", "retained", "_slices",
+        "_encoded",
+    )
+
+    def __init__(
+        self,
+        region_prefix: str,
+        attribute: str,
+        schema_level: bool,
+        retained: bool = True,
+    ):
+        self.region_prefix = region_prefix
+        self.attribute = attribute
+        self.schema_level = schema_level
+        self.retained = retained
+        #: partition index -> (scanned store version, rows).
+        self._slices: dict[int, tuple[int, tuple[tuple[str, str], ...]]] = {}
+        self._encoded: EncodedColumn | None = None
+
+    def slice_of(self, peer, partition_index: int) -> tuple[int, tuple]:
+        """``(store version, rows)`` of ``peer``'s partition, current as
+        of the version ``peer`` reports."""
+        store = peer.store
+        held = self._slices.get(partition_index)
+        if held is not None and held[0] == store.version:
+            return held
+        fresh = (store.version, self._scan(store))
+        if held is None or held[1] != fresh[1]:
+            self._encoded = None
+        self._slices[partition_index] = fresh
+        return fresh
+
+    def _scan(self, store) -> tuple[tuple[str, str], ...]:
+        if self.schema_level:
+            return tuple(
+                (entry.triple.oid, entry.triple.attribute)
+                for entry in store.entries_of_kind(EntryKind.ATTR_VALUE)
+            )
+        attribute = self.attribute
+        return tuple(
+            (entry.triple.oid, entry.triple.value)
+            for entry in store.entries_of_kind_prefix(
+                EntryKind.ATTR_VALUE, self.region_prefix
+            )
+            if entry.triple.attribute == attribute
+            and isinstance(entry.triple.value, str)
+        )
+
+    def encoded(self) -> EncodedColumn:
+        """The distinct strings of every held slice."""
+        if self._encoded is None:
+            self._encoded = EncodedColumn(
+                (
+                    value
+                    for __, rows in self._slices.values()
+                    for __oid, value in rows
+                ),
+                matrix=self.retained,
+            )
+        return self._encoded
+
+    def drop(self, partitions: set[int]) -> None:
+        """Forget the slices of ``partitions`` (they were written) and
+        with them the strings only those partitions held."""
+        for partition_index in partitions:
+            if self._slices.pop(partition_index, None) is not None:
+                self._encoded = None
+
+
 class NaiveWorkloadMemo:
     """Whole-workload memo of naive-broadcast comparison outcomes.
 
@@ -117,6 +217,12 @@ class NaiveWorkloadMemo:
     answering stale.  Replicas of a partition hold identical data, so
     outcomes are cached per *partition*, making hits independent of
     which replica a broadcast happens to contact.
+
+    The memo also retains one :class:`RegionColumn` per compared region,
+    under the same rules: :meth:`clear` drops them, a write drops the
+    written partitions' slices (only those are scanned again), and a
+    slice whose replica reports another version is re-read.  The first
+    comparison of any new search string therefore walks no store.
     """
 
     #: Default distance band (the workload's ``TOP_N_MAX_DISTANCE``).
@@ -126,6 +232,7 @@ class NaiveWorkloadMemo:
         self.network = network
         self.band = band
         self._cache: dict[tuple, RegionComparison] = {}
+        self._columns: dict[tuple[str, str, bool], RegionColumn] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -148,9 +255,20 @@ class NaiveWorkloadMemo:
         self.misses += 1
         self._cache[key] = comparison
 
+    def column(
+        self, region_prefix: str, attribute: str, schema_level: bool
+    ) -> RegionColumn:
+        """The retained column of one region (created empty on first use)."""
+        key = (region_prefix, attribute, schema_level)
+        column = self._columns.get(key)
+        if column is None:
+            column = self._columns[key] = RegionColumn(*key)
+        return column
+
     def clear(self) -> None:
         """Drop all cached outcomes (call after any data mutation)."""
         self._cache.clear()
+        self._columns.clear()
 
     def invalidate_partitions(self, partitions: set[int]) -> int:
         """Drop cached outcomes whose scanned region touches ``partitions``.
@@ -169,6 +287,8 @@ class NaiveWorkloadMemo:
         for key in stale:
             del self._cache[key]
         self.invalidations += len(stale)
+        for column in self._columns.values():
+            column.drop(partitions)
         return len(stale)
 
     def __len__(self) -> int:
@@ -263,9 +383,10 @@ def naive_similar(
     if comparison is None:
         band = max(d, memo.band) if memo is not None else d
         comparison = _compare_region(
-            contacted, s, attribute, band, schema_level, region_prefix,
+            contacted,
+            _region_column(memo, region_prefix, attribute, schema_level),
+            band,
             _region_verifier(ctx, s, d, band, verifier),
-            fanout=None if faulty else ctx.fanout,
         )
         if memo is not None:
             memo.store(memo_key, comparison)
@@ -300,7 +421,7 @@ def _region_verifier(
     d: int,
     band: int,
     verifier: BatchVerifier | None,
-) -> BatchVerifier | None:
+) -> BatchVerifier:
     """The verifier a region comparison should use.
 
     A caller-supplied verifier is only valid at its own distance; banded
@@ -313,77 +434,54 @@ def _region_verifier(
     return ctx.make_verifier(s, band)
 
 
+def _region_column(
+    memo: NaiveWorkloadMemo | None,
+    region_prefix: str,
+    attribute: str,
+    schema_level: bool,
+) -> RegionColumn:
+    """The memo's retained column, or one built for this comparison only
+    (no memo installed, or bypassed while faults are active) — same
+    rows, same pass, but not worth encoding for a single use."""
+    if memo is None:
+        return RegionColumn(region_prefix, attribute, schema_level, retained=False)
+    return memo.column(region_prefix, attribute, schema_level)
+
+
 def _compare_region(
     contacted: list,
-    s: str,
-    attribute: str,
+    column: RegionColumn,
     band: int,
-    schema_level: bool,
-    region_prefix: str,
-    verifier: BatchVerifier | None,
-    fanout=None,
+    verifier: BatchVerifier,
 ) -> RegionComparison:
-    """Compare ``s`` against every contacted peer's local strings.
+    """Compare the verifier's query against every contacted peer's rows.
 
-    The kind view narrows each scan to ``ATTR_VALUE`` entries (each value
-    compared exactly once) — instance level additionally bisects to the
-    attribute's key region — and one region-wide pass through the batched
-    verifier shares DP work across every repeated value.  ``verifier``,
-    when given, must have been built for ``(s, band)``.
-
-    With a :class:`~repro.overlay.fanout.FanOutExecutor` installed, the
-    per-peer store scans (pure compute: no tracer charges, no RNG, one
-    unit per peer store) run on the thread pool in contacted order; the
-    shared verifier pass stays on the caller's thread either way.
+    ``column`` supplies each contacted partition's rows (scanning only
+    what it does not hold at the contacted replica's version) and the
+    region's distinct strings; one pass through ``verifier`` — built for
+    ``(s, band)`` — yields the strings within ``band``, and the outcome
+    is their rows at the contacted partitions, in store order.  Pure
+    compute: no tracer charge, no RNG draw.
     """
-    if verifier is None:
-        verifier = BatchVerifier(s, band)
-
-    def scan_peer(item) -> tuple[int, int, list[tuple[str, str]]]:
-        peer, partition_index = item
-        compared: list[tuple[str, str]] = []
-        local_entries = (
-            peer.store.entries_of_kind(EntryKind.ATTR_VALUE)
-            if schema_level
-            else peer.store.entries_of_kind_prefix(
-                EntryKind.ATTR_VALUE, region_prefix
-            )
-        )
-        for entry in local_entries:
-            candidate = _comparable_string(entry, attribute, schema_level)
-            if candidate is None:
-                continue
-            compared.append((entry.triple.oid, candidate))
-        return partition_index, peer.store.version, compared
-
-    if fanout is not None:
-        scans = fanout.map_ordered(scan_peer, contacted)
-    else:
-        scans = [scan_peer(item) for item in contacted]
-
-    compared_by_partition: list[tuple[int, list[tuple[str, str]]]] = []
+    scanned: list[tuple[int, tuple]] = []
     store_versions: dict[int, int] = {}
     local_comparisons = 0
     max_peer_comparisons = 0
-    for partition_index, store_version, compared in scans:
+    for peer, partition_index in contacted:
+        store_version, rows = column.slice_of(peer, partition_index)
         store_versions[partition_index] = store_version
-        local_comparisons += len(compared)
-        max_peer_comparisons = max(max_peer_comparisons, len(compared))
-        compared_by_partition.append((partition_index, compared))
-    distances = verifier.distances(
-        candidate
-        for __, compared in compared_by_partition
-        for __oid, candidate in compared
-    )
+        local_comparisons += len(rows)
+        max_peer_comparisons = max(max_peer_comparisons, len(rows))
+        scanned.append((partition_index, rows))
+    near = verifier.distances(column.encoded())
     by_partition: dict[int, tuple[tuple[str, str, int], ...]] = {}
-    for partition_index, compared in compared_by_partition:
-        matched_here = tuple(
-            (oid, candidate, distances[candidate])
-            for oid, candidate in compared
-            if distances[candidate] <= band
-        )
-        if matched_here:
-            by_partition[partition_index] = matched_here
+    if near:
+        for partition_index, rows in scanned:
+            matched_here = [
+                (oid, value, near[value]) for oid, value in rows if value in near
+            ]
+            if matched_here:
+                by_partition[partition_index] = tuple(matched_here)
     return RegionComparison(
         band=band,
         by_partition=by_partition,
@@ -480,9 +578,10 @@ def _sampled_naive_similar(
     if comparison is None:
         band = max(d, memo.band) if memo is not None else d
         comparison = _compare_region(
-            sampled, s, attribute, band, schema_level, region_prefix,
+            sampled,
+            _region_column(memo, region_prefix, attribute, schema_level),
+            band,
             _region_verifier(ctx, s, d, band, verifier),
-            fanout=ctx.fanout,
         )
         if memo is not None:
             memo.store(memo_key, comparison)
@@ -536,20 +635,3 @@ def _sampled_naive_similar(
     result.extras["sample_stride"] = stride
     result.extras["estimated_result_messages"] = estimated_results
     return result
-
-
-def _comparable_string(entry, attribute: str, schema_level: bool) -> str | None:
-    """The string a naive region peer compares for one stored entry.
-
-    Instance level compares each attribute value exactly once, via the
-    ``ATTR_VALUE`` entry.  Schema level compares attribute names, also via
-    ``ATTR_VALUE`` entries (every triple has one).
-    """
-    if entry.kind is not EntryKind.ATTR_VALUE:
-        return None
-    if schema_level:
-        return entry.triple.attribute
-    if entry.triple.attribute != attribute:
-        return None
-    value = entry.triple.value
-    return value if isinstance(value, str) else None

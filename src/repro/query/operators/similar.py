@@ -144,18 +144,20 @@ class GramScanMemo:
         distances, aligned oids)."""
         use_position = filters.use_position
         use_length = filters.use_length
+        wanted = [(g.position, g.source_length) for g in occurrences]
         admitted: list[tuple[int, str]] = []
-        for entry in peer.store.lookup(key):
-            if not _entry_matches(entry, attribute, occurrences[0], schema_level):
-                continue
-            stored = _entry_gram(entry)
+        for entry in _matching_postings(
+            peer.store, key, occurrences[0].gram, attribute, schema_level
+        ):
+            stored_position = entry.position
+            stored_length = entry.source_length
             minimal: int | None = None
-            for occurrence in occurrences:
+            for position, source_length in wanted:
                 needed = 0
                 if use_position:
-                    needed = abs(occurrence.position - stored.position)
+                    needed = abs(position - stored_position)
                 if use_length:
-                    gap = abs(occurrence.source_length - stored.source_length)
+                    gap = abs(source_length - stored_length)
                     if gap > needed:
                         needed = gap
                 if minimal is None or needed < minimal:
@@ -220,9 +222,9 @@ def _gram_candidates(
                 )
             )
             continue
-        for entry in peer.store.lookup(key):
-            if not _entry_matches(entry, attribute, occurrences[0], schema_level):
-                continue
+        for entry in _matching_postings(
+            peer.store, key, occurrences[0].gram, attribute, schema_level
+        ):
             stored = _entry_gram(entry)
             if not any(
                 ctx.filters.admits(occurrence, stored, d)
@@ -412,13 +414,10 @@ def _gram_keys(
     return dict(keys)
 
 
-def _entry_matches(
-    entry: IndexEntry,
-    attribute: str,
-    query_gram: PositionalQGram,
-    schema_level: bool,
-) -> bool:
-    """Does a stored entry belong to this query's gram lookup?
+def _matching_postings(
+    store, key: str, gram: str, attribute: str, schema_level: bool
+) -> list[IndexEntry]:
+    """The entries under ``key`` that belong to a lookup of ``gram``.
 
     Composite keys can collide across attributes (the attribute prefix is
     truncated), so gram peers verify the entry's attribute and gram text —
@@ -426,12 +425,18 @@ def _entry_matches(
     available locally".
     """
     if schema_level:
-        return entry.kind is EntryKind.SCHEMA_GRAM and entry.gram == query_gram.gram
-    return (
-        entry.kind is EntryKind.INSTANCE_GRAM
-        and entry.gram == query_gram.gram
+        return [
+            entry
+            for entry in store.lookup(key)
+            if entry.kind is EntryKind.SCHEMA_GRAM and entry.gram == gram
+        ]
+    return [
+        entry
+        for entry in store.lookup(key)
+        if entry.kind is EntryKind.INSTANCE_GRAM
+        and entry.gram == gram
         and entry.triple.attribute == attribute
-    )
+    ]
 
 
 def _entry_gram(entry: IndexEntry) -> PositionalQGram:

@@ -26,7 +26,9 @@ Two kernels ship:
   work: strings within edit distance ``d`` must share at least
   ``max(|a|, |b|) - d`` characters with the query (the q-gram lemma at
   ``q = 1``), so candidates below that bound are rejected with zero
-  per-candidate python work.
+  per-candidate python work.  For a column encoded once
+  (:class:`EncodedColumn`) the same scan also runs *across* candidates:
+  one ``uint64`` lane per string, one step per character position.
 
 Selection is a runtime decision: ``QueryEngine(edit_kernel=...)`` takes
 a kernel instance or name, and the ``REPRO_EDIT_KERNEL`` environment
@@ -260,6 +262,131 @@ def _prefilter_survivors(
     return _np.flatnonzero(common >= bound).tolist()
 
 
+# -- pre-encoded columns -------------------------------------------------------
+
+
+#: Character positions an :class:`EncodedColumn` holds per lane.  The
+#: batch scan takes queries of at most ``WORD_BITS`` characters and only
+#: lanes within ``d`` of the query's length, so longer strings are never
+#: walked and stay out of the matrix.
+COLUMN_ROWS = 2 * WORD_BITS
+
+
+class EncodedColumn:
+    """A column of strings prepared once for any number of queries.
+
+    ``values`` are the column's distinct strings — shortest first when
+    ``matrix`` is asked for, in first-seen order otherwise.  With the
+    matrix asked for, numpy importable and no lone surrogate among
+    them, the strings of at most :data:`COLUMN_ROWS` characters — a
+    prefix of ``values`` — are also held as ``codes``: one row per
+    character position, one lane per string, each character replaced by
+    its index in the column's own dense ``alphabet`` (in the smallest
+    unsigned type that fits it), which is the layout the batch Myers
+    scan walks.  ``active_from[j]`` is the first lane longer than ``j``
+    characters: at position ``j`` the live lanes are exactly that
+    suffix, so no padding is ever read.  Without the matrix (``codes is
+    None``) a verifier answers the column through its per-candidate
+    path; an owner that will use the column once asks for none, because
+    encoding costs more than one per-candidate pass saves.
+    """
+
+    __slots__ = ("values", "lengths", "codes", "alphabet", "active_from")
+
+    def __init__(self, strings, matrix: bool = True):
+        self.lengths = self.codes = self.alphabet = self.active_from = None
+        if not matrix:
+            self.values = tuple(dict.fromkeys(strings))
+            return
+        self.values = tuple(sorted(dict.fromkeys(strings), key=len))
+        if _np is None:
+            return
+        count = len(self.values)
+        lengths = _np.fromiter(map(len, self.values), dtype=_np.intp, count=count)
+        lanes = int(_np.searchsorted(lengths, COLUMN_ROWS, side="right"))
+        if not lanes:
+            return
+        try:
+            joined = "".join(self.values[:lanes]).encode("utf-32-le")
+        except UnicodeEncodeError:
+            return
+        points, dense = _np.unique(
+            _np.frombuffer(joined, dtype=_np.uint32), return_inverse=True
+        )
+        short = lengths[:lanes]
+        rows = int(short[-1])
+        lane = _np.repeat(_np.arange(lanes, dtype=_np.intp), short)
+        position = _np.arange(len(lane), dtype=_np.intp) - (
+            _np.cumsum(short) - short
+        )[lane]
+        codes = _np.zeros(
+            (rows, lanes), dtype=_np.min_scalar_type(max(len(points) - 1, 0))
+        )
+        codes[position, lane] = dense
+        self.lengths = lengths
+        self.codes = codes
+        self.alphabet = {
+            chr(point): code for code, point in enumerate(points.tolist())
+        }
+        self.active_from = _np.searchsorted(
+            short, _np.arange(rows), side="right"
+        ).tolist()
+
+
+def _batch_one_block(state: MyersQuery, column: EncodedColumn, d: int):
+    """The single-block Myers scan of ``state`` run across ``column``.
+
+    Same recurrence as :meth:`MyersQuery._within_one_block`, one
+    ``uint64`` ``vp``/``vn``/``score`` lane per string and one step per
+    character position.  Every step only carries information towards
+    higher bits, so the bits above the pattern need no masking.  Lanes
+    whose length differs from the query's by more than ``d`` are never
+    scanned.  Returns the strings within ``d`` with their distances, and
+    how many lanes were scanned.
+    """
+    m = state.length
+    lengths = column.lengths
+    low = int(_np.searchsorted(lengths, m - d, side="left"))
+    high = int(_np.searchsorted(lengths, m + d, side="right"))
+    if low >= high:
+        return {}, 0
+    eq_table = _np.zeros(len(column.alphabet), dtype=_np.uint64)
+    for ch, mask in state.masks[0].items():
+        code = column.alphabet.get(ch)
+        if code is not None:
+            eq_table[code] = mask
+    one = _np.uint64(1)
+    last = _np.uint64(1 << (m - 1))
+    width = high - low
+    vp = _np.full(width, _WORD_MASK, dtype=_np.uint64)
+    vn = _np.zeros(width, dtype=_np.uint64)
+    score = _np.full(width, m, dtype=_np.int64)
+    codes = column.codes
+    active_from = column.active_from
+    for j in range(int(lengths[high - 1])):
+        start = max(active_from[j], low)
+        offset = start - low
+        pv = vp[offset:]
+        nv = vn[offset:]
+        eq = eq_table.take(codes[j, start:high])
+        xv = eq | nv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = nv | ~(xh | pv)
+        mh = pv & xh
+        live = score[offset:]
+        live += (ph & last) != 0
+        live -= (mh & last) != 0
+        ph = (ph << one) | one
+        vp[offset:] = (mh << one) | ~(xv | ph)
+        vn[offset:] = ph & xv
+    near = _np.flatnonzero(score <= d)
+    values = column.values
+    return {
+        values[low + lane]: distance
+        for lane, distance in zip(near.tolist(), score[near].tolist())
+    }, width
+
+
 # -- kernels -------------------------------------------------------------------
 
 
@@ -298,6 +425,12 @@ class BoundKernel:
     def prefers_shared(self, batch_size: int) -> bool:
         """True when the sorted shared-prefix DP should run this batch."""
         return True
+
+    def column_distances(self, column: EncodedColumn):
+        """Batch scan of a pre-encoded column: ``({string: distance} for
+        the strings within d, lanes scanned)``, or ``None`` when this
+        kernel has no batch form for it."""
+        return None
 
 
 class _BoundReference(BoundKernel):
@@ -358,6 +491,15 @@ class _BoundMyers(BoundKernel):
         return (
             self.state.blocks > 1 and batch_size >= SHARED_FALLBACK_MIN_BATCH
         )
+
+    def column_distances(self, column: EncodedColumn):
+        if (
+            column.codes is None
+            or not 0 < self.state.length <= WORD_BITS
+            or self.state.length + self.d > COLUMN_ROWS
+        ):
+            return None
+        return _batch_one_block(self.state, column, self.d)
 
 
 class MyersKernel(EditKernel):

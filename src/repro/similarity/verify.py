@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
-from repro.similarity.kernels import EditKernel, resolve_kernel
+from repro.similarity.kernels import EditKernel, EncodedColumn, resolve_kernel
 
 #: Default bound on live verifiers in a :class:`VerifierPool`.  Each
 #: verifier's memo grows with the distinct candidates its query has
@@ -87,7 +87,10 @@ class BatchVerifier:
     implementation (default: :func:`resolve_kernel`'s process default);
     batches run either the kernel's flat per-candidate path or the
     sorted shared-prefix DP below, whichever the kernel prefers for the
-    batch's size — the choice is recorded on ``counters``.
+    batch's size — the choice is recorded on ``counters``.  A column
+    encoded once by its owner
+    (:class:`~repro.similarity.kernels.EncodedColumn`) goes through
+    :meth:`distances` as well and is answered without the memo.
     """
 
     __slots__ = ("query", "d", "_memo", "computed", "kernel", "_bound", "counters")
@@ -131,7 +134,9 @@ class BatchVerifier:
 
     # -- batched path ---------------------------------------------------------
 
-    def distances(self, candidates: Iterable[str]) -> dict[str, int]:
+    def distances(
+        self, candidates: Iterable[str] | EncodedColumn
+    ) -> dict[str, int]:
         """Distances for every distinct candidate, batched.
 
         Duplicates collapse first (``dict.fromkeys``, C-speed, keeps
@@ -143,11 +148,14 @@ class BatchVerifier:
         any possible common count when the gap is > ``d``) with an
         inline guard for unfiltered candidates, and the shared path
         screens before sorting.
+
+        A pre-encoded :class:`~repro.similarity.kernels.EncodedColumn`
+        is answered sparsely — only its strings within ``d`` — see
+        :meth:`_column_distances`.
         """
+        if isinstance(candidates, EncodedColumn):
+            return self._column_distances(candidates)
         memo = self._memo
-        counters = self.counters
-        d = self.d
-        reject = d + 1
         result: dict[str, int] = {}
         if memo:
             fresh: list[str] = []
@@ -159,30 +167,71 @@ class BatchVerifier:
                 else:
                     hits += 1
                     result[candidate] = found
-            counters.memo_hits += hits
+            self.counters.memo_hits += hits
         else:
             fresh = list(dict.fromkeys(candidates))
-        if not fresh:
-            return result
+        if fresh:
+            verified = self._verify(fresh)
+            memo.update(verified)
+            if not result:
+                return verified
+            result.update(verified)
+        return result
+
+    def _column_distances(self, column: EncodedColumn) -> dict[str, int]:
+        """One pass over a column that was encoded once: the distances
+        of its strings within ``d`` (in a region-sized column nearly all
+        are beyond it, and those are left out).
+
+        The kernel's batch scan when it has one for this query and
+        column, the per-candidate paths otherwise — identical values
+        either way.  A column is its owner's unit of reuse (the naive
+        operator retains the whole region outcome), so nothing here
+        reads or writes the per-candidate memo: a region-sized pass
+        must not park a region of strings in a pooled verifier.
+        """
+        batch = self._bound.column_distances(column)
+        if batch is None:
+            d = self.d
+            return {
+                value: distance
+                for value, distance in self._verify(column.values).items()
+                if distance <= d
+            }
+        near, scanned = batch
+        counters = self.counters
+        counters.batches_flat += 1
+        counters.prefilter_rejected += len(column.values) - scanned
+        counters.computed += scanned
+        self.computed += scanned
+        return near
+
+    def _verify(self, fresh: Sequence[str]) -> dict[str, int]:
+        """Distances of distinct candidates through the kernel's
+        preferred per-candidate batch path; touches no memo."""
+        verified: dict[str, int] = {}
         if self._bound.prefers_shared(len(fresh)):
-            counters.batches_shared += 1
+            self.counters.batches_shared += 1
+            d = self.d
+            reject = d + 1
             query_length = len(self.query)
             pending = []
             for candidate in fresh:
                 if abs(len(candidate) - query_length) > d:
-                    memo[candidate] = reject
-                    result[candidate] = reject
+                    verified[candidate] = reject
                 else:
                     pending.append(candidate)
             if pending:
                 pending.sort()
-                self._verify_sorted(pending, result)
+                self._verify_sorted(pending, verified)
         else:
-            counters.batches_flat += 1
-            self._verify_flat(fresh, result)
-        return result
+            self.counters.batches_flat += 1
+            self._verify_flat(fresh, verified)
+        return verified
 
-    def _verify_flat(self, pending: list[str], result: dict[str, int]) -> None:
+    def _verify_flat(
+        self, pending: Sequence[str], result: dict[str, int]
+    ) -> None:
         """Per-candidate kernel scans, after an optional batch prefilter.
 
         The kernel's vectorized count filter (when active) rejects
@@ -195,7 +244,6 @@ class BatchVerifier:
         either path.  Results are exact-or-sentinel, identical to the
         shared-prefix path.
         """
-        memo = self._memo
         counters = self.counters
         d = self.d
         reject = d + 1
@@ -205,21 +253,16 @@ class BatchVerifier:
             counters.prefilter_rejected += len(pending) - len(keep)
             # Provisionally reject everything in bulk, then overwrite the
             # survivors with their real scans below.
-            rejected = dict.fromkeys(pending, reject)
-            memo.update(rejected)
-            result.update(rejected)
+            result.update(dict.fromkeys(pending, reject))
             pending = [pending[index] for index in keep]
         distance = self._bound.distance
         computed = 0
         for candidate in pending:
             if abs(len(candidate) - query_length) > d:
-                memo[candidate] = reject
                 result[candidate] = reject
                 continue
-            outcome = distance(candidate)
+            result[candidate] = distance(candidate)
             computed += 1
-            memo[candidate] = outcome
-            result[candidate] = outcome
         self.computed += computed
         counters.computed += computed
 
@@ -235,7 +278,6 @@ class BatchVerifier:
         candidates sharing it are rejected without touching the DP.
         """
         query = self.query
-        memo = self._memo
         counters = self.counters
         d = self.d
         m = len(query)
@@ -246,14 +288,12 @@ class BatchVerifier:
         dead_depth: int | None = None
         for candidate in pending:
             if candidate == query:
-                memo[candidate] = 0
                 result[candidate] = 0
                 continue
             shared = _common_prefix_len(previous, candidate)
             previous = candidate
             if dead_depth is not None:
                 if shared >= dead_depth:
-                    memo[candidate] = infinity
                     result[candidate] = infinity
                     continue
                 dead_depth = None
@@ -271,7 +311,6 @@ class BatchVerifier:
             if outcome is None:
                 final = rows[len(candidate)][m]
                 outcome = final if final <= d else infinity
-            memo[candidate] = outcome
             result[candidate] = outcome
 
     def _extend_row(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.core.config import StoreConfig
@@ -10,6 +12,7 @@ from repro.datasets.cars import car_database
 from repro.overlay.hashing import CompositeKeyCodec
 from repro.overlay.network import PGridNetwork
 from repro.query.operators.base import OperatorContext
+from repro.query.operators.naive import RegionColumn
 from repro.storage.indexing import EntryFactory
 from repro.storage.triple import Triple
 
@@ -58,6 +61,16 @@ def word_network() -> PGridNetwork:
 @pytest.fixture(scope="module")
 def word_ctx(word_network) -> OperatorContext:
     return OperatorContext(word_network)
+
+
+@pytest.fixture
+def region_scans():
+    """Mock wrapping the naive region column's store walk: its
+    ``call_count`` is the number of partition scans performed."""
+    with mock.patch.object(
+        RegionColumn, "_scan", autospec=True, side_effect=RegionColumn._scan
+    ) as scan:
+        yield scan
 
 
 @pytest.fixture(scope="module")

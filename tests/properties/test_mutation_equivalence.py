@@ -18,7 +18,9 @@ cost-transparent).
 
 Both engines see the exact same op sequence with explicit initiator
 peers, so their RNG streams never decouple; equivalence is exact, not
-statistical.
+statistical.  Every query draws its physical strategy — q-grams,
+q-samples or the naive broadcast — so all three memos, the naive one's
+retained region columns included, live through the writes and churn.
 
 After every rule the network ledger's O(1) bookkeeping is checked
 against the scans it replaced: the offline count, the mutation token
@@ -36,7 +38,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.config import StoreConfig
+from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.engine import QueryEngine
 from repro.query.operators.similar import similar
 from repro.storage.triple import Triple
@@ -51,10 +53,19 @@ WORDS = [
 ]
 
 
-def _answer(engine: QueryEngine, word: str, d: int, initiator: int) -> tuple:
+STRATEGIES = [
+    SimilarityStrategy.QGRAM,
+    SimilarityStrategy.QSAMPLE,
+    SimilarityStrategy.NAIVE,
+]
+
+
+def _answer(
+    engine: QueryEngine, word: str, d: int, initiator: int, strategy
+) -> tuple:
     """One query's full observable: matches plus the measured series."""
     with engine.recorded():
-        result = similar(engine.ctx, word, ATTR, d, initiator)
+        result = similar(engine.ctx, word, ATTR, d, initiator, strategy=strategy)
     cost = engine.last_cost()
     return (
         tuple(sorted((m.oid, m.matched, m.distance) for m in result.matches)),
@@ -99,11 +110,12 @@ class MutationEquivalence(RuleBasedStateMachine):
         word=st.sampled_from(WORDS),
         d=st.integers(min_value=0, max_value=2),
         initiator=st.integers(min_value=0, max_value=10**6),
+        strategy=st.sampled_from(STRATEGIES),
     )
-    def query(self, word, d, initiator):
+    def query(self, word, d, initiator, strategy):
         peer_id = initiator % self.primary.n_peers
-        assert _answer(self.primary, word, d, peer_id) == _answer(
-            self.reference, word, d, peer_id
+        assert _answer(self.primary, word, d, peer_id, strategy) == _answer(
+            self.reference, word, d, peer_id, strategy
         )
 
     @rule(

@@ -8,13 +8,21 @@ single-block path (queries <= 64 chars) and the multi-block carry path —
 over unicode alphabets, empty strings, ``d = 0`` and lengths straddling
 the 64-character word boundary.  The batch suite then pins the
 forced-kernel invariant the whole PR rests on: every kernel produces the
-identical ``distances()`` dict.
+identical ``distances()`` dict.  The column suite does the same for the
+batch (across-candidates) form of the scan over an
+:class:`~repro.similarity.kernels.EncodedColumn`, including every input
+that must fall back to per-candidate scans instead.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from repro.similarity import kernels
 from repro.similarity.edit_distance import edit_distance, edit_distance_within
 from repro.similarity.kernels import (
+    COLUMN_ROWS,
+    EncodedColumn,
     MyersKernel,
     MyersQuery,
     ReferenceKernel,
@@ -117,3 +125,144 @@ class TestForcedKernelBatchIdentity:
                 assert result[candidate] == edit_distance_within(
                     query, candidate, d
                 )
+
+
+#: Queries at the widths the single-block batch scan accepts (1..64) and
+#: the first it must refuse (65), plus the empty query.
+edge_queries = st.sampled_from([0, 1, 2, 63, 64, 65]).flatmap(
+    lambda size: st.text(alphabet="abz 🙂", min_size=size, max_size=size)
+)
+column_queries = st.one_of(short_texts, short_texts, edge_queries)
+#: Candidates: empty, shorter and longer than the query, repeated,
+#: astral-plane, and (rarely) carrying a lone surrogate.
+column_texts = st.one_of(
+    short_texts,
+    st.text(alphabet="abz 🙂", min_size=55, max_size=70),
+)
+with_surrogates = st.text(alphabet="ab\ud800\udfff", max_size=6)
+#: Strings too long for any batch scan: kept in ``values``, not encoded.
+outliers = st.integers(min_value=COLUMN_ROWS + 1, max_value=COLUMN_ROWS + 40).flatmap(
+    lambda size: st.text(alphabet="ab\ud800", min_size=size, max_size=size)
+)
+column_distances = st.integers(min_value=0, max_value=6)
+
+
+def expected(query, column, d):
+    """What a column pass answers: the strings within ``d``."""
+    return {
+        value: distance
+        for value in column.values
+        if (distance := edit_distance_within(query, value, d)) <= d
+    }
+
+
+class TestColumnBatchKernel:
+    @settings(max_examples=300)
+    @given(
+        column_queries,
+        st.lists(column_texts, max_size=24),
+        column_distances,
+    )
+    def test_column_distances_match_banded_dp(self, query, candidates, d):
+        candidates = candidates + candidates[:3]  # duplicates collapse
+        column = EncodedColumn(candidates)
+        assert sorted(column.values) == sorted(set(candidates))
+        assert list(map(len, column.values)) == sorted(map(len, column.values))
+        for kernel in batch_kernels():
+            verifier = BatchVerifier(query, d, kernel=kernel)
+            assert verifier.distances(column) == expected(query, column, d)
+            # A column pass is never parked in the per-candidate memo.
+            assert not verifier._memo
+
+    @settings(max_examples=100)
+    @given(column_queries, st.lists(column_texts, min_size=1, max_size=12))
+    def test_batch_form_runs_exactly_when_it_can(self, query, candidates):
+        column = EncodedColumn(candidates)
+        bound = MyersKernel().bind(query, 2)
+        batch = bound.column_distances(column)
+        if numpy_available() and 0 < len(query) <= 64:
+            distances, scanned = batch
+            assert distances == expected(query, column, 2)
+            assert scanned == sum(
+                abs(len(value) - len(query)) <= 2 for value in column.values
+            )
+        else:
+            assert batch is None
+        assert ReferenceKernel().bind(query, 2).column_distances(column) is None
+
+    @settings(max_examples=100)
+    @given(
+        st.one_of(short_texts, with_surrogates),
+        st.lists(st.one_of(short_texts, with_surrogates), max_size=12),
+        column_distances,
+    )
+    def test_lone_surrogates_fall_back_not_crash(self, query, candidates, d):
+        column = EncodedColumn(candidates)
+        if any("\ud800" in c or "\udfff" in c for c in candidates):
+            assert column.codes is None
+        for kernel in batch_kernels():
+            assert BatchVerifier(query, d, kernel=kernel).distances(
+                column
+            ) == expected(query, column, d)
+
+    @settings(max_examples=100)
+    @given(
+        column_queries,
+        st.lists(column_texts, max_size=12),
+        st.lists(outliers, min_size=1, max_size=3),
+        column_distances,
+    )
+    def test_long_outliers_are_carried_but_not_encoded(
+        self, query, candidates, long_values, d
+    ):
+        column = EncodedColumn(candidates + long_values)
+        assert set(long_values) <= set(column.values)
+        if column.codes is not None:
+            # One long value (surrogates and all) costs the matrix nothing.
+            rows, lanes = column.codes.shape
+            assert rows == max(map(len, candidates)) <= COLUMN_ROWS
+            assert lanes == len(set(candidates))
+            assert column.codes.dtype.itemsize == 1
+        for kernel in batch_kernels():
+            assert BatchVerifier(query, d, kernel=kernel).distances(
+                column
+            ) == expected(query, column, d)
+
+    def test_band_reaching_past_the_matrix_rows_falls_back(self):
+        query = "ab" * 32
+        column = EncodedColumn(["ab" * 32, "ba" * 60, "a" * (COLUMN_ROWS + 1)])
+        for d in (COLUMN_ROWS - 64, COLUMN_ROWS - 63):
+            bound = MyersKernel().bind(query, d)
+            batch = bound.column_distances(column)
+            assert (batch is None) == (not numpy_available() or d > COLUMN_ROWS - 64)
+            assert BatchVerifier(query, d).distances(column) == expected(
+                query, column, d
+            )
+
+    @settings(max_examples=50)
+    @given(column_queries, st.lists(column_texts, max_size=16), column_distances)
+    def test_column_without_matrix_takes_per_candidate_scans(
+        self, query, candidates, d
+    ):
+        column = EncodedColumn(candidates, matrix=False)
+        assert column.codes is None
+        assert MyersKernel().bind(query, d).column_distances(column) is None
+        for kernel in batch_kernels():
+            verifier = BatchVerifier(query, d, kernel=kernel)
+            assert verifier.distances(column) == expected(query, column, d)
+            assert not verifier._memo
+
+    @settings(max_examples=100)
+    @given(column_queries, st.lists(column_texts, max_size=16), column_distances)
+    def test_numpy_free_column_degrades_to_per_candidate_scans(
+        self, query, candidates, d
+    ):
+        with mock.patch.object(kernels, "_np", None):
+            column = EncodedColumn(candidates)
+            assert column.codes is None
+            bare = BatchVerifier(query, d, kernel=MyersKernel()).distances(column)
+        assert bare == expected(query, column, d)
+        # The same strings encoded with numpy give the same answer.
+        assert BatchVerifier(query, d).distances(
+            EncodedColumn(candidates)
+        ) == bare
