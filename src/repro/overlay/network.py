@@ -361,11 +361,12 @@ class PGridNetwork:
         entries are grouped by responsible partition, applied to every
         (optionally only online) replica, and the set of touched
         partition indices comes back so the caller can invalidate exactly
-        those partitions' memo entries and statistics.  ``remove=True``
-        deletes instead of adding; a removal only counts when at least
-        one contacted replica actually stored the entry (deleting absent
-        data is a no-op that touches nothing).  Returns ``(applied,
-        affected_partition_indices)``.
+        those partitions' memo entries and statistics.  Either way each
+        contacted replica's store sees one bulk call with its partition's
+        entries.  ``remove=True`` deletes instead of adding; a removal
+        only counts when at least one contacted replica actually stored
+        the entry (deleting absent data is a no-op that touches nothing).
+        Returns ``(applied, affected_partition_indices)``.
         """
         per_partition: dict[int, list[IndexEntry]] = {}
         for entry in entries:
@@ -374,29 +375,27 @@ class PGridNetwork:
         applied = 0
         affected: set[int] = set()
         for index, partition_entries in per_partition.items():
-            touched = False
+            stores = [
+                self.peers[peer_id].store
+                for peer_id in self.partitions[index].peer_ids
+                if self.peers[peer_id].online or not respect_online
+            ]
             if remove:
-                for entry in partition_entries:
-                    removed_here = False
-                    for peer_id in self.partitions[index].peer_ids:
-                        peer = self.peers[peer_id]
-                        if respect_online and not peer.online:
-                            continue
-                        if peer.store.remove(entry):
-                            removed_here = True
-                    if removed_here:
-                        applied += 1
-                        touched = True
+                removed = [False] * len(partition_entries)
+                for store in stores:
+                    removed = [
+                        was or now
+                        for was, now in zip(
+                            removed, store.remove_bulk(partition_entries)
+                        )
+                    ]
+                count = sum(removed)
             else:
-                for peer_id in self.partitions[index].peer_ids:
-                    peer = self.peers[peer_id]
-                    if respect_online and not peer.online:
-                        continue
-                    peer.store.add_bulk(partition_entries)
-                    touched = True
-                if touched:
-                    applied += len(partition_entries)
-            if touched:
+                for store in stores:
+                    store.add_bulk(partition_entries)
+                count = len(partition_entries) if stores else 0
+            if count:
+                applied += count
                 affected.add(index)
         return applied, affected
 

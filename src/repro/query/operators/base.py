@@ -379,6 +379,11 @@ class FetchObjectsMemo:
     def __init__(self, network):
         self.network = network
         self._cache: dict[str, ObjectRecord] = {}
+        #: ``partition -> oids`` cached under it since the partition was
+        #: last invalidated, so a write finds its records without scanning
+        #: the cache.  An oid whose object has since vanished may linger
+        #: here (never in ``_cache``) until then.
+        self._by_partition: dict[int, list[str]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -392,41 +397,46 @@ class FetchObjectsMemo:
         """The object stored under ``key`` at ``peer`` — its whole
         record, not only the triples — rebuilt at most once per store
         version.  (The name is a layer boundary of the repo benchmark.)"""
-        record = self._cache.get(oid)
-        if record is not None:
-            if record.store_version == peer.store.version:
+        known = self._cache.get(oid)
+        if known is not None:
+            if known.store_version == peer.store.version:
                 self.hits += 1
-                return record
+                return known
             self.invalidations += 1
         self.misses += 1
         record = _rebuild_object(peer, key, oid)
         if record.triples:
             self._cache[oid] = record
-        else:
-            self._cache.pop(oid, None)
+            if known is None:
+                self._by_partition.setdefault(
+                    record.partition_index, []
+                ).append(oid)
+        elif known is not None:
+            del self._cache[oid]
         return record
 
     def clear(self) -> None:
         """Drop all records (call after any data mutation)."""
         self._cache.clear()
+        self._by_partition.clear()
 
     def invalidate_partitions(self, partitions: "set[int]") -> int:
         """Drop the records of the given partitions only.
 
         The delta-maintenance path of :class:`~repro.engine.QueryEngine`:
         a write that touched a known set of key partitions invalidates
-        exactly those partitions' cached objects, and everything else
-        survives.  Returns the number of records dropped.
+        exactly those partitions' cached objects — found through the
+        partition index, so the cost follows what is dropped, not what
+        is cached — and everything else survives.  Returns the number of
+        records dropped.
         """
-        stale = [
-            oid
-            for oid, record in self._cache.items()
-            if record.partition_index in partitions
-        ]
-        for oid in stale:
-            del self._cache[oid]
-        self.invalidations += len(stale)
-        return len(stale)
+        dropped = 0
+        for partition in partitions:
+            for oid in self._by_partition.pop(partition, ()):
+                if self._cache.pop(oid, None) is not None:
+                    dropped += 1
+        self.invalidations += dropped
+        return dropped
 
     def __len__(self) -> int:
         return len(self._cache)

@@ -96,6 +96,10 @@ class GramScanMemo:
     def __init__(self, network):
         self.network = network
         self._cache: dict[tuple, tuple[int, list[int], list[str]]] = {}
+        #: ``partition -> signatures`` cached under it, so a write finds
+        #: its scans without walking the cache (a signature two racing
+        #: computes both stored is listed twice; dropping tolerates it).
+        self._by_partition: dict[int, list[tuple]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -124,7 +128,8 @@ class GramScanMemo:
         )
         with self._lock:
             scan = self._cache.get(signature)
-            if scan is not None and scan[0] != peer.store.version:
+            indexed = scan is not None
+            if indexed and scan[0] != peer.store.version:
                 self.invalidations += 1
                 scan = None
             if scan is not None:
@@ -136,6 +141,10 @@ class GramScanMemo:
             with self._lock:
                 self.misses += 1
                 self._cache[signature] = scan
+                if not indexed:
+                    self._by_partition.setdefault(partition_index, []).append(
+                        signature
+                    )
         __, min_distances, oids = scan
         return oids[: bisect.bisect_right(min_distances, d)]
 
@@ -175,21 +184,25 @@ class GramScanMemo:
         """Drop all cached scans (call after any data mutation)."""
         with self._lock:
             self._cache.clear()
+            self._by_partition.clear()
 
     def invalidate_partitions(self, partitions: set[int]) -> int:
         """Drop cached scans of the given partitions only.
 
-        Cache signatures lead with the partition index, so a write mapped
-        to its affected key partitions (the engine's delta-maintenance
-        path) surgically removes exactly the scans that write could have
-        changed.  Returns the number of entries dropped.
+        A write mapped to its affected key partitions (the engine's
+        delta-maintenance path) surgically removes exactly the scans that
+        write could have changed, found through the partition index — the
+        cost follows what is dropped, not what is cached.  Returns the
+        number of entries dropped.
         """
+        dropped = 0
         with self._lock:
-            stale = [sig for sig in self._cache if sig[0] in partitions]
-            for sig in stale:
-                del self._cache[sig]
-            self.invalidations += len(stale)
-        return len(stale)
+            for partition in partitions:
+                for signature in self._by_partition.pop(partition, ()):
+                    if self._cache.pop(signature, None) is not None:
+                        dropped += 1
+            self.invalidations += dropped
+        return dropped
 
     def __len__(self) -> int:
         return len(self._cache)

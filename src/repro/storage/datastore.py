@@ -8,21 +8,27 @@ patterns the operators need are all cheap:
 * prefix scan (attribute scans, schema-level gram scans);
 * integer range scan (range queries / numeric similarity).
 
-Implementation: a list of ``(key, entry)`` kept sorted with ``bisect``.
-Bulk loading appends then sorts once; incremental inserts use
-``insort``-style insertion.  A small dirty flag avoids resorting on every
-read after a bulk load.
+Implementation: parallel ``keys``/``entries`` lists kept sorted with
+``bisect``.  Bulk loading appends and sorts once on the next read (a
+dirty flag); a small write onto a sorted store is placed entry by entry
+(see ``_IN_PLACE_RATIO``), so it never costs a re-sort.
 
 On top of the sorted lists the store maintains three lazy secondary
-structures, built on first use and kept consistent across mutations:
+structures, built on first use:
 
 * a **postings map** ``key -> [entries]`` that turns exact-key lookups
   (the gram-lookup hot path of Algorithm 2) into one dict probe instead
   of a double bisect plus slice;
 * **kind views** — per-:class:`EntryKind` entry lists in key order, so
   kind-restricted scans stop filtering the whole store;
-* a **cached payload total** maintained incrementally, so data-volume
-  accounting stops re-summing every entry.
+* a **cached payload total**, so data-volume accounting stops re-summing
+  every entry.
+
+Every mutation goes through one maintenance routine (``_insert`` /
+``_delete``) that patches whichever of the three exist, so a write costs
+what it touches and a structure, once built, survives it.  Only a bulk
+load — which reorders the whole store anyway — drops the postings map
+and the kind views to be rebuilt by the next read that wants them.
 
 The sorted lists stay the single source of truth; :meth:`lookup_scan`
 keeps the index-free bisect path alive as the equivalence reference for
@@ -32,9 +38,50 @@ tests and micro-benchmarks.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.storage.indexing import EntryKind, IndexEntry
+
+
+#: A batch is inserted in place when the clean store holds at least this
+#: many entries per batch entry; below that, append and one deferred sort
+#: are cheaper than shifting the lists once per entry.
+_IN_PLACE_RATIO = 8
+
+
+def _match_run(
+    run: list[IndexEntry],
+    batch: Sequence[IndexEntry],
+    positions: list[int],
+    flags: list[bool],
+) -> list[int]:
+    """Pair the batch entries at ``positions`` — all of ``run``'s key — with
+    distinct stored entries equal to them: sets their ``flags`` and returns
+    the matched offsets into ``run``, ascending.
+
+    One walk of the run, stopped once every wanted entry is paired.  A gram
+    key's run holds hundreds of entries, nearly all of other objects, so a
+    candidate is screened on its oid before the field-by-field comparison.
+    """
+    wanted: dict[str, list[int]] = {}
+    for position in positions:
+        wanted.setdefault(batch[position].triple.oid, []).append(position)
+    remaining = len(positions)
+    matched: list[int] = []
+    for offset, stored in enumerate(run):
+        if stored.triple.oid not in wanted:
+            continue
+        pending = wanted[stored.triple.oid]
+        for position in pending:
+            if batch[position] == stored:
+                pending.remove(position)
+                flags[position] = True
+                matched.append(offset)
+                remaining -= 1
+                break
+        if not remaining:
+            break
+    return matched
 
 
 class LocalDataStore:
@@ -49,7 +96,8 @@ class LocalDataStore:
         self._keys: list[str] = []
         self._entries: list[IndexEntry] = []
         self._dirty = False
-        #: Mutation counter: bumped by every ``add``/``add_bulk``/``remove``.
+        #: Mutation counter: bumped once by every call that changed the
+        #: store (``add``/``add_bulk``/``remove``/``remove_bulk``).
         #: Workload memos snapshot it at compute time and treat any change
         #: as a cache invalidation, turning the "static stores only"
         #: contract into an enforced check instead of a convention.
@@ -59,11 +107,11 @@ class LocalDataStore:
         #: reads "did any store change?" in O(1).  ``None`` for a store
         #: outside any network.
         self._ledger = ledger
-        #: Lazy ``key -> [entries]`` map; ``None`` until first use or after
-        #: a bulk mutation invalidated it.
+        #: Lazy ``key -> [entries]`` map; ``None`` until first use and
+        #: again after a bulk load (small writes patch it in place).
         self._postings: dict[str, list[IndexEntry]] | None = None
         #: Lazy per-kind ``(keys, entries)`` lists (key order); ``None``
-        #: when stale.
+        #: under the same rule as the postings map.
         self._kind_views: (
             dict[EntryKind, tuple[list[str], list[IndexEntry]]] | None
         ) = None
@@ -92,76 +140,128 @@ class LocalDataStore:
         return iter(self._entries)
 
     def add(self, entry: IndexEntry) -> None:
-        """Insert one entry, keeping the store sorted."""
-        self._mutated()
-        self._ensure_sorted()
-        index = bisect.bisect_right(self._keys, entry.key)
-        self._keys.insert(index, entry.key)
-        self._entries.insert(index, entry)
-        if self._postings is not None:
-            # bisect_right inserts after existing equal keys, so appending
-            # to the posting list preserves the sorted-store ordering.
-            self._postings.setdefault(entry.key, []).append(entry)
-        self._kind_views = None
-        if self._payload_total is not None:
-            self._payload_total += entry.payload_size()
+        """Insert one entry: the one-element :meth:`add_bulk`."""
+        self.add_bulk((entry,))
 
     def add_bulk(self, entries: Iterable[IndexEntry]) -> int:
-        """Append many entries; sorting is deferred to the next read.
+        """Insert many entries; returns the number added.
 
-        Returns the number of entries added.  Bulk loading a peer's share
-        of a large dataset this way is O(n log n) overall instead of
-        O(n²) repeated insertion.
+        A batch small relative to a clean (sorted) store is inserted in
+        place — each entry at ``bisect_right`` of its key, in batch
+        order, with the secondary structures patched — so nothing the
+        write did not change is rebuilt.  Anything else (an empty or
+        still-unsorted store, a bulk load) appends and defers one sort to
+        the next read: O(n log n) overall instead of O(n²) repeated
+        insertion.  Both leave the store in the same order: a stable sort
+        also puts new entries behind existing equal keys, in batch order.
         """
-        count = 0
-        added_bytes = 0
-        track_payload = self._payload_total is not None
-        for entry in entries:
-            self._keys.append(entry.key)
-            self._entries.append(entry)
-            if track_payload:
-                added_bytes += entry.payload_size()
-            count += 1
-        if count:
-            self._mutated()
+        batch = entries if isinstance(entries, (list, tuple)) else list(entries)
+        if not batch:
+            return 0
+        if not self._dirty and len(batch) * _IN_PLACE_RATIO <= len(self._entries):
+            for entry in batch:
+                self._insert(entry)
+        else:
+            self._keys.extend([entry.key for entry in batch])
+            self._entries.extend(batch)
             self._dirty = True
             self._postings = None
             self._kind_views = None
-            if track_payload:
-                self._payload_total += added_bytes
-        return count
+            if self._payload_total is not None:
+                self._payload_total += sum(e.payload_size() for e in batch)
+        self._mutated()
+        return len(batch)
 
     def remove(self, entry: IndexEntry) -> bool:
-        """Remove one entry; returns False if it was not present.
+        """Remove one entry; returns False if it was not present."""
+        return self.remove_bulk((entry,))[0]
 
-        Gram keys of long strings collect hundreds of entries, so the
-        equal-key run is bounded by bisection and each candidate is
-        screened on its oid before the full (field-by-field) comparison.
+    def remove_bulk(self, entries: Iterable[IndexEntry]) -> list[bool]:
+        """Remove many entries; one flag per given entry, in order.
+
+        Equivalent to calling :meth:`remove` on each entry in turn — a
+        stored duplicate goes one at a time, so naming an entry twice
+        removes two copies if two exist — but each distinct key's run of
+        the sorted store is walked once for all entries of the batch
+        under it (a batch of triples of one attribute shares its gram
+        keys), and the store counts as mutated once, and only if
+        something was removed.
         """
+        batch = entries if isinstance(entries, (list, tuple)) else list(entries)
+        flags = [False] * len(batch)
+        by_key: dict[str, list[int]] = {}
+        for position, entry in enumerate(batch):
+            by_key.setdefault(entry.key, []).append(position)
         self._ensure_sorted()
-        key = entry.key
-        lo = bisect.bisect_left(self._keys, key)
-        hi = bisect.bisect_right(self._keys, key, lo)
-        oid = entry.triple.oid
-        entries = self._entries
-        for index in range(lo, hi):
-            candidate = entries[index]
-            if candidate.triple.oid != oid or candidate != entry:
-                continue
+        for key, positions in by_key.items():
+            lo = bisect.bisect_left(self._keys, key)
+            run = self._entries[lo : bisect.bisect_right(self._keys, key, lo)]
+            doomed = _match_run(run, batch, positions, flags)
+            if doomed:
+                self._delete(key, lo, run, doomed)
+        if True in flags:
             self._mutated()
-            del self._keys[index]
-            del entries[index]
-            if self._postings is not None:
-                # A posting list mirrors its key's run of the sorted store.
-                posting = self._postings[key]
-                del posting[index - lo]
-                if not posting:
-                    del self._postings[key]
-            self._kind_views = None
+        return flags
+
+    # -- in-place maintenance: the one routine every mutation goes through ------
+
+    def _insert(self, entry: IndexEntry) -> None:
+        """Place one entry into the sorted store and every live structure."""
+        key = entry.key
+        index = bisect.bisect_right(self._keys, key)
+        self._keys.insert(index, key)
+        self._entries.insert(index, entry)
+        if self._postings is not None:
+            # Behind the existing equal keys in the store, so last in the
+            # posting list too.
+            posting = self._postings.get(key)
+            if posting is None:
+                self._postings[key] = [entry]
+            else:
+                posting.append(entry)
+        if self._kind_views is not None:
+            view = self._kind_views.get(entry.kind)
+            if view is None:
+                self._kind_views[entry.kind] = ([key], [entry])
+            else:
+                at = bisect.bisect_right(view[0], key)
+                view[0].insert(at, key)
+                view[1].insert(at, entry)
+        if self._payload_total is not None:
+            self._payload_total += entry.payload_size()
+
+    def _delete(
+        self, key: str, lo: int, run: list[IndexEntry], doomed: list[int]
+    ) -> None:
+        """Take the entries at the ascending offsets ``doomed`` of ``key``'s
+        run — a copy of it; the run starts at ``lo`` — out of the sorted
+        store and every live structure."""
+        del self._keys[lo : lo + len(doomed)]  # a run's keys are all equal
+        posting = None if self._postings is None else self._postings[key]
+        views = self._kind_views
+        # Descending, so the offsets still to come stay valid.
+        for offset in reversed(doomed):
+            entry = run[offset]
+            del self._entries[lo + offset]
+            if posting is not None:
+                del posting[offset]  # a posting list mirrors its key's run
+            if views is not None:
+                view_keys, view_entries = views[entry.kind]
+                start = bisect.bisect_left(view_keys, key)
+                at = start + offset
+                # A run of one kind is mirrored by that kind's view; where
+                # another kind shares the key, count this kind's entries
+                # ahead of the doomed one instead.
+                if at >= len(view_entries) or view_entries[at] is not entry:
+                    at = start + sum(
+                        1 for ahead in run[:offset] if ahead.kind is entry.kind
+                    )
+                del view_keys[at]
+                del view_entries[at]
             if self._payload_total is not None:
                 self._payload_total -= entry.payload_size()
-            return True
-        return False
+        if posting is not None and not posting:
+            del self._postings[key]
 
     # -- reads ---------------------------------------------------------------
 

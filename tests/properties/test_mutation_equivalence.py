@@ -101,6 +101,15 @@ class MutationEquivalence(RuleBasedStateMachine):
         self.seen = [self._store_state(engine) for engine in self.engines]
 
     def teardown(self):
+        if hasattr(self, "engines"):
+            # Whatever the interleaving did to them, the memos' partition
+            # indexes still find every record: naming all partitions
+            # empties both caches and counts each record once.
+            everywhere = set(range(self.primary.network.n_partitions))
+            for memo in (self.primary.gram_scan_memo, self.primary.fetch_memo):
+                cached = len(memo)
+                assert memo.invalidate_partitions(everywhere) == cached
+                assert len(memo) == 0
         for engine in getattr(self, "engines", ()):
             engine.close()
 

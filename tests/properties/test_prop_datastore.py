@@ -2,14 +2,19 @@
 
 The store must behave exactly like a sorted multimap; the model is a
 plain list of ``(key, entry)`` pairs that every operation is checked
-against.
+against.  The state machine at the end holds it order-exactly equal to
+``tests/reference/datastore.py`` across interleaved writes and reads.
 """
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from repro.storage.datastore import LocalDataStore
 from repro.storage.indexing import EntryKind, IndexEntry
 from repro.storage.triple import Triple
+from tests.reference.datastore import ReferenceStore
 
 KEY_BITS = 8
 
@@ -172,3 +177,133 @@ class TestSecondaryIndexEquivalence:
             store.remove(entry)
             expected -= entry.payload_size()
             assert store.payload_bytes() == expected
+
+
+# -- in-place maintenance vs. the from-scratch reference store ----------------
+
+#: Few keys, kinds and objects, so runs get long, two kinds share keys and
+#: a drawn entry often equals a stored one.
+twin_keys = st.integers(min_value=0, max_value=11).map(lambda v: format(v, "04b"))
+twin_entries = st.builds(
+    IndexEntry,
+    key=twin_keys,
+    kind=st.sampled_from([EntryKind.ATTR_VALUE, EntryKind.INSTANCE_GRAM]),
+    triple=st.builds(
+        Triple,
+        st.integers(min_value=0, max_value=5).map(lambda v: f"o:{v}"),
+        st.just("a"),
+        st.sampled_from(["x", "yy"]),
+    ),
+    position=st.integers(min_value=0, max_value=1),
+)
+prefixes = st.text(alphabet="01", max_size=4)
+
+
+class StoreTwins(RuleBasedStateMachine):
+    """``LocalDataStore`` held order-exactly equal to ``ReferenceStore``.
+
+    Reads are rules, not invariants: which of the lazy structures exist
+    when the next mutation arrives is part of what is drawn.
+    """
+
+    @initialize(
+        loaded=st.lists(twin_entries, max_size=120),
+        read_first=st.booleans(),
+    )
+    def load(self, loaded, read_first):
+        self.ledger = SimpleNamespace(tick=0)
+        self.store = LocalDataStore(self.ledger)
+        self.twin = ReferenceStore()
+        self.mutations = 0
+        self._mutate(lambda s: s.add_bulk(loaded))
+        if read_first:  # else the first write meets an unsorted store
+            self.read_everything("", "0", "1")
+
+    def _mutate(self, call):
+        """Apply ``call`` to both stores: same result, and one version and
+        ledger step if, and only if, it changed what is stored."""
+        size = len(self.twin)
+        assert call(self.store) == call(self.twin)
+        self.mutations += len(self.twin) != size
+        assert self.store.version == self.ledger.tick == self.mutations
+        assert len(self.store) == len(self.twin)
+
+    def _stored(self, data, max_size):
+        """Up to ``max_size`` stored entries, drawn with replacement."""
+        stored = list(self.twin)
+        if not stored:
+            return []
+        return data.draw(
+            st.lists(st.sampled_from(stored), max_size=max_size), label="stored"
+        )
+
+    # -- writes ---------------------------------------------------------------
+
+    @rule(entry=twin_entries)
+    def add(self, entry):
+        self._mutate(lambda s: s.add(entry))
+
+    @rule(batch=st.lists(twin_entries, max_size=30), lazily=st.booleans())
+    def add_bulk(self, batch, lazily):
+        # Up to 30 onto up to a few hundred: both sides of the size rule.
+        self._mutate(lambda s: s.add_bulk(iter(batch) if lazily else batch))
+
+    @rule(data=st.data(), stranger=twin_entries)
+    def remove(self, data, stranger):
+        for entry in [*self._stored(data, 2), stranger]:
+            self._mutate(lambda s: s.remove(entry))
+
+    @rule(
+        data=st.data(),
+        strangers=st.lists(twin_entries, max_size=3),
+        lazily=st.booleans(),
+    )
+    def remove_bulk(self, data, strangers, lazily):
+        # Stored entries (the same one twice, many of one key) shuffled
+        # together with ones that may be absent.
+        batch = data.draw(
+            st.permutations([*self._stored(data, 8), *strangers]), label="batch"
+        )
+        self._mutate(lambda s: s.remove_bulk(iter(batch) if lazily else batch))
+
+    # -- reads ----------------------------------------------------------------
+
+    @rule(key=twin_keys)
+    def lookup(self, key):
+        assert self.store.lookup(key) == self.twin.lookup(key)
+
+    @rule(prefix=prefixes, kind=st.sampled_from(list(EntryKind)))
+    def kind_scan(self, prefix, kind):
+        assert self.store.entries_of_kind_prefix(
+            kind, prefix
+        ) == self.twin.entries_of_kind_prefix(kind, prefix)
+        assert list(self.store.entries_of_kind(kind)) == list(
+            self.twin.entries_of_kind(kind)
+        )
+
+    @rule()
+    def payload(self):
+        assert self.store.payload_bytes() == self.twin.payload_bytes()
+
+    @rule(prefix=prefixes, lo=prefixes, hi=prefixes)
+    def read_everything(self, prefix, lo, hi):
+        assert list(self.store) == list(self.twin)
+        assert self.store.prefix_scan(prefix) == self.twin.prefix_scan(prefix)
+        assert self.store.count_prefix(prefix) == self.twin.count_prefix(prefix)
+        assert self.store.range_scan(lo, hi) == self.twin.range_scan(lo, hi)
+        assert self.store.key_bounds() == self.twin.key_bounds()
+        for kind in EntryKind:
+            self.kind_scan(prefix, kind)
+        self.payload()
+
+    def teardown(self):
+        if hasattr(self, "store"):
+            self.read_everything("", "0", "1")
+            for key in {entry.key for entry in self.twin}:
+                self.lookup(key)
+
+
+TestStoreTwins = StoreTwins.TestCase
+TestStoreTwins.settings = settings(
+    max_examples=150, stateful_step_count=25, deadline=None
+)

@@ -94,6 +94,39 @@ class TestRemoveInLongRuns:
         assert not store.remove(entry)
 
 
+class TestRemoveBulk:
+    def test_flags_follow_the_batch(self, store):
+        present = list(store)[:3]
+        absent = entries_for_words(["nothere"])[0]
+        batch = [present[0], absent, present[1], present[0]]
+        assert store.remove_bulk(batch) == [True, False, True, False]
+        assert present[2] in list(store)
+        assert present[0] not in list(store)
+
+    def test_equals_remove_in_turn(self):
+        entries = TestRemoveInLongRuns.run_entries()
+        one, other = LocalDataStore(), LocalDataStore()
+        for s in (one, other):
+            s.add_bulk(entries + entries[:2])
+            s.lookup(entries[0].key)
+            list(s.entries_of_kind(EntryKind.INSTANCE_GRAM))
+        batch = entries[::2] + entries[:2] + entries[:2]
+        assert one.remove_bulk(iter(batch)) == [other.remove(e) for e in batch]
+        assert list(one) == list(other)
+        for key in {e.key for e in entries}:
+            assert one.lookup(key) == other.lookup(key) == one.lookup_scan(key)
+
+    def test_one_version_step_per_call_that_removed(self, store):
+        entries = list(store)
+        before = store.version
+        assert store.remove_bulk(entries[:4]) == [True] * 4
+        assert store.version == before + 1
+        assert store.remove_bulk(entries[:4]) == [False] * 4
+        assert store.remove_bulk([]) == []
+        assert not store.remove(entries[0])
+        assert store.version == before + 1
+
+
 class TestReads:
     def test_lookup_exact(self, store):
         entry = next(iter(store))
@@ -165,11 +198,15 @@ class TestSecondaryIndexes:
             assert e in store.lookup(e.key)
             assert store.lookup(e.key) == store.lookup_scan(e.key)
 
-    def test_postings_invalidate_on_bulk(self, store):
-        entry = next(iter(store))
-        store.lookup(entry.key)  # warm
-        extra = entries_for_words(["sigma"])
+    @pytest.mark.parametrize("count", [2, None])
+    def test_postings_follow_bulk_add(self, store, count):
+        """A batch small or large against the store: lookups stay exact."""
+        for entry in list(store):
+            store.lookup(entry.key)  # warm
+        extra = entries_for_words(["sigma", "tau"])[:count]
         store.add_bulk(extra)
+        for key in {e.key for e in store}:
+            assert store.lookup(key) == store.lookup_scan(key)
         for e in extra:
             assert e in store.lookup(e.key)
 
@@ -199,12 +236,21 @@ class TestSecondaryIndexes:
     def test_kind_prefix_scan_absent_kind(self):
         assert LocalDataStore().entries_of_kind_prefix(EntryKind.OID, "") == []
 
-    def test_kind_view_rebuilds_after_add(self, store):
-        before = len(list(store.entries_of_kind(EntryKind.OID)))
-        for e in entries_for_words(["extra"]):
-            store.add(e)
-        after = len(list(store.entries_of_kind(EntryKind.OID)))
-        assert after == before + 1
+    def test_kind_views_follow_every_mutation(self, store):
+        def check():
+            for kind in EntryKind:
+                assert list(store.entries_of_kind(kind)) == list(
+                    store.entries_of_kind_scan(kind)
+                )
+
+        check()  # warm
+        extra = entries_for_words(["extra"])
+        store.add(extra[0])
+        check()
+        store.add_bulk(extra[1:])
+        check()
+        assert store.remove_bulk(extra) == [True] * len(extra)
+        check()
 
     def test_total_payload_bytes_alias(self, store):
         assert store.total_payload_bytes() == store.payload_bytes()

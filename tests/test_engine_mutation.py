@@ -7,11 +7,14 @@ failing and recovering a peer with **zero net data change** must not
 drop a single memo entry (the old wholesale path cleared everything).
 """
 
+import copy
+
 import pytest
 
 from repro.core.errors import ConfigError
 from repro.core.config import StoreConfig
 from repro.engine import QueryEngine
+from repro.overlay.replication import audit_replicas
 from repro.storage.triple import Triple
 
 from tests.conftest import TEXT_ATTR, word_triples
@@ -54,11 +57,75 @@ class TestWritePath:
         assert not result.matches
 
     def test_delete_of_absent_triple_is_noop(self, engine):
+        """Nothing stored, so nothing moves: no store version, no memo
+        record or invalidation count, no statistic."""
+        engine.analyze([TEXT_ATTR])
         _warm(engine)
-        entries = _memo_entries(engine)
-        removed = engine.delete([Triple("x:ghost", TEXT_ATTR, "spectral")])
-        assert removed == 0
-        assert _memo_entries(engine) == entries
+
+        def observed():
+            return (
+                engine.store_version,
+                [peer.store.version for peer in engine.network.peers],
+                {
+                    name: (stats["entries"], stats["invalidations"])
+                    for name, stats in engine.memo_stats().items()
+                },
+                copy.deepcopy(engine.catalog),
+            )
+
+        before = observed()
+        assert before[2]["fetch"][0] > 0
+        ghosts = [
+            Triple("x:ghost", TEXT_ATTR, "spectral"),
+            # A stored object's oid and a stored word, never stored together.
+            Triple("w:0000", TEXT_ATTR, "maple"),
+        ]
+        assert engine.delete(ghosts) == 0
+        assert engine.delete(ghosts, respect_online=True) == 0
+        assert observed() == before
+        assert engine.check_mutations() is False
+
+    def test_entry_on_one_contacted_replica_counts_once_and_heals(self):
+        """A replica that missed an insert is contacted by the delete: each
+        entry still counts once, the replica that never held it is left
+        alone, and ``recover()`` repairs what remains diverged."""
+        engine = QueryEngine.build(
+            32, word_triples(), StoreConfig(seed=7, replication=2)
+        )
+        network = engine.network
+        kept = Triple("x:kept", TEXT_ATTR, "apricot")
+        gone = Triple("x:gone", TEXT_ATTR, "apricots")
+        gone_entries = list(network.entry_factory.entries_for(gone))
+        home = network.partition_for(gone_entries[0].key)
+        holder, lagging = home.peer_ids
+        engine.fail_peers([lagging])
+        engine.insert([kept, gone], respect_online=True)
+        engine.recover(repair=False)  # back online, still missing the write
+        assert not audit_replicas(network).consistent
+        _warm(engine)
+
+        versions = [peer.store.version for peer in network.peers]
+        ghost = Triple("x:ghost", TEXT_ATTR, "spectral")
+        removed = engine.delete([ghost, gone], respect_online=True)
+        assert removed == len(gone_entries)
+        written = {
+            peer.peer_id
+            for peer, version in zip(network.peers, versions)
+            if peer.store.version != version
+        }
+        allowed = {
+            peer_id
+            for entry in gone_entries
+            for peer_id in network.partition_for(entry.key).peer_ids
+        }
+        assert holder in written and lagging not in written
+        assert written <= allowed
+
+        recovery = engine.recover()
+        assert home.index in recovery.divergent_partitions  # ``kept`` remains
+        assert audit_replicas(network).consistent
+        found = engine.similar("apricot", TEXT_ATTR, 1).matches
+        assert {m.oid for m in found} == {"x:kept"}
 
     def test_delta_mode_retains_unaffected_fetch_entries(self, engine):
         _warm(engine)
@@ -93,6 +160,70 @@ class TestWritePath:
         # out-of-band detector must not re-drop the survivors.
         assert engine.check_mutations() is False
         assert _memo_entries(engine) == retained
+
+
+class TestInvalidationIndex:
+    """``invalidate_partitions`` finds records by partition, not by scan."""
+
+    def test_drops_exactly_the_named_partitions(self, engine):
+        _warm(engine)
+        fetch, scans = engine.fetch_memo, engine.gram_scan_memo
+        named = {
+            min(r.partition_index for r in fetch._cache.values()),
+            min(signature[0] for signature in scans._cache),
+        }
+        in_fetch = sum(r.partition_index in named for r in fetch._cache.values())
+        in_scans = sum(signature[0] in named for signature in scans._cache)
+        sizes = len(fetch), len(scans)
+        counted = fetch.invalidations, scans.invalidations
+
+        assert fetch.invalidate_partitions(named) == in_fetch > 0
+        assert scans.invalidate_partitions(named) == in_scans > 0
+        assert (len(fetch), len(scans)) == (sizes[0] - in_fetch, sizes[1] - in_scans)
+        assert fetch.invalidations == counted[0] + in_fetch
+        assert scans.invalidations == counted[1] + in_scans
+        assert all(r.partition_index not in named for r in fetch._cache.values())
+        assert all(signature[0] not in named for signature in scans._cache)
+        # Nothing is left under those partitions, and nothing is recounted.
+        assert fetch.invalidate_partitions(named) == 0
+        assert scans.invalidate_partitions(named) == 0
+
+    def test_records_cached_again_are_found_again(self, engine):
+        everywhere = set(range(engine.network.n_partitions))
+        for __ in range(2):
+            _warm(engine)
+            for memo in (engine.fetch_memo, engine.gram_scan_memo):
+                cached = len(memo)
+                assert cached > 0
+                assert memo.invalidate_partitions(everywhere) == cached
+                assert len(memo) == 0
+
+    def test_clear_empties_the_index(self, engine):
+        _warm(engine)
+        engine.clear_memos()
+        everywhere = set(range(engine.network.n_partitions))
+        for memo in (engine.fetch_memo, engine.gram_scan_memo):
+            assert memo.invalidate_partitions(everywhere) == 0
+            assert memo.invalidations == 0
+
+    def test_vanished_object_is_not_counted(self, engine):
+        """An object deleted behind the memo's back leaves only an index
+        entry; dropping its partition must not count or trip on it."""
+        _warm(engine)
+        fetch = engine.fetch_memo
+        oid, record = next(iter(fetch._cache.items()))
+        peer = engine.network.peer(
+            engine.network.partition(record.partition_index).peer_ids[0]
+        )
+        for entry in peer.store.lookup(record.key):
+            peer.store.remove(entry)
+        assert fetch.triples_for(peer, record.key, oid).triples == ()
+        assert oid not in fetch._cache
+        others = sum(
+            r.partition_index == record.partition_index
+            for r in fetch._cache.values()
+        )
+        assert fetch.invalidate_partitions({record.partition_index}) == others
 
 
 class TestMembershipChange:
