@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.errors import PartitionUnreachableError, RoutingError
@@ -131,11 +131,8 @@ class Router:
         so no partition is contacted twice.
 
         When the tracer keeps no verbose log, the forwards are
-        bulk-charged (identical counters) and unreplicated partitions
-        skip the replica shuffle — ``random.shuffle`` of a one-element
-        list consumes no RNG draws, so the fast path's draw sequence is
-        identical to the logged path's.  Naive broadcasts at paper scale
-        touch every partition per query; this loop is their floor.
+        bulk-charged (identical counters).  Naive broadcasts at paper
+        scale touch every partition per query; this loop is their floor.
         """
         network = self.network
         partitions = network.partitions_under(prefix)
@@ -145,37 +142,23 @@ class Router:
         if injector is not None and injector.active:
             return self._multicast_prefix_faulty(partitions, start_id, phase)
         first = self.route(partitions[0].path, start_id, phase=phase)
+        first_id = first.peer_id
         contacted = [first]
-        if not self.tracer.record_log:
-            peers = network.peers
-            first_id = first.peer_id
-            for partition in partitions:
-                peer_ids = partition.peer_ids
-                if first_id in peer_ids:
-                    continue
-                if len(peer_ids) == 1:
-                    replica = peers[peer_ids[0]]
-                    if not replica.online:
-                        raise PartitionUnreachableError(
-                            f"partition {partition.path!r} has no online replica",
-                            partition_index=partition.index,
-                            partition_path=partition.path,
-                        )
-                else:
-                    replica = self._live_replica(partition)
-                contacted.append(replica)
+        bulk = not self.tracer.record_log
+        for partition in partitions:
+            if first_id in partition.peer_ids:
+                continue
+            replica = self._live_replica(partition)
+            if not bulk:
+                self.tracer.send(
+                    MessageType.FORWARD, contacted[-1].peer_id, replica.peer_id,
+                    phase=phase,
+                )
+            contacted.append(replica)
+        if bulk:
             self.tracer.send_bulk(
                 MessageType.FORWARD, len(contacted) - 1, 0, phase=phase
             )
-            return contacted
-        for partition in partitions:
-            if partition.contains(first.peer_id):
-                continue
-            replica = self._live_replica(partition)
-            self.tracer.send(
-                MessageType.FORWARD, contacted[-1].peer_id, replica.peer_id, phase=phase
-            )
-            contacted.append(replica)
         return contacted
 
     def _multicast_prefix_faulty(
@@ -222,43 +205,46 @@ class Router:
     # -- batched retrieval ------------------------------------------------------
 
     def route_many(
-        self,
-        keys: Iterable[str],
-        start_id: int,
-        phase: str = "batch",
-        partition_of: Mapping[str, int] | None = None,
+        self, keys: Iterable[str], start_id: int, phase: str = "batch"
     ) -> dict[str, Peer]:
         """Route a batch of keys, contacting each responsible partition once.
 
-        Returns a map from key to the peer answering it.  Cost: one routed
-        walk to the nearest partition, then one ``FORWARD`` per further
-        partition (shower-style), instead of a full routed walk per key.
-
-        ``partition_of`` carries partition indices the caller already
-        knows (object reconstruction remembers them per oid); only the
-        remaining keys are bisected.  On a healthy transport without a
-        verbose log the forwards are bulk-charged (identical counters).
+        Returns a map from key to the peer answering it: the keys grouped
+        by responsible partition, then :meth:`route_partitions`.
         """
-        unique = sorted(set(keys))
-        if not unique:
-            return {}
-        known = partition_of if partition_of is not None else {}
         by_partition: dict[int, list[str]] = defaultdict(list)
-        for key in unique:
-            index = known.get(key)
-            if index is None:
-                index = self.network.partition_for(key).index
-            by_partition[index].append(key)
+        for key in sorted(set(keys)):
+            by_partition[self.network.partition_for(key).index].append(key)
+        reached = self.route_partitions(by_partition, start_id, phase=phase)
+        return {
+            key: peer
+            for index, peer in reached.items()
+            for key in by_partition[index]
+        }
+
+    def route_partitions(
+        self, indices: Iterable[int], start_id: int, phase: str = "batch"
+    ) -> dict[int, Peer]:
+        """Contact each of the given partitions once, in index order.
+
+        Returns a map from partition index to the peer that answered
+        (partitions left dark in ``DEGRADED`` mode are absent).  Cost: one
+        routed walk to the first partition, then one ``FORWARD`` per
+        further partition (shower-style), instead of a full routed walk
+        per key.  On a healthy transport without a verbose log the
+        forwards are bulk-charged (identical counters).
+        """
         injector = self.network.fault_injector
         faulty = injector is not None and injector.active
         degraded = faulty and self.network.fault_mode is FaultMode.DEGRADED
         bulk = not faulty and not self.tracer.record_log
         forwards = 0
-        answers: dict[str, Peer] = {}
+        reached: dict[int, Peer] = {}
         previous: Peer | None = None
         try:
-            for index in sorted(by_partition):
-                partition = self.network.partition(index)
+            partitions = self.network.partitions
+            for index in sorted(indices):
+                partition = partitions[index]
                 if faulty:
                     injector.session.record_target(partition)
                 if previous is None:
@@ -285,9 +271,7 @@ class Router:
                             MessageType.FORWARD, previous.peer_id, peer.peer_id,
                             phase=phase,
                         )
-                for key in by_partition[index]:
-                    answers[key] = peer
-                previous = peer
+                reached[index] = previous = peer
         finally:
             # Also on a dark partition's raise: the forwards before it
             # were sent, exactly as the per-message loop charges them.
@@ -295,7 +279,7 @@ class Router:
                 self.tracer.send_bulk(
                     MessageType.FORWARD, forwards, 0, phase=phase
                 )
-        return answers
+        return reached
 
     def retrieve_many(
         self, keys: Iterable[str], start_id: int, phase: str = "batch"
@@ -603,11 +587,17 @@ class Router:
         )
 
     def _live_replica(self, partition: "Partition") -> Peer:
-        """Random online peer of a partition."""
-        order = list(partition.peer_ids)
-        self.rng.shuffle(order)
+        """Random online peer of a partition — the one place that picks
+        a replica.  An unreplicated partition skips the shuffle:
+        ``random.shuffle`` of a one-element list consumes no RNG draws, so
+        the draw sequence is the same either way."""
+        order = partition.peer_ids
+        if len(order) > 1:
+            order = list(order)
+            self.rng.shuffle(order)
+        peers = self.network.peers
         for peer_id in order:
-            peer = self.network.peer(peer_id)
+            peer = peers[peer_id]
             if peer.online:
                 return peer
         raise PartitionUnreachableError(

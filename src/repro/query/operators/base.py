@@ -195,7 +195,7 @@ class OperatorContext:
         initiator_id: int,
         phase: str = "oid_lookup",
         query_bytes: int = QUERY_HEADER_BYTES,
-        seen_partitions: set[tuple[int, str]] | None = None,
+        answered: set[str] | None = None,
     ) -> dict[str, tuple[Triple, ...]]:
         """Reconstruct complete objects for ``oids``.
 
@@ -204,15 +204,18 @@ class OperatorContext:
         each oid peer returns the requested objects to the *initiator* in
         one result message.
 
-        ``seen_partitions`` (a per-query memo of ``(partition, oid)``
-        pairs) suppresses duplicate answers when several gram peers
-        delegate the same oid — an oid peer recognizes a query id it has
-        already served and stays silent.  Delegation messages themselves
-        are still charged (the duplicate request does travel).
+        ``answered`` (a per-query set of oids) suppresses duplicate
+        answers when several gram peers delegate the same oid — an oid
+        peer recognizes a query id it has already served and stays
+        silent.  Delegation messages themselves are still charged (the
+        duplicate request does travel).
 
-        With a :class:`FetchObjectsMemo` installed, an oid fetched before
-        takes its key, partition, triples and payload size from the
-        remembered :class:`ObjectRecord` — no hash, no bisect, no store
+        The oids are grouped by owning partition once and routed by
+        partition index.  With a :class:`FetchObjectsMemo` installed, an
+        oid fetched before takes its key and partition from the memo's
+        address map and — while the contacted replica still reports the
+        record's store version — its triples and payload size from the
+        remembered :class:`ObjectRecord`: no hash, no bisect, no store
         lookup.  On a healthy transport without a verbose log the
         delegate and result fans are bulk-charged (identical counters);
         the per-message loop stays the reference path.
@@ -222,61 +225,54 @@ class OperatorContext:
         unique_oids = set(oids)
         if not unique_oids:
             return {}
-        key_to_oid: dict[str, str] = {}
-        known_partitions: dict[str, int] = {}
-        for oid in unique_oids:
-            record = memo.peek(oid) if memo is not None else None
-            if record is None:
-                key = self.codec.oid_key(oid)
-            else:
-                key = record.key
-                known_partitions[key] = record.partition_index
-            key_to_oid[key] = oid
-        if len(key_to_oid) != len(unique_oids):
-            raise ExecutionError("oid key collision — increase key_bits")
-        answers = router.route_many(
-            key_to_oid,
-            delegating_peer_id,
-            phase=phase,
-            partition_of=known_partitions,
-        )
-        objects: dict[str, tuple[Triple, ...]] = {}
-        by_peer: dict[int, list[str]] = defaultdict(list)
-        for key, peer in answers.items():
-            by_peer[peer.peer_id].append(key)
+        addresses = memo.addresses if memo is not None else {}
+        records = memo.records if memo is not None else {}
         rebuild = memo.triples_for if memo is not None else _rebuild_object
+        # ``partition index -> {key(oid): oid}`` of the request.
+        groups: dict[int, dict[str, str]] = {}
+        for oid in unique_oids:
+            address = addresses.get(oid)
+            if address is None:
+                key = self.codec.oid_key(oid)
+                address = (key, self.network.partition_for(key).index)
+            key, index = address
+            groups.setdefault(index, {})[key] = oid
+        if sum(map(len, groups.values())) != len(unique_oids):
+            raise ExecutionError("oid key collision — increase key_bits")
+        objects: dict[str, tuple[Triple, ...]] = {}
         tracer = router.tracer
         bulk = not tracer.record_log and not router.faults_active()
-        delegates = delegate_bytes = results = result_bytes = 0
-        for peer_id, keys in by_peer.items():
-            peer = self.network.peer(peer_id)
-            request_bytes = query_bytes + sum(len(key_to_oid[k]) for k in keys)
-            if bulk:
-                delegates += 1
-                delegate_bytes += request_bytes
-            elif not router.send_delegate(
-                delegating_peer_id, peer_id, request_bytes, phase=phase
+        results = result_bytes = hits = 0
+        reached = router.route_partitions(groups, delegating_peer_id, phase=phase)
+        for index, peer in reached.items():
+            group = groups[index]
+            if not bulk and not router.send_delegate(
+                delegating_peer_id,
+                peer.peer_id,
+                query_bytes + sum(map(len, group.values())),
+                phase=phase,
             ):
                 # Delegation lost beyond retries (degraded mode): the oid
                 # peer never learns of the request, so its whole batch of
                 # candidates silently drops out of the result.
-                router.record_dropped_candidates(len(keys))
+                router.record_dropped_candidates(len(group))
                 continue
+            version = peer.store.version
             payload = 0
             fresh_oids: list[str] = []
-            fresh_signatures: list[tuple[int, str]] = []
-            for key in keys:
-                oid = key_to_oid[key]
-                record = rebuild(peer, key, oid)
-                if not record.triples:
-                    continue
-                objects[oid] = record.triples
-                if seen_partitions is not None:
-                    signature = (record.partition_index, oid)
-                    if signature in seen_partitions:
+            for key, oid in group.items():
+                record = records.get(oid)
+                if record is not None and record.store_version == version:
+                    hits += 1
+                else:
+                    record = rebuild(peer, key, oid)
+                    if not record.triples:
                         continue
-                    seen_partitions.add(signature)
-                    fresh_signatures.append(signature)
+                objects[oid] = record.triples
+                if answered is not None:
+                    if oid in answered:
+                        continue
+                    answered.add(oid)
                 fresh_oids.append(oid)
                 payload += record.payload_bytes
             if not fresh_oids:
@@ -285,7 +281,7 @@ class OperatorContext:
                 results += 1
                 result_bytes += payload
             elif not router.send_result(
-                peer_id, initiator_id, payload, phase=phase
+                peer.peer_id, initiator_id, payload, phase=phase
             ):
                 # Result message lost: the initiator never receives
                 # this batch.  Un-record it (including the duplicate
@@ -293,12 +289,18 @@ class OperatorContext:
                 # same oids can answer) and count the drop.
                 for oid in fresh_oids:
                     objects.pop(oid, None)
-                if seen_partitions is not None:
-                    seen_partitions.difference_update(fresh_signatures)
+                if answered is not None:
+                    answered.difference_update(fresh_oids)
                 router.record_dropped_candidates(len(fresh_oids))
+        if memo is not None:
+            memo.hits += hits
         if bulk:
+            # Healthy transport: every group was reached and delegated to.
             tracer.send_bulk(
-                MessageType.DELEGATE, delegates, delegate_bytes, phase=phase
+                MessageType.DELEGATE,
+                len(reached),
+                query_bytes * len(reached) + sum(map(len, unique_oids)),
+                phase=phase,
             )
             if results:
                 tracer.send_bulk(
@@ -311,10 +313,6 @@ class ObjectRecord(NamedTuple):
     """One oid peer's rebuild of a complete object, with what the fetch
     path would otherwise recompute per request."""
 
-    #: ``key(oid)`` — the md5-based uniform key, pure in the oid.
-    key: str
-    #: Index of the partition responsible for ``key``.
-    partition_index: int
     #: Mutation counter of the store the triples were read from.
     store_version: int
     triples: tuple[Triple, ...]
@@ -335,11 +333,7 @@ def _rebuild_object(peer, key: str, oid: str) -> ObjectRecord:
         )
     )
     return ObjectRecord(
-        key,
-        peer.partition_index,
-        peer.store.version,
-        triples,
-        sum(t.payload_size() for t in triples),
+        peer.store.version, triples, sum(t.payload_size() for t in triples)
     )
 
 
@@ -352,11 +346,23 @@ class FetchObjectsMemo:
     the same oids over and over — top-N deepening rounds re-fetch every
     round's survivors, join probes re-fetch shared matches, and the
     q-gram strategies re-fetch per delegating gram peer — so the memo
-    keeps one :class:`ObjectRecord` per oid: a repeated fetch probes the
-    memo and does no key hash, no partition bisect, no posting lookup
-    and no payload re-sum.  It is bounded by the objects that exist (a
-    rebuild that finds nothing is not remembered), under the same
-    static-store contract as
+    keeps two things per oid it has found:
+
+    * :attr:`records` — one :class:`ObjectRecord`: a repeated fetch does
+      no posting lookup and no payload re-sum.  ``fetch_objects``
+      validates a record inline against the contacted replica's store
+      version and enters :meth:`triples_for` only to rebuild;
+    * :attr:`addresses` — ``oid -> (key(oid), partition index)``, what
+      grouping and routing need: no key hash, no partition bisect.  An
+      address is pure in the oid and the trie, so unlike a record it
+      survives :meth:`invalidate_partitions` (the miss after a write
+      re-reads the store but re-derives nothing) and goes only with
+      :meth:`clear`.
+
+    Both are bounded by the objects found since the last :meth:`clear`
+    (a rebuild that finds nothing is not remembered; the address of an
+    object deleted since lingers until then — two pointers and a tuple),
+    under the same static-store contract as
     :class:`~repro.query.operators.similar.GramScanMemo`:
 
     * replicas of a partition store identical data, so a record is
@@ -378,26 +384,23 @@ class FetchObjectsMemo:
 
     def __init__(self, network):
         self.network = network
-        self._cache: dict[str, ObjectRecord] = {}
+        self.records: dict[str, ObjectRecord] = {}
+        self.addresses: dict[str, tuple[str, int]] = {}
         #: ``partition -> oids`` cached under it since the partition was
         #: last invalidated, so a write finds its records without scanning
         #: the cache.  An oid whose object has since vanished may linger
-        #: here (never in ``_cache``) until then.
+        #: here (never in ``records``) until then.
         self._by_partition: dict[int, list[str]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
 
-    def peek(self, oid: str) -> ObjectRecord | None:
-        """The remembered record of ``oid``, not yet validated against
-        any replica — its key and partition index are what routing needs."""
-        return self._cache.get(oid)
-
     def triples_for(self, peer, key: str, oid: str) -> ObjectRecord:
         """The object stored under ``key`` at ``peer`` — its whole
         record, not only the triples — rebuilt at most once per store
-        version.  (The name is a layer boundary of the repo benchmark.)"""
-        known = self._cache.get(oid)
+        version.  ``fetch_objects`` enters only to rebuild.  (The name is
+        a layer boundary of the repo benchmark.)"""
+        known = self.records.get(oid)
         if known is not None:
             if known.store_version == peer.store.version:
                 self.hits += 1
@@ -406,18 +409,20 @@ class FetchObjectsMemo:
         self.misses += 1
         record = _rebuild_object(peer, key, oid)
         if record.triples:
-            self._cache[oid] = record
+            self.records[oid] = record
             if known is None:
+                self.addresses[oid] = (key, peer.partition_index)
                 self._by_partition.setdefault(
-                    record.partition_index, []
+                    peer.partition_index, []
                 ).append(oid)
         elif known is not None:
-            del self._cache[oid]
+            del self.records[oid]
         return record
 
     def clear(self) -> None:
-        """Drop all records (call after any data mutation)."""
-        self._cache.clear()
+        """Drop all records and addresses (call after any data mutation)."""
+        self.records.clear()
+        self.addresses.clear()
         self._by_partition.clear()
 
     def invalidate_partitions(self, partitions: "set[int]") -> int:
@@ -433,13 +438,13 @@ class FetchObjectsMemo:
         dropped = 0
         for partition in partitions:
             for oid in self._by_partition.pop(partition, ()):
-                if self._cache.pop(oid, None) is not None:
+                if self.records.pop(oid, None) is not None:
                     dropped += 1
         self.invalidations += dropped
         return dropped
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self.records)
 
 
 def object_from_triples(triples: Sequence[Triple]) -> dict[str, list[ValueType]]:

@@ -31,15 +31,13 @@ from repro.core.errors import ExecutionError
 from repro.query.operators.base import QUERY_HEADER_BYTES, OperatorContext
 from repro.query.operators.similar import (
     SimilarResult,
-    _candidate_strings,
     _decompose,
     _entry_gram,
     _gram_keys,
     _matching_postings,
-    _verify,
+    verified_matches,
 )
 from repro.similarity.filters import CountFilter
-from repro.similarity.verify import BatchVerifier
 from repro.storage.qgrams import count_filter_threshold
 
 
@@ -148,21 +146,10 @@ def similar_collected(
         initiator_id=initiator_id,
         phase="oid_lookup",
     )
-    verifier = BatchVerifier(s, d, kernel=ctx.edit_kernel)
-    verifier.distances(
-        [
-            candidate
-            for triples in objects.values()
-            for candidate in _candidate_strings(triples, attribute, schema_level)
-        ]
+    result.candidates_verified = len(objects)
+    result.matches = verified_matches(
+        ctx.make_verifier(s, d), objects, attribute, schema_level
     )
-    matches = []
-    for oid, triples in objects.items():
-        result.candidates_verified += 1
-        match = _verify(verifier, attribute, oid, triples, schema_level)
-        if match is not None:
-            matches.append(match)
-    result.matches = sorted(matches, key=lambda m: (m.distance, m.oid))
     return result
 
 

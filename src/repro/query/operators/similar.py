@@ -10,13 +10,17 @@ Flow (with both optimizations the paper describes in Section 4):
    grams (``QGRAM``) or a ``d+1`` non-overlapping q-sample (``QSAMPLE``);
 2. the gram lookups are *batched*: every gram-owning partition is
    contacted once (shower-style ``route_many``), not once per gram;
-3. each gram peer scans its gram entries, applies the position and length
-   filters (line 8) locally, and *delegates* the surviving candidate oids
-   to the oid-owning peers;
+3. each gram peer applies the position and length filters (line 8) to
+   the postings of its gram keys — with a :class:`GramScanMemo`, as
+   indexed probes into one positional table per gram key, built once per
+   store version whatever string asks — and *delegates* the surviving
+   candidate oids to the oid-owning peers;
 4. each oid peer rebuilds the complete object from its ``key(oid)``
    entries, runs the final edit-distance verification (line 23 — possible
    remotely because the delegated query carries ``s`` and ``d``), and
-   sends true matches straight back to the initiator.
+   sends true matches straight back to the initiator.  Messages are
+   charged per delivered object whether it matches or not, so the
+   simulator verifies every delivered object in one batch at the end.
 
 Completeness: a stored string within distance ``d`` always shares at least
 one looked-up gram with compatible position/length (count bound for full
@@ -26,10 +30,9 @@ missed — property-tested against brute force in the test suite.
 
 from __future__ import annotations
 
-import bisect
 import threading
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.core.config import SimilarityStrategy
@@ -63,19 +66,25 @@ class SimilarResult:
 
 
 class GramScanMemo:
-    """Whole-workload memo of gram-peer candidate scans.
+    """Whole-workload memo of gram-peer posting tables.
 
-    A gram peer's step-3 work — scan the posting list of one gram key,
+    A gram peer's step-3 work — take the posting list of one gram key,
     keep entries whose gram text/attribute match, admit those passing
-    the position/length filters — is deterministic given the stored data
-    and the query gram occurrences, and the filters are *threshold*
-    tests: an entry is admitted at distance ``d`` iff ``d >=`` the
-    entry's minimal admitting distance (the largest active position/
-    length gap, minimized over the query gram's occurrences).  The memo
-    therefore caches, per ``(partition, key, occurrences, filters)``
-    signature, the posting entries sorted by that minimal distance;
-    replaying any query distance is a bisect plus a slice, independent
-    of how many postings the filters would have rejected.
+    the position/length filters — splits into a part that depends on the
+    stored data only and a part that depends on the query.  The memo
+    caches the first, per ``(partition, key, attribute, schema level,
+    gram)``: the matching postings as one positional table, three
+    aligned columns ``source_length, position, oid`` sorted by the first
+    two.  The filters are window tests on exactly those two coordinates,
+    so any ``(occurrences, d, filters)`` replays as bisects: one pair to
+    cut the length window, then one pair per stored length inside it for
+    the position window (a filter that is off takes the whole column) —
+    at most ``3(2d+1) + 2`` bisects per occurrence and never more than
+    the table has lengths.  A gram is therefore scanned once per store
+    version, whatever search string, distance or filter subset asks.
+    The columns are flat tuples of small integers and shared strings:
+    a table adds no object per posting, so a write that drops it frees
+    four objects.
 
     Like :class:`~repro.query.operators.naive.NaiveWorkloadMemo`, this
     is valid only while stores are unchanged (benchmark cells), is
@@ -83,21 +92,23 @@ class GramScanMemo:
     *cost-transparent*: delegation/result messages do not depend on how
     candidates were computed, so measured series are bit-identical with
     the memo on or off.  The static-store contract is enforced: every
-    cached scan records the store's mutation counter and is recomputed
+    cached table records the store's mutation counter and is rebuilt
     when the contacted replica reports any other version.
 
     Thread-safe for the intra-query fan-out: cache probes, inserts and
-    counters are guarded by a lock, while the posting scan itself runs
-    outside it (pure and deterministic — a racing duplicate compute is
-    benign, and within one fanned-out batch distinct peers carry
-    distinct partition signatures, so the hit/miss tallies stay exact).
+    counters are guarded by a lock, while the posting scan and the
+    replay run outside it (pure and deterministic — a racing duplicate
+    compute is benign, and within one fanned-out batch distinct peers
+    carry distinct partition signatures, so the hit/miss tallies stay
+    exact).
     """
 
     def __init__(self, network):
         self.network = network
-        self._cache: dict[tuple, tuple[int, list[int], list[str]]] = {}
+        #: ``signature -> (store version, lengths, positions, oids)``.
+        self._cache: dict[tuple, tuple[int, tuple, tuple, tuple]] = {}
         #: ``partition -> signatures`` cached under it, so a write finds
-        #: its scans without walking the cache (a signature two racing
+        #: its tables without walking the cache (a signature two racing
         #: computes both stored is listed twice; dropping tolerates it).
         self._by_partition: dict[int, list[tuple]] = {}
         self._lock = threading.Lock()
@@ -115,17 +126,10 @@ class GramScanMemo:
         schema_level: bool,
         d: int,
         filters,
-    ) -> list[str]:
+    ) -> set[str]:
         """Oids this gram peer delegates for one looked-up key at ``d``."""
-        signature = (
-            partition_index,
-            key,
-            attribute,
-            schema_level,
-            tuple((g.gram, g.position, g.source_length) for g in occurrences),
-            filters.use_position,
-            filters.use_length,
-        )
+        gram = occurrences[0].gram
+        signature = (partition_index, key, attribute, schema_level, gram)
         with self._lock:
             scan = self._cache.get(signature)
             indexed = scan is not None
@@ -135,9 +139,7 @@ class GramScanMemo:
             if scan is not None:
                 self.hits += 1
         if scan is None:
-            scan = self._scan(
-                peer, key, occurrences, attribute, schema_level, filters
-            )
+            scan = self._scan(peer.store, key, gram, attribute, schema_level)
             with self._lock:
                 self.misses += 1
                 self._cache[signature] = scan
@@ -145,52 +147,28 @@ class GramScanMemo:
                     self._by_partition.setdefault(partition_index, []).append(
                         signature
                     )
-        __, min_distances, oids = scan
-        return oids[: bisect.bisect_right(min_distances, d)]
+        return _admitted_oids(*scan[1:], occurrences, d, filters)
 
-    def _scan(self, peer, key, occurrences, attribute, schema_level, filters):
-        """Postings of ``key`` as (store version, sorted minimal
-        distances, aligned oids)."""
-        use_position = filters.use_position
-        use_length = filters.use_length
-        wanted = [(g.position, g.source_length) for g in occurrences]
-        admitted: list[tuple[int, str]] = []
-        for entry in _matching_postings(
-            peer.store, key, occurrences[0].gram, attribute, schema_level
-        ):
-            stored_position = entry.position
-            stored_length = entry.source_length
-            minimal: int | None = None
-            for position, source_length in wanted:
-                needed = 0
-                if use_position:
-                    needed = abs(position - stored_position)
-                if use_length:
-                    gap = abs(source_length - stored_length)
-                    if gap > needed:
-                        needed = gap
-                if minimal is None or needed < minimal:
-                    minimal = needed
-            if minimal is not None:
-                admitted.append((minimal, entry.triple.oid))
-        admitted.sort(key=lambda pair: pair[0])
-        return (
-            peer.store.version,
-            [pair[0] for pair in admitted],
-            [pair[1] for pair in admitted],
+    def _scan(self, store, key, gram, attribute, schema_level):
+        """Postings of ``key`` as (store version, lengths, positions,
+        oids), the three columns aligned and sorted."""
+        postings = sorted(
+            (entry.source_length, entry.position, entry.triple.oid)
+            for entry in _matching_postings(store, key, gram, attribute, schema_level)
         )
+        return store.version, *(zip(*postings) if postings else ((), (), ()))
 
     def clear(self) -> None:
-        """Drop all cached scans (call after any data mutation)."""
+        """Drop all cached tables (call after any data mutation)."""
         with self._lock:
             self._cache.clear()
             self._by_partition.clear()
 
     def invalidate_partitions(self, partitions: set[int]) -> int:
-        """Drop cached scans of the given partitions only.
+        """Drop cached tables of the given partitions only.
 
         A write mapped to its affected key partitions (the engine's
-        delta-maintenance path) surgically removes exactly the scans that
+        delta-maintenance path) surgically removes exactly the tables that
         write could have changed, found through the partition index — the
         cost follows what is dropped, not what is cached.  Returns the
         number of entries dropped.
@@ -206,6 +184,34 @@ class GramScanMemo:
 
     def __len__(self) -> int:
         return len(self._cache)
+
+
+def _admitted_oids(
+    lengths: tuple[int, ...],
+    positions: tuple[int, ...],
+    oids: tuple[str, ...],
+    occurrences: list[PositionalQGram],
+    d: int,
+    filters,
+) -> set[str]:
+    """Line 8 replayed on a posting table: the oids of every posting some
+    occurrence admits at ``d`` under the active filters."""
+    admitted: list[tuple[str, ...]] = []
+    for occurrence in occurrences:
+        lo, hi = 0, len(lengths)
+        if filters.use_length:
+            lo = bisect_left(lengths, occurrence.source_length - d)
+            hi = bisect_right(lengths, occurrence.source_length + d, lo)
+        if not filters.use_position:
+            admitted.append(oids[lo:hi])
+            continue
+        while lo < hi:  # one run of equal stored lengths at a time
+            end = bisect_right(lengths, lengths[lo], lo, hi)
+            start = bisect_left(positions, occurrence.position - d, lo, end)
+            stop = bisect_right(positions, occurrence.position + d, start, end)
+            admitted.append(oids[start:stop])
+            lo = end
+    return set().union(*admitted)
 
 
 def _gram_candidates(
@@ -311,8 +317,8 @@ def similar(
     result.gram_partitions_contacted = len(contacted)
 
     # Step 3: per gram peer — local filtering, then delegation.  With a
-    # workload memo installed, each (partition, key, occurrences) posting
-    # scan is computed once and every later distance replays a bisect.
+    # workload memo installed, each (partition, key) posting list is
+    # scanned once and every query replays its filters as table probes.
     scan_memo = ctx.gram_scan_memo
     peer_groups = sorted(contacted.items())
 
@@ -333,8 +339,8 @@ def similar(
     else:
         prescanned = None
 
-    matches: dict[str, MatchedObject] = {}
-    seen_partitions: set[tuple[int, str]] = set()
+    delivered: dict[str, tuple] = {}
+    answered: set[str] = set()
     all_delegated: set[str] = set()
     delegated_total = 0
     for group_index, (peer_id, keys) in enumerate(peer_groups):
@@ -362,35 +368,19 @@ def similar(
         result.candidates_after_filters += len(candidate_oids)
         delegated_total += len(candidate_oids)
         all_delegated.update(candidate_oids)
-        objects = ctx.fetch_objects(
-            candidate_oids,
-            delegating_peer_id=peer_id,
-            initiator_id=initiator_id,
-            phase="oid_lookup",
-            query_bytes=QUERY_HEADER_BYTES + len(s),
-            seen_partitions=seen_partitions,
+        delivered.update(
+            ctx.fetch_objects(
+                candidate_oids,
+                delegating_peer_id=peer_id,
+                initiator_id=initiator_id,
+                phase="oid_lookup",
+                query_bytes=QUERY_HEADER_BYTES + len(s),
+                answered=answered,
+            )
         )
-        # Final verification (line 23), batched: every candidate string of
-        # this delegation group goes through one shared-prefix DP pass.
-        fresh = [
-            (oid, triples)
-            for oid, triples in objects.items()
-            if oid not in matches
-        ]
-        verifier.distances(
-            [
-                candidate
-                for __, triples in fresh
-                for candidate in _candidate_strings(triples, attribute, schema_level)
-            ]
-        )
-        for oid, triples in fresh:
-            match = _verify(verifier, attribute, oid, triples, schema_level)
-            result.candidates_verified += 1
-            if match is not None:
-                matches[oid] = match
     result.duplicate_delegations = delegated_total - len(all_delegated)
-    result.matches = sorted(matches.values(), key=lambda m: (m.distance, m.oid))
+    result.candidates_verified = len(delivered)
+    result.matches = verified_matches(verifier, delivered, attribute, schema_level)
     return result
 
 
@@ -457,31 +447,42 @@ def _entry_gram(entry: IndexEntry) -> PositionalQGram:
     return PositionalQGram(entry.gram or "", entry.position, entry.source_length)
 
 
-def _candidate_strings(
-    triples: tuple, attribute: str, schema_level: bool
-) -> Iterator[str]:
-    """The strings one object submits to final verification, in order."""
-    for triple in triples:
-        if schema_level:
-            yield triple.attribute
-        elif triple.attribute == attribute and isinstance(triple.value, str):
-            yield triple.value
-
-
-def _verify(
+def verified_matches(
     verifier: BatchVerifier,
+    delivered: dict[str, tuple],
     attribute: str,
-    oid: str,
-    triples: tuple,
     schema_level: bool,
-) -> MatchedObject | None:
-    """Final edit-distance verification at the oid peer (line 23)."""
+) -> list[MatchedObject]:
+    """Final edit-distance verification (line 23) of every delivered
+    object in one batch: each object's closest string within ``d``.
+
+    Verification decides no message — delegates and results are charged
+    for every delivered object, match or not — so running it once per
+    query, after the last delivery, is the oid peers' work in one pass.
+    """
+    if schema_level:
+        pairs = [
+            (oid, t.attribute) for oid, triples in delivered.items() for t in triples
+        ]
+    else:
+        pairs = [
+            (oid, t.value)
+            for oid, triples in delivered.items()
+            for t in triples
+            if t.attribute == attribute and isinstance(t.value, str)
+        ]
+    distances = verifier.distances(string for __, string in pairs)
     d = verifier.d
-    best: tuple[int, str] | None = None
-    for candidate in _candidate_strings(triples, attribute, schema_level):
-        distance = verifier.distance(candidate)
-        if distance <= d and (best is None or distance < best[0]):
-            best = (distance, candidate)
-    if best is None:
-        return None
-    return MatchedObject(oid=oid, matched=best[1], distance=best[0], triples=triples)
+    #: ``oid -> (distance, string)``; the first of equally close strings.
+    best: dict[str, tuple[int, str]] = {}
+    for oid, string in pairs:
+        distance = distances[string]
+        if distance <= d and (oid not in best or distance < best[oid][0]):
+            best[oid] = (distance, string)
+    return sorted(
+        (
+            MatchedObject(oid, string, distance, delivered[oid])
+            for oid, (distance, string) in best.items()
+        ),
+        key=lambda m: (m.distance, m.oid),
+    )

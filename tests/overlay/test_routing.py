@@ -113,6 +113,29 @@ class TestRouteMany:
 
     def test_empty_batch(self, network):
         assert network.router.route_many([], 0) == {}
+        assert network.router.route_partitions([], 0) == {}
+
+    def test_route_partitions_is_the_loop_of_route_many(self):
+        """Same partitions, same start, same seed: the same replicas
+        answer, the same messages are charged and the router RNG ends in
+        the same state, whether asked by key or by partition index."""
+        from tests.conftest import WORDS
+
+        config = StoreConfig(seed=9, replication=3)
+        by_key, by_index = (
+            build_word_network(n_peers=48, config=config) for __ in range(2)
+        )
+        keys = [by_key.codec.attr_value_key(TEXT_ATTR, w) for w in WORDS]
+        answers = by_key.router.route_many(keys, 5, phase="p")
+        indices = {by_index.partition_for(key).index for key in keys}
+        reached = by_index.router.route_partitions(indices, 5, phase="p")
+        assert list(reached) == sorted(indices)
+        assert {
+            by_key.partition_for(key).index: peer.peer_id
+            for key, peer in answers.items()
+        } == {index: peer.peer_id for index, peer in reached.items()}
+        assert by_key.tracer.snapshot() == by_index.tracer.snapshot()
+        assert by_key.router.rng.getstate() == by_index.router.rng.getstate()
 
     def test_retrieve_many_returns_entries(self, network):
         codec = network.codec
@@ -123,6 +146,20 @@ class TestRouteMany:
 
 
 class TestFailureHandling:
+    def test_unreplicated_partition_is_picked_without_a_draw(self):
+        network = build_word_network(n_peers=16, config=StoreConfig(seed=9))
+        router = network.router
+        partition = network.partition(3)
+        (only,) = partition.peer_ids
+        state = router.rng.getstate()
+        assert router._live_replica(partition) is network.peer(only)
+        assert router.rng.getstate() == state
+        network.peer(only).online = False
+        with pytest.raises(PartitionUnreachableError) as excinfo:
+            router._live_replica(partition)
+        assert excinfo.value.partition_index == 3
+        assert excinfo.value.partition_path == partition.path
+
     def test_routing_survives_dead_reference(self):
         config = StoreConfig(seed=9, replication=2)
         network = build_word_network(n_peers=32, config=config)

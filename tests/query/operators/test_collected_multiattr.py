@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.config import SimilarityStrategy
+from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.core.errors import ExecutionError
+from repro.engine import QueryEngine
 from repro.query.operators.base import OperatorContext
 from repro.query.operators.collected import similar_collected
 from repro.query.operators.multiattr import (
@@ -15,7 +16,7 @@ from repro.query.operators.similar import similar
 from repro.similarity.edit_distance import edit_distance
 from repro.storage.triple import Triple
 
-from tests.conftest import TEXT_ATTR, WORDS, build_word_network
+from tests.conftest import TEXT_ATTR, WORDS, build_word_network, word_triples
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,18 @@ class TestSimilarCollected:
         result = similar_collected(ctx, "cherry", TEXT_ATTR, 2)
         expected = sorted(w for w in WORDS if edit_distance("cherry", w) <= 2)
         assert sorted(m.matched for m in result.matches) == expected
+
+    def test_verifier_comes_from_the_engine_pool(self):
+        """Regression: the collected variant built its own verifier, so
+        ``QueryEngine.verifier_stats()`` never saw a collected query."""
+        engine = QueryEngine.build(48, word_triples(), StoreConfig(seed=7))
+        before = engine.verifier_stats()["computed"]
+        result = similar_collected(engine.ctx, "cherry", TEXT_ATTR, 2)
+        assert engine.verifier_stats()["computed"] > before
+        assert [(m.matched, m.distance) for m in result.matches] == [
+            ("cherry", 0), ("berry", 2), ("merry", 2), ("ferry", 2),
+        ]
+        assert result.candidates_verified >= len(result.matches)
 
     def test_count_filter_prunes(self, ctx):
         with_filter = similar_collected(

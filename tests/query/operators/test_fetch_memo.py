@@ -6,14 +6,16 @@ any store mutation must invalidate affected entries (enforced through
 the per-entry version check even without an engine-level clear).
 """
 
+import pytest
 
 from repro.core.config import SimilarityStrategy, StoreConfig
+from repro.core.errors import ExecutionError
 from repro.query.operators.base import FetchObjectsMemo, OperatorContext
 from repro.query.operators.similar import similar
 from repro.query.operators.topn import top_n_string_nn
 from repro.storage.triple import Triple
 
-from tests.conftest import TEXT_ATTR, build_word_network
+from tests.conftest import TEXT_ATTR, WORDS, build_word_network
 
 QUERIES = [("apple", 1), ("grape", 2), ("apple", 1), ("berry", 1)]
 
@@ -79,3 +81,26 @@ class TestInvalidation:
         assert len(ctx.fetch_memo) > 0
         ctx.fetch_memo.clear()
         assert len(ctx.fetch_memo) == 0
+
+
+class TestKeyCollision:
+    @pytest.mark.parametrize("memoize", [False, True])
+    def test_two_requested_oids_sharing_a_key_raise(self, memoize):
+        """Six key bits cannot keep 28 oids apart.  Each oid of a
+        colliding pair is fetched alone first, so with the memo both
+        addresses come from its map when the pair is requested."""
+        network = build_word_network(
+            n_peers=8, config=StoreConfig(seed=11, key_bits=6, attr_bits=2)
+        )
+        by_key: dict[str, list[str]] = {}
+        for index in range(len(WORDS)):
+            oid = f"w:{index:04d}"
+            by_key.setdefault(network.codec.oid_key(oid), []).append(oid)
+        pair = next(oids[:2] for oids in by_key.values() if len(oids) > 1)
+        ctx = OperatorContext(
+            network, fetch_memo=FetchObjectsMemo(network) if memoize else None
+        )
+        for oid in pair:
+            assert list(ctx.fetch_objects([oid], 0, 0)) == [oid]
+        with pytest.raises(ExecutionError, match="collision"):
+            ctx.fetch_objects(pair, 0, 0)

@@ -1,9 +1,11 @@
 """Gram-peer scan memoization is cost- and result-transparent.
 
-``GramScanMemo`` replaces the per-query posting scan + threshold
-filters with a precomputed minimal-admitting-distance table; these
-tests pin that the replacement changes nothing observable — matches,
-tallies, messages — across strategies, distances, and filter configs.
+``GramScanMemo`` replaces the per-query posting scan + position/length
+filters with probes into one cached ``source_length -> position ->
+oids`` table per gram key; these tests pin that the replacement changes
+nothing observable — matches, tallies, messages — across strategies,
+distances, and filter configs.  (The table itself is held equal to the
+per-entry rule by ``tests/properties/test_prop_gram_scan.py``.)
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from repro.core.config import SimilarityStrategy
 from repro.query.operators.base import OperatorContext
 from repro.query.operators.similar import GramScanMemo, similar
 from repro.similarity.filters import FilterConfig
+from repro.storage.qgrams import qgram_tuples
 from repro.storage.triple import Triple
 
 from tests.conftest import TEXT_ATTR, WORDS, build_word_network
@@ -73,7 +76,7 @@ class TestGramScanMemo:
     def test_filter_configs_identical_with_memo(
         self, use_position, use_length, word_index, d
     ):
-        """The threshold translation is exact for every filter subset."""
+        """The table replay is exact for every filter subset."""
         filters = FilterConfig(use_position=use_position, use_length=use_length)
         search = WORDS[word_index]
 
@@ -107,6 +110,30 @@ class TestGramScanMemo:
         assert {m.oid for m in after.matches} == (
             {m.oid for m in before.matches} | {"w:9999"}
         )
+
+    def test_one_scan_serves_every_query_shape(self):
+        """Distance, filter subset and the query's own gram positions are
+        replay arguments, not part of what is cached."""
+        network = build_word_network(n_peers=32)
+        memo = GramScanMemo(network)
+
+        def ask(search, d, **filters):
+            ctx = OperatorContext(
+                network, strategy=SimilarityStrategy.QGRAM,
+                filters=FilterConfig(**filters), gram_scan_memo=memo,
+            )
+            similar(ctx, search, TEXT_ATTR, d, initiator_id=0)
+
+        ask("apple", 1)
+        scanned = memo.misses
+        ask("apple", 3)
+        ask("apple", 1, use_position=False, use_length=False)
+        ask("xapple", 1)  # the inner grams of "apple" again, one position on
+        new_grams = {g for g, __ in qgram_tuples("xapple", network.config.q)} - {
+            g for g, __ in qgram_tuples("apple", network.config.q)
+        }
+        assert memo.misses == scanned + len(new_grams)
+        assert len(memo) == memo.misses
 
     def test_clear_resets_cache(self):
         network = build_word_network(n_peers=32)

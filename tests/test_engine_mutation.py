@@ -8,6 +8,7 @@ drop a single memo entry (the old wholesale path cleared everything).
 """
 
 import copy
+from unittest import mock
 
 import pytest
 
@@ -168,11 +169,14 @@ class TestInvalidationIndex:
     def test_drops_exactly_the_named_partitions(self, engine):
         _warm(engine)
         fetch, scans = engine.fetch_memo, engine.gram_scan_memo
+        def partition_of(oid):
+            return fetch.addresses[oid][1]
+
         named = {
-            min(r.partition_index for r in fetch._cache.values()),
+            min(map(partition_of, fetch.records)),
             min(signature[0] for signature in scans._cache),
         }
-        in_fetch = sum(r.partition_index in named for r in fetch._cache.values())
+        in_fetch = sum(partition_of(oid) in named for oid in fetch.records)
         in_scans = sum(signature[0] in named for signature in scans._cache)
         sizes = len(fetch), len(scans)
         counted = fetch.invalidations, scans.invalidations
@@ -182,7 +186,7 @@ class TestInvalidationIndex:
         assert (len(fetch), len(scans)) == (sizes[0] - in_fetch, sizes[1] - in_scans)
         assert fetch.invalidations == counted[0] + in_fetch
         assert scans.invalidations == counted[1] + in_scans
-        assert all(r.partition_index not in named for r in fetch._cache.values())
+        assert all(partition_of(oid) not in named for oid in fetch.records)
         assert all(signature[0] not in named for signature in scans._cache)
         # Nothing is left under those partitions, and nothing is recounted.
         assert fetch.invalidate_partitions(named) == 0
@@ -211,19 +215,89 @@ class TestInvalidationIndex:
         entry; dropping its partition must not count or trip on it."""
         _warm(engine)
         fetch = engine.fetch_memo
-        oid, record = next(iter(fetch._cache.items()))
+        oid = next(iter(fetch.records))
+        key, partition_index = fetch.addresses[oid]
         peer = engine.network.peer(
-            engine.network.partition(record.partition_index).peer_ids[0]
+            engine.network.partition(partition_index).peer_ids[0]
         )
-        for entry in peer.store.lookup(record.key):
+        for entry in peer.store.lookup(key):
             peer.store.remove(entry)
-        assert fetch.triples_for(peer, record.key, oid).triples == ()
-        assert oid not in fetch._cache
+        assert fetch.triples_for(peer, key, oid).triples == ()
+        assert oid not in fetch.records
         others = sum(
-            r.partition_index == record.partition_index
-            for r in fetch._cache.values()
+            fetch.addresses[other][1] == partition_index
+            for other in fetch.records
         )
-        assert fetch.invalidate_partitions({record.partition_index}) == others
+        assert fetch.invalidate_partitions({partition_index}) == others
+
+
+class TestAddressMap:
+    """``oid -> (key, partition)`` outlives the records it sits beside."""
+
+    def test_survives_writes_and_recovery_and_goes_with_clear(self):
+        engine = QueryEngine.build(
+            32, word_triples(), StoreConfig(seed=7, replication=2)
+        )
+        _warm(engine)
+        fetch = engine.fetch_memo
+        oid = next(iter(fetch.records))
+        known = dict(fetch.addresses)
+        assert known.keys() == fetch.records.keys()
+
+        extra = Triple(oid, "word:lang", "en")
+        engine.insert([extra])
+        assert oid not in fetch.records  # the write dropped the record ...
+        assert fetch.addresses == known  # ... and no address
+        # The miss after the write re-reads the store and re-derives nothing.
+        with mock.patch.object(
+            type(engine.network.codec), "oid_key", side_effect=AssertionError
+        ), mock.patch.object(
+            type(engine.network), "partition_for", side_effect=AssertionError
+        ):
+            assert extra in engine.lookup(oid)
+        engine.delete([extra])
+        engine.fail_fraction(0.3, protect_partitions=True)
+        engine.insert([extra], respect_online=True)
+        assert engine.recover(repair=True).data_changed
+        assert fetch.addresses == known
+
+        engine.clear_memos()
+        assert not fetch.addresses and not fetch.records
+
+    def test_fetch_after_join_and_leave_equals_a_memo_free_engine(self):
+        """Membership changes renumber partitions under the remembered
+        indices; the engine's mutation check clears the map with the
+        records, so the next fetch routes by the new trie."""
+        from repro.overlay.membership import MembershipManager
+
+        engine, reference = (
+            QueryEngine.build(8, word_triples(), StoreConfig(seed=7), **options)
+            for options in ({}, {"memoize": False})
+        )
+        oids = sorted({t.oid for t in word_triples()})
+
+        def same_fetch():
+            got, want = (
+                each.ctx.fetch_objects(oids, delegating_peer_id=0, initiator_id=0)
+                for each in (engine, reference)
+            )
+            assert got == want and len(got) == len(oids)
+
+        for each in (engine, reference):
+            _warm(each)
+        same_fetch()
+        before = dict(engine.fetch_memo.addresses)
+        joined = []
+        for each in (engine, reference):
+            joined.append(MembershipManager(each.network).join())
+            each.similar("apple", TEXT_ATTR, 1)  # a recorded operation
+        same_fetch()
+        after = engine.fetch_memo.addresses
+        assert any(after[oid] != before[oid] for oid in oids)  # renumbered
+        for each, peer in zip((engine, reference), joined):
+            MembershipManager(each.network).leave(peer.peer_id)  # merges back
+            each.similar("apple", TEXT_ATTR, 1)
+        same_fetch()
 
 
 class TestMembershipChange:
@@ -344,8 +418,8 @@ class TestChurnRegression:
         assert recovery.data_changed
         assert recovery.entries_copied > 0
         repaired = set(recovery.divergent_partitions)
-        for record in engine.fetch_memo._cache.values():
-            assert record.partition_index not in repaired
+        for oid in engine.fetch_memo.records:
+            assert engine.fetch_memo.addresses[oid][1] not in repaired
         assert len(engine.fetch_memo) <= fetch_entries
 
     def test_queries_correct_after_divergent_recovery(self):
