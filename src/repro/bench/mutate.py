@@ -3,7 +3,7 @@
 The delta-maintenance arc routes every mutation through the engine's
 explicit write path (:meth:`~repro.engine.QueryEngine.insert` /
 :meth:`~repro.engine.QueryEngine.delete` / :meth:`~repro.engine.QueryEngine.recover`)
-and invalidates only the affected key partitions' memo entries.  This
+and invalidates only the memo entries the written index entries name.  This
 harness quantifies what that buys on a seeded mixed workload:
 
 * **memo retention** — the same op sequence runs on a ``"delta"`` engine

@@ -28,13 +28,21 @@ Typical use::
     for decision in result.cost.decisions:   # what adaptive mode picked
         print(decision.summary())
 
-Memo validity — the static-store contract — is *enforced* here: the
-engine snapshots the network-wide mutation token (the network ledger's
-tick, advanced by every :class:`~repro.storage.datastore.LocalDataStore`
-write, store replacement and membership change — an O(1) read) and
-re-checks it on every recorded operation; any change drops all memos at
-once.  The memos additionally carry per-entry version checks, so even a
-mutation slipping between checks can never replay stale data.
+Memo validity is *maintained* here.  A write through :meth:`QueryEngine.insert`
+or :meth:`QueryEngine.delete` comes back from the network as, per
+touched partition, the entries applied and where every replica's store
+version went (:class:`~repro.overlay.network.PartitionWrite`); the
+fetch and gram-scan memos drop (or patch) exactly the records those
+entries name, and every other record of the partition follows the
+written replicas to their new version through one shared stamp.  Every
+record is still checked on every probe — one integer comparison against
+the contacted replica's store version — so a replica that missed the
+write is re-read, never answered for.  Anything that changes a store
+*behind* the engine's back moves the network-wide mutation token (the
+network ledger's tick, advanced by every
+:class:`~repro.storage.datastore.LocalDataStore` write, store
+replacement and membership change — an O(1) read), which every recorded
+operation re-checks; any unexplained change drops all memos at once.
 
 :class:`repro.core.store.VerticalStore` — the facade of earlier PRs —
 subclasses this engine, adding only the record/relation insert helpers,
@@ -56,7 +64,7 @@ from repro.overlay.churn import ChurnController, ChurnReport
 from repro.overlay.fanout import FanOutExecutor
 from repro.overlay.faults import FaultInjector, FaultMode, FaultPlan, RetryPolicy
 from repro.overlay.messages import CostReport, MessageTracer
-from repro.overlay.network import PGridNetwork
+from repro.overlay.network import PartitionWrite, PGridNetwork
 from repro.query.cost import StrategyCostModel, StrategyDecision
 from repro.query.executor import Executor, QueryResult
 from repro.query.operators.base import (
@@ -87,14 +95,28 @@ if True:  # deferred import target for type checkers
         from repro.query.statistics import StatisticsCatalog
 
 
+@dataclass(frozen=True)
+class WriteReport:
+    """What the engine's latest :meth:`QueryEngine.insert` or
+    :meth:`QueryEngine.delete` did."""
+
+    #: Index entries stored (removed), replicas counted once.
+    applied: int = 0
+    #: Partitions holding at least one of them.
+    affected_partitions: int = 0
+    #: Per installed memo, the cached records the write dropped.
+    invalidated: dict[str, int] = field(default_factory=dict)
+
+
 @dataclass
 class RecoveryReport:
     """What one :meth:`QueryEngine.recover` call did.
 
     ``divergent_partitions`` lists the partitions anti-entropy repair had
-    to touch (replicas that missed writes while offline); exactly these
-    partitions' memo entries were invalidated — zero divergence means
-    zero invalidation.
+    to touch (replicas that missed writes while offline); only these
+    partitions' memo entries can be invalidated — and of those only what
+    a repaired replica answered — so zero divergence means zero
+    invalidation.
     """
 
     recovered_peers: int = 0
@@ -158,8 +180,9 @@ class QueryEngine:
         What a mutation routed through the engine's write path
         (:meth:`insert`, :meth:`delete`, :meth:`recover`) does to the
         workload memos and statistics: ``"delta"`` (the default)
-        invalidates only the affected key partitions' memo entries and
-        patches the statistics catalog in place; ``"drop"`` reproduces
+        invalidates only the memo entries the written index entries name
+        (the naive memo: the affected partitions' slices) and patches
+        the statistics catalog in place; ``"drop"`` reproduces
         the pre-delta behaviour (every memo cleared wholesale, catalog
         untouched) — kept for the mutation benchmark's baseline arm.
         Out-of-band store changes (anything mutating a peer's store
@@ -359,9 +382,17 @@ class QueryEngine:
 
     def clear_memos(self) -> None:
         """Unconditionally drop every whole-workload memo."""
-        for memo in (self.naive_memo, self.gram_scan_memo, self.fetch_memo):
-            if memo is not None:
-                memo.clear()
+        for memo in self._memos().values():
+            memo.clear()
+
+    def _memos(self) -> dict:
+        """The installed whole-workload memos by their ``/stats`` name."""
+        named = {
+            "naive": self.naive_memo,
+            "gram_scan": self.gram_scan_memo,
+            "fetch": self.fetch_memo,
+        }
+        return {name: memo for name, memo in named.items() if memo is not None}
 
     # -- transport faults --------------------------------------------------------------
 
@@ -409,21 +440,24 @@ class QueryEngine:
     def insert(self, triples: Iterable[Triple], respect_online: bool = False) -> int:
         """Index and place triples; returns the number of entries stored.
 
-        The explicit write path: the per-mutation effect is mapped to the
-        affected key partitions, and — in ``"delta"`` maintenance mode —
-        only those partitions' memo entries are invalidated while the
+        The explicit write path: the network reports what was applied
+        where, and — in ``"delta"`` maintenance mode — only the memo
+        entries those index entries name are invalidated while the
         statistics catalog is patched in place (``"drop"`` mode clears
-        every memo wholesale instead).  ``respect_online`` skips offline
+        every memo wholesale instead); :meth:`last_write` tells what
+        that came to.  ``respect_online`` skips offline
         replicas — the churn setting, where inserting while a replica is
         down leaves it divergent until anti-entropy repair
         (:meth:`recover`).
         """
         triples = list(triples)
         entries = list(self.network.entry_factory.entries_for_all(triples))
-        applied, affected = self.network.apply_entries(
+        applied, writes = self.network.apply_entries(
             entries, respect_online=respect_online
         )
-        self._note_write(affected)
+        self._last_write = WriteReport(
+            applied, len(writes), self._note_write(writes)
+        )
         self._patch_statistics(triples, sign=+1)
         return applied
 
@@ -433,16 +467,18 @@ class QueryEngine:
         The inverse of :meth:`insert`: callers pass the exact triples to
         retract, every index entry they induced is removed from the
         responsible partitions' (optionally only online) replicas, and
-        memo/statistics maintenance follows the same partition-scoped
-        delta path.  Deleting triples that were never stored is a no-op
-        that invalidates nothing.
+        memo/statistics maintenance follows the same delta path.
+        Deleting triples that were never stored is a no-op that
+        invalidates nothing.
         """
         triples = list(triples)
         entries = list(self.network.entry_factory.entries_for_all(triples))
-        applied, affected = self.network.apply_entries(
+        applied, writes = self.network.apply_entries(
             entries, respect_online=respect_online, remove=True
         )
-        self._note_write(affected)
+        self._last_write = WriteReport(
+            applied, len(writes), self._note_write(writes)
+        )
         if applied:
             self._patch_statistics(triples, sign=-1)
         return applied
@@ -489,12 +525,12 @@ class QueryEngine:
 
         Recovery alone changes no store.  With ``repair`` (the default)
         the engine audits replica consistency and repairs each divergent
-        partition (writes missed while a replica was down), then
-        invalidates exactly the repaired partitions' memo entries — a
-        fail/recover cycle with zero net data change leaves every memo
-        intact, where the old wholesale path dropped them all.
-        ``charge_messages`` prices the anti-entropy traffic on the tracer
-        under the ``repair`` phase.
+        partition (writes missed while a replica was down).  Repair
+        rewrites a lagging replica under keys no entry list names, so
+        within a repaired partition only what the replicas it left alone
+        answered stays cached — a fail/recover cycle with zero net data
+        change leaves every memo intact.  ``charge_messages`` prices the
+        anti-entropy traffic on the tracer under the ``repair`` phase.
         """
         from repro.overlay.replication import audit_replicas, repair_partition
 
@@ -504,34 +540,51 @@ class QueryEngine:
             return report
         audit = audit_replicas(self.network)
         report.divergent_partitions = list(audit.divergent_partitions)
+        repaired: dict[int, PartitionWrite] = {}
         for partition_index in audit.divergent_partitions:
+            stores = [
+                self.network.peer(peer_id).store
+                for peer_id in self.network.partition(partition_index).peer_ids
+            ]
+            before = [store.version for store in stores]
             report.entries_copied += repair_partition(
                 self.network, partition_index, charge_messages=charge_messages
             )
-        if report.divergent_partitions:
-            self._note_write(set(report.divergent_partitions))
+            repaired[partition_index] = PartitionWrite(
+                entries=(),
+                removed=False,
+                versions={
+                    version: version
+                    for version, store in zip(before, stores)
+                    if store.version == version
+                },
+                uniform=False,
+            )
+        self._note_write(repaired)
         return report
 
     # -- write-path maintenance ---------------------------------------------------------
 
-    def _note_write(self, affected: set[int]) -> None:
-        """Apply one engine-routed write's memo effect.
+    def _note_write(self, writes: dict[int, PartitionWrite]) -> dict[str, int]:
+        """Apply one engine-routed write's memo effect; returns, per
+        installed memo, the records dropped.
 
         Re-reads the network mutation token (so :meth:`check_mutations`
         does not later mistake this write for an out-of-band one), then
-        invalidates per the maintenance mode: only ``affected``
-        partitions' memo entries in ``"delta"`` mode, everything in
+        invalidates per the maintenance mode: in ``"delta"`` mode what
+        ``writes`` names — the fetch and gram-scan memos by written
+        entry, the naive memo by written partition — and everything in
         ``"drop"`` mode.
         """
         self._mutation_token = self.network.store_version_token()
-        if not affected:
-            return
+        memos = self._memos()
+        if not writes:
+            return dict.fromkeys(memos, 0)
         if self.memo_maintenance == "drop":
+            cleared = {name: len(memo) for name, memo in memos.items()}
             self.clear_memos()
-            return
-        for memo in (self.naive_memo, self.gram_scan_memo, self.fetch_memo):
-            if memo is not None:
-                memo.invalidate_partitions(affected)
+            return cleared
+        return {name: memo.note_write(writes) for name, memo in memos.items()}
 
     def _patch_statistics(self, triples: Sequence[Triple], sign: int) -> None:
         """Delta-maintain the statistics catalog for an applied write."""
@@ -698,22 +751,21 @@ class QueryEngine:
         return self.network.store_version_token()
 
     def memo_stats(self) -> dict[str, dict[str, int]]:
-        """Hit/miss/invalidation counters of every installed memo."""
-        stats: dict[str, dict[str, int]] = {}
-        for name, memo in (
-            ("naive", self.naive_memo),
-            ("gram_scan", self.gram_scan_memo),
-            ("fetch", self.fetch_memo),
-        ):
-            if memo is None:
-                continue
-            stats[name] = {
+        """Hit/miss/invalidation counters of every installed memo.
+
+        ``invalidations`` counts the records a write named and dropped
+        plus the stamp (store version) mismatches met on the read path —
+        not the records a write merely carried to a new version.
+        """
+        return {
+            name: {
                 "hits": memo.hits,
                 "misses": memo.misses,
                 "invalidations": memo.invalidations,
                 "entries": len(memo),
             }
-        return stats
+            for name, memo in self._memos().items()
+        }
 
     def verifier_stats(self) -> dict[str, object]:
         """Kernel identity plus shared-pool counters (``/stats`` payload).
@@ -755,6 +807,10 @@ class QueryEngine:
         """Cost of the most recent recorded operation."""
         return self._last_cost
 
+    def last_write(self) -> WriteReport:
+        """What the most recent :meth:`insert` / :meth:`delete` did."""
+        return self._last_write
+
     @contextmanager
     def recorded(self):
         """Charge the wrapped operation's message delta to ``stats``.
@@ -792,3 +848,4 @@ class QueryEngine:
         return injector.begin_session()
 
     _last_cost: CostReport = CostReport(messages=0, payload_bytes=0)
+    _last_write: WriteReport = WriteReport()

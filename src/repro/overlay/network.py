@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import bisect
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import NamedTuple
 
 from repro.core.config import StoreConfig, TrieBalancing
 from repro.core.errors import OverlayError
@@ -31,6 +32,27 @@ from repro.overlay.peer import NetworkLedger, Peer
 from repro.overlay.routing import Partition, Router
 from repro.storage.indexing import EntryFactory, IndexEntry
 from repro.storage.triple import Triple
+
+
+class PartitionWrite(NamedTuple):
+    """What one :meth:`PGridNetwork.apply_entries` call did to one partition
+    — what the engine's memos need to drop exactly what was written."""
+
+    #: The entries applied: every one given for the partition on an
+    #: insert; on a removal those some contacted replica actually held.
+    entries: Sequence[IndexEntry]
+    #: ``entries`` were removed, not added.
+    removed: bool
+    #: Store version ``before -> after`` over *every* replica of the
+    #: partition; equal for a replica the write did not change (offline
+    #: under ``respect_online``, or holding nothing that was removed).
+    #: Where replicas at one version part ways, the version maps to where
+    #: the written ones went.
+    versions: Mapping[int, int]
+    #: Every replica whose version moved applied exactly ``entries`` —
+    #: always true of an insert; false when diverged replicas removed
+    #: different subsets, so no one entry list describes them all.
+    uniform: bool
 
 
 class PGridNetwork:
@@ -354,50 +376,66 @@ class PGridNetwork:
         entries: Sequence[IndexEntry],
         respect_online: bool = False,
         remove: bool = False,
-    ) -> tuple[int, set[int]]:
-        """Add (or remove) pre-built entries; report affected partitions.
+    ) -> tuple[int, dict[int, PartitionWrite]]:
+        """Add (or remove) pre-built entries; report what was written where.
 
         The write primitive of the engine's explicit mutation path:
-        entries are grouped by responsible partition, applied to every
-        (optionally only online) replica, and the set of touched
-        partition indices comes back so the caller can invalidate exactly
-        those partitions' memo entries and statistics.  Either way each
-        contacted replica's store sees one bulk call with its partition's
-        entries.  ``remove=True`` deletes instead of adding; a removal
-        only counts when at least one contacted replica actually stored
-        the entry (deleting absent data is a no-op that touches nothing).
-        Returns ``(applied, affected_partition_indices)``.
+        entries are grouped by responsible partition and applied to every
+        (optionally only online) replica, each contacted replica's store
+        seeing one bulk call with its partition's entries.
+        ``remove=True`` deletes instead of adding; a removal only counts
+        when at least one contacted replica actually stored the entry
+        (deleting absent data is a no-op that touches nothing).  Returns
+        ``(applied, {partition index: PartitionWrite})`` — per touched
+        partition the entries that counted and where every replica's
+        store version went, so the caller can invalidate exactly what
+        those entries name and keep the rest of the partition.
         """
         per_partition: dict[int, list[IndexEntry]] = {}
         for entry in entries:
             index = trie.find_responsible(self._paths, entry.key)
             per_partition.setdefault(index, []).append(entry)
         applied = 0
-        affected: set[int] = set()
+        writes: dict[int, PartitionWrite] = {}
+        peers = self.peers
         for index, partition_entries in per_partition.items():
-            stores = [
-                self.peers[peer_id].store
-                for peer_id in self.partitions[index].peer_ids
-                if self.peers[peer_id].online or not respect_online
-            ]
+            versions: dict[int, int] = {}
+            flags: list[list[bool]] = []
+            contacted = False
+            for peer_id in self.partitions[index].peer_ids:
+                peer = peers[peer_id]
+                store = peer.store
+                before = store.version
+                if peer.online or not respect_online:
+                    contacted = True
+                    if remove:
+                        flags.append(store.remove_bulk(partition_entries))
+                    else:
+                        store.add_bulk(partition_entries)
+                after = store.version
+                if after != before or before not in versions:
+                    versions[before] = after
+            if not contacted:
+                continue
+            written, uniform = partition_entries, True
             if remove:
-                removed = [False] * len(partition_entries)
-                for store in stores:
-                    removed = [
-                        was or now
-                        for was, now in zip(
-                            removed, store.remove_bulk(partition_entries)
-                        )
+                removed = flags[0]
+                for held in flags[1:]:
+                    if held != removed:
+                        uniform = False
+                        removed = [was or now for was, now in zip(removed, held)]
+                if not uniform:
+                    uniform = all(held == removed for held in flags if True in held)
+                if False in removed:
+                    written = [
+                        entry
+                        for entry, gone in zip(partition_entries, removed)
+                        if gone
                     ]
-                count = sum(removed)
-            else:
-                for store in stores:
-                    store.add_bulk(partition_entries)
-                count = len(partition_entries) if stores else 0
-            if count:
-                applied += count
-                affected.add(index)
-        return applied, affected
+            if written:
+                applied += len(written)
+                writes[index] = PartitionWrite(written, remove, versions, uniform)
+        return applied, writes
 
     def insert_entry(self, entry: IndexEntry, respect_online: bool = False) -> None:
         """Place one pre-built index entry (incremental insertion)."""

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.core.errors import ExecutionError
 from repro.overlay.messages import MessageType
-from repro.overlay.network import PGridNetwork
+from repro.overlay.network import PartitionWrite, PGridNetwork
 from repro.overlay.routing import Router
 from repro.similarity.filters import FilterConfig
 from repro.similarity.kernels import EditKernel
@@ -108,11 +108,11 @@ class OperatorContext:
     edit_kernel: "EditKernel | str | None" = None
     #: Whole-workload memo for gram-peer candidate scans (see
     #: :class:`repro.query.operators.similar.GramScanMemo`).  ``None``
-    #: disables it; like ``naive_memo``, valid only over static stores.
+    #: disables it; kept true under writes by the owning engine.
     gram_scan_memo: "GramScanMemo | None" = None
     #: Whole-workload memo for per-oid object reconstruction (see
-    #: :class:`FetchObjectsMemo`).  ``None`` disables it; same
-    #: static-store contract and version enforcement as the other memos.
+    #: :class:`FetchObjectsMemo`).  ``None`` disables it; same write
+    #: maintenance and version enforcement as the gram-scan memo.
     fetch_memo: "FetchObjectsMemo | None" = None
     #: Statistics catalog consulted by the cost-based planner and the
     #: adaptive strategy resolution.  ``None`` keeps both structural.
@@ -262,7 +262,7 @@ class OperatorContext:
             fresh_oids: list[str] = []
             for key, oid in group.items():
                 record = records.get(oid)
-                if record is not None and record.store_version == version:
+                if record is not None and record.stamp[0] == version:
                     hits += 1
                 else:
                     record = rebuild(peer, key, oid)
@@ -309,18 +309,92 @@ class OperatorContext:
         return objects
 
 
+#: What a stamp is set to once no replica can validate it any more
+#: (store versions count up from zero).
+DEAD_STAMP = -1
+
+
+class VersionStamps:
+    """The shared validity tokens of one memo's records.
+
+    A record does not remember the store version it was built at; it
+    holds the *stamp* — a one-element list — that every record of its
+    partition built at that version shares.  The read path still makes
+    one integer comparison, ``stamp[0] == store.version``; a write that
+    names the few records it changed re-validates all the others of the
+    partition by overwriting that one integer (:meth:`carry`), nothing
+    per record.  At most one stamp is live per partition and distinct
+    replica version.
+    """
+
+    def __init__(self) -> None:
+        #: ``partition -> live stamps``, each at another version.
+        self._held: dict[int, list[list[int]]] = {}
+
+    def stamp(self, partition: int, version: int) -> list[int]:
+        """The stamp records of ``partition`` built at ``version`` share."""
+        stamps = self._held.get(partition)
+        if stamps is None:
+            stamps = self._held[partition] = []
+        for stamp in stamps:
+            if stamp[0] == version:
+                return stamp
+        stamps.append([version])
+        return stamps[-1]
+
+    def carry(self, partition: int, versions: Mapping[int, int]) -> None:
+        """Follow the replicas of ``partition`` along ``versions`` — their
+        store version ``before -> after``, as
+        :class:`~repro.overlay.network.PartitionWrite` reports it; call
+        once the records a write named are gone, so what a stamp still
+        covers is unchanged on the replicas that took the write.
+
+        A stamp shared by a replica that took the write and one that did
+        not goes with the write (``versions`` maps their common version
+        to the written one's), so the lagging replica mismatches and is
+        re-read.  A stamp at a version no replica reported is
+        unreachable (a repaired replica's, an earlier laggard's) and dies
+        rather than wait for some counter to reach its number; so do two
+        stamps arriving at one version — the comparison could no longer
+        tell their replicas apart.
+        """
+        stamps = self._held.get(partition)
+        if not stamps:
+            return
+        for stamp in stamps:
+            stamp[0] = versions.get(stamp[0], DEAD_STAMP)
+        if len(stamps) == 1 and stamps[0][0] != DEAD_STAMP:
+            return  # the usual case: one lineage, carried
+        arrived = [stamp[0] for stamp in stamps]
+        for stamp in stamps:
+            if arrived.count(stamp[0]) > 1:
+                stamp[0] = DEAD_STAMP
+        self._held[partition] = [
+            stamp for stamp in stamps if stamp[0] != DEAD_STAMP
+        ]
+
+    def clear(self) -> None:
+        self._held.clear()
+
+    def __len__(self) -> int:
+        return sum(map(len, self._held.values()))
+
+
 class ObjectRecord(NamedTuple):
     """One oid peer's rebuild of a complete object, with what the fetch
     path would otherwise recompute per request."""
 
-    #: Mutation counter of the store the triples were read from.
-    store_version: int
+    #: Valid while ``stamp[0]`` is the contacted replica's store version
+    #: (see :class:`VersionStamps`); ``None`` outside a memo.
+    stamp: list[int] | None
     triples: tuple[Triple, ...]
     #: Wire size of ``triples`` (result-message accounting).
     payload_bytes: int
 
 
-def _rebuild_object(peer, key: str, oid: str) -> ObjectRecord:
+def _rebuild_object(
+    peer, key: str, oid: str, stamp: list[int] | None = None
+) -> ObjectRecord:
     """The complete-object rebuild an oid peer performs for one request."""
     triples = tuple(
         sorted(
@@ -332,9 +406,7 @@ def _rebuild_object(peer, key: str, oid: str) -> ObjectRecord:
             key=lambda t: (t.attribute, str(t.value)),
         )
     )
-    return ObjectRecord(
-        peer.store.version, triples, sum(t.payload_size() for t in triples)
-    )
+    return ObjectRecord(stamp, triples, sum(t.payload_size() for t in triples))
 
 
 class FetchObjectsMemo:
@@ -355,44 +427,54 @@ class FetchObjectsMemo:
     * :attr:`addresses` — ``oid -> (key(oid), partition index)``, what
       grouping and routing need: no key hash, no partition bisect.  An
       address is pure in the oid and the trie, so unlike a record it
-      survives :meth:`invalidate_partitions` (the miss after a write
+      survives a write that names its oid (the miss after the write
       re-reads the store but re-derives nothing) and goes only with
       :meth:`clear`.
 
     Both are bounded by the objects found since the last :meth:`clear`
     (a rebuild that finds nothing is not remembered; the address of an
-    object deleted since lingers until then — two pointers and a tuple),
-    under the same static-store contract as
-    :class:`~repro.query.operators.similar.GramScanMemo`:
+    object deleted since lingers until then — two pointers and a tuple).
 
-    * replicas of a partition store identical data, so a record is
-      independent of which replica answered;
-    * every record carries the scanned store's mutation counter
-      (:attr:`LocalDataStore.version
-      <repro.storage.datastore.LocalDataStore>`) and is rebuilt when the
-      contacted replica reports any other version;
-    * the owning :class:`~repro.engine.QueryEngine` drops the written
-      partitions' records on its own writes and clears the memo outright
-      when its network-wide mutation check trips — which every
-      membership change does, so a remembered partition index never
-      outlives a renumbering;
+    **What keeps a record true.**  A live record's stamp equals the
+    version of a store whose ``OID`` entries for the record's oid are
+    the ones it was built from:
+
+    * it is built from the contacted replica and takes the stamp of that
+      replica's partition and version (:class:`VersionStamps`);
+    * a write routed through the owning :class:`~repro.engine.QueryEngine`
+      reports the entries it applied (:meth:`note_write`): the record of
+      every written ``OID`` entry's oid is dropped, and because nothing
+      else under ``key(oid)`` changed on the replicas that took the
+      write, every other record of the partition follows them to their
+      new version through its stamp — O(written entries) + O(1) per
+      partition;
+    * a replica that missed the write (offline under ``respect_online``)
+      keeps its old version, mismatches the moved stamp and is re-read:
+      it serves its own stale object, exactly as a memo-free engine's
+      would, and the rebuild is stamped for *its* version only;
+    * anything that changes stores behind the engine's back advances the
+      network-wide mutation token, on which the engine clears the memo
+      outright — every membership change does, so a remembered partition
+      index never outlives a renumbering;
     * it is *cost-transparent*: delegation and result messages are
       charged from the reconstructed triples, which are identical cached
       or not, so measured message/byte series do not change (pinned by
       tests).
+
+    Replicas are told apart by their version counters alone: two replicas
+    that diverged and then reached the same count are indistinguishable
+    to the comparison (the boundary ROADMAP item 5 records).
     """
 
     def __init__(self, network):
         self.network = network
         self.records: dict[str, ObjectRecord] = {}
         self.addresses: dict[str, tuple[str, int]] = {}
-        #: ``partition -> oids`` cached under it since the partition was
-        #: last invalidated, so a write finds its records without scanning
-        #: the cache.  An oid whose object has since vanished may linger
-        #: here (never in ``records``) until then.
-        self._by_partition: dict[int, list[str]] = {}
+        self._stamps = VersionStamps()
         self.hits = 0
         self.misses = 0
+        #: Records a write named and dropped, plus stamp mismatches met
+        #: on the read path.
         self.invalidations = 0
 
     def triples_for(self, peer, key: str, oid: str) -> ObjectRecord:
@@ -400,48 +482,49 @@ class FetchObjectsMemo:
         record, not only the triples — rebuilt at most once per store
         version.  ``fetch_objects`` enters only to rebuild.  (The name is
         a layer boundary of the repo benchmark.)"""
+        version = peer.store.version
         known = self.records.get(oid)
         if known is not None:
-            if known.store_version == peer.store.version:
+            if known.stamp[0] == version:
                 self.hits += 1
                 return known
             self.invalidations += 1
         self.misses += 1
-        record = _rebuild_object(peer, key, oid)
+        record = _rebuild_object(
+            peer, key, oid, self._stamps.stamp(peer.partition_index, version)
+        )
         if record.triples:
             self.records[oid] = record
             if known is None:
                 self.addresses[oid] = (key, peer.partition_index)
-                self._by_partition.setdefault(
-                    peer.partition_index, []
-                ).append(oid)
         elif known is not None:
             del self.records[oid]
         return record
 
-    def clear(self) -> None:
-        """Drop all records and addresses (call after any data mutation)."""
-        self.records.clear()
-        self.addresses.clear()
-        self._by_partition.clear()
-
-    def invalidate_partitions(self, partitions: "set[int]") -> int:
-        """Drop the records of the given partitions only.
-
-        The delta-maintenance path of :class:`~repro.engine.QueryEngine`:
-        a write that touched a known set of key partitions invalidates
-        exactly those partitions' cached objects — found through the
-        partition index, so the cost follows what is dropped, not what
-        is cached — and everything else survives.  Returns the number of
-        records dropped.
-        """
+    def note_write(self, writes: Mapping[int, PartitionWrite]) -> int:
+        """Apply an engine-routed write: drop the records its ``OID``
+        entries name, carry every other record of the written partitions
+        to the written replicas' new versions.  Returns the number of
+        records dropped."""
+        records = self.records
         dropped = 0
-        for partition in partitions:
-            for oid in self._by_partition.pop(partition, ()):
-                if self.records.pop(oid, None) is not None:
+        for partition, write in writes.items():
+            for entry in write.entries:
+                if (
+                    entry.kind is EntryKind.OID
+                    and records.pop(entry.triple.oid, None) is not None
+                ):
                     dropped += 1
+            self._stamps.carry(partition, write.versions)
         self.invalidations += dropped
         return dropped
+
+    def clear(self) -> None:
+        """Drop all records, addresses and stamps (call after any data
+        mutation the memo was not told about)."""
+        self.records.clear()
+        self.addresses.clear()
+        self._stamps.clear()
 
     def __len__(self) -> int:
         return len(self.records)

@@ -52,6 +52,7 @@ construction:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from repro.core.errors import ExecutionError
@@ -189,7 +190,7 @@ class RegionColumn:
             )
         return self._encoded
 
-    def drop(self, partitions: set[int]) -> None:
+    def drop(self, partitions: Iterable[int]) -> None:
         """Forget the slices of ``partitions`` (they were written) and
         with them the strings only those partitions held."""
         for partition_index in partitions:
@@ -270,15 +271,18 @@ class NaiveWorkloadMemo:
         self._cache.clear()
         self._columns.clear()
 
-    def invalidate_partitions(self, partitions: set[int]) -> int:
-        """Drop cached outcomes whose scanned region touches ``partitions``.
+    def note_write(self, writes: Mapping[int, object]) -> int:
+        """Apply an engine-routed write, given per written partition:
+        drop cached outcomes whose scanned region touches one.
 
         A region comparison records the store version of every partition
-        it scanned; a write mapped to its affected partitions invalidates
-        exactly the comparisons that covered one of them — comparisons
+        it scanned, and its content is the whole region's — so the grain
+        is the partition, whatever entries were written: exactly the
+        comparisons that covered a written partition go, comparisons
         over other attributes' regions survive.  Returns the number of
         cached outcomes dropped.
         """
+        partitions = writes.keys()
         stale = [
             key
             for key, comparison in self._cache.items()

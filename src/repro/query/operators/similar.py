@@ -12,9 +12,9 @@ Flow (with both optimizations the paper describes in Section 4):
    contacted once (shower-style ``route_many``), not once per gram;
 3. each gram peer applies the position and length filters (line 8) to
    the postings of its gram keys — with a :class:`GramScanMemo`, as
-   indexed probes into one positional table per gram key, built once per
-   store version whatever string asks — and *delegates* the surviving
-   candidate oids to the oid-owning peers;
+   indexed probes into one positional table per gram key, scanned once
+   whatever string asks and patched by the writes that touch it — and
+   *delegates* the surviving candidate oids to the oid-owning peers;
 4. each oid peer rebuilds the complete object from its ``key(oid)``
    entries, runs the final edit-distance verification (line 23 — possible
    remotely because the delegated query carries ``s`` and ``d``), and
@@ -33,14 +33,17 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.core.config import SimilarityStrategy
 from repro.core.errors import ExecutionError
+from repro.overlay.network import PartitionWrite
 from repro.query.operators.base import (
     QUERY_HEADER_BYTES,
     MatchedObject,
     OperatorContext,
+    VersionStamps,
 )
 from repro.similarity.verify import BatchVerifier
 from repro.storage.indexing import EntryKind, IndexEntry
@@ -50,6 +53,12 @@ from repro.storage.qgrams import (
     positional_qgrams,
     qgram_sample,
 )
+
+
+#: Most written rows a cached posting table may hold unapplied; one more
+#: and the table is dropped (a table that is written but never asked for
+#: must not grow).
+PENDING_ROWS = 64
 
 
 @dataclass
@@ -74,26 +83,44 @@ class GramScanMemo:
     stored data only and a part that depends on the query.  The memo
     caches the first, per ``(partition, key, attribute, schema level,
     gram)``: the matching postings as one positional table, three
-    aligned columns ``source_length, position, oid`` sorted by the first
-    two.  The filters are window tests on exactly those two coordinates,
+    aligned columns ``source_length, position, oid`` sorted as rows.  The filters are window tests on exactly those two coordinates,
     so any ``(occurrences, d, filters)`` replays as bisects: one pair to
     cut the length window, then one pair per stored length inside it for
     the position window (a filter that is off takes the whole column) —
     at most ``3(2d+1) + 2`` bisects per occurrence and never more than
-    the table has lengths.  A gram is therefore scanned once per store
-    version, whatever search string, distance or filter subset asks.
-    The columns are flat tuples of small integers and shared strings:
-    a table adds no object per posting, so a write that drops it frees
-    four objects.
+    the table has lengths.  A gram is therefore scanned once, whatever
+    search string, distance or filter subset asks.  The columns are flat
+    lists of small integers and shared strings: a table adds no object
+    per posting.
 
-    Like :class:`~repro.query.operators.naive.NaiveWorkloadMemo`, this
-    is valid only while stores are unchanged (benchmark cells), is
-    keyed per partition (replicas store identical data), and is
-    *cost-transparent*: delegation/result messages do not depend on how
-    candidates were computed, so measured series are bit-identical with
-    the memo on or off.  The static-store contract is enforced: every
-    cached table records the store's mutation counter and is rebuilt
-    when the contacted replica reports any other version.
+    The memo is keyed per partition (replicas store identical data) and
+    is *cost-transparent*: delegation/result messages do not depend on
+    how candidates were computed, so measured series are bit-identical
+    with the memo on or off.
+
+    **What keeps a table true.**  A live table's stamp equals the
+    version of a store whose postings under the table's signature are
+    the rows it holds (:class:`~repro.query.operators.base.VersionStamps`;
+    the read path compares ``stamp[0]`` with the contacted replica's
+    store version, one integer test, and rescans on a mismatch).  A
+    write routed through the owning :class:`~repro.engine.QueryEngine`
+    reports the entries it applied (:meth:`note_write`).  Each written
+    gram entry names one signature; that table is *patched in place* —
+    the entry's ``(length, position, oid)`` row bisected into or out of
+    the sorted columns — when it provably describes the replicas that
+    took the write: they all applied the same entries and the table's
+    stamp is one of their versions from before it.  The write only
+    queues the row on the table; the splices happen at the table's next
+    probe, so a write costs the same whatever the table's size and a
+    table nobody asks for again is never touched.  Otherwise (diverged
+    replicas removed different subsets, a stamp from some other replica,
+    more than :data:`PENDING_ROWS` rows queued, a row to delete that is
+    not there) the table is dropped, which is always safe.  Every other
+    table of a written partition follows the written replicas to their
+    new version through its stamp; a replica that missed the write keeps
+    its version, mismatches and is rescanned.  Stores changed behind the
+    engine's back advance the network-wide mutation token and the engine
+    clears the memo.
 
     Thread-safe for the intra-query fan-out: cache probes, inserts and
     counters are guarded by a lock, while the posting scan and the
@@ -105,15 +132,18 @@ class GramScanMemo:
 
     def __init__(self, network):
         self.network = network
-        #: ``signature -> (store version, lengths, positions, oids)``.
-        self._cache: dict[tuple, tuple[int, tuple, tuple, tuple]] = {}
-        #: ``partition -> signatures`` cached under it, so a write finds
-        #: its tables without walking the cache (a signature two racing
-        #: computes both stored is listed twice; dropping tolerates it).
-        self._by_partition: dict[int, list[tuple]] = {}
+        #: ``signature -> (stamp, lengths, positions, oids, pending)``: the
+        #: three aligned columns, the stamp they are valid under, and the
+        #: written ``(entry, removed)`` rows not yet spliced into them.  A
+        #: plain tuple, unpacked where it is read: the probe is the hot
+        #: path of every q-gram query.
+        self._cache: dict[tuple, tuple[list[int], list, list, list, list]] = {}
+        self._stamps = VersionStamps()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        #: Tables a write named and dropped, plus stamp mismatches met on
+        #: the read path.
         self.invalidations = 0
 
     def candidate_oids(
@@ -130,73 +160,131 @@ class GramScanMemo:
         """Oids this gram peer delegates for one looked-up key at ``d``."""
         gram = occurrences[0].gram
         signature = (partition_index, key, attribute, schema_level, gram)
+        version = peer.store.version
         with self._lock:
-            scan = self._cache.get(signature)
-            indexed = scan is not None
-            if indexed and scan[0] != peer.store.version:
-                self.invalidations += 1
-                scan = None
-            if scan is not None:
-                self.hits += 1
-        if scan is None:
-            scan = self._scan(peer.store, key, gram, attribute, schema_level)
+            table = self._cache.get(signature)
+            if table is not None:
+                stamp, lengths, positions, oids, pending = table
+                if stamp[0] != version or (pending and not _settle(table)):
+                    self.invalidations += 1
+                    table = None
+                else:
+                    self.hits += 1
+        if table is None:
+            lengths, positions, oids = self._scan(
+                peer.store, key, gram, attribute, schema_level
+            )
             with self._lock:
                 self.misses += 1
-                self._cache[signature] = scan
-                if not indexed:
-                    self._by_partition.setdefault(partition_index, []).append(
-                        signature
-                    )
-        return _admitted_oids(*scan[1:], occurrences, d, filters)
+                self._cache[signature] = (
+                    self._stamps.stamp(partition_index, version),
+                    lengths, positions, oids, [],
+                )
+        return _admitted_oids(lengths, positions, oids, occurrences, d, filters)
 
     def _scan(self, store, key, gram, attribute, schema_level):
-        """Postings of ``key`` as (store version, lengths, positions,
-        oids), the three columns aligned and sorted."""
+        """Postings of ``key`` as three aligned columns ``[lengths,
+        positions, oids]``, sorted as rows."""
         postings = sorted(
             (entry.source_length, entry.position, entry.triple.oid)
             for entry in _matching_postings(store, key, gram, attribute, schema_level)
         )
-        return store.version, *(zip(*postings) if postings else ((), (), ()))
+        return [list(column) for column in zip(*postings)] or [[], [], []]
 
-    def clear(self) -> None:
-        """Drop all cached tables (call after any data mutation)."""
-        with self._lock:
-            self._cache.clear()
-            self._by_partition.clear()
-
-    def invalidate_partitions(self, partitions: set[int]) -> int:
-        """Drop cached tables of the given partitions only.
-
-        A write mapped to its affected key partitions (the engine's
-        delta-maintenance path) surgically removes exactly the tables that
-        write could have changed, found through the partition index — the
-        cost follows what is dropped, not what is cached.  Returns the
-        number of entries dropped.
-        """
+    def note_write(self, writes: Mapping[int, PartitionWrite]) -> int:
+        """Apply an engine-routed write: queue its gram entries' rows on
+        the tables they name (or, where a patch is not provably right,
+        drop the table), carry every table of the written partitions to
+        the written replicas' new versions.  Returns the number of tables
+        dropped."""
         dropped = 0
         with self._lock:
-            for partition in partitions:
-                for signature in self._by_partition.pop(partition, ()):
-                    if self._cache.pop(signature, None) is not None:
+            cache = self._cache
+            for partition, (entries, removed, versions, uniform) in writes.items():
+                for entry in entries:
+                    gram = entry.gram
+                    if gram is None:
+                        continue
+                    schema_level = entry.kind is EntryKind.SCHEMA_GRAM
+                    signature = (
+                        partition,
+                        entry.key,
+                        "" if schema_level else entry.triple.attribute,
+                        schema_level,
+                        gram,
+                    )
+                    table = cache.get(signature)
+                    if table is None:
+                        continue
+                    built_at, pending = table[0][0], table[4]
+                    if (
+                        uniform
+                        # built from a replica this write moved
+                        and versions.get(built_at, built_at) != built_at
+                        and len(pending) < PENDING_ROWS
+                    ):
+                        pending.append((entry, removed))
+                    else:
+                        del cache[signature]
                         dropped += 1
+                self._stamps.carry(partition, versions)
             self.invalidations += dropped
         return dropped
+
+    def clear(self) -> None:
+        """Drop all cached tables and stamps (call after any data
+        mutation the memo was not told about)."""
+        with self._lock:
+            self._cache.clear()
+            self._stamps.clear()
 
     def __len__(self) -> int:
         return len(self._cache)
 
 
+def _settle(table: tuple) -> bool:
+    """Splice ``table``'s queued rows into its columns, in write order;
+    false (the table is then unusable) when one could not be."""
+    pending = table[4]
+    settled = all(_patch(table, entry, removed) for entry, removed in pending)
+    pending.clear()
+    return settled
+
+
+def _patch(table: tuple, entry: IndexEntry, removed: bool) -> bool:
+    """Splice ``entry``'s row into ``table``'s columns — behind its
+    equals, where a rescan would sort it — or, ``removed``, one copy of
+    it out; false when the row to remove is not there."""
+    __, lengths, positions, oids, __ = table
+    length, position, oid = entry.source_length, entry.position, entry.triple.oid
+    lo = bisect_left(lengths, length)
+    hi = bisect_right(lengths, length, lo)
+    lo = bisect_left(positions, position, lo, hi)
+    hi = bisect_right(positions, position, lo, hi)
+    if removed:
+        at = bisect_left(oids, oid, lo, hi)
+        if at == hi or oids[at] != oid:
+            return False
+        del lengths[at], positions[at], oids[at]
+    else:
+        at = bisect_right(oids, oid, lo, hi)
+        lengths.insert(at, length)
+        positions.insert(at, position)
+        oids.insert(at, oid)
+    return True
+
+
 def _admitted_oids(
-    lengths: tuple[int, ...],
-    positions: tuple[int, ...],
-    oids: tuple[str, ...],
+    lengths: list[int],
+    positions: list[int],
+    oids: list[str],
     occurrences: list[PositionalQGram],
     d: int,
     filters,
 ) -> set[str]:
     """Line 8 replayed on a posting table: the oids of every posting some
     occurrence admits at ``d`` under the active filters."""
-    admitted: list[tuple[str, ...]] = []
+    admitted: list[list[str]] = []
     for occurrence in occurrences:
         lo, hi = 0, len(lengths)
         if filters.use_length:

@@ -286,13 +286,21 @@ class QueryService:
         inside ``op``.
         """
         triples = _parse_triples(request.json())
-        applied = await self._run(op, triples)
+
+        def write():
+            # One executor job, so the report read is this write's own.
+            op(triples)
+            return self.engine.last_write()
+
+        report = await self._run(write)
         return Response(
             200,
             {
-                "applied": applied,
+                "applied": report.applied,
                 "requested": len(triples),
                 "store_version": self.engine.store_version,
+                "affected_partitions": report.affected_partitions,
+                "invalidated": report.invalidated,
             },
         )
 

@@ -20,6 +20,7 @@ or, blocking, ``python -m repro.serve --peers 64 --words 2000``.
 from __future__ import annotations
 
 import asyncio
+import logging
 
 from repro.serve.app import MAX_BODY_BYTES, QueryService, Request, Response
 
@@ -42,6 +43,9 @@ _STATUS_TEXT = {
     429: "Too Many Requests",
     500: "Internal Server Error",
 }
+
+
+_log = logging.getLogger("repro.serve")
 
 
 class ProtocolError(Exception):
@@ -116,6 +120,11 @@ class ServiceServer:
                 try:
                     response = await self.service.handle(request)
                 except Exception as exc:  # handler crash -> 500, keep serving
+                    # The response names only the exception's type; the
+                    # traceback goes to the operator's log.
+                    _log.exception(
+                        "handler crashed on %s %s", request.method, request.path
+                    )
                     response = Response(
                         500, {"error": f"internal error: {type(exc).__name__}"}
                     )

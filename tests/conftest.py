@@ -5,6 +5,7 @@ from __future__ import annotations
 from unittest import mock
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import StoreConfig
 from repro.core.store import VerticalStore
@@ -15,6 +16,13 @@ from repro.query.operators.base import OperatorContext
 from repro.query.operators.naive import RegionColumn
 from repro.storage.indexing import EntryFactory
 from repro.storage.triple import Triple
+
+#: ``--hypothesis-profile=deep``: the size the mutation state machine
+#: (``tests/properties/test_mutation_equivalence.py``) is run at before a
+#: change to memo maintenance merges, and by the ``mutate-smoke`` CI job.
+settings.register_profile(
+    "deep", max_examples=1000, stateful_step_count=30, deadline=None
+)
 
 #: A small, edit-distance-rich word collection used across tests.
 WORDS = [

@@ -4,8 +4,10 @@ A hypothesis rule-based state machine interleaves inserts, deletes,
 peer failures, recoveries, and similarity queries on two engines over
 identically-built networks:
 
-* the **primary** — fully memoized, ``memo_maintenance="delta"``: writes
-  invalidate only the affected partitions' memo entries;
+* the **primary** — fully memoized, ``memo_maintenance="delta"``: a
+  write drops only the memo entries its index entries name (the written
+  oid's record, the written gram keys' tables — patched where provable)
+  and carries the rest of each written partition to the new version;
 * the **reference** — ``memoize=False``: every query recomputes from the
   stores, so it can never serve anything stale.
 
@@ -16,6 +18,22 @@ should not have survived shows up here as a divergence; so does any
 memo that changes what a query charges (memos are required to be
 cost-transparent).
 
+The writes are built to be *seen*: an inserted string is one inserted
+letter away from a corpus word (inside every query radius, under the
+gram keys the word's queries look up) and its oid comes from a pool of
+nine, so objects that queries have already fetched gain and lose
+triples.  ``write_near_then_query`` makes the kill directed instead of
+lucky: warm a gram-strategy query of ``w``, write one edit from ``w``,
+ask again.  Two hand-made mutants of the memo maintenance **passed** the
+earlier form of this machine (fresh oids only, strings ``{base}x{n}``
+drifting out of every radius) at 200 x 10 and fail this one at that
+size:
+
+* *written ``OID`` record not dropped* — ``FetchObjectsMemo.note_write``
+  pops nothing: a grown object is served without its new triple;
+* *written gram table not dropped* — ``GramScanMemo.note_write`` skips
+  the named tables: the new posting is never a candidate.
+
 Both engines see the exact same op sequence with explicit initiator
 peers, so their RNG streams never decouple; equivalence is exact, not
 statistical.  Every query draws its physical strategy — q-grams,
@@ -25,7 +43,12 @@ retained region columns included, live through the writes and churn.
 After every rule the network ledger's O(1) bookkeeping is checked
 against the scans it replaced: the offline count, the mutation token
 (moves iff some store changed, never backwards) and every peer's
-partition index.
+partition index; and every cached record's stamp is either dead or the
+one its memo's stamp index holds for that partition and version.
+
+Tier-1 runs 200 examples of 10 steps; ``--hypothesis-profile=deep``
+(registered in ``tests/conftest.py``; the ``mutate-smoke`` CI job) runs
+1000 of 30.
 """
 
 from hypothesis import settings
@@ -40,6 +63,7 @@ from hypothesis.stateful import (
 
 from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.engine import QueryEngine
+from repro.query.operators.base import DEAD_STAMP
 from repro.query.operators.similar import similar
 from repro.storage.triple import Triple
 
@@ -53,11 +77,14 @@ WORDS = [
 ]
 
 
-STRATEGIES = [
-    SimilarityStrategy.QGRAM,
-    SimilarityStrategy.QSAMPLE,
-    SimilarityStrategy.NAIVE,
-]
+GRAM_STRATEGIES = [SimilarityStrategy.QGRAM, SimilarityStrategy.QSAMPLE]
+STRATEGIES = [*GRAM_STRATEGIES, SimilarityStrategy.NAIVE]
+
+#: Where and what to insert into a corpus word; any choice is one edit.
+edits = st.tuples(st.integers(min_value=0, max_value=7), st.sampled_from("aeo"))
+#: First component of a written oid: with the position in the batch
+#: (0..2) a pool of nine objects that writes keep changing.
+slots = st.integers(min_value=0, max_value=2)
 
 
 def _answer(
@@ -94,26 +121,41 @@ class MutationEquivalence(RuleBasedStateMachine):
             n_peers=n_peers, triples=triples, config=config, memoize=False
         )
         self.engines = (self.primary, self.reference)
-        self.counter = 0
-        self.live_batches: list[tuple[Triple, ...]] = []
+        #: ``(base word, triples)`` of every insert not yet deleted.
+        self.live_batches: list[tuple[str, tuple[Triple, ...]]] = []
         #: Per engine: ``(token, every store's identity and version)`` as
         #: of the previous invariant check.
         self.seen = [self._store_state(engine) for engine in self.engines]
 
     def teardown(self):
-        if hasattr(self, "engines"):
-            # Whatever the interleaving did to them, the memos' partition
-            # indexes still find every record: naming all partitions
-            # empties both caches and counts each record once.
-            everywhere = set(range(self.primary.network.n_partitions))
-            for memo in (self.primary.gram_scan_memo, self.primary.fetch_memo):
-                cached = len(memo)
-                assert memo.invalidate_partitions(everywhere) == cached
-                assert len(memo) == 0
         for engine in getattr(self, "engines", ()):
             engine.close()
 
     # -- ops ----------------------------------------------------------------------
+
+    def _same_answer(self, word, d, initiator, strategy):
+        peer_id = initiator % self.primary.n_peers
+        assert _answer(self.primary, word, d, peer_id, strategy) == _answer(
+            self.reference, word, d, peer_id, strategy
+        )
+
+    def _insert(self, base, slot, size, edit):
+        cut, letter = edit
+        cut %= len(base) + 1
+        value = base[:cut] + letter + base[cut:]
+        batch = tuple(Triple(f"m:{slot}:{i}", ATTR, value) for i in range(size))
+        # respect_online: offline replicas miss the write and stay
+        # divergent until a recover() rule repairs them — identically in
+        # both arms, since both see the same offline set.
+        applied = [e.insert(list(batch), respect_online=True) for e in self.engines]
+        assert applied[0] == applied[1]
+        self.live_batches.append((base, batch))
+
+    def _delete(self, pick) -> str:
+        base, batch = self.live_batches.pop(pick % len(self.live_batches))
+        applied = [e.delete(list(batch), respect_online=True) for e in self.engines]
+        assert applied[0] == applied[1]
+        return base
 
     @rule(
         word=st.sampled_from(WORDS),
@@ -122,34 +164,42 @@ class MutationEquivalence(RuleBasedStateMachine):
         strategy=st.sampled_from(STRATEGIES),
     )
     def query(self, word, d, initiator, strategy):
-        peer_id = initiator % self.primary.n_peers
-        assert _answer(self.primary, word, d, peer_id, strategy) == _answer(
-            self.reference, word, d, peer_id, strategy
-        )
+        self._same_answer(word, d, initiator, strategy)
 
     @rule(
         base=st.sampled_from(WORDS),
+        slot=slots,
         size=st.integers(min_value=1, max_value=3),
+        edit=edits,
     )
-    def insert(self, base, size):
-        batch = tuple(
-            Triple(f"m:{self.counter}:{i}", ATTR, f"{base}x{self.counter}")
-            for i in range(size)
-        )
-        self.counter += 1
-        # respect_online: offline replicas miss the write and stay
-        # divergent until a recover() rule repairs them — identically in
-        # both arms, since both see the same offline set.
-        applied = [e.insert(list(batch), respect_online=True) for e in self.engines]
-        assert applied[0] == applied[1]
-        self.live_batches.append(batch)
+    def insert(self, base, slot, size, edit):
+        self._insert(base, slot, size, edit)
 
     @precondition(lambda self: self.live_batches)
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def delete(self, pick):
-        batch = self.live_batches.pop(pick % len(self.live_batches))
-        applied = [e.delete(list(batch), respect_online=True) for e in self.engines]
-        assert applied[0] == applied[1]
+        self._delete(pick)
+
+    @rule(
+        base=st.sampled_from(WORDS),
+        slot=slots,
+        edit=edits,
+        pick=st.none() | st.integers(min_value=0, max_value=10**6),
+        initiator=st.integers(min_value=0, max_value=10**6),
+        strategy=st.sampled_from(GRAM_STRATEGIES),
+    )
+    def write_near_then_query(self, base, slot, edit, pick, initiator, strategy):
+        """Warm the memos on ``w``, write one edit away from ``w`` (an
+        insert, or the delete of an earlier one), ask again at the
+        covering distance."""
+        if pick is not None and self.live_batches:
+            base = self.live_batches[pick % len(self.live_batches)][0]
+        self._same_answer(base, 1, initiator, strategy)
+        if pick is not None and self.live_batches:
+            self._delete(pick)
+        else:
+            self._insert(base, slot, 1, edit)
+        self._same_answer(base, 1, initiator, strategy)
 
     @rule(peer=st.integers(min_value=0, max_value=10**6))
     def fail_peer(self, peer):
@@ -203,6 +253,24 @@ class MutationEquivalence(RuleBasedStateMachine):
         )
 
     @invariant()
+    def stamps_are_indexed_or_dead(self):
+        """What a write can still reach, it reaches through the index."""
+        if not hasattr(self, "engines"):
+            return
+        fetch, scans = self.primary.fetch_memo, self.primary.gram_scan_memo
+        stamped = [
+            (fetch, fetch.addresses[oid][1], record.stamp)
+            for oid, record in fetch.records.items()
+        ] + [
+            (scans, signature[0], table[0])
+            for signature, table in scans._cache.items()
+        ]
+        for memo, partition, stamp in stamped:
+            assert stamp[0] == DEAD_STAMP or any(
+                held is stamp for held in memo._stamps._held[partition]
+            )
+
+    @invariant()
     def ledger_matches_scans(self):
         if not hasattr(self, "engines"):
             return
@@ -224,6 +292,9 @@ class MutationEquivalence(RuleBasedStateMachine):
 
 
 TestMutationEquivalence = MutationEquivalence.TestCase
-TestMutationEquivalence.settings = settings(
-    max_examples=200, stateful_step_count=10, deadline=None
+DEEP = settings.get_profile("deep")
+TestMutationEquivalence.settings = (
+    DEEP
+    if settings.default is DEEP
+    else settings(max_examples=200, stateful_step_count=10, deadline=None)
 )

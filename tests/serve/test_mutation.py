@@ -118,6 +118,34 @@ class TestMutateEndpoints:
                 "hits", "misses", "invalidations", "entries"
             }
 
+    def test_responses_report_what_the_write_invalidated(self, service_factory):
+        """Both endpoints say how many partitions took the write and how
+        many cached records each memo dropped for it."""
+        service = service_factory()
+        grown = {"oid": "w:0001", "attribute": "word:lang", "value": "en"}
+        assert "adapted" in _matched(_similar(service, "adapter"))  # caches w:0001
+
+        def mutate(endpoint, triple):
+            response = run(
+                service.handle(post(f"/mutate/{endpoint}", {"triples": [triple]}))
+            )
+            assert response.status == 200
+            return response.payload
+
+        for endpoint in ("insert", "delete"):
+            payload = mutate(endpoint, grown)
+            assert payload["applied"] > 0
+            assert 0 < payload["affected_partitions"] <= payload["applied"]
+            assert payload["invalidated"].keys() == {"fetch", "gram_scan", "naive"}
+            # The cached object gained (lost) a triple: its record, only.
+            assert payload["invalidated"]["fetch"] == 1
+            assert "adapted" in _matched(_similar(service, "adapter"))  # re-cached
+
+        # Deleting what is not stored touches nothing.
+        payload = mutate("delete", grown)
+        assert payload["applied"] == payload["affected_partitions"] == 0
+        assert payload["invalidated"] == {"fetch": 0, "gram_scan": 0, "naive": 0}
+
     def test_bad_triples_rejected(self, service_factory):
         service = service_factory()
         for payload in (

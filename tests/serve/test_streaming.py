@@ -129,3 +129,44 @@ class TestStreamingOverHttp:
         ]
         assert streamed == expected
         assert lines[-1]["done"] is True
+
+
+class TestHandlerCrashOverHttp:
+    def test_crash_is_a_500_with_a_logged_traceback_and_the_connection_lives(
+        self, service_factory, caplog
+    ):
+        """The client learns the exception's type only; the operator's
+        log (``repro.serve``) gets the traceback; the same keep-alive
+        connection serves the next request."""
+        service = service_factory()
+
+        def boom(*args, **kwargs):
+            raise ZeroDivisionError("engine fell over")
+
+        service.engine.select = boom
+
+        async def scenario():
+            server = ServiceServer(service, "127.0.0.1", 0)
+            await server.start()
+            client = HttpClient("127.0.0.1", server.port)
+            try:
+                crashed = await client.request(
+                    "POST", "/query/exact", {"attribute": ATTRIBUTE, "value": "x"}
+                )
+                connection = client._writer
+                health = await client.request("GET", "/healthz")
+                assert client._writer is connection  # no reconnect
+                return crashed, health
+            finally:
+                await client.close()
+                await server.stop()
+
+        with caplog.at_level("ERROR", logger="repro.serve"):
+            crashed, health = asyncio.run(scenario())
+        assert crashed.status == 500
+        assert crashed.json() == {"error": "internal error: ZeroDivisionError"}
+        assert health.status == 200
+        (record,) = [r for r in caplog.records if r.name == "repro.serve"]
+        assert "POST /query/exact" in record.getMessage()
+        assert record.exc_info[0] is ZeroDivisionError
+        assert "engine fell over" in caplog.text and "Traceback" in caplog.text

@@ -132,19 +132,24 @@ class TestAdaptive:
 
 
 class TestMutationInvalidation:
-    def test_insert_invalidates_affected_partitions(self, engine):
+    def test_insert_invalidates_what_it_wrote(self, engine):
         engine.similar("apple", TEXT_ATTR, 1, strategy="strings")
         engine.similar("apple", TEXT_ATTR, 1)
         assert len(engine.naive_memo) > 0
-        assert len(engine.fetch_memo) > 0
-        before = len(engine.fetch_memo)
-        engine.insert([Triple("x:new", TEXT_ATTR, "apricot")])
-        # Whole-region memos overlap the written partitions and drop;
-        # per-partition fetch entries for untouched partitions survive.
+        tables, records = len(engine.gram_scan_memo), len(engine.fetch_memo)
+        assert tables > 0 and records > 0
+        engine.insert([Triple("x:new", TEXT_ATTR, "appla")])
+        # The whole-region naive memo overlaps the written partitions and
+        # drops; the gram tables the write names are patched where they
+        # stand, and no cached object is the new one.
         assert len(engine.naive_memo) == 0
-        assert len(engine.gram_scan_memo) == 0
-        assert len(engine.fetch_memo) < before
-        assert engine.fetch_memo.invalidations > 0
+        assert len(engine.gram_scan_memo) == tables
+        assert len(engine.fetch_memo) == records
+        assert engine.last_write().invalidated == {
+            "naive": 1, "gram_scan": 0, "fetch": 0
+        }
+        found = engine.similar("apple", TEXT_ATTR, 1)
+        assert "x:new" in {m.oid for m in found.matches}
 
     def test_insert_clears_memos_in_drop_mode(self):
         engine = QueryEngine.build(

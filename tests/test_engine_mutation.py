@@ -1,10 +1,21 @@
 """The engine's explicit write path and its delta maintenance.
 
-Covers the mutable-store arc end to end: partition-scoped memo
-invalidation on insert/delete, in-place statistics patching, the
-replica-aware cost model under churn, and the regression the arc fixes —
-failing and recovering a peer with **zero net data change** must not
-drop a single memo entry (the old wholesale path cleared everything).
+Covers the mutable-store arc end to end: memo invalidation at the grain
+of what insert/delete wrote (the written oid's record, the written gram
+keys' tables — the rest of a written partition keeps answering), replicas
+that missed a write and are brought back with and without repair,
+in-place statistics patching, the replica-aware cost model under churn,
+and the regression the arc fixes — failing and recovering a peer with
+**zero net data change** must not drop a single memo entry (the old
+wholesale path cleared everything).
+
+Hand-made mutants these tests kill (each was applied to the memo code
+and the named test failed): the record of a written ``OID`` entry not
+dropped (``TestWriteGrain::test_written_object_is_rebuilt_...``); a
+stamp moved for a replica that did not take the write
+(``TestLaggingReplica::test_second_write_does_not_move_the_laggards_stamp``);
+a table patched although the written replicas removed different entries
+(``TestLaggingReplica::test_diverged_removal_drops_the_table_...``).
 """
 
 import copy
@@ -16,9 +27,11 @@ from repro.core.errors import ConfigError
 from repro.core.config import StoreConfig
 from repro.engine import QueryEngine
 from repro.overlay.replication import audit_replicas
+from repro.storage.qgrams import PositionalQGram, qgram_tuples
 from repro.storage.triple import Triple
 
 from tests.conftest import TEXT_ATTR, word_triples
+from tests.reference.gram_scan import candidate_oids_per_entry
 
 
 @pytest.fixture()
@@ -128,12 +141,21 @@ class TestWritePath:
         found = engine.similar("apricot", TEXT_ATTR, 1).matches
         assert {m.oid for m in found} == {"x:kept"}
 
-    def test_delta_mode_retains_unaffected_fetch_entries(self, engine):
+    def test_delta_mode_drops_only_the_records_a_write_names(self, engine):
         _warm(engine)
-        before = len(engine.fetch_memo)
+        fetch = engine.fetch_memo
+        cached = set(fetch.records)
+        # A brand-new object changes no cached object: nothing is dropped.
         engine.insert([Triple("x:new", TEXT_ATTR, "apricot")])
-        assert 0 < len(engine.fetch_memo) < before
-        assert engine.fetch_memo.invalidations > 0
+        assert set(fetch.records) == cached
+        assert fetch.invalidations == 0
+        assert engine.last_write().invalidated["fetch"] == 0
+        # A triple more for a cached object: that record, no other.
+        grown = sorted(cached)[0]
+        engine.insert([Triple(grown, "word:lang", "en")])
+        assert set(fetch.records) == cached - {grown}
+        assert fetch.invalidations == 1
+        assert engine.last_write().invalidated["fetch"] == 1
 
     def test_repeat_query_after_write_hits_retained_memos(self, engine):
         _warm(engine)
@@ -163,72 +185,342 @@ class TestWritePath:
         assert _memo_entries(engine) == retained
 
 
-class TestInvalidationIndex:
-    """``invalidate_partitions`` finds records by partition, not by scan."""
+def _partition_mates(engine, oid: str) -> list[str]:
+    """The other stored oids whose ``key(oid)`` falls in ``oid``'s partition."""
+    network = engine.network
 
-    def test_drops_exactly_the_named_partitions(self, engine):
-        _warm(engine)
-        fetch, scans = engine.fetch_memo, engine.gram_scan_memo
-        def partition_of(oid):
-            return fetch.addresses[oid][1]
+    def home(other: str) -> int:
+        return network.partition_for(network.codec.oid_key(other)).index
 
-        named = {
-            min(map(partition_of, fetch.records)),
-            min(signature[0] for signature in scans._cache),
+    return [
+        other
+        for other in sorted({t.oid for t in word_triples()})
+        if other != oid and home(other) == home(oid)
+    ]
+
+
+def _foreign_oid(engine, partition_index: int) -> str:
+    """An oid nobody stores whose key ``partition_index`` owns."""
+    network = engine.network
+    return next(
+        f"x:{i}"
+        for i in range(10_000)
+        if network.partition_for(network.codec.oid_key(f"x:{i}")).index
+        == partition_index
+    )
+
+
+class TestWriteGrain:
+    """A write drops what its entries name; the rest of the partition is
+    carried to the new store version and keeps answering."""
+
+    @pytest.fixture()
+    def small(self):
+        return QueryEngine.build(8, word_triples(), StoreConfig(seed=7))
+
+    def test_written_object_is_rebuilt_and_its_partition_neighbour_is_a_hit(
+        self, small
+    ):
+        from repro.query.operators import base
+        from repro.storage.datastore import LocalDataStore
+
+        written = "w:0000"
+        neighbour = _partition_mates(small, written)[0]
+        for oid in (written, neighbour):
+            small.lookup(oid)
+        fetch = small.fetch_memo
+        extra = Triple(written, "word:lang", "en")
+        small.insert([extra])
+        assert written not in fetch.records and neighbour in fetch.records
+
+        with mock.patch.object(
+            base, "_rebuild_object", side_effect=AssertionError
+        ), mock.patch.object(LocalDataStore, "lookup", side_effect=AssertionError):
+            hits = fetch.hits
+            assert small.lookup(neighbour)
+            assert fetch.hits == hits + 1
+        with mock.patch.object(
+            base, "_rebuild_object", wraps=base._rebuild_object
+        ) as rebuild:
+            assert extra in small.lookup(written)
+            assert rebuild.call_count == 1
+
+        small.delete([extra])
+        assert written not in fetch.records and neighbour in fetch.records
+        assert extra not in small.lookup(written)
+
+    def test_written_gram_table_is_patched_and_others_are_not_rescanned(
+        self, small
+    ):
+        scans = small.gram_scan_memo
+        for search in ("apple", "banana", "cherry"):
+            small.similar(search, TEXT_ATTR, 1, strategy="qgrams")
+        cached = set(scans._cache)
+        batch = [Triple("x:new", TEXT_ATTR, "apples")]
+        with mock.patch.object(
+            type(scans), "_scan", side_effect=AssertionError
+        ):
+            small.insert(batch)
+            found = small.similar("apple", TEXT_ATTR, 1, strategy="qgrams")
+            assert "x:new" in {m.oid for m in found.matches}
+            small.delete(batch)
+            found = small.similar("apple", TEXT_ATTR, 1, strategy="qgrams")
+            assert "x:new" not in {m.oid for m in found.matches}
+            for search in ("banana", "cherry"):
+                small.similar(search, TEXT_ATTR, 1, strategy="qgrams")
+        assert set(scans._cache) == cached
+        assert scans.invalidations == 0
+        for signature, (stamp, *columns, pending) in scans._cache.items():
+            partition, key, attribute, schema_level, gram = signature
+            assert not pending  # every written table was asked again
+            store = small.network.peer(
+                small.network.partition(partition).peer_ids[0]
+            ).store
+            assert stamp[0] == store.version
+            assert columns == scans._scan(
+                store, key, gram, attribute, schema_level
+            )
+
+    def test_out_of_band_write_and_clear_empty_everything(self, small):
+        _warm(small)
+        fetch, scans = small.fetch_memo, small.gram_scan_memo
+        assert len(fetch._stamps) > 0 and len(scans._stamps) > 0
+        small.network.insert_triples([Triple("x:oob", TEXT_ATTR, "apricot")])
+        assert small.check_mutations() is True
+        for memo in (fetch, scans):
+            assert len(memo) == 0 and len(memo._stamps) == 0
+        assert not fetch.addresses
+        _warm(small)
+        small.clear_memos()
+        for memo in (fetch, scans):
+            assert len(memo) == 0 and len(memo._stamps) == 0
+
+    def test_a_write_leaves_one_stamp_per_replica_version(self):
+        """Whatever churn and repair left behind, the stamps a written
+        partition holds after the write are at versions its replicas
+        report — at most one each — so they cannot accumulate."""
+        engine = QueryEngine.build(
+            8, word_triples(), StoreConfig(seed=7, replication=2)
+        )
+        network = engine.network
+        batch = [Triple("x:new", TEXT_ATTR, "apricot")]
+        written = {
+            network.partition_for(entry.key).index
+            for entry in network.entry_factory.entries_for_all(batch)
         }
-        in_fetch = sum(partition_of(oid) in named for oid in fetch.records)
-        in_scans = sum(signature[0] in named for signature in scans._cache)
-        sizes = len(fetch), len(scans)
-        counted = fetch.invalidations, scans.invalidations
+        for round_ in range(6):
+            churn = round_ % 2 == 1
+            if churn:
+                engine.fail_fraction(0.3, protect_partitions=True)
+            for write in (engine.insert, engine.delete):
+                _warm(engine)
+                write(batch, respect_online=True)
+                assert engine.last_write().affected_partitions == len(written)
+                for memo in (engine.fetch_memo, engine.gram_scan_memo):
+                    for index in written:
+                        held = [
+                            stamp[0] for stamp in memo._stamps._held.get(index, ())
+                        ]
+                        reported = {
+                            network.peer(peer_id).store.version
+                            for peer_id in network.partition(index).peer_ids
+                        }
+                        assert set(held) <= reported
+                        assert len(set(held)) == len(held)
+            if churn:
+                engine.recover(repair=round_ % 4 == 1)
 
-        assert fetch.invalidate_partitions(named) == in_fetch > 0
-        assert scans.invalidate_partitions(named) == in_scans > 0
-        assert (len(fetch), len(scans)) == (sizes[0] - in_fetch, sizes[1] - in_scans)
-        assert fetch.invalidations == counted[0] + in_fetch
-        assert scans.invalidations == counted[1] + in_scans
-        assert all(partition_of(oid) not in named for oid in fetch.records)
-        assert all(signature[0] not in named for signature in scans._cache)
-        # Nothing is left under those partitions, and nothing is recounted.
-        assert fetch.invalidate_partitions(named) == 0
-        assert scans.invalidate_partitions(named) == 0
 
-    def test_records_cached_again_are_found_again(self, engine):
-        everywhere = set(range(engine.network.n_partitions))
-        for __ in range(2):
-            _warm(engine)
-            for memo in (engine.fetch_memo, engine.gram_scan_memo):
-                cached = len(memo)
-                assert cached > 0
-                assert memo.invalidate_partitions(everywhere) == cached
-                assert len(memo) == 0
+class TestLaggingReplica:
+    """A replica that was offline during a write and came back *without*
+    repair serves its own stale object — what a memo-free engine would
+    read from it — and what it answered never stands in for the replica
+    that took the write, nor the other way round."""
 
-    def test_clear_empties_the_index(self, engine):
-        _warm(engine)
-        engine.clear_memos()
-        everywhere = set(range(engine.network.n_partitions))
-        for memo in (engine.fetch_memo, engine.gram_scan_memo):
-            assert memo.invalidate_partitions(everywhere) == 0
-            assert memo.invalidations == 0
+    EXTRA = Triple("w:0000", "word:lang", "en")
 
-    def test_vanished_object_is_not_counted(self, engine):
-        """An object deleted behind the memo's back leaves only an index
-        entry; dropping its partition must not count or trip on it."""
-        _warm(engine)
+    @pytest.fixture()
+    def pair(self):
+        engine = QueryEngine.build(
+            8, word_triples(), StoreConfig(seed=7, replication=2)
+        )
+        network = engine.network
+        home = network.partition_for(network.codec.oid_key(self.EXTRA.oid))
+        fresh, lagging = home.peer_ids
+        engine.lookup(self.EXTRA.oid)  # cached before the write
+        return engine, home.index, network.peer(fresh), network.peer(lagging)
+
+    @staticmethod
+    def _ask(engine, answering, *silent, oid=EXTRA.oid) -> tuple:
+        """``lookup`` with the ``silent`` replicas switched off behind the
+        engine's back, so ``answering`` is the one contacted."""
+        for peer in silent:
+            peer.online = False
+        try:
+            return engine.lookup(oid)
+        finally:
+            for peer in silent:
+                peer.online = True
+
+    def _miss_the_write(self, engine, lagging, via: str) -> None:
+        if via == "recover":
+            engine.fail_peers([lagging.peer_id])
+            engine.insert([self.EXTRA], respect_online=True)
+            engine.recover(repair=False)
+        else:
+            lagging.online = False
+            engine.insert([self.EXTRA], respect_online=True)
+            lagging.online = True
+        assert not audit_replicas(engine.network).consistent
+
+    @pytest.mark.parametrize("via", ["recover", "flip"])
+    @pytest.mark.parametrize("first", ["lagging", "fresh"])
+    def test_each_replica_answers_for_itself_in_both_contact_orders(
+        self, pair, via, first
+    ):
+        engine, __, fresh, lagging = pair
+        self._miss_the_write(engine, lagging, via)
+        order = [(lagging, fresh), (fresh, lagging)]
+        if first == "fresh":
+            order.reverse()
+        for __ in range(2):  # the second round meets what the first cached
+            for answering, silent in order:
+                found = self._ask(engine, answering, silent)
+                assert (self.EXTRA in found) == (answering is fresh)
+                assert found  # the stale object is still an object
+        assert engine.recover(repair=True).data_changed
+        for answering, silent in order:
+            assert self.EXTRA in self._ask(engine, answering, silent)
+
+    def test_second_write_does_not_move_the_laggards_stamp(self, pair):
+        """The laggard answers (its stale record is cached under its own
+        stamp), then misses a second write to the partition that names
+        another object: only the written replica's stamp may follow it."""
+        engine, home, fresh, lagging = pair
+        self._miss_the_write(engine, lagging, "flip")
+        assert self.EXTRA not in self._ask(engine, lagging, fresh)
+        lagging.online = False
+        engine.insert(
+            [Triple(_foreign_oid(engine, home), TEXT_ATTR, "apricot")],
+            respect_online=True,
+        )
+        lagging.online = True
+        assert self.EXTRA in self._ask(engine, fresh, lagging)
+        assert self.EXTRA not in self._ask(engine, lagging, fresh)
+
+    def test_a_shared_stamp_goes_with_the_replica_that_took_the_write(self, pair):
+        """Before the write one stamp covers both replicas; afterwards it
+        must cover the written one (its un-named records stay hits), and
+        the laggard — still at the old version — is re-read."""
+        engine, __, fresh, lagging = pair
+        neighbour = _partition_mates(engine, self.EXTRA.oid)[0]
+        engine.lookup(neighbour)
+        self._miss_the_write(engine, lagging, "flip")
         fetch = engine.fetch_memo
-        oid = next(iter(fetch.records))
-        key, partition_index = fetch.addresses[oid]
-        peer = engine.network.peer(
-            engine.network.partition(partition_index).peer_ids[0]
+        hits, misses = fetch.hits, fetch.misses
+        assert self._ask(engine, fresh, lagging, oid=neighbour)
+        assert (fetch.hits, fetch.misses) == (hits + 1, misses)
+        assert self._ask(engine, lagging, fresh, oid=neighbour)
+        assert (fetch.hits, fetch.misses) == (hits + 1, misses + 1)
+
+    def test_repair_retires_the_stamps_of_the_replicas_it_rewrote(self):
+        """Three replicas at three versions.  The middle one answers while
+        stale; repair then lifts the last one *to the middle one's old
+        version* — what the middle one answered must not speak for it."""
+        engine = QueryEngine.build(
+            9, word_triples(), StoreConfig(seed=7, replication=3)
         )
-        for entry in peer.store.lookup(key):
-            peer.store.remove(entry)
-        assert fetch.triples_for(peer, key, oid).triples == ()
-        assert oid not in fetch.records
-        others = sum(
-            fetch.addresses[other][1] == partition_index
-            for other in fetch.records
+        network = engine.network
+        first = "w:0000"
+        second = _partition_mates(engine, first)[0]
+        home = network.partition_for(network.codec.oid_key(first))
+        fresh, middle, last = (network.peer(peer_id) for peer_id in home.peer_ids)
+        one = Triple(first, "word:lang", "en")
+        two = Triple(second, "word:lang", "de")
+        last.online = False
+        engine.insert([one], respect_online=True)
+        middle.online = False
+        engine.insert([two], respect_online=True)
+        middle.online = last.online = True
+        versions = [peer.store.version for peer in (fresh, middle, last)]
+        assert versions[0] > versions[1] > versions[2]
+
+        assert two not in self._ask(engine, middle, fresh, last, oid=second)
+        assert engine.recover(repair=True).data_changed
+        assert last.store.version == versions[1]
+        for answering in (last, middle, fresh):
+            silent = [peer for peer in (fresh, middle, last) if peer is not answering]
+            assert two in self._ask(engine, answering, *silent, oid=second)
+            assert one in self._ask(engine, answering, *silent, oid=first)
+
+    def test_diverged_counters_keep_each_replicas_records_apart(self, pair):
+        """Replicas that took different numbers of writes report different
+        versions for good; each is still answered from its own rebuild and
+        a write both take carries both stamps."""
+        engine, home, fresh, lagging = pair
+        self._miss_the_write(engine, lagging, "flip")
+        engine.recover(repair=True)  # contents equal again, counters not
+        foreign = Triple(_foreign_oid(engine, home), TEXT_ATTR, "apricot")
+        lagging.online = False
+        engine.insert([foreign], respect_online=True)
+        engine.delete([foreign], respect_online=True)
+        lagging.online = True
+        assert audit_replicas(engine.network).consistent
+        assert fresh.store.version != lagging.store.version
+        fetch = engine.fetch_memo
+        for answering, silent in ((fresh, lagging), (lagging, fresh)):
+            assert self.EXTRA in self._ask(engine, answering, silent)
+            engine.insert([foreign])  # both replicas take it
+            hits = fetch.hits
+            assert self.EXTRA in self._ask(engine, answering, silent)
+            assert fetch.hits == hits + 1  # carried, not rebuilt
+            engine.delete([foreign])
+
+    def test_diverged_removal_drops_the_table_instead_of_patching_it(self):
+        """Two strings of one object share their leading gram rows.  The
+        laggard holds one of them, the fresh replica both; deleting the
+        one the laggard lacks (beside a triple both hold, so both
+        replicas are written) must not take the laggard's row out of the
+        table built from it."""
+        engine = QueryEngine.build(
+            8, word_triples(), StoreConfig(seed=7, replication=2)
         )
-        assert fetch.invalidate_partitions({partition_index}) == others
+        network = engine.network
+        both = Triple("x:two", TEXT_ATTR, "apricot")
+        only_fresh = Triple("x:two", TEXT_ATTR, "apricos")
+        occurrences = [
+            PositionalQGram(gram, position, len("apricot"))
+            for gram, position in qgram_tuples("apricot", network.config.q)
+            if gram == "apr"
+        ]
+        key = network.codec.attr_value_key(TEXT_ATTR, "apr")
+        home = network.partition_for(key)
+        __, lagging = (network.peer(peer_id) for peer_id in home.peer_ids)
+        shared = next(  # stored on both replicas, with an entry at ``home``
+            triple
+            for triple in word_triples()
+            if any(
+                network.partition_for(entry.key).index == home.index
+                for entry in network.entry_factory.entries_for(triple)
+            )
+        )
+        engine.insert([both])
+        lagging.online = False
+        engine.insert([only_fresh], respect_online=True)
+        lagging.online = True
+
+        scans = engine.gram_scan_memo
+        probe = (occurrences, TEXT_ATTR, False, 1, engine.ctx.filters)
+
+        def asked_of_the_laggard() -> set[str]:
+            return scans.candidate_oids(lagging, home.index, key, *probe)
+
+        assert asked_of_the_laggard() == {"x:two"}
+        version = lagging.store.version
+        assert engine.delete([only_fresh, shared]) > 0
+        assert lagging.store.version == version + 1  # written as well
+        assert asked_of_the_laggard() == {"x:two"}
+        assert candidate_oids_per_entry(lagging.store, key, *probe) == {"x:two"}
 
 
 class TestAddressMap:
@@ -403,24 +695,40 @@ class TestChurnRegression:
         for memo in (engine.naive_memo, engine.gram_scan_memo, engine.fetch_memo):
             assert memo.invalidations == 0
 
-    def test_divergent_recovery_invalidates_only_repaired_partitions(self):
+    def test_divergent_recovery_keeps_what_unrepaired_replicas_answered(self):
+        """Repair rewrites the lagging replicas only: in a repaired
+        partition a record stays valid exactly for the replicas repair
+        left alone, and nothing anywhere is dropped eagerly."""
         engine = QueryEngine.build(
             32, word_triples(), StoreConfig(seed=7, replication=2)
         )
+        network = engine.network
         _warm(engine)
         engine.fail_fraction(0.3, protect_partitions=True)
         # Writes the offline replicas miss: they diverge until repair.
         engine.insert(
             [Triple("x:new", TEXT_ATTR, "apricot")], respect_online=True
         )
-        fetch_entries = len(engine.fetch_memo)
+        _warm(engine)
+        fetch = engine.fetch_memo
+        cached = set(fetch.records)
+        versions = [peer.store.version for peer in network.peers]
         recovery = engine.recover(repair=True)
         assert recovery.data_changed
         assert recovery.entries_copied > 0
-        repaired = set(recovery.divergent_partitions)
-        for oid in engine.fetch_memo.records:
-            assert engine.fetch_memo.addresses[oid][1] not in repaired
-        assert len(engine.fetch_memo) <= fetch_entries
+        assert set(fetch.records) == cached
+        left_alone = {
+            peer.peer_id
+            for peer, version in zip(network.peers, versions)
+            if peer.store.version == version
+        }
+        for oid, record in fetch.records.items():
+            partition = network.partition(fetch.addresses[oid][1])
+            assert record.stamp[0] in {
+                network.peer(peer_id).store.version
+                for peer_id in partition.peer_ids
+                if peer_id in left_alone
+            }
 
     def test_queries_correct_after_divergent_recovery(self):
         engine = QueryEngine.build(
