@@ -9,7 +9,6 @@ Usage::
     python -m repro.bench --csv-dir results/   # also write CSV series
     python -m repro.bench --json               # + BENCH_fig1.json / BENCH_micro.json
     python -m repro.bench --full --naive-sample 0.02   # estimate naive cells
-    python -m repro.bench --check-incremental  # assert incremental == scratch
 
 Default scale keeps the run to minutes on a laptop; ``--full`` switches
 to the paper's corpus sizes (106 704 words / 66 349 titles) and peer
@@ -64,7 +63,6 @@ from repro.bench.sweep import (
     SweepResult,
     full_scale,
     run_sweep_job,
-    sweep_check,
 )
 
 #: Default (scaled-down) corpus sizes.
@@ -122,12 +120,6 @@ def _parser() -> argparse.ArgumentParser:
         help="sampled-broadcast estimator for the naive strategy: scan "
         "only ~RATE of each region's partitions and extrapolate its "
         "cost (0 = exact broadcast, the default; recorded in the JSON)",
-    )
-    parser.add_argument(
-        "--check-incremental",
-        action="store_true",
-        help="rebuild every cell's network from scratch and assert the "
-        "incremental build is identical (slow; also REPRO_SWEEP_CHECK=1)",
     )
     parser.add_argument(
         "--no-adaptive",
@@ -197,7 +189,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     job_options = {
         "naive_sample_rate": args.naive_sample,
-        "check_equivalence": args.check_incremental or sweep_check(),
         "strategies": (
             ALL_STRATEGIES if args.no_adaptive else ALL_WITH_ADAPTIVE
         ),

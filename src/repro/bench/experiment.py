@@ -8,9 +8,10 @@ index families are present regardless of which strategy queries them.
 
 Sweeps run many cells over the *same* dataset, so the expensive
 per-dataset work — q-gram decomposition, key hashing, entry construction,
-the data-aware trie sample — is hoisted into :class:`PreparedDataset` and
-done once; each cell then only re-places the prepared entries onto its
-own trie (:meth:`repro.overlay.network.PGridNetwork.place_entries`).
+the data-aware trie sample — is done once, by
+:class:`~repro.overlay.incremental.PreparedDataset`; each cell then only
+re-places the prepared entries onto its own trie
+(:meth:`repro.overlay.network.PGridNetwork.place_entries`).
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from collections import Counter
 from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.core.stats import QueryStats
 from repro.engine import QueryEngine
-from repro.overlay.hashing import CompositeKeyCodec
-from repro.overlay.incremental import IncrementalNetworkBuilder
+from repro.overlay.incremental import IncrementalNetworkBuilder, PreparedDataset
 from repro.overlay.network import PGridNetwork
-from repro.storage.indexing import EntryFactory, IndexEntry
 from repro.storage.triple import Triple
 from repro.bench.workload import WorkloadQuery, make_workload, run_workload
 
@@ -41,62 +40,6 @@ ALL_STRATEGIES = (
 #: The fixed strategies plus the cost-model-driven adaptive mode (the
 #: ``adaptive`` series of ``BENCH_fig1.json``).
 ALL_WITH_ADAPTIVE = ALL_STRATEGIES + (SimilarityStrategy.ADAPTIVE,)
-
-
-@dataclass
-class PreparedDataset:
-    """A dataset's index entries, derived once and re-placed per cell.
-
-    ``entries`` is sorted by key (ties keep generation order, matching
-    what a per-cell :meth:`PGridNetwork.insert_triples` would produce
-    after its deferred sort); ``sample_keys`` doubles as the data-aware
-    trie sample, shared by every cell of a sweep.
-    """
-
-    config: StoreConfig
-    entries: list[IndexEntry]
-    sample_keys: list[str]
-
-    @classmethod
-    def prepare(
-        cls, triples: Sequence[Triple], config: StoreConfig
-    ) -> "PreparedDataset":
-        """Derive and key-sort all index entries for ``triples``."""
-        factory = EntryFactory(config, CompositeKeyCodec(config))
-        entries = sorted(
-            factory.entries_for_all(triples), key=lambda entry: entry.key
-        )
-        return cls(
-            config=config,
-            entries=entries,
-            sample_keys=[entry.key for entry in entries],
-        )
-
-    def build_network(self, n_peers: int) -> PGridNetwork:
-        """A load-balanced network of ``n_peers`` holding this dataset."""
-        network = PGridNetwork(
-            n_peers, self.config, sample_keys=self.sample_keys
-        )
-        network.place_entries(self.entries)
-        return network
-
-    def make_builder(
-        self, check_equivalence: bool = False
-    ) -> IncrementalNetworkBuilder:
-        """An incremental builder over this dataset (one per sweep).
-
-        The builder shares trie split counts across every network it
-        builds, so a sweep's later (larger) cells derive their tries from
-        mostly cached splits; ``check_equivalence=True`` re-builds every
-        cell from scratch and asserts structural equality (the sweep
-        engine's paranoia mode).
-        """
-        return IncrementalNetworkBuilder(
-            config=self.config,
-            entries=self.entries,
-            sample_keys=self.sample_keys,
-            check_equivalence=check_equivalence,
-        )
 
 
 @dataclass

@@ -11,8 +11,7 @@ grows each cell's network from the trie-derivation state of the previous
 cells instead of rebuilding from scratch, and each cell's workload runs
 with whole-workload naive-broadcast memoization.  Both are equivalence-
 preserving — measured message/byte series are bit-identical to a
-from-scratch, unmemoized run — and ``REPRO_SWEEP_CHECK=1`` (or
-``check_equivalence=True``) asserts the network equivalence per cell.
+from-scratch, unmemoized run.
 
 Cells of one sweep are *independent*: every (dataset, peer count) pair
 builds its own network from its own seed and replays its own workload,
@@ -34,12 +33,8 @@ from dataclasses import dataclass, field
 
 from repro.core.config import SimilarityStrategy, StoreConfig, env_flag
 from repro.storage.triple import Triple
-from repro.bench.experiment import (
-    ALL_STRATEGIES,
-    CellResult,
-    PreparedDataset,
-    run_cell,
-)
+from repro.overlay.incremental import IncrementalNetworkBuilder, PreparedDataset
+from repro.bench.experiment import ALL_STRATEGIES, CellResult, run_cell
 
 #: Default peer counts (log-spaced, scaled down from the paper's
 #: 100..100000 so the default run finishes in minutes; see --full).
@@ -51,10 +46,6 @@ PAPER_PEER_COUNTS = (100, 1_000, 10_000, 100_000)
 #: Environment variable that switches benchmarks to paper scale.
 FULL_SCALE_ENV = "REPRO_FULL_SCALE"
 
-#: Environment variable that turns on the per-cell incremental-vs-scratch
-#: equivalence check (slow; the sweep engine's paranoia mode).
-SWEEP_CHECK_ENV = "REPRO_SWEEP_CHECK"
-
 
 def full_scale() -> bool:
     """True when the environment requests paper-scale runs.
@@ -64,11 +55,6 @@ def full_scale() -> bool:
     values raise instead of silently enabling a 100 000-peer run.
     """
     return env_flag(FULL_SCALE_ENV)
-
-
-def sweep_check() -> bool:
-    """True when the environment requests incremental equivalence checks."""
-    return env_flag(SWEEP_CHECK_ENV)
 
 
 class SweepCellError(RuntimeError):
@@ -136,7 +122,6 @@ class SweepJob:
     prepared: PreparedDataset
     repetitions: int = 40
     strategies: tuple[SimilarityStrategy, ...] = ALL_STRATEGIES
-    check_equivalence: bool = False
     memoize_naive: bool = True
     memoize_gram_scans: bool = True
     memoize_fetches: bool = True
@@ -199,7 +184,7 @@ def run_sweep_job(
     """
     started = time.perf_counter()
     result = SweepResult(dataset=job.dataset)
-    builder = job.prepared.make_builder(check_equivalence=job.check_equivalence)
+    builder = IncrementalNetworkBuilder(job.prepared)
     for n_peers in job.peer_counts:
         if progress is not None:
             progress(f"{job.dataset}: {n_peers} peers ...")
@@ -235,9 +220,7 @@ def _run_sweep_chunk(
     """
     n_peers: int | None = None
     try:
-        builder = job.prepared.make_builder(
-            check_equivalence=job.check_equivalence
-        )
+        builder = IncrementalNetworkBuilder(job.prepared)
         chunk: list[tuple[int, CellResult]] = []
         for index in cell_indices:
             n_peers = job.peer_counts[index]
@@ -335,7 +318,6 @@ def sweep(
     repetitions: int = 40,
     strategies: Sequence[SimilarityStrategy] = ALL_STRATEGIES,
     progress: Callable[[str], None] | None = None,
-    check_equivalence: bool | None = None,
     memoize_naive: bool = True,
     memoize_gram_scans: bool = True,
     memoize_fetches: bool = True,
@@ -352,12 +334,9 @@ def sweep(
     three cost-transparent accelerations (naive region memo, gram-scan
     memo, shared verifier pool) — each individually disableable so an
     acceleration can be validated against its own unaccelerated
-    baseline.  ``check_equivalence`` (default: the ``REPRO_SWEEP_CHECK``
-    environment variable) re-builds every cell from scratch and asserts
-    the incremental network is identical.  ``naive_sample_rate`` > 0
-    opts into the sampled-broadcast estimator for the naive strategy
-    (approximate series, flagged in the JSON); the default keeps every
-    series exact.
+    baseline.  ``naive_sample_rate`` > 0 opts into the sampled-broadcast
+    estimator for the naive strategy (approximate series, flagged in the
+    JSON); the default keeps every series exact.
 
     ``jobs > 1`` dispatches cells to a :class:`ParallelSweepRunner`
     process pool and ``parallel_fanout`` enables the intra-cell thread
@@ -369,8 +348,6 @@ def sweep(
     cost-model-driven replay to every cell; it always runs last, so the
     fixed series stay bit-identical to an adaptive-free sweep.
     """
-    if check_equivalence is None:
-        check_equivalence = sweep_check()
     job = SweepJob.from_dataset(
         dataset,
         triples,
@@ -380,7 +357,6 @@ def sweep(
         config=config,
         repetitions=repetitions,
         strategies=tuple(strategies),
-        check_equivalence=check_equivalence,
         memoize_naive=memoize_naive,
         memoize_gram_scans=memoize_gram_scans,
         memoize_fetches=memoize_fetches,

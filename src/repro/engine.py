@@ -63,7 +63,8 @@ from repro.core.stats import QueryStats
 from repro.overlay.churn import ChurnController, ChurnReport
 from repro.overlay.fanout import FanOutExecutor
 from repro.overlay.faults import FaultInjector, FaultMode, FaultPlan, RetryPolicy
-from repro.overlay.messages import CostReport, MessageTracer
+from repro.overlay.incremental import PreparedDataset
+from repro.overlay.messages import CostReport
 from repro.overlay.network import PartitionWrite, PGridNetwork
 from repro.query.cost import StrategyCostModel, StrategyDecision
 from repro.query.executor import Executor, QueryResult
@@ -288,19 +289,12 @@ class QueryEngine:
     ) -> "QueryEngine":
         """Build a network sized for ``triples``, bulk-load, and wrap it.
 
-        The trie is balanced against the actual index-entry keys the data
-        will produce (P-Grid's load balancing), then the entries are
-        placed.  Use :meth:`insert` afterwards for incremental additions.
+        The index entries are derived once; the trie is balanced against
+        their keys (P-Grid's load balancing) and they are placed on it.
+        Use :meth:`insert` afterwards for incremental additions.
         """
         config = config if config is not None else StoreConfig()
-        tracer = MessageTracer()
-        probe = PGridNetwork(1, config, tracer=MessageTracer())
-        sample_keys = [
-            entry.key for entry in probe.entry_factory.entries_for_all(triples)
-        ]
-        network = PGridNetwork(n_peers, config, sample_keys=sample_keys, tracer=tracer)
-        if triples:
-            network.insert_triples(triples)
+        network = PreparedDataset.prepare(triples, config).build_network(n_peers)
         return cls(network, strategy=strategy, **engine_options)
 
     # -- context wiring ------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.overlay.hashing import (
 from repro.overlay.incremental import (
     BuildReport,
     IncrementalNetworkBuilder,
+    PreparedDataset,
     assert_networks_equivalent,
 )
 from repro.overlay.messages import CostReport, MessageTracer, MessageType
@@ -49,6 +50,7 @@ __all__ = [
     "PGridNetwork",
     "Partition",
     "Peer",
+    "PreparedDataset",
     "RangeQueryResult",
     "Router",
     "range_query",

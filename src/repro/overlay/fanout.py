@@ -21,9 +21,8 @@ measurement contract intact:
   series bit-identical to the serial reference path (property-tested).
 
 The serial path remains the reference: every call site degrades to a
-plain loop when no executor is installed, exactly like
-``lookup_scan``/``_build_routing_tables_scan`` pair fast and reference
-implementations elsewhere.  On CPython the GIL limits the speedup for
+plain loop when no executor is installed.  On CPython the GIL limits
+the speedup for
 pure-Python scans; the mode exists so the execution *model* (what is
 shared, what is per-worker, how charges merge) is in place and testable,
 and it composes with the process-level sweep parallelism of

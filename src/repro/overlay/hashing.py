@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 import string as _string
+import struct
 
 from repro.core.config import StoreConfig
 from repro.core.errors import HashingError
@@ -119,8 +120,6 @@ def float_to_ordered_int(value: float) -> int:
 
 def _float_bits(value: float) -> int:
     """Raw IEEE-754 bit pattern of a float as an unsigned int."""
-    import struct
-
     return struct.unpack("<Q", struct.pack("<d", float(value)))[0]
 
 
@@ -161,6 +160,12 @@ def uniform_key(text: str, bits: int) -> str:
     return keyspace.int_to_key(value, bits)
 
 
+#: Most entries one memo table of a :class:`CompositeKeyCodec` holds.  A
+#: corpus' grams and attribute names stay far below it; the cap is for a
+#: service whose clients choose the search strings and attribute names.
+_MEMO_LIMIT = 1 << 16
+
+
 class CompositeKeyCodec:
     """Builds and dissects the key families of the storage scheme.
 
@@ -187,6 +192,17 @@ class CompositeKeyCodec:
     namespaced attributes (``car:name`` vs ``car:price`` share 4+ chars ≈
     21 bits) collide into one region, merging their scan regions and
     wrecking load balance.
+
+    The vertical layout hashes the same few things over and over — one
+    attribute name per triple, one q-gram per gram entry (~10 per triple,
+    a few thousand distinct per corpus) — so a codec remembers the prefix
+    of every attribute name, the hash of every string of at most
+    ``config.q`` characters and the composite key of every such string
+    under an attribute it was asked for; the index entries of one gram
+    then share one key string instead of holding an equal copy each.
+    Longer strings and numbers are as many as the data and are hashed
+    every time, which is what keeps the memo the size of the gram
+    alphabet in use, not of the data.
     """
 
     def __init__(self, config: StoreConfig):
@@ -194,6 +210,14 @@ class CompositeKeyCodec:
         self._full_hash = OrderPreservingStringHash(config.key_bits)
         self._value_hash = OrderPreservingStringHash(config.value_bits)
         self._numeric = NumericKeyCodec(config.value_bits)
+        self._full_numeric = NumericKeyCodec(config.key_bits)
+        # attribute name -> prefix; string of <= q characters -> value
+        # suffix, and -> full-width key; (attribute, such a string) ->
+        # composite key, so the entries of one gram share one key string.
+        self._attr_prefixes: dict[str, str] = {}
+        self._gram_suffixes: dict[str, str] = {}
+        self._gram_keys: dict[str, str] = {}
+        self._attr_gram_keys: dict[tuple[str, str], str] = {}
 
     # -- full-width keys ---------------------------------------------------
 
@@ -204,23 +228,41 @@ class CompositeKeyCodec:
     def value_key(self, value: object) -> str:
         """Full-width key for keyword-style ``any attribute = v`` lookups."""
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            codec = NumericKeyCodec(self.config.key_bits)
-            return codec.key(float(value))
-        return self._full_hash.key(str(value))
+            return self._full_numeric.key(float(value))
+        return self._string_key(self._gram_keys, self._full_hash, str(value))
 
     def schema_gram_key(self, gram: str) -> str:
         """Full-width key for a q-gram of an *attribute name*."""
-        return self._full_hash.key(gram)
+        return self._string_key(self._gram_keys, self._full_hash, gram)
 
     # -- composite attribute#value keys -------------------------------------
 
     def attr_prefix(self, attribute: str) -> str:
         """The attribute part of composite keys — a scan prefix."""
-        return uniform_key(attribute, self.config.attr_bits)
+        prefix = self._attr_prefixes.get(attribute)
+        if prefix is None:
+            prefix = uniform_key(attribute, self.config.attr_bits)
+            if len(self._attr_prefixes) < _MEMO_LIMIT:
+                self._attr_prefixes[attribute] = prefix
+        return prefix
 
     def attr_value_key(self, attribute: str, value: object) -> str:
         """Composite key for an ``(attribute, value)`` pair."""
-        return self.attr_prefix(attribute) + self._value_suffix(value)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return self.attr_prefix(attribute) + self._numeric.key(float(value))
+        text = str(value)
+        if len(text) > self.config.q:
+            return self.attr_prefix(attribute) + self._value_hash.key(text)
+        key = self._attr_gram_keys.get((attribute, text))
+        if key is None:
+            # The suffix memo keeps this at one hash per gram however many
+            # attributes share it.
+            key = self.attr_prefix(attribute) + self._string_key(
+                self._gram_suffixes, self._value_hash, text
+            )
+            if len(self._attr_gram_keys) < _MEMO_LIMIT:
+                self._attr_gram_keys[attribute, text] = key
+        return key
 
     def attr_value_range(
         self, attribute: str, lo: float, hi: float
@@ -243,7 +285,13 @@ class CompositeKeyCodec:
         hi_key = prefix + self._value_hash.key(hi)
         return lo_key, hi_key
 
-    def _value_suffix(self, value: object) -> str:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return self._numeric.key(float(value))
-        return self._value_hash.key(str(value))
+    def _string_key(
+        self, memo: dict[str, str], hasher: OrderPreservingStringHash, text: str
+    ) -> str:
+        """``hasher.key(text)``, remembered in ``memo`` when ``text`` is short."""
+        key = memo.get(text)
+        if key is None:
+            key = hasher.key(text)
+            if len(text) <= self.config.q and len(memo) < _MEMO_LIMIT:
+                memo[text] = key
+        return key

@@ -1,15 +1,17 @@
-"""Incremental network construction across a sweep's peer counts.
+"""Building networks from a dataset prepared once.
 
-A Figure-1 sweep builds one :class:`~repro.overlay.network.PGridNetwork`
-per peer count over the *same* dataset.  PR 1 hoisted the per-dataset
-work (entry derivation, the data-aware trie sample) into
-:class:`~repro.bench.experiment.PreparedDataset`; this module hoists the
-per-*sweep* work: an :class:`IncrementalNetworkBuilder` grows each cell's
-network from the state accumulated by the previous cells instead of
-rebuilding everything from scratch.
+Loading a network is mostly key hashing: the vertical layout turns every
+triple into an oid entry, an ``A#v`` entry and one entry per q-gram.
+:class:`PreparedDataset` does that per-*dataset* work once — derive the
+entries, sort them by key — and every network over the dataset, whether
+the one :meth:`repro.engine.QueryEngine.build` wants or the cells of a
+sweep, is then a trie balanced on those keys plus one merge walk placing
+the sorted entries
+(:meth:`~repro.overlay.network.PGridNetwork.place_entries`).
 
-What is actually carried forward — and why the result is still
-bit-identical to a from-scratch build:
+A Figure-1 sweep builds one network per peer count over the *same*
+dataset; :class:`IncrementalNetworkBuilder` additionally carries the
+per-*sweep* state from cell to cell:
 
 * **Trie split counts.**  The data-aware trie allocates peers to the two
   halves of every split proportionally to the sample keys falling into
@@ -19,37 +21,65 @@ bit-identical to a from-scratch build:
   cells ``1..i`` already measured, touching the sorted sample only for
   prefixes no earlier cell reached.  Cached or not, the counts are equal,
   so the derived paths are equal.
-* **Prepared entries.**  The sorted entry list is placed onto each cell's
-  trie with the single merge walk of
-  :meth:`~repro.overlay.network.PGridNetwork.place_entries` (PR 1).
-* **Routing-table spans.**  Routing references are drawn directly from
-  bisected partition-index spans
-  (:meth:`~repro.overlay.network.PGridNetwork._build_routing_tables`),
-  consuming the RNG draw-for-draw like the retained scan reference — the
-  construction is cheaper, not different.
 
 Because the routing references are sampled from a seeded RNG whose draw
 sequence depends on every peer's path, a *structurally* grown network
 (mutating the previous cell's peers in place) could not reproduce the
 from-scratch tables bit-for-bit; the builder therefore grows the cheap
 derived state (counts, entries) and keeps construction itself exactly
-equivalent.  ``check_equivalence=True`` (or ``REPRO_SWEEP_CHECK=1`` via
-the bench harness) re-builds every cell from scratch with the reference
-scan construction and asserts full structural equality — trie, peers,
-replicas, routing tables, stores.
+what a from-scratch build does.  ``tests/overlay/test_incremental.py``
+holds every built network equal — trie, peers, replicas, routing tables,
+stores — to the materializing reference construction in
+``tests/reference/routing_tables.py``.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.config import StoreConfig
 from repro.core.errors import OverlayError
+from repro.overlay.hashing import CompositeKeyCodec
 from repro.overlay.network import PGridNetwork
-from repro.storage.indexing import IndexEntry
+from repro.storage.indexing import EntryFactory, IndexEntry
+from repro.storage.triple import Triple
+
+
+@dataclass
+class PreparedDataset:
+    """A dataset's index entries, derived once and placed per network.
+
+    ``entries`` is sorted by key, ties in generation order — the order a
+    store's deferred stable sort gives the same entries inserted triple by
+    triple, so a placed network equals an
+    :meth:`~repro.overlay.network.PGridNetwork.insert_triples`-loaded one
+    entry for entry.  ``sample_keys`` (the entries' keys) is the
+    data-aware trie sample.  ``codec`` derived the keys and is handed to
+    every network built, which so starts with its memo warm.
+    """
+
+    config: StoreConfig
+    entries: list[IndexEntry]
+    sample_keys: list[str]
+    codec: CompositeKeyCodec
+
+    @classmethod
+    def prepare(
+        cls, triples: Sequence[Triple], config: StoreConfig
+    ) -> "PreparedDataset":
+        """Derive and key-sort all index entries for ``triples``."""
+        codec = CompositeKeyCodec(config)
+        entries = sorted(
+            EntryFactory(config, codec).entries_for_all(triples),
+            key=lambda entry: entry.key,
+        )
+        return cls(config, entries, [entry.key for entry in entries], codec)
+
+    def build_network(self, n_peers: int) -> PGridNetwork:
+        """A load-balanced network of ``n_peers`` holding this dataset."""
+        return IncrementalNetworkBuilder(self).build(n_peers)
 
 
 @dataclass
@@ -65,81 +95,51 @@ class BuildReport:
     trie_counts_reused: int
     #: Split counts the build added to the shared cache.
     trie_counts_added: int
-    #: Seconds the optional from-scratch equivalence check took (0 = off).
-    check_seconds: float = 0.0
 
     @property
     def build_seconds(self) -> float:
-        """Total network-build seconds (excluding the equivalence check)."""
+        """Total network-build seconds."""
         return self.construct_seconds + self.place_seconds
 
 
 class IncrementalNetworkBuilder:
     """Build a dataset's networks for increasing peer counts, reusing state.
 
-    One builder serves one ``(config, entries, sample_keys)`` triple —
-    typically one sweep.  ``entries`` must be sorted by key (the
-    :class:`~repro.bench.experiment.PreparedDataset` contract); the
-    builder may be called with peer counts in any order, though sweeps
-    use increasing ones.
-
-    With ``check_equivalence=True`` every :meth:`build` additionally
-    constructs a from-scratch reference network — no shared trie cache,
-    routing tables rebuilt with the materializing scan reference — and
-    asserts the two are structurally identical via
-    :func:`assert_networks_equivalent`.
+    One builder serves one :class:`PreparedDataset` — typically one sweep;
+    it may be called with peer counts in any order, though sweeps use
+    increasing ones.
     """
 
-    def __init__(
-        self,
-        config: StoreConfig,
-        entries: Sequence[IndexEntry],
-        sample_keys: Sequence[str] | None = None,
-        check_equivalence: bool = False,
-    ):
-        self.config = config
-        self.entries = entries
-        self.sample_keys = sample_keys
-        self.check_equivalence = check_equivalence
+    def __init__(self, prepared: PreparedDataset):
+        self.prepared = prepared
         self._trie_counts: dict[str, int] = {}
         #: One :class:`BuildReport` per :meth:`build` call, in call order.
         self.reports: list[BuildReport] = []
 
     def build(self, n_peers: int) -> PGridNetwork:
         """A load-balanced network of ``n_peers`` holding the dataset."""
+        prepared = self.prepared
         reused = len(self._trie_counts)
         started = time.perf_counter()
         network = PGridNetwork(
             n_peers,
-            self.config,
-            sample_keys=self.sample_keys,
+            prepared.config,
+            sample_keys=prepared.sample_keys,
             trie_count_cache=self._trie_counts,
+            codec=prepared.codec,
         )
         constructed = time.perf_counter()
-        network.place_entries(self.entries)
+        network.place_entries(prepared.entries)
         placed = time.perf_counter()
-        report = BuildReport(
-            n_peers=n_peers,
-            construct_seconds=constructed - started,
-            place_seconds=placed - constructed,
-            trie_counts_reused=reused,
-            trie_counts_added=len(self._trie_counts) - reused,
+        self.reports.append(
+            BuildReport(
+                n_peers=n_peers,
+                construct_seconds=constructed - started,
+                place_seconds=placed - constructed,
+                trie_counts_reused=reused,
+                trie_counts_added=len(self._trie_counts) - reused,
+            )
         )
-        if self.check_equivalence:
-            reference = self._reference_build(n_peers)
-            assert_networks_equivalent(network, reference)
-            report.check_seconds = time.perf_counter() - placed
-        self.reports.append(report)
-        return network
-
-    def _reference_build(self, n_peers: int) -> PGridNetwork:
-        """From-scratch network: no shared cache, scan-built routing."""
-        network = PGridNetwork(
-            n_peers, self.config, sample_keys=self.sample_keys
-        )
-        network.rng = random.Random(self.config.seed)
-        network._build_routing_tables_scan()
-        network.place_entries(self.entries)
         return network
 
     @property

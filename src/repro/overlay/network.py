@@ -65,6 +65,7 @@ class PGridNetwork:
         sample_keys: Sequence[str] | None = None,
         tracer: MessageTracer | None = None,
         trie_count_cache: dict[str, int] | None = None,
+        codec: CompositeKeyCodec | None = None,
     ):
         """Build a network of ``n_peers``.
 
@@ -78,12 +79,17 @@ class PGridNetwork:
         ``sample_keys`` (see :func:`repro.overlay.trie.data_aware_paths`);
         sweeps pass one shared cache so each cell's trie derivation reuses
         the previous cells' splits.
+
+        ``codec`` is the key codec to keep — the one ``sample_keys`` were
+        derived with, so what it remembers (see
+        :class:`~repro.overlay.hashing.CompositeKeyCodec`) serves this
+        network's writes and queries too; it must be a codec of ``config``.
         """
         if n_peers < 1:
             raise OverlayError(f"need at least one peer, got {n_peers}")
         self.config = config if config is not None else StoreConfig()
         self.tracer = tracer if tracer is not None else MessageTracer()
-        self.codec = CompositeKeyCodec(self.config)
+        self.codec = codec if codec is not None else CompositeKeyCodec(self.config)
         self.entry_factory = EntryFactory(self.config, self.codec)
         self.rng = random.Random(self.config.seed)
 
@@ -141,64 +147,46 @@ class PGridNetwork:
         Candidate partitions under a sibling prefix form a contiguous run
         of the sorted path list, so each reference is drawn directly from
         the bisected index span — O(log P) per level instead of
-        materializing the whole complementary subtrie (O(P) at the top
-        level, which made construction O(N·P) and dominated per-cell
-        rebuild cost in sweeps).  The RNG consumption is draw-for-draw
-        identical to :meth:`_build_routing_tables_scan`, the retained
-        reference implementation, so the resulting tables — and therefore
-        every measured message series — are bit-identical (pinned by
-        equivalence tests).
+        materializing the whole complementary subtrie.  The spans are a
+        property of the partition's path, so they are computed once per
+        partition (its replicas share them) and once per sibling prefix
+        (the siblings of all paths are the ~2P nodes of the trie, not
+        P · depth of them).  The draws themselves cannot be shared: peer
+        by peer, level by level, reference by reference, the RNG is
+        consumed exactly as by the materializing reference in
+        ``tests/reference/routing_tables.py``, so the tables — and with
+        them every measured message series — are bit-identical to it.
         """
         refs_per_level = self.config.refs_per_level
-        rng = self.rng
+        randrange = self.rng.randrange
         partitions = self.partitions
-        for peer in self.peers:
-            path = peer.path
-            for level in range(len(path)):
-                sibling = keyspace.sibling_prefix(path, level)
-                lo, hi = self.partition_span(sibling)
-                count = hi - lo
-                if count <= 0:
+        peers = self.peers
+        spans: dict[str, tuple[int, int]] = {}
+        for partition in partitions:
+            path = partition.path
+            levels = []
+            for level, bit in enumerate(path):
+                # keyspace.sibling_prefix(path, level), without the call.
+                sibling = path[:level] + ("1" if bit == "0" else "0")
+                span = spans.get(sibling)
+                if span is None:
+                    span = spans[sibling] = self.partition_span(sibling)
+                lo, hi = span
+                if hi <= lo:
                     raise OverlayError(
                         f"complementary subtrie {sibling!r} is empty — "
                         "the trie cover is broken"
                     )
-                refs: list[int] = []
-                for __ in range(min(refs_per_level, count)):
-                    partition = partitions[lo + rng.randrange(count)]
-                    replica = partition.peer_ids[
-                        rng.randrange(len(partition.peer_ids))
-                    ]
-                    refs.append(replica)
-                peer.set_references(level, refs)
-
-    def _build_routing_tables_scan(self) -> None:
-        """Reference routing construction: materialized candidate lists.
-
-        The original O(N·P) implementation, kept — like the datastore's
-        ``lookup_scan`` — so tests can assert the fast span-sampling
-        construction produces identical tables from an identical RNG
-        state.  To rebuild with it, reset ``self.rng`` to
-        ``random.Random(config.seed)`` first.
-        """
-        refs_per_level = self.config.refs_per_level
-        for peer in self.peers:
-            for level in range(len(peer.path)):
-                sibling = keyspace.sibling_prefix(peer.path, level)
-                candidates = self._partition_range_scan(sibling)
-                if not candidates:
-                    raise OverlayError(
-                        f"complementary subtrie {sibling!r} is empty — "
-                        "the trie cover is broken"
-                    )
-                refs: list[int] = []
-                for __ in range(min(refs_per_level, len(candidates))):
-                    partition = candidates[self.rng.randrange(len(candidates))]
-                    replica = partition.peer_ids[
-                        self.rng.randrange(len(partition.peer_ids))
-                    ]
-                    refs.append(replica)
-                peer.set_references(level, refs)
+                levels.append((lo, hi - lo, min(refs_per_level, hi - lo)))
+            for peer_id in partition.peer_ids:
+                table = []
+                for lo, count, n_refs in levels:
+                    refs: list[int] = []
+                    for __ in range(n_refs):
+                        peer_ids = partitions[lo + randrange(count)].peer_ids
+                        refs.append(peer_ids[randrange(len(peer_ids))])
+                    table.append(refs)
+                peers[peer_id].routing_table = table
 
     # -- transport faults --------------------------------------------------------
 
@@ -244,13 +232,20 @@ class PGridNetwork:
         return self._partition_range(prefix)
 
     def partitions_in_range(self, lo_int: int, hi_int: int) -> list[Partition]:
-        """Partitions intersecting an integer key interval, in key order."""
+        """Partitions intersecting an integer key interval, in key order.
+
+        The sorted paths tile the key space, so these are the run from
+        the partition holding ``lo_int`` to the one holding ``hi_int``.
+        """
         bits = self.config.key_bits
-        result = []
-        for partition in self.partitions:
-            if keyspace.interval_overlaps_prefix(lo_int, hi_int, partition.path, bits):
-                result.append(partition)
-        return result
+        top = (1 << bits) - 1
+        if lo_int > top or hi_int < 0:
+            return []
+        paths = self._paths
+        lo_key = keyspace.int_to_key(max(lo_int, 0), bits)
+        hi_key = keyspace.int_to_key(min(hi_int, top), bits)
+        first = bisect.bisect_right(paths, lo_key) - 1
+        return self.partitions[first : bisect.bisect_right(paths, hi_key)]
 
     def partition_span(self, prefix: str) -> tuple[int, int]:
         """Index range ``[lo, hi)`` of the partitions covered by ``prefix``.
@@ -278,23 +273,6 @@ class PGridNetwork:
         lo, hi = self.partition_span(prefix)
         return self.partitions[lo:hi]
 
-    def _partition_range_scan(self, prefix: str) -> list[Partition]:
-        """Reference implementation of :meth:`_partition_range`.
-
-        Linear startswith scan from the bisection point; kept so property
-        tests can pin span == scan on arbitrary tries.
-        """
-        lo = bisect.bisect_left(self._paths, prefix)
-        result: list[Partition] = []
-        index = lo
-        while index < len(self._paths) and self._paths[index].startswith(prefix):
-            result.append(self.partitions[index])
-            index += 1
-        if not result and lo > 0 and prefix.startswith(self._paths[lo - 1]):
-            # The prefix is *inside* a single coarser partition.
-            result.append(self.partitions[lo - 1])
-        return result
-
     # -- data placement ----------------------------------------------------------
 
     def insert_triples(
@@ -313,19 +291,9 @@ class PGridNetwork:
         runs anti-entropy.  The default writes every replica (bulk-load
         semantics, unchanged).
         """
-        per_partition: dict[int, list[IndexEntry]] = {}
-        count = 0
-        for entry in self.entry_factory.entries_for_all(triples):
-            index = trie.find_responsible(self._paths, entry.key)
-            per_partition.setdefault(index, []).append(entry)
-            count += 1
-        for index, entries in per_partition.items():
-            for peer_id in self.partitions[index].peer_ids:
-                peer = self.peers[peer_id]
-                if respect_online and not peer.online:
-                    continue
-                peer.store.add_bulk(entries)
-        return count
+        entries = list(self.entry_factory.entries_for_all(triples))
+        self.apply_entries(entries, respect_online)
+        return len(entries)
 
     def place_entries(self, entries: Sequence[IndexEntry]) -> int:
         """Bulk-place pre-built index entries sorted by key.

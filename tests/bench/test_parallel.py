@@ -35,7 +35,6 @@ from repro.bench.sweep import (
     full_scale,
     run_sweep_job,
     sweep,
-    sweep_check,
 )
 
 
@@ -69,8 +68,6 @@ class TestEnvFlagNormalization:
     def test_false_spellings(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_FULL_SCALE", raw)
         assert not full_scale()
-        monkeypatch.setenv("REPRO_SWEEP_CHECK", raw)
-        assert not sweep_check()
 
     @pytest.mark.parametrize(
         "raw", ["1", "true", "True", "TRUE", "yes", "on", " ON "]

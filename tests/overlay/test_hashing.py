@@ -12,6 +12,8 @@ from repro.overlay.hashing import (
     uniform_key,
 )
 
+from tests.reference.key_codec import ReferenceKeyCodec
+
 
 class TestOrderPreservingStringHash:
     def setup_method(self):
@@ -148,3 +150,46 @@ class TestCompositeKeyCodec:
 
     def test_schema_gram_key_deterministic(self):
         assert self.codec.schema_gram_key("abc") == self.codec.schema_gram_key("abc")
+
+
+class TestCodecMemoIsBounded:
+    """The codec remembers grams and attribute names, never the data."""
+
+    @staticmethod
+    def remembered(codec):
+        return (
+            len(codec._attr_prefixes),
+            len(codec._gram_suffixes),
+            len(codec._gram_keys),
+            len(codec._attr_gram_keys),
+        )
+
+    def test_long_values_and_numbers_leave_no_trace(self):
+        config = StoreConfig(seed=1)
+        codec = CompositeKeyCodec(config)
+        codec.attr_value_key("word:text", "the")
+        codec.value_key("the")
+        before = self.remembered(codec)
+        assert before == (1, 1, 1, 1)
+        for i in range(10_000):
+            value = f"value-{i:05d}"
+            assert len(value) > config.q
+            codec.attr_value_key("word:text", value)
+            codec.value_key(value)
+            codec.attr_value_key("word:text", i)
+            codec.value_key(i + 0.5)
+            codec.oid_key(value)
+        assert self.remembered(codec) == before
+
+    def test_tables_stop_growing_at_the_cap(self, monkeypatch):
+        from repro.overlay import hashing
+
+        monkeypatch.setattr(hashing, "_MEMO_LIMIT", 4)
+        codec = CompositeKeyCodec(StoreConfig(seed=1))
+        reference = ReferenceKeyCodec(StoreConfig(seed=1))
+        for gram in ("aa", "ab", "ac", "ad", "ae", "af", "aa", "af"):
+            assert codec.attr_value_key(gram, gram) == reference.attr_value_key(
+                gram, gram
+            )
+            assert codec.schema_gram_key(gram) == reference.schema_gram_key(gram)
+        assert self.remembered(codec) == (4, 4, 4, 4)

@@ -8,39 +8,30 @@ reference scan construction.  These tests pin that contract directly and
 via random peer-count schedules.
 """
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import StoreConfig, TrieBalancing
 from repro.core.errors import OverlayError
+from repro.datasets.bible import bible_triples
 from repro.overlay.incremental import (
     IncrementalNetworkBuilder,
+    PreparedDataset,
     assert_networks_equivalent,
 )
 from repro.overlay.network import PGridNetwork
 
 from tests.conftest import word_triples
+from tests.reference.routing_tables import (
+    build_routing_tables_scan,
+    partition_range_scan,
+    scratch_network,
+)
 
 
-def prepared_entries(config):
-    """Key-sorted entries + sample keys for the shared word collection."""
-    probe = PGridNetwork(1, config)
-    entries = sorted(
-        probe.entry_factory.entries_for_all(word_triples()),
-        key=lambda entry: entry.key,
-    )
-    return entries, [entry.key for entry in entries]
-
-
-def scratch_network(config, entries, sample_keys, n_peers):
-    """Reference build: fresh network, scan-built routing tables."""
-    network = PGridNetwork(n_peers, config, sample_keys=sample_keys)
-    network.rng = random.Random(config.seed)
-    network._build_routing_tables_scan()
-    network.place_entries(entries)
-    return network
+def prepared_words(config):
+    """The shared word collection, prepared under ``config``."""
+    return PreparedDataset.prepare(word_triples(), config)
 
 
 class TestRoutingConstructionEquivalence:
@@ -58,11 +49,10 @@ class TestRoutingConstructionEquivalence:
         config = StoreConfig(
             seed=seed, replication=replication, refs_per_level=refs
         )
-        __, sample = prepared_entries(config)
+        sample = prepared_words(config).sample_keys
         fast = PGridNetwork(n_peers, config, sample_keys=sample)
         reference = PGridNetwork(n_peers, config, sample_keys=sample)
-        reference.rng = random.Random(config.seed)
-        reference._build_routing_tables_scan()
+        build_routing_tables_scan(reference)
         for peer_fast, peer_ref in zip(fast.peers, reference.peers):
             assert peer_fast.routing_table == peer_ref.routing_table
 
@@ -79,13 +69,13 @@ class TestRoutingConstructionEquivalence:
         """The bisected span and the startswith scan agree on any prefix."""
         balancing = TrieBalancing.UNIFORM if uniform else TrieBalancing.DATA_AWARE
         config = StoreConfig(seed=seed, balancing=balancing)
-        __, sample = prepared_entries(config)
+        sample = prepared_words(config).sample_keys
         network = PGridNetwork(n_peers, config, sample_keys=sample)
         probes = list(prefixes) + ["", "0", "1"] + network._paths[:3]
         for prefix in probes:
             assert (
                 network._partition_range(prefix)
-                == network._partition_range_scan(prefix)
+                == partition_range_scan(network, prefix)
             ), prefix
 
 
@@ -106,27 +96,27 @@ class TestIncrementalBuilder:
         contains), the next cell's network equals a from-scratch build.
         """
         config = StoreConfig(seed=seed, replication=replication)
-        entries, sample = prepared_entries(config)
-        builder = IncrementalNetworkBuilder(config, entries, sample)
+        prepared = prepared_words(config)
+        builder = IncrementalNetworkBuilder(prepared)
         for n_peers in schedule:
             grown = builder.build(n_peers)
-            reference = scratch_network(config, entries, sample, n_peers)
-            assert_networks_equivalent(grown, reference)
+            assert_networks_equivalent(grown, scratch_network(prepared, n_peers))
 
-    def test_check_equivalence_mode_runs(self):
-        config = StoreConfig(seed=3)
-        entries, sample = prepared_entries(config)
-        builder = IncrementalNetworkBuilder(
-            config, entries, sample, check_equivalence=True
+    def test_sweep_schedule_equals_scratch(self):
+        """A sweep's cells, on a corpus large enough for deep tries: what
+        the removed ``--check-incremental`` mode asserted per cell."""
+        prepared = PreparedDataset.prepare(
+            bible_triples(400, seed=2), StoreConfig(seed=1, replication=2)
         )
-        network = builder.build(24)
-        assert network.n_peers == 24
-        assert builder.last_report.check_seconds > 0
+        builder = IncrementalNetworkBuilder(prepared)
+        for n_peers in (16, 64, 256):
+            assert_networks_equivalent(
+                builder.build(n_peers), scratch_network(prepared, n_peers)
+            )
 
     def test_trie_counts_accumulate_across_cells(self):
         config = StoreConfig(seed=0)
-        entries, sample = prepared_entries(config)
-        builder = IncrementalNetworkBuilder(config, entries, sample)
+        builder = IncrementalNetworkBuilder(prepared_words(config))
         builder.build(16)
         first = builder.last_report
         builder.build(64)
@@ -138,8 +128,7 @@ class TestIncrementalBuilder:
 
     def test_build_reports_record_timings(self):
         config = StoreConfig(seed=1)
-        entries, sample = prepared_entries(config)
-        builder = IncrementalNetworkBuilder(config, entries, sample)
+        builder = IncrementalNetworkBuilder(prepared_words(config))
         builder.build(8)
         builder.build(32)
         assert [r.n_peers for r in builder.reports] == [8, 32]
@@ -150,7 +139,7 @@ class TestIncrementalBuilder:
 
     def test_detects_divergent_networks(self):
         config = StoreConfig(seed=0)
-        entries, sample = prepared_entries(config)
+        sample = prepared_words(config).sample_keys
         a = PGridNetwork(16, config, sample_keys=sample)
         b = PGridNetwork(16, config, sample_keys=sample)
         b.peers[3].routing_table[0] = [0]
@@ -159,7 +148,7 @@ class TestIncrementalBuilder:
 
     def test_detects_divergent_tries(self):
         config = StoreConfig(seed=0)
-        entries, sample = prepared_entries(config)
+        sample = prepared_words(config).sample_keys
         a = PGridNetwork(16, config, sample_keys=sample)
         b = PGridNetwork(32, config, sample_keys=sample)
         with pytest.raises(OverlayError, match="trie covers differ"):

@@ -6,10 +6,13 @@ These build small networks per example, so example counts are kept modest.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import StoreConfig
+from repro.overlay.keys import int_to_key, prefix_interval
 from repro.overlay.network import PGridNetwork
 from repro.overlay.range_query import range_query
 from repro.storage.indexing import EntryKind
 from repro.storage.triple import Triple
+
+from tests.reference.routing_tables import partitions_in_range_scan
 
 ATTR = "t:v"
 
@@ -89,3 +92,37 @@ class TestRangeProperties:
         )
         expected = sorted(v for v in values if lo <= v <= hi)
         assert got == expected
+
+
+class TestPartitionsInRange:
+    """The bisected run of partitions equals testing every partition."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), key_bits=st.integers(4, 12), uniform=st.booleans())
+    def test_bisected_run_equals_the_scan(self, data, key_bits, uniform):
+        top = (1 << key_bits) - 1
+        config = StoreConfig(key_bits=key_bits, attr_bits=1)
+        n_partitions = data.draw(st.integers(1, min(40, top + 1)))
+        # A skewed sample makes a lopsided trie; none makes an even one.
+        sample = [] if uniform else data.draw(
+            st.lists(
+                st.integers(0, top).map(lambda v: int_to_key(v, key_bits)),
+                min_size=1,
+                max_size=60,
+            )
+        )
+        network = PGridNetwork(n_partitions, config, sample_keys=sample)
+        # A little beyond both ends of the key space, and ``lo > hi``.
+        bound = st.integers(-3, top + 3)
+        intervals = data.draw(st.lists(st.tuples(bound, bound), max_size=8))
+        edges = [prefix_interval(path, key_bits) for path in network._paths[:4]]
+        for lo, hi in (
+            intervals
+            + edges  # exactly one partition each
+            + [(lo, lo) for lo, __ in edges]  # single keys on a boundary
+            + [(hi, hi + 1) for __, hi in edges]  # straddling a boundary
+            + [(0, top), (-3, top + 3), (top, 0)]  # full range, empty
+        ):
+            assert network.partitions_in_range(lo, hi) == partitions_in_range_scan(
+                network, lo, hi
+            ), (lo, hi)
