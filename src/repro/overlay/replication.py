@@ -10,6 +10,7 @@ attributes to P-Grid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from repro.overlay.messages import MessageType
@@ -36,7 +37,7 @@ def entry_signature(entry) -> tuple:
     triple = entry.triple
     return (
         entry.key,
-        entry.kind.value,
+        entry.kind._value_,  # the plain attribute; ``.value`` is a descriptor
         triple.oid,
         triple.attribute,
         str(triple.value),
@@ -46,14 +47,25 @@ def entry_signature(entry) -> tuple:
 
 
 def audit_replicas(network: PGridNetwork) -> ReplicationReport:
-    """Verify that all replicas of each partition store identical entries."""
+    """Verify that all replicas of each partition store identical entries.
+
+    Replicas are compared as multisets of :func:`entry_signature`.  A
+    write hands every replica the same entry objects, so a replica whose
+    store lists exactly the first replica's objects in the same order has
+    the same multiset by construction and is passed without computing a
+    signature; only the others pay the sorted comparison.
+    """
     divergent: list[int] = []
     for partition in network.partitions:
         stores = [network.peer(pid).store for pid in partition.peer_ids]
-        reference = sorted(entry_signature(e) for e in stores[0])
+        first = stores[0]
+        reference = None
         for store in stores[1:]:
-            other = sorted(entry_signature(e) for e in store)
-            if other != reference:
+            if len(store) == len(first) and all(map(operator.is_, store, first)):
+                continue
+            if reference is None:
+                reference = sorted(map(entry_signature, first))
+            if sorted(map(entry_signature, store)) != reference:
                 divergent.append(partition.index)
                 break
     return ReplicationReport(
@@ -82,14 +94,15 @@ def repair_partition(
     (the churn-recovery benchmark's repair-traffic series).
     """
     partition = network.partition(partition_index)
+    stores = [network.peer(peer_id).store for peer_id in partition.peer_ids]
+    # Each replica's signatures, computed once: they build the union and
+    # answer that replica's presence test.
+    held = [{entry_signature(e): e for e in store} for store in stores]
     union: dict[tuple, object] = {}
-    for peer_id in partition.peer_ids:
-        for entry in network.peer(peer_id).store:
-            union[entry_signature(entry)] = entry
+    for signatures in held:
+        union.update(signatures)
     copied = 0
-    for peer_id in partition.peer_ids:
-        store = network.peer(peer_id).store
-        present = {entry_signature(e) for e in store}
+    for peer_id, store, present in zip(partition.peer_ids, stores, held):
         missing = [entry for sig, entry in union.items() if sig not in present]
         if missing:
             store.add_bulk(missing)  # type: ignore[arg-type]

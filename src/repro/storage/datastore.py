@@ -13,7 +13,7 @@ Implementation: parallel ``keys``/``entries`` lists kept sorted with
 dirty flag); a small write onto a sorted store is placed entry by entry
 (see ``_IN_PLACE_RATIO``), so it never costs a re-sort.
 
-On top of the sorted lists the store maintains three lazy secondary
+On top of the sorted lists the store maintains four lazy secondary
 structures, built on first use:
 
 * a **postings map** ``key -> [entries]`` that turns exact-key lookups
@@ -22,13 +22,19 @@ structures, built on first use:
 * **kind views** — per-:class:`EntryKind` entry lists in key order, so
   kind-restricted scans stop filtering the whole store;
 * a **cached payload total**, so data-volume accounting stops re-summing
-  every entry.
+  every entry;
+* an **oid column** aligned with the sorted lists — each entry's
+  ``triple.oid``, the entry's own string, one pointer per entry — built
+  by the first removal, so a removal finds its entries inside a key's run
+  with ``list.index`` (C speed, identity compared first) instead of
+  loading every entry of a run that mostly holds other objects.
 
 Every mutation goes through one maintenance routine (``_insert`` /
-``_delete``) that patches whichever of the three exist, so a write costs
+``_delete``) that patches whichever of the four exist, so a write costs
 what it touches and a structure, once built, survives it.  Only a bulk
-load — which reorders the whole store anyway — drops the postings map
-and the kind views to be rebuilt by the next read that wants them.
+load — which reorders the whole store anyway — drops the postings map,
+the kind views and the oid column to be rebuilt by the next call that
+wants them.  A store nothing is ever removed from never holds a column.
 
 The sorted lists stay the single source of truth; :meth:`lookup_scan`
 keeps the index-free bisect path alive as the equivalence reference for
@@ -38,7 +44,7 @@ tests and micro-benchmarks.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 from repro.storage.indexing import EntryKind, IndexEntry
 
@@ -49,46 +55,11 @@ from repro.storage.indexing import EntryKind, IndexEntry
 _IN_PLACE_RATIO = 8
 
 
-def _match_run(
-    run: list[IndexEntry],
-    batch: Sequence[IndexEntry],
-    positions: list[int],
-    flags: list[bool],
-) -> list[int]:
-    """Pair the batch entries at ``positions`` — all of ``run``'s key — with
-    distinct stored entries equal to them: sets their ``flags`` and returns
-    the matched offsets into ``run``, ascending.
-
-    One walk of the run, stopped once every wanted entry is paired.  A gram
-    key's run holds hundreds of entries, nearly all of other objects, so a
-    candidate is screened on its oid before the field-by-field comparison.
-    """
-    wanted: dict[str, list[int]] = {}
-    for position in positions:
-        wanted.setdefault(batch[position].triple.oid, []).append(position)
-    remaining = len(positions)
-    matched: list[int] = []
-    for offset, stored in enumerate(run):
-        if stored.triple.oid not in wanted:
-            continue
-        pending = wanted[stored.triple.oid]
-        for position in pending:
-            if batch[position] == stored:
-                pending.remove(position)
-                flags[position] = True
-                matched.append(offset)
-                remaining -= 1
-                break
-        if not remaining:
-            break
-    return matched
-
-
 class LocalDataStore:
     """Sorted key → entries store for one peer."""
 
     __slots__ = (
-        "_keys", "_entries", "_dirty", "_postings", "_kind_views",
+        "_keys", "_entries", "_oids", "_dirty", "_postings", "_kind_views",
         "_payload_total", "_ledger", "version",
     )
 
@@ -117,6 +88,10 @@ class LocalDataStore:
         ) = None
         #: Running payload total; ``None`` when it must be recomputed.
         self._payload_total: int | None = None
+        #: Lazy column of each entry's ``triple.oid``, aligned with
+        #: ``_keys``/``_entries``; ``None`` until the first removal and
+        #: again after a bulk load.
+        self._oids: list[str] | None = None
 
     def attach(self, ledger) -> None:
         """Re-home this store on ``ledger`` (a peer adopting it).
@@ -167,6 +142,7 @@ class LocalDataStore:
             self._dirty = True
             self._postings = None
             self._kind_views = None
+            self._oids = None
             if self._payload_total is not None:
                 self._payload_total += sum(e.payload_size() for e in batch)
         self._mutated()
@@ -186,6 +162,13 @@ class LocalDataStore:
         under it (a batch of triples of one attribute shares its gram
         keys), and the store counts as mutated once, and only if
         something was removed.
+
+        A gram key's run holds hundreds of entries, nearly all of other
+        objects, so an entry's stored copies are found in the oid column
+        with ``list.index`` bounded to the run — a C-speed scan that
+        compares identity first — and each hit is confirmed with ``==``.
+        The k-th mention of an entry takes its k-th equal stored copy in
+        run order.
         """
         batch = entries if isinstance(entries, (list, tuple)) else list(entries)
         flags = [False] * len(batch)
@@ -193,12 +176,39 @@ class LocalDataStore:
         for position, entry in enumerate(batch):
             by_key.setdefault(entry.key, []).append(position)
         self._ensure_sorted()
+        if self._oids is None:
+            self._oids = [entry.triple.oid for entry in self._entries]
+        keys, stored, oids = self._keys, self._entries, self._oids
         for key, positions in by_key.items():
-            lo = bisect.bisect_left(self._keys, key)
-            run = self._entries[lo : bisect.bisect_right(self._keys, key, lo)]
-            doomed = _match_run(run, batch, positions, flags)
+            lo = bisect.bisect_left(keys, key)
+            hi = bisect.bisect_right(keys, key, lo)
+            # Where the next mention of an equal entry resumes its search:
+            # behind the copy the previous mention took.  Only a key named
+            # more than once needs it.
+            resume: dict[IndexEntry, int] | None = (
+                {} if len(positions) > 1 else None
+            )
+            doomed: list[int] = []
+            for position in positions:
+                entry = batch[position]
+                oid = entry.triple.oid
+                at = lo if resume is None else resume.get(entry, lo)
+                try:
+                    while True:
+                        at = oids.index(oid, at, hi)
+                        if stored[at] == entry:
+                            break
+                        at += 1
+                except ValueError:
+                    at = hi
+                if resume is not None:
+                    resume[entry] = at + 1
+                if at < hi:
+                    flags[position] = True
+                    doomed.append(at - lo)
             if doomed:
-                self._delete(key, lo, run, doomed)
+                doomed.sort()
+                self._delete(key, lo, doomed)
         if True in flags:
             self._mutated()
         return flags
@@ -211,6 +221,8 @@ class LocalDataStore:
         index = bisect.bisect_right(self._keys, key)
         self._keys.insert(index, key)
         self._entries.insert(index, entry)
+        if self._oids is not None:
+            self._oids.insert(index, entry.triple.oid)
         if self._postings is not None:
             # Behind the existing equal keys in the store, so last in the
             # posting list too.
@@ -230,19 +242,18 @@ class LocalDataStore:
         if self._payload_total is not None:
             self._payload_total += entry.payload_size()
 
-    def _delete(
-        self, key: str, lo: int, run: list[IndexEntry], doomed: list[int]
-    ) -> None:
+    def _delete(self, key: str, lo: int, doomed: list[int]) -> None:
         """Take the entries at the ascending offsets ``doomed`` of ``key``'s
-        run — a copy of it; the run starts at ``lo`` — out of the sorted
-        store and every live structure."""
+        run, which starts at ``lo``, out of the sorted store and every live
+        structure."""
         del self._keys[lo : lo + len(doomed)]  # a run's keys are all equal
         posting = None if self._postings is None else self._postings[key]
         views = self._kind_views
-        # Descending, so the offsets still to come stay valid.
+        # Descending, so the offsets still to come — and the run ahead of
+        # each doomed entry — stay where they were.
         for offset in reversed(doomed):
-            entry = run[offset]
-            del self._entries[lo + offset]
+            entry = self._entries.pop(lo + offset)
+            del self._oids[lo + offset]
             if posting is not None:
                 del posting[offset]  # a posting list mirrors its key's run
             if views is not None:
@@ -254,7 +265,9 @@ class LocalDataStore:
                 # ahead of the doomed one instead.
                 if at >= len(view_entries) or view_entries[at] is not entry:
                     at = start + sum(
-                        1 for ahead in run[:offset] if ahead.kind is entry.kind
+                        1
+                        for ahead in self._entries[lo : lo + offset]
+                        if ahead.kind is entry.kind
                     )
                 del view_keys[at]
                 del view_entries[at]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import StoreConfig
 from repro.core.errors import OverlayError
+from repro.overlay import replication
 from repro.overlay.churn import ChurnController
 from repro.overlay.replication import (
     audit_replicas,
@@ -72,6 +73,33 @@ class TestReplicationAudit:
                     for e in network.peer(peer_id).store.lookup(entry.key)
                 }
                 assert entry_signature(entry) in present
+
+    def test_identical_replicas_compute_no_signature(
+        self, replicated_network, monkeypatch
+    ):
+        """A bulk load hands every replica the same entry objects, so the
+        audit passes them on identity alone; a divergent partition pays
+        one signature per entry of the replicas it compares."""
+        network = replicated_network
+        signed = []
+
+        def counting(entry):
+            signed.append(entry)
+            return entry_signature(entry)
+
+        monkeypatch.setattr(replication, "entry_signature", counting)
+        assert audit_replicas(network).consistent
+        assert signed == []
+        triple = Triple("w:7776", TEXT_ATTR, "quorum")
+        entry = next(iter(network.entry_factory.entries_for(triple)))
+        partition = network.partition_for(entry.key)
+        network.peer(partition.peer_ids[1]).store.add(entry)
+        assert audit_replicas(network).divergent_partitions == [partition.index]
+        stores = [network.peer(pid).store for pid in partition.peer_ids]
+        assert len(signed) == sum(len(store) for store in stores)
+        signed.clear()
+        repair_partition(network, partition.index)
+        assert len(signed) == sum(len(store) for store in stores) - 1
 
     def test_repair_charges_messages_when_asked(self, replicated_network):
         network = replicated_network

@@ -6,6 +6,8 @@ against.  The state machine at the end holds it order-exactly equal to
 ``tests/reference/datastore.py`` across interleaved writes and reads.
 """
 
+import dataclasses
+import operator
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
@@ -199,11 +201,21 @@ twin_entries = st.builds(
 prefixes = st.text(alphabet="01", max_size=4)
 
 
+def same(got, expected) -> bool:
+    """Equal, and object for object the same: which of two equal stored
+    copies a removal took is part of what must match."""
+    got, expected = list(got), list(expected)
+    return got == expected and all(map(operator.is_, got, expected))
+
+
 class StoreTwins(RuleBasedStateMachine):
     """``LocalDataStore`` held order-exactly equal to ``ReferenceStore``.
 
     Reads are rules, not invariants: which of the lazy structures exist
-    when the next mutation arrives is part of what is drawn.
+    when the next mutation arrives is part of what is drawn.  Every read
+    compares object identity too, so a removal that takes the wrong one
+    of two equal copies — or another entry of the same object under the
+    same key — is caught as soon as anything reads the run.
     """
 
     @initialize(
@@ -266,20 +278,33 @@ class StoreTwins(RuleBasedStateMachine):
         )
         self._mutate(lambda s: s.remove_bulk(iter(batch) if lazily else batch))
 
+    @rule(data=st.data())
+    def remove_twice_past_a_sibling(self, data):
+        # A repeated gram: the same object under the same key at another
+        # position, then an equal-but-distinct copy behind it; naming the
+        # stored entry twice must take the copy, never the sibling.
+        stored = self._stored(data, 1)
+        if not stored:
+            return
+        entry = stored[0]
+        sibling = dataclasses.replace(entry, position=1 - entry.position)
+        copy = dataclasses.replace(entry, triple=dataclasses.replace(entry.triple))
+        self._mutate(lambda s: s.add_bulk([sibling, copy]))
+        self._mutate(lambda s: s.remove_bulk([entry, entry]))
+
     # -- reads ----------------------------------------------------------------
 
     @rule(key=twin_keys)
     def lookup(self, key):
-        assert self.store.lookup(key) == self.twin.lookup(key)
+        assert same(self.store.lookup(key), self.twin.lookup(key))
 
     @rule(prefix=prefixes, kind=st.sampled_from(list(EntryKind)))
     def kind_scan(self, prefix, kind):
-        assert self.store.entries_of_kind_prefix(
-            kind, prefix
-        ) == self.twin.entries_of_kind_prefix(kind, prefix)
-        assert list(self.store.entries_of_kind(kind)) == list(
-            self.twin.entries_of_kind(kind)
+        assert same(
+            self.store.entries_of_kind_prefix(kind, prefix),
+            self.twin.entries_of_kind_prefix(kind, prefix),
         )
+        assert same(self.store.entries_of_kind(kind), self.twin.entries_of_kind(kind))
 
     @rule()
     def payload(self):
@@ -287,10 +312,10 @@ class StoreTwins(RuleBasedStateMachine):
 
     @rule(prefix=prefixes, lo=prefixes, hi=prefixes)
     def read_everything(self, prefix, lo, hi):
-        assert list(self.store) == list(self.twin)
-        assert self.store.prefix_scan(prefix) == self.twin.prefix_scan(prefix)
+        assert same(self.store, self.twin)
+        assert same(self.store.prefix_scan(prefix), self.twin.prefix_scan(prefix))
         assert self.store.count_prefix(prefix) == self.twin.count_prefix(prefix)
-        assert self.store.range_scan(lo, hi) == self.twin.range_scan(lo, hi)
+        assert same(self.store.range_scan(lo, hi), self.twin.range_scan(lo, hi))
         assert self.store.key_bounds() == self.twin.key_bounds()
         for kind in EntryKind:
             self.kind_scan(prefix, kind)
@@ -304,6 +329,9 @@ class StoreTwins(RuleBasedStateMachine):
 
 
 TestStoreTwins = StoreTwins.TestCase
-TestStoreTwins.settings = settings(
-    max_examples=150, stateful_step_count=25, deadline=None
+DEEP = settings.get_profile("deep")
+TestStoreTwins.settings = (
+    DEEP
+    if settings.default is DEEP
+    else settings(max_examples=150, stateful_step_count=25, deadline=None)
 )

@@ -5,8 +5,9 @@ import pytest
 from repro.core.config import StoreConfig
 from repro.overlay.hashing import CompositeKeyCodec
 from repro.storage.datastore import LocalDataStore
-from repro.storage.indexing import EntryFactory, EntryKind
+from repro.storage.indexing import EntryFactory, EntryKind, IndexEntry
 from repro.storage.triple import Triple
+from tests.reference.datastore import ReferenceStore
 
 
 def entries_for_words(words):
@@ -125,6 +126,96 @@ class TestRemoveBulk:
         assert store.remove_bulk([]) == []
         assert not store.remove(entries[0])
         assert store.version == before + 1
+
+
+RUN_KEY, NEXT_KEY = "0101", "0110"
+
+
+def value_entry(oid, value, key=RUN_KEY):
+    return IndexEntry(key, EntryKind.ATTR_VALUE, Triple(oid, "t:x", value))
+
+
+def gram_entry(oid, position, key=RUN_KEY):
+    triple = Triple(oid, "t:x", "abab")
+    return IndexEntry(key, EntryKind.INSTANCE_GRAM, triple, "ab", position, 4)
+
+
+class TestRemoveEqualsReference:
+    """The oid-column search against ``tests/reference/datastore.py``:
+    the same flags, and the same objects left in the same order in the
+    store, the posting list and the kind views."""
+
+    @staticmethod
+    def check(loaded, batch):
+        store, twin = LocalDataStore(), ReferenceStore()
+        store.add_bulk(loaded)
+        twin.add_bulk(loaded)
+        store.lookup(RUN_KEY)  # the posting list and kind views are live
+        list(store.entries_of_kind(EntryKind.ATTR_VALUE))
+        version = store.version
+        flags = store.remove_bulk(batch)
+        assert flags == twin.remove_bulk(batch)
+        assert store.version == version + (True in flags)
+
+        def same(got, expected):
+            got, expected = list(got), list(expected)
+            assert len(got) == len(expected)
+            assert all(a is b for a, b in zip(got, expected))
+
+        same(store, twin)
+        same(store.lookup(RUN_KEY), twin.lookup(RUN_KEY))
+        same(store.lookup_scan(RUN_KEY), twin.lookup(RUN_KEY))
+        for kind in EntryKind:
+            same(store.entries_of_kind(kind), twin.entries_of_kind(kind))
+        assert store.payload_bytes() == twin.payload_bytes()
+        return flags
+
+    def test_equal_but_distinct_copies_go_in_run_order(self):
+        first, second, third = (value_entry("o:1", "x") for __ in range(3))
+        loaded = [first, value_entry("o:2", "x"), second, value_entry("o:1", "y"), third]
+        assert self.check(loaded, [value_entry("o:1", "x")]) == [True]
+        assert self.check(loaded, [third, second]) == [True, True]
+
+    def test_one_entry_named_twice_takes_two_copies(self):
+        entry, copy = value_entry("o:1", "x"), value_entry("o:1", "x")
+        loaded = [entry, value_entry("o:1", "y"), value_entry("o:2", "x"), copy]
+        assert self.check(loaded, [entry, entry]) == [True, True]
+        assert self.check(loaded, [copy, entry, entry]) == [True, True, False]
+
+    def test_two_kinds_under_one_key(self):
+        loaded = [
+            gram_entry("o:1", 0),
+            value_entry("o:1", "abab"),
+            gram_entry("o:2", 0),
+            gram_entry("o:1", 2),
+            value_entry("o:2", "abab"),
+        ]
+        assert self.check(loaded, [gram_entry("o:1", 2)]) == [True]
+        assert self.check(loaded, [value_entry("o:2", "abab"), gram_entry("o:1", 0)]) == [True, True]
+
+    def test_absent_entry_of_a_stored_object(self):
+        loaded = [gram_entry("o:1", 0), value_entry("o:1", "x"), gram_entry("o:1", 0, NEXT_KEY)]
+        batch = [gram_entry("o:1", 2), value_entry("o:1", 1), gram_entry("o:3", 0)]
+        assert self.check(loaded, batch) == [False, False, False]
+        assert self.check(loaded, [gram_entry("o:1", 2), gram_entry("o:1", 0)]) == [False, True]
+
+    def test_search_stays_inside_the_run(self, monkeypatch):
+        """Only the run's entries of the wanted object are compared, never
+        the next key's entries of the same object."""
+        loaded = [value_entry("o:1", "x"), value_entry("o:2", "x")]
+        loaded += [value_entry("o:1", v, NEXT_KEY) for v in ("x", "y", "z")]
+        store = LocalDataStore()
+        store.add_bulk(loaded)
+        compared = []
+        equals = IndexEntry.__eq__
+
+        def counting_eq(self, other):
+            compared.append((self.key, self.triple.oid))
+            return equals(self, other)
+
+        monkeypatch.setattr(IndexEntry, "__eq__", counting_eq)
+        assert store.remove_bulk([value_entry("o:1", "w")]) == [False]
+        assert compared == [(RUN_KEY, "o:1")]
 
 
 class TestReads:
