@@ -21,11 +21,12 @@ Two kernels ship:
   ``O(len(candidate))`` word operations instead of ``O(d * len)`` DP
   cells.  Queries up to 64 characters use a single int-as-bitvector
   block; longer queries use the multi-block variant with carry
-  propagation between words.  Optionally, a numpy-vectorized unigram
-  count filter prunes whole candidate batches before any bit-parallel
-  work: strings within edit distance ``d`` must share at least
-  ``max(|a|, |b|) - d`` characters with the query (the q-gram lemma at
-  ``q = 1``), so candidates below that bound are rejected with zero
+  propagation between words.  Optionally, a numpy-vectorized bag
+  filter prunes whole candidate batches before any bit-parallel work:
+  strings within edit distance ``d`` share at least
+  ``max(|a|, |b|) - d`` characters with the query *counted as
+  multisets* (the bag distance, Bartolini, Ciaccia and Patella, SPIRE
+  2002), so candidates below that bound are rejected with zero
   per-candidate python work.  For a column encoded once
   (:class:`EncodedColumn`) the same scan also runs *across* candidates:
   one ``uint64`` lane per string, one step per character position.
@@ -40,6 +41,8 @@ must degrade gracefully without numpy, which is a dev-only dependency.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from repro.core.config import env_choice
 from repro.core.errors import ConfigError
@@ -65,10 +68,6 @@ _HIGH_BIT = 1 << (WORD_BITS - 1)
 #: Batches smaller than this skip the numpy prefilter — the fixed cost
 #: of building the code arrays outweighs pruning a handful of strings.
 PREFILTER_MIN_BATCH = 8
-
-#: Queries with at most this many distinct characters test membership
-#: with per-character equality passes instead of ``np.isin``.
-_EQ_LOOP_MAX_ALPHABET = 32
 
 #: Multi-block queries fall back to the shared-prefix sorted path once a
 #: batch is at least this large: sorted natural-language candidates share
@@ -226,40 +225,51 @@ def myers_within(a: str, b: str, d: int) -> int:
 # -- candidate prefilter -------------------------------------------------------
 
 
-def _prefilter_survivors(
-    query_codes, pending: list[str], query_length: int, d: int
-):
-    """Indices of ``pending`` that survive the unigram count filter.
+def _query_bag(query: str):
+    """``(points, caps)``: the query's distinct code points and how often
+    each occurs, ``caps`` ending in a 0 for every character the query
+    lacks — O(distinct characters), whatever the largest code point.
+    ``None`` for an empty query or one with a lone surrogate."""
+    if not query:
+        return None
+    try:
+        query.encode("utf-32-le")
+    except UnicodeEncodeError:
+        return None
+    tally = Counter(query)
+    return _np.array([*map(ord, tally)]), _np.array([*tally.values(), 0])
 
-    Vectorized over the whole batch: the candidates are joined into one
-    UTF-32 buffer, each position is tested for membership in the query's
-    character set, and per-candidate common counts come from one
-    ``bincount``.  Counting *positions* (with repeats) against a
-    character *set* over-counts the true bag intersection, so the filter
-    only ever keeps too much — rejection is always sound.  Returns
-    ``None`` when the batch cannot be encoded (lone surrogates), which
-    simply skips the filter.
+
+def _prefilter_survivors(bag, pending: list[str], query_length: int, d: int):
+    """Indices of ``pending`` that survive the bag-distance bound.
+
+    ``ed(a, b) >= max(|a|, |b|) - |bag(a) ∩ bag(b)|`` (Bartolini, Ciaccia
+    and Patella, SPIRE 2002): the right side is 0 for equal strings and
+    one edit moves it by at most one, so rejecting a candidate whose
+    multiset intersection with the query is below ``max(len, m) - d`` is
+    sound; the bound subsumes the length screen.  Vectorized over the
+    batch: a table built per batch maps each UTF-32 code point to its
+    slot in the query's ``bag`` (code points above the query's largest
+    are clipped into the "not in the query" slot first, so the table
+    ends there), one ``bincount`` counts candidate × slot, and each row
+    is clipped at the query's counts and summed.  ``None`` when the batch
+    cannot be encoded (lone surrogates), which skips the filter.
     """
     try:
         joined = "".join(pending).encode("utf-32-le")
     except UnicodeEncodeError:
         return None
-    codes = _np.frombuffer(joined, dtype=_np.uint32)
-    lengths = _np.fromiter(map(len, pending), dtype=_np.intp, count=len(pending))
-    ids = _np.repeat(_np.arange(len(pending), dtype=_np.intp), lengths)
-    if len(query_codes) == 0:
-        member = _np.zeros(len(codes), dtype=bool)
-    elif len(query_codes) <= _EQ_LOOP_MAX_ALPHABET:
-        # A handful of equality passes beats np.isin's sort-based
-        # membership for the small alphabets real queries have.
-        member = codes == query_codes[0]
-        for code in query_codes[1:]:
-            member |= codes == code
-    else:  # pragma: no cover - queries with > 32 distinct characters
-        member = _np.isin(codes, query_codes)
-    common = _np.bincount(ids[member], minlength=len(pending))
-    bound = _np.maximum(lengths, query_length) - d
-    return _np.flatnonzero(common >= bound).tolist()
+    points, caps = bag
+    count, width = len(pending), len(caps)
+    top = int(points.max()) + 1
+    table = _np.full(top + 1, width - 1)
+    table[points] = _np.arange(width - 1)
+    slot = table.take(_np.minimum(_np.frombuffer(joined, dtype=_np.uint32), top))
+    lengths = _np.fromiter(map(len, pending), dtype=_np.intp, count=count)
+    slot += _np.arange(0, count * width, width).repeat(lengths)
+    counts = _np.bincount(slot, minlength=count * width).reshape(count, width)
+    common = _np.minimum(counts, caps).sum(1)
+    return _np.flatnonzero(common >= _np.maximum(lengths, query_length) - d).tolist()
 
 
 # -- pre-encoded columns -------------------------------------------------------
@@ -459,31 +469,26 @@ class ReferenceKernel(EditKernel):
 
 
 class _BoundMyers(BoundKernel):
-    __slots__ = ("state", "query_codes")
+    __slots__ = ("state", "bag")
 
     def __init__(self, query: str, d: int, prefilter: bool):
         super().__init__(d)
         self.state = MyersQuery(query)
-        self.query_codes = None
-        if prefilter and _np is not None:
-            try:
-                self.query_codes = _np.unique(
-                    _np.frombuffer(
-                        query.encode("utf-32-le"), dtype=_np.uint32
-                    )
-                )
-            except UnicodeEncodeError:
-                self.query_codes = None
+        # Built on the first batch big enough to filter, so binding pays
+        # for the masks alone; ``False`` when there is none to build.
+        self.bag = None if prefilter else False
 
     def distance(self, candidate: str) -> int:
         return self.state.within(candidate, self.d)
 
     def survivors(self, pending: list[str]):
-        if self.query_codes is None or len(pending) < PREFILTER_MIN_BATCH:
+        if len(pending) < PREFILTER_MIN_BATCH:
             return None
-        return _prefilter_survivors(
-            self.query_codes, pending, self.state.length, self.d
-        )
+        if self.bag is None:
+            self.bag = _query_bag(self.state.query) or False
+        if not self.bag:
+            return None
+        return _prefilter_survivors(self.bag, pending, self.state.length, self.d)
 
     def prefers_shared(self, batch_size: int) -> bool:
         # Multi-block scans pay ``blocks`` words per candidate character;

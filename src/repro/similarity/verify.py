@@ -15,13 +15,13 @@ three kinds of work that this module recovers:
   exceeds ``d`` is *dead*: every candidate extending it is rejected with
   no further DP work;
 * **length filtering** — the ``|len(a) - len(b)| <= d`` screen never
-  costs DP work: the flat path's vectorized count bound subsumes it
+  costs DP work: the flat path's vectorized bag bound subsumes it
   (with an inline guard when the prefilter is off), and the shared path
   screens candidates before sorting.
 
 The per-candidate distance work itself routes through a pluggable
 :class:`~repro.similarity.kernels.EditKernel` — by default Myers'
-bit-parallel scan with a numpy count prefilter when numpy is importable
+bit-parallel scan with a numpy bag prefilter when numpy is importable
 (:func:`~repro.similarity.kernels.resolve_kernel`), with the banded DP
 retained as the always-available reference.  Kernels change wall-clock
 only: the verifier is provably equivalent to calling
@@ -53,7 +53,7 @@ class KernelCounters:
     survive verifier eviction); standalone verifiers get their own.
     ``computed`` counts candidates that actually reached a kernel scan
     or DP extension, ``memo_hits`` dict probes that skipped all work,
-    ``prefilter_rejected`` candidates the vectorized count filter
+    ``prefilter_rejected`` candidates the vectorized bag filter
     discarded before any scan, and ``batches_flat`` /
     ``batches_shared`` record which batch path the kernel chose.
     """
@@ -143,11 +143,6 @@ class BatchVerifier:
         first-appearance order); already-memoized candidates cost a dict
         probe; the rest are verified through the kernel's preferred
         batch path (flat bit-parallel scan or shared-prefix banded DP).
-        The ``|len(a) - len(b)| <= d`` filter costs no DP either way: the
-        flat path's count bound subsumes it (``max(n, m) - d`` exceeds
-        any possible common count when the gap is > ``d``) with an
-        inline guard for unfiltered candidates, and the shared path
-        screens before sorting.
 
         A pre-encoded :class:`~repro.similarity.kernels.EncodedColumn`
         is answered sparsely — only its strings within ``d`` — see
@@ -234,15 +229,12 @@ class BatchVerifier:
     ) -> None:
         """Per-candidate kernel scans, after an optional batch prefilter.
 
-        The kernel's vectorized count filter (when active) rejects
-        candidates that provably exceed ``d`` — including every
-        length-incompatible one, since ``max(n, m) - d`` then exceeds
-        any achievable common count — with zero per-candidate python
-        work; survivors each get one bit-parallel scan.  When the
-        prefilter is inactive the loop screens lengths inline, so
-        length-rejected candidates never count as ``computed`` on
-        either path.  Results are exact-or-sentinel, identical to the
-        shared-prefix path.
+        The kernel's vectorized bag filter (when active) rejects
+        candidates that provably exceed ``d`` — every length-incompatible
+        one among them — with zero per-candidate python work; survivors
+        each get one bit-parallel scan.  Without it the loop screens
+        lengths inline, so length-rejected candidates never count as
+        ``computed`` on either path.
         """
         counters = self.counters
         d = self.d

@@ -8,7 +8,10 @@ single-block path (queries <= 64 chars) and the multi-block carry path —
 over unicode alphabets, empty strings, ``d = 0`` and lengths straddling
 the 64-character word boundary.  The batch suite then pins the
 forced-kernel invariant the whole PR rests on: every kernel produces the
-identical ``distances()`` dict.  The column suite does the same for the
+identical ``distances()`` dict.  The bag-filter suite pins the batch
+prefilter's survivors to a ``Counter`` twin
+(``tests/reference/bag_filter.py``) and checks that no candidate within
+``d`` is ever filtered out.  The column suite does the same for the
 batch (across-candidates) form of the scan over an
 :class:`~repro.similarity.kernels.EncodedColumn`, including every input
 that must fall back to per-candidate scans instead.
@@ -22,6 +25,7 @@ from repro.similarity import kernels
 from repro.similarity.edit_distance import edit_distance, edit_distance_within
 from repro.similarity.kernels import (
     COLUMN_ROWS,
+    PREFILTER_MIN_BATCH,
     EncodedColumn,
     MyersKernel,
     MyersQuery,
@@ -30,6 +34,16 @@ from repro.similarity.kernels import (
     numpy_available,
 )
 from repro.similarity.verify import BatchVerifier
+from tests.reference import bag_filter
+
+DEEP = settings.get_profile("deep")
+
+
+def sized(count: int) -> settings:
+    """``count`` examples, or the deep profile's under
+    ``--hypothesis-profile=deep`` (the ``kernel-parity`` CI job)."""
+    return DEEP if settings.default is DEEP else settings(max_examples=count)
+
 
 # Mixed-script alphabet: ASCII, accents, CJK, an astral-plane emoji.
 unicode_alphabet = "abz éß日本🙂 "
@@ -47,17 +61,17 @@ def batch_kernels():
 
 
 class TestMyersEquivalence:
-    @settings(max_examples=400)
+    @sized(400)
     @given(short_texts, short_texts, distances)
     def test_short_matches_banded_dp(self, a, b, d):
         assert myers_within(a, b, d) == edit_distance_within(a, b, d)
 
-    @settings(max_examples=150)
+    @sized(150)
     @given(long_texts, long_texts, distances)
     def test_multiblock_matches_banded_dp(self, a, b, d):
         assert myers_within(a, b, d) == edit_distance_within(a, b, d)
 
-    @settings(max_examples=150)
+    @sized(150)
     @given(short_texts, short_texts)
     def test_exact_value_matches_brute_force(self, a, b):
         true = edit_distance(a, b)
@@ -66,7 +80,7 @@ class TestMyersEquivalence:
             # One below the true distance must saturate to the sentinel.
             assert myers_within(a, b, true - 1) == true
 
-    @settings(max_examples=150)
+    @sized(150)
     @given(short_texts, st.lists(short_texts, max_size=10), distances)
     def test_mask_state_is_reusable(self, query, candidates, d):
         state = MyersQuery(query)
@@ -75,7 +89,7 @@ class TestMyersEquivalence:
                 query, candidate, d
             )
 
-    @settings(max_examples=100)
+    @sized(100)
     @given(st.text(alphabet="ab", min_size=60, max_size=70), distances)
     def test_word_boundary_identity(self, a, d):
         # Probes clustered exactly around the 64-char block edge.
@@ -84,7 +98,7 @@ class TestMyersEquivalence:
 
 
 class TestForcedKernelBatchIdentity:
-    @settings(max_examples=200)
+    @sized(200)
     @given(short_texts, st.lists(short_texts, max_size=20), distances)
     def test_distances_identical_across_kernels(self, query, candidates, d):
         results = [
@@ -94,7 +108,7 @@ class TestForcedKernelBatchIdentity:
         for other in results[1:]:
             assert other == results[0]
 
-    @settings(max_examples=60)
+    @sized(60)
     @given(long_texts, st.lists(long_texts, min_size=1, max_size=40), distances)
     def test_multiblock_batches_identical_across_kernels(
         self, query, candidates, d
@@ -108,7 +122,7 @@ class TestForcedKernelBatchIdentity:
         for other in results[1:]:
             assert other == results[0]
 
-    @settings(max_examples=100)
+    @sized(100)
     @given(short_texts, st.lists(short_texts, min_size=1, max_size=12), distances)
     def test_interleaved_singles_and_batches_per_kernel(
         self, query, candidates, d
@@ -125,6 +139,32 @@ class TestForcedKernelBatchIdentity:
                 assert result[candidate] == edit_distance_within(
                     query, candidate, d
                 )
+
+
+#: Queries repeat letters and reach the astral plane; candidates add
+#: code points below, between and above the query's (``c``, ``~``,
+#: ``😀`` below ``🙂``, U+10FFFF above everything) and empty strings.
+bag_queries = st.text(alphabet="ab🙂", min_size=1, max_size=12)
+bag_candidates = st.text(alphabet="ab c~😀🙂\U0010ffff", max_size=14)
+
+
+class TestBagFilter:
+    @sized(300)
+    @given(
+        bag_queries,
+        st.lists(bag_candidates, min_size=PREFILTER_MIN_BATCH, max_size=30),
+        distances,
+    )
+    def test_survivors_are_exactly_the_bag_bound(self, query, pending, d):
+        keep = MyersKernel().bind(query, d).survivors(pending)
+        if not numpy_available():
+            assert keep is None
+            return
+        assert keep == bag_filter.survivors(query, pending, d)
+        # Sound: a candidate within d is never filtered out.
+        for index, candidate in enumerate(pending):
+            if edit_distance_within(query, candidate, d) <= d:
+                assert index in keep
 
 
 #: Queries at the widths the single-block batch scan accepts (1..64) and
@@ -157,7 +197,7 @@ def expected(query, column, d):
 
 
 class TestColumnBatchKernel:
-    @settings(max_examples=300)
+    @sized(300)
     @given(
         column_queries,
         st.lists(column_texts, max_size=24),
@@ -174,7 +214,7 @@ class TestColumnBatchKernel:
             # A column pass is never parked in the per-candidate memo.
             assert not verifier._memo
 
-    @settings(max_examples=100)
+    @sized(100)
     @given(column_queries, st.lists(column_texts, min_size=1, max_size=12))
     def test_batch_form_runs_exactly_when_it_can(self, query, candidates):
         column = EncodedColumn(candidates)
@@ -190,7 +230,7 @@ class TestColumnBatchKernel:
             assert batch is None
         assert ReferenceKernel().bind(query, 2).column_distances(column) is None
 
-    @settings(max_examples=100)
+    @sized(100)
     @given(
         st.one_of(short_texts, with_surrogates),
         st.lists(st.one_of(short_texts, with_surrogates), max_size=12),
@@ -205,7 +245,7 @@ class TestColumnBatchKernel:
                 column
             ) == expected(query, column, d)
 
-    @settings(max_examples=100)
+    @sized(100)
     @given(
         column_queries,
         st.lists(column_texts, max_size=12),
@@ -239,7 +279,7 @@ class TestColumnBatchKernel:
                 query, column, d
             )
 
-    @settings(max_examples=50)
+    @sized(50)
     @given(column_queries, st.lists(column_texts, max_size=16), column_distances)
     def test_column_without_matrix_takes_per_candidate_scans(
         self, query, candidates, d
@@ -252,7 +292,7 @@ class TestColumnBatchKernel:
             assert verifier.distances(column) == expected(query, column, d)
             assert not verifier._memo
 
-    @settings(max_examples=100)
+    @sized(100)
     @given(column_queries, st.lists(column_texts, max_size=16), column_distances)
     def test_numpy_free_column_degrades_to_per_candidate_scans(
         self, query, candidates, d

@@ -14,7 +14,7 @@ from repro.similarity.kernels import (
     numpy_available,
     resolve_kernel,
 )
-from repro.similarity.verify import BatchVerifier
+from repro.similarity.verify import BatchVerifier, VerifierPool
 
 
 def pairs_straddling_word_boundary():
@@ -194,12 +194,61 @@ class TestKernelBatches:
         # Lone surrogates cannot be UTF-32-encoded; the prefilter must
         # step aside instead of raising, and results stay exact.
         batch = ["appl\ud800", "apple", "apply"] * 4
+        bound = MyersKernel(prefilter=True).bind("apple", 2)
+        assert bound.survivors(batch) is None
         verifier = BatchVerifier("apple", 2, kernel=MyersKernel(prefilter=True))
         result = verifier.distances(batch)
         for candidate in set(batch):
             assert result[candidate] == edit_distance_within(
                 "apple", candidate, 2
             )
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    def test_prefilter_counts_repeated_characters_once_each(self):
+        # "aaa" has every character in "abc"'s set, but shares one with
+        # it as a multiset: ed >= 3 - 1 = 2, so at d = 1 it is rejected.
+        bound = MyersKernel(prefilter=True).bind("abc", 1)
+        batch = ["aaa", "abb", "abc", "ab", "cab", "bca", "ccc", "abcd"]
+        assert bound.survivors(batch) == [1, 2, 3, 4, 5, 7]
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    @pytest.mark.parametrize("query", ["", "appl\ud800"])
+    def test_empty_or_unencodable_query_skips_prefilter(self, query):
+        bound = MyersKernel(prefilter=True).bind(query, 2)
+        batch = ["apple", "apply", "", "a", "ab"] * 2
+        assert bound.survivors(batch) is None
+        verifier = BatchVerifier(query, 2, kernel=MyersKernel(prefilter=True))
+        assert verifier.distances(batch) == {
+            c: edit_distance_within(query, c, 2) for c in batch
+        }
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    def test_prefilter_state_is_built_lazily(self):
+        bound = MyersKernel(prefilter=True).bind("apple", 1)
+        assert bound.bag is None
+        # A batch of one (or any below the minimum) never meets the filter.
+        assert bound.survivors(["apply"]) is None
+        assert bound.survivors(["apply"] * (kernels.PREFILTER_MIN_BATCH - 1)) is None
+        assert bound.bag is None
+        bound.survivors(["apply"] * kernels.PREFILTER_MIN_BATCH)
+        assert bound.bag is not None
+        assert MyersKernel(prefilter=False).bind("apple", 1).bag is False
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    def test_astral_query_holds_no_per_code_point_table(self):
+        query = "🙂🙃 sunset 😀"
+        pool = VerifierPool(kernel=MyersKernel(prefilter=True))
+        verifier = pool.get(query, 2)
+        batch = [query, "🙂🙃 sunsat 😀", "sunset"] + [
+            "🙂" * size for size in range(8, 16)
+        ]
+        assert verifier.distances(batch) == {
+            c: edit_distance_within(query, c, 2) for c in batch
+        }
+        points, caps = verifier._bound.bag
+        distinct = len(set(query))
+        # 8 bytes per distinct character and one spare slot, not 0x1F643.
+        assert points.nbytes + caps.nbytes <= 16 * (distinct + 1)
 
     def test_reference_kernel_uses_shared_path(self):
         verifier = BatchVerifier("apple", 2, kernel=ReferenceKernel())
