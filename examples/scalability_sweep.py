@@ -22,8 +22,8 @@ flat while the peer count multiplies.  A fourth, **adaptive** series
 rides along: the cost model (docs/ARCHITECTURE.md, "Engine & cost
 model") picks naive vs. q-gram per query from collected statistics —
 watch it track the cheapest fixed curve as the network grows.  For the
-full harness — all four panels, CSV/JSON output, paper-scale option,
-the sampled-broadcast estimator — use ``python -m repro.bench``.
+full harness — all four panels, CSV/JSON output, paper-scale option —
+use ``python -m repro.bench``.
 """
 
 from repro.core.config import StoreConfig

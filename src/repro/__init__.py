@@ -14,8 +14,10 @@ Quickstart::
     hits = engine.similar("overlai", "word:text", d=1)
 
 :class:`QueryEngine` is the unified facade (network + statistics +
-cost-based adaptive strategy selection + workload memos);
-:class:`VerticalStore` extends it with record/relation insert helpers.
+cost-based adaptive strategy selection + workload memos).  Dict-shaped
+records and horizontal relations become triples through
+:func:`repro.storage.schema.record_to_triples` and
+:func:`repro.storage.schema.rows_to_triples`.
 """
 
 from repro.core.config import (
@@ -26,7 +28,6 @@ from repro.core.config import (
 )
 from repro.core.errors import ReproError
 from repro.core.stats import QueryStats
-from repro.core.store import VerticalStore
 from repro.engine import QueryEngine
 from repro.overlay.faults import (
     Completeness,
@@ -53,6 +54,5 @@ __all__ = [
     "StoreConfig",
     "TrieBalancing",
     "Triple",
-    "VerticalStore",
     "__version__",
 ]

@@ -8,7 +8,6 @@ Usage::
     python -m repro.bench --peers 128 1024 --words 4000 --repetitions 10
     python -m repro.bench --csv-dir results/   # also write CSV series
     python -m repro.bench --json               # + BENCH_fig1.json / BENCH_micro.json
-    python -m repro.bench --full --naive-sample 0.02   # estimate naive cells
 
 Default scale keeps the run to minutes on a laptop; ``--full`` switches
 to the paper's corpus sizes (106 704 words / 66 349 titles) and peer
@@ -18,10 +17,7 @@ EXPERIMENTS.md.
 Sweeps always run on the incremental engine (shared trie-derivation
 state across cells, whole-workload naive memoization); both are
 equivalence-preserving, so the measured series are bit-identical to a
-from-scratch run.  ``--naive-sample RATE`` is the only switch that
-trades exactness for speed: it samples each naive broadcast region at
-~RATE and extrapolates, and is recorded in the JSON (``scale`` and
-per-cell ``naive_sampled``) so estimated series stay distinguishable.
+from-scratch run.
 
 Each cell additionally replays the workload in **adaptive** mode (the
 cost model of :mod:`repro.query.cost` picks naive vs. q-gram per query
@@ -113,15 +109,6 @@ def _parser() -> argparse.ArgumentParser:
         help="do not fail on qualitative shape findings (tiny smoke runs)",
     )
     parser.add_argument(
-        "--naive-sample",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="sampled-broadcast estimator for the naive strategy: scan "
-        "only ~RATE of each region's partitions and extrapolate its "
-        "cost (0 = exact broadcast, the default; recorded in the JSON)",
-    )
-    parser.add_argument(
         "--no-adaptive",
         action="store_true",
         help="skip the cost-model-driven adaptive replay (the three "
@@ -172,12 +159,6 @@ def main(argv: list[str] | None = None) -> int:
     def progress(message: str) -> None:
         print(f"  [{time.strftime('%H:%M:%S')}] {message}", file=sys.stderr)
 
-    if not 0.0 <= args.naive_sample < 1.0:
-        print(
-            f"--naive-sample must be in [0, 1), got {args.naive_sample}",
-            file=sys.stderr,
-        )
-        return 2
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
@@ -188,7 +169,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
     job_options = {
-        "naive_sample_rate": args.naive_sample,
         "strategies": (
             ALL_STRATEGIES if args.no_adaptive else ALL_WITH_ADAPTIVE
         ),
@@ -258,9 +238,6 @@ def main(argv: list[str] | None = None) -> int:
             "peer_counts": list(peer_counts),
             "repetitions": repetitions,
             "seed": args.seed,
-            # 0.0 = exact broadcasts; > 0 marks the "strings" series of
-            # every cell as sampled-broadcast *estimates*.
-            "naive_sample_rate": args.naive_sample,
             # Whether the cost-model-driven adaptive replay ran (its
             # series is additive; fixed series are identical either way).
             "adaptive": not args.no_adaptive,

@@ -56,8 +56,6 @@ class CellResult:
     total_entries: int = 0
     #: Stored payload bytes across all peers (cached per-store totals).
     stored_payload_bytes: int = 0
-    #: Sampled-broadcast estimator rate the cell ran with (0 = exact).
-    naive_sample_rate: float = 0.0
     #: One-off statistics-collection cost paid before the adaptive replay
     #: (kept out of the workload series so all series stay comparable).
     adaptive_stats_messages: int = 0
@@ -90,11 +88,6 @@ def run_cell(
     workload: Sequence[WorkloadQuery] | None = None,
     prepared: PreparedDataset | None = None,
     builder: IncrementalNetworkBuilder | None = None,
-    memoize_naive: bool = True,
-    memoize_gram_scans: bool = True,
-    memoize_fetches: bool = True,
-    share_verifiers: bool = True,
-    naive_sample_rate: float = 0.0,
     parallel_fanout: int | None = None,
 ) -> CellResult:
     """Run the full strategy comparison for one peer count.
@@ -107,14 +100,10 @@ def run_cell(
 
     All cell wiring — the whole-workload memos, the shared verifier
     pool, the cost model behind the adaptive replay — comes from one
-    :class:`~repro.engine.QueryEngine`; ``memoize_naive`` /
-    ``memoize_gram_scans`` / ``memoize_fetches`` / ``share_verifiers``
-    toggle its parts individually (each
-    acceleration is sound here because the cell's stores are static once
-    loaded, and cost-transparent — identical message/byte series — by
-    construction).  ``naive_sample_rate`` > 0 opts into the
-    sampled-broadcast estimator; the default 0 keeps every naive series
-    exact.
+    :class:`~repro.engine.QueryEngine` (each acceleration is sound here
+    because the cell's stores are static once loaded, and
+    cost-transparent — identical message/byte series — by
+    construction).
 
     When ``strategies`` contains ``SimilarityStrategy.ADAPTIVE`` it
     always replays *last*: it first collects per-attribute statistics
@@ -150,24 +139,12 @@ def run_cell(
         workload = make_workload(
             strings, network.n_peers, repetitions=repetitions, seed=config.seed
         )
-    result = CellResult(
-        n_peers=n_peers,
-        build_seconds=build_seconds,
-        naive_sample_rate=naive_sample_rate,
-    )
+    result = CellResult(n_peers=n_peers, build_seconds=build_seconds)
     # One engine per cell: the strategies replay the same workload, so
     # later strategies reuse the memos and verifier state earlier ones
     # filled.  Sharing changes wall-clock only, never a match set or a
     # message (pinned by tests).
-    engine = QueryEngine(
-        network,
-        memoize_naive=memoize_naive,
-        memoize_gram_scans=memoize_gram_scans,
-        memoize_fetches=memoize_fetches,
-        share_verifiers=share_verifiers,
-        naive_sample_rate=naive_sample_rate,
-        parallel_fanout=parallel_fanout,
-    )
+    engine = QueryEngine(network, parallel_fanout=parallel_fanout)
     try:
         fixed = [s for s in strategies if s is not SimilarityStrategy.ADAPTIVE]
         for strategy in fixed:

@@ -25,23 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.query.cost import LatencyModel
 from repro.query.operators.similar import SimilarResult
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """Cost constants of the estimation model."""
-
-    hop_latency_ms: float = 50.0
-    comparison_cost_us: float = 20.0
-
-    def network_time_ms(self, n_partitions: int, dissemination_depth: int) -> float:
-        """Critical path of routing + parallel dissemination + return."""
-        routing_depth = 0.5 * math.log2(max(2, n_partitions))
-        return (routing_depth + dissemination_depth + 1) * self.hop_latency_ms
-
-    def compute_time_ms(self, max_peer_comparisons: int) -> float:
-        return max_peer_comparisons * self.comparison_cost_us / 1000.0
 
 
 @dataclass

@@ -6,16 +6,19 @@ explicit write path (:meth:`~repro.engine.QueryEngine.insert` /
 and invalidates only the memo entries the written index entries name.  This
 harness quantifies what that buys on a seeded mixed workload:
 
-* **memo retention** — the same op sequence runs on a ``"delta"`` engine
-  and a ``"drop"`` baseline engine (every write clears every memo); the
+* **memo retention** — the same op sequence runs on a ``delta`` engine
+  and a ``drop`` baseline engine, which calls
+  :meth:`~repro.engine.QueryEngine.clear_memos` right before every
+  write (so the write finds empty memos and invalidates nothing); the
   headline number is the memo hit-rate each arm achieves.  Memos are
   cost-transparent (they replay recorded message charges), so the two
   arms' measured message series are bit-identical — the win is cached
   work, reported as hit rate and wall time.
 * **query-visible staleness** — a third, memo-free reference arm
   (``memoize=False``) replays the identical ops; every query's match
-  list must agree bit-for-bit with the delta arm's.  Any disagreement is
-  a stale answer escaping a memo, counted (and expected to be zero).
+  list must agree bit-for-bit with the delta and drop arms'.  Any
+  disagreement is a stale answer escaping a memo, counted, and must be
+  zero (the CLI exits 1 otherwise).
 * **recovery** — after the workload, a fail → diverge → recover cycle on
   the delta engine measures anti-entropy wall time, entries copied, and
   repair traffic, plus how many memo entries survive a recovery that
@@ -107,20 +110,17 @@ def _run_arm(
     ops,
     config: StoreConfig,
     n_peers: int,
-    memo_maintenance: str | None,
+    arm: str,
 ) -> dict:
-    """Replay ``ops`` on a fresh engine; ``None`` = memo-free reference."""
-    if memo_maintenance is None:
-        engine = QueryEngine.build(
-            n_peers=n_peers, triples=corpus, config=config, memoize=False
-        )
-    else:
-        engine = QueryEngine.build(
-            n_peers=n_peers,
-            triples=corpus,
-            config=config,
-            memo_maintenance=memo_maintenance,
-        )
+    """Replay ``ops`` on a fresh engine for ``arm`` (``"delta"``,
+    ``"drop"`` or the memo-free ``"reference"``)."""
+    engine = QueryEngine.build(
+        n_peers=n_peers,
+        triples=corpus,
+        config=config,
+        memoize=arm != "reference",
+    )
+    clear_before_write = arm == "drop"
     answers: list[tuple] = []
     started = time.perf_counter()
     for op in ops:
@@ -133,10 +133,13 @@ def _run_arm(
                     )
                 )
             )
-        elif op[0] == "insert":
-            engine.insert(list(op[1]))
         else:
-            engine.delete(list(op[1]))
+            if clear_before_write:
+                engine.clear_memos()
+            if op[0] == "insert":
+                engine.insert(list(op[1]))
+            else:
+                engine.delete(list(op[1]))
     wall = time.perf_counter() - started
     memo_stats = engine.memo_stats()
     hits = sum(m["hits"] for m in memo_stats.values())
@@ -212,10 +215,10 @@ def run_mutate_bench(
     n_queries = sum(1 for op in ops if op[0] == "query")
 
     arms = {}
-    for name, mode in (("delta", "delta"), ("drop", "drop"), ("reference", None)):
+    for name in ("delta", "drop", "reference"):
         if progress is not None:
             progress(f"mutate arm: {name}")
-        arms[name] = _run_arm(corpus, ops, config, n_peers, mode)
+        arms[name] = _run_arm(corpus, ops, config, n_peers, name)
 
     stale = sum(
         1
@@ -340,6 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {path}", file=sys.stderr)
     ok = (
         staleness["stale_answers_delta"] == 0
+        and staleness["stale_answers_drop"] == 0
         and retention["advantage"] > 0
     )
     return 0 if ok else 1

@@ -107,16 +107,19 @@ def write_csv(path: str, result: SweepResult) -> None:
         handle.write(render_csv(result))
 
 
-#: Schema tag embedded in ``BENCH_fig1.json``.  v4 adds the per-dataset
-#: ``sweep_seconds`` (end-to-end sweep wall clock — under ``--jobs N``
-#: bounded by the slowest worker chunk, not the sum of cells) and the
+#: Schema tag embedded in ``BENCH_fig1.json``.  v5 removes
+#: ``scale.naive_sample_rate`` and the per-cell ``naive_sampled`` flag
+#: with the sampled-broadcast estimator (every series is exact).  v4
+#: added the per-dataset ``sweep_seconds`` (end-to-end sweep wall
+#: clock — under ``--jobs N`` bounded by the slowest worker chunk, not
+#: the sum of cells) and the
 #: ``jobs``/``fanout`` scale fields; v3 added the ``adaptive`` strategy
 #: series plus the per-cell ``adaptive_stats_messages`` /
 #: ``adaptive_stats_bytes`` / ``adaptive_choices`` fields (the cost of
 #: the one-off statistics walk and the cost model's strategy picks) —
-#: all additive; the v2 fields (``build_seconds``, ``naive_sampled``)
-#: and the v1 series fields are unchanged.
-FIG1_SCHEMA = "repro-bench-fig1/v4"
+#: all additive; the v2 ``build_seconds`` and the v1 series fields are
+#: unchanged.
+FIG1_SCHEMA = "repro-bench-fig1/v5"
 
 
 def sweep_to_dict(
@@ -128,10 +131,8 @@ def sweep_to_dict(
     Each cell carries the figure series (messages / megabytes per
     strategy) plus the perf-trajectory fields: wall-clock seconds,
     network build seconds, stored entry count and payload bytes.  Cells
-    measured with the sampled-broadcast estimator additionally carry
-    ``"naive_sampled": true`` so estimated ``strings`` series can never
-    be mistaken for exact ones; cells with an adaptive replay carry the
-    statistics-walk cost and the tally of chosen strategies.
+    with an adaptive replay carry the statistics-walk cost and the tally
+    of chosen strategies.
     """
     if strategies is None:
         strategies = panel_strategies(result)
@@ -151,8 +152,6 @@ def sweep_to_dict(
                 for strategy in strategies
             },
         }
-        if cell.naive_sample_rate:
-            cell_dict["naive_sampled"] = True
         if SimilarityStrategy.ADAPTIVE in cell.by_strategy:
             cell_dict["adaptive_stats_messages"] = cell.adaptive_stats_messages
             cell_dict["adaptive_stats_bytes"] = cell.adaptive_stats_bytes

@@ -122,11 +122,6 @@ class SweepJob:
     prepared: PreparedDataset
     repetitions: int = 40
     strategies: tuple[SimilarityStrategy, ...] = ALL_STRATEGIES
-    memoize_naive: bool = True
-    memoize_gram_scans: bool = True
-    memoize_fetches: bool = True
-    share_verifiers: bool = True
-    naive_sample_rate: float = 0.0
     #: Intra-cell fan-out threads (``QueryEngine(parallel_fanout=...)``);
     #: ``None`` keeps per-peer work serial inside each cell.
     parallel_fanout: int | None = None
@@ -164,11 +159,6 @@ class SweepJob:
             strategies=self.strategies,
             prepared=self.prepared,
             builder=builder,
-            memoize_naive=self.memoize_naive,
-            memoize_gram_scans=self.memoize_gram_scans,
-            memoize_fetches=self.memoize_fetches,
-            share_verifiers=self.share_verifiers,
-            naive_sample_rate=self.naive_sample_rate,
             parallel_fanout=self.parallel_fanout,
         )
 
@@ -318,11 +308,6 @@ def sweep(
     repetitions: int = 40,
     strategies: Sequence[SimilarityStrategy] = ALL_STRATEGIES,
     progress: Callable[[str], None] | None = None,
-    memoize_naive: bool = True,
-    memoize_gram_scans: bool = True,
-    memoize_fetches: bool = True,
-    share_verifiers: bool = True,
-    naive_sample_rate: float = 0.0,
     jobs: int = 1,
     parallel_fanout: int | None = None,
 ) -> SweepResult:
@@ -331,12 +316,8 @@ def sweep(
     Entry derivation and the data-aware trie sample happen once, up
     front (:class:`PreparedDataset`); each cell's network is then grown
     by an incremental builder, and each cell's workload runs with the
-    three cost-transparent accelerations (naive region memo, gram-scan
-    memo, shared verifier pool) — each individually disableable so an
-    acceleration can be validated against its own unaccelerated
-    baseline.  ``naive_sample_rate`` > 0 opts into the sampled-broadcast
-    estimator for the naive strategy (approximate series, flagged in the
-    JSON); the default keeps every series exact.
+    engine's cost-transparent accelerations (the whole-workload memos
+    and the shared verifier pool).
 
     ``jobs > 1`` dispatches cells to a :class:`ParallelSweepRunner`
     process pool and ``parallel_fanout`` enables the intra-cell thread
@@ -357,11 +338,6 @@ def sweep(
         config=config,
         repetitions=repetitions,
         strategies=tuple(strategies),
-        memoize_naive=memoize_naive,
-        memoize_gram_scans=memoize_gram_scans,
-        memoize_fetches=memoize_fetches,
-        share_verifiers=share_verifiers,
-        naive_sample_rate=naive_sample_rate,
         parallel_fanout=parallel_fanout,
     )
     if jobs > 1:

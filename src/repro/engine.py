@@ -43,10 +43,6 @@ network ledger's tick, advanced by every
 :class:`~repro.storage.datastore.LocalDataStore` write, store
 replacement and membership change — an O(1) read), which every recorded
 operation re-checks; any unexplained change drops all memos at once.
-
-:class:`repro.core.store.VerticalStore` — the facade of earlier PRs —
-subclasses this engine, adding only the record/relation insert helpers,
-so existing code keeps working unchanged.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.config import RankFunction, SimilarityStrategy, StoreConfig
-from repro.core.errors import ConfigError
 from repro.core.stats import QueryStats
 from repro.overlay.churn import ChurnController, ChurnReport
 from repro.overlay.fanout import FanOutExecutor
@@ -83,17 +78,11 @@ from repro.query.operators.range_scan import numeric_similar
 from repro.query.operators.similar import GramScanMemo, SimilarResult, similar
 from repro.query.operators.simjoin import SimJoinResult, anchored_sim_join, sim_join
 from repro.query.operators.topn import TopNResult, top_n_numeric, top_n_string_nn
+from repro.query.statistics import StatisticsCatalog, collect_statistics
 from repro.similarity.filters import FilterConfig
 from repro.similarity.kernels import EditKernel, resolve_kernel
 from repro.similarity.verify import DEFAULT_POOL_LIMIT, VerifierPool
 from repro.storage.triple import Triple, ValueType
-
-if True:  # deferred import target for type checkers
-    from typing import TYPE_CHECKING
-
-    if TYPE_CHECKING:  # pragma: no cover
-        from repro.bench.latency import LatencyModel
-        from repro.query.statistics import StatisticsCatalog
 
 
 @dataclass(frozen=True)
@@ -140,17 +129,9 @@ class QueryEngine:
         Default similarity strategy (enum, name string, or ``None`` for
         the network config's; ``"adaptive"`` turns on cost-based
         selection).
-    catalog:
-        A pre-collected statistics catalog; usually left ``None`` and
-        filled via :meth:`analyze`.
-    latency_model:
-        Cost constants for the latency leg of predictions.
     memoize:
-        Master switch for the three whole-workload memos; the
-        ``memoize_*`` keywords override it individually (the benchmark
-        ablations need that).
-    share_verifiers:
-        Install a shared :class:`~repro.similarity.verify.VerifierPool`.
+        Install the three whole-workload memos (``False`` gives the
+        memo-free reference engine; measured series are identical).
     edit_kernel:
         Edit-distance kernel for the final verification step — an
         :class:`~repro.similarity.kernels.EditKernel` instance, a name
@@ -161,12 +142,10 @@ class QueryEngine:
         Kernels change wall-clock only; every match set and measured
         message/byte series is kernel-independent.
     verifier_pool_limit:
-        Bound on live verifiers in the shared pool (LRU eviction beyond
-        it); ``None`` keeps the pool default.  Distance memos are
+        Bound on live verifiers in the shared
+        :class:`~repro.similarity.verify.VerifierPool` (LRU eviction
+        beyond it); ``None`` keeps the pool default.  Distance memos are
         store-independent, so eviction is always safe.
-    naive_sample_rate:
-        Default sampled-broadcast estimator rate for contexts built by
-        this engine (0 = exact).
     parallel_fanout:
         Thread count (>= 2) for the intra-query fan-out: per-peer
         delegate work (gram-peer candidate scans, broadcast query
@@ -177,101 +156,55 @@ class QueryEngine:
         ``None``/``0``/``1`` (the default) keeps everything serial.
         Engines with a fan-out installed should be :meth:`close`\\ d (or
         used as context managers) to release the pool's threads.
-    memo_maintenance:
-        What a mutation routed through the engine's write path
-        (:meth:`insert`, :meth:`delete`, :meth:`recover`) does to the
-        workload memos and statistics: ``"delta"`` (the default)
-        invalidates only the memo entries the written index entries name
-        (the naive memo: the affected partitions' slices) and patches
-        the statistics catalog in place; ``"drop"`` reproduces
-        the pre-delta behaviour (every memo cleared wholesale, catalog
-        untouched) — kept for the mutation benchmark's baseline arm.
-        Out-of-band store changes (anything mutating a peer's store
-        without going through the engine) still trip
-        :meth:`check_mutations` and drop everything, in both modes.
-    """
 
-    #: Valid ``memo_maintenance`` modes.
-    MEMO_MAINTENANCE_MODES = ("delta", "drop")
+    A write routed through the engine (:meth:`insert`, :meth:`delete`,
+    :meth:`recover`) invalidates only the memo records the written index
+    entries name (the naive memo: the written partitions' slices) and
+    patches the statistics catalog in place.  Out-of-band store changes
+    (anything mutating a peer's store without going through the engine)
+    trip :meth:`check_mutations` and drop everything.
+    """
 
     def __init__(
         self,
         network: PGridNetwork,
         strategy: SimilarityStrategy | str | None = None,
-        catalog: "StatisticsCatalog | None" = None,
-        latency_model: "LatencyModel | None" = None,
         memoize: bool = True,
-        memoize_naive: bool | None = None,
-        memoize_gram_scans: bool | None = None,
-        memoize_fetches: bool | None = None,
-        share_verifiers: bool = True,
-        naive_sample_rate: float = 0.0,
         parallel_fanout: int | None = None,
-        memo_maintenance: str = "delta",
         edit_kernel: EditKernel | str | None = None,
         verifier_pool_limit: int | None = None,
     ):
         self.network = network
         self.config = network.config
-        if memo_maintenance not in self.MEMO_MAINTENANCE_MODES:
-            raise ConfigError(
-                f"memo_maintenance must be one of "
-                f"{self.MEMO_MAINTENANCE_MODES}, got {memo_maintenance!r}"
-            )
-        self.memo_maintenance = memo_maintenance
         self._churn: ChurnController | None = None
         if isinstance(strategy, str):
             strategy = SimilarityStrategy.from_name(strategy)
-
-        def flag(override: bool | None) -> bool:
-            return memoize if override is None else override
-
-        self.naive_memo = (
-            NaiveWorkloadMemo(network) if flag(memoize_naive) else None
-        )
-        self.gram_scan_memo = (
-            GramScanMemo(network) if flag(memoize_gram_scans) else None
-        )
-        self.fetch_memo = (
-            FetchObjectsMemo(network) if flag(memoize_fetches) else None
-        )
+        self.naive_memo = NaiveWorkloadMemo(network) if memoize else None
+        self.gram_scan_memo = GramScanMemo(network) if memoize else None
+        self.fetch_memo = FetchObjectsMemo(network) if memoize else None
         self.edit_kernel = resolve_kernel(edit_kernel)
-        self.verifier_pool = (
-            VerifierPool(
-                kernel=self.edit_kernel,
-                max_verifiers=(
-                    verifier_pool_limit
-                    if verifier_pool_limit is not None
-                    else DEFAULT_POOL_LIMIT
-                ),
-            )
-            if share_verifiers
-            else None
+        self.verifier_pool = VerifierPool(
+            kernel=self.edit_kernel,
+            max_verifiers=(
+                verifier_pool_limit
+                if verifier_pool_limit is not None
+                else DEFAULT_POOL_LIMIT
+            ),
         )
         self.fanout = (
             FanOutExecutor(parallel_fanout)
             if parallel_fanout is not None and parallel_fanout > 1
             else None
         )
-        self.cost_model = StrategyCostModel(network, latency_model)
-        self.naive_sample_rate = naive_sample_rate
+        self.cost_model = StrategyCostModel(network)
         self._filters = FilterConfig(
             use_position=self.config.enable_position_filter,
             use_length=self.config.enable_length_filter,
         )
         self._mutation_token = network.store_version_token()
-        if catalog is None:
-            # Start with an empty catalog object (not None) so every
-            # context derived from this engine — including ones created
-            # before the first ``analyze`` — shares the same instance
-            # and sees later statistics; ``analyze`` merges in place.
-            from repro.query.statistics import StatisticsCatalog
-
-            catalog = StatisticsCatalog()
         self.ctx = self.context(
             strategy=strategy if strategy is not None else self.config.strategy,
             rng=random.Random(self.config.seed + 3),
-            catalog=catalog,
         )
         self.executor = Executor(self.ctx)
         self.stats = QueryStats()
@@ -303,8 +236,6 @@ class QueryEngine:
         self,
         strategy: SimilarityStrategy | str | None = None,
         rng: random.Random | None = None,
-        naive_sample_rate: float | None = None,
-        catalog: "StatisticsCatalog | None" = None,
     ) -> OperatorContext:
         """A fresh :class:`OperatorContext` sharing this engine's wiring.
 
@@ -315,20 +246,18 @@ class QueryEngine:
         """
         if isinstance(strategy, str):
             strategy = SimilarityStrategy.from_name(strategy)
-        if catalog is None:
-            primary = getattr(self, "ctx", None)
-            catalog = primary.catalog if primary is not None else None
+        primary = getattr(self, "ctx", None)
+        # The engine's own context starts with an empty catalog object
+        # (not None) so every context derived later — including ones
+        # created before the first ``analyze`` — shares the instance and
+        # sees later statistics; ``analyze`` merges in place.
+        catalog = primary.catalog if primary is not None else StatisticsCatalog()
         return OperatorContext(
             self.network,
             strategy=strategy,
             filters=self._filters,
             rng=rng,
             naive_memo=self.naive_memo,
-            naive_sample_rate=(
-                self.naive_sample_rate
-                if naive_sample_rate is None
-                else naive_sample_rate
-            ),
             verifier_pool=self.verifier_pool,
             edit_kernel=self.edit_kernel,
             gram_scan_memo=self.gram_scan_memo,
@@ -435,11 +364,9 @@ class QueryEngine:
         """Index and place triples; returns the number of entries stored.
 
         The explicit write path: the network reports what was applied
-        where, and — in ``"delta"`` maintenance mode — only the memo
-        entries those index entries name are invalidated while the
-        statistics catalog is patched in place (``"drop"`` mode clears
-        every memo wholesale instead); :meth:`last_write` tells what
-        that came to.  ``respect_online`` skips offline
+        where, only the memo entries those index entries name are
+        invalidated, and the statistics catalog is patched in place;
+        :meth:`last_write` tells what that came to.  ``respect_online`` skips offline
         replicas — the churn setting, where inserting while a replica is
         down leaves it divergent until anti-entropy repair
         (:meth:`recover`).
@@ -565,19 +492,13 @@ class QueryEngine:
 
         Re-reads the network mutation token (so :meth:`check_mutations`
         does not later mistake this write for an out-of-band one), then
-        invalidates per the maintenance mode: in ``"delta"`` mode what
-        ``writes`` names — the fetch and gram-scan memos by written
-        entry, the naive memo by written partition — and everything in
-        ``"drop"`` mode.
+        invalidates what ``writes`` names — the fetch and gram-scan memos
+        by written entry, the naive memo by written partition.
         """
         self._mutation_token = self.network.store_version_token()
         memos = self._memos()
         if not writes:
             return dict.fromkeys(memos, 0)
-        if self.memo_maintenance == "drop":
-            cleared = {name: len(memo) for name, memo in memos.items()}
-            self.clear_memos()
-            return cleared
         return {name: memo.note_write(writes) for name, memo in memos.items()}
 
     def _patch_statistics(self, triples: Sequence[Triple], sign: int) -> None:
@@ -611,15 +532,13 @@ class QueryEngine:
         self,
         attributes: Sequence[str],
         sample_partitions: int = 4,
-    ) -> "StatisticsCatalog":
+    ) -> StatisticsCatalog:
         """Collect overlay statistics for ``attributes`` (cost charged).
 
         The catalog is retained on the engine's context and consulted by
         both the cost-based planner and the adaptive strategy selection.
         Repeated calls merge: each attribute keeps its latest summary.
         """
-        from repro.query.statistics import collect_statistics
-
         with self.recorded():
             collected = collect_statistics(
                 self.ctx, attributes, sample_partitions
@@ -762,25 +681,14 @@ class QueryEngine:
         }
 
     def verifier_stats(self) -> dict[str, object]:
-        """Kernel identity plus shared-pool counters (``/stats`` payload).
-
-        Engines built with ``share_verifiers=False`` still report the
-        kernel; pool traffic and kernel counters need the shared pool.
-        """
-        if self.verifier_pool is None:
-            return {"kernel": self.edit_kernel.name, "shared_pool": False}
+        """Kernel identity plus shared-pool counters (``/stats`` payload)."""
         return {"shared_pool": True, **self.verifier_pool.stats()}
 
-    def _verifier_snapshot(self) -> dict[str, int] | None:
-        pool = self.verifier_pool
-        return pool.counters.as_dict() if pool is not None else None
+    def _verifier_snapshot(self) -> dict[str, int]:
+        return self.verifier_pool.counters.as_dict()
 
-    def _verifier_delta(
-        self, before: dict[str, int] | None
-    ) -> dict[str, object] | None:
-        """Kernel-counter delta for one recorded operation, or ``None``."""
-        if before is None:
-            return None
+    def _verifier_delta(self, before: dict[str, int]) -> dict[str, object]:
+        """Kernel-counter delta for one recorded operation."""
         after = self.verifier_pool.counters.as_dict()
         delta: dict[str, object] = {
             key: after[key] - before[key] for key in after
@@ -789,12 +697,12 @@ class QueryEngine:
         return delta
 
     @property
-    def catalog(self) -> "StatisticsCatalog | None":
+    def catalog(self) -> StatisticsCatalog | None:
         """The statistics catalog consulted by planner and cost model."""
         return self.ctx.catalog
 
     @catalog.setter
-    def catalog(self, value: "StatisticsCatalog | None") -> None:
+    def catalog(self, value: StatisticsCatalog | None) -> None:
         self.ctx.catalog = value
 
     def last_cost(self) -> CostReport:

@@ -11,7 +11,7 @@ summaries that remark calls for; this module consumes them:
   physical strategy would spend — from the overlay's structure (region
   size, expected routing depth), the collected
   :class:`~repro.query.statistics.StatisticsCatalog`, and the latency
-  constants of :mod:`repro.bench.latency`;
+  constants of :class:`LatencyModel`;
 * :meth:`StrategyCostModel.choose` resolves
   ``SimilarityStrategy.ADAPTIVE`` into a concrete strategy and returns a
   :class:`StrategyDecision` recording every prediction; the operator
@@ -41,7 +41,6 @@ from repro.core.errors import ExecutionError
 from repro.storage.qgrams import positional_qgrams, qgram_sample
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from repro.bench.latency import LatencyModel
     from repro.overlay.network import PGridNetwork
     from repro.query.statistics import StatisticsCatalog
 
@@ -67,6 +66,23 @@ TRIPLE_OVERHEAD_BYTES = 16
 
 #: Triples per object assumed when no better information exists.
 TRIPLES_PER_OBJECT = 2.0
+
+
+@dataclass(frozen=True)
+class LatencyModel:
+    """Cost constants of the response-time model (see
+    :mod:`repro.bench.latency`)."""
+
+    hop_latency_ms: float = 50.0
+    comparison_cost_us: float = 20.0
+
+    def network_time_ms(self, n_partitions: int, dissemination_depth: int) -> float:
+        """Critical path of routing + parallel dissemination + return."""
+        routing_depth = 0.5 * math.log2(max(2, n_partitions))
+        return (routing_depth + dissemination_depth + 1) * self.hop_latency_ms
+
+    def compute_time_ms(self, max_peer_comparisons: int) -> float:
+        return max_peer_comparisons * self.comparison_cost_us / 1000.0
 
 
 @dataclass(frozen=True)
@@ -139,17 +155,9 @@ class StrategyCostModel:
     ``analyze``-d catalog is always the one consulted.
     """
 
-    def __init__(
-        self,
-        network: "PGridNetwork",
-        latency_model: "LatencyModel | None" = None,
-    ):
+    def __init__(self, network: "PGridNetwork"):
         self.network = network
-        if latency_model is None:
-            from repro.bench.latency import LatencyModel
-
-            latency_model = LatencyModel()
-        self.latency_model = latency_model
+        self.latency_model = LatencyModel()
 
     # -- structural expectations -----------------------------------------------
 

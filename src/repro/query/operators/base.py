@@ -91,10 +91,6 @@ class OperatorContext:
     #: :class:`repro.query.operators.naive.NaiveWorkloadMemo`).  ``None``
     #: disables memoization; message accounting is identical either way.
     naive_memo: "NaiveWorkloadMemo | None" = None
-    #: Opt-in sampled-broadcast estimator rate for naive queries: 0 (the
-    #: default) runs the exact broadcast; a rate in (0, 1) scans only
-    #: ~``rate`` of the region's partitions and extrapolates the cost.
-    naive_sample_rate: float = 0.0
     #: Shared verifier pool: operators that build their own
     #: :class:`~repro.similarity.verify.BatchVerifier` draw it from here
     #: instead, so repeated ``(query, d)`` pairs across queries — and

@@ -26,10 +26,8 @@ column is retained and the kernel offers one).  The column is plain
 compute-side state: it charges nothing and decides nothing about
 messages.
 
-Two sweep-scale accelerations live here, both cost-transparent by
-construction:
-
-* :class:`NaiveWorkloadMemo` — whole-workload memoization.  A workload
+:class:`NaiveWorkloadMemo` is a sweep-scale acceleration that is
+cost-transparent by construction: whole-workload memoization.  A workload
   replays the same ``(s, a, d)`` query many times (repeated search
   strings, iterative-deepening top-N rounds, join probes over equal
   values); the *local comparison outcome* of such a query depends only on
@@ -39,15 +37,6 @@ construction:
   shower forwards, per-peer query copies, result returns — is still
   executed and charged for real, so the measured message and byte series
   are bit-identical with the memo on or off (pinned by tests).
-* the **sampled-broadcast estimator** (``naive_sample_rate`` on the
-  operator context) — opt-in, for paper-scale cells where even *touching*
-  10⁵ peers per query dominates.  The structural broadcast cost (routed
-  entry, one forward per further partition, one query copy per region
-  peer) is charged exactly in O(1) bulk; local comparison runs on a
-  deterministic stride sample of the region's partitions and the
-  result-return / object-fetch cost is extrapolated from the sample.
-  With the rate at 0 (the default) the estimator is bypassed entirely
-  and no RNG draw or message differs from the exact path.
 """
 
 from __future__ import annotations
@@ -201,8 +190,7 @@ class RegionColumn:
 class NaiveWorkloadMemo:
     """Whole-workload memo of naive-broadcast comparison outcomes.
 
-    Keyed by ``(s, attribute)`` (plus the sampling stride when the
-    estimator is active): one region comparison at ``band =
+    Keyed by ``(s, attribute)``: one region comparison at ``band =
     max(d, band)`` serves *every* distance up to the band, so a top-N
     query's iterative-deepening rounds (``d = 0, 1, 2, ...`` over the
     same search string) and a join's repeated probes all reuse a single
@@ -320,16 +308,9 @@ def naive_similar(
     else:
         region_prefix = ctx.codec.attr_prefix(attribute)
 
-    # Under an active fault injector the sampled estimator is bypassed
-    # (its extrapolation assumes fault-free structural cost) and every
-    # query copy is delivered individually with retry/failover.
+    # Under an active fault injector every query copy is delivered
+    # individually with retry/failover.
     faulty = ctx.router.faults_active()
-    rate = ctx.naive_sample_rate
-    if 0.0 < rate < 1.0 and not faulty:
-        return _sampled_naive_similar(
-            ctx, s, attribute, d, initiator_id, verifier, region_prefix,
-            schema_level, rate,
-        )
 
     # Broadcast the query into the region (routed entry + shower forwards).
     tracer = ctx.router.tracer
@@ -522,120 +503,3 @@ def _assemble_result(
     result.extras["max_peer_comparisons"] = comparison.max_peer_comparisons
     return result
 
-
-def _sampled_naive_similar(
-    ctx: OperatorContext,
-    s: str,
-    attribute: str,
-    d: int,
-    initiator_id: int,
-    verifier: BatchVerifier | None,
-    region_prefix: str,
-    schema_level: bool,
-    rate: float,
-) -> SimilarResult:
-    """Opt-in estimator: sample the region instead of scanning all of it.
-
-    The *structural* broadcast cost is exact and charged in O(1): the
-    routed walk into the region runs for real, then one ``FORWARD`` per
-    additional partition and one query copy per region peer are
-    bulk-charged — these counts are fully determined by the region size.
-    Local comparison runs only on every ``stride``-th partition (first
-    online replica, deterministically — no RNG is consumed beyond the
-    entry walk), and the data-dependent cost — result returns and the
-    initiator's object fetch — is extrapolated from the sample.  Matches
-    returned are those of the sampled partitions only: this mode
-    estimates *cost series*, it does not answer queries exactly.
-    """
-    network = ctx.network
-    tracer = ctx.router.tracer
-    partitions = network.partitions_under(region_prefix)
-    n_region = len(partitions)
-    # Routed entry into the region (real routing, real hops).
-    ctx.router.route(partitions[0].path, initiator_id, phase="broadcast")
-    # Shower dissemination + per-peer query copies, bulk-charged exactly.
-    tracer.send_bulk(MessageType.FORWARD, n_region - 1, 0, phase="broadcast")
-    tracer.send_bulk(
-        MessageType.BROADCAST,
-        n_region,
-        n_region * (QUERY_HEADER_BYTES + len(s)),
-        phase="broadcast",
-    )
-
-    stride = max(1, round(1.0 / rate))
-    sampled: list = []
-    for index in range(0, n_region, stride):
-        partition = partitions[index]
-        for peer_id in partition.peer_ids:
-            peer = network.peer(peer_id)
-            if peer.online:
-                sampled.append((peer, partition.index))
-                break
-    n_sampled = max(1, len(sampled))
-    scale = n_region / n_sampled
-
-    memo = ctx.naive_memo
-    memo_key = (s, attribute, "sampled", stride)
-    comparison = (
-        memo.lookup(memo_key, d, sampled) if memo is not None else None
-    )
-    if comparison is None:
-        band = max(d, memo.band) if memo is not None else d
-        comparison = _compare_region(
-            sampled,
-            _region_column(memo, region_prefix, attribute, schema_level),
-            band,
-            _region_verifier(ctx, s, d, band, verifier),
-        )
-        if memo is not None:
-            memo.store(memo_key, comparison)
-
-    # Result returns, extrapolated from the sampled partitions.
-    hits: dict[str, tuple[int, str]] = {}
-    matched_partitions = 0
-    result_payload = 0
-    for __, partition_index in sampled:
-        matched_here = comparison.matched_at(partition_index, d)
-        if not matched_here:
-            continue
-        matched_partitions += 1
-        result_payload += sum(
-            len(oid) + len(value) + 2 for oid, value, __d in matched_here
-        )
-        for oid, value, distance in matched_here:
-            previous = hits.get(oid)
-            if previous is None or distance < previous[0]:
-                hits[oid] = (distance, value)
-    estimated_results = round(matched_partitions * scale)
-    tracer.send_bulk(
-        MessageType.RESULT,
-        estimated_results,
-        round(result_payload * scale),
-        phase="broadcast",
-    )
-
-    # Object reconstruction: run it for real on the sampled hits, then
-    # extrapolate the measured cost to the unsampled remainder.
-    before = tracer.snapshot()
-    result = _assemble_result(ctx, hits, initiator_id, comparison)
-    delta = before.delta(tracer.snapshot())
-    extra_factor = scale - 1.0
-    if extra_factor > 0 and delta.messages:
-        extra_bytes = round(delta.payload_bytes * extra_factor)
-        for type_name, count in sorted(delta.by_type.items()):
-            if count <= 0:
-                continue
-            extra = round(count * extra_factor)
-            tracer.send_bulk(
-                MessageType(type_name),
-                extra,
-                extra_bytes if type_name == MessageType.RESULT.value else 0,
-                phase="oid_lookup",
-            )
-
-    result.extras["region_peers"] = n_region
-    result.extras["sampled"] = 1
-    result.extras["sampled_partitions"] = len(sampled)
-    result.extras["sample_stride"] = stride
-    result.extras["estimated_result_messages"] = estimated_results
-    return result

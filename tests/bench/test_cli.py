@@ -78,7 +78,7 @@ class TestCli:
         capsys.readouterr()
         assert status == 0
         fig1 = json.loads((tmp_path / "BENCH_fig1.json").read_text())
-        assert fig1["schema"] == "repro-bench-fig1/v4"
+        assert fig1["schema"] == "repro-bench-fig1/v5"
         assert fig1["datasets"]["bible"]["sweep_seconds"] > 0
         assert fig1["scale"]["jobs"] == 1
         assert fig1["scale"]["fanout"] == 0
@@ -86,8 +86,6 @@ class TestCli:
         assert cells[0]["peers"] == 16
         assert cells[0]["total_entries"] > 0
         assert cells[0]["build_seconds"] >= 0
-        assert "naive_sampled" not in cells[0]  # exact by default
-        assert fig1["scale"]["naive_sample_rate"] == 0.0
         assert fig1["scale"]["adaptive"] is True
         assert set(cells[0]["strategies"]) == {
             "qsamples", "qgrams", "strings", "adaptive",

@@ -16,6 +16,14 @@ def ctx():
 
 
 class TestLatencyModel:
+    def test_defined_in_query_cost(self, ctx):
+        """The cost model's constants are the bench estimator's ones."""
+        from repro.query import cost
+
+        assert LatencyModel is cost.LatencyModel
+        model = cost.StrategyCostModel(ctx.network)
+        assert model.latency_model == LatencyModel()
+
     def test_network_time_grows_with_partitions(self):
         model = LatencyModel()
         assert model.network_time_ms(1024, 2) > model.network_time_ms(16, 2)

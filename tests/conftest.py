@@ -8,8 +8,8 @@ import pytest
 from hypothesis import settings
 
 from repro.core.config import StoreConfig
-from repro.core.store import VerticalStore
 from repro.datasets.cars import car_database
+from repro.engine import QueryEngine
 from repro.overlay.hashing import CompositeKeyCodec
 from repro.overlay.network import PGridNetwork
 from repro.query.operators.base import OperatorContext
@@ -82,11 +82,11 @@ def region_scans():
 
 
 @pytest.fixture(scope="module")
-def word_store() -> VerticalStore:
-    return VerticalStore.build(32, word_triples(), StoreConfig(seed=7))
+def word_store() -> QueryEngine:
+    return QueryEngine.build(32, word_triples(), StoreConfig(seed=7))
 
 
 @pytest.fixture(scope="module")
-def car_store() -> VerticalStore:
+def car_store() -> QueryEngine:
     db = car_database(n_cars=80, n_dealers=12, seed=5)
-    return VerticalStore.build(48, db.triples, StoreConfig(seed=5))
+    return QueryEngine.build(48, db.triples, StoreConfig(seed=5))

@@ -4,7 +4,7 @@ A hypothesis rule-based state machine interleaves inserts, deletes,
 peer failures, recoveries, and similarity queries on two engines over
 identically-built networks:
 
-* the **primary** — fully memoized, ``memo_maintenance="delta"``: a
+* the **primary** — fully memoized (the default engine): a
   write drops only the memo entries its index entries name (the written
   oid's record, the written gram keys' tables — patched where provable)
   and carries the rest of each written partition to the new version;
@@ -114,8 +114,7 @@ class MutationEquivalence(RuleBasedStateMachine):
         # Same peers / config / data → deterministically identical
         # networks; only the memo wiring differs between the two arms.
         self.primary = QueryEngine.build(
-            n_peers=n_peers, triples=triples, config=config,
-            memo_maintenance="delta",
+            n_peers=n_peers, triples=triples, config=config
         )
         self.reference = QueryEngine.build(
             n_peers=n_peers, triples=triples, config=config, memoize=False

@@ -1,11 +1,9 @@
-"""Naive-broadcast memoization and the sampled-broadcast estimator.
+"""Naive-broadcast memoization.
 
 The memo's contract mirrors the incremental builder's: *cost
 transparency*.  A memoized workload must produce the same matches and
 charge the same messages and bytes — phase by phase, type by type — as
-an unmemoized one; only the local comparison work is skipped.  The
-sampled estimator, by contrast, is openly approximate and must say so in
-its result extras and keep the structural broadcast cost exact.
+an unmemoized one; only the local comparison work is skipped.
 """
 
 
@@ -24,8 +22,8 @@ from repro.query.operators.naive import (
 from repro.similarity.kernels import numpy_available
 from repro.similarity.verify import BatchVerifier
 from repro.storage.triple import Triple
-from repro.bench.experiment import run_cell
-from repro.bench.workload import make_workload
+from repro.bench.experiment import ALL_STRATEGIES, build_network
+from repro.bench.workload import make_workload, run_workload
 
 from tests.conftest import TEXT_ATTR, build_word_network, word_triples
 
@@ -116,26 +114,36 @@ class TestNaiveWorkloadMemo:
         assert memo.misses == 2
 
     def test_memoized_cell_matches_unmemoized_cell(self):
-        """Whole-workload equivalence through the bench harness itself."""
+        """Whole-workload equivalence through the bench harness's replay:
+        an engine with all three memos against a memo-free one."""
         triples = word_triples()
         strings = [
             str(t.value) for t in triples if t.attribute == TEXT_ATTR
         ]
         config = StoreConfig(seed=7)
         workload = make_workload(strings, 48, repetitions=2, seed=7)
-        cells = {}
+        series = {}
         for memoize in (False, True):
-            cells[memoize] = run_cell(
-                triples, TEXT_ATTR, strings, 48,
-                config=config, workload=workload, memoize_naive=memoize,
+            engine = QueryEngine(
+                build_network(triples, 48, config), memoize=memoize
             )
-        for strategy in cells[True].by_strategy:
-            plain = cells[False].by_strategy[strategy]
-            memoized = cells[True].by_strategy[strategy]
-            assert memoized.messages == plain.messages
-            assert memoized.payload_bytes == plain.payload_bytes
-            assert memoized.by_type == plain.by_type
-            assert memoized.by_phase == plain.by_phase
+            series[memoize] = {}
+            for strategy in ALL_STRATEGIES:
+                engine.network.tracer.reset()
+                stats = run_workload(
+                    engine.context(strategy=strategy), TEXT_ATTR, workload,
+                    strategy,
+                )
+                series[memoize][strategy] = (
+                    stats.messages, stats.payload_bytes, stats.by_type,
+                    stats.by_phase,
+                )
+            memo_stats = engine.memo_stats()
+        assert series[True] == series[False]
+        # Every memo served the replay, so each one's transparency is
+        # what the equality above checked.
+        assert sorted(memo_stats) == ["fetch", "gram_scan", "naive"]
+        assert all(stats["hits"] > 0 for stats in memo_stats.values())
 
 
 class TestRegionColumn:
@@ -280,86 +288,3 @@ class TestRegionColumn:
 
         assert series(kernel) == series(None)
 
-
-class TestSampledBroadcastEstimator:
-    def test_off_by_default(self):
-        network = build_word_network(n_peers=48)
-        ctx = OperatorContext(network, strategy=SimilarityStrategy.NAIVE)
-        result = naive_similar(ctx, "apple", TEXT_ATTR, 1, initiator_id=0)
-        assert "sampled" not in result.extras
-
-    def test_sampled_run_is_flagged_and_structural_cost_exact(self):
-        exact_network = build_word_network(n_peers=48)
-        exact_ctx = OperatorContext(
-            exact_network, strategy=SimilarityStrategy.NAIVE
-        )
-        exact_network.tracer.reset()
-        exact = naive_similar(exact_ctx, "apple", TEXT_ATTR, 1, initiator_id=0)
-        exact_types = dict(exact_network.tracer.counts_by_type)
-
-        sampled_network = build_word_network(n_peers=48)
-        sampled_ctx = OperatorContext(
-            sampled_network,
-            strategy=SimilarityStrategy.NAIVE,
-            naive_sample_rate=0.25,
-        )
-        sampled_network.tracer.reset()
-        sampled = naive_similar(
-            sampled_ctx, "apple", TEXT_ATTR, 1, initiator_id=0
-        )
-        sampled_types = dict(sampled_network.tracer.counts_by_type)
-
-        assert sampled.extras["sampled"] == 1
-        assert sampled.extras["sample_stride"] == 4
-        assert sampled.extras["region_peers"] == exact.extras["region_peers"]
-        # The structural broadcast cost does not depend on the sample:
-        # one query copy per region peer, exactly as in the exact run.
-        assert sampled_types["broadcast"] == exact_types["broadcast"]
-        assert sampled_types["broadcast"] == exact.extras["region_peers"]
-        # Sampled matches are a subset of the exact ones.
-        exact_oids = {m.oid for m in exact.matches}
-        assert {m.oid for m in sampled.matches} <= exact_oids
-
-    def test_full_rate_stride_one_recovers_all_matches(self):
-        network = build_word_network(n_peers=48)
-        ctx = OperatorContext(
-            network, strategy=SimilarityStrategy.NAIVE, naive_sample_rate=0.99
-        )
-        sampled = naive_similar(ctx, "apple", TEXT_ATTR, 1, initiator_id=0)
-        exact_network = build_word_network(n_peers=48)
-        exact_ctx = OperatorContext(
-            exact_network, strategy=SimilarityStrategy.NAIVE
-        )
-        exact = naive_similar(exact_ctx, "apple", TEXT_ATTR, 1, initiator_id=0)
-        assert {m.oid for m in sampled.matches} == {m.oid for m in exact.matches}
-
-    def test_sampling_estimates_are_memoizable(self):
-        """Memoized sampled estimates charge exactly like unmemoized ones.
-
-        Routed-entry hops legitimately differ between calls (the router's
-        RNG advances), so the comparison runs the same call sequence on
-        two identically-seeded networks and compares call by call.
-        """
-
-        def run_twice(memo_factory):
-            network = build_word_network(n_peers=48)
-            ctx = OperatorContext(
-                network,
-                strategy=SimilarityStrategy.NAIVE,
-                naive_memo=memo_factory(network) if memo_factory else None,
-                naive_sample_rate=0.25,
-            )
-            snapshots = []
-            for __ in range(2):
-                network.tracer.reset()
-                naive_similar(ctx, "apple", TEXT_ATTR, 1, initiator_id=0)
-                snapshot = network.tracer.snapshot()
-                snapshots.append(
-                    (snapshot.messages, snapshot.payload_bytes, snapshot.by_type)
-                )
-            return ctx.naive_memo, snapshots
-
-        memo, memoized = run_twice(NaiveWorkloadMemo)
-        __, plain = run_twice(None)
-        assert memo.hits == 1
-        assert memoized == plain

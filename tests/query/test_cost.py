@@ -1,10 +1,14 @@
 """Unit and property tests for the strategy cost model (query/cost.py)."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.overlay.network import PGridNetwork
+from repro.query import cost as cost_module
 from repro.query.cost import (
     CANDIDATE_STRATEGIES,
     CostPrediction,
@@ -30,6 +34,24 @@ def build_ctx(words, n_peers, seed=2):
     network = PGridNetwork(n_peers, config, sample_keys=sample)
     network.insert_triples(triples)
     return OperatorContext(network)
+
+
+def test_query_layer_does_not_import_bench():
+    """``query/`` sits below ``bench/``: no module of it imports the
+    evaluation harness, not even lazily inside a function."""
+    package = Path(cost_module.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[:2] == ["repro", "bench"] for name in names):
+                offenders.append(path.relative_to(package).as_posix())
+    assert offenders == []
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 """Integration tests for the QueryEngine facade (engine.py)."""
 
+import inspect
+
 import pytest
 
 from repro.core.config import SimilarityStrategy, StoreConfig
@@ -48,6 +50,30 @@ class TestFacade:
         assert engine.naive_memo is None
         assert engine.gram_scan_memo is None
         assert engine.fetch_memo is None
+
+    def test_pool_installed_without_memos(self):
+        engine = QueryEngine.build(8, memoize=False)
+        assert engine.verifier_pool is not None
+        assert engine.verifier_stats()["shared_pool"] is True
+
+    def test_accepts_exactly_five_options(self):
+        params = list(inspect.signature(QueryEngine.__init__).parameters)
+        assert params == [
+            "self", "network", "strategy", "memoize", "parallel_fanout",
+            "edit_kernel", "verifier_pool_limit",
+        ]
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "memo_maintenance", "naive_sample_rate", "memoize_naive",
+            "memoize_gram_scans", "memoize_fetches", "share_verifiers",
+            "catalog", "latency_model",
+        ],
+    )
+    def test_removed_option_rejected(self, option):
+        with pytest.raises(TypeError):
+            QueryEngine.build(8, **{option: None})
 
     def test_context_shares_engine_wiring(self, engine):
         ctx = engine.context(strategy=SimilarityStrategy.QGRAM)
@@ -151,14 +177,18 @@ class TestMutationInvalidation:
         found = engine.similar("apple", TEXT_ATTR, 1)
         assert "x:new" in {m.oid for m in found.matches}
 
-    def test_insert_clears_memos_in_drop_mode(self):
-        engine = QueryEngine.build(
-            16, word_triples(), StoreConfig(seed=7), memo_maintenance="drop"
-        )
+    def test_clear_memos_before_insert_leaves_memos_empty(self, engine):
+        """Clearing right before a write (the mutate bench's drop arm):
+        the write finds empty memos, so it drops nothing and leaves
+        nothing."""
         engine.similar("apple", TEXT_ATTR, 1, strategy="strings")
         engine.similar("apple", TEXT_ATTR, 1)
         assert len(engine.fetch_memo) > 0
+        engine.clear_memos()
         engine.insert([Triple("x:new", TEXT_ATTR, "apricot")])
+        assert engine.last_write().invalidated == {
+            "naive": 0, "gram_scan": 0, "fetch": 0
+        }
         assert len(engine.naive_memo) == 0
         assert len(engine.gram_scan_memo) == 0
         assert len(engine.fetch_memo) == 0

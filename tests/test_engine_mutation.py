@@ -23,7 +23,6 @@ from unittest import mock
 
 import pytest
 
-from repro.core.errors import ConfigError
 from repro.core.config import StoreConfig
 from repro.engine import QueryEngine
 from repro.overlay.replication import audit_replicas
@@ -52,10 +51,6 @@ def _warm(engine) -> None:
 
 
 class TestWritePath:
-    def test_invalid_maintenance_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            QueryEngine.build(8, memo_maintenance="sometimes")
-
     def test_insert_returns_entries_and_bumps_version(self, engine):
         before = engine.store_version
         applied = engine.insert([Triple("x:new", TEXT_ATTR, "apricot")])
@@ -164,15 +159,6 @@ class TestWritePath:
         engine.similar("banana", TEXT_ATTR, 1)
         engine.similar("cherry", TEXT_ATTR, 1)
         assert engine.fetch_memo.hits > hits_before
-
-    def test_drop_mode_clears_everything(self):
-        engine = QueryEngine.build(
-            32, word_triples(), StoreConfig(seed=7), memo_maintenance="drop"
-        )
-        _warm(engine)
-        assert _memo_entries(engine) > 0
-        engine.insert([Triple("x:new", TEXT_ATTR, "apricot")])
-        assert _memo_entries(engine) == 0
 
     def test_engine_write_does_not_trip_out_of_band_check(self, engine):
         _warm(engine)

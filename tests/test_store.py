@@ -1,9 +1,9 @@
-"""Integration tests for the VerticalStore facade."""
+"""Integration tests for the QueryEngine data-management facade."""
 
 
 from repro.core.config import RankFunction, SimilarityStrategy, StoreConfig
-from repro.core.store import VerticalStore
-from repro.storage.schema import RelationSchema
+from repro.engine import QueryEngine
+from repro.storage.schema import RelationSchema, record_to_triples, rows_to_triples
 from repro.storage.triple import Triple
 
 from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS
@@ -11,28 +11,28 @@ from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS
 
 class TestBuildAndInsert:
     def test_build_empty(self):
-        store = VerticalStore.build(8)
+        store = QueryEngine.build(8)
         assert store.n_peers == 8
 
     def test_insert_then_query(self):
-        store = VerticalStore.build(16, config=StoreConfig(seed=2))
+        store = QueryEngine.build(16, config=StoreConfig(seed=2))
         store.insert([Triple("x:1", "t:name", "overlay")])
         hits = store.select("t:name", "overlay")
         assert [m.oid for m in hits] == ["x:1"]
 
     def test_insert_record(self):
-        store = VerticalStore.build(16, config=StoreConfig(seed=2))
-        store.insert_record("c:1", {"name": "bmw", "hp": 300}, namespace="car")
+        store = QueryEngine.build(16, config=StoreConfig(seed=2))
+        store.insert(record_to_triples("c:1", {"name": "bmw", "hp": 300}, "car"))
         assert store.lookup("c:1")
 
     def test_insert_rows(self):
-        store = VerticalStore.build(16, config=StoreConfig(seed=2))
+        store = QueryEngine.build(16, config=StoreConfig(seed=2))
         schema = RelationSchema("w", ("t",))
-        store.insert_rows(schema, [{"t": "alpha"}, {"t": "beta"}])
+        store.insert(rows_to_triples(schema, [{"t": "alpha"}, {"t": "beta"}]))
         assert store.select("w:t", "alpha")
 
     def test_strategy_string_accepted(self):
-        store = VerticalStore.build(8, strategy="qsample")
+        store = QueryEngine.build(8, strategy="qsample")
         assert store.ctx.strategy is SimilarityStrategy.QSAMPLE
 
 

@@ -53,7 +53,7 @@ def _need_keys(obj: dict, keys, kinds, where: str):
 # -- per-schema validators -----------------------------------------------------
 
 
-def check_fig1_v4(data: dict) -> None:
+def check_fig1_v5(data: dict) -> None:
     scale = _need(data, "scale", dict, "$")
     _need_keys(
         scale,
@@ -63,7 +63,6 @@ def check_fig1_v4(data: dict) -> None:
     )
     _need(scale, "full", bool, "scale")
     _need(scale, "adaptive", bool, "scale")
-    _need(scale, "naive_sample_rate", NUMBER, "scale")
     peer_counts = _need(scale, "peer_counts", list, "scale")
     if not all(isinstance(n, int) for n in peer_counts):
         raise SchemaProblem("scale.peer_counts: expected a list of ints")
@@ -257,7 +256,7 @@ def check_mutate_v1(data: dict) -> None:
 #: Declared schema tag -> validator.  Adding a schema version means
 #: adding exactly one entry here (and a benchmarks/README.md section).
 VALIDATORS = {
-    "repro-bench-fig1/v4": check_fig1_v4,
+    "repro-bench-fig1/v5": check_fig1_v5,
     "repro-bench-micro/v2": check_micro_v2,
     "repro-bench-micro/v3": check_micro_v3,
     "repro-bench-fault/v1": check_fault_v1,
