@@ -3,11 +3,10 @@
 These use pytest-benchmark's normal calibration — each operation is
 microseconds, and the timings bound what the simulator can sweep.
 
-The gram-lookup and verification ops come in (fast path, reference path)
-pairs: the indexed/batched implementation must beat the scan/per-
-candidate implementation it replaced.  ``python -m repro.bench --json``
-times the same pairs without pytest and records the ratios in
-``BENCH_micro.json``.
+The verification ops come in (fast path, reference path) pairs: the
+batched implementation must beat the per-candidate implementation it
+replaced, and the Myers kernel the banded-DP kernel of
+``tests/reference/kernel.py``.
 """
 
 import random
@@ -17,7 +16,7 @@ import pytest
 from repro.core.config import StoreConfig
 from repro.overlay.hashing import CompositeKeyCodec, OrderPreservingStringHash
 from repro.similarity.edit_distance import edit_distance, edit_distance_within
-from repro.similarity.kernels import MyersQuery, ReferenceKernel, resolve_kernel
+from repro.similarity.kernels import MyersKernel, MyersQuery
 from repro.similarity.verify import BatchVerifier
 from repro.storage.datastore import LocalDataStore
 from repro.storage.indexing import EntryFactory
@@ -26,6 +25,7 @@ from repro.storage.triple import Triple
 
 from benchmarks.conftest import BENCH_CONFIG
 from tests.conftest import TEXT_ATTR, build_word_network
+from tests.reference.kernel import ReferenceKernel
 
 TITLE = "portrait of a young woman in blue near the mill after the rain"
 
@@ -137,16 +137,6 @@ def test_gram_lookup_indexed(benchmark, bible_store):
     assert benchmark(indexed) > 0
 
 
-def test_gram_lookup_scan(benchmark, bible_store):
-    """The pre-index reference path (double bisect per probe)."""
-    store, probes = bible_store
-
-    def scan():
-        return sum(len(store.lookup_scan(key)) for key in probes)
-
-    assert benchmark(scan) > 0
-
-
 def test_verification_batched(benchmark, verification_pile):
     """The shared-prefix banded DP batch (pinned to the reference kernel).
 
@@ -169,7 +159,7 @@ def test_verification_batched(benchmark, verification_pile):
 def test_verification_batched_myers(benchmark, verification_pile):
     """The bit-parallel pair member (numpy prefilter when importable)."""
     query, candidates = verification_pile
-    kernel = resolve_kernel("myers")
+    kernel = MyersKernel()
 
     def batched():
         return BatchVerifier(query, 2, kernel=kernel).distances(candidates)

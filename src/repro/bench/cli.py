@@ -7,7 +7,7 @@ Usage::
     python -m repro.bench --full               # paper scale (slow, memory-heavy)
     python -m repro.bench --peers 128 1024 --words 4000 --repetitions 10
     python -m repro.bench --csv-dir results/   # also write CSV series
-    python -m repro.bench --json               # + BENCH_fig1.json / BENCH_micro.json
+    python -m repro.bench --json               # + BENCH_fig1.json
 
 Default scale keeps the run to minutes on a laptop; ``--full`` switches
 to the paper's corpus sizes (106 704 words / 66 349 titles) and peer
@@ -43,7 +43,6 @@ from repro.datasets.paintings import (
     TITLE_ATTRIBUTE,
     painting_triples,
 )
-from repro.bench.micro import run_micro
 from repro.bench.report import (
     PANELS,
     format_panel,
@@ -96,12 +95,12 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json",
         action="store_true",
-        help="write BENCH_fig1.json and BENCH_micro.json baselines",
+        help="write the BENCH_fig1.json baseline",
     )
     parser.add_argument(
         "--json-dir",
         default=".",
-        help="directory for the BENCH_*.json baselines (default: cwd)",
+        help="directory for BENCH_fig1.json (default: cwd)",
     )
     parser.add_argument(
         "--skip-shape-check",
@@ -252,12 +251,6 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(render_fig1_json(results, scale), handle, indent=2)
             handle.write("\n")
         print(f"wrote {fig1_path}", file=sys.stderr)
-        print("# micro ops ...", file=sys.stderr)
-        micro_path = os.path.join(args.json_dir, "BENCH_micro.json")
-        with open(micro_path, "w") as handle:
-            json.dump(run_micro(seed=args.seed), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {micro_path}", file=sys.stderr)
     return status
 
 

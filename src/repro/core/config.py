@@ -54,28 +54,6 @@ def env_flag(name: str, default: bool = False) -> bool:
     )
 
 
-def env_choice(name: str, choices: tuple[str, ...], default: str) -> str:
-    """Read an enumerated environment variable, strictly.
-
-    The multi-valued sibling of :func:`env_flag` (and the one sanctioned
-    way to parse one — ``REPRO_EDIT_KERNEL`` is the first client):
-    values are ``.strip().lower()``-normalized, an unset variable
-    returns ``default``, and anything outside ``choices`` raises
-    :class:`~repro.core.errors.ConfigError` instead of silently falling
-    back — a typo in a kernel name must not quietly select another
-    kernel.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    normalized = raw.strip().lower()
-    if normalized in choices:
-        return normalized
-    raise ConfigError(
-        f"environment variable {name}={raw!r} is not one of "
-        f"{'/'.join(choices)}"
-    )
-
 #: Default total key width in bits.  32 bits gives 4 × 10⁹ distinct slots,
 #: ample for 10⁵ peers and 10⁶ data entries.
 DEFAULT_KEY_BITS = 32

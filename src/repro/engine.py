@@ -134,13 +134,13 @@ class QueryEngine:
         memo-free reference engine; measured series are identical).
     edit_kernel:
         Edit-distance kernel for the final verification step — an
-        :class:`~repro.similarity.kernels.EditKernel` instance, a name
-        (``"auto"``/``"reference"``/``"myers"``), or ``None`` for the
-        process default (the strictly-parsed ``REPRO_EDIT_KERNEL``
-        environment variable, falling back to ``auto`` = Myers
-        bit-parallel with the numpy prefilter when importable).
-        Kernels change wall-clock only; every match set and measured
-        message/byte series is kernel-independent.
+        :class:`~repro.similarity.kernels.EditKernel` instance, or
+        ``None`` for the shipped default (Myers bit-parallel, with the
+        numpy prefilter when importable).  Tests pin the banded-DP
+        kernel of ``tests/reference/kernel.py`` through it; anything
+        else raises :class:`TypeError`.  Kernels change wall-clock only;
+        every match set and measured message/byte series is
+        kernel-independent.
     verifier_pool_limit:
         Bound on live verifiers in the shared
         :class:`~repro.similarity.verify.VerifierPool` (LRU eviction
@@ -171,7 +171,7 @@ class QueryEngine:
         strategy: SimilarityStrategy | str | None = None,
         memoize: bool = True,
         parallel_fanout: int | None = None,
-        edit_kernel: EditKernel | str | None = None,
+        edit_kernel: EditKernel | None = None,
         verifier_pool_limit: int | None = None,
     ):
         self.network = network

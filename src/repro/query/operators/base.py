@@ -98,10 +98,10 @@ class OperatorContext:
     #: Verification is deterministic, so sharing never changes results.
     verifier_pool: VerifierPool | None = None
     #: Edit-distance kernel for verifiers built *without* a pool (a pool
-    #: carries its own kernel).  ``None`` resolves the process default
-    #: (``REPRO_EDIT_KERNEL``); kernels change wall-clock only, never
-    #: match sets, so this never affects results.
-    edit_kernel: "EditKernel | str | None" = None
+    #: carries its own kernel).  ``None`` resolves the default Myers
+    #: kernel; kernels change wall-clock only, never match sets, so this
+    #: never affects results.
+    edit_kernel: "EditKernel | None" = None
     #: Whole-workload memo for gram-peer candidate scans (see
     #: :class:`repro.query.operators.similar.GramScanMemo`).  ``None``
     #: disables it; kept true under writes by the owning engine.

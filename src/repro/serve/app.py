@@ -4,8 +4,8 @@
 a route table mapping ``(method, path)`` to async handlers that parse
 JSON requests, run the engine, and render JSON responses — with no
 socket code anywhere.  The asyncio HTTP server (:mod:`repro.serve.http`)
-feeds it parsed :class:`Request` objects; the load harness and the test
-suite call :meth:`QueryService.handle` directly, so "in-process" and
+feeds it parsed :class:`Request` objects; the test suite also calls
+:meth:`QueryService.handle` directly, so "in-process" and
 "over HTTP" exercise the exact same application path.
 
 Endpoints

@@ -1,6 +1,7 @@
 """Minimal asyncio HTTP/1.1 client for driving the service over sockets.
 
-The load harness's ``--http`` transport and the socket-level tests need
+The benchmark's load generator (``perf/serve_http.py``) and the
+socket-level tests need
 a client; the container has no third-party HTTP library, so this module
 implements the narrow slice the service speaks: JSON POST/GET with
 ``Content-Length`` responses and chunked NDJSON streams.  One

@@ -1,63 +1,45 @@
-"""Edit-distance verification kernels — fast paths under one contract.
+"""Edit-distance verification kernel — the fast path under one contract.
 
-Every kernel answers the same question as
+A kernel answers the same question as
 :func:`repro.similarity.edit_distance.edit_distance_within`: the exact
 edit distance between the query and a candidate when it is ``<= d``, the
 saturating sentinel ``d + 1`` otherwise.  Kernels change *wall-clock
 only* — match sets, memo contents and every measured message/byte series
-stay bit-identical whichever kernel runs (the property suite checks
-exactly that differential).
+stay bit-identical whichever kernel runs (the property suite and
+``tests/test_kernel_parity.py`` check exactly that differential against
+the banded-DP twin in ``tests/reference/kernel.py``).
 
-Two kernels ship:
+One kernel ships, :class:`MyersKernel` — Myers' bit-parallel algorithm
+(JACM 1999).  The query is compiled once into per-character bitmasks
+(:class:`MyersQuery`); each candidate is then verified in
+``O(len(candidate))`` word operations instead of ``O(d * len)`` DP
+cells.  Queries up to 64 characters use a single int-as-bitvector
+block; longer queries use the multi-block variant with carry
+propagation between words.  Optionally, a numpy-vectorized bag filter
+prunes whole candidate batches before any bit-parallel work: strings
+within edit distance ``d`` share at least ``max(|a|, |b|) - d``
+characters with the query *counted as multisets* (the bag distance,
+Bartolini, Ciaccia and Patella, SPIRE 2002), so candidates below that
+bound are rejected with zero per-candidate python work.  For a column
+encoded once (:class:`EncodedColumn`) the same scan also runs *across*
+candidates: one ``uint64`` lane per string, one step per character
+position.
 
-* :class:`ReferenceKernel` — the pure-python banded DP.  Single probes
-  go through ``edit_distance_within``; batches through
-  :meth:`BatchVerifier._verify_sorted`'s shared-prefix path.  Always
-  available, property-tested, the ground truth the fast path is paired
-  against.
-* :class:`MyersKernel` — Myers' bit-parallel algorithm (JACM 1999).
-  The query is compiled once into per-character bitmasks
-  (:class:`MyersQuery`); each candidate is then verified in
-  ``O(len(candidate))`` word operations instead of ``O(d * len)`` DP
-  cells.  Queries up to 64 characters use a single int-as-bitvector
-  block; longer queries use the multi-block variant with carry
-  propagation between words.  Optionally, a numpy-vectorized bag
-  filter prunes whole candidate batches before any bit-parallel work:
-  strings within edit distance ``d`` share at least
-  ``max(|a|, |b|) - d`` characters with the query *counted as
-  multisets* (the bag distance, Bartolini, Ciaccia and Patella, SPIRE
-  2002), so candidates below that bound are rejected with zero
-  per-candidate python work.  For a column encoded once
-  (:class:`EncodedColumn`) the same scan also runs *across* candidates:
-  one ``uint64`` lane per string, one step per character position.
-
-Selection is a runtime decision: ``QueryEngine(edit_kernel=...)`` takes
-a kernel instance or name, and the ``REPRO_EDIT_KERNEL`` environment
-variable (``auto`` / ``reference`` / ``myers``, parsed strictly via
-:func:`repro.core.config.env_choice`) sets the process default.
-``auto`` — the default — resolves to Myers with the numpy prefilter
-when numpy is importable and plain Myers otherwise; the kernel layer
-must degrade gracefully without numpy, which is a dev-only dependency.
+The default, :func:`resolve_kernel` of ``None``, is Myers with the numpy
+prefilter when numpy is importable and plain Myers otherwise; the kernel
+layer must degrade gracefully without numpy, which is a dev-only
+dependency.  ``QueryEngine(edit_kernel=...)`` takes another
+:class:`EditKernel` instance, the seam tests pin a kernel through.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from repro.core.config import env_choice
-from repro.core.errors import ConfigError
-from repro.similarity.edit_distance import edit_distance_within
-
 try:  # numpy is optional (requirements-dev only) — prefilter gates on it
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
-
-#: Environment variable naming the process-default kernel.
-KERNEL_ENV = "REPRO_EDIT_KERNEL"
-
-#: Accepted spellings for ``REPRO_EDIT_KERNEL`` / ``edit_kernel=`` names.
-KERNEL_CHOICES = ("auto", "reference", "myers")
 
 #: Machine word width used by the bit-parallel kernel.
 WORD_BITS = 64
@@ -409,7 +391,7 @@ class EditKernel:
     """
 
     #: Identity reported in diagnostics (``CostReport.verifier``,
-    #: ``/stats``, ``BENCH_micro.json``).
+    #: ``/stats``).
     name = "abstract"
 
     def bind(self, query: str, d: int) -> "BoundKernel":
@@ -441,31 +423,6 @@ class BoundKernel:
         the strings within d, lanes scanned)``, or ``None`` when this
         kernel has no batch form for it."""
         return None
-
-
-class _BoundReference(BoundKernel):
-    __slots__ = ("query",)
-
-    def __init__(self, query: str, d: int):
-        super().__init__(d)
-        self.query = query
-
-    def distance(self, candidate: str) -> int:
-        return edit_distance_within(self.query, candidate, self.d)
-
-
-class ReferenceKernel(EditKernel):
-    """The pure-python banded DP — always available, property-tested.
-
-    Batches keep the historical behaviour: every batch runs the sorted
-    shared-prefix dead-band path, so a reference-kernel verifier is
-    bit-for-bit the pre-kernel :class:`BatchVerifier`.
-    """
-
-    name = "reference"
-
-    def bind(self, query: str, d: int) -> BoundKernel:
-        return _BoundReference(query, d)
 
 
 class _BoundMyers(BoundKernel):
@@ -525,25 +482,13 @@ class MyersKernel(EditKernel):
         return _BoundMyers(query, d, self.prefilter)
 
 
-def resolve_kernel(spec: "EditKernel | str | None" = None) -> EditKernel:
-    """Resolve a kernel instance, name, or the process default.
+def resolve_kernel(spec: EditKernel | None = None) -> EditKernel:
+    """``spec`` itself, or the default :class:`MyersKernel` for ``None``.
 
-    ``None`` consults ``REPRO_EDIT_KERNEL`` (strictly parsed — a value
-    outside :data:`KERNEL_CHOICES` raises
-    :class:`~repro.core.errors.ConfigError` instead of guessing), then
-    maps ``auto`` to Myers-with-prefilter when numpy is importable and
-    plain Myers otherwise.
+    Anything else — a kernel *name* included — raises :class:`TypeError`.
     """
     if isinstance(spec, EditKernel):
         return spec
     if spec is None:
-        name = env_choice(KERNEL_ENV, KERNEL_CHOICES, "auto")
-    else:
-        name = spec.strip().lower()
-    if name == "reference":
-        return ReferenceKernel()
-    if name in ("auto", "myers"):
         return MyersKernel()
-    raise ConfigError(
-        f"unknown edit kernel {spec!r} (choices: {'/'.join(KERNEL_CHOICES)})"
-    )
+    raise TypeError(f"edit kernel must be an EditKernel or None, not {spec!r}")

@@ -19,15 +19,15 @@ three kinds of work that this module recovers:
   (with an inline guard when the prefilter is off), and the shared path
   screens candidates before sorting.
 
-The per-candidate distance work itself routes through a pluggable
-:class:`~repro.similarity.kernels.EditKernel` — by default Myers'
-bit-parallel scan with a numpy bag prefilter when numpy is importable
-(:func:`~repro.similarity.kernels.resolve_kernel`), with the banded DP
-retained as the always-available reference.  Kernels change wall-clock
-only: the verifier is provably equivalent to calling
+The per-candidate distance work itself routes through an
+:class:`~repro.similarity.kernels.EditKernel` — Myers' bit-parallel
+scan with a numpy bag prefilter when numpy is importable
+(:func:`~repro.similarity.kernels.resolve_kernel`).  Kernels change
+wall-clock only: the verifier is provably equivalent to calling
 :func:`repro.similarity.edit_distance.edit_distance_within` per
-candidate — the property suite checks exactly that, per kernel — so
-operators can swap kernels without changing any match set.
+candidate — the property suite checks exactly that, against the
+banded-DP kernel in ``tests/reference/kernel.py`` — so no kernel
+changes any match set.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class BatchVerifier:
     probes; both return the exact edit distance when it is ``<= d`` and
     the saturating sentinel ``d + 1`` otherwise, and both share one memo
     across the verifier's lifetime.  ``kernel`` selects the distance
-    implementation (default: :func:`resolve_kernel`'s process default);
+    implementation (default: :func:`resolve_kernel`'s Myers kernel);
     batches run either the kernel's flat per-candidate path or the
     sorted shared-prefix DP below, whichever the kernel prefers for the
     batch's size — the choice is recorded on ``counters``.  A column
@@ -99,7 +99,7 @@ class BatchVerifier:
         self,
         query: str,
         d: int,
-        kernel: EditKernel | str | None = None,
+        kernel: EditKernel | None = None,
         counters: KernelCounters | None = None,
     ):
         self.query = query
@@ -371,7 +371,7 @@ class VerifierPool:
 
     def __init__(
         self,
-        kernel: EditKernel | str | None = None,
+        kernel: EditKernel | None = None,
         max_verifiers: int = DEFAULT_POOL_LIMIT,
     ) -> None:
         if max_verifiers < 1:

@@ -36,9 +36,9 @@ load — which reorders the whole store anyway — drops the postings map,
 the kind views and the oid column to be rebuilt by the next call that
 wants them.  A store nothing is ever removed from never holds a column.
 
-The sorted lists stay the single source of truth; :meth:`lookup_scan`
-keeps the index-free bisect path alive as the equivalence reference for
-tests and micro-benchmarks.
+The sorted lists stay the single source of truth.  The equivalence
+reference every read is property-tested against is the
+nothing-kept-between-calls store in ``tests/reference/datastore.py``.
 """
 
 from __future__ import annotations
@@ -284,18 +284,6 @@ class LocalDataStore:
             self._build_postings()
         return list(self._postings.get(key, ()))
 
-    def lookup_scan(self, key: str) -> list[IndexEntry]:
-        """Index-free :meth:`lookup` via double bisect on the sorted lists.
-
-        The pre-secondary-index implementation, kept as the reference the
-        postings map is property-tested against (and as the baseline of
-        the gram-lookup micro-benchmark).
-        """
-        self._ensure_sorted()
-        lo = bisect.bisect_left(self._keys, key)
-        hi = bisect.bisect_right(self._keys, key)
-        return self._entries[lo:hi]
-
     def prefix_scan(self, prefix: str) -> list[IndexEntry]:
         """All entries whose key starts with ``prefix``.
 
@@ -361,11 +349,6 @@ class LocalDataStore:
         else:
             hi = len(view_keys)
         return view_entries[lo:hi]
-
-    def entries_of_kind_scan(self, kind: EntryKind) -> Iterator[IndexEntry]:
-        """Index-free :meth:`entries_of_kind` (full filtered scan)."""
-        self._ensure_sorted()
-        return (entry for entry in self._entries if entry.kind == kind)
 
     def key_bounds(self) -> tuple[str, str] | None:
         """Smallest and largest stored key, or None when empty."""

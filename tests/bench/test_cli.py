@@ -50,20 +50,9 @@ class TestCli:
         header = csv_path.read_text().splitlines()[0]
         assert header == "dataset,peers,strategy,messages,megabytes"
 
-    def test_json_baselines(self, tmp_path, capsys, monkeypatch):
+    def test_json_baselines(self, tmp_path, capsys):
         import json
 
-        # Keep the micro suite fast inside the test run.
-        import repro.bench.micro as micro
-
-        monkeypatch.setattr(micro, "MICRO_WORDS", 120)
-        monkeypatch.setattr(micro, "COST_MODEL_WORDS", 80)
-        monkeypatch.setattr(micro, "COST_MODEL_PEERS", 16)
-        monkeypatch.setattr(micro, "COST_MODEL_QUERIES_PER_D", 1)
-        monkeypatch.setattr(
-            micro, "_time_op", lambda op, **kw: (op() or True)
-            and {"seconds_per_call": 0.0, "best_seconds_per_call": 1e-9, "calls": 1},
-        )
         status = main(
             [
                 "--figure", "fig1a",
@@ -93,20 +82,7 @@ class TestCli:
         assert all("messages" in s for s in cells[0]["strategies"].values())
         assert cells[0]["adaptive_stats_messages"] > 0
         assert sum(cells[0]["adaptive_choices"].values()) > 0
-        micro_doc = json.loads((tmp_path / "BENCH_micro.json").read_text())
-        assert micro_doc["schema"] == "repro-bench-micro/v3"
-        assert "gram_lookup_indexed" in micro_doc["ops"]
-        assert "verify_batched_myers" in micro_doc["ops"]
-        assert "verify_batched_vs_single" in micro_doc["speedups"]
-        assert "verify_myers_vs_batched" in micro_doc["speedups"]
-        assert micro_doc["kernels"]["batched_pair"]["verify_batched"] == (
-            "reference"
-        )
-        accuracy = micro_doc["cost_model"]
-        assert set(accuracy["per_strategy"]) == {
-            "qsamples", "qgrams", "strings",
-        }
-        assert 0.0 <= accuracy["chosen_within_2x_of_best"] <= 1.0
+        assert [path.name for path in tmp_path.iterdir()] == ["BENCH_fig1.json"]
 
     def test_skip_shape_check_masks_findings(self, capsys):
         # Tiny runs often violate the qualitative shapes; the flag must

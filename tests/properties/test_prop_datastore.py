@@ -36,14 +36,23 @@ def entry_for(key: str, serial: int) -> IndexEntry:
 @st.composite
 def stores(draw):
     """A store plus its reference model."""
+    return draw(store_twins())[::2]
+
+
+@st.composite
+def store_twins(draw):
+    """``(store, twin, entries)``: one drawn load — a bulk part, then
+    single adds — applied to a store and to its
+    ``tests/reference/datastore.py`` twin."""
     key_list = draw(st.lists(keys, max_size=40))
     entries = [entry_for(key, i) for i, key in enumerate(key_list)]
-    store = LocalDataStore()
+    store, twin = LocalDataStore(), ReferenceStore()
     bulk_split = draw(st.integers(min_value=0, max_value=len(entries)))
-    store.add_bulk(entries[:bulk_split])
-    for entry in entries[bulk_split:]:
-        store.add(entry)
-    return store, entries
+    for s in (store, twin):
+        s.add_bulk(entries[:bulk_split])
+        for entry in entries[bulk_split:]:
+            s.add(entry)
+    return store, twin, entries
 
 
 class TestModelEquivalence:
@@ -110,39 +119,38 @@ class TestModelEquivalence:
 
 
 class TestSecondaryIndexEquivalence:
-    """The lazy secondary indexes vs. the index-free scan paths.
+    """The lazy secondary indexes vs. ``tests/reference/datastore.py``.
 
-    ``stores()`` already interleaves bulk loads (deferred sort, dirty
-    flag) with incremental inserts, so these properties cover the
-    dirty-flag/bulk-load interaction the indexes must survive.
+    ``store_twins()`` interleaves bulk loads (deferred sort, dirty flag)
+    with incremental inserts, so these properties cover the
+    dirty-flag/bulk-load interaction the indexes must survive.  The twin
+    keeps equal keys in arrival order on its own, so a sort that
+    misorders them is caught even though the indexes built from it
+    agree with it.
     """
 
     @settings(max_examples=100)
-    @given(stores(), keys)
-    def test_indexed_lookup_matches_scan(self, pair, probe):
-        store, entries = pair
-        assert store.lookup(probe) == store.lookup_scan(probe)
+    @given(store_twins(), keys)
+    def test_indexed_lookup_matches_reference(self, twins, probe):
+        store, twin, entries = twins
+        assert store.lookup(probe) == twin.lookup(probe)
         if entries:
-            assert store.lookup(entries[0].key) == store.lookup_scan(
-                entries[0].key
+            assert store.lookup(entries[0].key) == twin.lookup(entries[0].key)
+
+    @settings(max_examples=100)
+    @given(store_twins())
+    def test_kind_view_matches_reference(self, twins):
+        store, twin, __ = twins
+        for kind in (EntryKind.ATTR_VALUE, EntryKind.OID):
+            assert list(store.entries_of_kind(kind)) == list(
+                twin.entries_of_kind(kind)
             )
 
     @settings(max_examples=100)
-    @given(stores())
-    def test_kind_view_matches_scan(self, pair):
-        store, __ = pair
-        assert list(store.entries_of_kind(EntryKind.ATTR_VALUE)) == list(
-            store.entries_of_kind_scan(EntryKind.ATTR_VALUE)
-        )
-        assert list(store.entries_of_kind(EntryKind.OID)) == list(
-            store.entries_of_kind_scan(EntryKind.OID)
-        )
-
-    @settings(max_examples=100)
-    @given(stores(), st.lists(keys, max_size=5))
-    def test_indexes_survive_mutation_cycles(self, pair, extra_keys):
-        """Warm indexes, mutate every way, and re-check against scans."""
-        store, entries = pair
+    @given(store_twins(), st.lists(keys, max_size=5))
+    def test_indexes_survive_mutation_cycles(self, twins, extra_keys):
+        """Warm indexes, mutate every way, and re-check against the twin."""
+        store, twin, entries = twins
         if entries:
             store.lookup(entries[0].key)  # build postings
             list(store.entries_of_kind(EntryKind.ATTR_VALUE))
@@ -152,18 +160,19 @@ class TestSecondaryIndexEquivalence:
         for i, key in enumerate(extra_keys):
             entry = entry_for(key, serial + i)
             added.append(entry)
+            twin.add(entry)
             if i % 2:
                 store.add(entry)  # incremental: indexes updated in place
             else:
                 store.add_bulk([entry])  # bulk: dirty flag + invalidation
         for entry in added:
             assert entry in store.lookup(entry.key)
-            assert store.lookup(entry.key) == store.lookup_scan(entry.key)
+            assert store.lookup(entry.key) == twin.lookup(entry.key)
         if entries:
             victim = entries[0]
-            assert store.remove(victim)
+            assert store.remove(victim) and twin.remove(victim)
             assert victim not in store.lookup(victim.key)
-            assert store.lookup(victim.key) == store.lookup_scan(victim.key)
+            assert store.lookup(victim.key) == twin.lookup(victim.key)
         assert store.payload_bytes() == sum(
             e.payload_size() for e in store
         )

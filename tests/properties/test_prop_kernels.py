@@ -29,12 +29,12 @@ from repro.similarity.kernels import (
     EncodedColumn,
     MyersKernel,
     MyersQuery,
-    ReferenceKernel,
     myers_within,
     numpy_available,
 )
 from repro.similarity.verify import BatchVerifier
 from tests.reference import bag_filter
+from tests.reference.kernel import ReferenceKernel
 
 DEEP = settings.get_profile("deep")
 

@@ -19,13 +19,14 @@ from repro.query.operators.naive import (
     _region_column,
     naive_similar,
 )
-from repro.similarity.kernels import numpy_available
+from repro.similarity.kernels import MyersKernel, numpy_available
 from repro.similarity.verify import BatchVerifier
 from repro.storage.triple import Triple
 from repro.bench.experiment import ALL_STRATEGIES, build_network
 from repro.bench.workload import make_workload, run_workload
 
 from tests.conftest import TEXT_ATTR, build_word_network, word_triples
+from tests.reference.kernel import ReferenceKernel
 
 #: Every word is stored once under ``TEXT_ATTR``: the region's compared rows.
 TEXT_ROWS = [t for t in word_triples() if t.attribute == TEXT_ATTR]
@@ -253,7 +254,11 @@ class TestRegionColumn:
             contacted, retained, 1, BatchVerifier("apple", 1)
         )
 
-    @pytest.mark.parametrize("kernel", ["reference", "myers", None])
+    @pytest.mark.parametrize(
+        "kernel",
+        [ReferenceKernel(), MyersKernel(), None],
+        ids=["reference", "myers", "None"],
+    )
     def test_region_pass_stays_out_of_the_verifier_memo(self, kernel):
         """A region pass used to park one distance per compared string in
         the pooled ``(s, band)`` verifier; the pool is bounded by verifier
@@ -269,7 +274,9 @@ class TestRegionColumn:
         bare.similar("apple", TEXT_ATTR, 2)
         assert bare.verifier_stats()["memo_entries"] == 0
 
-    @pytest.mark.parametrize("kernel", ["reference", "myers"])
+    @pytest.mark.parametrize(
+        "kernel", [ReferenceKernel(), MyersKernel()], ids=["reference", "myers"]
+    )
     def test_forced_kernels_agree_on_the_naive_arm(self, kernel):
         def series(edit_kernel):
             engine, __, ___ = self.build(edit_kernel=edit_kernel)

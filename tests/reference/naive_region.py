@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.query.operators.naive import RegionComparison
 from repro.similarity.verify import BatchVerifier
 from repro.storage.indexing import EntryKind
+from tests.reference.kernel import ReferenceKernel
 
 
 def comparable_string(entry, attribute: str, schema_level: bool) -> str | None:
@@ -64,7 +65,7 @@ def compare_region_per_entry(
         local_comparisons += len(compared)
         max_peer_comparisons = max(max_peer_comparisons, len(compared))
         compared_by_partition.append((partition_index, compared))
-    distances = BatchVerifier(s, band, kernel="reference").distances(
+    distances = BatchVerifier(s, band, kernel=ReferenceKernel()).distances(
         candidate
         for __, compared in compared_by_partition
         for __oid, candidate in compared

@@ -15,6 +15,8 @@ from serve_utils import ATTRIBUTE, WORDS, make_triples, post, run
 
 from repro import QueryEngine, StoreConfig
 from repro.serve.app import Request, QueryService
+from repro.similarity.kernels import MyersKernel
+from tests.reference.kernel import ReferenceKernel
 
 
 def make_service(built, **engine_options) -> QueryService:
@@ -89,8 +91,8 @@ class TestPoolBounds:
         assert cost["verifier"]["computed"] >= 0
 
     def test_forced_kernels_serve_identical_matches(self):
-        reference = make_service(self.built, edit_kernel="reference")
-        myers = make_service(self.built, edit_kernel="myers")
+        reference = make_service(self.built, edit_kernel=ReferenceKernel())
+        myers = make_service(self.built, edit_kernel=MyersKernel())
         for word in ("adaptor", "overlaps", "strategem"):
             a = similar_query(reference, word, d=2)
             b = similar_query(myers, word, d=2)

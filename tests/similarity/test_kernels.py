@@ -2,19 +2,18 @@
 
 import pytest
 
-from repro.core.errors import ConfigError
+from repro.engine import QueryEngine
 from repro.similarity import kernels
 from repro.similarity.edit_distance import edit_distance, edit_distance_within
 from repro.similarity.kernels import (
-    KERNEL_ENV,
     MyersKernel,
     MyersQuery,
-    ReferenceKernel,
     myers_within,
     numpy_available,
     resolve_kernel,
 )
 from repro.similarity.verify import BatchVerifier, VerifierPool
+from tests.reference.kernel import ReferenceKernel
 
 
 def pairs_straddling_word_boundary():
@@ -87,28 +86,21 @@ class TestResolveKernel:
         kernel = ReferenceKernel()
         assert resolve_kernel(kernel) is kernel
 
-    def test_names(self):
-        assert resolve_kernel("reference").name == "reference"
-        assert isinstance(resolve_kernel("myers"), MyersKernel)
-        assert isinstance(resolve_kernel("auto"), MyersKernel)
-        assert resolve_kernel(" MYERS ").name in ("myers", "myers+prefilter")
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ConfigError):
-            resolve_kernel("fastest")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
+    def test_default_is_myers(self):
         assert isinstance(resolve_kernel(None), MyersKernel)
-        monkeypatch.setenv(KERNEL_ENV, "reference")
-        assert resolve_kernel(None).name == "reference"
-        monkeypatch.setenv(KERNEL_ENV, " Myers ")
-        assert isinstance(resolve_kernel(None), MyersKernel)
+        assert isinstance(resolve_kernel(), MyersKernel)
 
-    def test_env_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "quantum")
-        with pytest.raises(ConfigError):
-            resolve_kernel(None)
+    @pytest.mark.parametrize("spec", ["reference", "myers", "auto", 0])
+    def test_anything_else_raises(self, spec):
+        with pytest.raises(TypeError):
+            resolve_kernel(spec)
+
+    def test_engine_takes_instances_only(self, word_network):
+        with pytest.raises(TypeError):
+            QueryEngine(word_network, edit_kernel="reference")
+        kernel = ReferenceKernel()
+        engine = QueryEngine(word_network, edit_kernel=kernel)
+        assert engine.edit_kernel is engine.verifier_pool.kernel is kernel
 
     def test_prefilter_gates_on_numpy(self):
         assert MyersKernel(prefilter=True).prefilter == numpy_available()

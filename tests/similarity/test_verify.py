@@ -157,7 +157,7 @@ class TestVerifierPool:
             VerifierPool(max_verifiers=0)
 
     def test_pool_kernel_is_shared_by_verifiers(self):
-        from repro.similarity.kernels import ReferenceKernel
+        from tests.reference.kernel import ReferenceKernel
 
         kernel = ReferenceKernel()
         pool = VerifierPool(kernel=kernel)

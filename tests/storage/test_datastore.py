@@ -20,10 +20,24 @@ def entries_for_words(words):
 
 
 @pytest.fixture()
-def store():
+def loaded():
+    return entries_for_words(["alpha", "beta", "gamma", "delta"])
+
+
+@pytest.fixture()
+def store(loaded):
     s = LocalDataStore()
-    s.add_bulk(entries_for_words(["alpha", "beta", "gamma", "delta"]))
+    s.add_bulk(loaded)
     return s
+
+
+@pytest.fixture()
+def twin(loaded):
+    """The same load in ``tests/reference/datastore.py``; a test mirrors
+    its writes on both."""
+    t = ReferenceStore()
+    t.add_bulk(loaded)
+    return t
 
 
 class TestBasics:
@@ -71,16 +85,16 @@ class TestRemoveInLongRuns:
 
     def test_removes_exactly_the_given_entry(self):
         entries = self.run_entries()
-        store = LocalDataStore()
+        store, twin = LocalDataStore(), ReferenceStore()
         store.add_bulk(entries)
+        twin.add_bulk(entries)
         key = max({e.key for e in entries}, key=lambda k: len(store.lookup(k)))
         run = store.lookup(key)  # warms the postings map
         assert len(run) >= 4
         victim = run[len(run) // 2]
-        assert store.remove(victim)
+        assert store.remove(victim) and twin.remove(victim)
         expected = [e for e in run if e is not victim]
-        assert store.lookup(key) == expected
-        assert store.lookup_scan(key) == expected
+        assert store.lookup(key) == expected == twin.lookup(key)
         assert not store.remove(victim)
 
     def test_duplicate_entries_go_one_at_a_time(self):
@@ -106,16 +120,17 @@ class TestRemoveBulk:
 
     def test_equals_remove_in_turn(self):
         entries = TestRemoveInLongRuns.run_entries()
-        one, other = LocalDataStore(), LocalDataStore()
-        for s in (one, other):
+        one, other, twin = LocalDataStore(), LocalDataStore(), ReferenceStore()
+        for s in (one, other, twin):
             s.add_bulk(entries + entries[:2])
             s.lookup(entries[0].key)
             list(s.entries_of_kind(EntryKind.INSTANCE_GRAM))
         batch = entries[::2] + entries[:2] + entries[:2]
-        assert one.remove_bulk(iter(batch)) == [other.remove(e) for e in batch]
-        assert list(one) == list(other)
+        flags = one.remove_bulk(iter(batch))
+        assert flags == [other.remove(e) for e in batch] == twin.remove_bulk(batch)
+        assert list(one) == list(other) == list(twin)
         for key in {e.key for e in entries}:
-            assert one.lookup(key) == other.lookup(key) == one.lookup_scan(key)
+            assert one.lookup(key) == other.lookup(key) == twin.lookup(key)
 
     def test_one_version_step_per_call_that_removed(self, store):
         entries = list(store)
@@ -164,7 +179,6 @@ class TestRemoveEqualsReference:
 
         same(store, twin)
         same(store.lookup(RUN_KEY), twin.lookup(RUN_KEY))
-        same(store.lookup_scan(RUN_KEY), twin.lookup(RUN_KEY))
         for kind in EntryKind:
             same(store.entries_of_kind(kind), twin.entries_of_kind(kind))
         assert store.payload_bytes() == twin.payload_bytes()
@@ -275,43 +289,49 @@ class TestReads:
 
 
 class TestSecondaryIndexes:
-    def test_lookup_equals_scan(self, store):
-        for entry in store:
-            assert store.lookup(entry.key) == store.lookup_scan(entry.key)
+    """Postings map and kind views against ``tests/reference/datastore.py``,
+    fed the same writes: the reference keeps equal keys in arrival order,
+    so an index that agrees with a misordered sorted list still fails."""
 
-    def test_postings_track_incremental_add(self, store):
+    def test_lookup_equals_reference(self, store, twin):
+        for entry in store:
+            assert store.lookup(entry.key) == twin.lookup(entry.key)
+
+    def test_postings_track_incremental_add(self, store, twin):
         entry = next(iter(store))
         store.lookup(entry.key)  # warm the postings map
         extra = entries_for_words(["omega"])
         for e in extra:
             store.add(e)
+            twin.add(e)
         for e in extra:
             assert e in store.lookup(e.key)
-            assert store.lookup(e.key) == store.lookup_scan(e.key)
+            assert store.lookup(e.key) == twin.lookup(e.key)
 
     @pytest.mark.parametrize("count", [2, None])
-    def test_postings_follow_bulk_add(self, store, count):
+    def test_postings_follow_bulk_add(self, store, twin, count):
         """A batch small or large against the store: lookups stay exact."""
         for entry in list(store):
             store.lookup(entry.key)  # warm
         extra = entries_for_words(["sigma", "tau"])[:count]
         store.add_bulk(extra)
+        twin.add_bulk(extra)
         for key in {e.key for e in store}:
-            assert store.lookup(key) == store.lookup_scan(key)
+            assert store.lookup(key) == twin.lookup(key)
         for e in extra:
             assert e in store.lookup(e.key)
 
-    def test_postings_track_remove(self, store):
+    def test_postings_track_remove(self, store, twin):
         entry = next(iter(store))
         store.lookup(entry.key)  # warm
-        assert store.remove(entry)
+        assert store.remove(entry) and twin.remove(entry)
         assert entry not in store.lookup(entry.key)
-        assert store.lookup(entry.key) == store.lookup_scan(entry.key)
+        assert store.lookup(entry.key) == twin.lookup(entry.key)
 
-    def test_kind_view_equals_scan(self, store):
+    def test_kind_view_equals_reference(self, store, twin):
         for kind in EntryKind:
             assert list(store.entries_of_kind(kind)) == list(
-                store.entries_of_kind_scan(kind)
+                twin.entries_of_kind(kind)
             )
 
     def test_kind_prefix_scan_equals_filtered_prefix_scan(self, store):
@@ -327,20 +347,23 @@ class TestSecondaryIndexes:
     def test_kind_prefix_scan_absent_kind(self):
         assert LocalDataStore().entries_of_kind_prefix(EntryKind.OID, "") == []
 
-    def test_kind_views_follow_every_mutation(self, store):
+    def test_kind_views_follow_every_mutation(self, store, twin):
         def check():
             for kind in EntryKind:
                 assert list(store.entries_of_kind(kind)) == list(
-                    store.entries_of_kind_scan(kind)
+                    twin.entries_of_kind(kind)
                 )
 
         check()  # warm
         extra = entries_for_words(["extra"])
         store.add(extra[0])
+        twin.add(extra[0])
         check()
         store.add_bulk(extra[1:])
+        twin.add_bulk(extra[1:])
         check()
-        assert store.remove_bulk(extra) == [True] * len(extra)
+        flags = store.remove_bulk(extra)
+        assert flags == twin.remove_bulk(extra) == [True] * len(extra)
         check()
 
     def test_total_payload_bytes_alias(self, store):

@@ -33,9 +33,15 @@ def test_fig1_baseline_is_v5_without_sampling_fields():
             assert "naive_sampled" not in cell
 
 
-def test_fig1_v4_tag_is_unknown(tool, tmp_path):
+@pytest.mark.parametrize(
+    "schema",
+    ["repro-bench-fig1/v4", "repro-bench-micro/v3", "repro-bench-serve/v1"],
+)
+def test_fig1_v4_tag_is_unknown(tool, tmp_path, schema):
+    """Retired schemas: fig1 v4, and the micro and serve baselines whose
+    drivers were deleted."""
     fig1 = json.loads(FIG1.read_text())
-    fig1["schema"] = "repro-bench-fig1/v4"
+    fig1["schema"] = schema
     path = tmp_path / "BENCH_fig1.json"
     path.write_text(json.dumps(fig1))
     problems = tool.check_file(path)

@@ -11,7 +11,7 @@ measurements stays green, dropping or renaming a schema field does not.
 Usage::
 
     python tools/check_bench_schema.py              # benchmarks/BENCH_*.json
-    python tools/check_bench_schema.py out/BENCH_serve.json [...]
+    python tools/check_bench_schema.py out/BENCH_mutate.json [...]
 
 Exit status 0 when every file validates, 1 otherwise (each problem is
 reported on stderr as ``file: message``).
@@ -91,52 +91,6 @@ def check_fig1_v5(data: dict) -> None:
                 _need(series, "megabytes", NUMBER, series_where)
 
 
-def check_micro_v2(data: dict) -> None:
-    _need_keys(
-        _need(data, "params", dict, "$"),
-        ("seed", "words", "entries", "probe_keys", "candidates", "distance"),
-        int,
-        "params",
-    )
-    ops = _need(data, "ops", dict, "$")
-    if not ops:
-        raise SchemaProblem("ops: empty")
-    for name, op in ops.items():
-        where = f"ops.{name}"
-        _need_keys(
-            op, ("seconds_per_call", "best_seconds_per_call"), NUMBER, where
-        )
-        _need(op, "calls", int, where)
-    cost_model = _need(data, "cost_model", dict, "$")
-    _need(cost_model, "per_strategy", dict, "cost_model")
-    _need(cost_model, "chosen_within_2x_of_best", NUMBER, "cost_model")
-    _need(data, "speedups", dict, "$")
-
-
-def check_micro_v3(data: dict) -> None:
-    """v2 plus the kernel op pairs and the ``kernels`` identity section."""
-    check_micro_v2(data)
-    ops = data["ops"]
-    for name in (
-        "verify_batched",
-        "verify_batched_myers",
-        "edit_distance_banded",
-        "edit_distance_myers",
-    ):
-        _need(ops, name, dict, "ops")
-    kernels = _need(data, "kernels", dict, "$")
-    _need(kernels, "default", str, "kernels")
-    _need(kernels, "batched_pair", dict, "kernels")
-    _need(kernels, "numpy_prefilter", bool, "kernels")
-    speedups = data["speedups"]
-    _need_keys(
-        speedups,
-        ("verify_myers_vs_batched", "edit_distance_myers_vs_banded"),
-        NUMBER,
-        "speedups",
-    )
-
-
 def check_fault_v1(data: dict) -> None:
     scale = _need(data, "scale", dict, "$")
     _need_keys(
@@ -157,47 +111,6 @@ def check_fault_v1(data: dict) -> None:
         _need_keys(cell, ("under_failure", "repair", "post_repair"), dict, where)
         _need(cell, "consistent_after_repair", bool, where)
     _need(data, "elapsed_seconds", NUMBER, "$")
-
-
-def check_serve_v1(data: dict) -> None:
-    scale = _need(data, "scale", dict, "$")
-    _need_keys(scale, ("words", "peers", "seed", "max_inflight"), int, "scale")
-    _need_keys(
-        scale, ("rate", "duration_seconds", "cost_budget"), NUMBER, "scale"
-    )
-    transport = _need(scale, "transport", str, "scale")
-    if transport not in ("inprocess", "http"):
-        raise SchemaProblem(f"scale.transport: unknown value {transport!r}")
-    results = _need(data, "results", dict, "$")
-    _need_keys(
-        results,
-        ("offered", "completed", "partial", "rejected", "errors"),
-        int,
-        "results",
-    )
-    _need_keys(results, ("elapsed_seconds", "sustained_qps"), NUMBER, "results")
-    latency = _need(results, "latency_ms", dict, "results")
-    _need_keys(latency, ("p50", "p95", "p99", "mean", "max"), NUMBER,
-               "results.latency_ms")
-    by_kind = _need(results, "latency_ms_by_kind", dict, "results")
-    for kind, summary in by_kind.items():
-        where = f"results.latency_ms_by_kind.{kind}"
-        _need(summary, "count", int, where)
-        _need_keys(summary, ("p50", "p95", "p99"), NUMBER, where)
-    timeline = _need(results, "qps_timeline", list, "results")
-    if not all(isinstance(v, int) for v in timeline):
-        raise SchemaProblem("results.qps_timeline: expected a list of ints")
-    per_strategy = _need(results, "per_strategy_cost", dict, "results")
-    for strategy, bucket in per_strategy.items():
-        where = f"results.per_strategy_cost.{strategy}"
-        _need_keys(bucket, ("queries", "messages", "payload_bytes"), int, where)
-    admission = _need(results, "admission", dict, "results")
-    _need_keys(
-        admission,
-        ("admitted", "completed", "rejected_capacity", "rejected_overload"),
-        int,
-        "results.admission",
-    )
 
 
 def check_mutate_v1(data: dict) -> None:
@@ -257,10 +170,7 @@ def check_mutate_v1(data: dict) -> None:
 #: adding exactly one entry here (and a benchmarks/README.md section).
 VALIDATORS = {
     "repro-bench-fig1/v5": check_fig1_v5,
-    "repro-bench-micro/v2": check_micro_v2,
-    "repro-bench-micro/v3": check_micro_v3,
     "repro-bench-fault/v1": check_fault_v1,
-    "repro-bench-serve/v1": check_serve_v1,
     "repro-bench-mutate/v1": check_mutate_v1,
 }
 
