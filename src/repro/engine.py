@@ -717,13 +717,14 @@ class QueryEngine:
     def recorded(self):
         """Charge the wrapped operation's message delta to ``stats``.
 
-        Also re-checks the mutation token (memo validity) and attaches
-        any adaptive decisions taken during the operation to the
-        resulting :class:`CostReport`.  Public so composite flows built
-        from raw operator calls — the service layer's streaming top-N
-        runs its deepening rounds against ``engine.ctx`` directly — can
-        account as *one* recorded operation (one :meth:`last_cost`
-        delta, one fault session, one ``stats`` entry).
+        Also re-checks the mutation token (memo validity) and moves any
+        adaptive decisions taken during the operation from the context's
+        ``decision_log`` to the resulting :class:`CostReport`.  Public
+        so composite flows built from raw operator calls — the service
+        layer's streaming top-N runs its deepening rounds against
+        ``engine.ctx`` directly — can account as *one* recorded
+        operation (one :meth:`last_cost` delta, one fault session, one
+        ``stats`` entry).
         """
         self.check_mutations()
         session = self._begin_fault_session()
@@ -735,7 +736,10 @@ class QueryEngine:
         finally:
             after = self.network.tracer.snapshot()
             cost = CostReport.from_delta(before, after)
-            cost.decisions = list(self.ctx.decision_log[decision_mark:])
+            # Take this operation's decisions out of the shared log, so
+            # a long-lived engine does not keep every decision it made.
+            cost.decisions = self.ctx.decision_log[decision_mark:]
+            del self.ctx.decision_log[decision_mark:]
             cost.verifier = self._verifier_delta(verifier_before)
             if session is not None:
                 cost.completeness = session.completeness()

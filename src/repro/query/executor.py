@@ -108,8 +108,10 @@ class Executor:
         rows = self._finalize(query, bindings)
         after = self.ctx.network.tracer.snapshot()
         cost = CostReport.from_delta(before, after)
-        # Adaptive-mode strategy resolutions taken while this query ran.
-        cost.decisions = list(self.ctx.decision_log[decision_mark:])
+        # Adaptive-mode strategy resolutions taken while this query ran,
+        # taken out of the shared log so it does not grow per query.
+        cost.decisions = self.ctx.decision_log[decision_mark:]
+        del self.ctx.decision_log[decision_mark:]
         return QueryResult(
             rows=rows,
             plan=query_plan,

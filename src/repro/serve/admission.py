@@ -3,8 +3,9 @@
 The engine serializes query execution (per-query cost accounting needs
 exclusive access to the network's :class:`~repro.overlay.messages.
 MessageTracer`), so the service is a single-server queue: admitted
-requests wait their turn on the engine lock.  Admission control bounds
-that queue two ways:
+requests wait their turn for the event-loop thread, which runs the
+engine, and behind an open stream on the engine lock.  Admission
+control bounds that queue two ways:
 
 * a hard **capacity** cap on in-flight requests (admitted, not yet
   finished) — classic bounded-queue back-pressure;
@@ -22,9 +23,9 @@ message (updated as requests finish) times the outstanding predicted
 cost, clamped to ``[1, MAX_RETRY_AFTER]`` whole seconds.
 
 The controller is deliberately lock-free plain Python: every mutation
-happens on the event-loop thread (handlers admit before dispatching to
-the engine executor and finish in loop-side callbacks), so no further
-synchronization is needed.
+happens on the event-loop thread, which is also where the engine runs
+(handlers admit before they call the engine and finish when the call or
+the stream ends), so no further synchronization is needed.
 """
 
 from __future__ import annotations

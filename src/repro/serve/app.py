@@ -33,11 +33,21 @@ record (covered key-space mass, dark partitions, dropped candidates) in
 the payload.
 
 Concurrency model: the engine is synchronous and its cost accounting
-(tracer snapshot deltas) needs exclusive access, so the service owns a
-single-worker thread executor plus an :class:`asyncio.Lock` — queries
-execute one at a time while the event loop keeps accepting, admitting,
-and rejecting.  :class:`~repro.serve.admission.AdmissionController`
-bounds how many admitted requests may wait on that lock.
+(tracer snapshot deltas) needs exclusive access, so every engine call
+runs inline on the event-loop thread, one at a time.  A handler that
+calls the engine inline never awaits, so two plain requests cannot
+interleave.  A thread would buy no parallelism: the engine holds the
+GIL while it computes, and handing each call to a worker thread cost
+more in GIL hand-offs than it overlapped.  The loop is blocked for one
+engine call at a time (about 0.4 ms at p50 and 2.7 ms at p99 on the
+``serve_http`` mix), below CPython's 5 ms switch interval, which
+already bounded the loop's wait while a threaded engine computed.  The
+one place an engine window spans an ``await`` is the streamed top-N,
+which yields chunks between deepening rounds inside one
+:meth:`~repro.engine.QueryEngine.recorded` window; an
+:class:`asyncio.Lock` keeps every other engine call out of that window.
+:class:`~repro.serve.admission.AdmissionController` bounds how many
+admitted requests may wait on that lock.
 
 Streaming top-N replays the serial operator's iterative deepening
 (round ``d`` runs ``Similar(search, attribute, d)``) but emits each
@@ -54,7 +64,6 @@ import asyncio
 import json
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import AsyncIterator, Awaitable, Callable
 from dataclasses import dataclass, field
 
@@ -147,8 +156,8 @@ class QueryService:
     """The engine behind a service boundary; owns the engine's lifecycle.
 
     The service closes its engine on :meth:`close` (releasing fan-out
-    threads and the service's own executor), so server entry points get
-    leak-free shutdown by construction::
+    threads), so server entry points get leak-free shutdown by
+    construction::
 
         with QueryService(engine) as service:
             ...  # await service.handle(request)
@@ -166,9 +175,6 @@ class QueryService:
         self.started_at = time.monotonic()
         self.served_by_endpoint: Counter[str] = Counter()
         self.strategy_tally: Counter[str] = Counter()
-        self._pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-engine"
-        )
         self._engine_lock = asyncio.Lock()
         self._closed = False
         self.routes: dict[tuple[str, str], Handler] = {
@@ -186,11 +192,10 @@ class QueryService:
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the executor and the engine; idempotent."""
+        """Close the engine; idempotent."""
         if self._closed:
             return
         self._closed = True
-        self._pool.shutdown(wait=True)
         self.engine.close()
 
     def __enter__(self) -> "QueryService":
@@ -225,10 +230,9 @@ class QueryService:
         return response
 
     async def _run(self, fn: Callable, *args):
-        """Run one engine operation on the serialized executor."""
+        """Run one engine operation inline, outside any open stream's window."""
         async with self._engine_lock:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(self._pool, fn, *args)
+            return fn(*args)
 
     # -- introspection endpoints ---------------------------------------------------
 
@@ -279,7 +283,7 @@ class QueryService:
     async def _mutate(self, request: Request, op: Callable) -> Response:
         """Apply one write batch through the engine's explicit write path.
 
-        Mutations share the single-worker executor with queries, so a
+        Mutations run inline under the engine lock like queries, so a
         write is never interleaved with a running query: every response
         either predates the write entirely or sees its full effect —
         including the memo/statistics delta maintenance the engine does
@@ -288,7 +292,7 @@ class QueryService:
         triples = _parse_triples(request.json())
 
         def write():
-            # One executor job, so the report read is this write's own.
+            # One engine call, so the report read is this write's own.
             op(triples)
             return self.engine.last_write()
 
@@ -391,18 +395,24 @@ class QueryService:
         Matches stream out as deepening rounds complete; the terminal
         line carries ``done`` plus the whole operation's cost (and the
         completeness record when the network is degraded).  The
-        admission ticket is held until the stream finishes, so an open
+        admission ticket is held until the stream ends, so an open
         stream counts against ``max_inflight``.
         """
         params = self._top_n_params(request)
-        decision = self.admission.admit(params["predicted"])
-        if not decision.admitted:
-            return _rejection(decision)
+        ticket, rejection = self._admit(params["predicted"])
+        if rejection is not None:
+            return rejection
         self._tally(params["strategy"])
+        stream = self._stream_top_n(params, ticket)
+        # Step the generator into its ``try`` before anyone can close it:
+        # an async generator closed before its first step never runs its
+        # ``finally``, and a client gone before the first chunk would
+        # hold its admission slot for good.
+        await stream.__anext__()
         return Response(
             200,
             headers={"Content-Type": "application/x-ndjson"},
-            stream=self._stream_top_n(params, decision.ticket),
+            stream=stream,
         )
 
     async def _stream_top_n(
@@ -411,24 +421,24 @@ class QueryService:
         engine = self.engine
         started = time.perf_counter()
         try:
+            yield b""  # the handler's priming step; never sent
+            # The one engine window that spans awaits: each ``yield``
+            # hands the loop to the consumer, and the lock keeps every
+            # other engine call out until the last round is accounted.
             async with self._engine_lock:
-                loop = asyncio.get_running_loop()
                 best: dict[str, object] = {}
                 emitted = 0
                 rounds = 0
                 with engine.recorded():
                     for d in range(params["max_distance"] + 1):
                         rounds += 1
-                        probe = await loop.run_in_executor(
-                            self._pool,
-                            lambda radius=d: similar(
-                                engine.ctx,
-                                params["search"],
-                                params["attribute"],
-                                radius,
-                                params["initiator"],
-                                strategy=params["strategy"],
-                            ),
+                        probe = similar(
+                            engine.ctx,
+                            params["search"],
+                            params["attribute"],
+                            d,
+                            params["initiator"],
+                            strategy=params["strategy"],
                         )
                         fresh = []
                         for match in probe.matches:

@@ -102,10 +102,9 @@ class ServiceServer:
         try:
             while True:
                 try:
-                    request = await asyncio.wait_for(
-                        read_request(reader), READ_TIMEOUT
-                    )
-                except asyncio.TimeoutError:
+                    async with asyncio.timeout(READ_TIMEOUT):
+                        request = await read_request(reader)
+                except TimeoutError:
                     await write_response(
                         writer, Response(408, {"error": "request timeout"})
                     )
@@ -205,22 +204,22 @@ async def write_response(
     if response.stream is None:
         body = response.body_bytes()
         headers["Content-Length"] = str(len(body))
-        writer.write(_head(response.status, status_text, headers))
-        writer.write(body)
+        # One write, so one ``send`` and one segment for the client.
+        writer.write(_head(response.status, status_text, headers) + body)
         await writer.drain()
         return
     headers["Transfer-Encoding"] = "chunked"
-    writer.write(_head(response.status, status_text, headers))
-    await writer.drain()
     try:
+        writer.write(_head(response.status, status_text, headers))
+        await writer.drain()
         async for chunk in response.stream:
             if not chunk:
                 continue
             writer.write(b"%x\r\n" % len(chunk) + chunk + b"\r\n")
             await writer.drain()
     finally:
-        # aclose() runs the generator's finally blocks (ticket release)
-        # even when the client disconnected mid-stream.
+        # aclose() releases the stream's admission ticket even when the
+        # client disconnected before the first chunk or mid-stream.
         await response.stream.aclose()
     writer.write(b"0\r\n\r\n")
     await writer.drain()

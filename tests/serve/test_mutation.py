@@ -1,7 +1,7 @@
 """Mutation endpoints: writes between requests never leak stale answers.
 
-The service shares one single-worker executor between queries and the
-engine's explicit write path, so every response either predates a write
+The service runs queries and the engine's explicit write path one at a
+time on its event-loop thread, so every response either predates a write
 entirely or reflects all of it.  These tests mutate the store between
 requests and assert (a) the next query's answer includes/excludes the
 written data — no memo serves a pre-write answer — and (b) ``/stats``

@@ -246,8 +246,8 @@ class TestLifecycle:
         fanout_engine = service.engine
         service.close()
         service.close()
-        # The engine's executor is gone: a fresh handle() would need it,
-        # but the engine object itself stays readable.
+        # The engine is closed (its fan-out threads are gone), but the
+        # engine object itself stays readable.
         assert fanout_engine.n_peers == 32
 
     def test_context_manager_closes(self, service_factory):

@@ -12,12 +12,17 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import struct
 
 import pytest
 from serve_utils import ATTRIBUTE, WORDS, post, run
 
+from repro.serve.app import ServiceConfig
 from repro.serve.client import HttpClient
 from repro.serve.http import ServiceServer
+
+STREAM_BODY = {"attribute": ATTRIBUTE, "search": "adapte", "n": 3}
 
 
 def _stream_matches(service, body):
@@ -94,6 +99,140 @@ class TestStreamingEquivalence:
         run(scenario())
 
 
+class TestStreamAdmission:
+    """An open stream holds an admission slot; every way it ends frees it."""
+
+    def test_stream_closed_before_its_first_chunk_frees_its_slot(
+        self, service_factory
+    ):
+        service = service_factory(config=ServiceConfig(max_inflight=2))
+
+        async def scenario():
+            for __ in range(2):
+                response = await service.handle(
+                    post("/query/topn/stream", STREAM_BODY)
+                )
+                assert response.status == 200
+                await response.stream.aclose()
+            assert service.admission.inflight == 0
+            return await service.handle(post("/query/similar", {
+                "search": "adaptor", "attribute": ATTRIBUTE, "d": 1,
+            }))
+
+        assert run(scenario()).status == 200
+
+    def test_stream_closed_mid_way_frees_its_slot(self, service_factory):
+        service = service_factory(config=ServiceConfig(max_inflight=1))
+
+        async def scenario():
+            response = await service.handle(post(
+                "/query/topn/stream", {**STREAM_BODY, "search": "adapted"}
+            ))
+            chunks = response.stream.__aiter__()
+            await chunks.__anext__()
+            assert service.admission.inflight == 1
+            await response.stream.aclose()
+            assert service.admission.inflight == 0
+
+        run(scenario())
+
+    def test_client_that_resets_after_sending_frees_its_slot(
+        self, service_factory
+    ):
+        """A client sends the stream request and resets the connection at
+        once; whether the server fails on the head or on a chunk, the slot
+        comes back and later requests are not refused for capacity."""
+        service = service_factory(config=ServiceConfig(max_inflight=2))
+        body = json.dumps(STREAM_BODY).encode()
+        raw = (
+            "POST /query/topn/stream HTTP/1.1\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+
+        async def reset_after_sending(server):
+            __, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(raw)
+            await writer.drain()
+            # Linger 0: close() sends RST instead of FIN.
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            writer.close()
+            await writer.wait_closed()
+            for __ in range(500):
+                if not server._connections:
+                    return
+                await asyncio.sleep(0.01)
+            raise AssertionError("the server never let go of the connection")
+
+        async def scenario():
+            server = ServiceServer(service, "127.0.0.1", 0)
+            await server.start()
+            client = HttpClient("127.0.0.1", server.port)
+            try:
+                for __ in range(3):
+                    await reset_after_sending(server)
+                reply = await client.request("POST", "/query/similar", {
+                    "search": "adaptor", "attribute": ATTRIBUTE, "d": 1,
+                })
+                stats = await client.request("GET", "/stats")
+                return reply, stats.json()["admission"]
+            finally:
+                await client.close()
+                await server.stop()
+
+        reply, admission = asyncio.run(scenario())
+        assert reply.status == 200
+        assert admission["inflight"] == 0
+        assert admission["rejected_capacity"] == 0
+
+
+class TestEngineLock:
+    def test_request_during_an_open_stream_waits_for_its_end(
+        self, service_factory
+    ):
+        """An open stream is the one engine window that spans awaits: a
+        request started between its chunks runs after its last round, so
+        both answers equal the ones the two requests give one after the
+        other."""
+        stream_body = {
+            "attribute": ATTRIBUTE, "search": "adapted", "n": 10,
+            "max_distance": 3,
+        }
+        similar_body = {"search": "adaptor", "attribute": ATTRIBUTE, "d": 2}
+
+        async def in_turn(service):
+            response = await service.handle(
+                post("/query/topn/stream", stream_body)
+            )
+            lines = [json.loads(chunk) async for chunk in response.stream]
+            similar = await service.handle(post("/query/similar", similar_body))
+            return lines, similar
+
+        async def overlapped(service):
+            response = await service.handle(
+                post("/query/topn/stream", stream_body)
+            )
+            chunks = response.stream.__aiter__()
+            lines = [json.loads(await chunks.__anext__())]
+            task = asyncio.create_task(
+                service.handle(post("/query/similar", similar_body))
+            )
+            for __ in range(3):
+                await asyncio.sleep(0)
+            lines += [json.loads(chunk) async for chunk in chunks]
+            return lines, await task
+
+        serial_lines, serial_similar = run(in_turn(service_factory()))
+        lines, similar = run(overlapped(service_factory()))
+        assert serial_lines[-1]["rounds"] > 1
+        assert lines == serial_lines
+        assert similar.status == serial_similar.status == 200
+        assert similar.payload == serial_similar.payload
+
+
 class TestStreamingOverHttp:
     def test_socket_roundtrip_matches_serial(self, service_factory):
         service = service_factory()
@@ -139,33 +278,43 @@ class TestHandlerCrashOverHttp:
         log (``repro.serve``) gets the traceback; the same keep-alive
         connection serves the next request."""
         service = service_factory()
+        engine = service.engine
 
-        def boom(*args, **kwargs):
+        def boom_once(*args, **kwargs):
+            del engine.select  # the next call reaches the real engine
             raise ZeroDivisionError("engine fell over")
 
-        service.engine.select = boom
+        engine.select = boom_once
+        exact = {"attribute": ATTRIBUTE, "value": "overlay"}
 
         async def scenario():
             server = ServiceServer(service, "127.0.0.1", 0)
             await server.start()
             client = HttpClient("127.0.0.1", server.port)
             try:
-                crashed = await client.request(
-                    "POST", "/query/exact", {"attribute": ATTRIBUTE, "value": "x"}
-                )
+                crashed = await client.request("POST", "/query/exact", exact)
                 connection = client._writer
                 health = await client.request("GET", "/healthz")
+                # The crash released the engine lock and its admission
+                # ticket: an engine-backed request runs, nothing in flight.
+                after = await client.request("POST", "/query/exact", exact)
+                stats = await client.request("GET", "/stats")
                 assert client._writer is connection  # no reconnect
-                return crashed, health
+                return crashed, health, after, stats
             finally:
                 await client.close()
                 await server.stop()
 
         with caplog.at_level("ERROR", logger="repro.serve"):
-            crashed, health = asyncio.run(scenario())
+            crashed, health, after, stats = asyncio.run(scenario())
         assert crashed.status == 500
         assert crashed.json() == {"error": "internal error: ZeroDivisionError"}
         assert health.status == 200
+        assert after.status == 200
+        assert [m["matched"] for m in after.json()["matches"]] == ["overlay"]
+        admission = stats.json()["admission"]
+        assert admission["inflight"] == 0
+        assert admission["completed"] == admission["admitted"] == 2
         (record,) = [r for r in caplog.records if r.name == "repro.serve"]
         assert "POST /query/exact" in record.getMessage()
         assert record.exc_info[0] is ZeroDivisionError

@@ -140,6 +140,34 @@ class TestAdaptive:
             assert decision.chosen.is_physical
             assert decision.actual_messages is not None
 
+    def test_decision_log_is_drained_per_operation(self, adaptive_engine):
+        """Each recorded operation takes its own decisions out of the
+        context's log, so a long-lived engine keeps none of them."""
+        engine = adaptive_engine
+        for i in range(200):
+            search = WORDS[i % len(WORDS)]
+            if i % 4:
+                d = i % 3
+                engine.similar(search, TEXT_ATTR, d)
+                decisions = engine.last_decisions()
+                assert [(x.search, x.d) for x in decisions] == [(search, d)]
+            else:
+                result = engine.top_n_string(TEXT_ATTR, search, 3, 2)
+                decisions = engine.last_decisions()
+                assert len(decisions) == result.rounds
+                assert [x.d for x in decisions] == list(range(result.rounds))
+                assert {x.search for x in decisions} == {search}
+        for i in range(20):
+            search = WORDS[i % len(WORDS)]
+            result = engine.query(
+                f"SELECT ?w WHERE {{ (?o,{TEXT_ATTR},?w) "
+                f"FILTER (dist(?w,'{search}') <= 1) }}"
+            )
+            assert result.cost.decisions
+            assert engine.last_decisions() == result.cost.decisions
+            assert {x.search for x in result.cost.decisions} == {search}
+        assert engine.ctx.decision_log == []
+
     def test_fixed_strategy_queries_record_no_decisions(self, engine):
         engine.similar("apple", TEXT_ATTR, 1)
         assert engine.last_decisions() == []
