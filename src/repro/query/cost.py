@@ -28,21 +28,30 @@ lookups — which these formulas capture by construction.  Without a
 catalog (or for attributes never analyzed) all data-dependent terms fall
 back to zero and the decision degrades to the structural comparison:
 region size versus gram fan-out, still a sane default.
+
+A decision is priced on every adaptive query (and on every deepening
+round of an adaptive top-N), so it must cost little beside the query.
+It counts the query's grams on the extended string instead of building
+them (:func:`~repro.storage.qgrams.gram_counts`), prices the three
+strategies in one pass over the terms they share, and keeps the terms
+that depend on the partition table alone for as long as the network's
+path list is the same list.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.core.config import SimilarityStrategy
 from repro.core.errors import ExecutionError
-from repro.storage.qgrams import positional_qgrams, qgram_sample
+from repro.storage.qgrams import gram_counts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.overlay.network import PGridNetwork
-    from repro.query.statistics import StatisticsCatalog
+    from repro.query.statistics import AttributeStatistics, StatisticsCatalog
 
 #: Strategies the adaptive mode chooses among, in tie-break order
 #: (cheapest-first expectation at scale; ties resolve to the earliest).
@@ -51,6 +60,12 @@ CANDIDATE_STRATEGIES = (
     SimilarityStrategy.QGRAM,
     SimilarityStrategy.NAIVE,
 )
+
+#: ``(key, strategy)`` pairs of :data:`CANDIDATE_STRATEGIES`.
+_CANDIDATES = tuple((strategy.value, strategy) for strategy in CANDIDATE_STRATEGIES)
+
+#: The adaptive mode's ranking: fewest messages, then fewest bytes.
+_RANK = attrgetter("messages", "payload_bytes")
 
 #: Fixed per-message header charged by delegations (mirrors
 #: ``repro.query.operators.base.QUERY_HEADER_BYTES`` without importing
@@ -147,32 +162,119 @@ class StrategyDecision:
         )
 
 
+#: Attributes whose region terms one trie shape keeps: a stream of
+#: never-seen attribute names must not grow the table without bound.
+_REGION_LIMIT = 1 << 12
+
+
+@dataclass(frozen=True, slots=True)
+class _Region:
+    """Structural terms of one attribute's key region on one trie shape."""
+
+    #: The region's partitions are ``network.partitions[lo:hi]``.
+    lo: int
+    hi: int
+    #: Partitions holding the attribute's values (all, for schema level).
+    size: int
+    #: The naive arm's routing + dissemination + return time, all peers live.
+    naive_network_ms: float
+
+
+class _TrieShape:
+    """The formulas' terms that depend on the partition table alone.
+
+    Valid while ``network._paths`` is the very list it was built from:
+    :class:`~repro.overlay.membership.MembershipManager` installs a new
+    list on every split or merge, and a replica join keeps it.
+    """
+
+    __slots__ = (
+        "network", "paths", "latency_model", "n_partitions", "hops", "regions",
+    )
+
+    def __init__(self, network: "PGridNetwork", latency_model: LatencyModel):
+        self.network = network
+        self.paths = network._paths
+        self.latency_model = latency_model
+        self.n_partitions = network.n_partitions
+        #: Expected ROUTE messages of one routed walk (Section 2).
+        self.hops = 0.5 * math.log2(max(2, self.n_partitions))
+        self.regions: dict[str, _Region] = {}
+
+    def region(self, attribute: str) -> _Region:
+        region = self.regions.get(attribute)
+        if region is not None:
+            return region
+        network = self.network
+        if attribute == "":
+            lo, hi = 0, self.n_partitions
+            size = self.n_partitions
+        else:
+            lo, hi = network.partition_span(
+                network.codec.attr_prefix(attribute)
+            )
+            size = max(1, hi - lo)
+        region = _Region(lo, hi, size, self.naive_network_ms(size))
+        if len(self.regions) < _REGION_LIMIT:
+            self.regions[attribute] = region
+        return region
+
+    def naive_network_ms(self, region_size: int) -> float:
+        """Routing, a broadcast shower as deep as the region, return."""
+        return self.latency_model.network_time_ms(
+            self.n_partitions, math.ceil(math.log2(max(2, region_size)))
+        )
+
+
+@dataclass(slots=True)
+class _QueryTerms:
+    """What every strategy's formula for one query shares."""
+
+    s: str
+    d: int
+    stats: "AttributeStatistics | None"
+    shape: _TrieShape
+    region: _Region
+    #: Fraction of the region's partitions with a live replica.
+    reach: float
+    #: Expected matching rows, already scaled by ``reach``.
+    matches: float
+    object_bytes: float
+    #: Expected postings of one gram key, and the share the
+    #: position/length filters admit.
+    postings: float
+    selectivity: float
+
+
 class StrategyCostModel:
     """Per-strategy cost predictions over one network.
 
-    The model is stateless apart from the network handle and the latency
-    constants; the statistics catalog is passed per call so a freshly
-    ``analyze``-d catalog is always the one consulted.
+    The statistics catalog is passed per call, so a freshly
+    ``analyze``-d or write-patched catalog is always the one consulted,
+    and nothing computed from it is kept.  What the model does keep is
+    the trie shape's structural terms — the routing depth and, per
+    attribute, the region span, its size and the naive arm's network
+    time — filled on the first decision and rebuilt when the network's
+    path list or :attr:`latency_model` is replaced.  Replica
+    reachability is read from the peers on every call.
     """
 
     def __init__(self, network: "PGridNetwork"):
         self.network = network
         self.latency_model = LatencyModel()
+        self._shape: _TrieShape | None = None
 
     # -- structural expectations -----------------------------------------------
 
-    def _route_hops(self) -> float:
-        """Expected ROUTE messages of one routed walk (Section 2)."""
-        return 0.5 * math.log2(max(2, self.network.n_partitions))
-
-    def _region_size(self, attribute: str) -> int:
-        """Partitions holding the attribute's values (all, for schema level)."""
-        if attribute == "":
-            return self.network.n_partitions
-        lo, hi = self.network.partition_span(
-            self.network.codec.attr_prefix(attribute)
-        )
-        return max(1, hi - lo)
+    def _trie_shape(self) -> _TrieShape:
+        shape = self._shape
+        if (
+            shape is None
+            or shape.paths is not self.network._paths
+            or shape.latency_model is not self.latency_model
+        ):
+            shape = self._shape = _TrieShape(self.network, self.latency_model)
+        return shape
 
     def _reachable_fraction(self, attribute: str) -> float:
         """Fraction of the attribute's region partitions with a live replica.
@@ -184,23 +286,21 @@ class StrategyCostModel:
         ledger's offline count) the fraction is exactly 1.0 and every
         prediction stays bit-identical to the churn-unaware model.
         """
-        if not self.network.ledger.offline:
+        network = self.network
+        if not network.ledger.offline:
             return 1.0
-        if attribute == "":
-            partitions = self.network.partitions
-        else:
-            prefix = self.network.codec.attr_prefix(attribute)
-            partitions = self.network.partitions_under(prefix)
+        region = self._trie_shape().region(attribute)
+        partitions = network.partitions[region.lo : region.hi]
         if not partitions:
             return 1.0
-        live = sum(
-            1
-            for partition in partitions
-            if any(
-                self.network.peer(peer_id).online
-                for peer_id in partition.peer_ids
-            )
-        )
+        peers = network.peers
+        live = 0
+        # Plain loops: a generator per partition costs 4x on this path.
+        for partition in partitions:
+            for peer_id in partition.peer_ids:
+                if peers[peer_id].online:
+                    live += 1
+                    break
         return live / len(partitions)
 
     @staticmethod
@@ -210,16 +310,14 @@ class StrategyCostModel:
             return 0.0
         return partitions * (1.0 - (1.0 - 1.0 / partitions) ** keys)
 
-    def _fetch_messages(self, objects: float) -> float:
+    def _fetch_messages(self, shape: _TrieShape, objects: float) -> float:
         """Expected messages of one batched ``fetch_objects`` round."""
         if objects <= 0:
             return 0.0
-        oid_partitions = self._distinct_partitions(
-            self.network.n_partitions, objects
-        )
+        oid_partitions = self._distinct_partitions(shape.n_partitions, objects)
         # route_many entry walk + forwards, one delegate and one result
         # return per contacted oid partition.
-        return self._route_hops() + 3.0 * oid_partitions - 1.0
+        return shape.hops + 3.0 * oid_partitions - 1.0
 
     # -- per-strategy predictions ------------------------------------------------
 
@@ -232,12 +330,10 @@ class StrategyCostModel:
         catalog: "StatisticsCatalog | None" = None,
     ) -> CostPrediction:
         """Predicted cost of ``Similar(s, attribute, d)`` under ``strategy``."""
-        stats = catalog.get(attribute) if catalog is not None else None
-        if strategy is SimilarityStrategy.NAIVE:
-            return self._predict_naive(s, attribute, d, stats)
-        if strategy in (SimilarityStrategy.QGRAM, SimilarityStrategy.QSAMPLE):
-            return self._predict_gram(s, attribute, d, strategy, stats)
-        raise ExecutionError(f"cannot predict cost of strategy {strategy}")
+        if strategy not in CANDIDATE_STRATEGIES:
+            raise ExecutionError(f"cannot predict cost of strategy {strategy}")
+        terms = self._query_terms(s, attribute, d, catalog)
+        return self._evaluate(terms, strategy)
 
     def predict_all(
         self,
@@ -246,10 +342,14 @@ class StrategyCostModel:
         d: int,
         catalog: "StatisticsCatalog | None" = None,
     ) -> dict[str, CostPrediction]:
-        """Predictions for every candidate strategy, keyed by value."""
+        """Predictions for every candidate strategy, keyed by value.
+
+        One pass: the terms the strategies share are computed once.
+        """
+        terms = self._query_terms(s, attribute, d, catalog)
         return {
-            strategy.value: self.predict(s, attribute, d, strategy, catalog)
-            for strategy in CANDIDATE_STRATEGIES
+            value: self._evaluate(terms, strategy)
+            for value, strategy in _CANDIDATES
         }
 
     def choose(
@@ -261,13 +361,8 @@ class StrategyCostModel:
     ) -> StrategyDecision:
         """Resolve ``ADAPTIVE`` into the cheapest predicted strategy."""
         predictions = self.predict_all(s, attribute, d, catalog)
-        chosen = min(
-            CANDIDATE_STRATEGIES,
-            key=lambda strategy: (
-                predictions[strategy.value].messages,
-                predictions[strategy.value].payload_bytes,
-            ),
-        )
+        # ``min`` keeps the first of equal keys: candidate order breaks ties.
+        chosen = min(predictions.values(), key=_RANK).strategy
         return StrategyDecision(
             search=s,
             attribute=attribute,
@@ -278,8 +373,32 @@ class StrategyCostModel:
 
     # -- internals ----------------------------------------------------------------
 
-    def _expected_matches(self, stats, d: int) -> float:
-        return stats.estimate_similarity_rows(d) if stats is not None else 0.0
+    def _query_terms(self, s, attribute, d, catalog) -> _QueryTerms:
+        stats = catalog.get(attribute) if catalog is not None else None
+        shape = self._trie_shape()
+        reach = self._reachable_fraction(attribute)
+        matches = stats.estimate_similarity_rows(d) if stats is not None else 0.0
+        if reach < 1.0:
+            matches *= reach
+        return _QueryTerms(
+            s,
+            d,
+            stats,
+            shape,
+            shape.region(attribute),
+            reach,
+            matches,
+            self._object_bytes(stats),
+            stats.estimate_gram_postings() if stats is not None else 0.0,
+            self._filter_selectivity(stats, s, d, self.network.config.q),
+        )
+
+    def _evaluate(
+        self, terms: _QueryTerms, strategy: SimilarityStrategy
+    ) -> CostPrediction:
+        if strategy is SimilarityStrategy.NAIVE:
+            return self._predict_naive(terms)
+        return self._predict_gram(terms, strategy)
 
     def _object_bytes(self, stats) -> float:
         """Assumed payload of one reconstructed object."""
@@ -288,79 +407,68 @@ class StrategyCostModel:
         ) or 8.0
         return TRIPLES_PER_OBJECT * (mean_len + TRIPLE_OVERHEAD_BYTES)
 
-    def _predict_naive(self, s, attribute, d, stats) -> CostPrediction:
-        region = self._region_size(attribute)
-        matches = self._expected_matches(stats, d)
-        reach = self._reachable_fraction(attribute)
+    def _predict_naive(self, terms: _QueryTerms) -> CostPrediction:
+        s, stats, shape, reach = terms.s, terms.stats, terms.shape, terms.reach
+        matches = terms.matches
+        region = terms.region.size
+        network_ms = terms.region.naive_network_ms
         if reach < 1.0:
             # Dark partitions receive no query copy and return no rows.
             region = max(1, round(region * reach))
-            matches *= reach
-        hops = self._route_hops()
+            network_ms = shape.naive_network_ms(region)
         # Routed entry, shower forwards, one query copy per region peer,
         # one result return per matching partition, then the initiator's
         # batched object fetch.
         messages = (
-            hops
+            shape.hops
             + (region - 1)
             + region
             + min(region, matches)
-            + self._fetch_messages(matches)
+            + self._fetch_messages(shape, matches)
         )
         payload = (
             region * (QUERY_HEADER_BYTES + len(s))
             + matches * (OID_BYTES + self._mean_value_len(stats, s) + 2)
-            + matches * self._object_bytes(stats)
+            + matches * terms.object_bytes
         )
         # Replica-aware rows: only reachable partitions' rows take part.
         rows = (stats.row_count if stats is not None else 0) * reach
         per_peer = rows / region if region else 0.0
-        latency = (
-            self.latency_model.network_time_ms(
-                self.network.n_partitions, math.ceil(math.log2(max(2, region)))
-            )
-            + self.latency_model.compute_time_ms(int(per_peer))
-        )
+        latency = network_ms + self.latency_model.compute_time_ms(int(per_peer))
         return CostPrediction(
             SimilarityStrategy.NAIVE, messages, payload, latency
         )
 
-    def _predict_gram(self, s, attribute, d, strategy, stats) -> CostPrediction:
+    def _predict_gram(
+        self, terms: _QueryTerms, strategy: SimilarityStrategy
+    ) -> CostPrediction:
+        s, d, stats, shape = terms.s, terms.d, terms.stats, terms.shape
         q = self.network.config.q
-        if strategy is SimilarityStrategy.QSAMPLE:
-            grams = qgram_sample(s, q, d)
-        else:
-            grams = positional_qgrams(s, q)
-        gram_keys = len({gram.gram for gram in grams})
-        region = self._region_size(attribute)
-        gram_partitions = max(
-            1.0, self._distinct_partitions(region, gram_keys)
+        gram_keys, gram_chars = gram_counts(
+            s, q, d if strategy is SimilarityStrategy.QSAMPLE else None
         )
-        postings = stats.estimate_gram_postings() if stats is not None else 0.0
-        candidates = gram_keys * postings * self._filter_selectivity(stats, s, d, q)
+        gram_partitions = max(
+            1.0, self._distinct_partitions(terms.region.size, gram_keys)
+        )
+        candidates = gram_keys * terms.postings * terms.selectivity
         if stats is not None:
             candidates = min(candidates, float(stats.row_count))
-        matches = self._expected_matches(stats, d)
-        reach = self._reachable_fraction(attribute)
-        if reach < 1.0:
+        if terms.reach < 1.0:
             # Unreachable gram partitions are skipped (degraded mode) and
             # contribute no postings; scale the fan-out and the
             # data-dependent terms by the live fraction.
-            gram_partitions = max(1.0, gram_partitions * reach)
-            candidates *= reach
-            matches *= reach
+            gram_partitions = max(1.0, gram_partitions * terms.reach)
+            candidates *= terms.reach
 
-        hops = self._route_hops()
+        hops = shape.hops
         # Batched gram lookups: entry walk + forwards + one delegation per
         # contacted gram partition.
         messages = hops + 2.0 * gram_partitions - 1.0
-        payload = gram_partitions * (
-            QUERY_HEADER_BYTES + sum(len(gram.gram) for gram in grams)
-        )
+        payload = gram_partitions * (QUERY_HEADER_BYTES + gram_chars)
         if candidates > 0:
             delegating = min(gram_partitions, candidates)
             oid_partitions = self._distinct_partitions(
-                self.network.n_partitions, candidates
+                shape.n_partitions, candidates
             )
             # Each delegating gram peer runs one batched walk; delegation
             # messages are (gram peer, oid partition) pairs; only fresh
@@ -368,15 +476,11 @@ class StrategyCostModel:
             delegations = min(candidates, delegating * oid_partitions)
             messages += delegating * hops + delegations + oid_partitions
             payload += delegations * (QUERY_HEADER_BYTES + len(s) + OID_BYTES)
-            payload += min(candidates, max(matches, 1.0)) * self._object_bytes(
-                stats
-            )
+            payload += min(candidates, max(terms.matches, 1.0)) * terms.object_bytes
         dissemination = math.ceil(math.log2(max(2, gram_partitions))) + 1
         per_peer = candidates / gram_partitions if gram_partitions else 0.0
         latency = (
-            self.latency_model.network_time_ms(
-                self.network.n_partitions, dissemination
-            )
+            self.latency_model.network_time_ms(shape.n_partitions, dissemination)
             + self.latency_model.compute_time_ms(math.ceil(per_peer))
         )
         return CostPrediction(strategy, messages, payload, latency)

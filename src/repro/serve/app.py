@@ -519,8 +519,11 @@ class QueryService:
             "initiator": initiator,
             "strategy": strategy,
             # Deepening usually stops in the first rounds; predict the
-            # d=1 probe as the request's admission weight.
-            "predicted": self._predict_messages(search, attribute, 1, strategy),
+            # d=1 probe as the request's admission weight, or round 0
+            # when that is the only round the request may run.
+            "predicted": self._predict_messages(
+                search, attribute, min(1, max_distance), strategy
+            ),
         }
 
     def _predict_messages(

@@ -169,28 +169,40 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
     method, target, __ = parts
     path = target.split("?", 1)[0]
     headers: dict[str, str] = {}
+    lengths: set[str] = set()
     for line in lines[1:]:
         if not line:
             continue
         name, sep, value = line.partition(":")
         if not sep:
             raise ProtocolError(f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length":
+            lengths.add(value)
+        headers[name] = value
+    # Framing that two parsers could read two ways is refused outright
+    # (RFC 9112 sections 6.1 and 6.3): the connection closes after the 400.
+    if "transfer-encoding" in headers:
+        raise ProtocolError("Transfer-Encoding is not supported")
     body = b""
-    if "content-length" in headers:
+    if lengths:
+        if len(lengths) > 1:
+            raise ProtocolError("conflicting Content-Length values")
+        (value,) = lengths
+        # 1*DIGIT only: int() alone would also take "+5" and "0_5".
+        if not (value.isascii() and value.isdigit()):
+            raise ProtocolError("bad Content-Length")
         try:
-            length = int(headers["content-length"])
-        except ValueError as exc:
+            length = int(value)
+        except ValueError as exc:  # past int()'s digit limit
             raise ProtocolError("bad Content-Length") from exc
-        if length < 0 or length > MAX_BODY_BYTES:
+        if length > MAX_BODY_BYTES:
             raise ProtocolError("bad Content-Length")
         if length:
             try:
                 body = await reader.readexactly(length)
             except asyncio.IncompleteReadError as exc:
                 raise ProtocolError("truncated request body") from exc
-    elif headers.get("transfer-encoding"):
-        raise ProtocolError("chunked request bodies are not supported")
     return Request(method=method.upper(), path=path, headers=headers, body=body)
 
 

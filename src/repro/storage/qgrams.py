@@ -24,6 +24,9 @@ Two decompositions are provided:
   position (the *qsample* strategy, after Schallehn et al. [11]): cheaper
   to look up because ``d`` edits can destroy at most ``d`` of ``d + 1``
   disjoint grams, so at least one sampled gram survives in any true match.
+
+:func:`gram_counts` counts what the cost model needs of either one
+without building it.
 """
 
 from __future__ import annotations
@@ -110,6 +113,28 @@ def qgram_sample(text: str, q: int, d: int) -> list[PositionalQGram]:
         sample.append(PositionalQGram(extended[position : position + q], position, source_length))
         position += q
     return sample
+
+
+def gram_counts(text: str, q: int, d: int | None = None) -> tuple[int, int]:
+    """``(distinct gram texts, total gram characters)`` of a decomposition.
+
+    The two numbers the cost model reads off a query's grams, counted on
+    the extended string without building a gram: of
+    :func:`positional_qgrams` when ``d`` is None, of
+    :func:`qgram_sample` (with its short-string fallback to the full
+    set) otherwise.
+    """
+    extended = extend(text, q)
+    if d is not None:
+        if d < 0:
+            raise StorageError(f"d must be >= 0, got {d}")
+        if len(extended) >= q * (d + 1):
+            sample = {extended[i : i + q] for i in range(0, q * (d + 1), q)}
+            return len(sample), q * (d + 1)
+    # Every start at once: the i-th gram is the i-th tuple of q shifted
+    # copies, so one C-level zip stands in for a slice per start.
+    grams = set(zip(*[extended[shift:] for shift in range(q)]))
+    return len(grams), q * max(0, len(extended) - q + 1)
 
 
 def qgram_set(text: str, q: int) -> set[str]:

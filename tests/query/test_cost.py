@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SimilarityStrategy, StoreConfig
+from repro.engine import QueryEngine
+from repro.overlay.membership import MembershipManager
 from repro.overlay.network import PGridNetwork
 from repro.query import cost as cost_module
 from repro.query.cost import (
@@ -21,7 +23,7 @@ from repro.query.statistics import collect_statistics
 from repro.similarity.edit_distance import edit_distance
 from repro.storage.triple import Triple
 
-from tests.conftest import TEXT_ATTR, build_word_network
+from tests.conftest import LEN_ATTR, TEXT_ATTR, build_word_network, word_triples
 
 ATTR = "t:v"
 
@@ -158,6 +160,57 @@ class TestChoose:
         second = model.choose("apple", TEXT_ATTR, 2, word_model_ctx.catalog)
         assert first.chosen is second.chosen
         assert first.predicted.messages == second.predicted.messages
+
+
+class TestTrieShapeTable:
+    """The kept structural terms follow every change of the trie."""
+
+    ATTRIBUTES = ("", TEXT_ATTR, LEN_ATTR, "nowhere:attr")
+
+    @staticmethod
+    def _engine(replication: int) -> QueryEngine:
+        engine = QueryEngine.build(
+            24, word_triples(), StoreConfig(seed=7, replication=replication)
+        )
+        engine.analyze([TEXT_ATTR])
+        return engine
+
+    def _assert_fresh(self, engine: QueryEngine) -> None:
+        """The engine's model prices as a model built right now does."""
+        catalog = engine.ctx.catalog
+        fresh = StrategyCostModel(engine.network)
+        for attribute in self.ATTRIBUTES:
+            for s, d in (("apple", 1), ("bandana", 3)):
+                kept = engine.cost_model.predict_all(s, attribute, d, catalog)
+                now = fresh.predict_all(s, attribute, d, catalog)
+                assert kept == now, (attribute, s, d)
+
+    def test_splits_and_merges_refresh_the_table(self):
+        engine = self._engine(replication=1)
+        membership = MembershipManager(engine.network)
+        self._assert_fresh(engine)  # fills the table
+        first = membership.join()  # one replica per partition: a split
+        self._assert_fresh(engine)
+        second = membership.join()
+        self._assert_fresh(engine)
+        sizes = [engine.network.n_partitions]
+        for peer in (second, first):  # last replicas of leaf siblings: merges
+            membership.leave(peer.peer_id)
+            self._assert_fresh(engine)
+            sizes.append(engine.network.n_partitions)
+        assert sizes == [26, 25, 24]
+
+    def test_a_replica_join_keeps_the_table(self):
+        engine = self._engine(replication=2)
+        membership = MembershipManager(engine.network)
+        membership.join()  # every partition full: a split
+        self._assert_fresh(engine)
+        shape = engine.cost_model._shape
+        before = len(engine.network.partitions)
+        membership.join()  # the split's newcomer is alone: a replica joins it
+        assert len(engine.network.partitions) == before
+        self._assert_fresh(engine)
+        assert engine.cost_model._shape is shape
 
 
 class TestAdaptiveOperator:

@@ -152,6 +152,32 @@ class TestServiceAdmission:
         run(scenario())
         assert service.admission.rejected_overload == 1
 
+    @pytest.mark.parametrize("strategy", [None, "qgrams"])
+    def test_top_n_is_priced_at_the_rounds_it_may_run(
+        self, service_factory, strategy
+    ):
+        """``max_distance=0`` runs round 0 only, so it is weighed as a
+        d=0 query; a deeper request is weighed as its d=1 probe."""
+        service = service_factory()
+
+        def priced(max_distance):
+            body = {
+                "attribute": ATTRIBUTE, "search": "adapte", "n": 3,
+                "max_distance": max_distance,
+            }
+            if strategy is not None:
+                body["strategy"] = strategy
+            params = service._top_n_params(post("/query/topn", body))
+            return params["predicted"], params["strategy"]
+
+        def predicted(d, resolved):
+            return service._predict_messages("adapte", ATTRIBUTE, d, resolved)
+
+        shallow, resolved = priced(0)
+        assert shallow == predicted(0, resolved)
+        assert shallow < predicted(1, resolved)
+        assert priced(3)[0] == predicted(1, resolved)
+
     def test_rejected_requests_do_not_touch_the_engine(self, service_factory):
         service = service_factory(config=ServiceConfig(max_inflight=1))
 
