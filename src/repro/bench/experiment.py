@@ -28,7 +28,7 @@ from repro.engine import QueryEngine
 from repro.overlay.incremental import IncrementalNetworkBuilder, PreparedDataset
 from repro.overlay.network import PGridNetwork
 from repro.storage.triple import Triple
-from repro.bench.workload import WorkloadQuery, make_workload, run_workload
+from repro.bench.workload import WorkloadQuery, make_workload, run_query, run_workload
 
 #: Strategy order used in reports (mirrors the figure legends).
 ALL_STRATEGIES = (
@@ -185,9 +185,10 @@ def _run_adaptive(
     stats_snapshot = network.tracer.snapshot()
     result.adaptive_stats_messages = stats_snapshot.messages
     result.adaptive_stats_bytes = stats_snapshot.payload_bytes
-    result.by_strategy[SimilarityStrategy.ADAPTIVE] = run_workload(
-        ctx, attribute, workload, SimilarityStrategy.ADAPTIVE
-    )
-    result.adaptive_choices = dict(
-        Counter(decision.chosen.value for decision in ctx.decision_log)
-    )
+    stats = result.by_strategy[SimilarityStrategy.ADAPTIVE] = QueryStats()
+    choices: Counter[str] = Counter()
+    for query in workload:
+        cost = run_query(ctx, attribute, query, SimilarityStrategy.ADAPTIVE)
+        stats.record(cost)
+        choices.update(decision.chosen.value for decision in cost.decisions)
+    result.adaptive_choices = dict(choices)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.core.config import SimilarityStrategy
 from repro.core.stats import QueryStats
 from repro.overlay.messages import CostReport
-from repro.query.operators.base import OperatorContext
+from repro.query.operators.base import OperationScope, OperatorContext
 from repro.query.operators.simjoin import anchored_sim_join
 from repro.query.operators.topn import top_n_string_nn
 
@@ -94,36 +94,33 @@ def run_query(
 ) -> CostReport:
     """Execute one workload query under a strategy; returns its cost.
 
-    Adaptive-mode strategy decisions taken while the query ran (one per
-    ``Similar`` probe: deepening rounds and join probes each decide) are
-    attached to the returned :class:`CostReport`.
+    The query runs in one :class:`OperationScope` on ``ctx``, so the
+    returned :class:`CostReport` is the one the engine would record for
+    it — including the adaptive-mode decisions taken while it ran (one
+    per ``Similar`` probe: deepening rounds and join probes each decide).
     """
-    tracer = ctx.network.tracer
-    decision_mark = len(ctx.decision_log)
-    before = tracer.snapshot()
-    if query.kind is QueryKind.TOP_N:
-        top_n_string_nn(
-            ctx,
-            attribute,
-            query.search,
-            query.parameter,
-            max_distance=TOP_N_MAX_DISTANCE,
-            initiator_id=query.initiator_id,
-            strategy=strategy,
-        )
-    else:
-        anchored_sim_join(
-            ctx,
-            attribute,
-            query.search,
-            attribute,
-            query.parameter,
-            initiator_id=query.initiator_id,
-            strategy=strategy,
-        )
-    cost = CostReport.from_delta(before, tracer.snapshot())
-    cost.decisions = list(ctx.decision_log[decision_mark:])
-    return cost
+    with OperationScope(ctx) as scope:
+        if query.kind is QueryKind.TOP_N:
+            top_n_string_nn(
+                ctx,
+                attribute,
+                query.search,
+                query.parameter,
+                max_distance=TOP_N_MAX_DISTANCE,
+                initiator_id=query.initiator_id,
+                strategy=strategy,
+            )
+        else:
+            anchored_sim_join(
+                ctx,
+                attribute,
+                query.search,
+                attribute,
+                query.parameter,
+                initiator_id=query.initiator_id,
+                strategy=strategy,
+            )
+    return scope.cost
 
 
 def run_workload(

@@ -28,6 +28,10 @@ Typical use::
     for decision in result.cost.decisions:   # what adaptive mode picked
         print(decision.summary())
 
+Every operation runs in one
+:class:`~repro.query.operators.base.OperationScope` (:meth:`QueryEngine.recorded`),
+whose report — returned or raised — becomes :meth:`QueryEngine.last_cost`.
+
 Memo validity is *maintained* here.  A write through :meth:`QueryEngine.insert`
 or :meth:`QueryEngine.delete` comes back from the network as, per
 touched partition, the entries applied and where every replica's store
@@ -66,6 +70,7 @@ from repro.query.executor import Executor, QueryResult
 from repro.query.operators.base import (
     FetchObjectsMemo,
     MatchedObject,
+    OperationScope,
     OperatorContext,
 )
 from repro.query.operators.exact import (
@@ -517,15 +522,9 @@ class QueryEngine:
         strategy decisions (with predicted and measured cost) ride on
         ``result.cost.decisions``.
         """
-        self.check_mutations()
-        session = self._begin_fault_session()
-        verifier_before = self._verifier_snapshot()
-        result = self.executor.execute_text(text, initiator_id)
-        result.cost.verifier = self._verifier_delta(verifier_before)
-        if session is not None:
-            result.cost.completeness = session.completeness()
-        self._last_cost = result.cost
-        self.stats.record(result.cost)
+        with self.recorded() as scope:
+            result = self.executor.execute_text(text, initiator_id)
+        result.cost = scope.cost
         return result
 
     def analyze(
@@ -684,18 +683,6 @@ class QueryEngine:
         """Kernel identity plus shared-pool counters (``/stats`` payload)."""
         return {"shared_pool": True, **self.verifier_pool.stats()}
 
-    def _verifier_snapshot(self) -> dict[str, int]:
-        return self.verifier_pool.counters.as_dict()
-
-    def _verifier_delta(self, before: dict[str, int]) -> dict[str, object]:
-        """Kernel-counter delta for one recorded operation."""
-        after = self.verifier_pool.counters.as_dict()
-        delta: dict[str, object] = {
-            key: after[key] - before[key] for key in after
-        }
-        delta["kernel"] = self.verifier_pool.kernel.name
-        return delta
-
     @property
     def catalog(self) -> StatisticsCatalog | None:
         """The statistics catalog consulted by planner and cost model."""
@@ -715,43 +702,21 @@ class QueryEngine:
 
     @contextmanager
     def recorded(self):
-        """Charge the wrapped operation's message delta to ``stats``.
-
-        Also re-checks the mutation token (memo validity) and moves any
-        adaptive decisions taken during the operation from the context's
-        ``decision_log`` to the resulting :class:`CostReport`.  Public
-        so composite flows built from raw operator calls — the service
-        layer's streaming top-N runs its deepening rounds against
-        ``engine.ctx`` directly — can account as *one* recorded
-        operation (one :meth:`last_cost` delta, one fault session, one
-        ``stats`` entry).
+        """Re-check the mutation token, run the body in one
+        :class:`~repro.query.operators.base.OperationScope` on :attr:`ctx`
+        (yielded), and make its report — raised or not — :meth:`last_cost`
+        and a ``stats`` entry.  Public so composite flows of raw operator
+        calls (the service's streamed top-N) account as *one* operation.
         """
         self.check_mutations()
-        session = self._begin_fault_session()
-        before = self.network.tracer.snapshot()
-        verifier_before = self._verifier_snapshot()
-        decision_mark = len(self.ctx.decision_log)
+        scope = OperationScope(self.ctx)
         try:
-            yield
+            with scope:
+                yield scope
         finally:
-            after = self.network.tracer.snapshot()
-            cost = CostReport.from_delta(before, after)
-            # Take this operation's decisions out of the shared log, so
-            # a long-lived engine does not keep every decision it made.
-            cost.decisions = self.ctx.decision_log[decision_mark:]
-            del self.ctx.decision_log[decision_mark:]
-            cost.verifier = self._verifier_delta(verifier_before)
-            if session is not None:
-                cost.completeness = session.completeness()
-            self._last_cost = cost
-            self.stats.record(cost)
-
-    def _begin_fault_session(self):
-        """Fresh per-query fault bookkeeping, or None on a healthy network."""
-        injector = self.network.fault_injector
-        if injector is None or not injector.active:
-            return None
-        return injector.begin_session()
+            if scope.cost is not None:  # None: the scope refused to nest
+                self._last_cost = scope.cost
+                self.stats.record(scope.cost)
 
     _last_cost: CostReport = CostReport(messages=0, payload_bytes=0)
     _last_write: WriteReport = WriteReport()

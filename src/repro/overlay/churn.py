@@ -99,31 +99,6 @@ class ChurnController:
                 recovered += 1
         return recovered
 
-    def recover_peers(self, peer_ids: list[int]) -> int:
-        """Bring specific peers back online; returns how many recovered.
-
-        Ids are validated like :meth:`fail_peers`; peers already online
-        are skipped.  Recovery alone never changes any store — a
-        recovered replica that missed writes while offline stays
-        divergent until anti-entropy repair runs (see
-        :func:`~repro.overlay.replication.repair_partition`), which is
-        why the engine's memo maintenance keys off repair, not recovery.
-        """
-        n_peers = self.network.n_peers
-        for peer_id in peer_ids:
-            if not 0 <= peer_id < n_peers:
-                raise OverlayError(
-                    f"unknown peer id {peer_id} (network has {n_peers} peers)",
-                    peer_id=peer_id,
-                )
-        recovered = 0
-        for peer_id in dict.fromkeys(peer_ids):
-            peer = self.network.peer(peer_id)
-            if not peer.online:
-                peer.online = True
-                recovered += 1
-        return recovered
-
     def offline_peer_ids(self) -> list[int]:
         """Ids of every currently offline peer, ascending."""
         return [peer.peer_id for peer in self.network.peers if not peer.online]

@@ -201,10 +201,10 @@ class CostReport:
     #: Adaptive-strategy decisions taken while this cost accrued — a list
     #: of :class:`repro.query.cost.StrategyDecision` (untyped here to keep
     #: the accounting layer free of query-layer imports).  Empty for
-    #: fixed-strategy runs; populated by the executor / workload runner
-    #: whenever ``SimilarityStrategy.ADAPTIVE`` resolved a query, each
-    #: entry carrying the chosen strategy plus its predicted and measured
-    #: message/byte cost.
+    #: fixed-strategy runs; otherwise the decisions the operation's
+    #: :class:`~repro.query.operators.base.OperationScope` collected, one
+    #: per ``ADAPTIVE`` resolution, each carrying the chosen strategy
+    #: plus its predicted and measured message/byte cost.
     decisions: list = field(default_factory=list)
     #: Completeness of the answer under transport faults — a
     #: :class:`repro.overlay.faults.Completeness` (untyped here, like

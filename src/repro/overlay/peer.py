@@ -119,9 +119,5 @@ class Peer:
         """
         return key.startswith(self.path) or self.path.startswith(key)
 
-    def routing_entry_count(self) -> int:
-        """Total references in the routing table (diagnostics)."""
-        return sum(len(level) for level in self.routing_table)
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Peer(id={self.peer_id}, path={self.path!r}, items={len(self.store)})"

@@ -123,10 +123,11 @@ class StrategyDecision:
     """One adaptive resolution: what was predicted, chosen, and measured.
 
     Created by :meth:`StrategyCostModel.choose` when a query runs in
-    ``ADAPTIVE`` mode; the similarity operator fills ``actual_messages``
-    / ``actual_payload_bytes`` from the tracer delta of the dispatched
-    run, and the executor / workload runner attaches the finished
-    decision to the query's :class:`~repro.overlay.messages.CostReport`.
+    ``ADAPTIVE`` mode; :meth:`~repro.query.operators.base.OperatorContext.run_adaptive`
+    fills ``actual_messages`` / ``actual_payload_bytes`` from the tracer
+    delta of the dispatched run, and the operation's
+    :class:`~repro.query.operators.base.OperationScope` puts the decision
+    on its :class:`~repro.overlay.messages.CostReport`.
     """
 
     search: str

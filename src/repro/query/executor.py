@@ -3,8 +3,10 @@
 The :class:`Executor` walks a :class:`~repro.query.planner.QueryPlan`
 step by step, producing variable bindings with the physical operators of
 :mod:`repro.query.operators` — every network interaction those operators
-perform is charged to the network's message tracer, so a query's cost
-report falls out for free.
+perform is charged to the network's message tracer.  The executor
+measures nothing itself: :meth:`repro.engine.QueryEngine.query` runs it
+inside one :class:`~repro.query.operators.base.OperationScope`, whose
+delta is the query's cost report.
 
 Execution model (Section 3: "finally generated query plans are included
 in messages, which are routed to the processing peers"): one initiating
@@ -64,7 +66,8 @@ class QueryResult:
 
     rows: list[Row]
     plan: QueryPlan
-    cost: CostReport
+    #: Set by :meth:`repro.engine.QueryEngine.query` (its scope's report).
+    cost: CostReport | None = None
     bindings: BindingSet = field(repr=False, default_factory=BindingSet)
 
     def __len__(self) -> int:
@@ -81,43 +84,21 @@ class Executor:
     def __init__(self, ctx: OperatorContext):
         self.ctx = ctx
 
-    def execute_text(
-        self, text: str, initiator_id: int | None = None, catalog=None
-    ) -> QueryResult:
+    def execute_text(self, text: str, initiator_id: int | None = None) -> QueryResult:
         """Parse, plan and execute VQL text."""
-        return self.execute(parse(text), initiator_id, catalog)
+        return self.execute(parse(text), initiator_id)
 
     def execute(
-        self, query: SelectQuery, initiator_id: int | None = None, catalog=None
+        self, query: SelectQuery, initiator_id: int | None = None
     ) -> QueryResult:
-        """Plan and execute a query AST.
-
-        ``catalog`` (a :class:`~repro.query.statistics.StatisticsCatalog`)
-        switches the planner to cost-based ordering; when omitted, the
-        context's catalog (installed by
-        :meth:`repro.engine.QueryEngine.analyze`) is used.
-        """
-        if catalog is None:
-            catalog = self.ctx.catalog
-        query_plan = build_plan(query, catalog)
+        """Plan and execute a query AST — cost-based ordering when the
+        context holds statistics (:meth:`repro.engine.QueryEngine.analyze`)."""
+        query_plan = build_plan(query, self.ctx.catalog)
         if initiator_id is None:
             initiator_id = self.ctx.random_initiator()
-        decision_mark = len(self.ctx.decision_log)
-        before = self.ctx.network.tracer.snapshot()
         bindings = self._run_with_overfetch(query_plan, initiator_id)
         rows = self._finalize(query, bindings)
-        after = self.ctx.network.tracer.snapshot()
-        cost = CostReport.from_delta(before, after)
-        # Adaptive-mode strategy resolutions taken while this query ran,
-        # taken out of the shared log so it does not grow per query.
-        cost.decisions = self.ctx.decision_log[decision_mark:]
-        del self.ctx.decision_log[decision_mark:]
-        return QueryResult(
-            rows=rows,
-            plan=query_plan,
-            cost=cost,
-            bindings=bindings,
-        )
+        return QueryResult(rows=rows, plan=query_plan, bindings=bindings)
 
     # -- plan execution -----------------------------------------------------------
 

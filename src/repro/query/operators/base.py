@@ -10,6 +10,9 @@ the two helpers every similarity operator ends with:
 * :class:`MatchedObject` — one result row: the reconstructed object, the
   string/value that matched, and its distance to the query.
 
+An :class:`OperationScope` opened on a context measures one operation's
+:class:`~repro.overlay.messages.CostReport`.
+
 The simulator enforces one discipline everywhere: a peer may only consult
 *its own* store; any information that crosses peers is charged to the
 tracer.  Gram entries deliberately do not expose the full source value to
@@ -22,13 +25,13 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.core.errors import ExecutionError
-from repro.overlay.messages import MessageType
+from repro.overlay.messages import CostReport, MessageType
 from repro.overlay.network import PartitionWrite, PGridNetwork
 from repro.overlay.routing import Router
 from repro.similarity.filters import FilterConfig
@@ -41,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.overlay.fanout import FanOutExecutor
     from repro.query.cost import StrategyCostModel, StrategyDecision
     from repro.query.operators.naive import NaiveWorkloadMemo
-    from repro.query.operators.similar import GramScanMemo
+    from repro.query.operators.similar import GramScanMemo, SimilarResult
     from repro.query.statistics import StatisticsCatalog
 
 #: Baseline size in bytes of a delegated query description (search string,
@@ -116,10 +119,8 @@ class OperatorContext:
     #: Cost model resolving ``SimilarityStrategy.ADAPTIVE``; created
     #: lazily on first adaptive query when not injected.
     cost_model: "StrategyCostModel | None" = None
-    #: Every adaptive resolution taken through this context, in order.
-    #: The executor and the workload runner attach slices of this log to
-    #: the corresponding :class:`~repro.overlay.messages.CostReport`.
-    decision_log: list = field(default_factory=list)
+    #: The :class:`OperationScope` open on this context, if any.
+    scope: "OperationScope | None" = field(default=None, repr=False)
     #: Intra-query fan-out executor (see
     #: :class:`repro.overlay.fanout.FanOutExecutor`): per-peer delegate
     #: work — gram posting scans, broadcast query copies — runs on its
@@ -171,16 +172,30 @@ class OperatorContext:
         Builds a structural :class:`~repro.query.cost.StrategyCostModel`
         on first use when none was injected (the no-statistics fallback:
         predictions degrade to region-vs-gram-fan-out comparisons), and
-        appends the decision to :attr:`decision_log` so cost reports can
-        pick it up.
+        appends the decision to the open :class:`OperationScope`, if any.
         """
         if self.cost_model is None:
             from repro.query.cost import StrategyCostModel
 
             self.cost_model = StrategyCostModel(self.network)
         decision = self.cost_model.choose(s, attribute, d, catalog=self.catalog)
-        self.decision_log.append(decision)
+        if self.scope is not None:
+            self.scope.decisions.append(decision)
         return decision
+
+    def run_adaptive(
+        self, s: str, attribute: str, d: int, run: Callable[..., "SimilarResult"]
+    ) -> "SimilarResult":
+        """Resolve ``ADAPTIVE``, return ``run(chosen strategy)``, and record
+        that run's measured messages and bytes on the decision."""
+        decision = self.decide_strategy(s, attribute, d)
+        tracer = self.network.tracer
+        before = tracer.snapshot()
+        result = run(decision.chosen)
+        delta = before.delta(tracer.snapshot())
+        decision.record_actual(delta.messages, delta.payload_bytes)
+        result.extras["adaptive"] = 1
+        return result
 
     # -- object reconstruction ---------------------------------------------------
 
@@ -303,6 +318,53 @@ class OperatorContext:
                     MessageType.RESULT, results, result_bytes, phase=phase
                 )
         return objects
+
+
+class OperationScope:
+    """The cost of one operation on a context, measured once.
+
+    Entry snapshots the tracer and the verifier pool's counters and,
+    under an active fault plan, begins a fault session; while open,
+    :meth:`OperatorContext.decide_strategy` appends to :attr:`decisions`.
+    Exit — on an exception too — builds :attr:`cost` from all four.
+    Scopes do not nest: opening a second one on the same context raises
+    :class:`RuntimeError`.
+    """
+
+    def __init__(self, ctx: OperatorContext):
+        self.ctx = ctx
+        self.decisions: list[StrategyDecision] = []
+        self.cost: CostReport | None = None  # built on exit
+
+    def __enter__(self) -> "OperationScope":
+        ctx = self.ctx
+        if ctx.scope is not None:
+            raise RuntimeError("an operation scope is already open on this context")
+        network = ctx.network
+        injector = network.fault_injector
+        active = injector is not None and injector.active
+        self._session = injector.begin_session() if active else None
+        pool = ctx.verifier_pool
+        self._verified = pool.counters.as_dict() if pool is not None else None
+        self._before = network.tracer.snapshot()
+        ctx.scope = self
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        ctx = self.ctx
+        ctx.scope = None
+        cost = CostReport.from_delta(self._before, ctx.network.tracer.snapshot())
+        cost.decisions = self.decisions
+        if self._verified is not None:
+            pool = ctx.verifier_pool
+            after = pool.counters.as_dict()
+            cost.verifier = {
+                key: after[key] - before for key, before in self._verified.items()
+            }
+            cost.verifier["kernel"] = pool.kernel.name
+        if self._session is not None:
+            cost.completeness = self._session.completeness()
+        self.cost = cost
 
 
 #: What a stamp is set to once no replica can validate it any more

@@ -38,7 +38,6 @@ from repro.query.operators.similar import (
     verified_matches,
 )
 from repro.similarity.filters import CountFilter
-from repro.storage.qgrams import count_filter_threshold
 
 
 def similar_collected(
@@ -55,20 +54,13 @@ def similar_collected(
         raise ExecutionError(f"similarity distance must be >= 0, got {d}")
     chosen = strategy if strategy is not None else ctx.strategy
     if chosen is SimilarityStrategy.ADAPTIVE:
-        # Same cost-based resolution as ``similar``: dispatch the
-        # cheapest predicted strategy and record predicted-vs-actual on
-        # the decision.
-        decision = ctx.decide_strategy(s, attribute, d)
-        tracer = ctx.network.tracer
-        before = tracer.snapshot()
-        result = similar_collected(
-            ctx, s, attribute, d, initiator_id,
-            strategy=decision.chosen, use_count_filter=use_count_filter,
+        return ctx.run_adaptive(
+            s, attribute, d,
+            lambda physical: similar_collected(
+                ctx, s, attribute, d, initiator_id,
+                strategy=physical, use_count_filter=use_count_filter,
+            ),
         )
-        delta = before.delta(tracer.snapshot())
-        decision.record_actual(delta.messages, delta.payload_bytes)
-        result.extras["adaptive"] = 1
-        return result
     if chosen is SimilarityStrategy.NAIVE:
         from repro.query.operators.naive import naive_similar
 
@@ -152,7 +144,3 @@ def similar_collected(
     )
     return result
 
-
-def count_filter_applicable(query_length: int, q: int, d: int) -> bool:
-    """True when the count bound can prune anything for this query."""
-    return count_filter_threshold(query_length, query_length, q, d) > 1

@@ -365,20 +365,13 @@ def similar(
         raise ExecutionError(f"similarity distance must be >= 0, got {d}")
     chosen = strategy if strategy is not None else ctx.strategy
     if chosen is SimilarityStrategy.ADAPTIVE:
-        # Cost-based resolution: predict each physical strategy's cost,
-        # dispatch the cheapest, and record predicted-vs-actual on the
-        # decision (picked up by the executor's / workload's CostReport).
-        decision = ctx.decide_strategy(s, attribute, d)
-        tracer = ctx.network.tracer
-        before = tracer.snapshot()
-        result = similar(
-            ctx, s, attribute, d, initiator_id,
-            strategy=decision.chosen, verifier=verifier,
+        return ctx.run_adaptive(
+            s, attribute, d,
+            lambda physical: similar(
+                ctx, s, attribute, d, initiator_id,
+                strategy=physical, verifier=verifier,
+            ),
         )
-        delta = before.delta(tracer.snapshot())
-        decision.record_actual(delta.messages, delta.payload_bytes)
-        result.extras["adaptive"] = 1
-        return result
     outside_guarantee = not guaranteed_complete(len(s), ctx.config.q, d)
     if chosen is SimilarityStrategy.NAIVE or (
         ctx.config.strict_completeness and outside_guarantee

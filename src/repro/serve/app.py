@@ -33,21 +33,21 @@ record (covered key-space mass, dark partitions, dropped candidates) in
 the payload.
 
 Concurrency model: the engine is synchronous and its cost accounting
-(tracer snapshot deltas) needs exclusive access, so every engine call
-runs inline on the event-loop thread, one at a time.  A handler that
-calls the engine inline never awaits, so two plain requests cannot
-interleave.  A thread would buy no parallelism: the engine holds the
-GIL while it computes, and handing each call to a worker thread cost
-more in GIL hand-offs than it overlapped.  The loop is blocked for one
-engine call at a time (about 0.4 ms at p50 and 2.7 ms at p99 on the
-``serve_http`` mix), below CPython's 5 ms switch interval, which
-already bounded the loop's wait while a threaded engine computed.  The
-one place an engine window spans an ``await`` is the streamed top-N,
-which yields chunks between deepening rounds inside one
-:meth:`~repro.engine.QueryEngine.recorded` window; an
-:class:`asyncio.Lock` keeps every other engine call out of that window.
-:class:`~repro.serve.admission.AdmissionController` bounds how many
-admitted requests may wait on that lock.
+(one operation scope at a time; scopes refuse to nest) needs exclusive
+access, so every engine call runs inline on the event-loop thread, one
+at a time.  A handler that calls the engine inline never awaits, so
+two plain requests cannot interleave.  A thread would buy no
+parallelism: the engine holds the GIL while it computes, and handing
+each call to a worker thread cost more in GIL hand-offs than it
+overlapped.  The loop is blocked for one engine call at a time (about
+0.4 ms at p50 and 2.7 ms at p99 on the ``serve_http`` mix), below
+CPython's 5 ms switch interval, which already bounded the loop's wait
+while a threaded engine computed.  The one place an engine window
+spans an ``await`` is the streamed top-N, which yields chunks between
+deepening rounds inside one :meth:`~repro.engine.QueryEngine.recorded`
+window; an :class:`asyncio.Lock` keeps every other engine call out of
+that window.  :class:`~repro.serve.admission.AdmissionController`
+bounds how many admitted requests may wait on that lock.
 
 Streaming top-N replays the serial operator's iterative deepening
 (round ``d`` runs ``Similar(search, attribute, d)``) but emits each
@@ -476,9 +476,7 @@ class QueryService:
     async def handle_vql(self, request: Request) -> Response:
         body = request.json()
         text = _field_str(body, "text")
-        initiator = body.get("initiator")
-        if initiator is not None and not isinstance(initiator, int):
-            raise BadRequest("'initiator' must be an integer peer id")
+        initiator = _field_initiator(body, self.engine.n_peers)
         ticket, rejection = self._admit(POINT_QUERY_PREDICTED_MESSAGES)
         if rejection is not None:
             return rejection
@@ -507,9 +505,7 @@ class QueryService:
         )
         if max_distance >= MAX_ROUNDS:
             raise BadRequest(f"'max_distance' must be < {MAX_ROUNDS}")
-        initiator = body.get("initiator")
-        if initiator is not None and not isinstance(initiator, int):
-            raise BadRequest("'initiator' must be an integer peer id")
+        initiator = _field_initiator(body, self.engine.n_peers)
         strategy = _parse_strategy(body)
         return {
             "attribute": attribute,
@@ -669,6 +665,16 @@ def _field_int(
         raise BadRequest(f"'{name}' must be an integer")
     if value < minimum:
         raise BadRequest(f"'{name}' must be >= {minimum}")
+    return value
+
+
+def _field_initiator(body: dict, n_peers: int) -> int | None:
+    """The optional ``initiator`` peer id; ``None`` when absent."""
+    value = body.get("initiator")
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < n_peers
+    ):
+        raise BadRequest(f"'initiator' must be a peer id in [0, {n_peers})")
     return value
 
 

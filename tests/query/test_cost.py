@@ -17,7 +17,7 @@ from repro.query.cost import (
     StrategyCostModel,
     StrategyDecision,
 )
-from repro.query.operators.base import OperatorContext
+from repro.query.operators.base import OperationScope, OperatorContext
 from repro.query.operators.similar import similar
 from repro.query.statistics import collect_statistics
 from repro.similarity.edit_distance import edit_distance
@@ -227,10 +227,12 @@ class TestAdaptiveOperator:
     def test_decision_logged_with_actuals(self):
         ctx = build_ctx(["apple", "apply", "ample"], 16)
         ctx.strategy = SimilarityStrategy.ADAPTIVE
-        assert ctx.decision_log == []
-        similar(ctx, "apple", ATTR, 1)
-        assert len(ctx.decision_log) == 1
-        decision = ctx.decision_log[0]
+        with OperationScope(ctx) as scope:
+            assert scope.decisions == []
+            similar(ctx, "apple", ATTR, 1)
+        assert len(scope.decisions) == 1
+        assert scope.cost.decisions == scope.decisions
+        decision = scope.decisions[0]
         assert decision.search == "apple"
         assert decision.d == 1
         assert decision.actual_messages is not None
@@ -253,12 +255,13 @@ class TestAdaptiveOperator:
         words = ["apple", "apply", "ample", "maple", "grape", "grace"]
         ctx = build_ctx(words, 24)
         ctx.strategy = SimilarityStrategy.ADAPTIVE
-        result = similar_collected(ctx, "aple", ATTR, 1)
+        with OperationScope(ctx) as scope:
+            result = similar_collected(ctx, "aple", ATTR, 1)
         expected = sorted(w for w in words if edit_distance("aple", w) <= 1)
         assert sorted(m.matched for m in result.matches) == expected
         assert result.extras.get("adaptive") == 1
-        assert len(ctx.decision_log) == 1
-        assert ctx.decision_log[0].actual_messages is not None
+        assert len(scope.decisions) == 1
+        assert scope.decisions[0].actual_messages is not None
 
     def test_from_name(self):
         assert (

@@ -8,6 +8,7 @@ key-space mass in the payload.
 
 from __future__ import annotations
 
+import pytest
 from serve_utils import ATTRIBUTE, post, run
 
 from repro import FaultPlan, StoreConfig
@@ -163,6 +164,45 @@ class TestErrorMapping:
              "strategy": "warp-drive"},
         )))
         assert response.status == 400
+
+    @pytest.mark.parametrize("initiator", [-1, 32, 10**6, True, 1.0, "1", 0, 31, None])
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/query/topn", {"attribute": ATTRIBUTE, "search": "adapte", "n": 2}),
+            (
+                "/query/topn/stream",
+                {"attribute": ATTRIBUTE, "search": "adapte", "n": 2},
+            ),
+            (
+                "/query/vql",
+                {"text": "SELECT ?w WHERE { (?o,word:text,?w) "
+                         "FILTER (dist(?w,'adapte') <= 1) }"},
+            ),
+        ],
+    )
+    def test_initiator_must_be_a_peer_of_the_engine(
+        self, service_factory, path, body, initiator
+    ):
+        """An initiator is absent or an int in ``[0, n_peers)``; anything
+        else — a bool, a float, a string, or out of range — is a 400."""
+        service = service_factory(n_peers=32)
+        if initiator is not None:
+            body = {**body, "initiator": initiator}
+
+        async def scenario():
+            response = await service.handle(post(path, body))
+            if response.stream is not None:
+                [chunk async for chunk in response.stream]
+            return response
+
+        response = run(scenario())
+        valid = initiator is None or (
+            type(initiator) is int and 0 <= initiator < 32
+        )
+        assert response.status == (200 if valid else 400)
+        if not valid:
+            assert "'initiator'" in response.payload["error"]
 
     def test_vql_syntax_error_422(self, service_factory):
         service = service_factory()

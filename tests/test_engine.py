@@ -1,11 +1,15 @@
 """Integration tests for the QueryEngine facade (engine.py)."""
 
+import gc
 import inspect
+import weakref
 
 import pytest
 
 from repro.core.config import SimilarityStrategy, StoreConfig
+from repro.core.errors import ReproError
 from repro.engine import QueryEngine
+from repro.overlay.faults import FaultPlan
 from repro.storage.triple import Triple
 
 from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS, word_triples
@@ -140,9 +144,9 @@ class TestAdaptive:
             assert decision.chosen.is_physical
             assert decision.actual_messages is not None
 
-    def test_decision_log_is_drained_per_operation(self, adaptive_engine):
-        """Each recorded operation takes its own decisions out of the
-        context's log, so a long-lived engine keeps none of them."""
+    def test_decisions_are_scoped_per_operation(self, adaptive_engine):
+        """Each recorded operation's report carries exactly the decisions
+        its own scope collected, and the context keeps none of them."""
         engine = adaptive_engine
         for i in range(200):
             search = WORDS[i % len(WORDS)]
@@ -166,7 +170,9 @@ class TestAdaptive:
             assert result.cost.decisions
             assert engine.last_decisions() == result.cost.decisions
             assert {x.search for x in result.cost.decisions} == {search}
-        assert engine.ctx.decision_log == []
+        assert engine.ctx.scope is None
+        engine.similar(WORDS[0], TEXT_ATTR, 1, strategy="strings")
+        assert engine.last_decisions() == []
 
     def test_fixed_strategy_queries_record_no_decisions(self, engine):
         engine.similar("apple", TEXT_ATTR, 1)
@@ -259,3 +265,61 @@ class TestLedger:
         )
         assert "string_similarity" in text
         assert engine.network.tracer.message_count == before
+
+
+class TestFailedOperations:
+    """An operation that raises is still one recorded operation: its
+    report — with the decisions it took — becomes ``last_cost()`` and a
+    ``stats`` entry, and nothing else keeps those decisions."""
+
+    @pytest.fixture()
+    def failing_engine(self, adaptive_engine):
+        adaptive_engine.install_faults(FaultPlan.lossy(0.02, seed=5), mode="strict")
+        adaptive_engine.fail_fraction(0.5, protect_partitions=False)
+        return adaptive_engine
+
+    def _failures(self, engine, run) -> list:
+        """Run ``run(word)`` per word; for each one that raised, check it
+        was recorded and return weak references to its decisions."""
+        decisions = []
+        for word in WORDS:
+            queries, stale = engine.stats.queries, engine.last_cost()
+            try:
+                run(word)
+            except ReproError:
+                cost = engine.last_cost()
+                assert engine.stats.queries == queries + 1
+                assert cost is not stale
+                assert cost.completeness is not None
+                assert [d.search for d in cost.decisions] == [word]
+                decisions += [weakref.ref(d) for d in cost.decisions]
+            else:
+                assert engine.stats.queries == queries + 1
+        return decisions
+
+    def _assert_released(self, engine, decisions) -> None:
+        assert len(decisions) >= 3, "scenario needs failing queries"
+        assert engine.ctx.scope is None
+        engine.clear_faults()
+        engine.recover(repair=False)
+        engine.similar(WORDS[0], TEXT_ATTR, 1, strategy="strings")
+        gc.collect()
+        assert [ref for ref in decisions if ref() is not None] == []
+
+    def test_failed_vql_queries_are_recorded(self, failing_engine):
+        engine = failing_engine
+        decisions = self._failures(
+            engine,
+            lambda word: engine.query(
+                f"SELECT ?w WHERE {{ (?o,{TEXT_ATTR},?w) "
+                f"FILTER (dist(?w,'{word}') <= 1) }}"
+            ),
+        )
+        self._assert_released(engine, decisions)
+
+    def test_failed_similar_calls_are_recorded(self, failing_engine):
+        engine = failing_engine
+        decisions = self._failures(
+            engine, lambda word: engine.similar(word, TEXT_ATTR, 1)
+        )
+        self._assert_released(engine, decisions)

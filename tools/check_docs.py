@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Documentation link checker (stdlib only; the CI docs job runs it).
+"""Documentation checker (stdlib only; the CI docs job runs it).
 
 Scans the repository's markdown documentation for relative links and
 verifies every target exists.  External links (``http(s)://``,
 ``mailto:``) are skipped — CI must not depend on network reachability —
 and intra-page anchors (``#...``) are checked only for non-emptiness.
+``docs/ARCHITECTURE.md`` describes the system as it is, so none of its
+headings may be titled after the change that introduced a part of it
+(``(PR n)``).
 
 Usage::
 
     python tools/check_docs.py [repo_root]
 
-Exit status 0 when every link resolves, 1 otherwise (each broken link
-is reported on stderr as ``file:line: target``).
+Exit status 0 when every link resolves and no heading is change-titled,
+1 otherwise (each problem is reported on stderr as ``file:line: ...``).
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ DOC_FILES = (
 #: ``[text](target)`` — good enough for the docs in this repository
 #: (no nested brackets, no reference-style links).
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: The architecture document, whose headings are checked too.
+ARCHITECTURE = "docs/ARCHITECTURE.md"
+
+#: A heading titled after a change: ``### Bulk load (PR 23)``.
+CHANGE_TITLED_HEADING = re.compile(r"^#+ .*\(PR \d+\)")
 
 
 def iter_links(path: Path):
@@ -57,6 +66,12 @@ def check_file(root: Path, relative: str) -> list[str]:
         resolved = (path.parent / base).resolve()
         if not resolved.exists():
             problems.append(f"{relative}:{line_number}: {target}")
+    if relative == ARCHITECTURE:
+        for line_number, line in enumerate(path.read_text().splitlines(), start=1):
+            if CHANGE_TITLED_HEADING.match(line):
+                problems.append(
+                    f"{relative}:{line_number}: change-titled heading: {line}"
+                )
     return problems
 
 
@@ -72,7 +87,7 @@ def main(argv: list[str]) -> int:
         problems.extend(check_file(root, relative))
     if problems:
         for problem in problems:
-            print(f"broken link: {problem}", file=sys.stderr)
+            print(f"docs: {problem}", file=sys.stderr)
         return 1
     print(f"docs ok: {checked} files, all relative links resolve")
     return 0
