@@ -345,7 +345,7 @@ class OperationScope:
         active = injector is not None and injector.active
         self._session = injector.begin_session() if active else None
         pool = ctx.verifier_pool
-        self._verified = pool.counters.as_dict() if pool is not None else None
+        self._verifier_before = pool.counters.as_dict() if pool is not None else None
         self._before = network.tracer.snapshot()
         ctx.scope = self
         return self
@@ -355,11 +355,11 @@ class OperationScope:
         ctx.scope = None
         cost = CostReport.from_delta(self._before, ctx.network.tracer.snapshot())
         cost.decisions = self.decisions
-        if self._verified is not None:
+        if self._verifier_before is not None:
             pool = ctx.verifier_pool
             after = pool.counters.as_dict()
             cost.verifier = {
-                key: after[key] - before for key, before in self._verified.items()
+                key: after[key] - before for key, before in self._verifier_before.items()
             }
             cost.verifier["kernel"] = pool.kernel.name
         if self._session is not None:
