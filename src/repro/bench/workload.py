@@ -26,11 +26,10 @@ from repro.core.stats import QueryStats
 from repro.overlay.messages import CostReport
 from repro.query.operators.base import OperationScope, OperatorContext
 from repro.query.operators.simjoin import anchored_sim_join
-from repro.query.operators.topn import top_n_string_nn
+from repro.query.operators.topn import TOP_N_MAX_DISTANCE, top_n_string_nn
 
-#: The paper's parameters.
+#: The paper's parameters (the top-N radius is ``TOP_N_MAX_DISTANCE``).
 TOP_N_SIZES = (5, 10, 15)
-TOP_N_MAX_DISTANCE = 5
 JOIN_DISTANCES = (1, 2, 3)
 DEFAULT_REPETITIONS = 40
 

@@ -82,7 +82,13 @@ from repro.query.operators.naive import NaiveWorkloadMemo
 from repro.query.operators.range_scan import numeric_similar
 from repro.query.operators.similar import GramScanMemo, SimilarResult, similar
 from repro.query.operators.simjoin import SimJoinResult, anchored_sim_join, sim_join
-from repro.query.operators.topn import TopNResult, top_n_numeric, top_n_string_nn
+from repro.query.operators.topn import (
+    MAX_ROUNDS as MAX_ROUNDS,  # re-exported: the service bounds requests by it
+    TOP_N_MAX_DISTANCE,
+    TopNResult,
+    top_n_numeric,
+    top_n_string_nn,
+)
 from repro.query.statistics import StatisticsCatalog, collect_statistics
 from repro.similarity.filters import FilterConfig
 from repro.similarity.kernels import EditKernel, resolve_kernel
@@ -625,11 +631,19 @@ class QueryEngine:
             )
 
     def top_n_string(
-        self, attribute: str, search: str, n: int, max_distance: int = 5
+        self,
+        attribute: str,
+        search: str,
+        n: int,
+        max_distance: int = TOP_N_MAX_DISTANCE,
+        initiator_id: int | None = None,
+        strategy: SimilarityStrategy | None = None,
     ) -> TopNResult:
         """String nearest-neighbour top-N (iterative deepening)."""
         with self.recorded():
-            return top_n_string_nn(self.ctx, attribute, search, n, max_distance)
+            return top_n_string_nn(
+                self.ctx, attribute, search, n, max_distance, initiator_id, strategy
+            )
 
     def lookup(self, oid: str) -> tuple[Triple, ...]:
         """Fetch the complete object stored under ``key(oid)``."""
@@ -705,8 +719,9 @@ class QueryEngine:
         """Re-check the mutation token, run the body in one
         :class:`~repro.query.operators.base.OperationScope` on :attr:`ctx`
         (yielded), and make its report — raised or not — :meth:`last_cost`
-        and a ``stats`` entry.  Public so composite flows of raw operator
-        calls (the service's streamed top-N) account as *one* operation.
+        and a ``stats`` entry.  Every engine read runs in one; tests and
+        tools open it to account a composite flow of raw operator calls
+        on :attr:`ctx` as *one* operation.
         """
         self.check_mutations()
         scope = OperationScope(self.ctx)

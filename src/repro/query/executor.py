@@ -56,9 +56,6 @@ _NUMERIC_EDGE = 1.7e308
 #: Overfetch retries for the top-N push-down before giving up on it.
 _TOP_N_RETRIES = 4
 
-#: Hard cap for string NN deepening in ORDER BY ... NN queries.
-_NN_MAX_DISTANCE = 5
-
 
 @dataclass
 class QueryResult:
@@ -372,7 +369,6 @@ class Executor:
                     attribute,
                     str(target),
                     fetch,
-                    max_distance=_NN_MAX_DISTANCE,
                     initiator_id=initiator_id,
                 )
         else:

@@ -52,6 +52,7 @@ from repro.query.operators.base import (
     OperatorContext,
 )
 from repro.query.operators.similar import SimilarResult
+from repro.query.operators.topn import TOP_N_MAX_DISTANCE
 from repro.similarity.kernels import EncodedColumn
 from repro.similarity.verify import BatchVerifier
 from repro.storage.indexing import EntryKind
@@ -190,12 +191,12 @@ class RegionColumn:
 class NaiveWorkloadMemo:
     """Whole-workload memo of naive-broadcast comparison outcomes.
 
-    Keyed by ``(s, attribute)``: one region comparison at ``band =
-    max(d, band)`` serves *every* distance up to the band, so a top-N
-    query's iterative-deepening rounds (``d = 0, 1, 2, ...`` over the
-    same search string) and a join's repeated probes all reuse a single
-    region scan.  The default band matches the workload's maximum top-N
-    radius.
+    Keyed by ``(s, attribute)``: one region comparison at band
+    ``max(d, TOP_N_MAX_DISTANCE)`` — string top-N's default radius —
+    serves *every* distance up to the band, so a top-N query's
+    iterative-deepening rounds (``d = 0, 1, 2, ...`` over the same
+    search string) and a join's repeated probes all reuse a single
+    region scan.
 
     Valid only while the network's stores are unchanged — benchmark
     cells satisfy this (bulk load, then a read-only workload) — and the
@@ -214,12 +215,8 @@ class NaiveWorkloadMemo:
     comparison of any new search string therefore walks no store.
     """
 
-    #: Default distance band (the workload's ``TOP_N_MAX_DISTANCE``).
-    DEFAULT_BAND = 5
-
-    def __init__(self, network, band: int = DEFAULT_BAND):
+    def __init__(self, network):
         self.network = network
-        self.band = band
         self._cache: dict[tuple, RegionComparison] = {}
         self._columns: dict[tuple[str, str, bool], RegionColumn] = {}
         self.hits = 0
@@ -366,7 +363,7 @@ def naive_similar(
         memo.lookup(memo_key, d, contacted) if memo is not None else None
     )
     if comparison is None:
-        band = max(d, memo.band) if memo is not None else d
+        band = max(d, TOP_N_MAX_DISTANCE) if memo is not None else d
         comparison = _compare_region(
             contacted,
             _region_column(memo, region_prefix, attribute, schema_level),

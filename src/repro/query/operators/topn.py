@@ -33,6 +33,10 @@ from repro.storage.triple import is_numeric
 #: before this unless the attribute holds fewer than N values.
 MAX_ROUNDS = 32
 
+#: Default deepening radius of string top-N: the paper's "up to a
+#: maximal distance of 5" (Section 6).
+TOP_N_MAX_DISTANCE = 5
+
 
 @dataclass
 class TopNResult:
@@ -276,7 +280,7 @@ def top_n_string_nn(
     attribute: str,
     search: str,
     n: int,
-    max_distance: int = 5,
+    max_distance: int = TOP_N_MAX_DISTANCE,
     initiator_id: int | None = None,
     strategy: SimilarityStrategy | None = None,
 ) -> TopNResult:

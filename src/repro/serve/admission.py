@@ -4,8 +4,9 @@ The engine serializes query execution (per-query cost accounting needs
 exclusive access to the network's :class:`~repro.overlay.messages.
 MessageTracer`), so the service is a single-server queue: admitted
 requests wait their turn for the event-loop thread, which runs the
-engine, and behind an open stream on the engine lock.  Admission
-control bounds that queue two ways:
+engine one call at a time.  An open stream holds its slot until its
+last chunk is read, though its engine call has already ended.
+Admission control bounds that queue two ways:
 
 * a hard **capacity** cap on in-flight requests (admitted, not yet
   finished) — classic bounded-queue back-pressure;

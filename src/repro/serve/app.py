@@ -35,32 +35,29 @@ the payload.
 Concurrency model: the engine is synchronous and its cost accounting
 (one operation scope at a time; scopes refuse to nest) needs exclusive
 access, so every engine call runs inline on the event-loop thread, one
-at a time.  A handler that calls the engine inline never awaits, so
-two plain requests cannot interleave.  A thread would buy no
-parallelism: the engine holds the GIL while it computes, and handing
-each call to a worker thread cost more in GIL hand-offs than it
-overlapped.  The loop is blocked for one engine call at a time (about
-0.4 ms at p50 and 2.7 ms at p99 on the ``serve_http`` mix), below
-CPython's 5 ms switch interval, which already bounded the loop's wait
-while a threaded engine computed.  The one place an engine window
-spans an ``await`` is the streamed top-N, which yields chunks between
-deepening rounds inside one :meth:`~repro.engine.QueryEngine.recorded`
-window; an :class:`asyncio.Lock` keeps every other engine call out of
-that window.  :class:`~repro.serve.admission.AdmissionController`
-bounds how many admitted requests may wait on that lock.
+at a time.  Each handler runs one engine operation and never awaits
+while it runs, so no two operations interleave and the service needs
+no lock.  A thread would buy no parallelism: the engine holds the
+GIL while it computes, and handing each call to a worker thread cost
+more in GIL hand-offs than it overlapped.  The loop is blocked for one
+engine call at a time (about 0.4 ms at p50 and 2.7 ms at p99 on the
+``serve_http`` mix), below CPython's 5 ms switch interval, which
+already bounded the loop's wait while a threaded engine computed.
+:class:`~repro.serve.admission.AdmissionController` bounds how many
+admitted requests may wait for the loop.
 
-Streaming top-N replays the serial operator's iterative deepening
-(round ``d`` runs ``Similar(search, attribute, d)``) but emits each
-round's *new* matches as soon as the round completes.  Because a match
-first found in round ``d`` has edit distance exactly ``d``, streaming
-per-round batches sorted by ``(distance, oid)`` and truncating at ``n``
-reproduces :func:`~repro.query.operators.topn.top_n_string_nn`'s final
-ranked list bit for bit — the test suite asserts that equivalence.
+Streaming top-N makes the same single engine call as ``/query/topn``
+(:meth:`~repro.engine.QueryEngine.top_n_string`, the serial iterative
+deepening) and frames its result as NDJSON: one line per match in rank
+order, then a summary line with the operation's cost.  The call runs
+before the response is returned, so an engine error is a 422 like on
+every other endpoint, and a slow reader holds its admission slot but
+never the engine.  The price is latency to the first line: it leaves
+only after the last deepening round has run.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import time
 from collections import Counter
@@ -68,10 +65,8 @@ from collections.abc import AsyncIterator, Awaitable, Callable
 from dataclasses import dataclass, field
 
 from repro.core.config import SimilarityStrategy
-from repro.core.errors import ConfigError, ReproError
-from repro.engine import QueryEngine
-from repro.query.operators.similar import similar
-from repro.query.operators.topn import MAX_ROUNDS, top_n_string_nn
+from repro.core.errors import ReproError
+from repro.engine import MAX_ROUNDS, TOP_N_MAX_DISTANCE, QueryEngine
 from repro.serve.admission import AdmissionController, Ticket
 from repro.storage.triple import Triple
 
@@ -129,24 +124,13 @@ class Response:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tunables of one :class:`QueryService`.
-
-    ``max_inflight`` / ``cost_budget`` parameterize the
-    :class:`~repro.serve.admission.AdmissionController`;
-    ``default_top_n_max_distance`` caps the deepening radius when a
-    top-N request does not specify one.
+    """Tunables of one :class:`QueryService`: ``max_inflight`` /
+    ``cost_budget`` parameterize the
+    :class:`~repro.serve.admission.AdmissionController`.
     """
 
     max_inflight: int = 8
     cost_budget: float = 0.0
-    default_top_n_max_distance: int = 5
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.default_top_n_max_distance < MAX_ROUNDS:
-            raise ConfigError(
-                "default_top_n_max_distance must be in [0, "
-                f"{MAX_ROUNDS}), got {self.default_top_n_max_distance}"
-            )
 
 
 Handler = Callable[[Request], Awaitable[Response]]
@@ -175,7 +159,6 @@ class QueryService:
         self.started_at = time.monotonic()
         self.served_by_endpoint: Counter[str] = Counter()
         self.strategy_tally: Counter[str] = Counter()
-        self._engine_lock = asyncio.Lock()
         self._closed = False
         self.routes: dict[tuple[str, str], Handler] = {
             ("GET", "/healthz"): self.handle_healthz,
@@ -229,11 +212,6 @@ class QueryService:
         self.served_by_endpoint[request.path] += 1
         return response
 
-    async def _run(self, fn: Callable, *args):
-        """Run one engine operation inline, outside any open stream's window."""
-        async with self._engine_lock:
-            return fn(*args)
-
     # -- introspection endpoints ---------------------------------------------------
 
     async def handle_healthz(self, request: Request) -> Response:
@@ -283,20 +261,14 @@ class QueryService:
     async def _mutate(self, request: Request, op: Callable) -> Response:
         """Apply one write batch through the engine's explicit write path.
 
-        Mutations run inline under the engine lock like queries, so a
-        write is never interleaved with a running query: every response
-        either predates the write entirely or sees its full effect —
-        including the memo/statistics delta maintenance the engine does
-        inside ``op``.
+        Mutations run inline like queries, so a write is never
+        interleaved with a running query: every response either predates
+        the write entirely or sees its full effect — including the
+        memo/statistics delta maintenance the engine does inside ``op``.
         """
         triples = _parse_triples(request.json())
-
-        def write():
-            # One engine call, so the report read is this write's own.
-            op(triples)
-            return self.engine.last_write()
-
-        report = await self._run(write)
+        op(triples)
+        report = self.engine.last_write()
         return Response(
             200,
             {
@@ -321,7 +293,7 @@ class QueryService:
             return rejection
         started = time.perf_counter()
         try:
-            matches = await self._run(self.engine.select, attribute, value)
+            matches = self.engine.select(attribute, value)
             return self._query_response(
                 {"matches": [_match_dict(m) for m in matches]}
             )
@@ -341,9 +313,7 @@ class QueryService:
             return rejection
         started = time.perf_counter()
         try:
-            result = await self._run(
-                self.engine.similar, search, attribute, d, strategy
-            )
+            result = self.engine.similar(search, attribute, d, strategy)
             self._tally(strategy)
             return self._query_response(
                 {
@@ -363,23 +333,8 @@ class QueryService:
         if rejection is not None:
             return rejection
         started = time.perf_counter()
-        engine = self.engine
-
-        def run_top_n():
-            with engine.recorded():
-                return top_n_string_nn(
-                    engine.ctx,
-                    params["attribute"],
-                    params["search"],
-                    params["n"],
-                    max_distance=params["max_distance"],
-                    initiator_id=params["initiator"],
-                    strategy=params["strategy"],
-                )
-
         try:
-            result = await self._run(run_top_n)
-            self._tally(params["strategy"])
+            result = self._top_n(params)
             return self._query_response(
                 {
                     "matches": [_match_dict(m) for m in result.matches],
@@ -392,9 +347,8 @@ class QueryService:
     async def handle_top_n_stream(self, request: Request) -> Response:
         """Chunked NDJSON top-N: one line per match, in final rank order.
 
-        Matches stream out as deepening rounds complete; the terminal
-        line carries ``done`` plus the whole operation's cost (and the
-        completeness record when the network is degraded).  The
+        The terminal line carries ``done`` plus the operation's cost (and
+        the completeness record when the network is degraded).  The
         admission ticket is held until the stream ends, so an open
         stream counts against ``max_inflight``.
         """
@@ -402,8 +356,26 @@ class QueryService:
         ticket, rejection = self._admit(params["predicted"])
         if rejection is not None:
             return rejection
-        self._tally(params["strategy"])
-        stream = self._stream_top_n(params, ticket)
+        started = time.perf_counter()
+        try:
+            result = self._top_n(params)
+        except BaseException:
+            ticket.finish(time.perf_counter() - started)
+            raise
+        cost = self.engine.last_cost()
+        summary = {
+            "done": True,
+            "count": len(result.matches),
+            "rounds": result.rounds,
+            "cost": _cost_dict(cost),
+        }
+        completeness = _completeness_dict(cost)
+        if completeness is not None:
+            summary["completeness"] = completeness
+            summary["partial"] = bool(cost.completeness.is_partial)
+        lines = [_ndjson({"match": _match_dict(m)}) for m in result.matches]
+        lines.append(_ndjson(summary))
+        stream = _held_stream(lines, ticket, started)
         # Step the generator into its ``try`` before anyone can close it:
         # an async generator closed before its first step never runs its
         # ``finally``, and a client gone before the first chunk would
@@ -415,64 +387,6 @@ class QueryService:
             stream=stream,
         )
 
-    async def _stream_top_n(
-        self, params: dict, ticket: Ticket
-    ) -> AsyncIterator[bytes]:
-        engine = self.engine
-        started = time.perf_counter()
-        try:
-            yield b""  # the handler's priming step; never sent
-            # The one engine window that spans awaits: each ``yield``
-            # hands the loop to the consumer, and the lock keeps every
-            # other engine call out until the last round is accounted.
-            async with self._engine_lock:
-                best: dict[str, object] = {}
-                emitted = 0
-                rounds = 0
-                with engine.recorded():
-                    for d in range(params["max_distance"] + 1):
-                        rounds += 1
-                        probe = similar(
-                            engine.ctx,
-                            params["search"],
-                            params["attribute"],
-                            d,
-                            params["initiator"],
-                            strategy=params["strategy"],
-                        )
-                        fresh = []
-                        for match in probe.matches:
-                            previous = best.get(match.oid)
-                            if (
-                                previous is None
-                                or match.distance < previous.distance
-                            ):
-                                if previous is None:
-                                    fresh.append(match)
-                                best[match.oid] = match
-                        fresh.sort(key=lambda m: (m.distance, m.oid))
-                        for match in fresh:
-                            if emitted >= params["n"]:
-                                break
-                            emitted += 1
-                            yield _ndjson({"match": _match_dict(match)})
-                        if len(best) >= params["n"]:
-                            break
-                cost = engine.last_cost()
-            summary = {
-                "done": True,
-                "count": emitted,
-                "rounds": rounds,
-                "cost": _cost_dict(cost),
-            }
-            completeness = _completeness_dict(cost)
-            if completeness is not None:
-                summary["completeness"] = completeness
-                summary["partial"] = bool(cost.completeness.is_partial)
-            yield _ndjson(summary)
-        finally:
-            ticket.finish(time.perf_counter() - started)
-
     async def handle_vql(self, request: Request) -> Response:
         body = request.json()
         text = _field_str(body, "text")
@@ -482,7 +396,7 @@ class QueryService:
             return rejection
         started = time.perf_counter()
         try:
-            result = await self._run(self.engine.query, text, initiator)
+            result = self.engine.query(text, initiator)
             return self._query_response(
                 {"rows": [dict(row) for row in result.rows]},
                 cost=result.cost,
@@ -491,6 +405,19 @@ class QueryService:
             ticket.finish(time.perf_counter() - started)
 
     # -- shared plumbing -----------------------------------------------------------
+
+    def _top_n(self, params: dict):
+        """The one engine call behind both top-N endpoints."""
+        result = self.engine.top_n_string(
+            params["attribute"],
+            params["search"],
+            params["n"],
+            params["max_distance"],
+            params["initiator"],
+            params["strategy"],
+        )
+        self._tally(params["strategy"])
+        return result
 
     def _top_n_params(self, request: Request) -> dict:
         body = request.json()
@@ -501,7 +428,7 @@ class QueryService:
             body,
             "max_distance",
             minimum=0,
-            default=self.config.default_top_n_max_distance,
+            default=TOP_N_MAX_DISTANCE,
         )
         if max_distance >= MAX_ROUNDS:
             raise BadRequest(f"'max_distance' must be < {MAX_ROUNDS}")
@@ -597,6 +524,18 @@ def _rejection(decision) -> Response:
 
 def _ndjson(payload: dict) -> bytes:
     return (json.dumps(payload) + "\n").encode()
+
+
+async def _held_stream(
+    lines: list[bytes], ticket: Ticket, started: float
+) -> AsyncIterator[bytes]:
+    """Yield ``lines``, holding ``ticket`` until the stream ends."""
+    try:
+        yield b""  # the handler's priming step; never sent
+        for line in lines:
+            yield line
+    finally:
+        ticket.finish(time.perf_counter() - started)
 
 
 def _match_dict(match) -> dict:

@@ -224,14 +224,14 @@ class TestErrorMapping:
 class TestDegradedResponses:
     """Dark partitions in degraded mode -> 206 + Completeness mass."""
 
-    def _darkened_service(self, service_factory):
+    def _darkened_service(self, service_factory, mode="degraded"):
         service = service_factory(
             n_peers=48,
             seed=21,
             store_config=StoreConfig(seed=21, replication=3),
         )
         engine = service.engine
-        engine.install_faults(FaultPlan.lossy(0.05, seed=4), mode="degraded")
+        engine.install_faults(FaultPlan.lossy(0.05, seed=4), mode=mode)
         churn = ChurnController(engine.network, seed=1)
         report = churn.fail_fraction(0.5, protect_partitions=False)
         assert report.dark_partitions, "test needs at least one dark partition"
@@ -268,6 +268,24 @@ class TestDegradedResponses:
         assert summary["done"] is True
         assert summary["partial"] is True
         assert 0.0 <= summary["completeness"]["fraction"] < 1.0
+
+    def test_strict_stream_fails_like_the_serial_endpoint(
+        self, service_factory
+    ):
+        """In strict mode a dark partition is a 422 before any byte of
+        the stream is sent, and the request's admission slot is back."""
+        body = {"attribute": ATTRIBUTE, "search": "resilent", "n": 3,
+                "max_distance": 2}
+        serial = self._darkened_service(service_factory, mode="strict")
+        streamed = self._darkened_service(service_factory, mode="strict")
+        expected = run(serial.handle(post("/query/topn", body)))
+        response = run(streamed.handle(post("/query/topn/stream", body)))
+        assert expected.status == 422
+        assert expected.payload["error"].startswith("PartitionUnreachableError")
+        assert response.status == 422
+        assert response.stream is None
+        assert response.payload == expected.payload
+        assert streamed.admission.inflight == 0
 
     @staticmethod
     async def _consume_stream(service):

@@ -1,11 +1,12 @@
-"""Streaming top-N: order and content match the serial operator exactly.
+"""Streaming top-N: order, content and cost match the serial operator.
 
-The service streams per-round batches of the iterative deepening; the
-contract is that the concatenated stream reproduces
+The stream frames the result of the same engine call ``/query/topn``
+makes; the contract is that its lines reproduce
 :func:`repro.query.operators.topn.top_n_string_nn`'s final ranked list
 bit for bit — same oids, same matched strings, same distances, same
-order, same truncation at N.  Verified in-process and over a real
-socket (which also exercises the chunked HTTP framing end to end).
+order, same truncation at N — at the same simulated cost.  Verified
+in-process and over a real socket (which also exercises the chunked
+HTTP framing end to end).
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ from repro.serve.client import HttpClient
 from repro.serve.http import ServiceServer
 
 STREAM_BODY = {"attribute": ATTRIBUTE, "search": "adapte", "n": 3}
+
+#: A top-N that runs several deepening rounds (distance 0 matches too).
+DEEP_BODY = {
+    "attribute": ATTRIBUTE, "search": "adapted", "n": 10, "max_distance": 3,
+}
 
 
 def _stream_matches(service, body):
@@ -78,25 +84,44 @@ class TestStreamingEquivalence:
         assert match["object"][ATTRIBUTE] == match["matched"]
         assert match["matched"] in WORDS
 
-    def test_stream_is_incremental_per_round(self, service_factory):
-        """Early matches arrive before later deepening rounds run."""
+    def test_first_line_is_the_distance_0_match(self, service_factory):
+        """The stored search string ranks first, and the summary closes
+        the stream."""
         service = service_factory()
 
         async def scenario():
-            response = await service.handle(post("/query/topn/stream", {
-                "attribute": ATTRIBUTE, "search": "adapted", "n": 10,
-                "max_distance": 3,
-            }))
+            response = await service.handle(
+                post("/query/topn/stream", DEEP_BODY)
+            )
             iterator = response.stream.__aiter__()
             first = json.loads(await iterator.__anext__())
-            # The exact match (distance 0) streams out of round 0; the
-            # engine has not exhausted the deepening yet.
             assert first["match"]["distance"] == 0
             rest = [json.loads(chunk) async for chunk in iterator]
             assert rest[-1]["done"] is True
             return None
 
         run(scenario())
+
+    @pytest.mark.parametrize(
+        "strategy", ["strings", "qgrams", "qsamples", "adaptive"]
+    )
+    def test_stream_costs_what_the_serial_endpoint_costs(
+        self, service_factory, strategy
+    ):
+        """With no ``initiator`` both endpoints draw one random initiator
+        for the whole deepening: twin services charge the same cost and
+        leave their engines' RNGs in the same state."""
+        body = {**DEEP_BODY, "strategy": strategy}
+        serial, streamed = service_factory(), service_factory()
+        reply = run(serial.handle(post("/query/topn", body)))
+        summary = _stream_matches(streamed, body)[-1]
+        assert reply.status == 200
+        for key in ("messages", "payload_bytes", "by_phase"):
+            assert summary["cost"][key] == reply.payload["cost"][key]
+        assert (
+            streamed.engine.ctx.rng.getstate()
+            == serial.engine.ctx.rng.getstate()
+        )
 
 
 class TestStreamAdmission:
@@ -189,23 +214,20 @@ class TestStreamAdmission:
         assert admission["rejected_capacity"] == 0
 
 
-class TestEngineLock:
-    def test_request_during_an_open_stream_waits_for_its_end(
+class TestOpenStream:
+    """An open stream holds its admission slot and nothing else."""
+
+    def test_request_between_chunks_changes_neither_answer(
         self, service_factory
     ):
-        """An open stream is the one engine window that spans awaits: a
-        request started between its chunks runs after its last round, so
-        both answers equal the ones the two requests give one after the
+        """A request started between a stream's chunks leaves both
+        answers equal to the ones the two requests give one after the
         other."""
-        stream_body = {
-            "attribute": ATTRIBUTE, "search": "adapted", "n": 10,
-            "max_distance": 3,
-        }
         similar_body = {"search": "adaptor", "attribute": ATTRIBUTE, "d": 2}
 
         async def in_turn(service):
             response = await service.handle(
-                post("/query/topn/stream", stream_body)
+                post("/query/topn/stream", DEEP_BODY)
             )
             lines = [json.loads(chunk) async for chunk in response.stream]
             similar = await service.handle(post("/query/similar", similar_body))
@@ -213,7 +235,7 @@ class TestEngineLock:
 
         async def overlapped(service):
             response = await service.handle(
-                post("/query/topn/stream", stream_body)
+                post("/query/topn/stream", DEEP_BODY)
             )
             chunks = response.stream.__aiter__()
             lines = [json.loads(await chunks.__anext__())]
@@ -231,6 +253,28 @@ class TestEngineLock:
         assert lines == serial_lines
         assert similar.status == serial_similar.status == 200
         assert similar.payload == serial_similar.payload
+
+    def test_slow_reader_holds_up_no_other_request(self, service_factory):
+        """A client that reads one chunk and stops reading delays no
+        engine call: the stream's own call ended before its first chunk."""
+        service = service_factory()
+        exact_body = {"attribute": ATTRIBUTE, "value": "overlay"}
+
+        async def scenario():
+            response = await service.handle(
+                post("/query/topn/stream", DEEP_BODY)
+            )
+            await response.stream.__aiter__().__anext__()
+            try:
+                return await asyncio.wait_for(
+                    service.handle(post("/query/exact", exact_body)), 1.0
+                )
+            finally:
+                await response.stream.aclose()
+
+        exact = run(scenario())
+        assert exact.status == 200
+        assert [m["matched"] for m in exact.payload["matches"]] == ["overlay"]
 
 
 class TestStreamingOverHttp:
@@ -295,8 +339,8 @@ class TestHandlerCrashOverHttp:
                 crashed = await client.request("POST", "/query/exact", exact)
                 connection = client._writer
                 health = await client.request("GET", "/healthz")
-                # The crash released the engine lock and its admission
-                # ticket: an engine-backed request runs, nothing in flight.
+                # The crash released its admission ticket: an
+                # engine-backed request runs, nothing in flight.
                 after = await client.request("POST", "/query/exact", exact)
                 stats = await client.request("GET", "/stats")
                 assert client._writer is connection  # no reconnect

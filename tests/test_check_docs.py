@@ -1,5 +1,6 @@
-"""Pins ``tools/check_docs.py``: links resolve and no architecture
-heading is titled after a change."""
+"""Pins ``tools/check_docs.py``: links resolve, no architecture
+heading is titled after a change, and the architecture names exactly the
+reference twins that exist."""
 
 import importlib.util
 from pathlib import Path
@@ -42,5 +43,30 @@ def test_a_change_titled_heading_fails(tmp_path, check_docs, capsys, heading):
 def test_prose_may_name_a_change(tmp_path, check_docs):
     _docs_tree(
         tmp_path, check_docs, "# Architecture\n\n### Bulk load\n\nSince (PR 23).\n"
+    )
+    assert check_docs.main(["check_docs", str(tmp_path)]) == 0
+
+
+def test_a_named_twin_that_does_not_exist_fails(tmp_path, check_docs, capsys):
+    _docs_tree(
+        tmp_path, check_docs,
+        "# Architecture\n\nPinned by `tests/reference/gone.py`.\n",
+    )
+    assert check_docs.main(["check_docs", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "no such twin: tests/reference/gone.py" in err
+
+
+def test_a_twin_the_architecture_never_names_fails(tmp_path, check_docs, capsys):
+    twins = tmp_path / check_docs.REFERENCE_DIR
+    twins.mkdir(parents=True)
+    (twins / "kernel.py").write_text("")
+    (twins / "__init__.py").write_text("")
+    _docs_tree(tmp_path, check_docs, "# Architecture\n\nNo twins here.\n")
+    assert check_docs.main(["check_docs", str(tmp_path)]) == 1
+    assert "twin never named: tests/reference/kernel.py" in capsys.readouterr().err
+    _docs_tree(
+        tmp_path, check_docs,
+        "# Architecture\n\nThe kernel's twin is `tests/reference/kernel.py`.\n",
     )
     assert check_docs.main(["check_docs", str(tmp_path)]) == 0

@@ -7,14 +7,15 @@ verifies every target exists.  External links (``http(s)://``,
 and intra-page anchors (``#...``) are checked only for non-emptiness.
 ``docs/ARCHITECTURE.md`` describes the system as it is, so none of its
 headings may be titled after the change that introduced a part of it
-(``(PR n)``).
+(``(PR n)``), every ``tests/reference/...`` path it names must exist,
+and it must name every reference twin (each ``tests/reference/*.py``).
 
 Usage::
 
     python tools/check_docs.py [repo_root]
 
-Exit status 0 when every link resolves and no heading is change-titled,
-1 otherwise (each problem is reported on stderr as ``file:line: ...``).
+Exit status 0 when every link resolves, no heading is change-titled and
+the twins check out, 1 otherwise (each problem is reported on stderr as ``file:line: ...``).
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ ARCHITECTURE = "docs/ARCHITECTURE.md"
 
 #: A heading titled after a change: ``### Bulk load (PR 23)``.
 CHANGE_TITLED_HEADING = re.compile(r"^#+ .*\(PR \d+\)")
+
+#: The reference twins' directory; each ``*.py`` in it is one twin.
+REFERENCE_DIR = "tests/reference"
+
+#: A path under ``REFERENCE_DIR`` as the architecture prose writes it.
+REFERENCE_PATH = re.compile(r"tests/reference/[\w./]*")
 
 
 def iter_links(path: Path):
@@ -72,6 +79,26 @@ def check_file(root: Path, relative: str) -> list[str]:
                 problems.append(
                     f"{relative}:{line_number}: change-titled heading: {line}"
                 )
+        problems.extend(check_twins(root, path))
+    return problems
+
+
+def check_twins(root: Path, architecture: Path) -> list[str]:
+    """Twin paths the architecture names that do not exist, and twins it
+    never names."""
+    problems = []
+    named = set()
+    lines = architecture.read_text().splitlines()
+    for line_number, line in enumerate(lines, start=1):
+        for match in REFERENCE_PATH.finditer(line):
+            target = match.group(0).rstrip(".")
+            named.add(target)
+            if not (root / target).exists():
+                problems.append(f"{ARCHITECTURE}:{line_number}: no such twin: {target}")
+    for twin in sorted((root / REFERENCE_DIR).glob("*.py")):
+        target = f"{REFERENCE_DIR}/{twin.name}"
+        if not twin.name.startswith("_") and target not in named:
+            problems.append(f"{ARCHITECTURE}: twin never named: {target}")
     return problems
 
 
