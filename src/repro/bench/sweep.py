@@ -110,7 +110,7 @@ class SweepJob:
     """Everything one dataset sweep needs, in picklable form.
 
     The parallel runner ships jobs (with their :class:`PreparedDataset`
-    embedded — entries and sample keys are plain data) to worker
+    embedded — its entries and key codec are plain data) to worker
     processes; the serial path runs the very same object through
     :func:`run_sweep_job`, so both modes consume one description.
     """

@@ -226,16 +226,20 @@ class QueryEngine:
     def build(
         cls,
         n_peers: int,
-        triples: Sequence[Triple] = (),
+        triples: Iterable[Triple] = (),
         config: StoreConfig | None = None,
         strategy: SimilarityStrategy | str | None = None,
         **engine_options,
     ) -> "QueryEngine":
         """Build a network sized for ``triples``, bulk-load, and wrap it.
 
-        The index entries are derived once; the trie is balanced against
-        their keys (P-Grid's load balancing) and they are placed on it.
-        Use :meth:`insert` afterwards for incremental additions.
+        The index entries are derived once per process: an engine built
+        over equal triples and an equal config while another one lives
+        shares its entries and key codec
+        (:meth:`~repro.overlay.incremental.PreparedDataset.prepare`).  The
+        trie is balanced against their keys (P-Grid's load balancing) and
+        they are placed on it, into stores of this network's own.  Use
+        :meth:`insert` afterwards for incremental additions.
         """
         config = config if config is not None else StoreConfig()
         network = PreparedDataset.prepare(triples, config).build_network(n_peers)

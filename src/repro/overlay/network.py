@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import random
 from collections.abc import Iterable, Mapping, Sequence
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.config import StoreConfig, TrieBalancing
 from repro.core.errors import OverlayError
@@ -32,6 +32,9 @@ from repro.overlay.peer import NetworkLedger, Peer
 from repro.overlay.routing import Partition, Router
 from repro.storage.indexing import EntryFactory, IndexEntry
 from repro.storage.triple import Triple
+
+if TYPE_CHECKING:  # pragma: no cover - incremental builds on this module
+    from repro.overlay.incremental import PreparedDataset
 
 
 class PartitionWrite(NamedTuple):
@@ -138,6 +141,10 @@ class PGridNetwork:
         #: DEGRADED skips dark partitions and records partial coverage.
         self.fault_mode: FaultMode = FaultMode.STRICT
         self.router = Router(self, random.Random(self.config.seed + 1))
+        #: The dataset this network was placed from, if any — held so
+        #: equal builds share it while this network lives (see
+        #: :meth:`~repro.overlay.incremental.PreparedDataset.prepare`).
+        self.dataset: PreparedDataset | None = None
 
     # -- construction ---------------------------------------------------------
 

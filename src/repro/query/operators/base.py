@@ -190,10 +190,11 @@ class OperatorContext:
         that run's measured messages and bytes on the decision."""
         decision = self.decide_strategy(s, attribute, d)
         tracer = self.network.tracer
-        before = tracer.snapshot()
+        messages, payload_bytes = tracer.message_count, tracer.payload_bytes
         result = run(decision.chosen)
-        delta = before.delta(tracer.snapshot())
-        decision.record_actual(delta.messages, delta.payload_bytes)
+        decision.record_actual(
+            tracer.message_count - messages, tracer.payload_bytes - payload_bytes
+        )
         result.extras["adaptive"] = 1
         return result
 
@@ -218,7 +219,9 @@ class OperatorContext:
         ``answered`` (a per-query set of oids) suppresses duplicate
         answers when several gram peers delegate the same oid — an oid
         peer recognizes a query id it has already served and stays
-        silent.  Delegation messages themselves are still charged (the
+        silent, so such an oid is left out of the returned map (nor is its
+        record probed): the copy the initiator keeps is the one that was
+        sent.  Delegation messages themselves are still charged (the
         duplicate request does travel).
 
         The oids are grouped by owning partition once and routed by
@@ -272,6 +275,8 @@ class OperatorContext:
             payload = 0
             fresh_oids: list[str] = []
             for key, oid in group.items():
+                if answered is not None and oid in answered:
+                    continue
                 record = records.get(oid)
                 if record is not None and record.stamp[0] == version:
                     hits += 1
@@ -281,8 +286,6 @@ class OperatorContext:
                         continue
                 objects[oid] = record.triples
                 if answered is not None:
-                    if oid in answered:
-                        continue
                     answered.add(oid)
                 fresh_oids.append(oid)
                 payload += record.payload_bytes

@@ -1,6 +1,7 @@
 """``QueryEngine.build`` loads what probe + per-triple insertion loaded,
 and derives each thing once doing it."""
 
+import gc
 from collections import Counter
 from unittest import mock
 
@@ -54,8 +55,11 @@ class TestBuildEqualsProbeAndInsert:
 
 class TestBuildDerivesOnce:
     def test_one_derivation_per_triple_one_hash_per_gram(self):
+        # A corpus no other test builds, and no dataset held by a network
+        # that is garbage but not yet collected: the first build derives.
+        gc.collect()
         config = StoreConfig(seed=5)
-        triples = corpus()
+        triples = bible_triples(250, seed=41) + word_triples()
         hashed: Counter[tuple[int, str]] = Counter()
         key_value = OrderPreservingStringHash.key_value
 
@@ -63,17 +67,16 @@ class TestBuildDerivesOnce:
             hashed[self.bits, text] += 1
             return key_value(self, text)
 
-        with (
-            mock.patch.object(
-                EntryFactory,
-                "entries_for",
-                autospec=True,
-                side_effect=EntryFactory.entries_for,
-            ) as entries_for,
-            mock.patch.object(
-                OrderPreservingStringHash, "key_value", counting_key_value
-            ),
-        ):
+        derives = mock.patch.object(
+            EntryFactory,
+            "entries_for",
+            autospec=True,
+            side_effect=EntryFactory.entries_for,
+        )
+        hashes = mock.patch.object(
+            OrderPreservingStringHash, "key_value", counting_key_value
+        )
+        with derives as entries_for, hashes:
             engine = QueryEngine.build(64, triples, config)
         assert entries_for.call_count == len(triples)
         # One hash object per key width, so (width, string) names one hash.
@@ -86,11 +89,16 @@ class TestBuildDerivesOnce:
             for bits, text in short
             if bits == config.value_bits and len(text) == config.q
         )
-        with mock.patch.object(
-            OrderPreservingStringHash, "key_value", counting_key_value
-        ):
+        with hashes:
             engine.network.codec.attr_value_key("word:text", gram)
         assert hashed[config.value_bits, gram] == 1
+        # While it lives, a build over equal triples derives no entry and
+        # hashes no gram: it shares the first build's dataset.
+        hashed.clear()
+        with derives as entries_for, hashes:
+            QueryEngine.build(32, list(triples), config)
+        assert entries_for.call_count == 0
+        assert not hashed
 
     def test_entries_of_one_gram_share_one_key_string(self):
         network = QueryEngine.build(64, corpus(), StoreConfig(seed=5)).network
