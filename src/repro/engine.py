@@ -233,6 +233,10 @@ class QueryEngine:
     ) -> "QueryEngine":
         """Build a network sized for ``triples``, bulk-load, and wrap it.
 
+        The network has ``k · max(1, n_peers // k)`` peers for ``k =
+        config.replication``, as :class:`PGridNetwork` rounds: 512 peers
+        at replication 3 are 510.
+
         The index entries are derived once per process: an engine built
         over equal triples and an equal config while another one lives
         shares its entries and key codec

@@ -18,7 +18,8 @@ deployments:
   replicas keep the partition alive, or — if it was the last replica —
   the partition *merges* with its trie sibling: the departing peer hands
   its entries to the sibling subtree's peers, whose coverage then
-  includes the vacated region.
+  includes the vacated region, and every routing reference into the
+  vacated leaf is pointed at them.
 
 Invariants maintained (and property-tested): partition paths always form
 a complete prefix-free cover; every stored entry remains reachable by
@@ -97,7 +98,9 @@ class MembershipManager:
             partition.index, partition.path, new_ids
         )
         for peer_id in new_ids:
-            network.peer(peer_id).replicas = [i for i in new_ids if i != peer_id]
+            network.peer(peer_id).replicas = tuple(
+                i for i in new_ids if i != peer_id
+            )
         # The new replica copies the partition's data from a sibling.
         source = network.peer(partition.peer_ids[0])
         entries = list(source.store)
@@ -122,7 +125,6 @@ class MembershipManager:
         for peer_id in partition.peer_ids:
             incumbent = network.peer(peer_id)
             incumbent.path = left_path
-            incumbent.routing_table.append([])
             keep: list[IndexEntry] = []
             for entry in incumbent.store:
                 if entry.key.startswith(right_path):
@@ -149,11 +151,10 @@ class MembershipManager:
         ]
         remaining.extend([left, right])
         self._install_partitions(remaining)
-        new_peer.replicas = []
         for peer_id in partition.peer_ids:
-            network.peer(peer_id).replicas = [
+            network.peer(peer_id).replicas = tuple(
                 i for i in partition.peer_ids if i != peer_id
-            ]
+            )
 
         # Fresh routing tables for everyone whose view changed; the new
         # deepest level of the incumbents points at the newcomer and vice
@@ -172,7 +173,8 @@ class MembershipManager:
         replica can only leave when its trie sibling is a single leaf:
         the sibling's peers then widen their path by one bit (a sound
         merge — their routing tables lose the deepest level, their stores
-        absorb the departed entries, and the cover stays complete).
+        absorb the departed entries, every reference to the departed
+        peer now names one of them, and the cover stays complete).
 
         A last replica whose sibling subtree is deep cannot merge without
         reshuffling that entire subtree, which real P-Grid avoids too —
@@ -192,9 +194,9 @@ class MembershipManager:
                 partition.index, partition.path, tuple(survivors)
             )
             for survivor in survivors:
-                network.peer(survivor).replicas = [
+                network.peer(survivor).replicas = tuple(
                     i for i in survivors if i != survivor
-                ]
+                )
             peer.online = False
         else:
             self._merge_into_leaf_sibling(partition, peer)
@@ -234,6 +236,29 @@ class MembershipManager:
             receiver.store.add_bulk(entries)
             self._charge_transfer(peer.peer_id, member, entries)
         peer.online = False
+        self._redirect_references(path, absorber.peer_ids[0])
+
+    def _redirect_references(self, path: str, target: int) -> None:
+        """Point every routing reference into the merged-away ``path`` at
+        ``target``, a member of the absorbing partition.
+
+        The departed peer was the last live one of ``path``, so neither
+        it nor a replica that left before it can forward anything.  The
+        absorber's new path — the parent of ``path`` — lies in every
+        complementary subtrie that held ``path``, except at the
+        absorber's own deepest level, which the merge has deleted; so a
+        redirected reference stays in its level's subtrie, and no RNG
+        draw is spent on it.
+        """
+        peers = self.network.peers
+        gone = {left.peer_id for left in peers if left.path == path}
+        for other in peers:
+            table = other.routing_table
+            for level, refs in enumerate(table):
+                if not gone.isdisjoint(refs):
+                    table[level] = tuple(
+                        target if ref in gone else ref for ref in refs
+                    )
 
     # -- shared helpers -------------------------------------------------------------
 
@@ -258,7 +283,7 @@ class MembershipManager:
 
     def _build_routing_for(self, peer: Peer) -> None:
         network = self.network
-        peer.routing_table = [[] for __ in range(len(peer.path))]
+        table = []
         for level in range(len(peer.path)):
             sibling = keyspace.sibling_prefix(peer.path, level)
             candidates = network.partitions_under(sibling)
@@ -277,7 +302,8 @@ class MembershipManager:
                         network.rng.randrange(len(partition.peer_ids))
                     ]
                 )
-            peer.set_references(level, refs)
+            table.append(tuple(refs))
+        peer.routing_table = table
 
     def _charge_transfer(
         self, sender: int, receiver: int, entries: list[IndexEntry]

@@ -70,7 +70,12 @@ class PGridNetwork:
         trie_count_cache: dict[str, int] | None = None,
         codec: CompositeKeyCodec | None = None,
     ):
-        """Build a network of ``n_peers``.
+        """Build a network of about ``n_peers``.
+
+        There are ``max(1, n_peers // k)`` partitions of ``k =
+        config.replication`` peers each, so the network holds ``k ·
+        max(1, n_peers // k)`` peers: 512 at replication 3 are 510, and 2
+        at replication 3 are 3.
 
         ``sample_keys`` feeds the data-aware trie builder; pass the keys of
         the data you are about to insert (or a sample of them) to get
@@ -130,9 +135,9 @@ class PGridNetwork:
                 peer_ids.append(peer.peer_id)
             self.partitions.append(Partition(index, path, peer_ids))
             for peer_id in peer_ids:
-                self.peers[peer_id].replicas = [
+                self.peers[peer_id].replicas = tuple(
                     other for other in peer_ids if other != peer_id
-                ]
+                )
         self._build_routing_tables()
         #: Transport fault injection (None, or an injector whose no-op
         #: plan keeps it inactive, leaves the delivery path untouched).
@@ -161,11 +166,18 @@ class PGridNetwork:
         P · depth of them).  The draws themselves cannot be shared: peer
         by peer, level by level, reference by reference, the RNG is
         consumed exactly as by the materializing reference in
-        ``tests/reference/routing_tables.py``, so the tables — and with
-        them every measured message series — are bit-identical to it.
+        ``tests/reference/routing_tables.py``, so the tables, the RNG
+        state after them, and every measured message series are
+        bit-identical to it.  Each draw is ``randrange(n)`` inlined: it is
+        ``getrandbits(n.bit_length())``, repeated while the value is not
+        below ``n`` (``Random._randbelow_with_getrandbits``); every
+        partition has ``k`` replicas here.  Each level's references are a
+        tuple.
         """
         refs_per_level = self.config.refs_per_level
-        randrange = self.rng.randrange
+        getrandbits = self.rng.getrandbits
+        k = self.config.replication
+        k_bits = k.bit_length()
         partitions = self.partitions
         peers = self.peers
         spans: dict[str, tuple[int, int]] = {}
@@ -179,20 +191,28 @@ class PGridNetwork:
                 if span is None:
                     span = spans[sibling] = self.partition_span(sibling)
                 lo, hi = span
-                if hi <= lo:
+                count = hi - lo
+                if count <= 0:
                     raise OverlayError(
                         f"complementary subtrie {sibling!r} is empty — "
                         "the trie cover is broken"
                     )
-                levels.append((lo, hi - lo, min(refs_per_level, hi - lo)))
+                levels.append(
+                    (lo, count, count.bit_length(), min(refs_per_level, count))
+                )
             for peer_id in partition.peer_ids:
                 table = []
-                for lo, count, n_refs in levels:
-                    refs: list[int] = []
+                for lo, count, count_bits, n_refs in levels:
+                    refs = []
                     for __ in range(n_refs):
-                        peer_ids = partitions[lo + randrange(count)].peer_ids
-                        refs.append(peer_ids[randrange(len(peer_ids))])
-                    table.append(refs)
+                        index = getrandbits(count_bits)
+                        while index >= count:
+                            index = getrandbits(count_bits)
+                        replica = getrandbits(k_bits)
+                        while replica >= k:
+                            replica = getrandbits(k_bits)
+                        refs.append(partitions[lo + index].peer_ids[replica])
+                    table.append(tuple(refs))
                 peers[peer_id].routing_table = table
 
     # -- transport faults --------------------------------------------------------

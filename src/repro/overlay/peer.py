@@ -25,6 +25,8 @@ any store change?" are O(1) reads instead of scans over all peers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.core.errors import OverlayError
 from repro.storage.datastore import LocalDataStore
 
@@ -61,11 +63,14 @@ class Peer:
         #: Index of this peer's partition in ``network.partitions`` (kept
         #: current by the network constructor and ``MembershipManager``).
         self.partition_index = partition_index
-        #: routing_table[l] = list of peer ids with path prefix
-        #: ``sibling_prefix(path, l)``; one list per level 0..len(path)-1.
-        self.routing_table: list[list[int]] = [[] for __ in range(len(path))]
+        #: routing_table[l] = tuple of peer ids with path prefix
+        #: ``sibling_prefix(path, l)``; one tuple per level
+        #: 0..len(path)-1, installed by whoever creates the peer (the
+        #: network constructor, ``MembershipManager``).  Tuples of ints
+        #: leave the cyclic collector's books at its first pass over them.
+        self.routing_table: list[tuple[int, ...]] = []
         #: ids of peers with the same path (data replication refs).
-        self.replicas: list[int] = []
+        self.replicas: tuple[int, ...] = ()
         self._ledger = ledger
         self._store = LocalDataStore(ledger)
         self._online = True
@@ -93,7 +98,7 @@ class Peer:
         value.attach(self._ledger)
         self._store = value
 
-    def references(self, level: int) -> list[int]:
+    def references(self, level: int) -> tuple[int, ...]:
         """``rho(p, level)`` — routing references at one trie level."""
         if not 0 <= level < len(self.path):
             raise OverlayError(
@@ -102,13 +107,13 @@ class Peer:
             )
         return self.routing_table[level]
 
-    def set_references(self, level: int, refs: list[int]) -> None:
-        """Install the routing references for one level."""
+    def set_references(self, level: int, refs: Iterable[int]) -> None:
+        """Replace the routing references of one installed level."""
         if not 0 <= level < len(self.path):
             raise OverlayError(
                 f"peer {self.peer_id} has no routing level {level}"
             )
-        self.routing_table[level] = list(refs)
+        self.routing_table[level] = tuple(refs)
 
     def responsible_for(self, key: str) -> bool:
         """Algorithm 1's responsibility test.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from unittest import mock
 
 import pytest
@@ -59,6 +60,18 @@ def build_word_network(
     network = PGridNetwork(n_peers, config, sample_keys=sample)
     network.insert_triples(triples)
     return network
+
+
+def assert_untracked_references(network: PGridNetwork) -> None:
+    """Every peer's routing levels and replicas are tuples of ids that
+    the cyclic collector no longer tracks once it has seen them."""
+    gc.collect()
+    for peer in network.peers:
+        assert type(peer.routing_table) is list
+        assert len(peer.routing_table) == len(peer.path)
+        for refs in (*peer.routing_table, peer.replicas):
+            assert type(refs) is tuple
+            assert not gc.is_tracked(refs), (peer.peer_id, refs)
 
 
 @pytest.fixture(scope="module")

@@ -45,7 +45,8 @@ class TestRoutingConstructionEquivalence:
     def test_span_sampling_matches_scan_reference(
         self, n_peers, seed, replication, refs
     ):
-        """Fast construction consumes the RNG draw-for-draw like the scan."""
+        """Fast construction consumes the RNG draw-for-draw like the scan,
+        and leaves it in the same state: membership draws from it next."""
         config = StoreConfig(
             seed=seed, replication=replication, refs_per_level=refs
         )
@@ -55,6 +56,7 @@ class TestRoutingConstructionEquivalence:
         build_routing_tables_scan(reference)
         for peer_fast, peer_ref in zip(fast.peers, reference.peers):
             assert peer_fast.routing_table == peer_ref.routing_table
+        assert fast.rng.getstate() == reference.rng.getstate()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -142,7 +144,7 @@ class TestIncrementalBuilder:
         sample = prepared_words(config).sample_keys
         a = PGridNetwork(16, config, sample_keys=sample)
         b = PGridNetwork(16, config, sample_keys=sample)
-        b.peers[3].routing_table[0] = [0]
+        b.peers[3].routing_table[0] += (0,)
         with pytest.raises(OverlayError, match="routing tables differ"):
             assert_networks_equivalent(a, b)
 

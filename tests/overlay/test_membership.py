@@ -4,11 +4,18 @@ import pytest
 
 from repro.core.config import StoreConfig
 from repro.core.errors import OverlayError
+from repro.overlay import keys as keyspace
 from repro.overlay import trie
 from repro.overlay.membership import MembershipManager
+from repro.overlay.network import PGridNetwork
 from repro.storage.indexing import EntryKind
 
-from tests.conftest import TEXT_ATTR, WORDS, build_word_network
+from tests.conftest import (
+    TEXT_ATTR,
+    WORDS,
+    assert_untracked_references,
+    build_word_network,
+)
 
 
 def all_words_reachable(network) -> bool:
@@ -104,7 +111,43 @@ class TestJoin:
         assert sorted(m.matched for m in result.matches) == expected
 
 
+def assert_every_peer_routes_everywhere(network) -> None:
+    """Every online peer's references are online and inside their level's
+    complementary subtrie, and it routes to every partition."""
+    bits = network.config.key_bits
+    for peer in network.peers:
+        if not peer.online:
+            continue
+        for level, refs in enumerate(peer.routing_table):
+            sibling = keyspace.sibling_prefix(peer.path, level)
+            for ref in refs:
+                target = network.peer(ref)
+                assert target.online, (peer.peer_id, level, ref)
+                assert target.path.startswith(sibling), (peer.peer_id, level)
+        for partition in network.partitions:
+            key = partition.path.ljust(bits, "0")
+            assert network.router.route(key, peer.peer_id).path == partition.path
+
+
 class TestLeave:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_merges_redirect_references_to_the_departed_peer(self, seed):
+        # Seed 0: peer 2's only references at level 2 named peer 0, so
+        # routing into 000 from it failed once peer 0 had left.
+        network = PGridNetwork(16, StoreConfig(seed=seed))
+        manager = MembershipManager(network)
+        for peer_id in (0, 15):  # 0000 into 0001, then 1111 into 1110
+            manager.leave(peer_id)
+            assert_every_peer_routes_everywhere(network)
+
+    def test_merge_redirects_references_to_replicas_that_left_earlier(self):
+        network = PGridNetwork(16, StoreConfig(seed=3, replication=2))
+        manager = MembershipManager(network)
+        first, last = network.partitions[0].peer_ids
+        manager.leave(first)  # its partition survives on ``last``
+        manager.leave(last)  # and now merges into its sibling
+        assert_every_peer_routes_everywhere(network)
+
     def test_replica_leave_keeps_partition(self):
         network = build_word_network(
             n_peers=16, config=StoreConfig(seed=7, replication=2)
@@ -152,6 +195,37 @@ class TestLeave:
         manager.leave(peer_id)
         with pytest.raises(OverlayError):
             manager.leave(peer_id)
+
+
+class TestUntrackedReferences:
+    """Membership installs tuples, as the constructor does."""
+
+    def test_splitting_join(self):
+        network = build_word_network(n_peers=8)
+        partitions = network.n_partitions
+        MembershipManager(network).join()
+        assert network.n_partitions == partitions + 1
+        assert_untracked_references(network)
+
+    def test_replica_join(self):
+        network = build_word_network(
+            n_peers=8, config=StoreConfig(seed=7, replication=2)
+        )
+        manager = MembershipManager(network)
+        manager.leave(network.partitions[0].peer_ids[0])
+        partitions = network.n_partitions
+        manager.join()
+        assert network.n_partitions == partitions
+        assert_untracked_references(network)
+
+    def test_merging_leave(self):
+        network = build_word_network(n_peers=8)
+        manager = MembershipManager(network)
+        joined = manager.join()
+        partitions = network.n_partitions
+        manager.leave(joined.peer_id)
+        assert network.n_partitions == partitions - 1
+        assert_untracked_references(network)
 
 
 class TestChurnCycle:

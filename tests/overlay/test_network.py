@@ -4,16 +4,35 @@ import pytest
 
 from repro.core.config import StoreConfig, TrieBalancing
 from repro.core.errors import OverlayError
+from repro.engine import QueryEngine
 from repro.overlay.network import PGridNetwork
 from repro.storage.triple import Triple
 
-from tests.conftest import TEXT_ATTR, WORDS, build_word_network, word_triples
+from tests.conftest import (
+    TEXT_ATTR,
+    WORDS,
+    assert_untracked_references,
+    build_word_network,
+    word_triples,
+)
 
 
 class TestConstruction:
     def test_peer_count(self):
         network = PGridNetwork(24, StoreConfig(seed=1))
         assert network.n_peers == 24
+
+    @pytest.mark.parametrize(
+        "n_peers, replication, built",
+        [(24, 3, 24), (512, 3, 510), (2, 3, 3), (1, 2, 2), (7, 1, 7)],
+    )
+    def test_peer_count_rounds_to_whole_partitions(
+        self, n_peers, replication, built
+    ):
+        """``k · max(1, n_peers // k)`` peers, as the docstrings say."""
+        config = StoreConfig(seed=1, replication=replication)
+        assert PGridNetwork(n_peers, config).n_peers == built
+        assert QueryEngine.build(n_peers, (), config).network.n_peers == built
 
     def test_replication_splits_partitions(self):
         network = PGridNetwork(24, StoreConfig(seed=1, replication=3))
@@ -33,6 +52,15 @@ class TestConstruction:
             assert len(peer.routing_table) == len(peer.path)
             for level, refs in enumerate(peer.routing_table):
                 assert refs, f"peer {peer.peer_id} level {level} empty"
+
+    @pytest.mark.parametrize("replication", [1, 3])
+    def test_routing_and_replica_references_are_untracked_tuples(
+        self, replication
+    ):
+        network = build_word_network(
+            n_peers=48, config=StoreConfig(seed=2, replication=replication)
+        )
+        assert_untracked_references(network)
 
     def test_routing_references_point_to_complement(self):
         from repro.overlay import keys as keyspace

@@ -2,7 +2,13 @@
 
 Random join/leave sequences must keep the partition cover complete and
 every stored item reachable — the invariant behind Algorithm 1's
-termination/correctness argument.
+termination/correctness argument.  A leave picks any online peer, the
+network's original last replicas included (they merge into a trie
+sibling), and every online peer must then find every word.
+
+Tier-1 runs the churn property at 50 examples;
+``--hypothesis-profile=deep`` (registered in ``tests/conftest.py``; the
+``mutate-smoke`` CI job) runs it at 1000.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -16,6 +22,11 @@ from repro.storage.indexing import EntryKind
 from repro.storage.triple import Triple
 
 ATTR = "t:v"
+
+DEEP = settings.get_profile("deep")
+CHURN_SETTINGS = (
+    DEEP if settings.default is DEEP else settings(max_examples=50, deadline=None)
+)
 
 
 def build(words, n_peers, seed):
@@ -32,36 +43,39 @@ WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf"]
 
 
 class TestMembershipInvariants:
-    @settings(max_examples=25, deadline=None)
+    @CHURN_SETTINGS
     @given(
         st.integers(min_value=2, max_value=12),
-        st.lists(st.booleans(), max_size=12),  # True = join, False = leave
+        # None = join; an int picks the online peer that leaves.
+        st.lists(st.none() | st.integers(min_value=0), max_size=12),
         st.integers(0, 3),
     )
     def test_cover_and_reachability_survive_churn(self, n_peers, actions, seed):
         network = build(WORDS, n_peers, seed)
         manager = MembershipManager(network)
-        joined: list[int] = []
-        for is_join in actions:
-            if is_join:
-                joined.append(manager.join().peer_id)
-            elif joined:
+        for pick in actions:
+            if pick is None:
+                manager.join()
+            else:
+                online = [p.peer_id for p in network.peers if p.online]
                 try:
-                    manager.leave(joined.pop())
+                    manager.leave(online[pick % len(online)])
                 except OverlayError:
-                    pass  # deep-sibling leaves legitimately refuse
+                    pass  # deep-sibling and last-peer leaves legitimately refuse
             trie.validate_cover([p.path for p in network.partitions])
 
-        start = network.random_peer_id()
-        for word in WORDS:
-            key = network.codec.attr_value_key(ATTR, word)
-            entries, __ = network.router.retrieve(key, start)
-            found = {
-                e.triple.value
-                for e in entries
-                if e.kind is EntryKind.ATTR_VALUE and e.triple.attribute == ATTR
-            }
-            assert word in found
+        keys = [network.codec.attr_value_key(ATTR, word) for word in WORDS]
+        for start in network.peers:
+            if not start.online:
+                continue
+            for word, key in zip(WORDS, keys):
+                entries, __ = network.router.retrieve(key, start.peer_id)
+                found = {
+                    e.triple.value
+                    for e in entries
+                    if e.kind is EntryKind.ATTR_VALUE and e.triple.attribute == ATTR
+                }
+                assert word in found, (word, start.peer_id)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=2, max_value=10), st.integers(1, 8))

@@ -9,8 +9,9 @@ spans of its sorted path list is computed here by walking the list:
 * the routing tables — for every peer and level, the complementary
   subtrie materialized as a candidate list and the references drawn from
   it, which is the O(N·P) construction the network started with.  The
-  production construction consumes its RNG draw for draw like this one,
-  so the tables must come out identical.
+  production construction consumes its RNG draw for draw like this one
+  (it inlines ``randrange``; this twin calls it), so the tables and the
+  RNG state after them must come out identical.
 
 :func:`scratch_network` puts them together: the network a dataset yields
 with nothing shared and nothing remembered between builds, the ground
