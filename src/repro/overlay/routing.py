@@ -111,7 +111,7 @@ class Router:
         """
         peer = self.route(key, start_id, phase=phase)
         if len(key) >= len(peer.path):
-            return list(peer.store.prefix_scan(key)), peer
+            return peer.store.prefix_scan(key), peer
         entries: list[IndexEntry] = []
         contacted = self.multicast_prefix(key, start_id, phase=phase)
         for member in contacted:
@@ -280,15 +280,6 @@ class Router:
                     MessageType.FORWARD, forwards, 0, phase=phase
                 )
         return reached
-
-    def retrieve_many(
-        self, keys: Iterable[str], start_id: int, phase: str = "batch"
-    ) -> dict[str, list[IndexEntry]]:
-        """Batched ``Retrieve``: entries per key, partitions contacted once."""
-        answers = self.route_many(keys, start_id, phase=phase)
-        return {
-            key: list(peer.store.prefix_scan(key)) for key, peer in answers.items()
-        }
 
     # -- explicit message accounting helpers -----------------------------------
 

@@ -38,19 +38,21 @@ def select_equals(
 ) -> list[MatchedObject]:
     """Selection ``attribute = value`` via one routed ``key(A#v)`` lookup.
 
-    Composite keys can collide (truncated hashes), so the answering peer
-    verifies attribute and value before returning anything.
+    Composite keys collide (the value hash is truncated, so long values
+    sharing a prefix share a key), but the answering peer does not scan
+    the collisions: it reads its rows of ``value`` from the store's value
+    view and keeps those of ``attribute``.  Every such row is stored under
+    ``key(A#v)``, and a key's whole run lives on the peer it routes to,
+    so these are exactly the key's matching entries, in store order.
     """
     if initiator_id is None:
         initiator_id = ctx.random_initiator()
     key = ctx.codec.attr_value_key(attribute, value)
-    entries, peer = ctx.router.retrieve(key, initiator_id, phase="exact")
+    peer = ctx.router.route(key, initiator_id, phase="exact")
     hits = [
         entry.triple
-        for entry in entries
-        if entry.kind is EntryKind.ATTR_VALUE
-        and entry.triple.attribute == attribute
-        and entry.triple.value == value
+        for entry in peer.store.entries_with_value(EntryKind.ATTR_VALUE, value)
+        if entry.triple.attribute == attribute
     ]
     if hits:
         payload = sum(t.payload_size() for t in hits)
@@ -81,15 +83,19 @@ def select_equals(
 def keyword_lookup(
     ctx: OperatorContext, value: ValueType, initiator_id: int | None = None
 ) -> list[Triple]:
-    """Keyword query "any attribute = value" via ``key(v)``."""
+    """Keyword query "any attribute = value" via ``key(v)``.
+
+    The answering peer reads its ``VALUE`` rows of ``value`` from the
+    store's value view instead of scanning every value whose truncated
+    hash collides with ``key(v)``.
+    """
     if initiator_id is None:
         initiator_id = ctx.random_initiator()
     key = ctx.codec.value_key(value)
-    entries, peer = ctx.router.retrieve(key, initiator_id, phase="exact")
+    peer = ctx.router.route(key, initiator_id, phase="exact")
     hits = [
         entry.triple
-        for entry in entries
-        if entry.kind is EntryKind.VALUE and entry.triple.value == value
+        for entry in peer.store.entries_with_value(EntryKind.VALUE, value)
     ]
     if hits:
         payload = sum(t.payload_size() for t in hits)

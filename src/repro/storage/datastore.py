@@ -13,7 +13,7 @@ Implementation: parallel ``keys``/``entries`` lists kept sorted with
 dirty flag); a small write onto a sorted store is placed entry by entry
 (see ``_IN_PLACE_RATIO``), so it never costs a re-sort.
 
-On top of the sorted lists the store maintains four lazy secondary
+On top of the sorted lists the store maintains five lazy secondary
 structures, built on first use:
 
 * a **postings map** ``key -> [entries]`` that turns exact-key lookups
@@ -27,14 +27,19 @@ structures, built on first use:
   ``triple.oid``, the entry's own string, one pointer per entry — built
   by the first removal, so a removal finds its entries inside a key's run
   with ``list.index`` (C speed, identity compared first) instead of
-  loading every entry of a run that mostly holds other objects.
+  loading every entry of a run that mostly holds other objects;
+* a **value view** ``(kind, value) -> rows`` over the ``ATTR_VALUE`` and
+  ``VALUE`` entries, the rows in store order, built by the first value
+  read — so an exact selection reads its value's rows instead of every
+  long value whose truncated hash shares its key.
 
 Every mutation goes through one maintenance routine (``_insert`` /
-``_delete``) that patches whichever of the four exist, so a write costs
+``_delete``) that patches whichever of the five exist, so a write costs
 what it touches and a structure, once built, survives it.  Only a bulk
 load — which reorders the whole store anyway — drops the postings map,
-the kind views and the oid column to be rebuilt by the next call that
-wants them.  A store nothing is ever removed from never holds a column.
+the kind views, the value view and the oid column to be rebuilt by the
+next call that wants them.  A store nothing is ever removed from never
+holds a column, and one nothing reads a value from never holds a view.
 
 The sorted lists stay the single source of truth.  The equivalence
 reference every read is property-tested against is the
@@ -45,8 +50,10 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 from repro.storage.indexing import EntryKind, IndexEntry
+from repro.storage.triple import ValueType
 
 
 #: A batch is inserted in place when the clean store holds at least this
@@ -54,13 +61,19 @@ from repro.storage.indexing import EntryKind, IndexEntry
 #: are cheaper than shifting the lists once per entry.
 _IN_PLACE_RATIO = 8
 
+#: The entry kinds the value view covers: the rows a selection
+#: ``key(A#v)`` and a keyword lookup ``key(v)`` answer from.
+VALUE_KINDS = (EntryKind.ATTR_VALUE, EntryKind.VALUE)
+
+_entry_key = attrgetter("key")
+
 
 class LocalDataStore:
     """Sorted key → entries store for one peer."""
 
     __slots__ = (
         "_keys", "_entries", "_oids", "_dirty", "_postings", "_kind_views",
-        "_payload_total", "_ledger", "version",
+        "_value_views", "_payload_total", "_ledger", "version",
     )
 
     def __init__(self, ledger=None) -> None:
@@ -85,6 +98,15 @@ class LocalDataStore:
         #: under the same rule as the postings map.
         self._kind_views: (
             dict[EntryKind, tuple[list[str], list[IndexEntry]]] | None
+        ) = None
+        #: Lazy ``{kind: {value: rows}}`` for :data:`VALUE_KINDS`, the rows
+        #: in store order; ``None`` under the same rule.  A value's one row
+        #: is held bare, not in a list: nearly every value has one, and a
+        #: list per value would add as many objects for the collector to
+        #: walk as the view has values.
+        self._value_views: (
+            dict[EntryKind, dict[ValueType, IndexEntry | list[IndexEntry]]]
+            | None
         ) = None
         #: Running payload total; ``None`` when it must be recomputed.
         self._payload_total: int | None = None
@@ -142,6 +164,7 @@ class LocalDataStore:
             self._dirty = True
             self._postings = None
             self._kind_views = None
+            self._value_views = None
             self._oids = None
             if self._payload_total is not None:
                 self._payload_total += sum(e.payload_size() for e in batch)
@@ -239,6 +262,20 @@ class LocalDataStore:
                 at = bisect.bisect_right(view[0], key)
                 view[0].insert(at, key)
                 view[1].insert(at, entry)
+        values = (
+            None if self._value_views is None
+            else self._value_views.get(entry.kind)
+        )
+        if values is not None:
+            value = entry.triple.value
+            rows = values.get(value)
+            if rows is None:
+                values[value] = entry
+            elif type(rows) is list:
+                # Behind the value's rows under equal keys, as in the store.
+                rows.insert(bisect.bisect_right(rows, key, key=_entry_key), entry)
+            else:
+                values[value] = [rows, entry] if rows.key <= key else [entry, rows]
         if self._payload_total is not None:
             self._payload_total += entry.payload_size()
 
@@ -249,6 +286,7 @@ class LocalDataStore:
         del self._keys[lo : lo + len(doomed)]  # a run's keys are all equal
         posting = None if self._postings is None else self._postings[key]
         views = self._kind_views
+        value_views = self._value_views
         # Descending, so the offsets still to come — and the run ahead of
         # each doomed entry — stay where they were.
         for offset in reversed(doomed):
@@ -271,6 +309,26 @@ class LocalDataStore:
                     )
                 del view_keys[at]
                 del view_entries[at]
+            values = None if value_views is None else value_views.get(entry.kind)
+            if values is not None:
+                value = entry.triple.value
+                rows = values[value]
+                if type(rows) is not list:  # the value's one row
+                    del values[value]
+                else:
+                    start = bisect.bisect_left(rows, key, key=_entry_key)
+                    at = start + offset
+                    # A run of this value's rows alone is mirrored at the
+                    # same offset; where other rows share the key, find the
+                    # entry by identity (a removal takes an object's first
+                    # copies).
+                    if at >= len(rows) or rows[at] is not entry:
+                        at = start
+                        while rows[at] is not entry:
+                            at += 1
+                    del rows[at]
+                    if len(rows) == 1:
+                        values[value] = rows[0]
             if self._payload_total is not None:
                 self._payload_total -= entry.payload_size()
         if posting is not None and not posting:
@@ -291,13 +349,8 @@ class LocalDataStore:
         is shorter than stored keys matches every entry it prefixes.
         """
         self._ensure_sorted()
-        lo = bisect.bisect_left(self._keys, prefix)
-        result: list[IndexEntry] = []
-        for index in range(lo, len(self._keys)):
-            if not self._keys[index].startswith(prefix):
-                break
-            result.append(self._entries[index])
-        return result
+        lo, hi = _prefix_bounds(self._keys, prefix)
+        return self._entries[lo:hi]
 
     def range_scan(self, lo_key: str, hi_key: str) -> list[IndexEntry]:
         """All entries with ``lo_key <= key <= hi_key`` (inclusive)."""
@@ -309,13 +362,7 @@ class LocalDataStore:
     def count_prefix(self, prefix: str) -> int:
         """Number of entries under ``prefix`` without materializing them."""
         self._ensure_sorted()
-        lo = bisect.bisect_left(self._keys, prefix)
-        if len(prefix):
-            # '2' sorts after both key characters, so ``prefix + '2'`` is a
-            # strict upper bound of exactly the keys extending ``prefix``.
-            hi = bisect.bisect_left(self._keys, prefix + "2")
-        else:
-            hi = len(self._keys)
+        lo, hi = _prefix_bounds(self._keys, prefix)
         return hi - lo
 
     def entries_of_kind(self, kind: EntryKind) -> Iterator[IndexEntry]:
@@ -340,15 +387,27 @@ class LocalDataStore:
         view = self._kind_views.get(kind)
         if view is None:
             return []
-        view_keys, view_entries = view
-        lo = bisect.bisect_left(view_keys, prefix)
-        if prefix:
-            # Same upper bound trick as count_prefix: keys are binary
-            # strings, so prefix + '2' strictly bounds its extensions.
-            hi = bisect.bisect_left(view_keys, prefix + "2")
-        else:
-            hi = len(view_keys)
-        return view_entries[lo:hi]
+        lo, hi = _prefix_bounds(view[0], prefix)
+        return view[1][lo:hi]
+
+    def entries_with_value(
+        self, kind: EntryKind, value: ValueType
+    ) -> list[IndexEntry]:
+        """The ``kind`` entries whose triple value equals ``value``, in
+        store order; ``kind`` is one of :data:`VALUE_KINDS`.
+
+        One probe of the value view, where a scan of ``key(A#v)``'s run
+        would load every long value whose truncated hash shares the key.
+        The dict agrees with ``==`` for every legal value: NaN and
+        booleans never reach a triple, and numbers that compare equal
+        hash equal, so ``1`` finds the rows of ``1.0`` too.
+        """
+        if self._value_views is None:
+            self._build_value_views()
+        rows = self._value_views[kind].get(value)
+        if rows is None:
+            return []
+        return rows.copy() if type(rows) is list else [rows]
 
     def key_bounds(self) -> tuple[str, str] | None:
         """Smallest and largest stored key, or None when empty."""
@@ -404,9 +463,35 @@ class LocalDataStore:
                 view[1].append(entry)
         self._kind_views = views
 
+    def _build_value_views(self) -> None:
+        self._ensure_sorted()
+        views: dict[EntryKind, dict] = {kind: {} for kind in VALUE_KINDS}
+        for entry in self._entries:
+            values = views.get(entry.kind)
+            if values is not None:
+                value = entry.triple.value
+                rows = values.get(value)
+                if rows is None:
+                    values[value] = entry
+                elif type(rows) is list:
+                    rows.append(entry)
+                else:
+                    values[value] = [rows, entry]
+        self._value_views = views
+
     def _ensure_sorted(self) -> None:
         if self._dirty:
             order = sorted(range(len(self._keys)), key=self._keys.__getitem__)
             self._keys = [self._keys[i] for i in order]
             self._entries = [self._entries[i] for i in order]
             self._dirty = False
+
+
+def _prefix_bounds(keys: list[str], prefix: str) -> tuple[int, int]:
+    """The slice of the sorted binary ``keys`` that extends ``prefix``."""
+    lo = bisect.bisect_left(keys, prefix)
+    if not prefix:
+        return lo, len(keys)
+    # '2' sorts after both key characters, so ``prefix + '2'`` is a strict
+    # upper bound of exactly the keys extending ``prefix``.
+    return lo, bisect.bisect_left(keys, prefix + "2", lo)

@@ -137,13 +137,6 @@ class TestRouteMany:
         assert by_key.tracer.snapshot() == by_index.tracer.snapshot()
         assert by_key.router.rng.getstate() == by_index.router.rng.getstate()
 
-    def test_retrieve_many_returns_entries(self, network):
-        codec = network.codec
-        keys = [codec.attr_value_key(TEXT_ATTR, "apple")]
-        answers = network.router.retrieve_many(keys, 0)
-        values = {e.triple.value for e in answers[keys[0]]}
-        assert "apple" in values
-
 
 class TestFailureHandling:
     def test_unreplicated_partition_is_picked_without_a_draw(self):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from repro.storage.datastore import LocalDataStore
+from repro.storage.datastore import VALUE_KINDS, LocalDataStore
 from repro.storage.indexing import EntryKind, IndexEntry
 from repro.storage.triple import Triple
 from tests.reference.datastore import ReferenceStore
@@ -192,18 +192,22 @@ class TestSecondaryIndexEquivalence:
 
 # -- in-place maintenance vs. the from-scratch reference store ----------------
 
-#: Few keys, kinds and objects, so runs get long, two kinds share keys and
-#: a drawn entry often equals a stored one.
+#: Few keys, kinds, objects and values, so runs get long, kinds share
+#: keys, a drawn entry often equals a stored one and one value sits under
+#: many keys.  ``1`` and ``1.0`` are equal values of different types.
 twin_keys = st.integers(min_value=0, max_value=11).map(lambda v: format(v, "04b"))
+twin_values = st.sampled_from(["x", "yy", 1, 1.0])
 twin_entries = st.builds(
     IndexEntry,
     key=twin_keys,
-    kind=st.sampled_from([EntryKind.ATTR_VALUE, EntryKind.INSTANCE_GRAM]),
+    kind=st.sampled_from(
+        [EntryKind.ATTR_VALUE, EntryKind.VALUE, EntryKind.INSTANCE_GRAM]
+    ),
     triple=st.builds(
         Triple,
         st.integers(min_value=0, max_value=5).map(lambda v: f"o:{v}"),
         st.just("a"),
-        st.sampled_from(["x", "yy"]),
+        twin_values,
     ),
     position=st.integers(min_value=0, max_value=1),
 )
@@ -228,7 +232,10 @@ class StoreTwins(RuleBasedStateMachine):
     """
 
     @initialize(
-        loaded=st.lists(twin_entries, max_size=120),
+        # Half the runs start from a store big enough that most later
+        # writes take the in-place path and patch the structures.
+        loaded=st.lists(twin_entries, max_size=120)
+        | st.lists(twin_entries, min_size=60, max_size=120),
         read_first=st.booleans(),
     )
     def load(self, loaded, read_first):
@@ -315,6 +322,18 @@ class StoreTwins(RuleBasedStateMachine):
         )
         assert same(self.store.entries_of_kind(kind), self.twin.entries_of_kind(kind))
 
+    @rule(data=st.data(), absent=st.sampled_from(["zzz", 2, 2.5]))
+    def value_read(self, data, absent):
+        for value in [*(e.triple.value for e in self._stored(data, 2)), absent]:
+            self.read_value(value)
+
+    def read_value(self, value):
+        for kind in VALUE_KINDS:
+            assert same(
+                self.store.entries_with_value(kind, value),
+                self.twin.entries_with_value(kind, value),
+            )
+
     @rule()
     def payload(self):
         assert self.store.payload_bytes() == self.twin.payload_bytes()
@@ -335,6 +354,8 @@ class StoreTwins(RuleBasedStateMachine):
             self.read_everything("", "0", "1")
             for key in {entry.key for entry in self.twin}:
                 self.lookup(key)
+            for value in {entry.triple.value for entry in self.twin}:
+                self.read_value(value)
 
 
 TestStoreTwins = StoreTwins.TestCase

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.query.operators.base import OperatorContext, object_from_triples
+from repro.core.config import StoreConfig
+from repro.engine import QueryEngine
+from repro.query.operators.base import (
+    MatchedObject,
+    OperatorContext,
+    object_from_triples,
+)
 from repro.query.operators.exact import (
     equi_join,
     keyword_lookup,
@@ -12,6 +18,7 @@ from repro.query.operators.exact import (
 )
 from repro.query.operators.range_scan import numeric_similar, select_range
 from repro.similarity.numeric import Interval
+from repro.storage.indexing import EntryKind
 from repro.storage.triple import Triple
 
 from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS, build_word_network
@@ -128,3 +135,123 @@ class TestNumericSimilar:
 
         with pytest.raises(ExecutionError):
             numeric_similar(ctx, LEN_ATTR, 4.0, -1.0)
+
+
+# -- colliding composite keys: the value view vs. the scan it replaced --------
+
+#: 300 long titles behind one 40-character prefix: the truncated value
+#: hash gives them all one ``key(A#v)``.
+PREFIX = "The collected letters and papers of the "
+TITLES = [f"{PREFIX}{i:03d} house of {i * 7 % 300}" for i in range(300)]
+
+
+def scanned_select(ctx, attribute, value):
+    """``select_equals`` as a filter of the whole run ``Router.retrieve``
+    returns — the read the value view replaced."""
+    initiator_id = ctx.random_initiator()
+    key = ctx.codec.attr_value_key(attribute, value)
+    entries, peer = ctx.router.retrieve(key, initiator_id, phase="exact")
+    hits = [
+        e.triple
+        for e in entries
+        if e.kind is EntryKind.ATTR_VALUE
+        and e.triple.attribute == attribute
+        and e.triple.value == value
+    ]
+    if hits:
+        payload = sum(t.payload_size() for t in hits)
+        sent = ctx.router.send_result(
+            peer.peer_id, initiator_id, payload, phase="exact"
+        )
+        assert sent
+    objects = ctx.fetch_objects(
+        {t.oid for t in hits},
+        delegating_peer_id=peer.peer_id,
+        initiator_id=initiator_id,
+        phase="exact",
+    )
+    return sorted(
+        (
+            MatchedObject(t.oid, str(t.value), 0.0, objects.get(t.oid, (t,)))
+            for t in hits
+        ),
+        key=lambda m: m.oid,
+    )
+
+
+def scanned_keyword(ctx, value):
+    """``keyword_lookup`` as a filter of ``Router.retrieve``'s run."""
+    initiator_id = ctx.random_initiator()
+    key = ctx.codec.value_key(value)
+    entries, peer = ctx.router.retrieve(key, initiator_id, phase="exact")
+    hits = [
+        e.triple
+        for e in entries
+        if e.kind is EntryKind.VALUE and e.triple.value == value
+    ]
+    if hits:
+        payload = sum(t.payload_size() for t in hits)
+        sent = ctx.router.send_result(
+            peer.peer_id, initiator_id, payload, phase="exact"
+        )
+        assert sent
+    return sorted(hits, key=lambda t: (t.oid, t.attribute))
+
+
+class TestCollidingValues:
+    """Twin engines, one reading the value view and one scanning the key's
+    run: the same rows in the same order, and the same messages."""
+
+    @pytest.fixture
+    def twins(self):
+        triples = [Triple(f"t:{i:03d}", "title", t) for i, t in enumerate(TITLES)]
+        # Equal numbers of two types under one attribute and one key.
+        triples += [Triple(f"n:{i}", "count", 1 if i % 2 else 1.0) for i in range(6)]
+        config = StoreConfig(seed=3)
+        return [QueryEngine.build(16, triples, config=config) for __ in range(2)]
+
+    @staticmethod
+    def costs_equal(view, scan):
+        a, b = view.last_cost(), scan.last_cost()
+        assert (a.messages, a.payload_bytes) == (b.messages, b.payload_bytes)
+        assert a.by_type == b.by_type and a.by_phase == b.by_phase
+
+    def check(self, view, scan, values):
+        for attribute, value in values:
+            got = view.select(attribute, value)
+            with scan.recorded():
+                expected = scanned_select(scan.ctx, attribute, value)
+            assert got == expected
+            self.costs_equal(view, scan)
+            got = view.keyword(value)
+            with scan.recorded():
+                expected = scanned_keyword(scan.ctx, value)
+            assert got == expected
+            self.costs_equal(view, scan)
+
+    def test_titles_share_one_key(self, twins):
+        codec = twins[0].network.codec
+        assert len({codec.attr_value_key("title", t) for t in TITLES}) == 1
+        assert len({codec.value_key(t) for t in TITLES}) == 1
+
+    def test_view_reads_what_the_scan_filtered(self, twins):
+        view, scan = twins
+        absent = f"{PREFIX}999 nowhere"
+        values = [("title", t) for t in TITLES[::37]]
+        values += [("title", absent), ("count", 1), ("count", 1.0), ("count", 2)]
+        self.check(view, scan, values)
+        assert [m.oid for m in view.select("count", 1)] == [f"n:{i}" for i in range(6)]
+        assert view.select("title", absent) == []
+
+    def test_view_follows_writes(self, twins):
+        view, scan = twins
+        values = [("title", t) for t in TITLES[:3]] + [("count", 1.0)]
+        self.check(view, scan, values)  # builds the views the writes patch
+        gone = [Triple("t:001", "title", TITLES[1]), Triple("n:3", "count", 1)]
+        added = [Triple("t:new", "title", TITLES[2]), Triple("n:new", "count", 1)]
+        for engine in twins:
+            engine.delete(gone)
+            engine.insert(added)
+        self.check(view, scan, values)
+        assert view.select("title", TITLES[1]) == []
+        assert [m.oid for m in view.select("title", TITLES[2])] == ["t:002", "t:new"]

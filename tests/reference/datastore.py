@@ -4,9 +4,9 @@ Entries live in one list in arrival order.  Every read sorts a copy by
 key — a stable sort, so entries under one key stay in arrival order,
 which is the order :class:`repro.storage.datastore.LocalDataStore`
 promises — and filters it; every removal searches the list.  There is no
-dirty flag, no postings map, no kind view and no cached total to fall out
-of step, which is what makes it the ground truth the production store's
-in-place maintenance is property-tested against.
+dirty flag, no postings map, no kind view, no value view and no cached
+total to fall out of step, which is what makes it the ground truth the
+production store's in-place maintenance is property-tested against.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from repro.storage.indexing import EntryKind, IndexEntry
+from repro.storage.triple import ValueType
 
 
 class ReferenceStore:
@@ -72,6 +73,15 @@ class ReferenceStore:
         self, kind: EntryKind, prefix: str
     ) -> list[IndexEntry]:
         return [entry for entry in self.prefix_scan(prefix) if entry.kind is kind]
+
+    def entries_with_value(
+        self, kind: EntryKind, value: ValueType
+    ) -> list[IndexEntry]:
+        return [
+            entry
+            for entry in self._sorted()
+            if entry.kind is kind and entry.triple.value == value
+        ]
 
     def key_bounds(self) -> tuple[str, str] | None:
         keys = [entry.key for entry in self._arrived]

@@ -1,5 +1,7 @@
 """Unit tests for the per-peer sorted datastore."""
 
+import operator
+
 import pytest
 
 from repro.core.config import StoreConfig
@@ -364,6 +366,43 @@ class TestSecondaryIndexes:
         check()
         flags = store.remove_bulk(extra)
         assert flags == twin.remove_bulk(extra) == [True] * len(extra)
+        check()
+
+    def test_value_view_orders_a_value_gaining_and_losing_rows(self):
+        """A value's one row gains a row behind it under an equal key, loses
+        the first, gains one ahead and one at the back, then loses them
+        all, then comes back in a bulk load: the view keeps store order
+        throughout."""
+        store, twin = LocalDataStore(), ReferenceStore()
+        filler = [
+            IndexEntry(format(i, "08b"), EntryKind.OID, Triple(f"f:{i}", "a", i))
+            for i in range(16)
+        ]
+        late, early, tie = (
+            IndexEntry(key, EntryKind.ATTR_VALUE, Triple(oid, "a", "v"))
+            for key, oid in (("11000000", "o:1"), ("00000001", "o:2"),
+                             ("11000000", "o:3"))
+        )
+
+        def check():
+            got = store.entries_with_value(EntryKind.ATTR_VALUE, "v")
+            expected = twin.entries_with_value(EntryKind.ATTR_VALUE, "v")
+            assert got == expected
+            assert all(map(operator.is_, got, expected))
+
+        for s in (store, twin):
+            s.add_bulk([*filler, late])
+        check()  # builds the view: one row
+        for entry in (tie, late, early, late, early, tie, late):
+            if entry in twin.entries_with_value(EntryKind.ATTR_VALUE, "v"):
+                assert store.remove(entry) and twin.remove(entry)
+            else:
+                store.add(entry)  # in place: the view is patched
+                twin.add(entry)
+            check()
+        assert store.entries_with_value(EntryKind.ATTR_VALUE, "v") == []
+        for s in (store, twin):
+            s.add_bulk([late, early, tie])  # a bulk load drops the view
         check()
 
     def test_total_payload_bytes_alias(self, store):
