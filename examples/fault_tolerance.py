@@ -45,12 +45,10 @@ def main() -> None:
         Triple(f"w:{i:04d}", "word:text", w) for i, w in enumerate(WORDS)
     ]
     config = StoreConfig(seed=21, replication=3)
-    # The context manager tears down the engine's fan-out executor even
-    # if a demo act raises mid-way.
-    with QueryEngine.build(
+    store = QueryEngine.build(
         n_peers=48, triples=triples, config=config, memoize=False
-    ) as store:
-        run_demo(store, config)
+    )
+    run_demo(store, config)
 
 
 def run_demo(store: QueryEngine, config: StoreConfig) -> None:

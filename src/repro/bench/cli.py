@@ -123,14 +123,6 @@ def _parser() -> argparse.ArgumentParser:
         "cells are independent and dispatched in parallel; measured "
         "series are bit-identical to --jobs 1 (default: 1, serial)",
     )
-    parser.add_argument(
-        "--fanout",
-        type=int,
-        default=0,
-        metavar="THREADS",
-        help="intra-cell thread fan-out for per-peer delegate work "
-        "(>= 2 to enable); cost series are unaffected (default: off)",
-    )
     return parser
 
 
@@ -161,12 +153,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    if args.fanout == 1 or args.fanout < 0:
-        print(
-            f"--fanout must be 0 (off) or >= 2, got {args.fanout}",
-            file=sys.stderr,
-        )
-        return 2
     job_options = {
         "strategies": (
             ALL_STRATEGIES if args.no_adaptive else ALL_WITH_ADAPTIVE
@@ -174,7 +160,6 @@ def main(argv: list[str] | None = None) -> int:
         "repetitions": repetitions,
         "peer_counts": peer_counts,
         "config": config,
-        "parallel_fanout": args.fanout if args.fanout >= 2 else None,
     }
 
     # Both datasets' jobs are prepared first, then dispatched together:
@@ -240,11 +225,9 @@ def main(argv: list[str] | None = None) -> int:
             # Whether the cost-model-driven adaptive replay ran (its
             # series is additive; fixed series are identical either way).
             "adaptive": not args.no_adaptive,
-            # Execution knobs: worker processes and intra-cell fan-out
-            # threads.  Both affect wall-clock numbers only — measured
-            # series are bit-identical across any jobs/fanout setting.
+            # Worker processes: wall-clock only — measured series are
+            # bit-identical across any jobs setting.
             "jobs": args.jobs,
-            "fanout": args.fanout if args.fanout >= 2 else 0,
         }
         fig1_path = os.path.join(args.json_dir, "BENCH_fig1.json")
         with open(fig1_path, "w") as handle:

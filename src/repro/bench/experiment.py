@@ -88,7 +88,6 @@ def run_cell(
     workload: Sequence[WorkloadQuery] | None = None,
     prepared: PreparedDataset | None = None,
     builder: IncrementalNetworkBuilder | None = None,
-    parallel_fanout: int | None = None,
 ) -> CellResult:
     """Run the full strategy comparison for one peer count.
 
@@ -111,9 +110,6 @@ def run_cell(
     cell, not folded into the workload series) and consumes router RNG
     draws doing so — running it after the fixed strategies keeps their
     series bit-identical to an adaptive-free run.
-
-    ``parallel_fanout`` (>= 2) turns on the engine's intra-query thread
-    fan-out for per-peer delegate work; cost series are unaffected.
     """
     config = config if config is not None else StoreConfig()
     started = time.perf_counter()
@@ -144,19 +140,16 @@ def run_cell(
     # later strategies reuse the memos and verifier state earlier ones
     # filled.  Sharing changes wall-clock only, never a match set or a
     # message (pinned by tests).
-    engine = QueryEngine(network, parallel_fanout=parallel_fanout)
-    try:
-        fixed = [s for s in strategies if s is not SimilarityStrategy.ADAPTIVE]
-        for strategy in fixed:
-            network.tracer.reset()
-            ctx = engine.context(strategy=strategy)
-            result.by_strategy[strategy] = run_workload(
-                ctx, attribute, workload, strategy
-            )
-        if SimilarityStrategy.ADAPTIVE in strategies:
-            _run_adaptive(engine, attribute, workload, result)
-    finally:
-        engine.close()
+    engine = QueryEngine(network)
+    fixed = [s for s in strategies if s is not SimilarityStrategy.ADAPTIVE]
+    for strategy in fixed:
+        network.tracer.reset()
+        ctx = engine.context(strategy=strategy)
+        result.by_strategy[strategy] = run_workload(
+            ctx, attribute, workload, strategy
+        )
+    if SimilarityStrategy.ADAPTIVE in strategies:
+        _run_adaptive(engine, attribute, workload, result)
     result.wall_seconds = time.perf_counter() - started
     result.total_entries = network.total_entries()
     result.stored_payload_bytes = network.total_payload_bytes()

@@ -274,8 +274,6 @@ def run_mutate_bench(
         "recovery": recovery,
         "elapsed_seconds": round(time.perf_counter() - started, 3),
     }
-    for arm in arms.values():
-        arm["engine"].close()
     return payload
 
 

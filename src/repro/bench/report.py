@@ -107,7 +107,10 @@ def write_csv(path: str, result: SweepResult) -> None:
         handle.write(render_csv(result))
 
 
-#: Schema tag embedded in ``BENCH_fig1.json``.  v5 removes
+#: Schema tag embedded in ``BENCH_fig1.json``.  v6 removes
+#: ``scale.fanout`` with the intra-cell thread fan-out (every run is
+#: serial inside a cell; ``scale.jobs`` still records the worker
+#: processes).  v5 removed
 #: ``scale.naive_sample_rate`` and the per-cell ``naive_sampled`` flag
 #: with the sampled-broadcast estimator (every series is exact).  v4
 #: added the per-dataset ``sweep_seconds`` (end-to-end sweep wall
@@ -119,7 +122,7 @@ def write_csv(path: str, result: SweepResult) -> None:
 #: the one-off statistics walk and the cost model's strategy picks) —
 #: all additive; the v2 ``build_seconds`` and the v1 series fields are
 #: unchanged.
-FIG1_SCHEMA = "repro-bench-fig1/v5"
+FIG1_SCHEMA = "repro-bench-fig1/v6"
 
 
 def sweep_to_dict(

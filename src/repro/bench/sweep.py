@@ -122,9 +122,6 @@ class SweepJob:
     prepared: PreparedDataset
     repetitions: int = 40
     strategies: tuple[SimilarityStrategy, ...] = ALL_STRATEGIES
-    #: Intra-cell fan-out threads (``QueryEngine(parallel_fanout=...)``);
-    #: ``None`` keeps per-peer work serial inside each cell.
-    parallel_fanout: int | None = None
 
     @classmethod
     def from_dataset(
@@ -159,7 +156,6 @@ class SweepJob:
             strategies=self.strategies,
             prepared=self.prepared,
             builder=builder,
-            parallel_fanout=self.parallel_fanout,
         )
 
 
@@ -309,7 +305,6 @@ def sweep(
     strategies: Sequence[SimilarityStrategy] = ALL_STRATEGIES,
     progress: Callable[[str], None] | None = None,
     jobs: int = 1,
-    parallel_fanout: int | None = None,
 ) -> SweepResult:
     """Run the strategy comparison across peer counts.
 
@@ -320,8 +315,7 @@ def sweep(
     and the shared verifier pool).
 
     ``jobs > 1`` dispatches cells to a :class:`ParallelSweepRunner`
-    process pool and ``parallel_fanout`` enables the intra-cell thread
-    fan-out; both change wall-clock only — every measured series is
+    process pool; it changes wall-clock only — every measured series is
     bit-identical to the serial reference (property-tested).
 
     Including ``SimilarityStrategy.ADAPTIVE`` in ``strategies`` (e.g.
@@ -338,7 +332,6 @@ def sweep(
         config=config,
         repetitions=repetitions,
         strategies=tuple(strategies),
-        parallel_fanout=parallel_fanout,
     )
     if jobs > 1:
         return ParallelSweepRunner(jobs).run([job], progress)[0]

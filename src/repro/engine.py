@@ -60,7 +60,6 @@ from dataclasses import dataclass, field
 from repro.core.config import RankFunction, SimilarityStrategy, StoreConfig
 from repro.core.stats import QueryStats
 from repro.overlay.churn import ChurnController, ChurnReport
-from repro.overlay.fanout import FanOutExecutor
 from repro.overlay.faults import FaultInjector, FaultMode, FaultPlan, RetryPolicy
 from repro.overlay.incremental import PreparedDataset
 from repro.overlay.messages import CostReport
@@ -157,16 +156,6 @@ class QueryEngine:
         :class:`~repro.similarity.verify.VerifierPool` (LRU eviction
         beyond it); ``None`` keeps the pool default.  Distance memos are
         store-independent, so eviction is always safe.
-    parallel_fanout:
-        Thread count (>= 2) for the intra-query fan-out: per-peer
-        delegate work (gram-peer candidate scans, broadcast query
-        copies) runs on a
-        :class:`~repro.overlay.fanout.FanOutExecutor` owned by this
-        engine, with charges merged deterministically so every measured
-        series stays bit-identical to the serial reference path.
-        ``None``/``0``/``1`` (the default) keeps everything serial.
-        Engines with a fan-out installed should be :meth:`close`\\ d (or
-        used as context managers) to release the pool's threads.
 
     A write routed through the engine (:meth:`insert`, :meth:`delete`,
     :meth:`recover`) invalidates only the memo records the written index
@@ -181,7 +170,6 @@ class QueryEngine:
         network: PGridNetwork,
         strategy: SimilarityStrategy | str | None = None,
         memoize: bool = True,
-        parallel_fanout: int | None = None,
         edit_kernel: EditKernel | None = None,
         verifier_pool_limit: int | None = None,
     ):
@@ -201,11 +189,6 @@ class QueryEngine:
                 if verifier_pool_limit is not None
                 else DEFAULT_POOL_LIMIT
             ),
-        )
-        self.fanout = (
-            FanOutExecutor(parallel_fanout)
-            if parallel_fanout is not None and parallel_fanout > 1
-            else None
         )
         self.cost_model = StrategyCostModel(network)
         self._filters = FilterConfig(
@@ -283,26 +266,7 @@ class QueryEngine:
             fetch_memo=self.fetch_memo,
             catalog=catalog,
             cost_model=self.cost_model,
-            fanout=self.fanout,
         )
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release owned resources (the fan-out thread pool); idempotent.
-
-        Engines without a fan-out installed hold no threads, so calling
-        this is optional for them — but harness code that may enable
-        ``parallel_fanout`` should always close (or use ``with``).
-        """
-        if self.fanout is not None:
-            self.fanout.shutdown()
-
-    def __enter__(self) -> "QueryEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- memo lifecycle -----------------------------------------------------------
 

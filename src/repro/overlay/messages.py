@@ -158,21 +158,6 @@ class MessageTracer:
         """Payload bytes per phase."""
         return Counter(self._fold(1, 1))
 
-    def merge(self, other: "MessageTracer") -> None:
-        """Fold another tracer's charges into this one.
-
-        The deterministic-merge half of the intra-cell fan-out
-        (:class:`repro.overlay.fanout.FanOutExecutor`): worker units
-        charge private scratch tracers, and the owner merges them in a
-        stable order — counters add, and the verbose log (when kept)
-        appends in merge order, so a fanned-out flow reproduces the
-        serial loop's ledger byte for byte.
-        """
-        for key, (count, payload_bytes) in other._cells.items():
-            self._charge(key, count, payload_bytes)
-        if self.record_log and other.log:
-            self.log.extend(other.log)
-
     def snapshot(self) -> TraceSnapshot:
         """Copy of the current counters."""
         return TraceSnapshot(

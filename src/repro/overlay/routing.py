@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.errors import PartitionUnreachableError, RoutingError
@@ -47,7 +47,6 @@ from repro.overlay.peer import Peer
 from repro.storage.indexing import IndexEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.overlay.fanout import FanOutExecutor
     from repro.overlay.network import PGridNetwork
 
 #: Safety bound on routing hops; a correct trie never gets close.
@@ -311,38 +310,40 @@ class Router:
         self,
         sender: int,
         peers: Sequence[Peer],
-        payload_bytes_for: "Callable[[Peer], int]",
-        fanout: "FanOutExecutor",
+        payload_bytes: int,
         phase: str = "broadcast",
-    ) -> None:
-        """Charge one broadcast query copy per peer, fanned out on threads.
+    ) -> list[Peer]:
+        """Charge one broadcast query copy of ``payload_bytes`` per peer.
 
-        The parallel counterpart of a ``send_broadcast`` loop: each copy
-        is charged on a private scratch tracer and the scratches merge
-        into the real tracer in the given (stable) peer order, so the
-        resulting counters and verbose log are byte-identical to the
-        serial loop.  Healthy transport only — per-copy retry/failover
-        consumes RNG and must stay on the caller's thread, so an active
-        fault injector is a caller bug, not a silent fallback.
+        The naive operator's broadcast charge.  Under an active fault
+        plan each copy goes through :meth:`send_broadcast_failover` and
+        the receivers reached come back (dark partitions drop out); on a
+        healthy transport every peer is reached, charged one message at
+        a time when the tracer keeps a verbose log and in bulk otherwise
+        (identical counters).
         """
         if self.faults_active():
-            raise RoutingError(
-                "send_broadcast_fanout requires a healthy transport; "
-                "use send_broadcast_failover under an active fault plan"
-            )
-
-        def copy_task(peer: Peer) -> "Callable[[MessageTracer], None]":
-            payload = payload_bytes_for(peer)
-
-            def task(scratch: MessageTracer) -> None:
-                scratch.send(
-                    MessageType.BROADCAST, sender, peer.peer_id, payload,
-                    phase=phase,
+            reached = []
+            for peer in peers:
+                receiver = self.send_broadcast_failover(
+                    sender, peer, payload_bytes, phase=phase
                 )
-
-            return task
-
-        fanout.run_traced(self.tracer, [copy_task(peer) for peer in peers])
+                if receiver is not None:
+                    reached.append(receiver)
+            return reached
+        if self.tracer.record_log:
+            for peer in peers:
+                self.send_broadcast(
+                    sender, peer.peer_id, payload_bytes, phase=phase
+                )
+        else:
+            self.tracer.send_bulk(
+                MessageType.BROADCAST,
+                len(peers),
+                len(peers) * payload_bytes,
+                phase=phase,
+            )
+        return list(peers)
 
     # -- fault-aware delivery ----------------------------------------------------
 

@@ -41,7 +41,6 @@ from repro.storage.indexing import EntryKind
 from repro.storage.triple import Triple, ValueType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.overlay.fanout import FanOutExecutor
     from repro.query.cost import StrategyCostModel, StrategyDecision
     from repro.query.operators.naive import NaiveWorkloadMemo
     from repro.query.operators.similar import GramScanMemo, SimilarResult
@@ -121,13 +120,6 @@ class OperatorContext:
     cost_model: "StrategyCostModel | None" = None
     #: The :class:`OperationScope` open on this context, if any.
     scope: "OperationScope | None" = field(default=None, repr=False)
-    #: Intra-query fan-out executor (see
-    #: :class:`repro.overlay.fanout.FanOutExecutor`): per-peer delegate
-    #: work — gram posting scans, broadcast query copies — runs on its
-    #: thread pool with deterministic merging.
-    #: ``None`` (the default) keeps the serial reference path; measured
-    #: series are bit-identical either way (property-tested).
-    fanout: "FanOutExecutor | None" = None
 
     def __post_init__(self) -> None:
         if self.strategy is None:

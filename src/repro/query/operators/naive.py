@@ -45,7 +45,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from repro.core.errors import ExecutionError
-from repro.overlay.messages import MessageType
 from repro.query.operators.base import (
     QUERY_HEADER_BYTES,
     MatchedObject,
@@ -305,50 +304,17 @@ def naive_similar(
     else:
         region_prefix = ctx.codec.attr_prefix(attribute)
 
-    # Under an active fault injector every query copy is delivered
-    # individually with retry/failover.
-    faulty = ctx.router.faults_active()
-
     # Broadcast the query into the region (routed entry + shower forwards).
-    tracer = ctx.router.tracer
     peers = ctx.router.multicast_prefix(
         region_prefix, initiator_id, phase="broadcast"
     )
     # The query string travels with every broadcast message; charge its
     # size once per contacted peer on top of the multicast accounting.
-    if faulty:
-        reached = []
-        for peer in peers:
-            receiver = ctx.router.send_broadcast_failover(
-                initiator_id, peer, QUERY_HEADER_BYTES + len(s),
-                phase="broadcast",
-            )
-            if receiver is not None:
-                reached.append(receiver)
-        peers = reached
-    elif tracer.record_log:
-        if ctx.fanout is not None:
-            ctx.router.send_broadcast_fanout(
-                initiator_id,
-                peers,
-                lambda peer: QUERY_HEADER_BYTES + len(s),
-                ctx.fanout,
-                phase="broadcast",
-            )
-        else:
-            for peer in peers:
-                ctx.router.send_broadcast(
-                    initiator_id, peer.peer_id, QUERY_HEADER_BYTES + len(s),
-                    phase="broadcast",
-                )
-    else:
-        tracer.send_bulk(
-            MessageType.BROADCAST,
-            len(peers),
-            len(peers) * (QUERY_HEADER_BYTES + len(s)),
-            phase="broadcast",
-        )
-
+    # Under an active fault injector every copy is delivered individually
+    # with retry/failover, and only the receivers reached compare.
+    peers = ctx.router.send_broadcast_fanout(
+        initiator_id, peers, QUERY_HEADER_BYTES + len(s), phase="broadcast"
+    )
     contacted = [(peer, peer.partition_index) for peer in peers]
 
     # Local comparison at every contacted peer — computed once per
@@ -357,7 +323,7 @@ def naive_similar(
     # A partial (degraded) contact list must never seed the region-wide
     # memo, and replaying a healthy outcome would hide the darkness, so
     # the memo is bypassed entirely while faults are active.
-    memo = None if faulty else ctx.naive_memo
+    memo = None if ctx.router.faults_active() else ctx.naive_memo
     memo_key = (s, attribute)
     comparison = (
         memo.lookup(memo_key, d, contacted) if memo is not None else None

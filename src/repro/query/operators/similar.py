@@ -30,7 +30,6 @@ missed — property-tested against brute force in the test suite.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Mapping
@@ -121,13 +120,6 @@ class GramScanMemo:
     its version, mismatches and is rescanned.  Stores changed behind the
     engine's back advance the network-wide mutation token and the engine
     clears the memo.
-
-    Thread-safe for the intra-query fan-out: cache probes, inserts and
-    counters are guarded by a lock, while the posting scan and the
-    replay run outside it (pure and deterministic — a racing duplicate
-    compute is benign, and within one fanned-out batch distinct peers
-    carry distinct partition signatures, so the hit/miss tallies stay
-    exact).
     """
 
     def __init__(self, network):
@@ -139,7 +131,6 @@ class GramScanMemo:
         #: path of every q-gram query.
         self._cache: dict[tuple, tuple[list[int], list, list, list, list]] = {}
         self._stamps = VersionStamps()
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         #: Tables a write named and dropped, plus stamp mismatches met on
@@ -161,25 +152,23 @@ class GramScanMemo:
         gram = occurrences[0].gram
         signature = (partition_index, key, attribute, schema_level, gram)
         version = peer.store.version
-        with self._lock:
-            table = self._cache.get(signature)
-            if table is not None:
-                stamp, lengths, positions, oids, pending = table
-                if stamp[0] != version or (pending and not _settle(table)):
-                    self.invalidations += 1
-                    table = None
-                else:
-                    self.hits += 1
+        table = self._cache.get(signature)
+        if table is not None:
+            stamp, lengths, positions, oids, pending = table
+            if stamp[0] != version or (pending and not _settle(table)):
+                self.invalidations += 1
+                table = None
+            else:
+                self.hits += 1
         if table is None:
             lengths, positions, oids = self._scan(
                 peer.store, key, gram, attribute, schema_level
             )
-            with self._lock:
-                self.misses += 1
-                self._cache[signature] = (
-                    self._stamps.stamp(partition_index, version),
-                    lengths, positions, oids, [],
-                )
+            self.misses += 1
+            self._cache[signature] = (
+                self._stamps.stamp(partition_index, version),
+                lengths, positions, oids, [],
+            )
         return _admitted_oids(lengths, positions, oids, occurrences, d, filters)
 
     def _scan(self, store, key, gram, attribute, schema_level):
@@ -198,45 +187,43 @@ class GramScanMemo:
         the written replicas' new versions.  Returns the number of tables
         dropped."""
         dropped = 0
-        with self._lock:
-            cache = self._cache
-            for partition, (entries, removed, versions, uniform) in writes.items():
-                for entry in entries:
-                    gram = entry.gram
-                    if gram is None:
-                        continue
-                    schema_level = entry.kind is EntryKind.SCHEMA_GRAM
-                    signature = (
-                        partition,
-                        entry.key,
-                        "" if schema_level else entry.triple.attribute,
-                        schema_level,
-                        gram,
-                    )
-                    table = cache.get(signature)
-                    if table is None:
-                        continue
-                    built_at, pending = table[0][0], table[4]
-                    if (
-                        uniform
-                        # built from a replica this write moved
-                        and versions.get(built_at, built_at) != built_at
-                        and len(pending) < PENDING_ROWS
-                    ):
-                        pending.append((entry, removed))
-                    else:
-                        del cache[signature]
-                        dropped += 1
-                self._stamps.carry(partition, versions)
-            self.invalidations += dropped
+        cache = self._cache
+        for partition, (entries, removed, versions, uniform) in writes.items():
+            for entry in entries:
+                gram = entry.gram
+                if gram is None:
+                    continue
+                schema_level = entry.kind is EntryKind.SCHEMA_GRAM
+                signature = (
+                    partition,
+                    entry.key,
+                    "" if schema_level else entry.triple.attribute,
+                    schema_level,
+                    gram,
+                )
+                table = cache.get(signature)
+                if table is None:
+                    continue
+                built_at, pending = table[0][0], table[4]
+                if (
+                    uniform
+                    # built from a replica this write moved
+                    and versions.get(built_at, built_at) != built_at
+                    and len(pending) < PENDING_ROWS
+                ):
+                    pending.append((entry, removed))
+                else:
+                    del cache[signature]
+                    dropped += 1
+            self._stamps.carry(partition, versions)
+        self.invalidations += dropped
         return dropped
 
     def clear(self) -> None:
         """Drop all cached tables and stamps (call after any data
         mutation the memo was not told about)."""
-        with self._lock:
-            self._cache.clear()
-            self._stamps.clear()
+        self._cache.clear()
+        self._stamps.clear()
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -314,9 +301,8 @@ def _gram_candidates(
 ) -> set[str]:
     """One gram peer's step-3 scan: the oids it would delegate at ``d``.
 
-    Pure per-peer work (read-only store scans, no tracer charges, no RNG
-    draws) — the unit the intra-query fan-out dispatches to its thread
-    pool, and the body the serial reference loop runs inline.
+    Pure per-peer work: read-only store scans, no tracer charges, no RNG
+    draws.
     """
     candidate_oids: set[str] = set()
     for key in keys:
@@ -401,30 +387,11 @@ def similar(
     # workload memo installed, each (partition, key) posting list is
     # scanned once and every query replays its filters as table probes.
     scan_memo = ctx.gram_scan_memo
-    peer_groups = sorted(contacted.items())
-
-    # Fan-out mode: prescan every gram peer's candidates on the thread
-    # pool (pure compute, stable peer-id order) before the serial
-    # delegate/fetch/verify loop consumes them.  Disabled under an
-    # *active* fault plan, where a lost delegation legitimately skips the
-    # peer's scan; the serial inline scan is the reference path.
-    fanout = ctx.fanout
-    if fanout is not None and not ctx.router.faults_active():
-        prescanned = fanout.map_ordered(
-            lambda group: _gram_candidates(
-                ctx, ctx.network.peer(group[0]), group[1], gram_keys,
-                attribute, schema_level, d, scan_memo,
-            ),
-            peer_groups,
-        )
-    else:
-        prescanned = None
-
     delivered: dict[str, tuple] = {}
     answered: set[str] = set()
     all_delegated: set[str] = set()
     delegated_total = 0
-    for group_index, (peer_id, keys) in enumerate(peer_groups):
+    for peer_id, keys in sorted(contacted.items()):
         peer = ctx.network.peer(peer_id)
         if not ctx.router.send_delegate(
             initiator_id,
@@ -437,13 +404,9 @@ def similar(
             # peer never scans, so its keys contribute no candidates.
             ctx.router.record_dropped_candidates(len(keys))
             continue
-        if prescanned is not None:
-            candidate_oids = prescanned[group_index]
-        else:
-            candidate_oids = _gram_candidates(
-                ctx, peer, keys, gram_keys, attribute, schema_level, d,
-                scan_memo,
-            )
+        candidate_oids = _gram_candidates(
+            ctx, peer, keys, gram_keys, attribute, schema_level, d, scan_memo
+        )
         if not candidate_oids:
             continue
         result.candidates_after_filters += len(candidate_oids)

@@ -35,7 +35,6 @@ def build_service(
     strategy: str,
     max_inflight: int,
     cost_budget: float,
-    fanout: int | None = None,
 ) -> QueryService:
     """Engine + service wired the way every serve entry point needs."""
     engine = QueryEngine.build(
@@ -45,7 +44,6 @@ def build_service(
             seed=seed, index_values=False, index_schema_grams=False
         ),
         strategy=strategy,
-        parallel_fanout=fanout,
     )
     engine.analyze([TEXT_ATTRIBUTE])
     return QueryService(
@@ -81,12 +79,6 @@ def _parser() -> argparse.ArgumentParser:
         default=0.0,
         help="admission: max outstanding predicted messages (0 = off)",
     )
-    parser.add_argument(
-        "--fanout",
-        type=int,
-        default=0,
-        help="intra-query thread fan-out (>= 2 to enable)",
-    )
     return parser
 
 
@@ -98,7 +90,6 @@ async def _serve(args) -> None:
         args.strategy,
         args.max_inflight,
         args.cost_budget,
-        fanout=args.fanout if args.fanout >= 2 else None,
     ) as service:
         server = ServiceServer(service, args.host, args.port)
         await server.start()

@@ -137,11 +137,10 @@ Handler = Callable[[Request], Awaitable[Response]]
 
 
 class QueryService:
-    """The engine behind a service boundary; owns the engine's lifecycle.
+    """The engine behind a service boundary.
 
-    The service closes its engine on :meth:`close` (releasing fan-out
-    threads), so server entry points get leak-free shutdown by
-    construction::
+    Server entry points close the service on shutdown, or use it as a
+    context manager::
 
         with QueryService(engine) as service:
             ...  # await service.handle(request)
@@ -175,11 +174,12 @@ class QueryService:
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Close the engine; idempotent."""
-        if self._closed:
-            return
+        """Mark the service closed; idempotent.
+
+        The engine holds no threads or other resources, so nothing is
+        released and the engine stays usable.
+        """
         self._closed = True
-        self.engine.close()
 
     def __enter__(self) -> "QueryService":
         return self

@@ -32,7 +32,6 @@ changes any match set.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 
@@ -351,16 +350,10 @@ class VerifierPool:
     recomputed on its next appearance.  ``hits`` / ``misses`` /
     ``evictions`` count pool traffic, and every verifier shares one
     :class:`KernelCounters`, so kernel-level totals survive eviction.
-
-    :meth:`get` is thread-safe (the engine shares one pool across every
-    operator context, and contexts may run fanned-out per-peer work);
-    the *returned* :class:`BatchVerifier` is not — verification passes
-    stay on the caller's thread, as the fan-out contract requires.
     """
 
     __slots__ = (
         "_verifiers",
-        "_lock",
         "kernel",
         "max_verifiers",
         "hits",
@@ -381,7 +374,6 @@ class VerifierPool:
         self._verifiers: OrderedDict[tuple[str, int], BatchVerifier] = (
             OrderedDict()
         )
-        self._lock = threading.Lock()
         self.kernel = resolve_kernel(kernel)
         self.max_verifiers = max_verifiers
         self.hits = 0
@@ -391,41 +383,34 @@ class VerifierPool:
 
     def get(self, query: str, d: int) -> BatchVerifier:
         key = (query, d)
-        with self._lock:
-            verifier = self._verifiers.get(key)
-            if verifier is not None:
-                self.hits += 1
-                self._verifiers.move_to_end(key)
-                return verifier
-            self.misses += 1
-            verifier = BatchVerifier(
-                query, d, kernel=self.kernel, counters=self.counters
-            )
-            self._verifiers[key] = verifier
-            while len(self._verifiers) > self.max_verifiers:
-                self._verifiers.popitem(last=False)
-                self.evictions += 1
+        verifier = self._verifiers.get(key)
+        if verifier is not None:
+            self.hits += 1
+            self._verifiers.move_to_end(key)
+            return verifier
+        self.misses += 1
+        verifier = BatchVerifier(
+            query, d, kernel=self.kernel, counters=self.counters
+        )
+        self._verifiers[key] = verifier
+        while len(self._verifiers) > self.max_verifiers:
+            self._verifiers.popitem(last=False)
+            self.evictions += 1
         return verifier
 
     def memo_entries(self) -> int:
         """Total memoized ``(query, candidate)`` pairs across live verifiers."""
-        with self._lock:
-            return sum(
-                len(verifier._memo) for verifier in self._verifiers.values()
-            )
+        return sum(
+            len(verifier._memo) for verifier in self._verifiers.values()
+        )
 
     def stats(self) -> dict[str, object]:
         """Pool traffic, bounds, and aggregated kernel counters."""
-        with self._lock:
-            live = len(self._verifiers)
-            entries = sum(
-                len(verifier._memo) for verifier in self._verifiers.values()
-            )
         return {
             "kernel": self.kernel.name,
-            "verifiers": live,
+            "verifiers": len(self._verifiers),
             "max_verifiers": self.max_verifiers,
-            "memo_entries": entries,
+            "memo_entries": self.memo_entries(),
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,

@@ -67,10 +67,10 @@ class TestCli:
         capsys.readouterr()
         assert status == 0
         fig1 = json.loads((tmp_path / "BENCH_fig1.json").read_text())
-        assert fig1["schema"] == "repro-bench-fig1/v5"
+        assert fig1["schema"] == "repro-bench-fig1/v6"
         assert fig1["datasets"]["bible"]["sweep_seconds"] > 0
         assert fig1["scale"]["jobs"] == 1
-        assert fig1["scale"]["fanout"] == 0
+        assert "fanout" not in fig1["scale"]
         cells = fig1["datasets"]["bible"]["cells"]
         assert cells[0]["peers"] == 16
         assert cells[0]["total_entries"] > 0
@@ -102,6 +102,11 @@ class TestCli:
     def test_invalid_figure_rejected(self):
         with pytest.raises(SystemExit):
             main(["--figure", "fig9z"])
+
+    def test_removed_fanout_flag_rejected(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--fanout", "2"])
+        assert exit_info.value.code == 2
 
     def test_full_scale_env_toggle(self, monkeypatch):
         from repro.bench.sweep import full_scale

@@ -1,9 +1,8 @@
-"""Parallel execution properties: sweeps, fan-out, env flags, failures.
+"""Parallel execution properties: sweeps, env flags, failures.
 
 The standing invariant under test: parallelism (worker processes for
-sweep cells, thread fan-out for per-peer work inside a query) changes
-wall-clock numbers *only* — every measured message/byte series is
-bit-identical to the serial reference path.
+sweep cells) changes wall-clock numbers *only* — every measured
+message/byte series is bit-identical to the serial reference path.
 """
 
 import pickle
@@ -18,11 +17,6 @@ from repro.core.config import (
 )
 from repro.core.stats import QueryStats
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
-from repro.engine import QueryEngine
-from repro.overlay.fanout import FanOutExecutor
-from repro.overlay.faults import FaultPlan
-from repro.overlay.messages import MessageTracer, MessageType
-from repro.overlay.network import PGridNetwork
 from repro.bench.experiment import (
     ALL_WITH_ADAPTIVE,
     PreparedDataset,
@@ -240,135 +234,3 @@ class TestWorkerFailure:
         assert clone.dataset == "bible"
         assert clone.n_peers == 512
         assert clone.worker_traceback == "Traceback: boom"
-
-
-class TestFanOutExecutor:
-    def test_min_workers_enforced(self):
-        with pytest.raises(ValueError):
-            FanOutExecutor(1)
-
-    def test_map_ordered_preserves_order(self):
-        with FanOutExecutor(4) as fanout:
-            assert fanout.map_ordered(lambda x: x * x, range(20)) == [
-                x * x for x in range(20)
-            ]
-
-    def test_map_ordered_propagates_errors(self):
-        def boom(x):
-            raise RuntimeError(f"unit {x}")
-
-        with FanOutExecutor(2) as fanout:
-            with pytest.raises(RuntimeError, match="unit"):
-                fanout.map_ordered(boom, range(4))
-
-    def test_run_traced_merges_in_submission_order(self):
-        tracer = MessageTracer(record_log=True)
-        reference = MessageTracer(record_log=True)
-        for i in range(6):
-            reference.send(MessageType.BROADCAST, 0, i, i * 10, phase="p")
-
-        def task_for(i):
-            def task(scratch):
-                scratch.send(MessageType.BROADCAST, 0, i, i * 10, phase="p")
-                return i
-            return task
-
-        with FanOutExecutor(3) as fanout:
-            results = fanout.run_traced(tracer, [task_for(i) for i in range(6)])
-        assert results == list(range(6))
-        assert tracer.log == reference.log
-        assert tracer.message_count == reference.message_count
-        assert tracer.payload_bytes == reference.payload_bytes
-
-    def test_run_traced_failure_leaves_tracer_unchanged(self):
-        tracer = MessageTracer()
-
-        def bad(scratch):
-            scratch.send(MessageType.BROADCAST, 0, 1, 5, phase="p")
-            raise RuntimeError("charged then failed")
-
-        with FanOutExecutor(2) as fanout:
-            with pytest.raises(RuntimeError):
-                fanout.run_traced(tracer, [bad, bad])
-        assert tracer.message_count == 0
-        assert tracer.payload_bytes == 0
-
-
-class TestEngineFanOut:
-    """Intra-query fan-out: identical series, identical verbose logs."""
-
-    def build_engine(self, corpus, fanout, record_log=False):
-        config = StoreConfig(seed=1)
-        prepared = PreparedDataset.prepare(corpus, config)
-        network = PGridNetwork(
-            48, config, sample_keys=prepared.sample_keys,
-            tracer=MessageTracer(record_log=record_log),
-        )
-        network.place_entries(prepared.entries)
-        return QueryEngine(network, parallel_fanout=fanout)
-
-    def run_queries(self, engine, install_noop_faults=False):
-        if install_noop_faults:
-            engine.install_faults(FaultPlan.none())
-        observed = []
-        for strategy in ("qgram", "qsample", "naive"):
-            engine.similar("beginning", TEXT_ATTRIBUTE, 2, strategy=strategy)
-            cost = engine.last_cost()
-            observed.append(
-                (
-                    strategy,
-                    cost.messages,
-                    cost.payload_bytes,
-                    tuple(sorted(cost.by_type.items())),
-                    tuple(sorted(cost.by_phase.items())),
-                )
-            )
-        return observed
-
-    @pytest.mark.parametrize("noop_faults", [False, True])
-    def test_costs_identical_to_serial(self, corpus, noop_faults):
-        with self.build_engine(corpus, None) as serial_engine:
-            serial = self.run_queries(serial_engine, noop_faults)
-        with self.build_engine(corpus, 3) as fanned_engine:
-            assert fanned_engine.fanout is not None
-            fanned = self.run_queries(fanned_engine, noop_faults)
-        assert fanned == serial
-
-    def test_verbose_logs_identical_to_serial(self, corpus):
-        """Per-message logs (sender, receiver, order) match exactly."""
-        with self.build_engine(corpus, None, record_log=True) as serial_engine:
-            self.run_queries(serial_engine)
-            serial_log = list(serial_engine.network.tracer.log)
-        with self.build_engine(corpus, 3, record_log=True) as fanned_engine:
-            self.run_queries(fanned_engine)
-            fanned_log = list(fanned_engine.network.tracer.log)
-        assert fanned_log == serial_log
-
-    def test_matches_identical_to_serial(self, corpus):
-        with self.build_engine(corpus, None) as serial_engine:
-            serial = serial_engine.similar(
-                "beginning", TEXT_ATTRIBUTE, 2, strategy="naive"
-            )
-        with self.build_engine(corpus, 4) as fanned_engine:
-            fanned = fanned_engine.similar(
-                "beginning", TEXT_ATTRIBUTE, 2, strategy="naive"
-            )
-        assert [(m.oid, m.distance) for m in fanned.matches] == (
-            [(m.oid, m.distance) for m in serial.matches]
-        )
-
-    def test_cell_with_fanout_identical(self, corpus, strings):
-        serial = run_cell(
-            corpus, TEXT_ATTRIBUTE, strings, 32,
-            StoreConfig(seed=1), repetitions=1,
-            strategies=ALL_WITH_ADAPTIVE,
-        )
-        fanned = run_cell(
-            corpus, TEXT_ATTRIBUTE, strings, 32,
-            StoreConfig(seed=1), repetitions=1,
-            strategies=ALL_WITH_ADAPTIVE, parallel_fanout=3,
-        )
-        for strategy in ALL_WITH_ADAPTIVE:
-            assert stats_key(fanned.by_strategy[strategy]) == (
-                stats_key(serial.by_strategy[strategy])
-            ), strategy

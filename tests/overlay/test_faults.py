@@ -243,10 +243,10 @@ class TestDegradedQueries:
 class TestBitIdentity:
     """Acceptance property: empty plan == no injector, bit for bit."""
 
-    def _series(self, install_noop: bool):
+    def _series(self, noop_mode: str | None):
         engine = build_engine()
-        if install_noop:
-            engine.install_faults(FaultPlan.none(), mode="degraded")
+        if noop_mode is not None:
+            engine.install_faults(FaultPlan.none(), mode=noop_mode)
         series = []
         for word in WORDS:
             for strategy in ("qgrams", "strings", "qsamples"):
@@ -267,8 +267,25 @@ class TestBitIdentity:
         series.append(("join", len(join.pairs), cost.messages, cost.payload_bytes))
         return series
 
-    def test_empty_plan_is_bit_identical_to_direct_path(self):
-        assert self._series(False) == self._series(True)
+    @pytest.mark.parametrize("mode", ["strict", "degraded"])
+    def test_empty_plan_is_bit_identical_to_direct_path(self, mode):
+        assert self._series(None) == self._series(mode)
+
+    @staticmethod
+    def _verbose_log(noop_mode: str | None):
+        engine = build_engine()
+        engine.network.tracer.record_log = True
+        if noop_mode is not None:
+            engine.install_faults(FaultPlan.none(), mode=noop_mode)
+        for strategy in ("qgram", "qsample", "naive"):
+            engine.similar("apple", TEXT_ATTR, 2, strategy=strategy)
+        return list(engine.network.tracer.log)
+
+    @pytest.mark.parametrize("mode", ["strict", "degraded"])
+    def test_empty_plan_keeps_the_verbose_log(self, mode):
+        """Per-message logs (sender, receiver, order) match exactly."""
+        log = self._verbose_log(None)
+        assert log and self._verbose_log(mode) == log
 
 
 class TestStructuredOverlayErrors:

@@ -43,7 +43,7 @@ class TestMessageTracer:
         assert tracer.log == []
 
 
-class TestBulkAndMerge:
+class TestBulk:
     def test_bulk_equals_individual_sends(self):
         one_by_one, bulk = MessageTracer(), MessageTracer()
         for payload in (10, 0, 32):
@@ -53,17 +53,6 @@ class TestBulkAndMerge:
         assert bulk.snapshot() == one_by_one.snapshot()
         assert bulk.bytes_by_phase == one_by_one.bytes_by_phase
         assert bulk.log == []
-
-    def test_merge_adds_every_breakdown(self):
-        total, part = MessageTracer(), MessageTracer()
-        total.send(MessageType.ROUTE, 0, 1, phase="a")
-        part.send(MessageType.ROUTE, 1, 2, 5, phase="a")
-        part.send(MessageType.RESULT, 2, 0, 7, phase="b")
-        total.merge(part)
-        assert total.message_count == 3 and total.payload_bytes == 12
-        assert total.counts_by_type == {"route": 2, "result": 1}
-        assert total.counts_by_phase == {"a": 2, "b": 1}
-        assert total.bytes_by_phase == {"a": 5, "b": 7}
 
 
 class TestSnapshots:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import StoreConfig
 from repro.core.errors import PartitionUnreachableError
+from repro.overlay.faults import FaultMode, FaultPlan
 
 from tests.conftest import TEXT_ATTR, build_word_network
 
@@ -136,6 +137,71 @@ class TestRouteMany:
         } == {index: peer.peer_id for index, peer in reached.items()}
         assert by_key.tracer.snapshot() == by_index.tracer.snapshot()
         assert by_key.router.rng.getstate() == by_index.router.rng.getstate()
+
+
+def _broadcast_twins():
+    """Two equal networks and, per network, one peer of every partition
+    (the schema-level broadcast region), picked without a draw."""
+    config = StoreConfig(seed=9, replication=3)
+    twins = [build_word_network(n_peers=48, config=config) for __ in range(2)]
+    peers = [
+        [network.peer(partition.peer_ids[0]) for partition in network.partitions]
+        for network in twins
+    ]
+    return twins, twins[0].partitions, peers
+
+
+class TestBroadcastCharge:
+    """``send_broadcast_fanout``: one query copy per peer of a region."""
+
+    def test_healthy_bulk_and_verbose_charges_agree(self):
+        (bulk, verbose), region, (bulk_peers, verbose_peers) = _broadcast_twins()
+        assert len(region) >= 3
+        verbose.tracer.record_log = True
+        reached_bulk = bulk.router.send_broadcast_fanout(3, bulk_peers, 40)
+        reached_verbose = verbose.router.send_broadcast_fanout(
+            3, verbose_peers, 40
+        )
+        assert reached_bulk == bulk_peers
+        assert reached_verbose == verbose_peers
+        assert bulk.tracer.snapshot() == verbose.tracer.snapshot()
+        assert bulk.tracer.bytes_by_phase == verbose.tracer.bytes_by_phase
+        assert bulk.tracer.bytes_by_phase == {"broadcast": 40 * len(region)}
+        assert bulk.tracer.log == []
+        assert len(verbose.tracer.log) == len(region)
+
+    def test_degraded_plan_is_the_per_peer_failover_loop(self):
+        (folded, loop), region, (folded_peers, loop_peers) = _broadcast_twins()
+        # The first partition goes dark; the second loses its first replica.
+        down = (*region[0].peer_ids, region[1].peer_ids[0])
+        plan = FaultPlan(
+            drop_probability=0.2,
+            seed=4,
+            unavailable_windows=tuple((peer, 0, 10**9) for peer in down),
+        )
+        for network in (folded, loop):
+            network.install_faults(plan)
+            network.fault_mode = FaultMode.DEGRADED
+        reached = folded.router.send_broadcast_fanout(3, folded_peers, 40)
+        expected = []
+        for peer in loop_peers:
+            receiver = loop.router.send_broadcast_failover(3, peer, 40)
+            if receiver is not None:
+                expected.append(receiver)
+        assert [peer.peer_id for peer in reached] == [
+            peer.peer_id for peer in expected
+        ]
+        session = folded.fault_injector.session
+        assert region[0].index in session.dark
+        assert session.failovers > 0 and session.retries > 0
+        assert session == loop.fault_injector.session
+        assert folded.tracer.snapshot() == loop.tracer.snapshot()
+        assert folded.tracer.bytes_by_phase == loop.tracer.bytes_by_phase
+        assert folded.router.rng.getstate() == loop.router.rng.getstate()
+        assert (
+            folded.fault_injector.rng.getstate()
+            == loop.fault_injector.rng.getstate()
+        )
 
 
 class TestFailureHandling:

@@ -104,11 +104,9 @@ class TestLifetime:
         dataset = weakref.ref(first.network.dataset)
         second = QueryEngine.build(16, triples, CONFIG)
         assert second.network.dataset is dataset()
-        first.close()
         del first
         gc.collect()
         assert dataset() is not None
-        second.close()
         del second
         gc.collect()
         assert dataset() is None

@@ -126,10 +126,6 @@ class MutationEquivalence(RuleBasedStateMachine):
         #: of the previous invariant check.
         self.seen = [self._store_state(engine) for engine in self.engines]
 
-    def teardown(self):
-        for engine in getattr(self, "engines", ()):
-            engine.close()
-
     # -- ops ----------------------------------------------------------------------
 
     def _same_answer(self, word, d, initiator, strategy):

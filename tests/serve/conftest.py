@@ -3,8 +3,7 @@
 Everything is built on a small, fully deterministic corpus of words with
 known near-neighbours (``serve_utils.WORDS``) so similarity answers can
 be asserted exactly.  The ``service_factory`` fixture hands out services
-and closes every engine it built at teardown, so leaked fan-out threads
-or executors fail the suite loudly.
+and closes every one it built at teardown, as server entry points do.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from serve_utils import ATTRIBUTE, post, run
 
 from repro import FaultPlan, StoreConfig
 from repro.overlay.churn import ChurnController
+from repro.serve.__main__ import main
 from repro.serve.app import Request
 
 
@@ -299,14 +300,24 @@ class TestDegradedResponses:
 
 
 class TestLifecycle:
-    def test_close_is_idempotent_and_closes_engine(self, service_factory):
+    def test_close_is_idempotent_and_leaves_engine_usable(
+        self, service_factory
+    ):
         service = service_factory()
-        fanout_engine = service.engine
         service.close()
         service.close()
-        # The engine is closed (its fan-out threads are gone), but the
-        # engine object itself stays readable.
-        assert fanout_engine.n_peers == 32
+        assert service._closed
+        # The engine holds no resources: it still answers after close.
+        response = run(service.handle(post(
+            "/query/similar",
+            {"search": "resilent", "attribute": ATTRIBUTE, "d": 1},
+        )))
+        assert response.status == 200
+
+    def test_removed_fanout_flag_rejected(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--fanout", "2"])
+        assert exit_info.value.code == 2
 
     def test_context_manager_closes(self, service_factory):
         with service_factory() as service:

@@ -1,6 +1,6 @@
 """Pins ``tools/check_docs.py``: links resolve, no architecture
-heading is titled after a change, and the architecture names exactly the
-reference twins that exist."""
+heading is titled after a change, the architecture names exactly the
+reference twins that exist, and it stays within its line cap."""
 
 import importlib.util
 from pathlib import Path
@@ -38,6 +38,15 @@ def test_a_change_titled_heading_fails(tmp_path, check_docs, capsys, heading):
     _docs_tree(tmp_path, check_docs, f"# Architecture\n\n{heading}\n\nText.\n")
     assert check_docs.main(["check_docs", str(tmp_path)]) == 1
     assert "change-titled heading" in capsys.readouterr().err
+
+
+def test_an_architecture_over_its_cap_fails(tmp_path, check_docs, capsys):
+    cap = check_docs.ARCHITECTURE_MAX_LINES
+    _docs_tree(tmp_path, check_docs, "# Architecture\n" + "Text.\n" * (cap - 1))
+    assert check_docs.main(["check_docs", str(tmp_path)]) == 0
+    _docs_tree(tmp_path, check_docs, "# Architecture\n" + "Text.\n" * cap)
+    assert check_docs.main(["check_docs", str(tmp_path)]) == 1
+    assert f"{cap + 1} lines, over the cap" in capsys.readouterr().err
 
 
 def test_prose_may_name_a_change(tmp_path, check_docs):

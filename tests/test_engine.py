@@ -2,6 +2,7 @@
 
 import gc
 import inspect
+import pickle
 import weakref
 
 import pytest
@@ -63,8 +64,8 @@ class TestFacade:
     def test_accepts_exactly_five_options(self):
         params = list(inspect.signature(QueryEngine.__init__).parameters)
         assert params == [
-            "self", "network", "strategy", "memoize", "parallel_fanout",
-            "edit_kernel", "verifier_pool_limit",
+            "self", "network", "strategy", "memoize", "edit_kernel",
+            "verifier_pool_limit",
         ]
 
     @pytest.mark.parametrize(
@@ -72,12 +73,21 @@ class TestFacade:
         [
             "memo_maintenance", "naive_sample_rate", "memoize_naive",
             "memoize_gram_scans", "memoize_fetches", "share_verifiers",
-            "catalog", "latency_model",
+            "catalog", "latency_model", "parallel_fanout",
         ],
     )
     def test_removed_option_rejected(self, option):
         with pytest.raises(TypeError):
             QueryEngine.build(8, **{option: None})
+
+    def test_holds_no_resources(self, engine):
+        """No threads, executors or locks: nothing to close, and a used
+        engine pickles round-trip and answers the same."""
+        assert not hasattr(engine, "close")
+        first = engine.similar("apple", TEXT_ATTR, 1, strategy="qgram")
+        clone = pickle.loads(pickle.dumps(engine))
+        again = clone.similar("apple", TEXT_ATTR, 1, strategy="qgram")
+        assert [m.oid for m in again.matches] == [m.oid for m in first.matches]
 
     def test_context_shares_engine_wiring(self, engine):
         ctx = engine.context(strategy=SimilarityStrategy.QGRAM)

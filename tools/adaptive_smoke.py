@@ -26,15 +26,15 @@ def main() -> int:
         Triple(f"w:{i:04d}", "word:text", word)
         for i, word in enumerate(words)
     ]
-    with QueryEngine.build(
+    engine = QueryEngine.build(
         n_peers=32, triples=triples, config=StoreConfig(seed=1),
         strategy="adaptive",
-    ) as engine:
-        engine.analyze(["word:text"])
-        result = engine.query(
-            "SELECT ?w WHERE { (?o,word:text,?w) "
-            "FILTER (dist(?w,'adaptor') <= 2) }"
-        )
+    )
+    engine.analyze(["word:text"])
+    result = engine.query(
+        "SELECT ?w WHERE { (?o,word:text,?w) "
+        "FILTER (dist(?w,'adaptor') <= 2) }"
+    )
     matched = sorted(row["w"] for row in result.rows)
     print(f"rows: {matched}")
     if "adapter" not in matched:

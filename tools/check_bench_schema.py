@@ -53,13 +53,10 @@ def _need_keys(obj: dict, keys, kinds, where: str):
 # -- per-schema validators -----------------------------------------------------
 
 
-def check_fig1_v5(data: dict) -> None:
+def check_fig1_v6(data: dict) -> None:
     scale = _need(data, "scale", dict, "$")
     _need_keys(
-        scale,
-        ("words", "titles", "repetitions", "seed", "jobs", "fanout"),
-        int,
-        "scale",
+        scale, ("words", "titles", "repetitions", "seed", "jobs"), int, "scale"
     )
     _need(scale, "full", bool, "scale")
     _need(scale, "adaptive", bool, "scale")
@@ -169,7 +166,7 @@ def check_mutate_v1(data: dict) -> None:
 #: Declared schema tag -> validator.  Adding a schema version means
 #: adding exactly one entry here (and a benchmarks/README.md section).
 VALIDATORS = {
-    "repro-bench-fig1/v5": check_fig1_v5,
+    "repro-bench-fig1/v6": check_fig1_v6,
     "repro-bench-fault/v1": check_fault_v1,
     "repro-bench-mutate/v1": check_mutate_v1,
 }

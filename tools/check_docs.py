@@ -8,14 +8,16 @@ and intra-page anchors (``#...``) are checked only for non-emptiness.
 ``docs/ARCHITECTURE.md`` describes the system as it is, so none of its
 headings may be titled after the change that introduced a part of it
 (``(PR n)``), every ``tests/reference/...`` path it names must exist,
-and it must name every reference twin (each ``tests/reference/*.py``).
+it must name every reference twin (each ``tests/reference/*.py``), and
+it may not grow past :data:`ARCHITECTURE_MAX_LINES`.
 
 Usage::
 
     python tools/check_docs.py [repo_root]
 
-Exit status 0 when every link resolves, no heading is change-titled and
-the twins check out, 1 otherwise (each problem is reported on stderr as ``file:line: ...``).
+Exit status 0 when every link resolves, no heading is change-titled,
+the twins check out and the architecture is within its cap, 1 otherwise
+(each problem is reported on stderr as ``file:line: ...``).
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: The architecture document, whose headings are checked too.
 ARCHITECTURE = "docs/ARCHITECTURE.md"
+
+#: Most lines the architecture document may have.  A ratchet: lower it
+#: whenever the document shrinks, never raise it.
+ARCHITECTURE_MAX_LINES = 1497
 
 #: A heading titled after a change: ``### Bulk load (PR 23)``.
 CHANGE_TITLED_HEADING = re.compile(r"^#+ .*\(PR \d+\)")
@@ -74,7 +80,13 @@ def check_file(root: Path, relative: str) -> list[str]:
         if not resolved.exists():
             problems.append(f"{relative}:{line_number}: {target}")
     if relative == ARCHITECTURE:
-        for line_number, line in enumerate(path.read_text().splitlines(), start=1):
+        lines = path.read_text().splitlines()
+        if len(lines) > ARCHITECTURE_MAX_LINES:
+            problems.append(
+                f"{relative}: {len(lines)} lines, over the cap of "
+                f"{ARCHITECTURE_MAX_LINES}"
+            )
+        for line_number, line in enumerate(lines, start=1):
             if CHANGE_TITLED_HEADING.match(line):
                 problems.append(
                     f"{relative}:{line_number}: change-titled heading: {line}"

@@ -71,52 +71,52 @@ def _run_arm(strategy: str, corpus, config, answer) -> list:
         live.append(batch)
         return batch
 
-    with QueryEngine.build(PEERS, corpus, config, strategy) as engine:
-        engine.network.tracer.record_log = True
-        engine.analyze([TEXT_ATTRIBUTE])
+    engine = QueryEngine.build(PEERS, corpus, config, strategy)
+    engine.network.tracer.record_log = True
+    engine.analyze([TEXT_ATTRIBUTE])
 
-        def reads() -> None:
-            search = rng.choice(words)
-            for d in (1, 2):
-                found = engine.similar(search, TEXT_ATTRIBUTE, d).matches
-                answer(strategy, "similar", search, d, _matches(found))
-            top = engine.top_n_string(TEXT_ATTRIBUTE, search, 5, 3)
-            answer(strategy, "topn", search, _matches(top.matches))
+    def reads() -> None:
+        search = rng.choice(words)
+        for d in (1, 2):
+            found = engine.similar(search, TEXT_ATTRIBUTE, d).matches
+            answer(strategy, "similar", search, d, _matches(found))
+        top = engine.top_n_string(TEXT_ATTRIBUTE, search, 5, 3)
+        answer(strategy, "topn", search, _matches(top.matches))
 
-        for step in range(STEPS):
-            reads()
-            if step % 2 == 0:
-                answer(strategy, "insert", engine.insert(fresh()))
-            else:
-                batch = live.pop(rng.randrange(len(live)))
-                answer(strategy, "delete", engine.delete(batch))
-            if step != STEPS // 2:
-                continue
-            # Mid-way: a join, then a churn episode around a write.
-            search = rng.choice(words)
-            join = engine.sim_join_anchored(
-                TEXT_ATTRIBUTE, search, TEXT_ATTRIBUTE, 2
-            )
-            answer(
-                strategy, "join", search,
-                sorted(
-                    (p.left.oid, p.right.oid, p.right.distance) for p in join.pairs
-                ),
-            )
-            failed = engine.fail_fraction(0.25)
-            answer(strategy, "fail", sorted(failed.failed_peer_ids))
-            answer(
-                strategy, "insert-past-offline",
-                engine.insert(fresh(), respect_online=True),
-            )
-            reads()
-            report = engine.recover(charge_messages=True)
-            answer(
-                strategy, "recover", report.recovered_peers,
-                report.divergent_partitions, report.entries_copied,
-            )
+    for step in range(STEPS):
         reads()
-        return engine.network.tracer.log
+        if step % 2 == 0:
+            answer(strategy, "insert", engine.insert(fresh()))
+        else:
+            batch = live.pop(rng.randrange(len(live)))
+            answer(strategy, "delete", engine.delete(batch))
+        if step != STEPS // 2:
+            continue
+        # Mid-way: a join, then a churn episode around a write.
+        search = rng.choice(words)
+        join = engine.sim_join_anchored(
+            TEXT_ATTRIBUTE, search, TEXT_ATTRIBUTE, 2
+        )
+        answer(
+            strategy, "join", search,
+            sorted(
+                (p.left.oid, p.right.oid, p.right.distance) for p in join.pairs
+            ),
+        )
+        failed = engine.fail_fraction(0.25)
+        answer(strategy, "fail", sorted(failed.failed_peer_ids))
+        answer(
+            strategy, "insert-past-offline",
+            engine.insert(fresh(), respect_online=True),
+        )
+        reads()
+        report = engine.recover(charge_messages=True)
+        answer(
+            strategy, "recover", report.recovered_peers,
+            report.divergent_partitions, report.entries_copied,
+        )
+    reads()
+    return engine.network.tracer.log
 
 
 def run() -> tuple[int, str, str]:
