@@ -2,7 +2,7 @@
 
 Figure-panel benchmarks reuse one sweep per dataset, computed once per
 session at a scale that keeps the whole suite in the minutes range.
-``REPRO_FULL_SCALE=1`` (or ``python -m repro.bench --full``) switches the
+``REPRO_FULL_SCALE=1`` (or ``python -m evaluation --full``) switches the
 standalone harness to paper scale; the pytest benchmarks always run the
 scaled-down configuration — the point here is regression tracking and
 shape verification, not absolute numbers (see EXPERIMENTS.md).
@@ -21,7 +21,7 @@ import pytest
 from repro.core.config import StoreConfig
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
 from repro.datasets.paintings import TITLE_ATTRIBUTE, painting_triples
-from repro.bench.sweep import SweepResult, sweep
+from evaluation.sweep import SweepResult, sweep
 
 
 BENCH_DIR = __file__.rsplit("/", 1)[0]
@@ -50,7 +50,7 @@ TITLE_COUNT = 700
 REPETITIONS = 2
 
 #: The bench harness drops the index families the workload never touches
-#: (keyword values, schema grams) — matching ``python -m repro.bench``.
+#: (keyword values, schema grams) — matching ``python -m evaluation``.
 BENCH_CONFIG = StoreConfig(seed=0, index_values=False, index_schema_grams=False)
 
 

@@ -12,7 +12,7 @@ from repro.core.config import SimilarityStrategy
 from repro.query.operators.base import OperatorContext
 from repro.query.operators.collected import similar_collected
 from repro.query.operators.similar import similar
-from repro.bench.experiment import build_network
+from evaluation.experiment import build_network
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
 
 from benchmarks.conftest import BENCH_CONFIG

@@ -12,8 +12,8 @@ from repro.core.config import SimilarityStrategy
 from repro.overlay.hashing import CompositeKeyCodec
 from repro.query.operators.base import OperatorContext
 from repro.storage.indexing import EntryFactory
-from repro.bench.experiment import build_network
-from repro.bench.workload import make_workload, run_workload
+from evaluation.experiment import build_network
+from evaluation.workload import make_workload, run_workload
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
 
 from benchmarks.conftest import BENCH_CONFIG

@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.config import SimilarityStrategy
 from repro.query.operators.base import OperatorContext
-from repro.bench.experiment import build_network
-from repro.bench.workload import make_workload, run_workload
+from evaluation.experiment import build_network
+from evaluation.workload import make_workload, run_workload
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
 
 from benchmarks.conftest import BENCH_CONFIG

@@ -14,7 +14,7 @@ from repro.core.config import RankFunction
 from repro.query.operators.base import OperatorContext
 from repro.query.operators.topn import top_n_numeric
 from repro.storage.triple import Triple
-from repro.bench.experiment import build_network
+from evaluation.experiment import build_network
 
 from benchmarks.conftest import BENCH_CONFIG
 

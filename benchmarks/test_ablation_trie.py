@@ -8,7 +8,7 @@ whose keys are anything but uniform.
 """
 
 from repro.core.config import TrieBalancing
-from repro.bench.experiment import build_network
+from evaluation.experiment import build_network
 from repro.datasets.bible import bible_triples
 
 from benchmarks.conftest import BENCH_CONFIG

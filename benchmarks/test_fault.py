@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.bench.fault import FAULT_SCHEMA, run_fault_bench
+from evaluation.fault import FAULT_SCHEMA, run_fault_bench
 
 pytestmark = pytest.mark.fault_bench
 

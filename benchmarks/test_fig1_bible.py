@@ -14,9 +14,9 @@ Expected shapes (asserted):
 
 from repro.core.config import SimilarityStrategy
 from repro.query.operators.base import OperatorContext
-from repro.bench.experiment import ALL_STRATEGIES, build_network
-from repro.bench.report import format_panel, shape_check
-from repro.bench.workload import make_workload, run_workload
+from evaluation.experiment import ALL_STRATEGIES, build_network
+from evaluation.report import format_panel, shape_check
+from evaluation.workload import make_workload, run_workload
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
 
 from benchmarks.conftest import BENCH_CONFIG

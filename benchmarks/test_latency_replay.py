@@ -9,7 +9,7 @@ Expected orderings: the naive broadcast's dissemination chain through the
 whole attribute region makes it the slowest despite decent message
 counts; q-samples' smaller fan-out gives the shortest critical path.
 (CPU time at peers is not replayed — adding it would only hurt naive
-further; see ``repro.bench.latency``.)
+further; see ``evaluation.latency``.)
 """
 
 import statistics
@@ -19,9 +19,8 @@ import pytest
 from repro.core.config import SimilarityStrategy
 from repro.query.operators.base import OperatorContext
 from repro.query.operators.similar import similar
-from repro.simulation.replay import replay_operation
-from repro.simulation.timing import LatencyDistribution
-from repro.bench.experiment import build_network
+from evaluation.replay import LatencyDistribution, replay_operation
+from evaluation.experiment import build_network
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
 
 from benchmarks.conftest import BENCH_CONFIG

@@ -2,17 +2,18 @@
 
 Usage::
 
-    python -m repro.bench                      # all four panels, default scale
-    python -m repro.bench --figure fig1a       # one panel
-    python -m repro.bench --full               # paper scale (slow, memory-heavy)
-    python -m repro.bench --peers 128 1024 --words 4000 --repetitions 10
-    python -m repro.bench --csv-dir results/   # also write CSV series
-    python -m repro.bench --json               # + BENCH_fig1.json
+    python -m evaluation                      # all four panels, default scale
+    python -m evaluation --figure fig1a       # one panel
+    python -m evaluation --full               # paper scale (slow, memory-heavy)
+    python -m evaluation --peers 128 1024 --words 4000 --repetitions 10
+    python -m evaluation --csv-dir results/   # also write CSV series
+    python -m evaluation --json               # + BENCH_fig1.json
 
-Default scale keeps the run to minutes on a laptop; ``--full`` switches
-to the paper's corpus sizes (106 704 words / 66 349 titles) and peer
-counts (100 .. 100 000).  Shapes are preserved at either scale; see
-EXPERIMENTS.md.
+Run from the repository root with ``PYTHONPATH=src``.  Default scale
+keeps the run to minutes on a laptop; ``--full`` switches to the
+paper's corpus sizes (106 704 words / 66 349 titles) and peer counts
+(100 .. 100 000).  Shapes are preserved at either scale; see
+``benchmarks/README.md``.  Datasets and cells run one after another.
 
 Sweeps always run on the incremental engine (shared trie-derivation
 state across cells, whole-workload naive memoization); both are
@@ -36,28 +37,26 @@ import sys
 import time
 
 from repro.core.config import StoreConfig
-from repro.bench.experiment import ALL_STRATEGIES, ALL_WITH_ADAPTIVE
 from repro.datasets.bible import PAPER_WORD_COUNT, TEXT_ATTRIBUTE, bible_triples
 from repro.datasets.paintings import (
     PAPER_TITLE_COUNT,
     TITLE_ATTRIBUTE,
     painting_triples,
 )
-from repro.bench.report import (
+from evaluation.experiment import ALL_STRATEGIES, ALL_WITH_ADAPTIVE
+from evaluation.report import (
     PANELS,
     format_panel,
     render_fig1_json,
     shape_check,
     write_csv,
 )
-from repro.bench.sweep import (
+from evaluation.sweep import (
     DEFAULT_PEER_COUNTS,
     PAPER_PEER_COUNTS,
-    ParallelSweepRunner,
-    SweepJob,
     SweepResult,
     full_scale,
-    run_sweep_job,
+    sweep,
 )
 
 #: Default (scaled-down) corpus sizes.
@@ -68,7 +67,7 @@ DEFAULT_REPETITIONS = 10
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
+        prog="python -m evaluation",
         description="Regenerate Figure 1 of Karnstedt et al., ICDE 2006.",
     )
     parser.add_argument(
@@ -114,15 +113,6 @@ def _parser() -> argparse.ArgumentParser:
         "fixed series are bit-identical either way; adaptive always "
         "runs last and is recorded as its own series)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the sweep: (dataset, peer-count) "
-        "cells are independent and dispatched in parallel; measured "
-        "series are bit-identical to --jobs 1 (default: 1, serial)",
-    )
     return parser
 
 
@@ -150,22 +140,16 @@ def main(argv: list[str] | None = None) -> int:
     def progress(message: str) -> None:
         print(f"  [{time.strftime('%H:%M:%S')}] {message}", file=sys.stderr)
 
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    job_options = {
+    options = {
+        "peer_counts": peer_counts,
+        "config": config,
+        "repetitions": repetitions,
         "strategies": (
             ALL_STRATEGIES if args.no_adaptive else ALL_WITH_ADAPTIVE
         ),
-        "repetitions": repetitions,
-        "peer_counts": peer_counts,
-        "config": config,
+        "progress": progress,
     }
-
-    # Both datasets' jobs are prepared first, then dispatched together:
-    # with --jobs > 1 one process pool interleaves every chunk, so no
-    # worker idles at a dataset barrier.
-    jobs: list[SweepJob] = []
+    results: dict[str, SweepResult] = {}
     if "bible" in datasets_needed:
         print(
             f"# bible words: {words} words, peers {list(peer_counts)}, "
@@ -174,9 +158,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         corpus = bible_triples(words, seed=args.seed)
         strings = [str(t.value) for t in corpus]
-        jobs.append(SweepJob.from_dataset(
-            "bible", corpus, TEXT_ATTRIBUTE, strings, **job_options
-        ))
+        results["bible"] = sweep(
+            "bible", corpus, TEXT_ATTRIBUTE, strings, **options
+        )
     if "titles" in datasets_needed:
         print(
             f"# painting titles: {titles} titles, peers {list(peer_counts)}",
@@ -184,17 +168,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         corpus = painting_triples(titles, seed=args.seed)
         strings = [str(t.value) for t in corpus]
-        jobs.append(SweepJob.from_dataset(
-            "titles", corpus, TITLE_ATTRIBUTE, strings, **job_options
-        ))
-
-    if args.jobs > 1:
-        swept = ParallelSweepRunner(args.jobs).run(jobs, progress)
-    else:
-        swept = [run_sweep_job(job, progress) for job in jobs]
-    results: dict[str, SweepResult] = {
-        result.dataset: result for result in swept
-    }
+        results["titles"] = sweep(
+            "titles", corpus, TITLE_ATTRIBUTE, strings, **options
+        )
 
     status = 0
     for panel in wanted:
@@ -225,9 +201,6 @@ def main(argv: list[str] | None = None) -> int:
             # Whether the cost-model-driven adaptive replay ran (its
             # series is additive; fixed series are identical either way).
             "adaptive": not args.no_adaptive,
-            # Worker processes: wall-clock only — measured series are
-            # bit-identical across any jobs setting.
-            "jobs": args.jobs,
         }
         fig1_path = os.path.join(args.json_dir, "BENCH_fig1.json")
         with open(fig1_path, "w") as handle:

@@ -17,10 +17,9 @@ re-places the prepared entries onto its own trie
 from __future__ import annotations
 
 import time
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-from collections import Counter
 
 from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.core.stats import QueryStats
@@ -28,7 +27,7 @@ from repro.engine import QueryEngine
 from repro.overlay.incremental import IncrementalNetworkBuilder, PreparedDataset
 from repro.overlay.network import PGridNetwork
 from repro.storage.triple import Triple
-from repro.bench.workload import WorkloadQuery, make_workload, run_query, run_workload
+from evaluation.workload import WorkloadQuery, make_workload, run_query, run_workload
 
 #: Strategy order used in reports (mirrors the figure legends).
 ALL_STRATEGIES = (
@@ -85,17 +84,14 @@ def run_cell(
     config: StoreConfig | None = None,
     repetitions: int = 40,
     strategies: Sequence[SimilarityStrategy] = ALL_STRATEGIES,
-    workload: Sequence[WorkloadQuery] | None = None,
-    prepared: PreparedDataset | None = None,
     builder: IncrementalNetworkBuilder | None = None,
 ) -> CellResult:
     """Run the full strategy comparison for one peer count.
 
-    ``prepared`` short-circuits entry derivation; sweeps pass the same
-    :class:`PreparedDataset` into every cell.  ``builder`` additionally
-    carries trie-derivation state across cells (the incremental sweep
-    engine); when given, it takes precedence over ``prepared`` for
-    network construction.
+    ``builder`` carries trie-derivation state across cells (the
+    incremental sweep engine) and replaces ``triples``: sweeps pass one
+    builder into every cell.  Without it the cell builds over
+    ``triples`` prepared under ``config``.
 
     All cell wiring — the whole-workload memos, the shared verifier
     pool, the cost model behind the adaptive replay — comes from one
@@ -113,28 +109,16 @@ def run_cell(
     """
     config = config if config is not None else StoreConfig()
     started = time.perf_counter()
-    if builder is not None:
-        # Time the build ourselves as well: a builder variant that
-        # reports nothing must still yield a real build_seconds, not 0.0.
-        build_started = time.perf_counter()
-        network = builder.build(n_peers)
-        build_measured = time.perf_counter() - build_started
-        report = builder.last_report
-        build_seconds = (
-            report.build_seconds if report is not None else build_measured
-        )
-    else:
-        if prepared is None:
-            prepared = PreparedDataset.prepare(triples, config)
-        # Time only construction + placement: dataset preparation is
-        # per-dataset work, not part of the cell's build metric.
-        build_started = time.perf_counter()
-        network = prepared.build_network(n_peers)
-        build_seconds = time.perf_counter() - build_started
-    if workload is None:
-        workload = make_workload(
-            strings, network.n_peers, repetitions=repetitions, seed=config.seed
-        )
+    if builder is None:
+        builder = IncrementalNetworkBuilder(PreparedDataset.prepare(triples, config))
+    # Time only construction + placement: dataset preparation is
+    # per-dataset work, not part of the cell's build metric.
+    build_started = time.perf_counter()
+    network = builder.build(n_peers)
+    build_seconds = time.perf_counter() - build_started
+    workload = make_workload(
+        strings, network.n_peers, repetitions=repetitions, seed=config.seed
+    )
     result = CellResult(n_peers=n_peers, build_seconds=build_seconds)
     # One engine per cell: the strategies replay the same workload, so
     # later strategies reuse the memos and verifier state earlier ones

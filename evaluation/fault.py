@@ -23,7 +23,7 @@ network:
    charged under the ``repair`` phase), and re-audit;
 5. replay the query mix on the healed, fault-free network.
 
-``python -m repro.bench.fault --json-dir benchmarks`` writes the
+``python -m evaluation.fault --json-dir benchmarks`` writes the
 committed ``BENCH_fault.json`` baseline (schema v1; see
 ``benchmarks/README.md``).  Everything is seeded — re-running at the
 same scale reproduces the file bit-for-bit (modulo ``elapsed_seconds``).
@@ -226,7 +226,7 @@ def _run_queries(engine: QueryEngine, query_mix) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.fault",
+        prog="python -m evaluation.fault",
         description="Churn-recovery benchmark (BENCH_fault.json baseline).",
     )
     parser.add_argument("--words", type=int, default=DEFAULT_WORDS)

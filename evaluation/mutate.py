@@ -24,7 +24,7 @@ harness quantifies what that buys on a seeded mixed workload:
   repair traffic, plus how many memo entries survive a recovery that
   only repairs the partitions that actually diverged.
 
-``python -m repro.bench.mutate --json-dir benchmarks`` writes the
+``python -m evaluation.mutate --json-dir benchmarks`` writes the
 committed ``BENCH_mutate.json`` baseline (schema
 ``repro-bench-mutate/v1``; see ``benchmarks/README.md``).  Everything is
 seeded — re-running at the same scale reproduces the file bit-for-bit
@@ -279,7 +279,7 @@ def run_mutate_bench(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.mutate",
+        prog="python -m evaluation.mutate",
         description="Mixed read-write benchmark (BENCH_mutate.json baseline).",
     )
     parser.add_argument("--words", type=int, default=DEFAULT_WORDS)

@@ -17,7 +17,7 @@ needs — no timestamps have to be recorded up front:
 ``DELEGATE`` messages ride along the routed walk that precedes them in
 the paper's flow (the plan travels *in* the routing message), so they add
 bandwidth but no extra hop.  Local CPU time is not replayed — the
-analytic :mod:`repro.bench.latency` model covers the naive strategy's
+analytic :mod:`evaluation.latency` model covers the naive strategy's
 comparison cost, which dwarfs everything else there.
 
 Usage::
@@ -33,13 +33,37 @@ Usage::
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.overlay.messages import Message, MessageType
-from repro.simulation.timing import LatencyDistribution
+
+
+@dataclass(frozen=True)
+class LatencyDistribution:
+    """Log-normal hop latency plus linear bandwidth cost.
+
+    Hop latencies in a wide-area overlay are heavy-tailed: ``median_ms``
+    is the log-normal's median, ``sigma`` its shape (0 = deterministic),
+    and ``per_kb_ms`` adds payload transfer time.  All sampling flows
+    from one seeded ``random.Random``, so replays are reproducible
+    bit-for-bit.  A wide-area default: 50 ms median, moderate spread.
+    """
+
+    median_ms: float = 50.0
+    sigma: float = 0.4
+    per_kb_ms: float = 0.2
+
+    def sample(self, rng: random.Random, payload_bytes: int = 0) -> float:
+        """One hop's latency in milliseconds."""
+        if self.sigma > 0:
+            base = self.median_ms * math.exp(rng.gauss(0.0, self.sigma))
+        else:
+            base = self.median_ms
+        return base + self.per_kb_ms * payload_bytes / 1024.0
 
 
 @dataclass
@@ -49,7 +73,6 @@ class ReplayResult:
     completion_ms: float
     messages: int
     makespan_by_phase: dict[str, float] = field(default_factory=dict)
-    last_arrival_by_peer: dict[int, float] = field(default_factory=dict)
 
 
 def replay_latency(
@@ -87,7 +110,6 @@ def replay_latency(
         completion_ms=completion,
         messages=len(log),
         makespan_by_phase=dict(phase_makespan),
-        last_arrival_by_peer=dict(ready),
     )
 
 

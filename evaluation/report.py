@@ -14,8 +14,8 @@ import io
 from collections.abc import Sequence
 
 from repro.core.config import SimilarityStrategy
-from repro.bench.experiment import ALL_STRATEGIES
-from repro.bench.sweep import SweepResult
+from evaluation.experiment import ALL_STRATEGIES
+from evaluation.sweep import SweepResult
 
 #: Figure panel ids and their (dataset, metric) coordinates.
 PANELS = {
@@ -107,22 +107,19 @@ def write_csv(path: str, result: SweepResult) -> None:
         handle.write(render_csv(result))
 
 
-#: Schema tag embedded in ``BENCH_fig1.json``.  v6 removes
-#: ``scale.fanout`` with the intra-cell thread fan-out (every run is
-#: serial inside a cell; ``scale.jobs`` still records the worker
-#: processes).  v5 removed
-#: ``scale.naive_sample_rate`` and the per-cell ``naive_sampled`` flag
-#: with the sampled-broadcast estimator (every series is exact).  v4
-#: added the per-dataset ``sweep_seconds`` (end-to-end sweep wall
-#: clock — under ``--jobs N`` bounded by the slowest worker chunk, not
-#: the sum of cells) and the
-#: ``jobs``/``fanout`` scale fields; v3 added the ``adaptive`` strategy
+#: Schema tag embedded in ``BENCH_fig1.json``.  v7 removes
+#: ``scale.jobs`` with the process-pool sweep (every sweep is serial).
+#: v6 removed ``scale.fanout`` with the intra-cell thread fan-out.  v5
+#: removed ``scale.naive_sample_rate`` and the per-cell
+#: ``naive_sampled`` flag with the sampled-broadcast estimator (every
+#: series is exact).  v4 added the per-dataset ``sweep_seconds``
+#: (end-to-end sweep wall clock); v3 added the ``adaptive`` strategy
 #: series plus the per-cell ``adaptive_stats_messages`` /
 #: ``adaptive_stats_bytes`` / ``adaptive_choices`` fields (the cost of
 #: the one-off statistics walk and the cost model's strategy picks) —
 #: all additive; the v2 ``build_seconds`` and the v1 series fields are
 #: unchanged.
-FIG1_SCHEMA = "repro-bench-fig1/v6"
+FIG1_SCHEMA = "repro-bench-fig1/v7"
 
 
 def sweep_to_dict(
@@ -177,7 +174,7 @@ def render_fig1_json(
     """The full ``BENCH_fig1.json`` payload for a set of sweeps."""
     return {
         "schema": FIG1_SCHEMA,
-        "generated_by": "python -m repro.bench --json",
+        "generated_by": "python -m evaluation --json",
         "scale": scale,
         "datasets": {
             name: sweep_to_dict(result, strategies)

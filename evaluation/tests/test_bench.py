@@ -5,15 +5,15 @@ import pytest
 from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
 from repro.query.operators.base import OperatorContext
-from repro.bench.experiment import (
+from evaluation.experiment import (
     ALL_STRATEGIES,
     ALL_WITH_ADAPTIVE,
     build_network,
     run_cell,
 )
-from repro.bench.report import PANELS, format_panel, render_csv, shape_check
-from repro.bench.sweep import sweep
-from repro.bench.workload import (
+from evaluation.report import PANELS, format_panel, render_csv, shape_check
+from evaluation.sweep import sweep
+from evaluation.workload import (
     JOIN_DISTANCES,
     TOP_N_SIZES,
     QueryKind,

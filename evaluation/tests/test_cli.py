@@ -1,9 +1,14 @@
-"""Unit tests for the ``python -m repro.bench`` CLI."""
+"""Unit tests for the ``python -m evaluation`` CLI."""
 
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench.cli import main
+from evaluation.cli import main
+
+SCHEMA_TOOL = Path(__file__).resolve().parents[2] / "tools" / "check_bench_schema.py"
 
 
 class TestCli:
@@ -51,8 +56,6 @@ class TestCli:
         assert header == "dataset,peers,strategy,messages,megabytes"
 
     def test_json_baselines(self, tmp_path, capsys):
-        import json
-
         status = main(
             [
                 "--figure", "fig1a",
@@ -67,9 +70,10 @@ class TestCli:
         capsys.readouterr()
         assert status == 0
         fig1 = json.loads((tmp_path / "BENCH_fig1.json").read_text())
-        assert fig1["schema"] == "repro-bench-fig1/v6"
+        assert fig1["schema"] == "repro-bench-fig1/v7"
+        assert fig1["generated_by"] == "python -m evaluation --json"
         assert fig1["datasets"]["bible"]["sweep_seconds"] > 0
-        assert fig1["scale"]["jobs"] == 1
+        assert "jobs" not in fig1["scale"]
         assert "fanout" not in fig1["scale"]
         cells = fig1["datasets"]["bible"]["cells"]
         assert cells[0]["peers"] == 16
@@ -108,8 +112,44 @@ class TestCli:
             main(["--fanout", "2"])
         assert exit_info.value.code == 2
 
+    def test_removed_jobs_flag_rejected(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--jobs", "2"])
+        assert exit_info.value.code == 2
+
+    def test_json_validates_as_v7(self, tmp_path, capsys):
+        """Both datasets of a tiny run, checked by the schema tool."""
+        spec = importlib.util.spec_from_file_location(
+            "check_bench_schema", SCHEMA_TOOL
+        )
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        status = main(
+            [
+                "--peers", "16",
+                "--words", "80",
+                "--titles", "40",
+                "--repetitions", "1",
+                "--no-adaptive",
+                "--json",
+                "--json-dir", str(tmp_path),
+                "--skip-shape-check",
+            ]
+        )
+        capsys.readouterr()
+        assert status == 0
+        path = tmp_path / "BENCH_fig1.json"
+        assert tool.check_file(path) == []
+        fig1 = json.loads(path.read_text())
+        assert fig1["schema"] == "repro-bench-fig1/v7"
+        assert sorted(fig1["datasets"]) == ["bible", "titles"]
+        assert set(fig1["scale"]) == {
+            "full", "words", "titles", "peer_counts", "repetitions",
+            "seed", "adaptive",
+        }
+
     def test_full_scale_env_toggle(self, monkeypatch):
-        from repro.bench.sweep import full_scale
+        from evaluation.sweep import full_scale
 
         monkeypatch.setenv("REPRO_FULL_SCALE", "1")
         assert full_scale()

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import SimilarityStrategy
 from repro.query.operators.base import OperatorContext
 from repro.query.operators.similar import similar
-from repro.bench.latency import LatencyEstimate, LatencyModel, estimate_similar_latency
+from evaluation.latency import LatencyEstimate, LatencyModel, estimate_similar_latency
 
 from tests.conftest import TEXT_ATTR, build_word_network
 

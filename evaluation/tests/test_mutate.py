@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import mutate
+from evaluation import mutate
 
 SMALL = dict(
     words=120, n_peers=16, steps=3, queries_per_step=4, write_batch=3,

@@ -6,8 +6,7 @@ from repro.core.config import SimilarityStrategy
 from repro.overlay.messages import Message, MessageType
 from repro.query.operators.base import OperatorContext
 from repro.query.operators.similar import similar
-from repro.simulation.replay import replay_latency, replay_operation
-from repro.simulation.timing import LatencyDistribution
+from evaluation.replay import LatencyDistribution, replay_latency, replay_operation
 
 from tests.conftest import TEXT_ATTR, build_word_network
 

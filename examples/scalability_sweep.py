@@ -1,8 +1,11 @@
 """Mini Figure 1: compare the three strategies across network sizes.
 
-Run with::
+Run from the repository root with::
 
-    python examples/scalability_sweep.py
+    PYTHONPATH=src:. python examples/scalability_sweep.py
+
+(``.`` puts the ``evaluation`` package on the path: a script's own
+``sys.path`` holds its directory, not the working directory.)
 
 A scaled-down version of the paper's evaluation (Section 6): the 6-query
 workload (three string top-N queries, three anchored similarity
@@ -23,14 +26,14 @@ rides along: the cost model (docs/ARCHITECTURE.md, "Engine & cost
 model") picks naive vs. q-gram per query from collected statistics —
 watch it track the cheapest fixed curve as the network grows.  For the
 full harness — all four panels, CSV/JSON output, paper-scale option —
-use ``python -m repro.bench``.
+use ``python -m evaluation``.
 """
 
 from repro.core.config import StoreConfig
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
-from repro.bench.experiment import ALL_WITH_ADAPTIVE
-from repro.bench.report import format_panel, shape_check
-from repro.bench.sweep import sweep
+from evaluation.experiment import ALL_WITH_ADAPTIVE
+from evaluation.report import format_panel, shape_check
+from evaluation.sweep import sweep
 
 PEER_COUNTS = (64, 256, 1024)
 WORD_COUNT = 1200

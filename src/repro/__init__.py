@@ -2,8 +2,9 @@
 
 A complete Python reproduction of Karnstedt, Sattler, Hauswirth & Schmidt
 (ICDE 2006): vertical triple storage on a simulated P-Grid DHT, the VQL
-query language, q-gram string-similarity operators, similarity joins,
-rank-aware top-N queries, and the paper's Figure 1 evaluation harness.
+query language, q-gram string-similarity operators, similarity joins and
+rank-aware top-N queries.  The paper's Figure 1 evaluation lives beside
+the package, in the repository's top-level ``evaluation/``.
 
 Quickstart::
 

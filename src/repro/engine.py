@@ -151,11 +151,9 @@ class QueryEngine:
         else raises :class:`TypeError`.  Kernels change wall-clock only;
         every match set and measured message/byte series is
         kernel-independent.
-    verifier_pool_limit:
-        Bound on live verifiers in the shared
-        :class:`~repro.similarity.verify.VerifierPool` (LRU eviction
-        beyond it); ``None`` keeps the pool default.  Distance memos are
-        store-independent, so eviction is always safe.
+
+    The shared :class:`~repro.similarity.verify.VerifierPool` holds at
+    most ``DEFAULT_POOL_LIMIT`` verifiers (LRU eviction beyond it).
 
     A write routed through the engine (:meth:`insert`, :meth:`delete`,
     :meth:`recover`) invalidates only the memo records the written index
@@ -171,7 +169,6 @@ class QueryEngine:
         strategy: SimilarityStrategy | str | None = None,
         memoize: bool = True,
         edit_kernel: EditKernel | None = None,
-        verifier_pool_limit: int | None = None,
     ):
         self.network = network
         self.config = network.config
@@ -183,12 +180,7 @@ class QueryEngine:
         self.fetch_memo = FetchObjectsMemo(network) if memoize else None
         self.edit_kernel = resolve_kernel(edit_kernel)
         self.verifier_pool = VerifierPool(
-            kernel=self.edit_kernel,
-            max_verifiers=(
-                verifier_pool_limit
-                if verifier_pool_limit is not None
-                else DEFAULT_POOL_LIMIT
-            ),
+            kernel=self.edit_kernel, max_verifiers=DEFAULT_POOL_LIMIT
         )
         self.cost_model = StrategyCostModel(network)
         self._filters = FilterConfig(

@@ -85,8 +85,8 @@ TRIPLES_PER_OBJECT = 2.0
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Cost constants of the response-time model (see
-    :mod:`repro.bench.latency`)."""
+    """Cost constants of the response-time model (the evaluation's
+    ``evaluation/latency.py`` estimate uses them too)."""
 
     hop_latency_ms: float = 50.0
     comparison_cost_us: float = 20.0

@@ -22,8 +22,8 @@ from repro.query.operators.naive import (
 from repro.similarity.kernels import MyersKernel, numpy_available
 from repro.similarity.verify import BatchVerifier
 from repro.storage.triple import Triple
-from repro.bench.experiment import ALL_STRATEGIES, build_network
-from repro.bench.workload import make_workload, run_workload
+from evaluation.experiment import ALL_STRATEGIES, build_network
+from evaluation.workload import make_workload, run_workload
 
 from tests.conftest import TEXT_ATTR, build_word_network, word_triples
 from tests.reference.kernel import ReferenceKernel

@@ -14,11 +14,12 @@ from repro.core.config import SimilarityStrategy
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
 from repro.datasets.paintings import TITLE_ATTRIBUTE, painting_triples
 from repro.query.operators.base import OperatorContext
+from repro.overlay.incremental import PreparedDataset
 from repro.query.operators.similar import similar
-from repro.bench.experiment import PreparedDataset, build_network
 from repro.similarity.edit_distance import edit_distance_within
 from repro.storage.qgrams import guaranteed_complete
 
+from evaluation.experiment import build_network
 from tests.conftest import StoreConfig
 
 CONFIG = StoreConfig(seed=0, index_values=False, index_schema_grams=False)

@@ -39,8 +39,8 @@ def build_ctx(words, n_peers, seed=2):
 
 
 def test_query_layer_does_not_import_bench():
-    """``query/`` sits below ``bench/``: no module of it imports the
-    evaluation harness, not even lazily inside a function."""
+    """``query/`` sits below the evaluation package: no module of it
+    imports the evaluation harness, not even lazily inside a function."""
     package = Path(cost_module.__file__).resolve().parent
     offenders = []
     for path in sorted(package.rglob("*.py")):
@@ -51,7 +51,7 @@ def test_query_layer_does_not_import_bench():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[:2] == ["repro", "bench"] for name in names):
+            if any(name.split(".")[0] == "evaluation" for name in names):
                 offenders.append(path.relative_to(package).as_posix())
     assert offenders == []
 

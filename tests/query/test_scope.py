@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from repro.bench.workload import QueryKind, WorkloadQuery, run_query
+from evaluation.workload import QueryKind, WorkloadQuery, run_query
 from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.core.errors import ExecutionError
 from repro.engine import QueryEngine

@@ -3,17 +3,17 @@
 The service holds one engine — and therefore one
 :class:`~repro.similarity.verify.VerifierPool` — for its whole lifetime,
 so unbounded per-``(query, d)`` memo growth would be a slow leak.  These
-tests pin the eviction contract (LRU beyond ``verifier_pool_limit``,
-hit/evict counters, recomputation instead of wrong answers) and the
-``/stats`` / per-response surfacing of kernel identity and verifier
-counters.
+tests pin the eviction contract (LRU beyond ``DEFAULT_POOL_LIMIT``,
+which they shrink through the engine module's constant; hit/evict
+counters; recomputation instead of wrong answers) and the ``/stats`` /
+per-response surfacing of kernel identity and verifier counters.
 """
 
 from __future__ import annotations
 
 from serve_utils import ATTRIBUTE, WORDS, make_triples, post, run
 
-from repro import QueryEngine, StoreConfig
+from repro import QueryEngine, StoreConfig, engine as engine_module
 from repro.serve.app import Request, QueryService
 from repro.similarity.kernels import MyersKernel
 from tests.reference.kernel import ReferenceKernel
@@ -31,6 +31,11 @@ def make_service(built, **engine_options) -> QueryService:
     return service
 
 
+def shrink_pool(monkeypatch, limit: int) -> None:
+    """Engines built after this call bound their pool at ``limit``."""
+    monkeypatch.setattr(engine_module, "DEFAULT_POOL_LIMIT", limit)
+
+
 def similar_query(service, search: str, d: int = 1):
     return run(service.handle(post(
         "/query/similar", {"search": search, "attribute": ATTRIBUTE, "d": d},
@@ -45,8 +50,9 @@ class TestPoolBounds:
         for service in self.built:
             service.close()
 
-    def test_eviction_and_counters_under_query_churn(self):
-        service = make_service(self.built, verifier_pool_limit=3)
+    def test_eviction_and_counters_under_query_churn(self, monkeypatch):
+        shrink_pool(monkeypatch, 3)
+        service = make_service(self.built)
         pool = service.engine.verifier_pool
         for word in WORDS[:8]:
             response = similar_query(service, word)
@@ -57,8 +63,9 @@ class TestPoolBounds:
         # Kernel counters aggregate across evicted verifiers.
         assert pool.counters.computed > 0
 
-    def test_evicted_query_recomputes_same_answer(self):
-        service = make_service(self.built, verifier_pool_limit=1)
+    def test_evicted_query_recomputes_same_answer(self, monkeypatch):
+        shrink_pool(monkeypatch, 1)
+        service = make_service(self.built)
         first = similar_query(service, "adaptor")
         # Push the 'adaptor' verifier out of the pool, then re-ask.
         similar_query(service, "overlay")
@@ -66,8 +73,9 @@ class TestPoolBounds:
         again = similar_query(service, "adaptor")
         assert again.payload["matches"] == first.payload["matches"]
 
-    def test_stats_expose_verifier_section(self):
-        service = make_service(self.built, verifier_pool_limit=4)
+    def test_stats_expose_verifier_section(self, monkeypatch):
+        shrink_pool(monkeypatch, 4)
+        service = make_service(self.built)
         similar_query(service, "adaptor")
         response = run(service.handle(Request("GET", "/stats")))
         assert response.status == 200

@@ -24,11 +24,12 @@ def test_committed_baselines_validate(tool, capsys):
     capsys.readouterr()
 
 
-def test_fig1_baseline_is_v6_without_removed_fields():
+def test_fig1_baseline_is_v7_without_removed_fields():
     fig1 = json.loads(FIG1.read_text())
-    assert fig1["schema"] == "repro-bench-fig1/v6"
+    assert fig1["schema"] == "repro-bench-fig1/v7"
     assert "naive_sample_rate" not in fig1["scale"]
     assert "fanout" not in fig1["scale"]
+    assert "jobs" not in fig1["scale"]
     for dataset in fig1["datasets"].values():
         for cell in dataset["cells"]:
             assert "naive_sampled" not in cell
@@ -39,12 +40,13 @@ def test_fig1_baseline_is_v6_without_removed_fields():
     [
         "repro-bench-fig1/v4",
         "repro-bench-fig1/v5",
+        "repro-bench-fig1/v6",
         "repro-bench-micro/v3",
         "repro-bench-serve/v1",
     ],
 )
 def test_fig1_v4_tag_is_unknown(tool, tmp_path, schema):
-    """Retired schemas: fig1 v4 and v5, and the micro and serve baselines
+    """Retired schemas: fig1 v4 to v6, and the micro and serve baselines
     whose drivers were deleted."""
     fig1 = json.loads(FIG1.read_text())
     fig1["schema"] = schema

@@ -61,11 +61,10 @@ class TestFacade:
         assert engine.verifier_pool is not None
         assert engine.verifier_stats()["shared_pool"] is True
 
-    def test_accepts_exactly_five_options(self):
+    def test_accepts_exactly_four_options(self):
         params = list(inspect.signature(QueryEngine.__init__).parameters)
         assert params == [
             "self", "network", "strategy", "memoize", "edit_kernel",
-            "verifier_pool_limit",
         ]
 
     @pytest.mark.parametrize(
@@ -74,6 +73,7 @@ class TestFacade:
             "memo_maintenance", "naive_sample_rate", "memoize_naive",
             "memoize_gram_scans", "memoize_fetches", "share_verifiers",
             "catalog", "latency_model", "parallel_fanout",
+            "verifier_pool_limit",
         ],
     )
     def test_removed_option_rejected(self, option):

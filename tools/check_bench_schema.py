@@ -53,11 +53,9 @@ def _need_keys(obj: dict, keys, kinds, where: str):
 # -- per-schema validators -----------------------------------------------------
 
 
-def check_fig1_v6(data: dict) -> None:
+def check_fig1_v7(data: dict) -> None:
     scale = _need(data, "scale", dict, "$")
-    _need_keys(
-        scale, ("words", "titles", "repetitions", "seed", "jobs"), int, "scale"
-    )
+    _need_keys(scale, ("words", "titles", "repetitions", "seed"), int, "scale")
     _need(scale, "full", bool, "scale")
     _need(scale, "adaptive", bool, "scale")
     peer_counts = _need(scale, "peer_counts", list, "scale")
@@ -166,7 +164,7 @@ def check_mutate_v1(data: dict) -> None:
 #: Declared schema tag -> validator.  Adding a schema version means
 #: adding exactly one entry here (and a benchmarks/README.md section).
 VALIDATORS = {
-    "repro-bench-fig1/v6": check_fig1_v6,
+    "repro-bench-fig1/v7": check_fig1_v7,
     "repro-bench-fault/v1": check_fault_v1,
     "repro-bench-mutate/v1": check_mutate_v1,
 }
