@@ -9,7 +9,7 @@ import pytest
 import repro
 
 PACKAGE = Path(repro.__file__).resolve().parent
-EVALUATION = Path(__file__).resolve().parents[1]
+EVALUATION = Path(__file__).resolve().parents[1] / "evaluation"
 
 
 def imported_modules(path: Path) -> list[str]:
