@@ -5,7 +5,7 @@ session at a scale that keeps the whole suite in the minutes range.
 ``REPRO_FULL_SCALE=1`` (or ``python -m evaluation --full``) switches the
 standalone harness to paper scale; the pytest benchmarks always run the
 scaled-down configuration — the point here is regression tracking and
-shape verification, not absolute numbers (see EXPERIMENTS.md).
+shape verification, not absolute numbers.
 
 Every test collected under ``benchmarks/`` carries the ``bench`` marker,
 and the root ``pytest.ini`` deselects that marker by default: tier-1

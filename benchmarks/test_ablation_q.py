@@ -1,4 +1,4 @@
-"""Ablation: the q-gram length q (DESIGN.md abl-q).
+"""Ablation: the q-gram length q.
 
 The paper fixes q = 3 (following Gravano et al.); this ablation sweeps q
 over {2, 3, 4} and reports workload messages and storage amplification.

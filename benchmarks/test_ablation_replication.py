@@ -1,4 +1,4 @@
-"""Ablation: structural replication factor (DESIGN.md abl-replication).
+"""Ablation: structural replication factor.
 
 Replication multiplies storage but leaves query cost essentially flat —
 lookups contact one live replica per partition.  This is the property

@@ -1,4 +1,4 @@
-"""Ablation: top-N range estimation (DESIGN.md abl-topn).
+"""Ablation: top-N range estimation.
 
 Algorithm 4's first probe is sized from local data density; load
 balancing makes that estimate representative, so most queries should

@@ -1,4 +1,4 @@
-"""Ablation: data-aware vs. uniform trie construction (DESIGN.md abl-trie).
+"""Ablation: data-aware vs. uniform trie construction.
 
 P-Grid balances partitions against the data distribution [2]; the paper
 leans on this ("we achieve a reasonable uniform distribution of data

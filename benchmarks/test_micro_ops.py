@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the hot primitives (DESIGN.md micro).
+"""Micro-benchmarks of the hot primitives.
 
 These use pytest-benchmark's normal calibration — each operation is
 microseconds, and the timings bound what the simulator can sweep.

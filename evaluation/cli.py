@@ -129,8 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     repetitions = args.repetitions or (40 if use_full else DEFAULT_REPETITIONS)
     # The Figure 1 workload is instance-level only: keyword (VALUE) and
     # schema-gram entries are never queried, and the schema grams of a
-    # single-attribute corpus form an indivisible hotspot (EXPERIMENTS.md),
-    # so the harness leaves both families out of the storage scheme.
+    # single-attribute corpus form an indivisible hotspot no trie split
+    # can balance, so the harness leaves both families out of the
+    # storage scheme.
     config = StoreConfig(
         seed=args.seed, index_values=False, index_schema_grams=False
     )

@@ -11,7 +11,7 @@ three methods successively."
 
 The self-joins are *anchored* at the chosen search string (left side =
 objects matching it), the reading consistent with the paper's per-query
-random search string and reported cost magnitudes — see DESIGN.md §4.
+random search string and reported cost magnitudes.
 """
 
 from __future__ import annotations

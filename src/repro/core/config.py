@@ -59,7 +59,7 @@ def env_flag(name: str, default: bool = False) -> bool:
 DEFAULT_KEY_BITS = 32
 
 #: Default number of leading bits of an ``attribute#value`` composite key
-#: reserved for the attribute part (see DESIGN.md §6).
+#: reserved for the attribute part (the ``key(a#v)`` keys of paper §3).
 DEFAULT_ATTR_BITS = 12
 
 #: Default q-gram length.  q=3 follows Gravano et al. [7].

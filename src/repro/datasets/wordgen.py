@@ -4,7 +4,7 @@ The paper's datasets are natural-language corpora (bible words, painting
 titles).  Those files are not shipped here, so the generators in this
 package synthesize corpora with the *same statistics that drive the
 evaluation*: word/title counts, length ranges, mean lengths, and a
-Zipf-like skew in letter/q-gram frequencies (see DESIGN.md §4).
+Zipf-like skew in letter/q-gram frequencies.
 
 This module is the shared machinery: a syllable model whose onset/vowel/
 coda inventories follow rough English frequencies, giving words whose

@@ -5,7 +5,7 @@ A P-Grid network of ``n`` peers partitions the binary key space into
 full-width key has exactly one covering leaf.  With structural replication
 ``k``, ``n_partitions = n / k`` and ``k`` peers share each leaf.
 
-Two builders are provided (DESIGN.md §6):
+Two builders are provided (paper §2):
 
 * :func:`uniform_paths` — splits the space evenly; leaf depths differ by at
   most one.  This is what a perfectly balanced trie looks like.

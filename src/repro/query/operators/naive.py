@@ -22,9 +22,11 @@ A region comparison is one pass over a :class:`RegionColumn` — what
 the region's peers hold for the attribute, scanned once and independent
 of the query string — through the verifier's column path (a batch
 bit-parallel scan across all of the region's distinct strings when the
-column is retained and the kernel offers one).  The column is plain
-compute-side state: it charges nothing and decides nothing about
-messages.
+column is retained and the kernel offers one).  Its outcome keeps
+distances, not rows: the strings within the band, bucketed by exact
+distance, beside the column's string-to-rows index; each query radius
+builds only its own matches, once.  The column is plain compute-side
+state: it charges nothing and decides nothing about messages.
 
 :class:`NaiveWorkloadMemo` is a sweep-scale acceleration that is
 cost-transparent by construction: whole-workload memoization.  A workload
@@ -32,17 +34,17 @@ cost-transparent by construction: whole-workload memoization.  A workload
   strings, iterative-deepening top-N rounds, join probes over equal
   values); the *local comparison outcome* of such a query depends only on
   the stored data, which is identical across a partition's replicas and
-  constant during a benchmark cell.  The memo caches that outcome per
-  partition and replays it, while the broadcast itself — routed entry,
-  shower forwards, per-peer query copies, result returns — is still
-  executed and charged for real, so the measured message and byte series
-  are bit-identical with the memo on or off (pinned by tests).
+  constant during a benchmark cell.  The memo caches that outcome and
+  replays it, while the broadcast itself — routed entry, shower
+  forwards, per-peer query copies, result returns — is still executed
+  and charged for real, so the measured message and byte series are
+  bit-identical with the memo on or off (pinned by tests).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from collections.abc import Container, Iterable, Mapping
+from dataclasses import dataclass, field
 
 from repro.core.errors import ExecutionError
 from repro.query.operators.base import (
@@ -57,7 +59,7 @@ from repro.similarity.verify import BatchVerifier
 from repro.storage.indexing import EntryKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionComparison:
     """The data-dependent outcome of one naive region's local comparisons.
 
@@ -66,17 +68,23 @@ class RegionComparison:
     replica of a partition was contacted, and of every RNG draw — which
     is exactly what makes it safely memoizable across a workload.
 
-    ``by_partition`` keeps every compared string whose edit distance to
-    ``s`` is at most ``band``; the matches for any query distance
-    ``d <= band`` are the entries with ``distance <= d``.  Banded DP
-    distances are exact within the band, so the filtered view is
-    bit-identical to a dedicated ``BatchVerifier(s, d)`` pass.
+    The outcome keeps *distances, not rows*: ``near[k]`` holds the
+    compared strings at exact edit distance ``k`` from ``s``, for every
+    ``k <= band``, and ``rows_of`` is the column index they were computed
+    against (:meth:`RegionColumn.index`).  A column replaces its index
+    rather than change it, so the rows of a comparison are the rows it
+    was computed from for as long as it lives.  :meth:`matches_at` builds
+    the rows within a query distance ``d`` once per radius.  Banded DP
+    distances are exact within the band, so those rows are bit-identical
+    to a dedicated ``BatchVerifier(s, d)`` pass.
     """
 
-    #: Largest distance the stored entries are complete and exact for.
+    #: Largest distance the buckets are complete and exact for.
     band: int
-    #: partition index -> ((oid, value, distance <= band), ...) in store order.
-    by_partition: dict[int, tuple[tuple[str, str, int], ...]]
+    #: distance k -> the compared strings at exactly k (``0..band``).
+    near: tuple[tuple[str, ...], ...]
+    #: value -> [(partition index, position in slice, oid), ...].
+    rows_of: Mapping[str, list[tuple[int, int, str]]]
     #: Total strings compared across the region (``candidates_verified``).
     local_comparisons: int
     #: Largest number of comparisons any single peer performed.
@@ -85,15 +93,33 @@ class RegionComparison:
     #: Replayed only while the contacted replicas still report these
     #: versions; any mismatch invalidates the cache entry.
     store_versions: dict[int, int]
+    #: d -> :meth:`matches_at` ``(d)``, built on first use.
+    _matches: dict = field(default_factory=dict, init=False, repr=False)
 
-    def matched_at(self, partition_index: int, d: int) -> list[tuple[str, str, int]]:
-        """One partition's matches for a query distance ``d <= band``."""
-        entries = self.by_partition.get(partition_index)
-        if not entries:
-            return []
-        if d >= self.band:
-            return list(entries)
-        return [entry for entry in entries if entry[2] <= d]
+    def matches_at(self, d: int) -> dict[int, tuple[tuple[str, str, int], ...]]:
+        """partition index -> its ``(oid, value, distance)`` rows within
+        ``d <= band``, in store order, for the contacted partitions that
+        matched."""
+        matches = self._matches.get(d)
+        if matches is None:
+            versions = self.store_versions
+            rows_of = self.rows_of
+            located = [
+                (partition_index, position, oid, value, distance)
+                for distance, values in enumerate(self.near[: d + 1])
+                for value in values
+                for partition_index, position, oid in rows_of[value]
+                if partition_index in versions
+            ]
+            located.sort()  # by (partition, position): store order
+            grouped: dict[int, list[tuple[str, str, int]]] = {}
+            for partition_index, __, oid, value, distance in located:
+                grouped.setdefault(partition_index, []).append((oid, value, distance))
+            matches = self._matches[d] = {
+                partition_index: tuple(rows)
+                for partition_index, rows in grouped.items()
+            }
+        return matches
 
 
 class RegionColumn:
@@ -104,12 +130,15 @@ class RegionColumn:
     ``ATTR_VALUE`` entries (each value exactly once; non-string values
     are not comparable), or every entry's attribute *name* at schema
     level — with the mutation counter of the store they were read from.
-    Across partitions: the distinct strings as one
-    :class:`~repro.similarity.kernels.EncodedColumn`, rebuilt only when
-    a slice was dropped or a re-scan changed some partition's rows.  A
-    ``retained`` column (the memo's) encodes them for the batch scan; a
-    column built for a single comparison does not — encoding a region
-    costs more than one per-candidate pass over it.
+    Across partitions, built on first use after any slice changed: the
+    :meth:`index` from each distinct string to its rows, and the same
+    strings as one :class:`~repro.similarity.kernels.EncodedColumn`.  A
+    changed slice (re-read with other rows, or dropped) replaces the
+    index with a new dict and never edits the old one, which the
+    comparisons computed from it keep reading.  A ``retained`` column
+    (the memo's) encodes the strings for the batch scan; a column built
+    for a single comparison does not — encoding a region costs more than
+    one per-candidate pass over it.
 
     A slice is re-read whenever the contacted replica reports another
     store version than the one scanned, so a column never answers from
@@ -119,7 +148,7 @@ class RegionColumn:
 
     __slots__ = (
         "region_prefix", "attribute", "schema_level", "retained", "_slices",
-        "_encoded",
+        "_index", "_encoded",
     )
 
     def __init__(
@@ -135,6 +164,7 @@ class RegionColumn:
         self.retained = retained
         #: partition index -> (scanned store version, rows).
         self._slices: dict[int, tuple[int, tuple[tuple[str, str], ...]]] = {}
+        self._index: dict[str, list[tuple[int, int, str]]] | None = None
         self._encoded: EncodedColumn | None = None
 
     def slice_of(self, peer, partition_index: int) -> tuple[int, tuple]:
@@ -146,7 +176,7 @@ class RegionColumn:
             return held
         fresh = (store.version, self._scan(store))
         if held is None or held[1] != fresh[1]:
-            self._encoded = None
+            self._index = self._encoded = None
         self._slices[partition_index] = fresh
         return fresh
 
@@ -166,6 +196,29 @@ class RegionColumn:
             and isinstance(entry.triple.value, str)
         )
 
+    def index(self, near: Container[str]) -> dict[str, list[tuple[int, int, str]]]:
+        """value -> ``(partition index, position, oid)`` of every held row
+        comparing it, in slice then store order.  A retained column
+        indexes every string, once per slice state; a single-use column
+        only ``near`` ones, for its one comparison.  Never edited once
+        returned."""
+        if self._index is not None:
+            return self._index
+        keep = None if self.retained else near
+        index: dict[str, list[tuple[int, int, str]]] = {}
+        for partition_index, (__, rows) in self._slices.items():
+            for position, (oid, value) in enumerate(rows):
+                if keep is not None and value not in keep:
+                    continue
+                located = index.get(value)
+                if located is None:
+                    index[value] = [(partition_index, position, oid)]
+                else:
+                    located.append((partition_index, position, oid))
+        if self.retained:
+            self._index = index
+        return index
+
     def encoded(self) -> EncodedColumn:
         """The distinct strings of every held slice."""
         if self._encoded is None:
@@ -184,7 +237,7 @@ class RegionColumn:
         with them the strings only those partitions held."""
         for partition_index in partitions:
             if self._slices.pop(partition_index, None) is not None:
-                self._encoded = None
+                self._index = self._encoded = None
 
 
 class NaiveWorkloadMemo:
@@ -195,7 +248,9 @@ class NaiveWorkloadMemo:
     serves *every* distance up to the band, so a top-N query's
     iterative-deepening rounds (``d = 0, 1, 2, ...`` over the same
     search string) and a join's repeated probes all reuse a single
-    region scan.
+    region scan.  The comparison holds the strings per exact distance,
+    not rows: a replay at ``d`` reads the rows within ``d``, built from
+    those buckets the first time ``d`` is asked.
 
     Valid only while the network's stores are unchanged — benchmark
     cells satisfy this (bulk load, then a read-only workload) — and the
@@ -340,10 +395,11 @@ def naive_similar(
             memo.store(memo_key, comparison)
 
     # Matching peers return their (oid, value) pairs to the initiator.
+    matched = comparison.matches_at(d)
     hits: dict[str, tuple[int, str]] = {}
     for peer, partition_index in contacted:
-        matched_here = comparison.matched_at(partition_index, d)
-        if not matched_here:
+        matched_here = matched.get(partition_index)
+        if matched_here is None:
             continue
         payload = sum(len(oid) + len(value) + 2 for oid, value, __ in matched_here)
         if not ctx.router.send_result(
@@ -407,11 +463,10 @@ def _compare_region(
     ``column`` supplies each contacted partition's rows (scanning only
     what it does not hold at the contacted replica's version) and the
     region's distinct strings; one pass through ``verifier`` — built for
-    ``(s, band)`` — yields the strings within ``band``, and the outcome
-    is their rows at the contacted partitions, in store order.  Pure
-    compute: no tracer charge, no RNG draw.
+    ``(s, band)`` — yields the strings within ``band``, bucketed by
+    distance beside the column's index.  Pure compute: no tracer charge,
+    no RNG draw.
     """
-    scanned: list[tuple[int, tuple]] = []
     store_versions: dict[int, int] = {}
     local_comparisons = 0
     max_peer_comparisons = 0
@@ -420,19 +475,14 @@ def _compare_region(
         store_versions[partition_index] = store_version
         local_comparisons += len(rows)
         max_peer_comparisons = max(max_peer_comparisons, len(rows))
-        scanned.append((partition_index, rows))
-    near = verifier.distances(column.encoded())
-    by_partition: dict[int, tuple[tuple[str, str, int], ...]] = {}
-    if near:
-        for partition_index, rows in scanned:
-            matched_here = [
-                (oid, value, near[value]) for oid, value in rows if value in near
-            ]
-            if matched_here:
-                by_partition[partition_index] = tuple(matched_here)
+    distances = verifier.distances(column.encoded())
+    near: list[list[str]] = [[] for __ in range(band + 1)]
+    for value, distance in distances.items():
+        near[distance].append(value)
     return RegionComparison(
         band=band,
-        by_partition=by_partition,
+        near=tuple(map(tuple, near)),
+        rows_of=column.index(distances),
         local_comparisons=local_comparisons,
         max_peer_comparisons=max_peer_comparisons,
         store_versions=store_versions,

@@ -14,7 +14,8 @@ Variants:
 * :func:`anchored_sim_join` — the evaluation workload's form: the left
   side is anchored at a concrete search string (its ``key(ln#s)``
   objects) instead of the whole column, keeping the cost of one query
-  comparable to a top-N query (see DESIGN.md §4 on this interpretation).
+  comparable to a top-N query (``evaluation/workload.py`` gives this
+  reading of the paper's §6 workload).
 """
 
 from __future__ import annotations

@@ -122,7 +122,7 @@ class TestDataPlacement:
     def test_load_balance_with_data_aware_trie(self):
         # Schema-gram entries of a single-attribute corpus all share a
         # handful of identical keys — an indivisible hotspot no trie split
-        # can balance (see EXPERIMENTS.md).  Balance is therefore asserted
+        # can balance.  Balance is therefore asserted
         # on the divisible index families only.  Enough peers are needed
         # for the attribute-region sliver to amortize its ~attr_bits
         # forced empty-sibling leaves (a complete-trie constraint).

@@ -2,12 +2,14 @@
 
 :func:`repro.query.operators.naive._compare_region` answers from a
 :class:`~repro.query.operators.naive.RegionColumn` (rows scanned once,
-distinct strings encoded once, one batch kernel pass); the reference in
+distinct strings encoded and indexed once, one batch kernel pass) and
+keeps distances, not rows; the reference in
 ``tests/reference/naive_region.py`` walks every contacted store entry by
-entry and runs the banded DP.  They must produce the identical
-:class:`~repro.query.operators.naive.RegionComparison` — matched rows in
-store order, comparison tallies and scanned store versions — for every
-input the operator can hand them:
+entry and runs the banded DP.  At every distance up to the band, the
+comparison's :meth:`~repro.query.operators.naive.RegionComparison.matches_at`
+must name exactly the contacted partitions that matched, each with the
+reference's rows in store order, beside the same comparison tallies and
+scanned store versions — for every input the operator can hand them:
 
 * several attributes hashed under **one key region** (``attr_bits`` of 1
   or 2 makes prefixes collide), so the attribute test matters;
@@ -16,7 +18,7 @@ input the operator can hand them:
 * **replicas with diverged versions** (one replica written behind the
   network's back), contacted through either replica;
 * a **partial contact list**, as the sampled estimator and degraded mode
-  produce;
+  produce, against a column that also holds the slices left out;
 * a column **retained across** queries and such writes.
 """
 
@@ -30,7 +32,10 @@ from repro.similarity.verify import BatchVerifier
 from repro.storage.indexing import EntryKind, IndexEntry
 from repro.storage.triple import Triple
 
-from tests.reference.naive_region import compare_region_per_entry
+from tests.reference.naive_region import (
+    assert_matches_reference,
+    compare_region_per_entry,
+)
 
 ATTRIBUTES = ["t:title", "t:name", "u:title", "u:alias"]
 
@@ -112,8 +117,18 @@ class TestColumnarRegionComparison:
             "" if schema_level else network.codec.attr_prefix(attribute)
         )
         retained = RegionColumn(region_prefix, compared, schema_level)
-        # Round 0 on the loaded data; then one replica of some partition
-        # is written (versions diverge) and the same column answers again.
+        # The retained column first holds every partition's slice, so the
+        # partitions a partial contact list leaves out are held but must
+        # not answer.  Round 0 on the loaded data; then one replica of
+        # some partition is written (versions diverge) and the same
+        # column answers again.
+        everyone = contact(network, region_prefix, [0] * 12)
+        assert_matches_reference(
+            _compare_region(everyone, retained, band, BatchVerifier("", band)),
+            compare_region_per_entry(
+                everyone, "", compared, band, schema_level, region_prefix
+            ),
+        )
         for write in [None, *late]:
             if write is not None:
                 write_one_replica(network, *write)
@@ -122,15 +137,21 @@ class TestColumnarRegionComparison:
                 expected = compare_region_per_entry(
                     contacted, s, compared, band, schema_level, region_prefix
                 )
-                assert _compare_region(
-                    contacted, retained, band, BatchVerifier(s, band)
-                ) == expected
+                assert_matches_reference(
+                    _compare_region(
+                        contacted, retained, band, BatchVerifier(s, band)
+                    ),
+                    expected,
+                )
                 throwaway = RegionColumn(
                     region_prefix, compared, schema_level, retained=False
                 )
-                assert _compare_region(
-                    contacted, throwaway, band, BatchVerifier(s, band)
-                ) == expected
+                assert_matches_reference(
+                    _compare_region(
+                        contacted, throwaway, band, BatchVerifier(s, band)
+                    ),
+                    expected,
+                )
 
     def test_other_replica_of_a_diverged_partition_is_rescanned(self, region_scans):
         rows = [Triple(f"o:{i:02d}", "t:title", w) for i, w in enumerate(
@@ -139,27 +160,59 @@ class TestColumnarRegionComparison:
         network = build_network(rows, attr_bits=8, seed=1)
         prefix = network.codec.attr_prefix("t:title")
         column = RegionColumn(prefix, "t:title", False)
-        everyone = [0] * 12
-        first = _compare_region(
-            contact(network, prefix, everyone), column, 1,
-            BatchVerifier("apple", 1),
-        )
-        write_one_replica(network, Triple("o:new", "t:title", "appla"), 1)
+        replica_0 = contact(network, prefix, [0] * 12)
+        first = _compare_region(replica_0, column, 1, BatchVerifier("apple", 1))
+        # One more row of a string that already matched, on replica 1 only.
+        write_one_replica(network, Triple("o:new", "t:title", "apply"), 1)
         scans = region_scans.call_count
         # Replica 0 is unchanged: nothing is read again, nothing new matches.
         again = _compare_region(
-            contact(network, prefix, everyone), column, 1,
+            contact(network, prefix, [0] * 12), column, 1,
             BatchVerifier("apple", 1),
         )
         assert region_scans.call_count == scans
-        assert again == first
+        assert again.matches_at(1) == compare_region_per_entry(
+            replica_0, "apple", "t:title", 1, False, prefix
+        ).rows_at(1)
         # Replica 1 of the written partition reports another version.
-        other = _compare_region(
-            contact(network, prefix, [1] * 12), column, 1,
-            BatchVerifier("apple", 1),
-        )
+        replica_1 = contact(network, prefix, [1] * 12)
+        other = _compare_region(replica_1, column, 1, BatchVerifier("apple", 1))
         assert region_scans.call_count == scans + 1
+        assert_matches_reference(
+            other,
+            compare_region_per_entry(replica_1, "apple", "t:title", 1, False, prefix),
+        )
         assert "o:new" in {
-            oid for matched in other.by_partition.values()
+            oid for matched in other.matches_at(1).values()
             for oid, __, ___ in matched
         }
+        # The column re-read replica 1 after ``first`` was computed; asked
+        # only now, ``first`` still answers replica 0's rows.
+        assert_matches_reference(
+            first,
+            compare_region_per_entry(replica_0, "apple", "t:title", 1, False, prefix),
+        )
+
+    def test_held_slices_a_query_left_out_do_not_answer(self):
+        # Near "ab" but spread over the key space (keys preserve order),
+        # over a region of several partitions.
+        rows = [
+            Triple(f"o:{i:02d}", "t:title", f"{letter}b")
+            for i, letter in enumerate("abcdefghijklmnopqrstuvwxyz")
+        ]
+        network = build_network(rows, attr_bits=1, seed=1)
+        prefix = network.codec.attr_prefix("t:title")
+        column = RegionColumn(prefix, "t:title", False)
+        everyone = contact(network, prefix, [0] * 12)
+        _compare_region(everyone, column, 2, BatchVerifier("ab", 2))
+        matched = compare_region_per_entry(
+            everyone, "ab", "t:title", 2, False, prefix
+        ).rows_at(2)
+        assert len(matched) > 1
+        # Every slice is held; the query contacts all but one partition
+        # that matched.
+        some = [(peer, index) for peer, index in everyone if index != min(matched)]
+        assert_matches_reference(
+            _compare_region(some, column, 2, BatchVerifier("ab", 2)),
+            compare_region_per_entry(some, "ab", "t:title", 2, False, prefix),
+        )

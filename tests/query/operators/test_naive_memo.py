@@ -19,14 +19,20 @@ from repro.query.operators.naive import (
     _region_column,
     naive_similar,
 )
+from repro.query.operators.topn import TOP_N_MAX_DISTANCE
 from repro.similarity.kernels import MyersKernel, numpy_available
 from repro.similarity.verify import BatchVerifier
+from repro.storage.indexing import EntryKind
 from repro.storage.triple import Triple
 from evaluation.experiment import ALL_STRATEGIES, build_network
 from evaluation.workload import make_workload, run_workload
 
 from tests.conftest import TEXT_ATTR, build_word_network, word_triples
 from tests.reference.kernel import ReferenceKernel
+from tests.reference.naive_region import (
+    assert_matches_reference,
+    compare_region_per_entry,
+)
 
 #: Every word is stored once under ``TEXT_ATTR``: the region's compared rows.
 TEXT_ROWS = [t for t in word_triples() if t.attribute == TEXT_ATTR]
@@ -246,13 +252,15 @@ class TestRegionColumn:
             (engine.network.peer(p.peer_ids[0]), p.index)
             for p in engine.network.partitions_under(prefix)
         ]
-        outcome = _compare_region(
-            contacted, single, 1, BatchVerifier("apple", 1)
+        expected = compare_region_per_entry(
+            contacted, "apple", TEXT_ATTR, 2, False, prefix
         )
+        for column in (single, retained):
+            assert_matches_reference(
+                _compare_region(contacted, column, 2, BatchVerifier("apple", 2)),
+                expected,
+            )
         assert single.encoded().codes is None
-        assert outcome == _compare_region(
-            contacted, retained, 1, BatchVerifier("apple", 1)
-        )
 
     @pytest.mark.parametrize(
         "kernel",
@@ -295,3 +303,42 @@ class TestRegionColumn:
 
         assert series(kernel) == series(None)
 
+
+
+class TestTieRule:
+    """One oid holding two values of the attribute at the same distance
+    from the search string, in one partition: the match names the value
+    first in store order, at every radius, memoized or not.  ``"aab"``
+    precedes ``"ab"`` in store order but not in the encoded column's
+    shortest-first order, so an outcome that listed rows in any order
+    but the store's would name ``"ab"``."""
+
+    TIED = ("aab", "ab")  # both at distance 1 from "abb"
+
+    @pytest.mark.parametrize("memoize", [True, False], ids=["memo", "single"])
+    def test_first_value_in_store_order_is_matched(self, memoize):
+        triples = word_triples() + [
+            Triple("w:tie", TEXT_ATTR, value) for value in self.TIED
+        ]
+        engine = QueryEngine.build(
+            16, triples, StoreConfig(seed=7), strategy="naive", memoize=memoize
+        )
+        network = engine.network
+        (partition,) = {
+            network.partition_for(network.codec.attr_value_key(TEXT_ATTR, value))
+            for value in self.TIED
+        }
+        stored = [
+            entry.triple.value
+            for entry in network.peer(partition.peer_ids[0]).store.entries_of_kind(
+                EntryKind.ATTR_VALUE
+            )
+            if entry.triple.oid == "w:tie"
+        ]
+        assert stored == ["aab", "ab"]
+        for d in range(1, TOP_N_MAX_DISTANCE + 1):
+            (tie,) = [
+                m for m in engine.similar("abb", TEXT_ATTR, d).matches
+                if m.oid == "w:tie"
+            ]
+            assert (tie.matched, tie.distance) == ("aab", 1), d

@@ -3,19 +3,55 @@
 This is the comparison as it ran before region columns existed — every
 contacted peer's ``ATTR_VALUE`` slice walked per query, each entry asked
 for its comparable string, one banded-DP pass over what was collected,
-the outcome assembled from a ``string -> distance`` dict.  Nothing is
-retained between calls and the bit-parallel kernels are never involved,
-which is what makes it the ground truth the columnar
+the outcome assembled from a ``string -> distance`` dict as every
+partition's matched rows in store order.  Nothing is retained between
+calls and the bit-parallel kernels are never involved, which is what
+makes it the ground truth the columnar
 :func:`repro.query.operators.naive._compare_region` is property-tested
-against.
+against (:func:`assert_matches_reference`).
 """
 
 from __future__ import annotations
 
-from repro.query.operators.naive import RegionComparison
+from dataclasses import dataclass
+
 from repro.similarity.verify import BatchVerifier
 from repro.storage.indexing import EntryKind
 from tests.reference.kernel import ReferenceKernel
+
+
+@dataclass(frozen=True)
+class ReferenceComparison:
+    """The per-entry outcome: matched rows kept per partition."""
+
+    band: int
+    #: partition index -> ((oid, value, distance <= band), ...) in store order.
+    by_partition: dict[int, tuple[tuple[str, str, int], ...]]
+    local_comparisons: int
+    max_peer_comparisons: int
+    store_versions: dict[int, int]
+
+    def rows_at(self, d: int) -> dict[int, tuple[tuple[str, str, int], ...]]:
+        """The partitions with rows within ``d``, and those rows."""
+        rows_at = {}
+        for partition_index, rows in self.by_partition.items():
+            within = tuple(row for row in rows if row[2] <= d)
+            if within:
+                rows_at[partition_index] = within
+        return rows_at
+
+
+def assert_matches_reference(comparison, reference: ReferenceComparison) -> None:
+    """``comparison`` (a ``RegionComparison``) answers what the reference
+    does: at every distance ``0..band``, exactly the contacted partitions
+    that matched, each with its rows in store order; and the same tallies
+    and scanned versions."""
+    assert comparison.band == reference.band
+    for d in range(reference.band + 1):
+        assert comparison.matches_at(d) == reference.rows_at(d), d
+    assert comparison.local_comparisons == reference.local_comparisons
+    assert comparison.max_peer_comparisons == reference.max_peer_comparisons
+    assert comparison.store_versions == reference.store_versions
 
 
 def comparable_string(entry, attribute: str, schema_level: bool) -> str | None:
@@ -42,7 +78,7 @@ def compare_region_per_entry(
     band: int,
     schema_level: bool,
     region_prefix: str,
-) -> RegionComparison:
+) -> ReferenceComparison:
     """Compare ``s`` against every contacted peer's local strings."""
     compared_by_partition: list[tuple[int, list[tuple[str, str]]]] = []
     store_versions: dict[int, int] = {}
@@ -79,7 +115,7 @@ def compare_region_per_entry(
         )
         if matched_here:
             by_partition[partition_index] = matched_here
-    return RegionComparison(
+    return ReferenceComparison(
         band=band,
         by_partition=by_partition,
         local_comparisons=local_comparisons,

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,37 @@ def test_fig1_v4_tag_is_unknown(tool, tmp_path, schema):
     problems = tool.check_file(path)
     assert len(problems) == 1
     assert "unknown schema" in problems[0]
+
+
+def _key_paths(value, prefix="") -> set[str]:
+    """Every key of a JSON value as a dotted path (``[]`` for list items)."""
+    if isinstance(value, dict):
+        paths = set()
+        for key, item in value.items():
+            paths |= {f"{prefix}{key}"} | _key_paths(item, f"{prefix}{key}.")
+        return paths
+    if isinstance(value, list) and value:
+        return _key_paths(value[0], f"{prefix}[].")
+    return set()
+
+
+def test_readme_fault_block_is_the_written_shape(tool):
+    """``benchmarks/README.md``'s ``BENCH_fault.json`` block, its type
+    names read as values, validates as fault v1 and has exactly the key
+    paths, schema and kind of the committed baseline."""
+    readme = (ROOT / "benchmarks" / "README.md").read_text()
+    section = readme.split("### `BENCH_fault.json`", 1)[1]
+    block = section.split("```\n", 2)[1]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    text = "\n".join(lines)
+    under_failure = text.split('"under_failure":', 1)[1]
+    under_failure = under_failure[: under_failure.index("}") + 1]
+    text = text.replace("{ ... same shape as under_failure ... }", under_failure)
+    for name, example in (("int", "1"), ("float", "0.5"), ("bool", "true")):
+        text = re.sub(rf"\b{name}\b", example, text)
+    documented = json.loads(text)
+    tool.check_fault_v1(documented)
+    committed = json.loads((ROOT / "benchmarks" / "BENCH_fault.json").read_text())
+    assert _key_paths(documented) == _key_paths(committed)
+    for key in ("schema", "kind"):
+        assert documented[key] == committed[key]

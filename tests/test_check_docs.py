@@ -1,6 +1,7 @@
 """Pins ``tools/check_docs.py``: links resolve, no architecture
 heading is titled after a change, the architecture names exactly the
-reference twins that exist, and it stays within its line cap."""
+reference twins that exist, it stays within its line cap, and the
+source trees cite only documents that exist."""
 
 import importlib.util
 from pathlib import Path
@@ -79,3 +80,20 @@ def test_a_twin_the_architecture_never_names_fails(tmp_path, check_docs, capsys)
         "# Architecture\n\nThe kernel's twin is `tests/reference/kernel.py`.\n",
     )
     assert check_docs.main(["check_docs", str(tmp_path)]) == 0
+
+
+def test_a_cited_document_must_exist(tmp_path, check_docs, capsys):
+    _docs_tree(tmp_path, check_docs, "# Architecture\n")
+    module = tmp_path / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text('"""See ``docs/ARCHITECTURE.md`` and ``README.md``."""\n')
+    assert check_docs.main(["check_docs", str(tmp_path)]) == 0
+    # Spelled in two pieces so this file cites no missing document itself.
+    missing = "NOTES" + ".md"
+    cited = tmp_path / "tests" / "test_mod.py"
+    cited.parent.mkdir()
+    cited.write_text(f"# Explained in {missing}.\n")
+    assert check_docs.main(["check_docs", str(tmp_path)]) == 1
+    assert f"tests/test_mod.py:1: no such document: {missing}" in (
+        capsys.readouterr().err
+    )

@@ -9,14 +9,17 @@ and intra-page anchors (``#...``) are checked only for non-emptiness.
 headings may be titled after the change that introduced a part of it
 (``(PR n)``), every ``tests/reference/...`` path it names must exist,
 it must name every reference twin (each ``tests/reference/*.py``), and
-it may not grow past :data:`ARCHITECTURE_MAX_LINES`.
+it may not grow past :data:`ARCHITECTURE_MAX_LINES`.  A ``.py`` file
+under :data:`SOURCE_DIRS` may not cite a ``*.md`` document that does
+not exist (at the repository root or beside the file).
 
 Usage::
 
     python tools/check_docs.py [repo_root]
 
 Exit status 0 when every link resolves, no heading is change-titled,
-the twins check out and the architecture is within its cap, 1 otherwise
+the twins check out, the architecture is within its cap and every cited
+document exists, 1 otherwise
 (each problem is reported on stderr as ``file:line: ...``).
 """
 
@@ -53,6 +56,12 @@ REFERENCE_DIR = "tests/reference"
 
 #: A path under ``REFERENCE_DIR`` as the architecture prose writes it.
 REFERENCE_PATH = re.compile(r"tests/reference/[\w./]*")
+
+#: Directories whose ``.py`` files may only cite documents that exist.
+SOURCE_DIRS = ("src", "evaluation", "benchmarks", "tests")
+
+#: A document name in code or prose: ``CHANGES.md``, ``docs/ARCHITECTURE.md``.
+MD_NAME = re.compile(r"(?<![\w./-])\w[\w./-]*\.md\b")
 
 
 def iter_links(path: Path):
@@ -114,6 +123,25 @@ def check_twins(root: Path, architecture: Path) -> list[str]:
     return problems
 
 
+def check_cited_documents(root: Path) -> list[str]:
+    """``*.md`` names in the source trees' ``.py`` files that resolve
+    neither from the repository root nor from the citing file."""
+    problems = []
+    for directory in SOURCE_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for line_number, line in enumerate(text.splitlines(), start=1):
+                for match in MD_NAME.finditer(line):
+                    name = match.group(0)
+                    if (root / name).exists() or (path.parent / name).exists():
+                        continue
+                    problems.append(
+                        f"{path.relative_to(root)}:{line_number}: "
+                        f"no such document: {name}"
+                    )
+    return problems
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
     problems: list[str] = []
@@ -124,6 +152,7 @@ def main(argv: list[str]) -> int:
             continue
         checked += 1
         problems.extend(check_file(root, relative))
+    problems.extend(check_cited_documents(root))
     if problems:
         for problem in problems:
             print(f"docs: {problem}", file=sys.stderr)
