@@ -138,7 +138,7 @@ def test_gram_lookup_indexed(benchmark, bible_store):
 
 
 def test_verification_batched(benchmark, verification_pile):
-    """The shared-prefix banded DP batch (pinned to the reference kernel).
+    """One banded DP per distinct candidate (the reference kernel).
 
     Both batched benchmarks time verification only — a fresh verifier
     plus one ``distances`` pass; consuming the dict is caller-side work

@@ -90,8 +90,7 @@ from repro.query.operators.topn import (
 )
 from repro.query.statistics import StatisticsCatalog, collect_statistics
 from repro.similarity.filters import FilterConfig
-from repro.similarity.kernels import EditKernel, resolve_kernel
-from repro.similarity.verify import DEFAULT_POOL_LIMIT, VerifierPool
+from repro.similarity.verify import VerifierPool
 from repro.storage.triple import Triple, ValueType
 
 
@@ -142,18 +141,11 @@ class QueryEngine:
     memoize:
         Install the three whole-workload memos (``False`` gives the
         memo-free reference engine; measured series are identical).
-    edit_kernel:
-        Edit-distance kernel for the final verification step — an
-        :class:`~repro.similarity.kernels.EditKernel` instance, or
-        ``None`` for the shipped default (Myers bit-parallel, with the
-        numpy prefilter when importable).  Tests pin the banded-DP
-        kernel of ``tests/reference/kernel.py`` through it; anything
-        else raises :class:`TypeError`.  Kernels change wall-clock only;
-        every match set and measured message/byte series is
-        kernel-independent.
 
-    The shared :class:`~repro.similarity.verify.VerifierPool` holds at
-    most ``DEFAULT_POOL_LIMIT`` verifiers (LRU eviction beyond it).
+    The shared :class:`~repro.similarity.verify.VerifierPool` verifies
+    every candidate through the default kernel (Myers bit-parallel, with
+    the numpy prefilter when importable) and holds at most
+    ``DEFAULT_POOL_LIMIT`` verifiers (LRU eviction beyond it).
 
     A write routed through the engine (:meth:`insert`, :meth:`delete`,
     :meth:`recover`) invalidates only the memo records the written index
@@ -168,7 +160,6 @@ class QueryEngine:
         network: PGridNetwork,
         strategy: SimilarityStrategy | str | None = None,
         memoize: bool = True,
-        edit_kernel: EditKernel | None = None,
     ):
         self.network = network
         self.config = network.config
@@ -178,10 +169,7 @@ class QueryEngine:
         self.naive_memo = NaiveWorkloadMemo(network) if memoize else None
         self.gram_scan_memo = GramScanMemo(network) if memoize else None
         self.fetch_memo = FetchObjectsMemo(network) if memoize else None
-        self.edit_kernel = resolve_kernel(edit_kernel)
-        self.verifier_pool = VerifierPool(
-            kernel=self.edit_kernel, max_verifiers=DEFAULT_POOL_LIMIT
-        )
+        self.verifier_pool = VerifierPool()
         self.cost_model = StrategyCostModel(network)
         self._filters = FilterConfig(
             use_position=self.config.enable_position_filter,
@@ -253,7 +241,6 @@ class QueryEngine:
             rng=rng,
             naive_memo=self.naive_memo,
             verifier_pool=self.verifier_pool,
-            edit_kernel=self.edit_kernel,
             gram_scan_memo=self.gram_scan_memo,
             fetch_memo=self.fetch_memo,
             catalog=catalog,

@@ -203,10 +203,10 @@ class CostReport:
     #: (untyped here, like ``decisions``, to keep the accounting layer
     #: dependency-free) with the kernel name and the operation's delta of
     #: the shared pool's :class:`~repro.similarity.verify.KernelCounters`
-    #: (``computed``, ``memo_hits``, ``prefilter_rejected``,
-    #: ``batches_flat``, ``batches_shared``).  ``None`` when the engine
-    #: runs without a shared verifier pool.  Kernels change wall-clock
-    #: only, so nothing here ever feeds back into measured series.
+    #: (``computed``, ``memo_hits``, ``prefilter_rejected``).  ``None``
+    #: when the context runs without a shared verifier pool.  Kernels
+    #: change wall-clock only, so nothing here ever feeds back into
+    #: measured series.
     verifier: dict | None = None
 
     @classmethod

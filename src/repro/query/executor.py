@@ -46,7 +46,7 @@ from repro.query.operators.string_range import select_string_range
 from repro.query.operators.topn import top_n_numeric, top_n_string_nn
 from repro.query.planner import AccessMethod, PlanStep, QueryPlan, plan as build_plan
 from repro.query.parser import parse
-from repro.similarity.edit_distance import edit_distance, edit_distance_within
+from repro.similarity.edit_distance import edit_distance
 from repro.similarity.numeric import Interval
 from repro.storage.triple import ValueType, is_numeric
 
@@ -262,16 +262,14 @@ class Executor:
         )
         predicate_var = _var_name(step.pattern.predicate)
         object_term = step.pattern.object
+        verifier = self.ctx.make_verifier(str(spec.target), spec.edit_limit)
         rows: list[Row] = []
         for match in result.matches:
             base = _subject_row(step, match.oid)
             if base is None:
                 continue
             for triple in match.triples:
-                distance = edit_distance_within(
-                    str(spec.target), triple.attribute, spec.edit_limit
-                )
-                if distance > spec.edit_limit:
+                if not verifier.within(triple.attribute):
                     continue
                 row = dict(base)
                 row[predicate_var] = triple.attribute
@@ -479,15 +477,14 @@ class Executor:
             result = similar(
                 self.ctx, str(value), attribute, spec.edit_limit, initiator_id
             )
+            verifier = self.ctx.make_verifier(str(value), spec.edit_limit)
             for match in result.matches:
                 for triple in match.triples:
                     if triple.attribute != attribute:
                         continue
                     if not isinstance(triple.value, str):
                         continue
-                    if edit_distance_within(
-                        str(value), triple.value, spec.edit_limit
-                    ) <= spec.edit_limit:
+                    if verifier.within(triple.value):
                         pairs.append((match.oid, triple.value))
         return pairs
 
@@ -502,6 +499,7 @@ class Executor:
         limit: int,
     ) -> BindingSet:
         """Rows for a string-similarity step, one per qualifying value."""
+        verifier = self.ctx.make_verifier(target, limit)
         rows: list[Row] = []
         for match in matches:
             base = _subject_row(step, match.oid)
@@ -510,7 +508,7 @@ class Executor:
             for triple in match.triples:
                 if triple.attribute != attribute or not isinstance(triple.value, str):
                     continue
-                if edit_distance_within(target, triple.value, limit) > limit:
+                if not verifier.within(triple.value):
                     continue
                 row = dict(base)
                 object_term = step.pattern.object

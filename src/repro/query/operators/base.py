@@ -35,7 +35,6 @@ from repro.overlay.messages import CostReport, MessageType
 from repro.overlay.network import PartitionWrite, PGridNetwork
 from repro.overlay.routing import Router
 from repro.similarity.filters import FilterConfig
-from repro.similarity.kernels import EditKernel
 from repro.similarity.verify import BatchVerifier, VerifierPool
 from repro.storage.indexing import EntryKind
 from repro.storage.triple import Triple, ValueType
@@ -99,11 +98,6 @@ class OperatorContext:
     #: across a benchmark cell's strategy replays — share one DP memo.
     #: Verification is deterministic, so sharing never changes results.
     verifier_pool: VerifierPool | None = None
-    #: Edit-distance kernel for verifiers built *without* a pool (a pool
-    #: carries its own kernel).  ``None`` resolves the default Myers
-    #: kernel; kernels change wall-clock only, never match sets, so this
-    #: never affects results.
-    edit_kernel: "EditKernel | None" = None
     #: Whole-workload memo for gram-peer candidate scans (see
     #: :class:`repro.query.operators.similar.GramScanMemo`).  ``None``
     #: disables it; kept true under writes by the owning engine.
@@ -150,11 +144,11 @@ class OperatorContext:
 
         The single construction point operators should use: pooled
         verifiers share memos (and the pool's kernel) across queries,
-        pool-less ones still honour the context's ``edit_kernel``.
+        pool-less ones verify through the default kernel.
         """
         if self.verifier_pool is not None:
             return self.verifier_pool.get(query, d)
-        return BatchVerifier(query, d, kernel=self.edit_kernel)
+        return BatchVerifier(query, d)
 
     # -- adaptive strategy resolution ---------------------------------------------
 

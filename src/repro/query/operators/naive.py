@@ -430,7 +430,7 @@ def _region_verifier(
 
     A caller-supplied verifier is only valid at its own distance; banded
     memo computes draw a ``(s, band)`` verifier from the context's shared
-    pool when one is installed, and build a fresh one (on the context's
+    pool when one is installed, and build a fresh one (on the default
     kernel) otherwise.
     """
     if band == d and verifier is not None:

@@ -28,8 +28,9 @@ position.
 The default, :func:`resolve_kernel` of ``None``, is Myers with the numpy
 prefilter when numpy is importable and plain Myers otherwise; the kernel
 layer must degrade gracefully without numpy, which is a dev-only
-dependency.  ``QueryEngine(edit_kernel=...)`` takes another
-:class:`EditKernel` instance, the seam tests pin a kernel through.
+dependency.  :class:`EditKernel` is the seam the reference twin plugs
+into: a :class:`~repro.similarity.verify.BatchVerifier` or
+:class:`~repro.similarity.verify.VerifierPool` takes any instance.
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ _HIGH_BIT = 1 << (WORD_BITS - 1)
 #: Batches smaller than this skip the numpy prefilter — the fixed cost
 #: of building the code arrays outweighs pruning a handful of strings.
 PREFILTER_MIN_BATCH = 8
-
-#: Multi-block queries fall back to the shared-prefix sorted path once a
-#: batch is at least this large: sorted natural-language candidates share
-#: prefixes the trie-style DP reuses, which beats re-running a
-#: multi-word bit-parallel scan per candidate.
-SHARED_FALLBACK_MIN_BATCH = 32
 
 
 def numpy_available() -> bool:
@@ -414,10 +409,6 @@ class BoundKernel:
         """Batch prefilter: surviving indices, or ``None`` when inactive."""
         return None
 
-    def prefers_shared(self, batch_size: int) -> bool:
-        """True when the sorted shared-prefix DP should run this batch."""
-        return True
-
     def column_distances(self, column: EncodedColumn):
         """Batch scan of a pre-encoded column: ``({string: distance} for
         the strings within d, lanes scanned)``, or ``None`` when this
@@ -447,13 +438,6 @@ class _BoundMyers(BoundKernel):
             return None
         return _prefilter_survivors(self.bag, pending, self.state.length, self.d)
 
-    def prefers_shared(self, batch_size: int) -> bool:
-        # Multi-block scans pay ``blocks`` words per candidate character;
-        # on large sorted batches the shared-prefix DP amortizes better.
-        return (
-            self.state.blocks > 1 and batch_size >= SHARED_FALLBACK_MIN_BATCH
-        )
-
     def column_distances(self, column: EncodedColumn):
         if (
             column.codes is None
@@ -465,14 +449,13 @@ class _BoundMyers(BoundKernel):
 
 
 class MyersKernel(EditKernel):
-    """Bit-parallel kernel with an optional numpy batch prefilter."""
+    """Bit-parallel kernel, with the numpy batch prefilter exactly when
+    numpy is importable."""
 
     __slots__ = ("prefilter",)
 
-    def __init__(self, prefilter: bool | None = None):
-        if prefilter is None:
-            prefilter = numpy_available()
-        self.prefilter = bool(prefilter) and numpy_available()
+    def __init__(self):
+        self.prefilter = numpy_available()
 
     @property
     def name(self) -> str:

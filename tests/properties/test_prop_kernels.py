@@ -34,7 +34,7 @@ from repro.similarity.kernels import (
 )
 from repro.similarity.verify import BatchVerifier
 from tests.reference import bag_filter
-from tests.reference.kernel import ReferenceKernel
+from tests.reference.kernel import ReferenceKernel, numpy_free_myers
 
 DEEP = settings.get_profile("deep")
 
@@ -54,9 +54,9 @@ distances = st.integers(min_value=0, max_value=5)
 
 
 def batch_kernels():
-    kernels = [ReferenceKernel(), MyersKernel(prefilter=False)]
+    kernels = [ReferenceKernel(), numpy_free_myers()]
     if numpy_available():
-        kernels.append(MyersKernel(prefilter=True))
+        kernels.append(MyersKernel())
     return kernels
 
 
@@ -113,8 +113,8 @@ class TestForcedKernelBatchIdentity:
     def test_multiblock_batches_identical_across_kernels(
         self, query, candidates, d
     ):
-        # Batches large enough to trip the shared-prefix fallback of the
-        # multi-block Myers kernel still agree with the reference.
+        # Multi-block queries, in batches past the prefilter's minimum,
+        # agree with the reference.
         results = [
             BatchVerifier(query, d, kernel=kernel).distances(candidates)
             for kernel in batch_kernels()

@@ -28,7 +28,7 @@ from evaluation.experiment import ALL_STRATEGIES, build_network
 from evaluation.workload import make_workload, run_workload
 
 from tests.conftest import TEXT_ATTR, build_word_network, word_triples
-from tests.reference.kernel import ReferenceKernel
+from tests.reference.kernel import ReferenceKernel, engines_verify_with
 from tests.reference.naive_region import (
     assert_matches_reference,
     compare_region_per_entry,
@@ -156,11 +156,18 @@ class TestNaiveWorkloadMemo:
 class TestRegionColumn:
     """The query-independent column the memo retains per region."""
 
-    def build(self, triples=None, **options):
-        engine = QueryEngine.build(
-            48, triples or word_triples(), StoreConfig(seed=7),
-            strategy="naive", **options,
-        )
+    def build(self, triples=None, kernel=None, **options):
+        def make():
+            return QueryEngine.build(
+                48, triples or word_triples(), StoreConfig(seed=7),
+                strategy="naive", **options,
+            )
+
+        if kernel is None:
+            engine = make()
+        else:
+            with engines_verify_with(kernel):
+                engine = make()
         network = engine.network
         prefix = network.codec.attr_prefix(TEXT_ATTR)
         region = {p.index for p in network.partitions_under(prefix)}
@@ -272,13 +279,13 @@ class TestRegionColumn:
         the pooled ``(s, band)`` verifier; the pool is bounded by verifier
         count, not entries, so a long-lived service pinned |region| x 512
         strings.  The comparison outcome is what the naive memo retains."""
-        engine, prefix, region = self.build(edit_kernel=kernel)
+        engine, prefix, region = self.build(kernel=kernel)
         before = engine.verifier_stats()["memo_entries"]
         result = engine.similar("apple", TEXT_ATTR, 2)
         assert result.candidates_verified == len(TEXT_ROWS)
         assert engine.verifier_stats()["memo_entries"] == before
         # ... with or without the naive memo retaining the outcome.
-        bare, __, ___ = self.build(edit_kernel=kernel, memoize=False)
+        bare, __, ___ = self.build(kernel=kernel, memoize=False)
         bare.similar("apple", TEXT_ATTR, 2)
         assert bare.verifier_stats()["memo_entries"] == 0
 
@@ -286,8 +293,8 @@ class TestRegionColumn:
         "kernel", [ReferenceKernel(), MyersKernel()], ids=["reference", "myers"]
     )
     def test_forced_kernels_agree_on_the_naive_arm(self, kernel):
-        def series(edit_kernel):
-            engine, __, ___ = self.build(edit_kernel=edit_kernel)
+        def series(kernel):
+            engine, __, ___ = self.build(kernel=kernel)
             out = []
             for search, d in PROBES:
                 result = engine.similar(search, TEXT_ATTR, d)
@@ -342,3 +349,51 @@ class TestTieRule:
                 if m.oid == "w:tie"
             ]
             assert (tie.matched, tie.distance) == ("aab", 1), d
+
+
+class TestDivergedReplicas:
+    """Two replicas of one partition that each took one different write
+    hold equal store versions; the retained column must still answer
+    each replica from its own rows."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 8: a column slice is keyed by store version "
+        "alone, so equal-version replicas share one slice",
+    )
+    def test_equal_version_replica_answers_its_own_rows(self):
+        network = build_word_network(
+            n_peers=32, config=StoreConfig(seed=7, replication=2)
+        )
+        codec = network.codec
+        keys = {
+            value: codec.attr_value_key(TEXT_ATTR, value)
+            for value in ("applf", "applg")
+        }
+        (partition,) = {network.partition_for(key) for key in keys.values()}
+        replicas = [network.peer(peer_id) for peer_id in partition.peer_ids[:2]]
+        for peer, oid, value in zip(replicas, ("o:r0", "o:r1"), keys):
+            for entry in network.entry_factory.entries_for(
+                Triple(oid, TEXT_ATTR, value)
+            ):
+                if entry.key == keys[value]:
+                    peer.store.add(entry)
+        assert replicas[0].store.version == replicas[1].store.version
+        column = NaiveWorkloadMemo(network).column(
+            codec.attr_prefix(TEXT_ATTR), TEXT_ATTR, False
+        )
+
+        def oids_through(peer):
+            comparison = _compare_region(
+                [(peer, partition.index)], column, 1, BatchVerifier("apple", 1)
+            )
+            return {
+                oid
+                for rows in comparison.matches_at(1).values()
+                for oid, __, ___ in rows
+            }
+
+        assert "o:r0" in oids_through(replicas[0])
+        through_second = oids_through(replicas[1])
+        assert "o:r1" in through_second
+        assert "o:r0" not in through_second

@@ -1,9 +1,13 @@
 """Integration tests for the VQL executor on the word and car stores."""
 
+import pytest
 
-from repro.similarity.edit_distance import edit_distance
+from repro.core.config import StoreConfig
+from repro.engine import QueryEngine
+from repro.similarity.edit_distance import edit_distance, edit_distance_within
+from repro.storage.triple import Triple
 
-from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS
+from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS, word_triples
 
 
 class TestSinglePattern:
@@ -163,3 +167,71 @@ class TestCarScenarios:
         )
         names = set(result.column("n"))
         assert "bmw roadster" in names
+
+
+class TestVerifiedRechecks:
+    """A matched object's other values, and its other attribute names,
+    pass the executor's re-check only within the limit: one oid holds a
+    near and a far value of one attribute, and one object a near and a
+    far attribute name.  Every row set equals a brute-force filter."""
+
+    EXTRA = [
+        Triple("o:pair", TEXT_ATTR, "applex"),  # 1 from 'apple'
+        Triple("o:pair", TEXT_ATTR, "zebra"),  # far from 'apple'
+        Triple("o:zebras", TEXT_ATTR, "zebras"),  # 1 from 'zebra'
+        Triple("o:attrs", "colour:hux", "red"),  # name 1 from 'colour:hue'
+        Triple("o:attrs", "size:len", 3),  # name far from it
+    ]
+
+    @pytest.fixture(scope="class", params=["naive", "qgram", "qsample"])
+    def store(self, request):
+        triples = word_triples() + self.EXTRA
+        engine = QueryEngine.build(
+            32, triples, StoreConfig(seed=7), strategy=request.param
+        )
+        return engine, triples
+
+    @staticmethod
+    def near(target, value, limit):
+        return edit_distance_within(target, value, limit) <= limit
+
+    def test_instance_rows(self, store):
+        engine, triples = store
+        result = engine.query(
+            f"SELECT ?o,?w WHERE {{ (?o,{TEXT_ATTR},?w) "
+            "FILTER (dist(?w,'apple') <= 1) }"
+        )
+        expected = [
+            (t.oid, t.value) for t in triples
+            if t.attribute == TEXT_ATTR and self.near("apple", t.value, 1)
+        ]
+        assert ("o:pair", "applex") in expected
+        assert sorted((r["o"], r["w"]) for r in result.rows) == sorted(expected)
+
+    def test_schema_rows(self, store):
+        engine, triples = store
+        result = engine.query(
+            "SELECT ?o,?a,?v WHERE { (?o,?a,?v) "
+            "FILTER (dist(?a,'colour:hue') <= 1) }"
+        )
+        expected = [
+            (t.oid, t.attribute, t.value) for t in triples
+            if self.near("colour:hue", t.attribute, 1)
+        ]
+        assert expected == [("o:attrs", "colour:hux", "red")]
+        assert sorted(
+            (r["o"], r["a"], r["v"]) for r in result.rows
+        ) == sorted(expected)
+
+    def test_similarity_join_rows(self, store):
+        engine, triples = store
+        result = engine.query(
+            f"SELECT ?a,?b WHERE {{ (?x,{TEXT_ATTR},?a) (?y,{TEXT_ATTR},?b) "
+            "FILTER (dist(?a,'zebra') <= 0) FILTER (dist(?b,?a) <= 1) }"
+        )
+        expected = [
+            ("zebra", t.value) for t in triples
+            if t.attribute == TEXT_ATTR and self.near("zebra", t.value, 1)
+        ]
+        assert sorted(expected) == [("zebra", "zebra"), ("zebra", "zebras")]
+        assert sorted((r["a"], r["b"]) for r in result.rows) == sorted(expected)

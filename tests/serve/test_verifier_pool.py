@@ -4,7 +4,7 @@ The service holds one engine — and therefore one
 :class:`~repro.similarity.verify.VerifierPool` — for its whole lifetime,
 so unbounded per-``(query, d)`` memo growth would be a slow leak.  These
 tests pin the eviction contract (LRU beyond ``DEFAULT_POOL_LIMIT``,
-which they shrink through the engine module's constant; hit/evict
+which they shrink through the verifier module's constant; hit/evict
 counters; recomputation instead of wrong answers) and the ``/stats`` /
 per-response surfacing of kernel identity and verifier counters.
 """
@@ -13,18 +13,16 @@ from __future__ import annotations
 
 from serve_utils import ATTRIBUTE, WORDS, make_triples, post, run
 
-from repro import QueryEngine, StoreConfig, engine as engine_module
+from repro import QueryEngine, StoreConfig
 from repro.serve.app import Request, QueryService
+from repro.similarity import verify as verify_module
 from repro.similarity.kernels import MyersKernel
-from tests.reference.kernel import ReferenceKernel
+from tests.reference.kernel import ReferenceKernel, engines_verify_with
 
 
-def make_service(built, **engine_options) -> QueryService:
+def make_service(built) -> QueryService:
     engine = QueryEngine.build(
-        n_peers=32,
-        triples=make_triples(),
-        config=StoreConfig(seed=1),
-        **engine_options,
+        n_peers=32, triples=make_triples(), config=StoreConfig(seed=1)
     )
     service = QueryService(engine)
     built.append(service)
@@ -33,7 +31,7 @@ def make_service(built, **engine_options) -> QueryService:
 
 def shrink_pool(monkeypatch, limit: int) -> None:
     """Engines built after this call bound their pool at ``limit``."""
-    monkeypatch.setattr(engine_module, "DEFAULT_POOL_LIMIT", limit)
+    monkeypatch.setattr(verify_module, "DEFAULT_POOL_LIMIT", limit)
 
 
 def similar_query(service, search: str, d: int = 1):
@@ -81,13 +79,12 @@ class TestPoolBounds:
         assert response.status == 200
         verifier = response.payload["verifier"]
         assert verifier["shared_pool"] is True
-        assert verifier["kernel"] == service.engine.edit_kernel.name
+        assert verifier["kernel"] == service.engine.verifier_pool.kernel.name
         assert verifier["max_verifiers"] == 4
         assert verifier["verifiers"] >= 1
         assert verifier["computed"] >= 0
         for counter in ("hits", "misses", "evictions", "memo_hits",
-                        "prefilter_rejected", "batches_flat",
-                        "batches_shared"):
+                        "prefilter_rejected"):
             assert isinstance(verifier[counter], int)
 
     def test_query_response_carries_verifier_delta(self):
@@ -95,15 +92,17 @@ class TestPoolBounds:
         response = similar_query(service, "adaptor")
         cost = response.payload["cost"]
         assert "verifier" in cost
-        assert cost["verifier"]["kernel"] == service.engine.edit_kernel.name
+        assert cost["verifier"]["kernel"] == service.engine.verifier_pool.kernel.name
         assert cost["verifier"]["computed"] >= 0
 
     def test_forced_kernels_serve_identical_matches(self):
-        reference = make_service(self.built, edit_kernel=ReferenceKernel())
-        myers = make_service(self.built, edit_kernel=MyersKernel())
+        with engines_verify_with(ReferenceKernel()):
+            reference = make_service(self.built)
+        with engines_verify_with(MyersKernel()):
+            myers = make_service(self.built)
         for word in ("adaptor", "overlaps", "strategem"):
             a = similar_query(reference, word, d=2)
             b = similar_query(myers, word, d=2)
             assert a.payload["matches"] == b.payload["matches"]
-        assert reference.engine.edit_kernel.name == "reference"
-        assert myers.engine.edit_kernel.name.startswith("myers")
+        assert reference.engine.verifier_pool.kernel.name == "reference"
+        assert myers.engine.verifier_pool.kernel.name.startswith("myers")

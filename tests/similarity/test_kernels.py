@@ -1,7 +1,11 @@
 """Unit tests for the bit-parallel verification kernels."""
 
+import importlib
+import inspect
+
 import pytest
 
+from perf.layers import LAYERS
 from repro.engine import QueryEngine
 from repro.similarity import kernels
 from repro.similarity.edit_distance import edit_distance, edit_distance_within
@@ -13,7 +17,7 @@ from repro.similarity.kernels import (
     resolve_kernel,
 )
 from repro.similarity.verify import BatchVerifier, VerifierPool
-from tests.reference.kernel import ReferenceKernel
+from tests.reference.kernel import ReferenceKernel, numpy_free_myers
 
 
 def pairs_straddling_word_boundary():
@@ -95,19 +99,14 @@ class TestResolveKernel:
         with pytest.raises(TypeError):
             resolve_kernel(spec)
 
-    def test_engine_takes_instances_only(self, word_network):
-        with pytest.raises(TypeError):
-            QueryEngine(word_network, edit_kernel="reference")
-        kernel = ReferenceKernel()
-        engine = QueryEngine(word_network, edit_kernel=kernel)
-        assert engine.edit_kernel is engine.verifier_pool.kernel is kernel
+    def test_engine_pool_resolves_the_default(self, word_network):
+        engine = QueryEngine(word_network)
+        assert isinstance(engine.verifier_pool.kernel, MyersKernel)
 
     def test_prefilter_gates_on_numpy(self):
-        assert MyersKernel(prefilter=True).prefilter == numpy_available()
-        assert MyersKernel(prefilter=False).prefilter is False
-        assert MyersKernel(prefilter=False).name == "myers"
-        if numpy_available():
-            assert MyersKernel().name == "myers+prefilter"
+        assert list(inspect.signature(MyersKernel).parameters) == []
+        assert MyersKernel().prefilter == numpy_available()
+        assert numpy_free_myers().prefilter is False
 
 
 class TestKernelBatches:
@@ -124,55 +123,35 @@ class TestKernelBatches:
         }
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
-    def test_flat_path_matches_reference(self, d):
-        verifier = BatchVerifier("apple", d, kernel=MyersKernel(prefilter=False))
+    def test_plain_myers_matches_reference(self, d):
+        verifier = BatchVerifier("apple", d, kernel=numpy_free_myers())
         assert verifier.distances(self.CANDIDATES) == self.reference_result(
             "apple", d
         )
-        assert verifier.counters.batches_flat == 1
-        assert verifier.counters.batches_shared == 0
+        assert verifier.counters.prefilter_rejected == 0
 
     @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_prefilter_path_matches_reference(self, d):
-        verifier = BatchVerifier("apple", d, kernel=MyersKernel(prefilter=True))
+        verifier = BatchVerifier("apple", d, kernel=MyersKernel())
         assert verifier.distances(self.CANDIDATES) == self.reference_result(
             "apple", d
         )
 
     @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     def test_prefilter_rejections_counted_and_sound(self):
-        verifier = BatchVerifier("apple", 1, kernel=MyersKernel(prefilter=True))
+        verifier = BatchVerifier("apple", 1, kernel=MyersKernel())
         result = verifier.distances(self.CANDIDATES)
         assert verifier.counters.prefilter_rejected > 0
         # Rejections are diagnostics only — values still exact.
         assert result == self.reference_result("apple", 1)
         # Prefilter-rejected candidates never count as computed.
         distinct = len(set(self.CANDIDATES))
-        assert verifier.computed < distinct
-
-    def test_shared_fallback_for_long_queries(self):
-        query = "x" * 80  # multi-block
-        batch = [
-            "x" * 79 + suffix for suffix in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        ] + ["x" * 80, "x" * 81, "y" * 80, "z" * 80, "x" * 78, "x" * 82]
-        assert len(set(batch)) >= kernels.SHARED_FALLBACK_MIN_BATCH
-        verifier = BatchVerifier(query, 2, kernel=MyersKernel())
-        result = verifier.distances(batch)
-        assert verifier.counters.batches_shared == 1
-        assert result == {
-            c: edit_distance_within(query, c, 2) for c in batch
-        }
-
-    def test_small_multiblock_batch_stays_flat(self):
-        query = "x" * 80
-        verifier = BatchVerifier(query, 2, kernel=MyersKernel())
-        verifier.distances(["x" * 80, "x" * 79])
-        assert verifier.counters.batches_flat == 1
+        assert verifier.counters.computed < distinct
 
     def test_degrades_without_numpy(self, monkeypatch):
         monkeypatch.setattr(kernels, "_np", None)
-        kernel = MyersKernel(prefilter=True)
+        kernel = MyersKernel()
         assert kernel.prefilter is False
         assert kernel.name == "myers"
         verifier = BatchVerifier("apple", 2, kernel=kernel)
@@ -186,9 +165,9 @@ class TestKernelBatches:
         # Lone surrogates cannot be UTF-32-encoded; the prefilter must
         # step aside instead of raising, and results stay exact.
         batch = ["appl\ud800", "apple", "apply"] * 4
-        bound = MyersKernel(prefilter=True).bind("apple", 2)
+        bound = MyersKernel().bind("apple", 2)
         assert bound.survivors(batch) is None
-        verifier = BatchVerifier("apple", 2, kernel=MyersKernel(prefilter=True))
+        verifier = BatchVerifier("apple", 2, kernel=MyersKernel())
         result = verifier.distances(batch)
         for candidate in set(batch):
             assert result[candidate] == edit_distance_within(
@@ -199,24 +178,24 @@ class TestKernelBatches:
     def test_prefilter_counts_repeated_characters_once_each(self):
         # "aaa" has every character in "abc"'s set, but shares one with
         # it as a multiset: ed >= 3 - 1 = 2, so at d = 1 it is rejected.
-        bound = MyersKernel(prefilter=True).bind("abc", 1)
+        bound = MyersKernel().bind("abc", 1)
         batch = ["aaa", "abb", "abc", "ab", "cab", "bca", "ccc", "abcd"]
         assert bound.survivors(batch) == [1, 2, 3, 4, 5, 7]
 
     @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     @pytest.mark.parametrize("query", ["", "appl\ud800"])
     def test_empty_or_unencodable_query_skips_prefilter(self, query):
-        bound = MyersKernel(prefilter=True).bind(query, 2)
+        bound = MyersKernel().bind(query, 2)
         batch = ["apple", "apply", "", "a", "ab"] * 2
         assert bound.survivors(batch) is None
-        verifier = BatchVerifier(query, 2, kernel=MyersKernel(prefilter=True))
+        verifier = BatchVerifier(query, 2, kernel=MyersKernel())
         assert verifier.distances(batch) == {
             c: edit_distance_within(query, c, 2) for c in batch
         }
 
     @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     def test_prefilter_state_is_built_lazily(self):
-        bound = MyersKernel(prefilter=True).bind("apple", 1)
+        bound = MyersKernel().bind("apple", 1)
         assert bound.bag is None
         # A batch of one (or any below the minimum) never meets the filter.
         assert bound.survivors(["apply"]) is None
@@ -224,12 +203,12 @@ class TestKernelBatches:
         assert bound.bag is None
         bound.survivors(["apply"] * kernels.PREFILTER_MIN_BATCH)
         assert bound.bag is not None
-        assert MyersKernel(prefilter=False).bind("apple", 1).bag is False
+        assert numpy_free_myers().bind("apple", 1).bag is False
 
     @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     def test_astral_query_holds_no_per_code_point_table(self):
         query = "🙂🙃 sunset 😀"
-        pool = VerifierPool(kernel=MyersKernel(prefilter=True))
+        pool = VerifierPool()
         verifier = pool.get(query, 2)
         batch = [query, "🙂🙃 sunsat 😀", "sunset"] + [
             "🙂" * size for size in range(8, 16)
@@ -242,12 +221,6 @@ class TestKernelBatches:
         # 8 bytes per distinct character and one spare slot, not 0x1F643.
         assert points.nbytes + caps.nbytes <= 16 * (distinct + 1)
 
-    def test_reference_kernel_uses_shared_path(self):
-        verifier = BatchVerifier("apple", 2, kernel=ReferenceKernel())
-        verifier.distances(self.CANDIDATES)
-        assert verifier.counters.batches_shared == 1
-        assert verifier.counters.batches_flat == 0
-
 
 class TestCounters:
     def test_memo_hits_counted(self):
@@ -259,7 +232,34 @@ class TestCounters:
         verifier.distance("apply")
         assert verifier.counters.memo_hits == 3
 
-    def test_computed_mirrors_attribute(self):
+    def test_length_rejects_are_not_computed(self):
         verifier = BatchVerifier("apple", 2)
         verifier.distances(["apply", "ample", "zzzzzzzzzzzz"])
-        assert verifier.counters.computed == verifier.computed
+        assert verifier.counters.computed == 2
+
+
+class TestFrozenConsumers:
+    """What the benchmark under ``perf/`` reads from the kernel layer:
+    the kernel name it records, the verifier counters it sums, and the
+    callables of its ``similarity.verify`` layer row."""
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    def test_default_kernel_name_with_numpy(self):
+        assert resolve_kernel(None).name == "myers+prefilter"
+
+    def test_default_kernel_name_without_numpy(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_np", None)
+        assert resolve_kernel(None).name == "myers"
+
+    def test_verifier_stats_carry_the_summed_counters(self, word_network):
+        stats = QueryEngine(word_network).verifier_stats()
+        for key in ("computed", "memo_hits", "prefilter_rejected"):
+            assert isinstance(stats[key], int)
+
+    @pytest.mark.parametrize("target", LAYERS["similarity.verify"])
+    def test_verify_layer_row_resolves(self, target):
+        module_name, qualname = target.split(":")
+        found = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            found = getattr(found, part)
+        assert callable(found)

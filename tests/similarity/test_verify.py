@@ -1,7 +1,10 @@
 """Unit tests for the batched verifier (similarity/verify.py)."""
 
+import inspect
+
 import pytest
 
+from repro.similarity import verify
 from repro.similarity.edit_distance import edit_distance_within
 from repro.similarity.verify import BatchVerifier, VerifierPool
 
@@ -10,6 +13,12 @@ WORDS = [
     "grape", "grapes", "grace", "trace", "track", "crack", "",
     "banana", "band", "bandana", "bananas", "applicable", "application",
 ]
+
+
+def small_pool(monkeypatch, limit):
+    """A pool built under a ``DEFAULT_POOL_LIMIT`` of ``limit``."""
+    monkeypatch.setattr(verify, "DEFAULT_POOL_LIMIT", limit)
+    return VerifierPool()
 
 
 def reference(query, candidates, d):
@@ -43,10 +52,10 @@ class TestBatchedDistances:
         verifier = BatchVerifier("apple", 2)
         result = verifier.distances(["apply", "apply", "apply"])
         assert result == {"apply": 1}
-        assert verifier.computed == 1
+        assert verifier.counters.computed == 1
 
     def test_shared_prefix_run(self):
-        # A long sorted run sharing prefixes exercises the row stack.
+        # Candidates that extend one another are each verified exactly.
         candidates = ["app", "appl", "apple", "apples", "applesauce", "applet"]
         verifier = BatchVerifier("apple", 3)
         assert verifier.distances(candidates) == reference(
@@ -54,8 +63,7 @@ class TestBatchedDistances:
         )
 
     def test_dead_prefix_rejects_extensions(self):
-        # 'zzz' kills the band for d=1; every extension must still be the
-        # correct sentinel.
+        # Every extension of a prefix already beyond d=1 is the sentinel.
         candidates = ["zzza", "zzzb", "zzzzzz", "zzz"]
         verifier = BatchVerifier("apple", 1)
         assert all(v == 2 for v in verifier.distances(candidates).values())
@@ -77,21 +85,21 @@ class TestMemoAndSingles:
     def test_batch_seeds_single_memo(self):
         verifier = BatchVerifier("apple", 2)
         verifier.distances(WORDS)
-        computed = verifier.computed
+        computed = verifier.counters.computed
         for word in WORDS:
             verifier.distance(word)
-        assert verifier.computed == computed
+        assert verifier.counters.computed == computed
 
     def test_single_seeds_batch_memo(self):
         verifier = BatchVerifier("apple", 2)
         first = verifier.distance("apply")
         assert verifier.distances(["apply"]) == {"apply": first}
-        assert verifier.computed == 1
+        assert verifier.counters.computed == 1
 
     def test_length_filter_counts_no_dp(self):
         verifier = BatchVerifier("apple", 1)
         verifier.distances(["intercontinental"])
-        assert verifier.computed == 0
+        assert verifier.counters.computed == 0
 
 
 class TestVerifierPool:
@@ -114,8 +122,8 @@ class TestVerifierPool:
         assert pool.misses == 2
         assert pool.hits == 1
 
-    def test_lru_eviction_beyond_limit(self):
-        pool = VerifierPool(max_verifiers=2)
+    def test_lru_eviction_beyond_limit(self, monkeypatch):
+        pool = small_pool(monkeypatch, 2)
         pool.get("a", 1)
         pool.get("b", 1)
         pool.get("a", 1)  # refresh 'a' — 'b' becomes LRU
@@ -126,23 +134,23 @@ class TestVerifierPool:
         assert first_b.distance("b") == 0
         assert pool.evictions == 2  # 'a' went this time
 
-    def test_eviction_is_safe_to_recompute(self):
-        pool = VerifierPool(max_verifiers=1)
+    def test_eviction_is_safe_to_recompute(self, monkeypatch):
+        pool = small_pool(monkeypatch, 1)
         before = pool.get("apple", 2).distances(WORDS)
         pool.get("grape", 2)  # evicts the 'apple' verifier
         after = pool.get("apple", 2).distances(WORDS)
         assert after == before
 
-    def test_counters_survive_eviction(self):
-        pool = VerifierPool(max_verifiers=1)
+    def test_counters_survive_eviction(self, monkeypatch):
+        pool = small_pool(monkeypatch, 1)
         pool.get("apple", 2).distances(WORDS)
         computed = pool.counters.computed
         assert computed > 0
         pool.get("grape", 2).distances(WORDS)
         assert pool.counters.computed > computed
 
-    def test_stats_payload(self):
-        pool = VerifierPool(max_verifiers=8)
+    def test_stats_payload(self, monkeypatch):
+        pool = small_pool(monkeypatch, 8)
         pool.get("apple", 2).distances(WORDS)
         stats = pool.stats()
         assert stats["verifiers"] == 1
@@ -152,13 +160,10 @@ class TestVerifierPool:
         assert stats["kernel"] == pool.kernel.name
         assert stats["computed"] > 0
 
-    def test_rejects_nonpositive_limit(self):
-        with pytest.raises(ValueError):
-            VerifierPool(max_verifiers=0)
-
     def test_pool_kernel_is_shared_by_verifiers(self):
         from tests.reference.kernel import ReferenceKernel
 
+        assert list(inspect.signature(VerifierPool).parameters) == ["kernel"]
         kernel = ReferenceKernel()
         pool = VerifierPool(kernel=kernel)
         assert pool.get("apple", 2).kernel is kernel

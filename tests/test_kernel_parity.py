@@ -6,8 +6,9 @@ runs once per kernel: the banded-DP twin of ``tests/reference/kernel.py``,
 Myers without its numpy prefilter, and the default kernel (Myers with
 the prefilter when numpy is importable).  Matches, message counts,
 payload bytes and the per-type and per-phase breakdowns must be
-identical.  The ``kernel-parity`` CI job runs this file with numpy and
-again after uninstalling it.
+identical.  Engines are pinned to a kernel by patching the pool they
+build (``tests/reference/kernel.py``).  The ``kernel-parity`` CI job runs
+this file with numpy and again after uninstalling it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ import pytest
 from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
 from repro.engine import QueryEngine
-from repro.similarity.kernels import MyersKernel
-from tests.reference.kernel import ReferenceKernel
+from tests.reference.kernel import (
+    ReferenceKernel,
+    engines_verify_with,
+    numpy_free_myers,
+)
 
 CORPUS = bible_triples(300, seed=0)
 WORDS = sorted({str(triple.value) for triple in CORPUS})
@@ -38,7 +42,11 @@ STRATEGIES = [
 
 def series(kernel):
     """What the mix measured under ``kernel`` (``None``: the default)."""
-    engine = QueryEngine.build(32, CORPUS, StoreConfig(seed=3), edit_kernel=kernel)
+    if kernel is None:
+        engine = QueryEngine.build(32, CORPUS, StoreConfig(seed=3))
+    else:
+        with engines_verify_with(kernel):
+            engine = QueryEngine.build(32, CORPUS, StoreConfig(seed=3))
     engine.analyze([TEXT_ATTRIBUTE])
     out = []
 
@@ -54,7 +62,7 @@ def series(kernel):
             for search in SEARCHES:
                 record(engine.similar(search, TEXT_ATTRIBUTE, d, strategy))
     record(engine.top_n_string(TEXT_ATTRIBUTE, SEARCHES[1], 5))
-    return engine.edit_kernel.name, out
+    return engine.verifier_pool.kernel.name, out
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +71,7 @@ def default_series():
 
 
 @pytest.mark.parametrize(
-    "kernel", [ReferenceKernel(), MyersKernel(prefilter=False)], ids=["reference", "myers"]
+    "kernel", [ReferenceKernel(), numpy_free_myers()], ids=["reference", "myers"]
 )
 def test_kernel_measures_what_the_default_measures(kernel, default_series):
     name, measured = series(kernel)

@@ -50,3 +50,20 @@ def test_no_pool_process_or_thread(root):
         if banned & {name.split(".")[0] for name in imported_modules(path)}
     ]
     assert offenders == []
+
+
+def test_query_layer_verifies_through_the_verifier():
+    """The query layer's distance checks go through a pooled verifier
+    (``OperatorContext.make_verifier``), not the pure-python banded DP."""
+    offenders = [
+        path.relative_to(PACKAGE).as_posix()
+        for path in sorted((PACKAGE / "query").rglob("*.py"))
+        if any(
+            isinstance(node, ast.ImportFrom)
+            and any(alias.name == "edit_distance_within" for alias in node.names)
+            or isinstance(node, ast.Attribute)
+            and node.attr == "edit_distance_within"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    ]
+    assert offenders == []

@@ -46,7 +46,7 @@ ARCHITECTURE = "docs/ARCHITECTURE.md"
 
 #: Most lines the architecture document may have.  A ratchet: lower it
 #: whenever the document shrinks, never raise it.
-ARCHITECTURE_MAX_LINES = 1462
+ARCHITECTURE_MAX_LINES = 1461
 
 #: A heading titled after a change: ``### Bulk load (PR 23)``.
 CHANGE_TITLED_HEADING = re.compile(r"^#+ .*\(PR \d+\)")
