@@ -159,20 +159,23 @@ class PGridNetwork:
         Candidate partitions under a sibling prefix form a contiguous run
         of the sorted path list, so each reference is drawn directly from
         the bisected index span — O(log P) per level instead of
-        materializing the whole complementary subtrie.  The spans are a
-        property of the partition's path, so they are computed once per
-        partition (its replicas share them) and once per sibling prefix
-        (the siblings of all paths are the ~2P nodes of the trie, not
-        P · depth of them).  The draws themselves cannot be shared: peer
-        by peer, level by level, reference by reference, the RNG is
-        consumed exactly as by the materializing reference in
-        ``tests/reference/routing_tables.py``, so the tables, the RNG
-        state after them, and every measured message series are
-        bit-identical to it.  Each draw is ``randrange(n)`` inlined: it is
-        ``getrandbits(n.bit_length())``, repeated while the value is not
-        below ``n`` (``Random._randbelow_with_getrandbits``); every
-        partition has ``k`` replicas here.  Each level's references are a
-        tuple.
+        materializing the whole complementary subtrie.  Partitions are
+        wired in path order, so the partitions drawing from one sibling
+        at one level are consecutive too: per level the build keeps only
+        the current sibling run — its span, computed once, and a
+        ``{refs: refs}`` dict through which the run's peers share one
+        tuple per distinct level value — and replaces it when the run
+        changes.  Sharing is safe because a level is an immutable tuple
+        that membership changes replace, never edit.  The draws
+        themselves cannot be shared: peer by peer, level by level,
+        reference by reference, the RNG is consumed exactly as by the
+        materializing reference in ``tests/reference/routing_tables.py``,
+        so the tables, the RNG state after them, and every measured
+        message series are bit-identical to it.  Each draw is
+        ``randrange(n)`` inlined: it is ``getrandbits(n.bit_length())``,
+        repeated while the value is not below ``n``
+        (``Random._randbelow_with_getrandbits``); every partition has
+        ``k`` replicas here.
         """
         refs_per_level = self.config.refs_per_level
         getrandbits = self.rng.getrandbits
@@ -180,29 +183,35 @@ class PGridNetwork:
         k_bits = k.bit_length()
         partitions = self.partitions
         peers = self.peers
-        spans: dict[str, tuple[int, int]] = {}
+        #: runs[level]: (sibling, lo, count, count bits, refs drawn,
+        #: shared level tuples) of the last sibling run seen at ``level``.
+        runs: list[tuple[str, int, int, int, int, dict]] = []
         for partition in partitions:
             path = partition.path
-            levels = []
             for level, bit in enumerate(path):
                 # keyspace.sibling_prefix(path, level), without the call.
                 sibling = path[:level] + ("1" if bit == "0" else "0")
-                span = spans.get(sibling)
-                if span is None:
-                    span = spans[sibling] = self.partition_span(sibling)
-                lo, hi = span
+                if level < len(runs) and runs[level][0] == sibling:
+                    continue
+                lo, hi = self.partition_span(sibling)
                 count = hi - lo
                 if count <= 0:
                     raise OverlayError(
                         f"complementary subtrie {sibling!r} is empty — "
                         "the trie cover is broken"
                     )
-                levels.append(
-                    (lo, count, count.bit_length(), min(refs_per_level, count))
+                run = (
+                    sibling, lo, count, count.bit_length(),
+                    min(refs_per_level, count), {},
                 )
+                if level < len(runs):
+                    runs[level] = run
+                else:
+                    runs.append(run)
+            levels = runs[: len(path)]
             for peer_id in partition.peer_ids:
                 table = []
-                for lo, count, count_bits, n_refs in levels:
+                for _sibling, lo, count, count_bits, n_refs, shared in levels:
                     refs = []
                     for __ in range(n_refs):
                         index = getrandbits(count_bits)
@@ -212,7 +221,8 @@ class PGridNetwork:
                         while replica >= k:
                             replica = getrandbits(k_bits)
                         refs.append(partitions[lo + index].peer_ids[replica])
-                    table.append(tuple(refs))
+                    drawn = tuple(refs)
+                    table.append(shared.setdefault(drawn, drawn))
                 peers[peer_id].routing_table = table
 
     # -- transport faults --------------------------------------------------------

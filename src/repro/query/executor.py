@@ -498,7 +498,11 @@ class Executor:
         target: str,
         limit: int,
     ) -> BindingSet:
-        """Rows for a string-similarity step, one per qualifying value."""
+        """Rows for a string-similarity step, one per qualifying value.
+
+        The operator computed the matched value's distance exactly, so
+        only the object's other values of ``attribute`` are verified.
+        """
         verifier = self.ctx.make_verifier(target, limit)
         rows: list[Row] = []
         for match in matches:
@@ -506,15 +510,19 @@ class Executor:
             if base is None:
                 continue
             for triple in match.triples:
-                if triple.attribute != attribute or not isinstance(triple.value, str):
+                value = triple.value
+                if triple.attribute != attribute or not isinstance(value, str):
                     continue
-                if not verifier.within(triple.value):
+                if value == match.matched:
+                    if match.distance > limit:
+                        continue
+                elif not verifier.within(value):
                     continue
                 row = dict(base)
                 object_term = step.pattern.object
                 if isinstance(object_term, Var):
-                    row[object_term.name] = triple.value
-                elif triple.value != object_term.value:
+                    row[object_term.name] = value
+                elif value != object_term.value:
                     continue
                 rows.append(row)
         return BindingSet(rows)

@@ -510,7 +510,10 @@ class FetchObjectsMemo:
 
     Replicas are told apart by their version counters alone: two replicas
     that diverged and then reached the same count are indistinguishable
-    to the comparison (the boundary ROADMAP item 5 records).
+    to the comparison (the equal-version boundary; the naive region
+    column shares it, and
+    ``tests/query/operators/test_naive_memo.py::TestDivergedReplicas``
+    pins it there as an expected failure).
     """
 
     def __init__(self, network):

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from sys import intern
 
 from repro.core.errors import StorageError
 
@@ -84,10 +85,12 @@ def qgram_tuples(text: str, q: int) -> list[tuple[str, int]]:
     The hot-path form of :func:`positional_qgrams`: index builds and
     operators that decompose thousands of strings per query pay for a
     :class:`PositionalQGram` allocation per gram otherwise.  The source
-    length is ``len(text)`` and needs no per-gram copy.
+    length is ``len(text)`` and needs no per-gram copy.  Each gram is
+    interned, so every index entry holding a gram — built, bulk-loaded
+    or inserted — shares one immutable ``str`` per distinct gram.
     """
     extended = extend(text, q)
-    return [(extended[i : i + q], i) for i in range(len(extended) - q + 1)]
+    return [(intern(extended[i : i + q]), i) for i in range(len(extended) - q + 1)]
 
 
 def qgram_sample(text: str, q: int, d: int) -> list[PositionalQGram]:

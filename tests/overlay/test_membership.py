@@ -228,6 +228,74 @@ class TestUntrackedReferences:
         assert_untracked_references(network)
 
 
+class TestUntouchedTables:
+    """Membership replaces the levels it changes and no others: routing
+    levels are tuples shared across peers, so a change made in place
+    would reach every peer that shares the level."""
+
+    @staticmethod
+    def snapshot(network) -> dict[int, list[tuple[int, ...]]]:
+        return {peer.peer_id: list(peer.routing_table) for peer in network.peers}
+
+    @staticmethod
+    def assert_unchanged(network, before, peer_ids) -> None:
+        for peer_id in peer_ids:
+            table = network.peer(peer_id).routing_table
+            assert table == before[peer_id], peer_id
+            assert all(a is b for a, b in zip(table, before[peer_id]))
+
+    def test_merging_leave_changes_only_tables_naming_the_departed(self):
+        network = build_word_network(n_peers=24)
+        # A one-peer partition whose trie sibling is a single leaf.
+        leaving, absorber = next(
+            (partition, siblings[0])
+            for partition in network.partitions
+            for siblings in [
+                network.partitions_under(
+                    keyspace.sibling_prefix(partition.path, len(partition.path) - 1)
+                )
+            ]
+            if len(siblings) == 1
+        )
+        departed = set(leaving.peer_ids)
+        absorbers = set(absorber.peer_ids)
+        before = self.snapshot(network)
+        MembershipManager(network).leave(leaving.peer_ids[0])
+        named = set()
+        for peer in network.peers:
+            if peer.peer_id in departed:
+                continue
+            old = before[peer.peer_id]
+            if peer.peer_id in absorbers:
+                old = old[:-1]  # the merge deletes the deepest level
+            for level, refs in enumerate(old):
+                if departed.isdisjoint(refs):
+                    assert peer.routing_table[level] is refs
+                else:
+                    named.add(peer.peer_id)
+                    assert departed.isdisjoint(peer.routing_table[level])
+        assert named
+        self.assert_unchanged(
+            network, before, set(before) - named - absorbers - departed
+        )
+
+    def test_join_changes_only_the_split_partitions_tables(self):
+        network = build_word_network(
+            n_peers=24, config=StoreConfig(seed=7, replication=2)
+        )
+        manager = MembershipManager(network)
+        before = self.snapshot(network)
+        joined = manager.join()  # splits the heaviest partition
+        split = {p.peer_id for p in network.peers if p.path[:-1] == joined.path[:-1]}
+        assert len(split) == 3
+        self.assert_unchanged(network, before, set(before) - split)
+        manager.leave(network.partitions[0].peer_ids[0])
+        before = self.snapshot(network)
+        refilled = manager.join()  # fills the under-replicated partition
+        assert refilled.peer_id not in before
+        self.assert_unchanged(network, before, before)
+
+
 class TestChurnCycle:
     def test_join_leave_cycle_preserves_data(self):
         network = build_word_network(n_peers=8)

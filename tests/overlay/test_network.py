@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import StoreConfig, TrieBalancing
 from repro.core.errors import OverlayError
 from repro.engine import QueryEngine
+from repro.overlay.incremental import PreparedDataset
 from repro.overlay.network import PGridNetwork
 from repro.storage.triple import Triple
 
@@ -15,6 +16,7 @@ from tests.conftest import (
     build_word_network,
     word_triples,
 )
+from tests.reference.routing_tables import build_routing_tables_scan
 
 
 class TestConstruction:
@@ -234,3 +236,69 @@ class TestLedger:
         network = build_word_network(n_peers=24, config=StoreConfig(seed=7, replication=2))
         for peer in network.peers:
             assert peer.partition_index == network.partition_for(peer.path).index
+
+
+def _objects_per_value(values) -> dict:
+    """``value -> {id(object)}`` over equal values held anywhere."""
+    objects: dict = {}
+    for value in values:
+        objects.setdefault(value, set()).add(id(value))
+    return objects
+
+
+class TestSharedValues:
+    """A build keeps one object per repeated gram and, within one
+    sibling run, per repeated routing level — with the values, the
+    draws and the RNG state of a build that shares nothing."""
+
+    @staticmethod
+    def stored_grams(network):
+        return [
+            entry.gram
+            for peer in network.peers
+            for entry in peer.store
+            if entry.gram is not None
+        ]
+
+    def test_equal_grams_are_one_object(self):
+        engine = QueryEngine.build(32, word_triples(), StoreConfig(seed=7))
+        grams = self.stored_grams(engine.network)
+        objects = _objects_per_value(grams)
+        assert len(grams) > 2 * len(objects)  # grams do repeat
+        assert all(len(ids) == 1 for ids in objects.values())
+        # An engine-routed insert adds its grams to the same objects; the
+        # value's prefix and suffix grams are all new to the store.
+        engine.insert([Triple("w:new", TEXT_ATTR, "xqzapplexqz")])
+        inserted = self.stored_grams(engine.network)
+        assert len(inserted) > len(grams)
+        assert all(len(ids) == 1 for ids in _objects_per_value(inserted).values())
+
+    @pytest.mark.parametrize(
+        "n_peers, replication, refs", [(96, 3, 1), (64, 1, 2), (90, 2, 3)]
+    )
+    def test_a_sibling_run_shares_equal_levels(self, n_peers, replication, refs):
+        from repro.overlay import keys as keyspace
+
+        config = StoreConfig(
+            seed=5, replication=replication, refs_per_level=refs
+        )
+        sample = PreparedDataset.prepare(word_triples(), config).sample_keys
+        network = PGridNetwork(n_peers, config, sample_keys=sample)
+        runs: dict[tuple[int, str], list] = {}
+        for peer in network.peers:
+            for level, refs_at in enumerate(peer.routing_table):
+                sibling = keyspace.sibling_prefix(peer.path, level)
+                runs.setdefault((level, sibling), []).append(refs_at)
+        shared = 0
+        for levels in runs.values():
+            objects = _objects_per_value(levels)
+            assert all(len(ids) == 1 for ids in objects.values())
+            shared += len(levels) - len(objects)
+        assert shared > 0
+
+        reference = PGridNetwork(n_peers, config, sample_keys=sample)
+        build_routing_tables_scan(reference)
+        for peer, twin in zip(network.peers, reference.peers):
+            assert peer.routing_table == twin.routing_table
+        assert network.rng.getstate() == reference.rng.getstate()
+        assert_untracked_references(network)

@@ -358,8 +358,9 @@ class TestDivergedReplicas:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 8: a column slice is keyed by store version "
-        "alone, so equal-version replicas share one slice",
+        reason="equal-version boundary: a column slice is keyed by store "
+        "version alone, so equal-version replicas share one slice until "
+        "replicas carry a content digest",
     )
     def test_equal_version_replica_answers_its_own_rows(self):
         network = build_word_network(

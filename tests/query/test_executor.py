@@ -171,12 +171,14 @@ class TestCarScenarios:
 
 class TestVerifiedRechecks:
     """A matched object's other values, and its other attribute names,
-    pass the executor's re-check only within the limit: one oid holds a
-    near and a far value of one attribute, and one object a near and a
-    far attribute name.  Every row set equals a brute-force filter."""
+    pass the executor's re-check only within the limit: one oid holds
+    the matched value, a value exactly at the limit and a far value of
+    one attribute, and one object a near and a far attribute name.
+    Every row set equals a brute-force filter."""
 
     EXTRA = [
-        Triple("o:pair", TEXT_ATTR, "applex"),  # 1 from 'apple'
+        Triple("o:pair", TEXT_ATTR, "apple"),  # matched: 0 from 'apple'
+        Triple("o:pair", TEXT_ATTR, "applex"),  # 1 from 'apple', not matched
         Triple("o:pair", TEXT_ATTR, "zebra"),  # far from 'apple'
         Triple("o:zebras", TEXT_ATTR, "zebras"),  # 1 from 'zebra'
         Triple("o:attrs", "colour:hux", "red"),  # name 1 from 'colour:hue'
@@ -207,6 +209,28 @@ class TestVerifiedRechecks:
         ]
         assert ("o:pair", "applex") in expected
         assert sorted((r["o"], r["w"]) for r in result.rows) == sorted(expected)
+
+    def test_matched_values_are_not_scanned_again(self):
+        """The naive operator's distance decides the matched value: the
+        step's re-check scans nothing that ``similar()`` alone did not."""
+
+        def computed_by(call):
+            engine = QueryEngine.build(
+                32, word_triples(), StoreConfig(seed=7), strategy="naive"
+            )
+            before = engine.verifier_stats()["computed"]
+            call(engine)
+            return engine.verifier_stats()["computed"] - before
+
+        alone = computed_by(lambda engine: engine.similar("apple", TEXT_ATTR, 1))
+        step = computed_by(
+            lambda engine: engine.query(
+                f"SELECT ?w WHERE {{ (?o,{TEXT_ATTR},?w) "
+                "FILTER (dist(?w,'apple') <= 1) }"
+            )
+        )
+        assert alone > 0
+        assert step == alone
 
     def test_schema_rows(self, store):
         engine, triples = store

@@ -97,3 +97,18 @@ def test_a_cited_document_must_exist(tmp_path, check_docs, capsys):
     assert f"tests/test_mod.py:1: no such document: {missing}" in (
         capsys.readouterr().err
     )
+
+
+def test_a_numbered_roadmap_item_in_source_fails(tmp_path, check_docs, capsys):
+    _docs_tree(tmp_path, check_docs, "# Architecture\n")
+    module = tmp_path / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text('"""The boundary the ROADMAP records, by subject."""\n')
+    assert check_docs.main(["check_docs", str(tmp_path)]) == 0
+    # Spelled in pieces so this file cites no numbered item itself.
+    roadmap = "ROAD" + "MAP"
+    module.write_text(f'"""See the\n{roadmap}\n    item 5 boundary."""\n')
+    assert check_docs.main(["check_docs", str(tmp_path)]) == 1
+    assert f"src/pkg/mod.py:2: numbered ROADMAP item: {roadmap} item 5" in (
+        capsys.readouterr().err
+    )

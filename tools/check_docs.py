@@ -11,15 +11,18 @@ headings may be titled after the change that introduced a part of it
 it must name every reference twin (each ``tests/reference/*.py``), and
 it may not grow past :data:`ARCHITECTURE_MAX_LINES`.  A ``.py`` file
 under :data:`SOURCE_DIRS` may not cite a ``*.md`` document that does
-not exist (at the repository root or beside the file).
+not exist (at the repository root or beside the file), nor a numbered
+ROADMAP item: items are renumbered at every re-anchor, so code names
+the subject and the test that pins it instead.
 
 Usage::
 
     python tools/check_docs.py [repo_root]
 
 Exit status 0 when every link resolves, no heading is change-titled,
-the twins check out, the architecture is within its cap and every cited
-document exists, 1 otherwise
+the twins check out, the architecture is within its cap, every cited
+document exists and no source file cites a ROADMAP item by number, 1
+otherwise
 (each problem is reported on stderr as ``file:line: ...``).
 """
 
@@ -62,6 +65,9 @@ SOURCE_DIRS = ("src", "evaluation", "benchmarks", "tests")
 
 #: A document name in code or prose: ``CHANGES.md``, ``docs/ARCHITECTURE.md``.
 MD_NAME = re.compile(r"(?<![\w./-])\w[\w./-]*\.md\b")
+
+#: A numbered ROADMAP item, possibly wrapped across a line break.
+ROADMAP_ITEM = re.compile(r"ROADMAP\s+items?\s+\d+")
 
 
 def iter_links(path: Path):
@@ -125,20 +131,27 @@ def check_twins(root: Path, architecture: Path) -> list[str]:
 
 def check_cited_documents(root: Path) -> list[str]:
     """``*.md`` names in the source trees' ``.py`` files that resolve
-    neither from the repository root nor from the citing file."""
+    neither from the repository root nor from the citing file, and
+    ROADMAP items cited by number."""
     problems = []
     for directory in SOURCE_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
             text = path.read_text(encoding="utf-8")
+            relative = path.relative_to(root)
             for line_number, line in enumerate(text.splitlines(), start=1):
                 for match in MD_NAME.finditer(line):
                     name = match.group(0)
                     if (root / name).exists() or (path.parent / name).exists():
                         continue
                     problems.append(
-                        f"{path.relative_to(root)}:{line_number}: "
-                        f"no such document: {name}"
+                        f"{relative}:{line_number}: no such document: {name}"
                     )
+            for match in ROADMAP_ITEM.finditer(text):
+                line_number = text.count("\n", 0, match.start()) + 1
+                cited = " ".join(match.group(0).split())
+                problems.append(
+                    f"{relative}:{line_number}: numbered ROADMAP item: {cited}"
+                )
     return problems
 
 
