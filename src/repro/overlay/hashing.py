@@ -247,21 +247,28 @@ class CompositeKeyCodec:
         return prefix
 
     def attr_value_key(self, attribute: str, value: object) -> str:
-        """Composite key for an ``(attribute, value)`` pair."""
+        """Composite key for an ``(attribute, value)`` pair.
+
+        The ``(attribute, text)`` memo is probed first, before any type
+        test: an index build asks for one key per q-gram, nearly all of
+        them remembered.  Its keys are ``(str, str)`` pairs, so a numeric
+        value can never hit one.
+        """
+        key = self._attr_gram_keys.get((attribute, value))
+        if key is not None:
+            return key
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return self.attr_prefix(attribute) + self._numeric.key(float(value))
         text = str(value)
         if len(text) > self.config.q:
             return self.attr_prefix(attribute) + self._value_hash.key(text)
-        key = self._attr_gram_keys.get((attribute, text))
-        if key is None:
-            # The suffix memo keeps this at one hash per gram however many
-            # attributes share it.
-            key = self.attr_prefix(attribute) + self._string_key(
-                self._gram_suffixes, self._value_hash, text
-            )
-            if len(self._attr_gram_keys) < _MEMO_LIMIT:
-                self._attr_gram_keys[attribute, text] = key
+        # The suffix memo keeps this at one hash per gram however many
+        # attributes share it.
+        key = self.attr_prefix(attribute) + self._string_key(
+            self._gram_suffixes, self._value_hash, text
+        )
+        if len(self._attr_gram_keys) < _MEMO_LIMIT:
+            self._attr_gram_keys[attribute, text] = key
         return key
 
     def attr_value_range(

@@ -6,8 +6,8 @@ triple into an oid entry, an ``A#v`` entry and one entry per q-gram.
 derive the entries, sort them by key — and every network over the
 dataset, whether the ones :meth:`repro.engine.QueryEngine.build` wants
 (one per strategy arm, say) or the cells of a sweep, is then a trie
-balanced on those keys plus one merge walk placing the sorted entries
-(:meth:`~repro.overlay.network.PGridNetwork.place_entries`).
+balanced on those keys plus one bisected run of the sorted entries per
+partition (:meth:`~repro.overlay.network.PGridNetwork.place_entries`).
 
 A Figure-1 sweep builds one network per peer count over the *same*
 dataset; :class:`IncrementalNetworkBuilder` additionally carries the

@@ -66,6 +66,10 @@ def data_aware_paths(
     Falls back to uniform splitting inside regions that contain no sample
     keys, and guarantees every partition gets at least one peer.
 
+    A prefix's count is the run of the sorted sample between its lowest
+    and highest full-width keys, ``prefix`` padded with ``0`` and with
+    ``1`` (two bisections, no integer conversion).
+
     ``count_cache`` memoizes the per-prefix sample counts.  The counts
     depend only on ``(sample_keys, key_bits)``, so a sweep that grows the
     partition count over a *fixed* dataset can pass the same mapping into
@@ -92,11 +96,8 @@ def data_aware_paths(
             cached = count_cache.get(prefix)
             if cached is not None:
                 return cached
-        lo_int, hi_int = keyspace.prefix_interval(prefix, key_bits)
-        lo_key = keyspace.int_to_key(lo_int, key_bits)
-        hi_key = keyspace.int_to_key(hi_int, key_bits)
-        lo = bisect.bisect_left(sorted_keys, lo_key)
-        hi = bisect.bisect_right(sorted_keys, hi_key)
+        lo = bisect.bisect_left(sorted_keys, prefix.ljust(key_bits, "0"))
+        hi = bisect.bisect_right(sorted_keys, prefix.ljust(key_bits, "1"))
         count = hi - lo
         if count_cache is not None:
             count_cache[prefix] = count

@@ -501,9 +501,10 @@ class Executor:
         """Rows for a string-similarity step, one per qualifying value.
 
         The operator computed the matched value's distance exactly, so
-        only the object's other values of ``attribute`` are verified.
+        only the object's other values of ``attribute`` are verified, by
+        a verifier drawn when the first of them needs one.
         """
-        verifier = self.ctx.make_verifier(target, limit)
+        verifier = None
         rows: list[Row] = []
         for match in matches:
             base = _subject_row(step, match.oid)
@@ -516,8 +517,11 @@ class Executor:
                 if value == match.matched:
                     if match.distance > limit:
                         continue
-                elif not verifier.within(value):
-                    continue
+                else:
+                    if verifier is None:
+                        verifier = self.ctx.make_verifier(target, limit)
+                    if not verifier.within(value):
+                        continue
                 row = dict(base)
                 object_term = step.pattern.object
                 if isinstance(object_term, Var):

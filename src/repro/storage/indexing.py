@@ -68,12 +68,51 @@ class IndexEntry:
         return size
 
 
+#: The slot descriptors :func:`_new_entry` fills, bound once.
+_new = object.__new__
+_set_key = IndexEntry.key.__set__
+_set_kind = IndexEntry.kind.__set__
+_set_triple = IndexEntry.triple.__set__
+_set_gram = IndexEntry.gram.__set__
+_set_position = IndexEntry.position.__set__
+_set_source_length = IndexEntry.source_length.__set__
+
+
+def _new_entry(
+    key: str,
+    kind: EntryKind,
+    triple: Triple,
+    gram: str | None,
+    position: int,
+    source_length: int,
+) -> IndexEntry:
+    """``IndexEntry(key, kind, triple, gram, position, source_length)``.
+
+    Fills the six slots through the class's slot descriptors, at well
+    under half the cost of the generated keyword ``__init__``.  A
+    descriptor write bypasses the frozen ``__setattr__`` only here: the
+    result is the same frozen entry, equal, hashing and printing alike,
+    and it refuses assignment afterwards.
+    """
+    entry = _new(IndexEntry)
+    _set_key(entry, key)
+    _set_kind(entry, kind)
+    _set_triple(entry, triple)
+    _set_gram(entry, gram)
+    _set_position(entry, position)
+    _set_source_length(entry, source_length)
+    return entry
+
+
 class EntryFactory:
     """Generates every index entry a triple induces under a configuration.
 
     The factory is where the storage scheme's knobs live: value/gram
     families can be disabled (``StoreConfig.index_*``) for the storage
-    ablations, and the q-gram length follows ``config.q``.
+    ablations, and the q-gram length follows ``config.q``.  Entries are
+    built by :func:`_new_entry`, one list per triple; an instance gram's
+    key comes from the codec's ``(attribute, gram)`` memo, so the entries
+    of one gram share one key string.
     """
 
     def __init__(self, config: StoreConfig, codec: "CompositeKeyCodec"):
@@ -81,40 +120,44 @@ class EntryFactory:
         self.codec = codec
 
     def entries_for(self, triple: Triple) -> Iterator[IndexEntry]:
-        """Yield all index entries for one triple."""
+        """All index entries for one triple, in family order."""
         codec = self.codec
         config = self.config
-        yield IndexEntry(codec.oid_key(triple.oid), EntryKind.OID, triple)
-        yield IndexEntry(
-            codec.attr_value_key(triple.attribute, triple.value),
-            EntryKind.ATTR_VALUE,
-            triple,
-        )
+        attribute = triple.attribute
+        value = triple.value
+        entries = [
+            _new_entry(codec.oid_key(triple.oid), EntryKind.OID, triple, None, 0, 0),
+            _new_entry(
+                codec.attr_value_key(attribute, value),
+                EntryKind.ATTR_VALUE,
+                triple,
+                None,
+                0,
+                0,
+            ),
+        ]
         if config.index_values:
-            yield IndexEntry(codec.value_key(triple.value), EntryKind.VALUE, triple)
-        if config.index_instance_grams and not is_numeric(triple.value):
-            value = str(triple.value)
-            source_length = len(value)
-            for gram, position in qgram_tuples(value, config.q):
-                yield IndexEntry(
-                    codec.attr_value_key(triple.attribute, gram),
-                    EntryKind.INSTANCE_GRAM,
-                    triple,
-                    gram=gram,
-                    position=position,
-                    source_length=source_length,
-                )
+            entries.append(
+                _new_entry(codec.value_key(value), EntryKind.VALUE, triple, None, 0, 0)
+            )
+        if config.index_instance_grams and not is_numeric(value):
+            text = str(value)
+            length = len(text)
+            key_of = codec.attr_value_key
+            kind = EntryKind.INSTANCE_GRAM
+            entries += [
+                _new_entry(key_of(attribute, gram), kind, triple, gram, position, length)
+                for gram, position in qgram_tuples(text, config.q)
+            ]
         if config.index_schema_grams:
-            source_length = len(triple.attribute)
-            for gram, position in qgram_tuples(triple.attribute, config.q):
-                yield IndexEntry(
-                    codec.schema_gram_key(gram),
-                    EntryKind.SCHEMA_GRAM,
-                    triple,
-                    gram=gram,
-                    position=position,
-                    source_length=source_length,
-                )
+            length = len(attribute)
+            key_of = codec.schema_gram_key
+            kind = EntryKind.SCHEMA_GRAM
+            entries += [
+                _new_entry(key_of(gram), kind, triple, gram, position, length)
+                for gram, position in qgram_tuples(attribute, config.q)
+            ]
+        return iter(entries)
 
     def entries_for_all(self, triples: Iterable[Triple]) -> Iterator[IndexEntry]:
         """Yield all index entries for a collection of triples."""

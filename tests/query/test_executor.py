@@ -210,27 +210,43 @@ class TestVerifiedRechecks:
         assert ("o:pair", "applex") in expected
         assert sorted((r["o"], r["w"]) for r in result.rows) == sorted(expected)
 
+    @staticmethod
+    def naive_delta(call, counter):
+        """How far ``call`` moves a verifier counter on a fresh naive
+        engine over the word store (one text value per object)."""
+        engine = QueryEngine.build(
+            32, word_triples(), StoreConfig(seed=7), strategy="naive"
+        )
+        before = engine.verifier_stats()[counter]
+        call(engine)
+        return engine.verifier_stats()[counter] - before
+
+    @staticmethod
+    def similar_alone(engine):
+        engine.similar("apple", TEXT_ATTR, 1)
+
+    @staticmethod
+    def similarity_step(engine):
+        engine.query(
+            f"SELECT ?w WHERE {{ (?o,{TEXT_ATTR},?w) "
+            "FILTER (dist(?w,'apple') <= 1) }"
+        )
+
     def test_matched_values_are_not_scanned_again(self):
         """The naive operator's distance decides the matched value: the
         step's re-check scans nothing that ``similar()`` alone did not."""
-
-        def computed_by(call):
-            engine = QueryEngine.build(
-                32, word_triples(), StoreConfig(seed=7), strategy="naive"
-            )
-            before = engine.verifier_stats()["computed"]
-            call(engine)
-            return engine.verifier_stats()["computed"] - before
-
-        alone = computed_by(lambda engine: engine.similar("apple", TEXT_ATTR, 1))
-        step = computed_by(
-            lambda engine: engine.query(
-                f"SELECT ?w WHERE {{ (?o,{TEXT_ATTR},?w) "
-                "FILTER (dist(?w,'apple') <= 1) }"
-            )
-        )
+        alone = self.naive_delta(self.similar_alone, "computed")
         assert alone > 0
-        assert step == alone
+        assert self.naive_delta(self.similarity_step, "computed") == alone
+
+    @pytest.mark.parametrize("counter", ["verifiers", "misses"])
+    def test_matched_values_draw_no_verifier(self, counter):
+        """No object holds a second value, so the step's re-check needs
+        no verifier and draws none: the pool holds, and missed, only what
+        the operator drew."""
+        alone = self.naive_delta(self.similar_alone, counter)
+        assert alone > 0
+        assert self.naive_delta(self.similarity_step, counter) == alone
 
     def test_schema_rows(self, store):
         engine, triples = store
