@@ -36,24 +36,16 @@ def _run(filters: FilterConfig) -> tuple[int, int]:
     return messages, candidates
 
 
-def test_filters_on(benchmark):
-    messages, candidates = benchmark.pedantic(
-        lambda: _run(FilterConfig()), rounds=1, iterations=1
-    )
-    benchmark.extra_info["messages"] = messages
-    benchmark.extra_info["candidates"] = candidates
+def test_filters_on():
+    messages, candidates = _run(FilterConfig())
     print(f"\nfilters on:  messages={messages}, candidates={candidates}")
 
 
-def test_filters_off(benchmark):
+def test_filters_off():
     on_messages, on_candidates = _run(FilterConfig())
-    messages, candidates = benchmark.pedantic(
-        lambda: _run(FilterConfig(use_position=False, use_length=False)),
-        rounds=1,
-        iterations=1,
+    messages, candidates = _run(
+        FilterConfig(use_position=False, use_length=False)
     )
-    benchmark.extra_info["messages"] = messages
-    benchmark.extra_info["candidates"] = candidates
     print(f"\nfilters off: messages={messages}, candidates={candidates}")
     assert candidates >= on_candidates
     assert messages >= on_messages

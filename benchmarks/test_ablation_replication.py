@@ -31,13 +31,8 @@ def _run(replication: int) -> tuple[int, int]:
 
 
 @pytest.mark.parametrize("replication", [1, 2, 4])
-def test_replication_ablation(benchmark, replication):
-    messages, stored = benchmark.pedantic(
-        lambda: _run(replication), rounds=1, iterations=1
-    )
-    benchmark.extra_info["replication"] = replication
-    benchmark.extra_info["messages"] = messages
-    benchmark.extra_info["stored_entries"] = stored
+def test_replication_ablation(replication):
+    messages, stored = _run(replication)
     print(f"\nk={replication}: messages={messages}, stored entries={stored}")
     base_messages, base_stored = _run(1)
     # Storage scales with k; query cost stays within a small factor.

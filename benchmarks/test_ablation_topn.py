@@ -32,29 +32,21 @@ def _network():
 
 
 @pytest.mark.parametrize("n", [5, 10, 15])
-def test_topn_round_efficiency(benchmark, n):
+def test_topn_round_efficiency(n):
     network = _network()
     ctx = OperatorContext(network)
     rng = random.Random(7)
-
-    def run_queries():
-        rounds = []
-        messages = []
-        for __ in range(10):
-            network.tracer.reset()
-            result = top_n_numeric(
-                ctx, ATTR, n, RankFunction.NN, reference=rng.gauss(500.0, 150.0)
-            )
-            assert len(result.matches) == n
-            rounds.append(result.rounds)
-            messages.append(network.tracer.message_count)
-        return rounds, messages
-
-    rounds, messages = benchmark.pedantic(run_queries, rounds=1, iterations=1)
+    rounds = []
+    messages = []
+    for __ in range(10):
+        network.tracer.reset()
+        result = top_n_numeric(
+            ctx, ATTR, n, RankFunction.NN, reference=rng.gauss(500.0, 150.0)
+        )
+        assert len(result.matches) == n
+        rounds.append(result.rounds)
+        messages.append(network.tracer.message_count)
     mean_rounds = sum(rounds) / len(rounds)
-    benchmark.extra_info["n"] = n
-    benchmark.extra_info["mean_rounds"] = round(mean_rounds, 2)
-    benchmark.extra_info["mean_messages"] = round(sum(messages) / len(messages), 1)
     print(
         f"\nN={n}: mean rounds={mean_rounds:.2f}, "
         f"mean messages={sum(messages) / len(messages):.1f}"

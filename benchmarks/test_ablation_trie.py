@@ -26,13 +26,9 @@ def _max_load_ratio(balancing: TrieBalancing) -> float:
     return max(loads) / mean
 
 
-def test_trie_balancing_ablation(benchmark):
-    data_aware = benchmark.pedantic(
-        lambda: _max_load_ratio(TrieBalancing.DATA_AWARE), rounds=1, iterations=1
-    )
+def test_trie_balancing_ablation():
+    data_aware = _max_load_ratio(TrieBalancing.DATA_AWARE)
     uniform = _max_load_ratio(TrieBalancing.UNIFORM)
-    benchmark.extra_info["max_load_over_mean_data_aware"] = round(data_aware, 1)
-    benchmark.extra_info["max_load_over_mean_uniform"] = round(uniform, 1)
     print(
         f"\nmax load / mean: data-aware={data_aware:.1f}, uniform={uniform:.1f}"
     )

@@ -58,15 +58,11 @@ def _latencies(network, words, strategy) -> list[float]:
     "strategy",
     [SimilarityStrategy.QSAMPLE, SimilarityStrategy.QGRAM, SimilarityStrategy.NAIVE],
 )
-def test_response_time_replay(benchmark, setting, strategy):
+def test_response_time_replay(setting, strategy):
     network, words = setting
-    times = benchmark.pedantic(
-        lambda: _latencies(network, words, strategy), rounds=1, iterations=1
-    )
+    times = _latencies(network, words, strategy)
     mean = statistics.fmean(times)
     p95 = sorted(times)[int(0.95 * (len(times) - 1))]
-    benchmark.extra_info["mean_response_ms"] = round(mean, 1)
-    benchmark.extra_info["p95_response_ms"] = round(p95, 1)
     print(f"\n{strategy.value}: mean={mean:.0f} ms, p95={p95:.0f} ms")
     assert mean > 0
 

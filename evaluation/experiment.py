@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.core.stats import QueryStats
 from repro.engine import QueryEngine
-from repro.overlay.incremental import IncrementalNetworkBuilder, PreparedDataset
+from repro.overlay.incremental import PreparedDataset
 from repro.overlay.network import PGridNetwork
 from repro.storage.triple import Triple
 from evaluation.workload import WorkloadQuery, make_workload, run_query, run_workload
@@ -84,13 +84,12 @@ def run_cell(
     config: StoreConfig | None = None,
     repetitions: int = 40,
     strategies: Sequence[SimilarityStrategy] = ALL_STRATEGIES,
-    builder: IncrementalNetworkBuilder | None = None,
+    prepared: PreparedDataset | None = None,
 ) -> CellResult:
     """Run the full strategy comparison for one peer count.
 
-    ``builder`` carries trie-derivation state across cells (the
-    incremental sweep engine) and replaces ``triples``: sweeps pass one
-    builder into every cell.  Without it the cell builds over
+    ``prepared`` replaces ``triples``: sweeps prepare the dataset once and
+    pass it into every cell.  Without it the cell builds over
     ``triples`` prepared under ``config``.
 
     All cell wiring — the whole-workload memos, the shared verifier
@@ -109,12 +108,12 @@ def run_cell(
     """
     config = config if config is not None else StoreConfig()
     started = time.perf_counter()
-    if builder is None:
-        builder = IncrementalNetworkBuilder(PreparedDataset.prepare(triples, config))
+    if prepared is None:
+        prepared = PreparedDataset.prepare(triples, config)
     # Time only construction + placement: dataset preparation is
     # per-dataset work, not part of the cell's build metric.
     build_started = time.perf_counter()
-    network = builder.build(n_peers)
+    network = prepared.build_network(n_peers)
     build_seconds = time.perf_counter() - build_started
     workload = make_workload(
         strings, network.n_peers, repetitions=repetitions, seed=config.seed

@@ -4,15 +4,13 @@ A sweep runs one experiment cell per peer count and collects, for every
 strategy, the two series the paper plots: total messages and total data
 volume of the whole workload.
 
-Sweeps run on the incremental engine: one
-:class:`~repro.overlay.incremental.IncrementalNetworkBuilder` (over the
-sweep's :class:`~repro.overlay.incremental.PreparedDataset`) grows each
-cell's network from the trie-derivation state of the previous cells
-instead of rebuilding from scratch, and each cell's workload runs with
+A sweep prepares its dataset once
+(:class:`~repro.overlay.incremental.PreparedDataset`); each cell builds
+its own network from it, and each cell's workload runs with
 whole-workload naive-broadcast memoization.  Both are equivalence-
-preserving — measured message/byte series are bit-identical to a
-from-scratch, unmemoized run.  Cells run one after another, in the
-order of ``peer_counts``.
+preserving — measured message/byte series are bit-identical to lone,
+unmemoized cells.  Cells run one after another, in the order of
+``peer_counts``.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import SimilarityStrategy, StoreConfig, env_flag
 from repro.storage.triple import Triple
-from repro.overlay.incremental import IncrementalNetworkBuilder, PreparedDataset
+from repro.overlay.incremental import PreparedDataset
 from evaluation.experiment import ALL_STRATEGIES, CellResult, run_cell
 
 #: Default peer counts (log-spaced, scaled down from the paper's
@@ -81,8 +79,8 @@ def sweep(
     """Run the strategy comparison across peer counts.
 
     Entry derivation and the data-aware trie sample happen once, up
-    front (:class:`PreparedDataset`); each cell's network is then grown
-    by one incremental builder, and each cell's workload runs with the
+    front (:class:`PreparedDataset`); each cell then builds its network
+    from that dataset, and each cell's workload runs with the
     engine's cost-transparent accelerations (the whole-workload memos
     and the shared verifier pool).
 
@@ -92,7 +90,7 @@ def sweep(
     fixed series stay bit-identical to an adaptive-free sweep.
     """
     config = config if config is not None else StoreConfig()
-    builder = IncrementalNetworkBuilder(PreparedDataset.prepare(triples, config))
+    prepared = PreparedDataset.prepare(triples, config)
     started = time.perf_counter()
     result = SweepResult(dataset=dataset)
     for n_peers in peer_counts:
@@ -106,7 +104,7 @@ def sweep(
             config=config,
             repetitions=repetitions,
             strategies=strategies,
-            builder=builder,
+            prepared=prepared,
         )
         result.cells.append(cell)
         if progress is not None:

@@ -1,7 +1,7 @@
 """Sweeps: the serial runner, its series, and the paper-scale env flag.
 
-The standing invariant under test: how a sweep is run (one incremental
-builder across cells, a dataset already prepared by an earlier sweep)
+The standing invariant under test: how a sweep is run (one prepared
+dataset across cells, a dataset already prepared by an earlier sweep)
 changes wall-clock numbers *only* — every measured message/byte series
 is bit-identical to cells run alone.
 """
@@ -76,30 +76,30 @@ class TestEnvFlagNormalization:
         assert env_flag("SOME_UNSET_FLAG", default=True) is True
 
 
-class TestBuildSecondsFallback:
-    """A builder without reports must still yield a measured build time."""
+class TestBuildSeconds:
+    """``build_seconds`` times construction and placement only."""
 
-    def test_reportless_builder_measures_fallback(self, corpus, strings):
+    def test_prepared_cell_times_its_build(self, corpus, strings):
         config = StoreConfig(seed=1)
-        prepared = PreparedDataset.prepare(corpus, config)
-
-        class ReportlessBuilder:
-            last_report = None
-
-            def build(self, n_peers):
-                return prepared.build_network(n_peers)
-
         cell = run_cell(
             (), TEXT_ATTRIBUTE, strings, 16, config,
             repetitions=1,
             strategies=(SimilarityStrategy.QSAMPLE,),
-            builder=ReportlessBuilder(),
+            prepared=PreparedDataset.prepare(corpus, config),
+        )
+        assert 0 < cell.build_seconds <= cell.wall_seconds
+
+    def test_unprepared_cell_times_its_build(self, corpus, strings):
+        cell = run_cell(
+            corpus, TEXT_ATTRIBUTE, strings, 16, StoreConfig(seed=1),
+            repetitions=1,
+            strategies=(SimilarityStrategy.QSAMPLE,),
         )
         assert 0 < cell.build_seconds <= cell.wall_seconds
 
 
 class TestSerialSweep:
-    """One builder, cells in the order given, series equal to lone cells."""
+    """One dataset, cells in the order given, series equal to lone cells."""
 
     PEERS = (16, 32, 48)
     CONFIG = StoreConfig(seed=1)
@@ -127,8 +127,12 @@ class TestSerialSweep:
         assert first.wall_seconds > 0
         assert sum(c.wall_seconds for c in first.cells) <= first.wall_seconds
 
+    def test_every_cell_times_its_build(self, first):
+        assert all(0 < c.build_seconds <= c.wall_seconds for c in first.cells)
+
     def test_cells_equal_cells_run_alone(self, corpus, strings, first):
-        """The shared builder's trie-count cache changes nothing measured."""
+        """Building every cell from one prepared dataset changes nothing
+        measured."""
         for cell in first.cells:
             alone = run_cell(
                 corpus, TEXT_ATTRIBUTE, strings, cell.n_peers, self.CONFIG,

@@ -15,13 +15,11 @@ the naive ``strings`` broadcast grows linearly with the peer count while
 both q-gram strategies grow roughly logarithmically, with q-samples
 cheapest.
 
-The sweep runs on the incremental engine
-(:class:`repro.overlay.incremental.IncrementalNetworkBuilder`): each
-cell's network is grown from the trie-derivation state of the previous
-cells rather than rebuilt, and naive broadcasts are memoized across the
-workload — both bit-identical to a from-scratch run (the engine's
-equivalence tests pin this), which is why the printed build times stay
-flat while the peer count multiplies.  A fourth, **adaptive** series
+The sweep derives the dataset's index entries once
+(:class:`repro.overlay.incremental.PreparedDataset`) and each cell only
+places them on its own trie, and naive broadcasts are memoized across
+the workload — both bit-identical to a from-scratch run (the engine's
+equivalence tests pin this).  A fourth, **adaptive** series
 rides along: the cost model (docs/ARCHITECTURE.md, "Engine & cost
 model") picks naive vs. q-gram per query from collected statistics —
 watch it track the cheapest fixed curve as the network grows.  For the

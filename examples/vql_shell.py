@@ -1,4 +1,8 @@
-"""Interactive VQL shell — ``python -m repro.shell``.
+"""Interactive VQL shell.
+
+Run from the repository root with::
+
+    PYTHONPATH=src python examples/vql_shell.py
 
 A small REPL over a :class:`~repro.engine.QueryEngine` for poking at the
 system: load a demo dataset, type VQL, inspect plans, costs, and the
@@ -40,11 +44,6 @@ class Shell:
         self.seed = seed
         self.dataset: tuple[str, int] | None = None
         self.engine = QueryEngine.build(n_peers, config=StoreConfig(seed=seed))
-
-    #: Backwards-compatible alias (earlier shells exposed ``.store``).
-    @property
-    def store(self) -> QueryEngine:
-        return self.engine
 
     def execute(self, line: str) -> str:
         """Run one input line; returns the text to display.

@@ -171,14 +171,6 @@ class StoreConfig:
         Insert ``key(A#q) -> gram entry`` for each value q-gram.
     index_schema_grams:
         Insert ``key(q) -> gram entry`` for each attribute-name q-gram.
-    enable_length_filter / enable_position_filter:
-        Toggle the candidate filters of Algorithm 2 line 8 (ablations).
-    strict_completeness:
-        When True, string-similarity queries whose parameters fall outside
-        the q-gram completeness guarantee (``len(s) < 2 + (d-1)*q``) fall
-        back to the naive broadcast, trading messages for zero false
-        negatives.  The paper's evaluation runs without this fallback —
-        its completeness claim is exact only in the guaranteed regime.
     """
 
     key_bits: int = DEFAULT_KEY_BITS
@@ -192,9 +184,6 @@ class StoreConfig:
     index_values: bool = True
     index_instance_grams: bool = True
     index_schema_grams: bool = True
-    enable_length_filter: bool = True
-    enable_position_filter: bool = True
-    strict_completeness: bool = False
 
     def __post_init__(self) -> None:
         if self.key_bits < 4 or self.key_bits > 128:
@@ -216,12 +205,6 @@ class StoreConfig:
     def value_bits(self) -> int:
         """Bits of a composite key left for the value part."""
         return self.key_bits - self.attr_bits
-
-    def with_strategy(self, strategy: SimilarityStrategy | str) -> "StoreConfig":
-        """Return a copy of this config with a different default strategy."""
-        if isinstance(strategy, str):
-            strategy = SimilarityStrategy.from_name(strategy)
-        return self.replace(strategy=strategy)
 
     def replace(self, **changes: object) -> "StoreConfig":
         """Return a copy with the given fields replaced."""

@@ -32,25 +32,9 @@ class QueryStats:
         self.by_type.update(cost.by_type)
         self.by_phase.update(cost.by_phase)
 
-    def merge(self, other: "QueryStats") -> None:
-        """Fold another accumulator into this one."""
-        self.queries += other.queries
-        self.messages += other.messages
-        self.payload_bytes += other.payload_bytes
-        self.by_type.update(other.by_type)
-        self.by_phase.update(other.by_phase)
-
     @property
     def payload_megabytes(self) -> float:
         return self.payload_bytes / 1_000_000.0
-
-    @property
-    def messages_per_query(self) -> float:
-        return self.messages / self.queries if self.queries else 0.0
-
-    @property
-    def bytes_per_query(self) -> float:
-        return self.payload_bytes / self.queries if self.queries else 0.0
 
     def summary(self) -> str:
         """One-line human-readable summary."""

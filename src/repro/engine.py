@@ -89,7 +89,6 @@ from repro.query.operators.topn import (
     top_n_string_nn,
 )
 from repro.query.statistics import StatisticsCatalog, collect_statistics
-from repro.similarity.filters import FilterConfig
 from repro.similarity.verify import VerifierPool
 from repro.storage.triple import Triple, ValueType
 
@@ -121,10 +120,6 @@ class RecoveryReport:
     recovered_peers: int = 0
     divergent_partitions: list[int] = field(default_factory=list)
     entries_copied: int = 0
-
-    @property
-    def data_changed(self) -> bool:
-        return bool(self.divergent_partitions)
 
 
 class QueryEngine:
@@ -171,10 +166,6 @@ class QueryEngine:
         self.fetch_memo = FetchObjectsMemo(network) if memoize else None
         self.verifier_pool = VerifierPool()
         self.cost_model = StrategyCostModel(network)
-        self._filters = FilterConfig(
-            use_position=self.config.enable_position_filter,
-            use_length=self.config.enable_length_filter,
-        )
         self._mutation_token = network.store_version_token()
         self.ctx = self.context(
             strategy=strategy if strategy is not None else self.config.strategy,
@@ -237,7 +228,6 @@ class QueryEngine:
         return OperatorContext(
             self.network,
             strategy=strategy,
-            filters=self._filters,
             rng=rng,
             naive_memo=self.naive_memo,
             verifier_pool=self.verifier_pool,

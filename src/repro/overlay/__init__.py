@@ -16,12 +16,7 @@ from repro.overlay.hashing import (
     OrderPreservingStringHash,
     uniform_key,
 )
-from repro.overlay.incremental import (
-    BuildReport,
-    IncrementalNetworkBuilder,
-    PreparedDataset,
-    assert_networks_equivalent,
-)
+from repro.overlay.incremental import PreparedDataset
 from repro.overlay.messages import CostReport, MessageTracer, MessageType
 from repro.overlay.network import PGridNetwork
 from repro.overlay.peer import Peer
@@ -29,7 +24,6 @@ from repro.overlay.range_query import RangeQueryResult, range_query
 from repro.overlay.routing import Partition, Router
 
 __all__ = [
-    "BuildReport",
     "ChurnController",
     "ChurnReport",
     "Completeness",
@@ -41,8 +35,6 @@ __all__ = [
     "FaultPlan",
     "FaultSession",
     "RetryPolicy",
-    "IncrementalNetworkBuilder",
-    "assert_networks_equivalent",
     "MessageTracer",
     "MessageType",
     "NumericKeyCodec",

@@ -124,11 +124,6 @@ class FaultPlan:
         )
 
     @classmethod
-    def none(cls) -> "FaultPlan":
-        """The empty (no-op) plan."""
-        return cls()
-
-    @classmethod
     def lossy(cls, drop_probability: float, seed: int = 0) -> "FaultPlan":
         """Uniform per-message loss, the PlanetLab-style baseline."""
         return cls(drop_probability=drop_probability, seed=seed)

@@ -3,9 +3,9 @@
 Keys are fixed-width binary strings represented as Python ``str`` of
 ``'0'``/``'1'`` characters.  Peer *paths* are variable-length prefixes of
 the same space.  This module provides the prefix algebra used by routing
-(Algorithm 1): prefix tests, common-prefix length, bit flipping, and the
-conversion between binary strings and integer intervals used by range
-queries.
+(Algorithm 1): common-prefix length, the complementary subtrie's prefix,
+and the conversion between binary strings and integer intervals used by
+range queries.
 
 The string representation was chosen over packed integers deliberately:
 prefix relations — the heart of P-Grid routing — become plain
@@ -32,11 +32,6 @@ def validate_key(key: str) -> str:
     return key
 
 
-def is_prefix(prefix: str, key: str) -> bool:
-    """True if ``prefix`` is a (non-strict) prefix of ``key``."""
-    return key.startswith(prefix)
-
-
 def common_prefix_len(a: str, b: str) -> int:
     """Length of the longest common prefix of two binary strings."""
     limit = min(len(a), len(b))
@@ -44,19 +39,6 @@ def common_prefix_len(a: str, b: str) -> int:
         if a[i] != b[i]:
             return i
     return limit
-
-
-def flip_bit(path: str, index: int) -> str:
-    """Return ``path`` with the bit at ``index`` inverted.
-
-    Used to address the *complementary subtrie* at a routing level:
-    ``flip_bit(pi, l)[: l + 1]`` is the prefix a level-``l`` routing
-    reference must match.
-    """
-    if not 0 <= index < len(path):
-        raise KeyspaceError(f"bit index {index} out of range for {path!r}")
-    flipped = "1" if path[index] == "0" else "0"
-    return path[:index] + flipped + path[index + 1 :]
 
 
 def sibling_prefix(path: str, level: int) -> str:
@@ -104,21 +86,3 @@ def prefix_interval(prefix: str, bits: int) -> tuple[int, int]:
     lo = key_to_int(prefix) << pad
     hi = lo + (1 << pad) - 1
     return lo, hi
-
-
-def interval_overlaps_prefix(lo: int, hi: int, prefix: str, bits: int) -> bool:
-    """True if the integer interval ``[lo, hi]`` intersects ``prefix``'s range."""
-    p_lo, p_hi = prefix_interval(prefix, bits)
-    return lo <= p_hi and p_lo <= hi
-
-
-def next_key(key: str) -> str | None:
-    """Smallest key strictly greater than ``key`` at the same width.
-
-    Returns ``None`` if ``key`` is the all-ones maximum.
-    """
-    validate_key(key)
-    value = key_to_int(key)
-    if value + 1 >= 1 << len(key):
-        return None
-    return int_to_key(value + 1, len(key))

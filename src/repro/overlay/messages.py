@@ -14,7 +14,6 @@ break down cost (routing vs. candidate shipping vs. result return).
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -72,8 +71,8 @@ class MessageTracer:
 
     The per-type and per-phase breakdowns are kept as one
     ``(type, phase) -> [messages, bytes]`` table — a single dict probe per
-    charge — and folded into the :attr:`counts_by_type` /
-    :attr:`counts_by_phase` / :attr:`bytes_by_phase` views on read.
+    charge — and folded into per-type and per-phase message counts by
+    :meth:`snapshot`.
     """
 
     def __init__(self, record_log: bool = False):
@@ -142,21 +141,6 @@ class MessageTracer:
             name = key[axis]
             totals[name] = totals.get(name, 0) + cell[column]
         return totals
-
-    @property
-    def counts_by_type(self) -> Counter[str]:
-        """Messages per :class:`MessageType` value."""
-        return Counter(self._fold(0, 0))
-
-    @property
-    def counts_by_phase(self) -> Counter[str]:
-        """Messages per phase."""
-        return Counter(self._fold(1, 0))
-
-    @property
-    def bytes_by_phase(self) -> Counter[str]:
-        """Payload bytes per phase."""
-        return Counter(self._fold(1, 1))
 
     def snapshot(self) -> TraceSnapshot:
         """Copy of the current counters."""

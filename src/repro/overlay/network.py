@@ -28,7 +28,7 @@ from repro.overlay import keys as keyspace
 from repro.overlay import trie
 from repro.overlay.faults import FaultInjector, FaultMode, FaultPlan, RetryPolicy
 from repro.overlay.hashing import CompositeKeyCodec
-from repro.overlay.messages import MessageTracer, MessageType
+from repro.overlay.messages import MessageTracer
 from repro.overlay.peer import NetworkLedger, Peer
 from repro.overlay.routing import Partition, Router
 from repro.storage.indexing import EntryFactory, IndexEntry
@@ -70,7 +70,6 @@ class PGridNetwork:
         config: StoreConfig | None = None,
         sample_keys: Sequence[str] | None = None,
         tracer: MessageTracer | None = None,
-        trie_count_cache: dict[str, int] | None = None,
         codec: CompositeKeyCodec | None = None,
     ):
         """Build a network of about ``n_peers``.
@@ -84,12 +83,6 @@ class PGridNetwork:
         the data you are about to insert (or a sample of them) to get
         P-Grid-style load balancing.  Omitting it — or selecting
         ``TrieBalancing.UNIFORM`` — produces an evenly split trie.
-
-        ``trie_count_cache`` memoizes the data-aware builder's per-prefix
-        sample counts across networks built over the *same*
-        ``sample_keys`` (see :func:`repro.overlay.trie.data_aware_paths`);
-        sweeps pass one shared cache so each cell's trie derivation reuses
-        the previous cells' splits.
 
         ``codec`` is the key codec to keep — the one ``sample_keys`` were
         derived with, so what it remembers (see
@@ -108,10 +101,7 @@ class PGridNetwork:
         n_partitions = max(1, n_peers // k)
         if self.config.balancing is TrieBalancing.DATA_AWARE and sample_keys:
             paths = trie.data_aware_paths(
-                n_partitions,
-                sample_keys,
-                self.config.key_bits,
-                count_cache=trie_count_cache,
+                n_partitions, sample_keys, self.config.key_bits
             )
         else:
             paths = trie.uniform_paths(n_partitions)
@@ -322,8 +312,7 @@ class PGridNetwork:
 
         Placement is done with the oracle (no routed insert messages): the
         paper's evaluation measures *query* cost, with publishing treated
-        as an offline bulk load.  :meth:`estimate_insert_messages` prices
-        the online publishing cost analytically.
+        as an offline bulk load.
 
         ``respect_online`` skips offline replicas — the churn setting,
         where an insert while a replica is down leaves that replica
@@ -440,69 +429,6 @@ class PGridNetwork:
                 applied += len(written)
                 writes[index] = PartitionWrite(written, remove, versions, uniform)
         return applied, writes
-
-    def insert_entry(self, entry: IndexEntry, respect_online: bool = False) -> None:
-        """Place one pre-built index entry (incremental insertion)."""
-        partition = self.partition_for(entry.key)
-        for peer_id in partition.peer_ids:
-            peer = self.peers[peer_id]
-            if respect_online and not peer.online:
-                continue
-            peer.store.add(entry)
-
-    def publish_triple(self, triple: Triple, publisher_id: int) -> int:
-        """Online, routed publication of one triple's index entries.
-
-        Models what inserting data over the live overlay costs — the
-        overhead the paper's conclusion weighs ("the overhead of
-        additional overlay messages ... is linear in the number of
-        attribute columns"): the publisher batches the triple's entry
-        keys, contacts each responsible partition once (routed walk +
-        shower forwards), ships the entry payloads, and each partition
-        fans out to its replicas.  Returns the number of messages spent;
-        entries are actually stored, so the data is queryable afterwards.
-        """
-        entries = list(self.entry_factory.entries_for(triple))
-        before = self.tracer.message_count
-        answers = self.router.route_many(
-            (entry.key for entry in entries), publisher_id, phase="publish"
-        )
-        by_partition: dict[int, list[IndexEntry]] = {}
-        for entry in entries:
-            peer = answers[entry.key]
-            by_partition.setdefault(peer.partition_index, []).append(entry)
-        for index, partition_entries in by_partition.items():
-            partition = self.partitions[index]
-            payload = sum(e.payload_size() for e in partition_entries)
-            receiver = partition.peer_ids[0]
-            self.tracer.send(
-                MessageType.RESULT, publisher_id, receiver, payload, phase="publish"
-            )
-            for peer_id in partition.peer_ids:
-                self.peers[peer_id].store.add_bulk(partition_entries)
-                if peer_id != receiver:
-                    self.tracer.send(
-                        MessageType.FORWARD, receiver, peer_id, payload,
-                        phase="publish",
-                    )
-        return self.tracer.message_count - before
-
-    def publish_triples(self, triples: Iterable[Triple], publisher_id: int) -> int:
-        """Routed publication of many triples; returns total messages."""
-        return sum(self.publish_triple(t, publisher_id) for t in triples)
-
-    def estimate_insert_messages(self, triples: Iterable[Triple]) -> int:
-        """Messages an online, routed publish of ``triples`` would cost.
-
-        Each index entry requires one routed walk of expected
-        ``0.5 * log2(n_partitions)`` hops (Section 2), times the
-        replication factor for the final delivery.
-        """
-        import math
-
-        entries = sum(1 for __ in self.entry_factory.entries_for_all(triples))
-        expected_hops = 0.5 * math.log2(max(2, self.n_partitions))
-        return int(entries * (expected_hops + (self.config.replication - 1)))
 
     # -- diagnostics ------------------------------------------------------------
 

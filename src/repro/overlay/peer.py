@@ -25,8 +25,6 @@ any store change?" are O(1) reads instead of scans over all peers.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.core.errors import OverlayError
 from repro.storage.datastore import LocalDataStore
 
@@ -106,14 +104,6 @@ class Peer:
                 f"(path length {len(self.path)})"
             )
         return self.routing_table[level]
-
-    def set_references(self, level: int, refs: Iterable[int]) -> None:
-        """Replace the routing references of one installed level."""
-        if not 0 <= level < len(self.path):
-            raise OverlayError(
-                f"peer {self.peer_id} has no routing level {level}"
-            )
-        self.routing_table[level] = tuple(refs)
 
     def responsible_for(self, key: str) -> bool:
         """Algorithm 1's responsibility test.

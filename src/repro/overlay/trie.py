@@ -19,7 +19,7 @@ Two builders are provided (paper §2):
 from __future__ import annotations
 
 import bisect
-from collections.abc import MutableMapping, Sequence
+from collections.abc import Sequence
 
 from repro.core.errors import OverlayError
 from repro.overlay import keys as keyspace
@@ -52,7 +52,6 @@ def data_aware_paths(
     n_partitions: int,
     sample_keys: Sequence[str],
     key_bits: int,
-    count_cache: MutableMapping[str, int] | None = None,
 ) -> list[str]:
     """Leaf paths balanced against an observed key distribution.
 
@@ -69,15 +68,6 @@ def data_aware_paths(
     A prefix's count is the run of the sorted sample between its lowest
     and highest full-width keys, ``prefix`` padded with ``0`` and with
     ``1`` (two bisections, no integer conversion).
-
-    ``count_cache`` memoizes the per-prefix sample counts.  The counts
-    depend only on ``(sample_keys, key_bits)``, so a sweep that grows the
-    partition count over a *fixed* dataset can pass the same mapping into
-    every call and re-derive each trie from mostly cached splits — the
-    incremental construction used by
-    :class:`repro.overlay.incremental.IncrementalNetworkBuilder`.  The
-    caller owns the cache and must not reuse it across different key
-    samples or key widths.
     """
     if n_partitions < 1:
         raise OverlayError(f"need at least one partition, got {n_partitions}")
@@ -92,16 +82,9 @@ def data_aware_paths(
 
     def count_in(prefix: str) -> int:
         """Sample keys covered by ``prefix`` (binary search on sorted keys)."""
-        if count_cache is not None:
-            cached = count_cache.get(prefix)
-            if cached is not None:
-                return cached
         lo = bisect.bisect_left(sorted_keys, prefix.ljust(key_bits, "0"))
         hi = bisect.bisect_right(sorted_keys, prefix.ljust(key_bits, "1"))
-        count = hi - lo
-        if count_cache is not None:
-            count_cache[prefix] = count
-        return count
+        return hi - lo
 
     def split(prefix: str, count: int) -> None:
         if count == 1:
@@ -172,16 +155,3 @@ def find_responsible(paths: Sequence[str], key: str) -> int:
     if index >= 0 and paths[index].startswith(key):
         return index
     raise OverlayError(f"no partition responsible for key {key!r}")
-
-
-def partition_load(paths: Sequence[str], data_keys: Sequence[str]) -> list[int]:
-    """Entries per partition — the load-balance diagnostic.
-
-    Returns a list aligned with ``sorted(paths)`` counting how many of
-    ``data_keys`` each partition would store.
-    """
-    ordered = sorted(paths)
-    loads = [0] * len(ordered)
-    for key in data_keys:
-        loads[find_responsible(ordered, key)] += 1
-    return loads

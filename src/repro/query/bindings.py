@@ -50,11 +50,6 @@ class BindingSet:
         """Rows satisfying ``predicate``."""
         return BindingSet(row for row in self.rows if predicate(row))
 
-    def project(self, variables: Iterable[str]) -> "BindingSet":
-        """Keep only the given variables (duplicates preserved)."""
-        names = list(variables)
-        return BindingSet({v: row[v] for v in names if v in row} for row in self.rows)
-
     def join(self, other: "BindingSet") -> "BindingSet":
         """Natural hash join on the shared variables.
 
@@ -90,14 +85,3 @@ class BindingSet:
             for extension in expander(row):
                 result.append({**row, **extension})
         return BindingSet(result)
-
-    def deduplicate(self) -> "BindingSet":
-        """Remove duplicate rows (order of first occurrence preserved)."""
-        seen: set[tuple] = set()
-        unique: list[Row] = []
-        for row in self.rows:
-            signature = tuple(sorted(row.items()))
-            if signature not in seen:
-                seen.add(signature)
-                unique.append(row)
-        return BindingSet(unique)

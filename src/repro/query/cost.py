@@ -46,7 +46,6 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.core.config import SimilarityStrategy
-from repro.core.errors import ExecutionError
 from repro.storage.qgrams import gram_counts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -321,20 +320,6 @@ class StrategyCostModel:
         return shape.hops + 3.0 * oid_partitions - 1.0
 
     # -- per-strategy predictions ------------------------------------------------
-
-    def predict(
-        self,
-        s: str,
-        attribute: str,
-        d: int,
-        strategy: SimilarityStrategy,
-        catalog: "StatisticsCatalog | None" = None,
-    ) -> CostPrediction:
-        """Predicted cost of ``Similar(s, attribute, d)`` under ``strategy``."""
-        if strategy not in CANDIDATE_STRATEGIES:
-            raise ExecutionError(f"cannot predict cost of strategy {strategy}")
-        terms = self._query_terms(s, attribute, d, catalog)
-        return self._evaluate(terms, strategy)
 
     def predict_all(
         self,

@@ -48,7 +48,6 @@ from repro.similarity.verify import BatchVerifier
 from repro.storage.indexing import EntryKind, IndexEntry
 from repro.storage.qgrams import (
     PositionalQGram,
-    guaranteed_complete,
     positional_qgrams,
     qgram_sample,
 )
@@ -358,10 +357,7 @@ def similar(
                 strategy=physical, verifier=verifier,
             ),
         )
-    outside_guarantee = not guaranteed_complete(len(s), ctx.config.q, d)
-    if chosen is SimilarityStrategy.NAIVE or (
-        ctx.config.strict_completeness and outside_guarantee
-    ):
+    if chosen is SimilarityStrategy.NAIVE:
         from repro.query.operators.naive import naive_similar
 
         return naive_similar(ctx, s, attribute, d, initiator_id, verifier=verifier)

@@ -185,20 +185,6 @@ class MyersQuery:
         return score if score <= d else d + 1
 
 
-def myers_within(a: str, b: str, d: int) -> int:
-    """One-shot bit-parallel ``edit_distance_within(a, b, d)``.
-
-    Matches the reference contract exactly, including the degenerate
-    ``d < 0`` case (0 when equal, 1 otherwise).  For repeated probes of
-    one query, build a :class:`MyersQuery` (or use the kernel through
-    :class:`~repro.similarity.verify.BatchVerifier`) so masks are
-    computed once.
-    """
-    if d < 0:
-        return 0 if a == b else 1
-    return MyersQuery(a).within(b, d)
-
-
 # -- candidate prefilter -------------------------------------------------------
 
 

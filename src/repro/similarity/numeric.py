@@ -50,14 +50,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return Interval(lo, hi) if lo <= hi else None
-
-    def union_bounds(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
 
 def similarity_interval(center: float, distance: float) -> Interval:
     """The interval equivalent to ``dist(x, center) <= distance``."""

@@ -359,12 +359,6 @@ class LocalDataStore:
         hi = bisect.bisect_right(self._keys, hi_key)
         return self._entries[lo:hi]
 
-    def count_prefix(self, prefix: str) -> int:
-        """Number of entries under ``prefix`` without materializing them."""
-        self._ensure_sorted()
-        lo, hi = _prefix_bounds(self._keys, prefix)
-        return hi - lo
-
     def entries_of_kind(self, kind: EntryKind) -> Iterator[IndexEntry]:
         """All entries of one index family, in key order (cached view)."""
         if self._kind_views is None:
@@ -409,13 +403,6 @@ class LocalDataStore:
             return []
         return rows.copy() if type(rows) is list else [rows]
 
-    def key_bounds(self) -> tuple[str, str] | None:
-        """Smallest and largest stored key, or None when empty."""
-        self._ensure_sorted()
-        if not self._keys:
-            return None
-        return self._keys[0], self._keys[-1]
-
     def payload_bytes(self) -> int:
         """Total approximate payload size of all stored entries (cached)."""
         if self._payload_total is None:
@@ -426,17 +413,6 @@ class LocalDataStore:
 
     # The bench report and network aggregation use the explicit name.
     total_payload_bytes = payload_bytes
-
-    def local_density(self, prefix: str, key_bits: int) -> float:
-        """Entries per key-space slot under ``prefix``.
-
-        Used by the top-N operator (Algorithm 4 lines 1–3) to estimate a
-        first query range from local data density.  A prefix of length
-        ``l`` covers ``2 ** (key_bits - l)`` slots.
-        """
-        count = self.count_prefix(prefix)
-        slots = 1 << (key_bits - len(prefix))
-        return count / slots
 
     # -- secondary-index maintenance -----------------------------------------
 

@@ -31,7 +31,6 @@ without building it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from sys import intern
 
@@ -164,10 +163,3 @@ def guaranteed_complete(query_length: int, q: int, d: int) -> bool:
     can only raise the ``max``).
     """
     return count_filter_threshold(query_length, 0, q, d) >= 1
-
-
-def shared_gram_count(a: str, b: str, q: int) -> int:
-    """Number of extended q-grams (multiset) shared by two strings."""
-    grams_a = Counter(gram for gram, __ in qgram_tuples(a, q))
-    grams_b = Counter(gram for gram, __ in qgram_tuples(b, q))
-    return sum((grams_a & grams_b).values())

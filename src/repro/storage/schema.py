@@ -72,10 +72,6 @@ class RelationSchema:
             raise SchemaError(f"relation {self.name!r} has duplicate attributes")
         object.__setattr__(self, "_attribute_set", frozenset(self.attributes))
 
-    def qualified(self, attribute: str) -> str:
-        """Namespace-qualified name of ``attribute``."""
-        return qualify(self.name, attribute)
-
     def tuple_to_triples(
         self, oid: str, values: Mapping[str, ValueType]
     ) -> list[Triple]:

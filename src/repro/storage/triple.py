@@ -65,22 +65,6 @@ class Triple:
         head, sep, __ = self.attribute.partition(NAMESPACE_SEPARATOR)
         return head if sep else ""
 
-    @property
-    def local_name(self) -> str:
-        """Attribute name without its namespace prefix."""
-        __, sep, tail = self.attribute.partition(NAMESPACE_SEPARATOR)
-        return tail if sep else self.attribute
-
-    def component(self, index: int) -> ValueType:
-        """The paper's ``xi(t, i)`` accessor: 1 = oid, 2 = attribute, 3 = value."""
-        if index == 1:
-            return self.oid
-        if index == 2:
-            return self.attribute
-        if index == 3:
-            return self.value
-        raise StorageError(f"triple component index must be 1..3, got {index}")
-
     def payload_size(self) -> int:
         """Approximate wire size in bytes (for data-volume accounting)."""
         value = self.value

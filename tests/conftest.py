@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -16,6 +17,7 @@ from repro.overlay.network import PGridNetwork
 from repro.query.operators.base import OperatorContext
 from repro.query.operators.naive import RegionColumn
 from repro.storage.indexing import EntryFactory
+from repro.storage.qgrams import qgram_tuples
 from repro.storage.triple import Triple
 
 #: ``--hypothesis-profile=deep``: the size the mutation state machine
@@ -60,6 +62,19 @@ def build_word_network(
     network = PGridNetwork(n_peers, config, sample_keys=sample)
     network.insert_triples(triples)
     return network
+
+
+def shared_gram_count(a: str, b: str, q: int) -> int:
+    """Number of extended q-grams (multiset) shared by two strings."""
+    grams_a = Counter(gram for gram, __ in qgram_tuples(a, q))
+    grams_b = Counter(gram for gram, __ in qgram_tuples(b, q))
+    return sum((grams_a & grams_b).values())
+
+
+def bytes_by_phase(tracer) -> dict[str, int]:
+    """Payload bytes per phase, folded from a tracer's ``(type, phase)``
+    table."""
+    return tracer._fold(1, 1)
 
 
 def assert_untracked_references(network: PGridNetwork) -> None:

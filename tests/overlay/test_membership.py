@@ -94,7 +94,7 @@ class TestJoin:
         network = build_word_network(n_peers=8)
         network.tracer.reset()
         MembershipManager(network).join()
-        assert network.tracer.counts_by_phase["membership"] >= 1
+        assert network.tracer.snapshot().by_phase.get("membership", 0) >= 1
 
     def test_queries_work_after_join(self):
         from repro.query.operators.base import OperatorContext

@@ -2,6 +2,8 @@
 
 from repro.overlay.messages import CostReport, MessageTracer, MessageType
 
+from tests.conftest import bytes_by_phase
+
 
 class TestMessageTracer:
     def test_counts_messages_and_bytes(self):
@@ -16,9 +18,9 @@ class TestMessageTracer:
         tracer.send(MessageType.ROUTE, 0, 1, phase="gram_lookup")
         tracer.send(MessageType.ROUTE, 1, 2, phase="gram_lookup")
         tracer.send(MessageType.RESULT, 2, 0, 50, phase="oid_lookup")
-        assert tracer.counts_by_type["route"] == 2
-        assert tracer.counts_by_phase["gram_lookup"] == 2
-        assert tracer.bytes_by_phase["oid_lookup"] == 50
+        assert tracer.snapshot().by_type.get("route", 0) == 2
+        assert tracer.snapshot().by_phase.get("gram_lookup", 0) == 2
+        assert bytes_by_phase(tracer)["oid_lookup"] == 50
 
     def test_log_disabled_by_default(self):
         tracer = MessageTracer()
@@ -39,7 +41,7 @@ class TestMessageTracer:
         tracer.reset()
         assert tracer.message_count == 0
         assert tracer.payload_bytes == 0
-        assert not tracer.counts_by_type
+        assert not tracer.snapshot().by_type
         assert tracer.log == []
 
 
@@ -51,7 +53,7 @@ class TestBulk:
         bulk.send_bulk(MessageType.DELEGATE, 3, 42, phase="oid_lookup")
         bulk.send_bulk(MessageType.RESULT, 0, 0, phase="oid_lookup")  # no-op
         assert bulk.snapshot() == one_by_one.snapshot()
-        assert bulk.bytes_by_phase == one_by_one.bytes_by_phase
+        assert bytes_by_phase(bulk) == bytes_by_phase(one_by_one)
         assert bulk.log == []
 
 

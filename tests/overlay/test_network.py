@@ -114,12 +114,46 @@ class TestDataPlacement:
 
     def test_incremental_insert(self):
         network = build_word_network()
-        triple = Triple("w:9999", TEXT_ATTR, "quince")
-        for entry in network.entry_factory.entries_for(triple):
-            network.insert_entry(entry)
+        network.insert_triples([Triple("w:9999", TEXT_ATTR, "quince")])
         key = network.codec.attr_value_key(TEXT_ATTR, "quince")
         entries, __ = network.router.retrieve(key, 0)
         assert any(e.triple.value == "quince" for e in entries)
+
+    def test_oid_lookup_after_insert(self):
+        network = build_word_network()
+        network.insert_triples([Triple("w:5001", TEXT_ATTR, "fresh")])
+        entries, __ = network.router.retrieve(network.codec.oid_key("w:5001"), 1)
+        assert any(e.triple.oid == "w:5001" for e in entries)
+
+    def test_insert_reaches_every_replica(self):
+        network = build_word_network(24, StoreConfig(seed=9, replication=3))
+        network.insert_triples([Triple("w:5002", TEXT_ATTR, "triple")])
+        key = network.codec.attr_value_key(TEXT_ATTR, "triple")
+        replicas = network.partition_for(key).peer_ids
+        assert len(replicas) == 3
+        for peer_id in replicas:
+            stored = network.peers[peer_id].store.prefix_scan(key)
+            assert any(e.triple.oid == "w:5002" for e in stored), peer_id
+
+    def test_insert_sends_no_messages(self):
+        """Placement is by the oracle: a write behind the engine's back
+        leaves the query-cost ledger untouched."""
+        network = build_word_network()
+        network.tracer.reset()
+        network.insert_triples([Triple("w:5003", TEXT_ATTR, "silent")])
+        assert network.tracer.message_count == 0
+
+    def test_insert_respecting_online_skips_offline_replica(self):
+        network = build_word_network(24, StoreConfig(seed=9, replication=3))
+        key = network.codec.attr_value_key(TEXT_ATTR, "churned")
+        down, *up = network.partition_for(key).peer_ids
+        network.peers[down].online = False
+        network.insert_triples(
+            [Triple("w:5004", TEXT_ATTR, "churned")], respect_online=True
+        )
+        assert not network.peers[down].store.prefix_scan(key)
+        for peer_id in up:
+            assert network.peers[peer_id].store.prefix_scan(key), peer_id
 
     def test_load_balance_with_data_aware_trie(self):
         # Schema-gram entries of a single-attribute corpus all share a
@@ -141,11 +175,6 @@ class TestDataPlacement:
         loads = network.load_distribution()
         mean = sum(loads) / len(loads)
         assert max(loads) > 3 * mean
-
-    def test_estimate_insert_messages_positive(self):
-        network = build_word_network(n_peers=16)
-        estimate = network.estimate_insert_messages(word_triples()[:4])
-        assert estimate > 0
 
 
 class TestOracles:

@@ -44,13 +44,13 @@ class TestRangeQuery:
     def test_result_messages_charged(self, network):
         network.tracer.reset()
         _len_range(network, 4.0, 20.0)
-        assert network.tracer.counts_by_type["result"] > 0
+        assert network.tracer.snapshot().by_type.get("result", 0) > 0
         assert network.tracer.payload_bytes > 0
 
     def test_collect_results_off_charges_no_results(self, network):
         network.tracer.reset()
         _len_range(network, 4.0, 20.0, collect=False)
-        assert network.tracer.counts_by_type["result"] == 0
+        assert network.tracer.snapshot().by_type.get("result", 0) == 0
 
     def test_rejects_inverted_range(self, network):
         lo_key, hi_key = network.codec.attr_value_range(LEN_ATTR, 4.0, 20.0)

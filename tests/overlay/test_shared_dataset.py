@@ -14,11 +14,12 @@ import weakref
 from repro.core.config import StoreConfig
 from repro.datasets.bible import bible_triples
 from repro.engine import QueryEngine
-from repro.overlay.incremental import PreparedDataset, assert_networks_equivalent
+from repro.overlay.incremental import PreparedDataset
 from repro.storage.triple import Triple
 
 from tests.conftest import LEN_ATTR, TEXT_ATTR, word_triples
 from tests.reference.bulk_load import load_by_probe
+from tests.reference.routing_tables import assert_networks_equivalent
 
 CONFIG = StoreConfig(seed=13, replication=2)
 

@@ -7,8 +7,7 @@
   field, in order — for strings short and long, ASCII or not, ints and
   floats, every index family on and off and q from 2 to 4.
 * Counting: ``trie.data_aware_paths`` (prefix padded with ``0``/``1``)
-  gives the integer-interval twin's paths, with and without a count
-  cache, warm or cold.
+  gives the integer-interval twin's paths.
 * Placement: ``place_entries`` (one bisected run per partition) fills
   every store as per-entry bisection does.
 * The slot-filled entry itself is the keyword-built one: equal, hashing
@@ -121,18 +120,10 @@ class TestCounting:
         ),
     )
     def test_paths_equal_the_interval_twin(self, sample, partition_counts):
-        cache: dict[str, int] = {}
-        twin_cache: dict[str, int] = {}
         for n_partitions in partition_counts:
-            expected = reference_paths(n_partitions, sample, KEY_BITS)
-            assert trie.data_aware_paths(n_partitions, sample, KEY_BITS) == expected
-            # A cache shared across partition counts, warm after the first.
-            assert (
-                trie.data_aware_paths(n_partitions, sample, KEY_BITS, cache)
-                == expected
-            )
-            reference_paths(n_partitions, sample, KEY_BITS, twin_cache)
-            assert cache == twin_cache
+            assert trie.data_aware_paths(
+                n_partitions, sample, KEY_BITS
+            ) == reference_paths(n_partitions, sample, KEY_BITS)
 
     @settings(deadline=None)
     @given(triples, configs, st.integers(min_value=1, max_value=64))

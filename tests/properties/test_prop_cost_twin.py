@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import StoreConfig
 from repro.engine import QueryEngine
-from repro.query.cost import CANDIDATE_STRATEGIES
 from repro.storage.qgrams import gram_counts, positional_qgrams, qgram_sample
 from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS, word_triples
 from tests.reference.cost import ReferenceCostModel
@@ -107,9 +106,6 @@ def test_choose_and_predict_equal_the_twin(
     assert _numbers(model.predict_all(s, attribute, d, catalog)) == _numbers(
         expected
     )
-    for strategy in CANDIDATE_STRATEGIES:
-        single = model.predict(s, attribute, d, strategy, catalog)
-        assert _numbers({"": single}) == _numbers({"": expected[strategy.value]})
 
 
 @sized(300)

@@ -57,7 +57,7 @@ class TestNoopPlanBitIdentity:
         def run(install):
             engine = build_engine(words, n_peers, seed)
             if install:
-                engine.install_faults(FaultPlan.none(), mode="degraded")
+                engine.install_faults(FaultPlan(), mode="degraded")
             series = []
             for word in words:
                 result = engine.similar(word, ATTR, 1)

@@ -29,12 +29,11 @@ from repro.similarity.kernels import (
     EncodedColumn,
     MyersKernel,
     MyersQuery,
-    myers_within,
     numpy_available,
 )
 from repro.similarity.verify import BatchVerifier
 from tests.reference import bag_filter
-from tests.reference.kernel import ReferenceKernel, numpy_free_myers
+from tests.reference.kernel import ReferenceKernel, myers_within, numpy_free_myers
 
 DEEP = settings.get_profile("deep")
 

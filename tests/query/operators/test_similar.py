@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import SimilarityStrategy, StoreConfig
+from repro.core.config import SimilarityStrategy
 from repro.core.errors import ExecutionError
 from repro.query.operators.base import OperatorContext
 from repro.query.operators.similar import similar
@@ -114,15 +114,3 @@ class TestCostCharacteristics:
         assert a.candidates_after_filters <= b.candidates_after_filters
         # Correctness is unaffected either way.
         assert [m.matched for m in a.matches] == [m.matched for m in b.matches]
-
-
-class TestStrictCompleteness:
-    def test_fallback_to_naive_outside_guarantee(self):
-        config = StoreConfig(seed=7, strict_completeness=True)
-        ctx = OperatorContext(build_word_network(n_peers=32, config=config))
-        ctx.network.tracer.reset()
-        # len("aple") = 4 < 2 + (3-1)*3 = 8: outside the guarantee.
-        result = similar(ctx, "aple", TEXT_ATTR, 3)
-        assert ctx.network.tracer.counts_by_type.get("broadcast", 0) > 0
-        expected = brute_force("aple", 3)
-        assert sorted(m.matched for m in result.matches) == expected

@@ -56,17 +56,9 @@ class TestTransforms:
         bindings = BindingSet([{"a": 1}, {"a": 5}])
         assert bindings.filter(lambda r: r["a"] > 2).rows == [{"a": 5}]
 
-    def test_project(self):
-        bindings = BindingSet([{"a": 1, "b": 2}])
-        assert bindings.project(["b"]).rows == [{"b": 2}]
-
     def test_extend_each(self):
         bindings = BindingSet([{"a": 1}, {"a": 2}])
         extended = bindings.extend_each(
             lambda row: [{"b": row["a"] * 10}] if row["a"] == 1 else []
         )
         assert extended.rows == [{"a": 1, "b": 10}]
-
-    def test_deduplicate(self):
-        bindings = BindingSet([{"a": 1}, {"a": 1}, {"a": 2}])
-        assert bindings.deduplicate().rows == [{"a": 1}, {"a": 2}]

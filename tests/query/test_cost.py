@@ -79,56 +79,49 @@ class TestPredictions:
     def test_naive_grows_with_network_fixed_grams_do_not(self):
         """The crossover driver: naive is Θ(region), grams are Θ(log)."""
         words = [f"word{i:02d}" for i in range(40)]
-        small = build_ctx(words, 16)
-        large = build_ctx(words, 256)
-        naive_small = StrategyCostModel(small.network).predict(
-            "word01", ATTR, 1, SimilarityStrategy.NAIVE
+        small, large = (
+            StrategyCostModel(build_ctx(words, n).network).predict_all(
+                "word01", ATTR, 1
+            )
+            for n in (16, 256)
         )
-        naive_large = StrategyCostModel(large.network).predict(
-            "word01", ATTR, 1, SimilarityStrategy.NAIVE
-        )
-        gram_small = StrategyCostModel(small.network).predict(
-            "word01", ATTR, 1, SimilarityStrategy.QGRAM
-        )
-        gram_large = StrategyCostModel(large.network).predict(
-            "word01", ATTR, 1, SimilarityStrategy.QGRAM
-        )
-        naive_growth = naive_large.messages / naive_small.messages
-        gram_growth = gram_large.messages / gram_small.messages
+        naive, gram = SimilarityStrategy.NAIVE.value, SimilarityStrategy.QGRAM.value
+        naive_growth = large[naive].messages / small[naive].messages
+        gram_growth = large[gram].messages / small[gram].messages
         assert naive_growth > gram_growth
-        assert naive_large.messages > naive_small.messages
+        assert large[naive].messages > small[naive].messages
 
     def test_qsample_at_most_qgram_lookups(self, word_model_ctx):
         model = StrategyCostModel(word_model_ctx.network)
-        qgram = model.predict(
-            "similarity", TEXT_ATTR, 1, SimilarityStrategy.QGRAM,
-            word_model_ctx.catalog,
+        predictions = model.predict_all(
+            "similarity", TEXT_ATTR, 1, word_model_ctx.catalog
         )
-        qsample = model.predict(
-            "similarity", TEXT_ATTR, 1, SimilarityStrategy.QSAMPLE,
-            word_model_ctx.catalog,
-        )
+        qgram = predictions[SimilarityStrategy.QGRAM.value]
+        qsample = predictions[SimilarityStrategy.QSAMPLE.value]
         assert qsample.messages <= qgram.messages
 
     def test_monotone_in_distance(self, word_model_ctx):
         model = StrategyCostModel(word_model_ctx.network)
         costs = [
-            model.predict(
-                "apple", TEXT_ATTR, d, SimilarityStrategy.QGRAM,
-                word_model_ctx.catalog,
-            ).messages
+            model.predict_all(
+                "apple", TEXT_ATTR, d, word_model_ctx.catalog
+            )[SimilarityStrategy.QGRAM.value].messages
             for d in (0, 1, 2, 3)
         ]
         assert costs == sorted(costs)
 
     def test_adaptive_itself_not_predictable(self, word_model_ctx):
-        from repro.core.errors import ExecutionError
-
+        """Adaptive is the choice among the physical strategies, not one
+        of them: it gets no prediction of its own."""
         model = StrategyCostModel(word_model_ctx.network)
-        with pytest.raises(ExecutionError):
-            model.predict(
-                "apple", TEXT_ATTR, 1, SimilarityStrategy.ADAPTIVE
-            )
+        predictions = model.predict_all(
+            "apple", TEXT_ATTR, 1, word_model_ctx.catalog
+        )
+        assert SimilarityStrategy.ADAPTIVE.value not in predictions
+        assert list(predictions) == [s.value for s in CANDIDATE_STRATEGIES]
+        assert all(
+            predictions[s.value].strategy is s for s in CANDIDATE_STRATEGIES
+        )
 
 
 class TestChoose:

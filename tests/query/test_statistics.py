@@ -51,7 +51,7 @@ class TestCollection:
     def test_sampling_costs_messages(self, ctx):
         ctx.network.tracer.reset()
         collect_statistics(ctx, [TEXT_ATTR], sample_partitions=2)
-        assert ctx.network.tracer.counts_by_phase["stats"] > 0
+        assert ctx.network.tracer.snapshot().by_phase.get("stats", 0) > 0
 
     def test_sampled_extrapolation_close(self, ctx):
         sampled = collect_statistics(ctx, [TEXT_ATTR], sample_partitions=3)

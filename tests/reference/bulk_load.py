@@ -26,7 +26,7 @@ every store's version and the ledger's tick must equal this loader's.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterable, Iterator, MutableMapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from unittest import mock
 
 from repro.core.config import StoreConfig
@@ -81,7 +81,6 @@ def reference_paths(
     n_partitions: int,
     sample_keys: Sequence[str],
     key_bits: int,
-    count_cache: MutableMapping[str, int] | None = None,
 ) -> list[str]:
     """``trie.data_aware_paths``, counting through integer intervals."""
     if n_partitions < 1:
@@ -96,13 +95,9 @@ def reference_paths(
     paths: list[str] = []
 
     def count_in(prefix: str) -> int:
-        if count_cache is not None and prefix in count_cache:
-            return count_cache[prefix]
         lo_int, hi_int = keyspace.prefix_interval(prefix, key_bits)
         lo = bisect.bisect_left(sorted_keys, keyspace.int_to_key(lo_int, key_bits))
         hi = bisect.bisect_right(sorted_keys, keyspace.int_to_key(hi_int, key_bits))
-        if count_cache is not None:
-            count_cache[prefix] = hi - lo
         return hi - lo
 
     def split(prefix: str, count: int) -> None:

@@ -63,9 +63,6 @@ class ReferenceStore:
     def range_scan(self, lo_key: str, hi_key: str) -> list[IndexEntry]:
         return [entry for entry in self._sorted() if lo_key <= entry.key <= hi_key]
 
-    def count_prefix(self, prefix: str) -> int:
-        return len(self.prefix_scan(prefix))
-
     def entries_of_kind(self, kind: EntryKind) -> Iterator[IndexEntry]:
         return iter(self.entries_of_kind_prefix(kind, ""))
 
@@ -82,10 +79,6 @@ class ReferenceStore:
             for entry in self._sorted()
             if entry.kind is kind and entry.triple.value == value
         ]
-
-    def key_bounds(self) -> tuple[str, str] | None:
-        keys = [entry.key for entry in self._arrived]
-        return (min(keys), max(keys)) if keys else None
 
     def payload_bytes(self) -> int:
         return sum(entry.payload_size() for entry in self._arrived)

@@ -11,7 +11,9 @@ Engines verify through the kernel their pool resolves, so tests pin one
 by patching module-level names, never through an option:
 :func:`engines_verify_with` makes engines built inside it verify through
 a given kernel, and :func:`numpy_free_myers` is the shipped kernel as a
-numpy-free interpreter builds it (no prefilter).
+numpy-free interpreter builds it (no prefilter).  :func:`myers_within`
+is one probe of the shipped bit-parallel scan, for comparing it with
+the DP pair by pair.
 """
 
 from __future__ import annotations
@@ -22,8 +24,16 @@ from unittest import mock
 from repro import engine as engine_module
 from repro.similarity import kernels
 from repro.similarity.edit_distance import edit_distance_within
-from repro.similarity.kernels import BoundKernel, EditKernel, MyersKernel
+from repro.similarity.kernels import BoundKernel, EditKernel, MyersKernel, MyersQuery
 from repro.similarity.verify import VerifierPool
+
+
+def myers_within(a: str, b: str, d: int) -> int:
+    """One-shot ``MyersQuery(a).within(b, d)`` with the DP's ``d < 0``
+    contract (0 when equal, 1 otherwise)."""
+    if d < 0:
+        return 0 if a == b else 1
+    return MyersQuery(a).within(b, d)
 
 
 class _BoundReference(BoundKernel):

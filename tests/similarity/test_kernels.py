@@ -12,12 +12,11 @@ from repro.similarity.edit_distance import edit_distance, edit_distance_within
 from repro.similarity.kernels import (
     MyersKernel,
     MyersQuery,
-    myers_within,
     numpy_available,
     resolve_kernel,
 )
 from repro.similarity.verify import BatchVerifier, VerifierPool
-from tests.reference.kernel import ReferenceKernel, numpy_free_myers
+from tests.reference.kernel import ReferenceKernel, myers_within, numpy_free_myers
 
 
 def pairs_straddling_word_boundary():

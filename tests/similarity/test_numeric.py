@@ -39,15 +39,6 @@ class TestInterval:
         with pytest.raises(QueryError):
             Interval(2.0, 1.0)
 
-    def test_intersect(self):
-        assert Interval(0, 5).intersect(Interval(3, 8)) == Interval(3, 5)
-
-    def test_intersect_disjoint(self):
-        assert Interval(0, 1).intersect(Interval(2, 3)) is None
-
-    def test_union_bounds(self):
-        assert Interval(0, 1).union_bounds(Interval(5, 6)) == Interval(0, 6)
-
 
 class TestSimilarityMapping:
     def test_similarity_interval(self):

@@ -263,31 +263,13 @@ class TestReads:
         assert all(lo <= e.key <= hi for e in found)
         assert len(found) == sum(1 for k in keys if lo <= k <= hi)
 
-    def test_count_prefix_matches_scan(self, store):
-        entry = next(iter(store))
-        for width in (0, 4, 8, 16):
-            prefix = entry.key[:width]
-            assert store.count_prefix(prefix) == len(store.prefix_scan(prefix))
-
     def test_entries_of_kind(self, store):
         oids = list(store.entries_of_kind(EntryKind.OID))
         assert oids
         assert all(e.kind is EntryKind.OID for e in oids)
 
-    def test_key_bounds(self, store):
-        lo, hi = store.key_bounds()
-        keys = [e.key for e in store]
-        assert (lo, hi) == (min(keys), max(keys))
-
-    def test_key_bounds_empty(self):
-        assert LocalDataStore().key_bounds() is None
-
     def test_payload_bytes_positive(self, store):
         assert store.payload_bytes() > 0
-
-    def test_local_density(self, store):
-        density = store.local_density("", 32)
-        assert density == pytest.approx(len(store) / (1 << 32))
 
 
 class TestSecondaryIndexes:

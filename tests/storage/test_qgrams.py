@@ -13,8 +13,9 @@ from repro.storage.qgrams import (
     qgram_sample,
     qgram_set,
     qgram_tuples,
-    shared_gram_count,
 )
+
+from tests.conftest import shared_gram_count
 
 
 class TestQGramTuples:

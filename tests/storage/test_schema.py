@@ -65,10 +65,6 @@ class TestRelationSchema:
         schema = RelationSchema("car", ("name",))
         assert schema.make_oid(7) == "car:000007"
 
-    def test_qualified(self):
-        schema = RelationSchema("car", ("name",))
-        assert schema.qualified("name") == "car:name"
-
     def test_rejects_empty_name(self):
         with pytest.raises(SchemaError):
             RelationSchema("", ("a",))

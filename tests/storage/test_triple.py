@@ -7,26 +7,13 @@ from repro.storage.triple import Triple, check_value, is_numeric, make_oid
 
 
 class TestTriple:
-    def test_components(self):
-        triple = Triple("car:000001", "car:name", "bmw")
-        assert triple.component(1) == "car:000001"
-        assert triple.component(2) == "car:name"
-        assert triple.component(3) == "bmw"
-
-    def test_component_out_of_range(self):
-        triple = Triple("a", "b", "c")
-        with pytest.raises(StorageError):
-            triple.component(4)
-
     def test_namespace_split(self):
         triple = Triple("x", "car:name", "bmw")
         assert triple.namespace == "car"
-        assert triple.local_name == "name"
 
     def test_unqualified_attribute(self):
         triple = Triple("x", "name", "bmw")
         assert triple.namespace == ""
-        assert triple.local_name == "name"
 
     def test_numeric_values_allowed(self):
         assert Triple("x", "a", 42).value == 42

@@ -1,5 +1,7 @@
 """Unit tests for configuration validation and the stats accumulators."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import (
@@ -39,13 +41,24 @@ class TestStoreConfigValidation:
         assert changed.replication == 2
         assert config.replication == 1  # original untouched
 
-    def test_with_strategy_string(self):
-        config = StoreConfig().with_strategy("qsamples")
-        assert config.strategy is SimilarityStrategy.QSAMPLE
-
     def test_frozen(self):
         with pytest.raises(Exception):
             StoreConfig().q = 5  # type: ignore[misc]
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(StoreConfig)] == [
+            "key_bits", "attr_bits", "q", "strategy", "refs_per_level",
+            "replication", "balancing", "seed", "index_values",
+            "index_instance_grams", "index_schema_grams",
+        ]
+
+    @pytest.mark.parametrize(
+        "knob",
+        ["enable_length_filter", "enable_position_filter", "strict_completeness"],
+    )
+    def test_removed_knob_rejected(self, knob):
+        with pytest.raises(TypeError):
+            StoreConfig(**{knob: False})
 
 
 class TestSimilarityStrategyNames:
@@ -93,26 +106,10 @@ class TestQueryStats:
         assert stats.payload_bytes == 1500
         assert stats.by_type["route"] == 15
 
-    def test_per_query_averages(self):
+    def test_payload_megabytes(self):
         stats = QueryStats()
         stats.record(self._cost(10, 2_000_000))
-        assert stats.messages_per_query == 10
-        assert stats.bytes_per_query == 2_000_000
         assert stats.payload_megabytes == 2.0
-
-    def test_empty_averages(self):
-        stats = QueryStats()
-        assert stats.messages_per_query == 0.0
-        assert stats.bytes_per_query == 0.0
-
-    def test_merge(self):
-        a = QueryStats()
-        a.record(self._cost(10, 100))
-        b = QueryStats()
-        b.record(self._cost(20, 200))
-        a.merge(b)
-        assert a.queries == 2
-        assert a.messages == 30
 
     def test_summary_format(self):
         stats = QueryStats()

@@ -11,6 +11,7 @@ from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.core.errors import ReproError
 from repro.engine import QueryEngine
 from repro.overlay.faults import FaultPlan
+from repro.similarity.filters import FilterConfig
 from repro.storage.triple import Triple
 
 from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS, word_triples
@@ -99,6 +100,12 @@ class TestFacade:
     def test_context_accepts_strategy_name(self, engine):
         ctx = engine.context(strategy="strings")
         assert ctx.strategy is SimilarityStrategy.NAIVE
+
+    def test_contexts_apply_both_filters(self, engine):
+        """Only an ablation that builds its own context turns a filter off."""
+        for ctx in (engine.ctx, engine.context(strategy="qsample")):
+            assert ctx.filters == FilterConfig()
+            assert ctx.filters.use_length and ctx.filters.use_position
 
 
 class TestAnalyze:

@@ -374,7 +374,7 @@ class TestLaggingReplica:
                 found = self._ask(engine, answering, silent)
                 assert (self.EXTRA in found) == (answering is fresh)
                 assert found  # the stale object is still an object
-        assert engine.recover(repair=True).data_changed
+        assert engine.recover(repair=True).divergent_partitions
         for answering, silent in order:
             assert self.EXTRA in self._ask(engine, answering, silent)
 
@@ -432,7 +432,7 @@ class TestLaggingReplica:
         assert versions[0] > versions[1] > versions[2]
 
         assert two not in self._ask(engine, middle, fresh, last, oid=second)
-        assert engine.recover(repair=True).data_changed
+        assert engine.recover(repair=True).divergent_partitions
         assert last.store.version == versions[1]
         for answering in (last, middle, fresh):
             silent = [peer for peer in (fresh, middle, last) if peer is not answering]
@@ -536,7 +536,7 @@ class TestAddressMap:
         engine.delete([extra])
         engine.fail_fraction(0.3, protect_partitions=True)
         engine.insert([extra], respect_online=True)
-        assert engine.recover(repair=True).data_changed
+        assert engine.recover(repair=True).divergent_partitions
         assert fetch.addresses == known
 
         engine.clear_memos()
@@ -675,7 +675,7 @@ class TestChurnRegression:
         assert report.failed_peer_ids
         recovery = engine.recover(repair=True)
         assert recovery.recovered_peers == len(report.failed_peer_ids)
-        assert not recovery.data_changed
+        assert not recovery.divergent_partitions
         assert recovery.entries_copied == 0
         assert _memo_entries(engine) == entries
         for memo in (engine.naive_memo, engine.gram_scan_memo, engine.fetch_memo):
@@ -700,7 +700,7 @@ class TestChurnRegression:
         cached = set(fetch.records)
         versions = [peer.store.version for peer in network.peers]
         recovery = engine.recover(repair=True)
-        assert recovery.data_changed
+        assert recovery.divergent_partitions
         assert recovery.entries_copied > 0
         assert set(fetch.records) == cached
         left_alone = {

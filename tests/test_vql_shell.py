@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.shell import Shell
+from examples.vql_shell import Shell
 
 
 @pytest.fixture(scope="module")
