@@ -8,12 +8,8 @@ is bit-identical to cells run alone.
 
 import pytest
 
-from repro.core.config import (
-    ConfigError,
-    SimilarityStrategy,
-    StoreConfig,
-    env_flag,
-)
+from repro.core.config import SimilarityStrategy, StoreConfig, env_flag
+from repro.core.errors import ConfigError
 from repro.core.stats import QueryStats
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
 from repro.overlay.incremental import PreparedDataset

@@ -18,9 +18,7 @@ entries and replication)" — made concrete in three acts:
 3. the availability math shows how to size the replication factor.
 
 The fault layer lives in ``repro.overlay.faults``; the replication/
-availability formulas in ``repro.overlay.replication``.  The engine is
-built with ``memoize=False``: churn is exactly the dynamic setting the
-whole-workload memos are not meant for.
+availability formulas in ``repro.overlay.replication``.
 """
 
 from repro import FaultPlan, QueryEngine, StoreConfig, Triple
@@ -45,9 +43,7 @@ def main() -> None:
         Triple(f"w:{i:04d}", "word:text", w) for i, w in enumerate(WORDS)
     ]
     config = StoreConfig(seed=21, replication=3)
-    store = QueryEngine.build(
-        n_peers=48, triples=triples, config=config, memoize=False
-    )
+    store = QueryEngine.build(n_peers=48, triples=triples, config=config)
     run_demo(store, config)
 
 

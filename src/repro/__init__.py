@@ -18,7 +18,10 @@ Quickstart::
 cost-based adaptive strategy selection + workload memos).  Dict-shaped
 records and horizontal relations become triples through
 :func:`repro.storage.schema.record_to_triples` and
-:func:`repro.storage.schema.rows_to_triples`.
+:meth:`repro.storage.schema.RelationSchema.tuple_to_triples`.
+
+This module is the only one that re-exports names; everything else is
+imported from the module that defines it.
 """
 
 from repro.core.config import (

@@ -1,19 +1,1 @@
 """Synthetic datasets mirroring the paper's corpora statistics."""
-
-from repro.datasets.bible import bible_triples, bible_words
-from repro.datasets.cars import CAR_SCHEMA, DEALER_SCHEMA, CarDatabase, car_database
-from repro.datasets.paintings import painting_titles, painting_triples
-from repro.datasets.wordgen import WordGenerator, mean_length
-
-__all__ = [
-    "CAR_SCHEMA",
-    "CarDatabase",
-    "DEALER_SCHEMA",
-    "WordGenerator",
-    "bible_triples",
-    "bible_words",
-    "car_database",
-    "mean_length",
-    "painting_titles",
-    "painting_triples",
-]

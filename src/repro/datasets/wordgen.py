@@ -116,10 +116,3 @@ def sample_lengths(
     lengths = [length for length, __ in weights]
     probabilities = [weight for __, weight in weights]
     return rng.choices(lengths, weights=probabilities, k=count)
-
-
-def mean_length(words: Sequence[str]) -> float:
-    """Average string length of a corpus (diagnostics and tests)."""
-    if not words:
-        return 0.0
-    return sum(len(w) for w in words) / len(words)

@@ -82,7 +82,6 @@ from repro.query.operators.range_scan import numeric_similar
 from repro.query.operators.similar import GramScanMemo, SimilarResult, similar
 from repro.query.operators.simjoin import SimJoinResult, anchored_sim_join, sim_join
 from repro.query.operators.topn import (
-    MAX_ROUNDS as MAX_ROUNDS,  # re-exported: the service bounds requests by it
     TOP_N_MAX_DISTANCE,
     TopNResult,
     top_n_numeric,
@@ -360,28 +359,17 @@ class QueryEngine:
 
     @property
     def churn(self) -> ChurnController:
-        """The engine-owned churn driver (created lazily, seeded)."""
+        """The engine-owned churn driver (created lazily, seeded).
+
+        Taking peers offline changes no store, so no memo entry or
+        statistic is touched: partition-keyed memos stay valid because
+        cached entries carry per-store version checks.
+        """
         if self._churn is None:
             self._churn = ChurnController(
                 self.network, seed=self.config.seed + 29
             )
         return self._churn
-
-    def fail_peers(
-        self, peer_ids: Sequence[int], protect_partitions: bool = False
-    ) -> ChurnReport:
-        """Take specific peers offline through the engine.
-
-        Going offline changes no store, so no memo entry or statistic is
-        touched — partition-keyed memos stay valid because replicas hold
-        identical data and cached entries carry per-store version checks.
-        This is the churn half of the write path: stores can no longer
-        change behind the engine's back, and peer failure/recovery is
-        explicit instead of reaching into the network.
-        """
-        return self.churn.fail_peers(
-            list(peer_ids), protect_partitions=protect_partitions
-        )
 
     def fail_fraction(
         self, fraction: float, protect_partitions: bool = True

@@ -451,7 +451,7 @@ class PGridNetwork:
 
     def total_payload_bytes(self) -> int:
         """Total stored payload bytes across all peers (cached per store)."""
-        return sum(peer.store.total_payload_bytes() for peer in self.peers)
+        return sum(peer.store.payload_bytes() for peer in self.peers)
 
     def store_version_token(self) -> int:
         """The monotone network-wide mutation token (the ledger's tick).

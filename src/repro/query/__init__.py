@@ -1,45 +1,1 @@
 """VQL: language, planner, and distributed executor."""
-
-from repro.query.ast import (
-    CompareOp,
-    Comparison,
-    Const,
-    DistCall,
-    OrderBy,
-    SelectQuery,
-    SortDirection,
-    TriplePattern,
-    Var,
-)
-from repro.query.bindings import BindingSet
-from repro.query.executor import Executor, QueryResult
-from repro.query.parser import parse
-from repro.query.planner import AccessMethod, PlanStep, QueryPlan, plan
-from repro.query.statistics import (
-    AttributeStatistics,
-    StatisticsCatalog,
-    collect_statistics,
-)
-
-__all__ = [
-    "AccessMethod",
-    "AttributeStatistics",
-    "BindingSet",
-    "CompareOp",
-    "Comparison",
-    "Const",
-    "DistCall",
-    "Executor",
-    "OrderBy",
-    "PlanStep",
-    "QueryPlan",
-    "QueryResult",
-    "SelectQuery",
-    "SortDirection",
-    "StatisticsCatalog",
-    "TriplePattern",
-    "Var",
-    "collect_statistics",
-    "parse",
-    "plan",
-]

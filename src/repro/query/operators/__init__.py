@@ -1,64 +1,1 @@
 """Physical operators: exact, range, similarity, join, top-N."""
-
-from repro.query.operators.base import (
-    MatchedObject,
-    OperatorContext,
-    object_from_triples,
-)
-from repro.query.operators.exact import (
-    equi_join,
-    keyword_lookup,
-    lookup_object,
-    scan_attribute,
-    select_equals,
-)
-from repro.query.operators.collected import similar_collected
-from repro.query.operators.multiattr import (
-    StringPredicate,
-    euclidean_similar,
-    similar_all,
-)
-from repro.query.operators.naive import naive_similar
-from repro.query.operators.range_scan import numeric_similar, select_range
-from repro.query.operators.similar import SimilarResult, similar
-from repro.query.operators.string_range import select_prefix, select_string_range
-from repro.query.operators.simjoin import (
-    JoinPair,
-    SimJoinResult,
-    anchored_sim_join,
-    sim_join,
-)
-from repro.query.operators.topn import (
-    TopNResult,
-    top_n_numeric,
-    top_n_string_nn,
-)
-
-__all__ = [
-    "JoinPair",
-    "MatchedObject",
-    "OperatorContext",
-    "SimJoinResult",
-    "SimilarResult",
-    "StringPredicate",
-    "TopNResult",
-    "anchored_sim_join",
-    "equi_join",
-    "keyword_lookup",
-    "lookup_object",
-    "naive_similar",
-    "numeric_similar",
-    "object_from_triples",
-    "scan_attribute",
-    "select_equals",
-    "select_prefix",
-    "select_range",
-    "select_string_range",
-    "sim_join",
-    "similar",
-    "similar_all",
-    "similar_collected",
-    "euclidean_similar",
-    "top_n_numeric",
-    "top_n_string_nn",
-]

@@ -24,8 +24,7 @@ stores the object's complete triples.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -578,11 +577,3 @@ class FetchObjectsMemo:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-def object_from_triples(triples: Sequence[Triple]) -> dict[str, list[ValueType]]:
-    """Group an object's triples into an ``attribute -> values`` mapping."""
-    grouped: dict[str, list[ValueType]] = defaultdict(list)
-    for triple in triples:
-        grouped[triple.attribute].append(triple.value)
-    return dict(grouped)

@@ -2,14 +2,11 @@
 
 These are the "already implemented and evaluated" operations the paper
 builds on ([10], Section 3): object lookup via ``key(oid)``, selection via
-``key(A#v)``, keyword lookup via ``key(v)``, attribute scans via the
-attribute prefix, and exact equi-joins between triple sets.
+``key(A#v)``, keyword lookup via ``key(v)``, and attribute scans via the
+attribute prefix.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
-from collections.abc import Sequence
 
 from repro.query.operators.base import MatchedObject, OperatorContext
 from repro.storage.indexing import EntryKind
@@ -136,21 +133,3 @@ def scan_attribute(
                 continue
             triples.extend(local)
     return sorted(triples, key=lambda t: (t.oid, str(t.value)))
-
-
-def equi_join(
-    left: Sequence[Triple], right: Sequence[Triple]
-) -> list[tuple[Triple, Triple]]:
-    """Local exact join on triple values (executed at the initiator).
-
-    Joining *collected* triple sets is a local operation; the network cost
-    was already paid when the inputs were retrieved.
-    """
-    by_value: dict[ValueType, list[Triple]] = defaultdict(list)
-    for triple in right:
-        by_value[triple.value].append(triple)
-    pairs: list[tuple[Triple, Triple]] = []
-    for triple in left:
-        for partner in by_value.get(triple.value, ()):
-            pairs.append((triple, partner))
-    return pairs

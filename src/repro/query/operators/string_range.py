@@ -1,18 +1,11 @@
-"""String range and prefix selections.
+"""String range selection.
 
 P-Grid's order-preserving hashing supports "exact and substring search
 ... and range queries on keys" (Section 2).  On the vertical scheme that
-gives two more operators for free:
-
-* :func:`select_string_range` — lexicographic ``lo <= value <= hi`` over
-  one attribute, answered by a shower range query over the composite-key
-  interval;
-* :func:`select_prefix` — all values starting with a prefix (the classic
-  P-Grid substring-by-prefix search): the prefix's cover is exactly the
-  key interval ``[key(prefix), key(prefix + max_char)]``.
-
-Both re-verify matches at the serving peers (truncated hashes are
-over-inclusive, never lossy).
+gives :func:`select_string_range` for free: lexicographic
+``lo <= value <= hi`` over one attribute, answered by a shower range
+query over the composite-key interval.  Matches are re-verified at the
+serving peers (truncated hashes are over-inclusive, never lossy).
 """
 
 from __future__ import annotations
@@ -22,10 +15,6 @@ from repro.overlay.range_query import range_query
 from repro.query.operators.base import OperatorContext
 from repro.storage.indexing import EntryKind
 from repro.storage.triple import Triple
-
-#: Character sorting above every character the hash alphabet knows —
-#: closes a prefix's interval from above.
-_TOP_CHAR = "\x7f"
 
 
 def select_string_range(
@@ -62,26 +51,3 @@ def select_string_range(
             continue
         triples.append(entry.triple)
     return sorted(triples, key=lambda t: (str(t.value), t.oid))
-
-
-def select_prefix(
-    ctx: OperatorContext,
-    attribute: str,
-    prefix: str,
-    initiator_id: int | None = None,
-) -> list[Triple]:
-    """Triples whose string value starts with ``prefix``.
-
-    An empty prefix degenerates to the full attribute scan (every value
-    starts with "").
-    """
-    if initiator_id is None:
-        initiator_id = ctx.random_initiator()
-    if not prefix:
-        from repro.query.operators.exact import scan_attribute
-
-        return scan_attribute(ctx, attribute, initiator_id)
-    triples = select_string_range(
-        ctx, attribute, prefix, prefix + _TOP_CHAR, initiator_id
-    )
-    return [t for t in triples if str(t.value).startswith(prefix)]

@@ -23,17 +23,3 @@ QPS/latency numbers, and those need an actual server to measure.
 ``python3 -m perf.run --workload serve_http`` is the load benchmark that
 drives one over loopback.
 """
-
-from repro.serve.admission import AdmissionController, AdmissionDecision
-from repro.serve.app import QueryService, Request, Response, ServiceConfig
-from repro.serve.http import ServiceServer
-
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "QueryService",
-    "Request",
-    "Response",
-    "ServiceConfig",
-    "ServiceServer",
-]

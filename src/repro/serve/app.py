@@ -66,7 +66,8 @@ from dataclasses import dataclass, field
 
 from repro.core.config import SimilarityStrategy
 from repro.core.errors import ReproError
-from repro.engine import MAX_ROUNDS, TOP_N_MAX_DISTANCE, QueryEngine
+from repro.engine import QueryEngine
+from repro.query.operators.topn import MAX_ROUNDS, TOP_N_MAX_DISTANCE
 from repro.serve.admission import AdmissionController, Ticket
 from repro.storage.triple import Triple
 

@@ -1,28 +1,1 @@
 """Similarity measures and candidate filters."""
-
-from repro.similarity.edit_distance import (
-    edit_distance,
-    edit_distance_within,
-    within_distance,
-)
-from repro.similarity.filters import CountFilter, FilterConfig
-from repro.similarity.numeric import (
-    Interval,
-    absolute_distance,
-    euclidean_box,
-    euclidean_distance,
-    similarity_interval,
-)
-
-__all__ = [
-    "CountFilter",
-    "FilterConfig",
-    "Interval",
-    "absolute_distance",
-    "edit_distance",
-    "edit_distance_within",
-    "euclidean_box",
-    "euclidean_distance",
-    "similarity_interval",
-    "within_distance",
-]

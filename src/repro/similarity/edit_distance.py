@@ -1,13 +1,11 @@
 """Edit distance — the paper's string ``dist()`` (Section 3).
 
-Two implementations:
-
-* :func:`edit_distance` — classic two-row Wagner–Fischer Levenshtein;
-* :func:`edit_distance_within` — banded variant that answers the decision
-  problem ``edit(a, b) <= d``; it explores only a ``2d+1`` diagonal band
-  and exits early, which is what the final verification step of
-  Algorithm 2 (line 23) actually needs.  Returns the exact distance when
-  it is ``<= d`` and ``d + 1`` otherwise (a saturating sentinel).
+:func:`edit_distance` is the classic two-row Wagner–Fischer Levenshtein;
+VQL evaluates ``dist()`` values with it.  The decision form
+``edit(a, b) <= d`` that Algorithm 2's verification step (line 23)
+needs is answered by :mod:`repro.similarity.kernels`; the banded DP
+that defines its contract is the reference kernel in
+``tests/reference/kernel.py``.
 """
 
 from __future__ import annotations
@@ -35,54 +33,3 @@ def edit_distance(a: str, b: str) -> int:
             )
         previous = current
     return previous[-1]
-
-
-def edit_distance_within(a: str, b: str, d: int) -> int:
-    """Banded Levenshtein: exact distance if ``<= d``, else ``d + 1``.
-
-    The length filter comes first: strings whose lengths differ by more
-    than ``d`` cannot be within ``d``.  The DP then only fills cells with
-    ``|i - j| <= d``; any row whose band minimum exceeds ``d`` aborts.
-    """
-    if d < 0:
-        return 0 if a == b else 1
-    length_gap = abs(len(a) - len(b))
-    if length_gap > d:
-        return d + 1
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    n, m = len(a), len(b)
-    infinity = d + 1
-    previous = [j if j <= d else infinity for j in range(m + 1)]
-    for i in range(1, n + 1):
-        lo = max(1, i - d)
-        hi = min(m, i + d)
-        current = [infinity] * (m + 1)
-        if i <= d:
-            current[0] = i
-        ch_a = a[i - 1]
-        row_min = current[0] if i <= d else infinity
-        for j in range(lo, hi + 1):
-            cost = 0 if ch_a == b[j - 1] else 1
-            best = previous[j - 1] + cost
-            if previous[j] + 1 < best:
-                best = previous[j] + 1
-            if current[j - 1] + 1 < best:
-                best = current[j - 1] + 1
-            if best > infinity:
-                best = infinity
-            current[j] = best
-            if best < row_min:
-                row_min = best
-        if row_min >= infinity:
-            return infinity
-        previous = current
-    result = previous[m]
-    return result if result <= d else infinity
-
-
-def within_distance(a: str, b: str, d: int) -> bool:
-    """True iff ``edit(a, b) <= d`` (the predicate form of the banded DP)."""
-    return edit_distance_within(a, b, d) <= d

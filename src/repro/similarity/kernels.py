@@ -1,7 +1,7 @@
 """Edit-distance verification kernel — the fast path under one contract.
 
-A kernel answers the same question as
-:func:`repro.similarity.edit_distance.edit_distance_within`: the exact
+A kernel answers the same question as the banded DP
+``edit_distance_within`` of ``tests/reference/kernel.py``: the exact
 edit distance between the query and a candidate when it is ``<= d``, the
 saturating sentinel ``d + 1`` otherwise.  Kernels change *wall-clock
 only* — match sets, memo contents and every measured message/byte series

@@ -16,10 +16,9 @@ The per-candidate distance work itself routes through an
 :class:`~repro.similarity.kernels.EditKernel` — Myers' bit-parallel
 scan with a numpy bag prefilter when numpy is importable
 (:func:`~repro.similarity.kernels.resolve_kernel`).  Kernels change
-wall-clock only: the verifier is provably equivalent to calling
-:func:`repro.similarity.edit_distance.edit_distance_within` per
-candidate — the property suite checks exactly that, against the
-banded-DP kernel in ``tests/reference/kernel.py`` — so no kernel
+wall-clock only: the verifier is provably equivalent to calling the
+banded DP ``edit_distance_within`` of ``tests/reference/kernel.py`` per
+candidate — the property suite checks exactly that — so no kernel
 changes any match set.
 """
 

@@ -1,34 +1,1 @@
 """Vertical triple storage: triples, schemas, q-grams, index entries."""
-
-from repro.storage.datastore import LocalDataStore
-from repro.storage.indexing import EntryFactory, EntryKind, IndexEntry
-from repro.storage.qgrams import (
-    PositionalQGram,
-    count_filter_threshold,
-    extend,
-    guaranteed_complete,
-    positional_qgrams,
-    qgram_sample,
-    qgram_set,
-)
-from repro.storage.schema import RelationSchema, record_to_triples, rows_to_triples
-from repro.storage.triple import Triple, make_oid
-
-__all__ = [
-    "EntryFactory",
-    "EntryKind",
-    "IndexEntry",
-    "LocalDataStore",
-    "PositionalQGram",
-    "RelationSchema",
-    "Triple",
-    "count_filter_threshold",
-    "extend",
-    "guaranteed_complete",
-    "make_oid",
-    "positional_qgrams",
-    "qgram_sample",
-    "qgram_set",
-    "record_to_triples",
-    "rows_to_triples",
-]

@@ -411,9 +411,6 @@ class LocalDataStore:
             )
         return self._payload_total
 
-    # The bench report and network aggregation use the explicit name.
-    total_payload_bytes = payload_bytes
-
     # -- secondary-index maintenance -----------------------------------------
 
     def _build_postings(self) -> None:

@@ -139,11 +139,6 @@ def gram_counts(text: str, q: int, d: int | None = None) -> tuple[int, int]:
     return len(grams), q * max(0, len(extended) - q + 1)
 
 
-def qgram_set(text: str, q: int) -> set[str]:
-    """The plain (unpositioned) extended q-gram set of ``text``."""
-    return {gram for gram, __ in qgram_tuples(text, q)}
-
-
 def count_filter_threshold(len_a: int, len_b: int, q: int, d: int) -> int:
     """Minimum shared extended q-grams for strings within distance ``d``.
 
@@ -152,14 +147,3 @@ def count_filter_threshold(len_a: int, len_b: int, q: int, d: int) -> int:
     (and gram lookups alone cannot guarantee completeness).
     """
     return max(len_a, len_b) - 1 - (d - 1) * q
-
-
-def guaranteed_complete(query_length: int, q: int, d: int) -> bool:
-    """Can gram lookups for this query guarantee zero false negatives?
-
-    True when every candidate within distance ``d`` must share at least
-    one extended gram: the bound above is ``>= 1`` for all candidate
-    lengths exactly when ``query_length >= 2 + (d - 1) * q`` (candidates
-    can only raise the ``max``).
-    """
-    return count_filter_threshold(query_length, 0, q, d) >= 1

@@ -10,7 +10,7 @@ declared explicitly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.core.errors import SchemaError
@@ -92,13 +92,3 @@ class RelationSchema:
     def make_oid(self, serial: int) -> str:
         """Mint an oid in this relation's namespace."""
         return make_oid(self.name, serial)
-
-
-def rows_to_triples(
-    schema: RelationSchema, rows: Iterable[Mapping[str, ValueType]]
-) -> list[Triple]:
-    """Decompose an iterable of rows, minting sequential oids."""
-    triples: list[Triple] = []
-    for serial, row in enumerate(rows):
-        triples.extend(schema.tuple_to_triples(schema.make_oid(serial), row))
-    return triples

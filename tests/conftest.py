@@ -17,7 +17,7 @@ from repro.overlay.network import PGridNetwork
 from repro.query.operators.base import OperatorContext
 from repro.query.operators.naive import RegionColumn
 from repro.storage.indexing import EntryFactory
-from repro.storage.qgrams import qgram_tuples
+from repro.storage.qgrams import count_filter_threshold, qgram_tuples
 from repro.storage.triple import Triple
 
 #: ``--hypothesis-profile=deep``: the size the mutation state machine
@@ -69,6 +69,22 @@ def shared_gram_count(a: str, b: str, q: int) -> int:
     grams_a = Counter(gram for gram, __ in qgram_tuples(a, q))
     grams_b = Counter(gram for gram, __ in qgram_tuples(b, q))
     return sum((grams_a & grams_b).values())
+
+
+def qgram_set(text: str, q: int) -> set[str]:
+    """The plain (unpositioned) extended q-gram set of ``text``."""
+    return {gram for gram, __ in qgram_tuples(text, q)}
+
+
+def guaranteed_complete(query_length: int, q: int, d: int) -> bool:
+    """Can gram lookups for this query guarantee zero false negatives?
+
+    True when every candidate within distance ``d`` must share at least
+    one extended gram: the count bound is ``>= 1`` for all candidate
+    lengths exactly when ``query_length >= 2 + (d - 1) * q`` (candidates
+    can only raise the ``max``).
+    """
+    return count_filter_threshold(query_length, 0, q, d) >= 1
 
 
 def bytes_by_phase(tracer) -> dict[str, int]:

@@ -200,7 +200,7 @@ class MutationEquivalence(RuleBasedStateMachine):
     def fail_peer(self, peer):
         peer_id = peer % self.primary.n_peers
         reports = [
-            e.fail_peers([peer_id], protect_partitions=True)
+            e.churn.fail_peers([peer_id], protect_partitions=True)
             for e in self.engines
         ]
         assert reports[0].failed_peer_ids == reports[1].failed_peer_ids

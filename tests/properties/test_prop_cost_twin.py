@@ -59,7 +59,7 @@ def _world(q: int, dark: bool) -> QueryEngine:
     if dark:
         network = engine.network
         region = network.partitions_under(network.codec.attr_prefix(TEXT_ATTR))
-        engine.fail_peers(list(region[0].peer_ids), protect_partitions=False)
+        engine.churn.fail_peers(list(region[0].peer_ids), protect_partitions=False)
         assert 0.0 < engine.cost_model._reachable_fraction(TEXT_ATTR) < 1.0
         assert engine.cost_model._reachable_fraction("") < 1.0
     return engine

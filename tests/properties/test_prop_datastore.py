@@ -174,7 +174,6 @@ class TestSecondaryIndexEquivalence:
         store, entries = pair
         expected = sum(e.payload_size() for e in entries)
         assert store.payload_bytes() == expected
-        assert store.total_payload_bytes() == expected
         for entry in entries[: len(entries) // 2]:
             store.remove(entry)
             expected -= entry.payload_size()

@@ -2,7 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.similarity.edit_distance import edit_distance, edit_distance_within
+from repro.similarity.edit_distance import edit_distance
+from tests.reference.kernel import edit_distance_within
 
 words = st.text(alphabet="abcdef", max_size=12)
 

@@ -22,7 +22,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from repro.similarity import kernels
-from repro.similarity.edit_distance import edit_distance, edit_distance_within
+from repro.similarity.edit_distance import edit_distance
 from repro.similarity.kernels import (
     COLUMN_ROWS,
     PREFILTER_MIN_BATCH,
@@ -33,6 +33,7 @@ from repro.similarity.kernels import (
 )
 from repro.similarity.verify import BatchVerifier
 from tests.reference import bag_filter
+from tests.reference.kernel import edit_distance_within
 from tests.reference.kernel import ReferenceKernel, myers_within, numpy_free_myers
 
 DEEP = settings.get_profile("deep")

@@ -8,10 +8,9 @@ from repro.storage.qgrams import (
     extend,
     positional_qgrams,
     qgram_sample,
-    qgram_set,
 )
 
-from tests.conftest import shared_gram_count
+from tests.conftest import qgram_set, shared_gram_count
 
 
 def sample_fell_back(text: str, q: int, d: int) -> bool:

@@ -3,7 +3,7 @@
 The central guarantee of the paper's Algorithm 2: for every strategy, the
 operator returns exactly the stored strings within edit distance ``d`` of
 the query — *within the completeness regime* (``len(s) >= 2 + (d-1)*q``,
-see ``repro.storage.qgrams.guaranteed_complete``).  The naive baseline is
+see ``guaranteed_complete`` in ``tests/conftest.py``).  The naive baseline is
 complete unconditionally.
 """
 
@@ -14,8 +14,8 @@ from repro.overlay.network import PGridNetwork
 from repro.query.operators.base import OperatorContext
 from repro.query.operators.similar import similar
 from repro.similarity.edit_distance import edit_distance
-from repro.storage.qgrams import guaranteed_complete
 from repro.storage.triple import Triple
+from tests.conftest import guaranteed_complete
 
 ATTR = "t:v"
 

@@ -11,8 +11,9 @@ shared memo cannot drift, and replays the bible/paintings workload shape
 
 from hypothesis import given, settings, strategies as st
 
-from repro.similarity.edit_distance import edit_distance, edit_distance_within
+from repro.similarity.edit_distance import edit_distance
 from repro.similarity.verify import BatchVerifier, VerifierPool
+from tests.reference.kernel import edit_distance_within
 
 texts = st.text(alphabet="abz ", max_size=12)
 distances = st.integers(min_value=0, max_value=5)

@@ -25,7 +25,7 @@ def lagging_replica_engine():
     oid = word_triples()[0].oid
     partition = network.partition_for(network.codec.oid_key(oid))
     fresh_id, stale_id = partition.peer_ids
-    engine.fail_peers([stale_id])
+    engine.churn.fail_peers([stale_id])
     engine.insert([Triple(oid, "word:note", "extra")], respect_online=True)
     engine.recover(repair=False)
     delegate = next(
@@ -38,7 +38,7 @@ def lagging_replica_engine():
 
 def fetch_without(engine, offline_id, oid, delegate, answered):
     """Fetch ``oid`` while its replica ``offline_id`` is down."""
-    engine.fail_peers([offline_id])
+    engine.churn.fail_peers([offline_id])
     try:
         return engine.ctx.fetch_objects(
             [oid], delegate, delegate, answered=answered

@@ -4,13 +4,8 @@ import pytest
 
 from repro.core.config import StoreConfig
 from repro.engine import QueryEngine
-from repro.query.operators.base import (
-    MatchedObject,
-    OperatorContext,
-    object_from_triples,
-)
+from repro.query.operators.base import MatchedObject, OperatorContext
 from repro.query.operators.exact import (
-    equi_join,
     keyword_lookup,
     lookup_object,
     scan_attribute,
@@ -37,11 +32,6 @@ class TestLookupObject:
 
     def test_missing_object(self, ctx):
         assert lookup_object(ctx, "w:nosuch") == ()
-
-    def test_object_from_triples_grouping(self, ctx):
-        triples = lookup_object(ctx, "w:0000")
-        grouped = object_from_triples(triples)
-        assert grouped[TEXT_ATTR] == ["apple"]
 
 
 class TestSelectEquals:
@@ -88,19 +78,6 @@ class TestScanAttribute:
         select_equals(ctx, TEXT_ATTR, "banana", fetch_full_objects=False)
         exact_cost = ctx.network.tracer.message_count
         assert exact_cost < scan_cost
-
-
-class TestEquiJoin:
-    def test_join_on_value(self):
-        left = [Triple("a:1", "x", "k"), Triple("a:2", "x", "m")]
-        right = [Triple("b:1", "y", "k"), Triple("b:2", "y", "k")]
-        pairs = equi_join(left, right)
-        assert len(pairs) == 2
-        assert all(l.value == r.value for l, r in pairs)
-
-    def test_empty_sides(self):
-        assert equi_join([], [Triple("b:1", "y", "k")]) == []
-        assert equi_join([Triple("a:1", "x", "k")], []) == []
 
 
 class TestSelectRange:

@@ -1,10 +1,10 @@
-"""Unit tests for string range and prefix selections."""
+"""Unit tests for string range selections."""
 
 import pytest
 
 from repro.core.errors import ExecutionError
 from repro.query.operators.base import OperatorContext
-from repro.query.operators.string_range import select_prefix, select_string_range
+from repro.query.operators.string_range import select_string_range
 
 from tests.conftest import TEXT_ATTR, WORDS, build_word_network
 
@@ -38,29 +38,6 @@ class TestStringRange:
     def test_full_range(self, ctx):
         triples = select_string_range(ctx, TEXT_ATTR, "", "\x7f")
         assert sorted(t.value for t in triples) == sorted(WORDS)
-
-
-class TestPrefix:
-    def test_prefix_search(self, ctx):
-        triples = select_prefix(ctx, TEXT_ATTR, "app")
-        expected = sorted(w for w in WORDS if w.startswith("app"))
-        assert [t.value for t in triples] == expected
-
-    def test_prefix_no_matches(self, ctx):
-        assert select_prefix(ctx, TEXT_ATTR, "zzz") == []
-
-    def test_single_char_prefix(self, ctx):
-        triples = select_prefix(ctx, TEXT_ATTR, "o")
-        expected = sorted(w for w in WORDS if w.startswith("o"))
-        assert [t.value for t in triples] == expected
-
-    def test_empty_prefix_scans_all(self, ctx):
-        triples = select_prefix(ctx, TEXT_ATTR, "")
-        assert sorted(t.value for t in triples) == sorted(WORDS)
-
-    def test_whole_word_prefix(self, ctx):
-        triples = select_prefix(ctx, TEXT_ATTR, "grape")
-        assert sorted(t.value for t in triples) == ["grape", "grapes"]
 
 
 class TestVQLIntegration:

@@ -10,17 +10,16 @@ value, not only on the admitted set.
 
 import pytest
 
-from repro.core.config import SimilarityStrategy
+from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
 from repro.datasets.paintings import TITLE_ATTRIBUTE, painting_triples
 from repro.query.operators.base import OperatorContext
 from repro.overlay.incremental import PreparedDataset
 from repro.query.operators.similar import similar
-from repro.similarity.edit_distance import edit_distance_within
-from repro.storage.qgrams import guaranteed_complete
 
 from evaluation.experiment import build_network
-from tests.conftest import StoreConfig
+from tests.conftest import guaranteed_complete
+from tests.reference.kernel import edit_distance_within
 
 CONFIG = StoreConfig(seed=0, index_values=False, index_schema_grams=False)
 

@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.config import StoreConfig
 from repro.engine import QueryEngine
-from repro.similarity.edit_distance import edit_distance, edit_distance_within
+from repro.similarity.edit_distance import edit_distance
 from repro.storage.triple import Triple
 
 from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS, word_triples
+from tests.reference.kernel import edit_distance_within
 
 
 class TestSinglePattern:

@@ -8,7 +8,7 @@ import pytest
 from perf.layers import LAYERS
 from repro.engine import QueryEngine
 from repro.similarity import kernels
-from repro.similarity.edit_distance import edit_distance, edit_distance_within
+from repro.similarity.edit_distance import edit_distance
 from repro.similarity.kernels import (
     MyersKernel,
     MyersQuery,
@@ -16,7 +16,12 @@ from repro.similarity.kernels import (
     resolve_kernel,
 )
 from repro.similarity.verify import BatchVerifier, VerifierPool
-from tests.reference.kernel import ReferenceKernel, myers_within, numpy_free_myers
+from tests.reference.kernel import (
+    ReferenceKernel,
+    edit_distance_within,
+    myers_within,
+    numpy_free_myers,
+)
 
 
 def pairs_straddling_word_boundary():

@@ -5,8 +5,8 @@ import inspect
 import pytest
 
 from repro.similarity import verify
-from repro.similarity.edit_distance import edit_distance_within
 from repro.similarity.verify import BatchVerifier, VerifierPool
+from tests.reference.kernel import edit_distance_within
 
 WORDS = [
     "apple", "apply", "ample", "maple", "apples", "applet", "appl", "aple",

@@ -387,9 +387,6 @@ class TestSecondaryIndexes:
             s.add_bulk([late, early, tie])  # a bulk load drops the view
         check()
 
-    def test_total_payload_bytes_alias(self, store):
-        assert store.total_payload_bytes() == store.payload_bytes()
-
     def test_payload_cache_tracks_add_and_remove(self, store):
         total = store.payload_bytes()
         extra = entries_for_words(["rho"])

@@ -8,14 +8,12 @@ from repro.storage.qgrams import (
     END_PAD,
     count_filter_threshold,
     extend,
-    guaranteed_complete,
     positional_qgrams,
     qgram_sample,
-    qgram_set,
     qgram_tuples,
 )
 
-from tests.conftest import shared_gram_count
+from tests.conftest import guaranteed_complete, qgram_set, shared_gram_count
 
 
 class TestQGramTuples:

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.core.errors import SchemaError
-from repro.storage.schema import (
-    RelationSchema,
-    qualify,
-    record_to_triples,
-    rows_to_triples,
-)
+from repro.storage.schema import RelationSchema, qualify, record_to_triples
 
 
 class TestQualify:
@@ -76,10 +71,3 @@ class TestRelationSchema:
     def test_rejects_duplicate_attributes(self):
         with pytest.raises(SchemaError):
             RelationSchema("r", ("a", "a"))
-
-
-class TestRowsToTriples:
-    def test_sequential_oids(self):
-        schema = RelationSchema("w", ("t",))
-        triples = rows_to_triples(schema, [{"t": "x"}, {"t": "y"}])
-        assert [t.oid for t in triples] == ["w:000000", "w:000001"]

@@ -107,7 +107,7 @@ class TestWritePath:
         gone_entries = list(network.entry_factory.entries_for(gone))
         home = network.partition_for(gone_entries[0].key)
         holder, lagging = home.peer_ids
-        engine.fail_peers([lagging])
+        engine.churn.fail_peers([lagging])
         engine.insert([kept, gone], respect_online=True)
         engine.recover(repair=False)  # back online, still missing the write
         assert not audit_replicas(network).consistent
@@ -350,7 +350,7 @@ class TestLaggingReplica:
 
     def _miss_the_write(self, engine, lagging, via: str) -> None:
         if via == "recover":
-            engine.fail_peers([lagging.peer_id])
+            engine.churn.fail_peers([lagging.peer_id])
             engine.insert([self.EXTRA], respect_online=True)
             engine.recover(repair=False)
         else:
@@ -671,7 +671,7 @@ class TestChurnRegression:
         _warm(engine)
         entries = _memo_entries(engine)
         assert entries > 0
-        report = engine.fail_peers([0, 3, 5])
+        report = engine.churn.fail_peers([0, 3, 5])
         assert report.failed_peer_ids
         recovery = engine.recover(repair=True)
         assert recovery.recovered_peers == len(report.failed_peer_ids)
@@ -737,7 +737,7 @@ class TestReplicaAwareCost:
         )
         engine.analyze([TEXT_ATTR])
         before = engine.predict_similar("apple", TEXT_ATTR, 1)
-        engine.fail_peers([1, 4])
+        engine.churn.fail_peers([1, 4])
         engine.recover(repair=True)
         after = engine.predict_similar("apple", TEXT_ATTR, 1)
         # Bit-identical floats, not approximately equal: the healthy
@@ -757,7 +757,7 @@ class TestReplicaAwareCost:
         network = engine.network
         prefix = network.codec.attr_prefix(TEXT_ATTR)
         region = network.partitions_under(prefix)
-        engine.fail_peers(
+        engine.churn.fail_peers(
             list(region[0].peer_ids), protect_partitions=False
         )
         assert engine.cost_model._reachable_fraction(TEXT_ATTR) < 1.0

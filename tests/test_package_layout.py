@@ -1,9 +1,11 @@
-"""The evaluation sits beside the ``repro`` package, not inside it, and
-the package holds only what runs."""
+"""The evaluation sits beside the ``repro`` package, not inside it, the
+package holds only what runs, and every name has one import path."""
 
 import ast
+import functools
 import importlib.util
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -72,6 +74,66 @@ def test_query_layer_verifies_through_the_verifier():
     assert offenders == []
 
 
+@functools.cache
+def top_level_names(path: Path) -> set[str]:
+    """Names a module defines at top level: functions, classes and
+    assignment targets, not what it imports."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                leaf.id
+                for target in targets
+                for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            )
+    return names
+
+
+def test_subpackages_reexport_nothing():
+    """Every ``__init__.py`` under the package but the top-level facade's
+    holds only its docstring: no imports, no ``__all__``."""
+    offenders = [
+        path.relative_to(PACKAGE).as_posix()
+        for path in sorted(PACKAGE.rglob("__init__.py"))
+        if path.parent != PACKAGE
+        and [type(node) for node in ast.parse(path.read_text()).body] != [ast.Expr]
+    ]
+    assert offenders == []
+
+
+def test_names_are_imported_from_their_module():
+    """``from repro.x import name`` names a submodule of ``repro.x`` or
+    something ``repro.x`` defines, never a name it only imports — the
+    top-level facade ``repro`` aside."""
+    offenders = []
+    for root in (*USER_ROOTS, "tests"):
+        for path in sorted((REPO / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (
+                    isinstance(node, ast.ImportFrom)
+                    and node.level == 0
+                    and (node.module or "").startswith("repro.")
+                ):
+                    continue
+                module = PACKAGE.joinpath(*node.module.split(".")[1:])
+                source = module / "__init__.py"
+                if not source.exists():
+                    source = module.with_suffix(".py")
+                defined = top_level_names(source)
+                offenders.extend(
+                    f"{path.relative_to(REPO).as_posix()}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if alias.name not in defined
+                    and not (module / alias.name).is_dir()
+                    and not (module / f"{alias.name}.py").exists()
+                )
+    assert offenders == []
+
+
 #: Where a definition under ``src/`` may be named for it to count as
 #: running: the package itself and every program built on it.  Tests
 #: are left out on purpose — a definition only a test calls belongs in
@@ -91,6 +153,17 @@ KEPT_UNNAMED = {
     ),
     "QueryEngine.similar_numeric": (
         "the facade of the paper's numeric similarity operator"
+    ),
+    "QueryEngine.sim_join": (
+        "the facade of the paper's similarity join (Algorithm 3)"
+    ),
+    "Router.retrieve": (
+        "Algorithm 1's Retrieve; tests use it as the lookup oracle the "
+        "operators' fetch paths are checked against"
+    ),
+    "ChurnController.fail_peers": (
+        "scripted failures of chosen peers, which the fault and "
+        "memo-maintenance tests drive"
     ),
 }
 
@@ -116,29 +189,43 @@ def docstring_nodes(tree: ast.AST) -> set[int]:
     return ids
 
 
-def names_used(path: Path) -> set[str]:
-    """Every name ``path`` reads or spells: names, attributes, and string
-    constants that are identifiers (``getattr``, ``__all__``) or
-    ``module:Qualified.name`` paths.  ``import`` statements do not count:
-    importing a name without using it runs nothing."""
+def name_uses(path: Path) -> list[tuple[str, str]]:
+    """``(name, owner)`` for every name ``path`` reads or spells: names,
+    attributes, and string constants that are identifiers (``getattr``)
+    or ``module:Qualified.name`` paths.  ``owner`` is the qualified name
+    of the innermost definition the mention sits in (``""`` at module
+    level).  ``import`` statements and the strings of ``__all__`` are
+    not uses: importing or listing a name runs nothing."""
     tree = ast.parse(path.read_text())
     docstrings = docstring_nodes(tree)
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
+    uses = []
+    stack: list[tuple[ast.AST, str]] = [(tree, "")]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            continue
+        elif isinstance(node, ast.Name):
+            uses.append((node.id, owner))
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            uses.append((node.attr, owner))
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and id(node) not in docstrings
         ):
             if node.value.isidentifier():
-                names.add(node.value)
+                uses.append((node.value, owner))
             elif match := QUALIFIED_PATH.match(node.value):
-                names.update(match.group(1).split("."))
-    return names
+                uses.extend((name, owner) for name in match.group(1).split("."))
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return uses
 
 
 def definitions(path: Path):
@@ -162,22 +249,34 @@ def test_src_defines_only_what_runs():
     """Every definition under ``src/`` is named by some program that
     runs — the package, the evaluation, the benchmark, the tools, the
     examples — or is kept on purpose in :data:`KEPT_UNNAMED`, whose
-    entries must all still exist."""
-    used: set[str] = set()
+    entries must all still exist.  A definition naming itself (a method
+    that only forwards to a namesake, recursion, a default argument)
+    does not count."""
+    owners: dict[str, set[tuple[Path, str]]] = defaultdict(set)
     for root in USER_ROOTS:
         for path in (REPO / root).rglob("*.py"):
             if "tests" not in path.relative_to(REPO).parts:
-                used |= names_used(path)
+                where = path.resolve()
+                for name, owner in name_uses(path):
+                    owners[name].add((where, owner))
+
+    def named_outside(path: Path, qualified: str, name: str) -> bool:
+        return any(
+            where != path
+            or (owner != qualified and not owner.startswith(qualified + "."))
+            for where, owner in owners[name]
+        )
+
     defined = [
-        (path.relative_to(PACKAGE.parent).as_posix(), qualified, name)
+        (path.resolve(), qualified, name)
         for path in sorted(PACKAGE.rglob("*.py"))
         for qualified, name in definitions(path)
     ]
     assert set(KEPT_UNNAMED) <= {qualified for __, qualified, __ in defined}
     unnamed = [
-        f"{where}:{qualified}"
-        for where, qualified, name in defined
-        if name not in used
+        f"{path.relative_to(PACKAGE.parent).as_posix()}:{qualified}"
+        for path, qualified, name in defined
+        if not named_outside(path, qualified, name)
         and qualified not in KEPT_UNNAMED
         and qualified.split(".")[0] not in KEPT_UNNAMED
     ]

@@ -3,7 +3,7 @@
 
 from repro.core.config import RankFunction, SimilarityStrategy, StoreConfig
 from repro.engine import QueryEngine
-from repro.storage.schema import RelationSchema, record_to_triples, rows_to_triples
+from repro.storage.schema import RelationSchema, record_to_triples
 from repro.storage.triple import Triple
 
 from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS
@@ -28,7 +28,7 @@ class TestBuildAndInsert:
     def test_insert_rows(self):
         store = QueryEngine.build(16, config=StoreConfig(seed=2))
         schema = RelationSchema("w", ("t",))
-        store.insert(rows_to_triples(schema, [{"t": "alpha"}, {"t": "beta"}]))
+        store.insert(schema.tuple_to_triples(schema.make_oid(0), {"t": "alpha"}))
         assert store.select("w:t", "alpha")
 
     def test_strategy_string_accepted(self):
