@@ -12,7 +12,12 @@ from repro.datasets.bible import (
     bible_triples,
     bible_words,
 )
-from repro.datasets.cars import DLRID_VARIANTS, car_database
+from repro.datasets.cars import (
+    CAR_SCHEMA,
+    DEALER_SCHEMA,
+    DLRID_VARIANTS,
+    car_database,
+)
 from repro.datasets.paintings import (
     MAX_LENGTH as TITLE_MAX,
     PAPER_MEAN_LENGTH as TITLE_MEAN,
@@ -130,6 +135,20 @@ class TestCarDatabase:
         db = car_database(n_cars=30, n_dealers=5, seed=3)
         dealer_ids = {f"d{i:03d}" for i in range(5)}
         assert all(row["dealer"] in dealer_ids for row in db.car_rows)
+
+    def test_rows_decompose_under_sequential_oids(self):
+        db = car_database(n_cars=12, n_dealers=4, seed=6)
+        objects = {}
+        for triple in db.triples:
+            objects.setdefault(triple.oid, set()).add((triple.attribute, triple.value))
+        expected = {}
+        relations = ((CAR_SCHEMA, db.car_rows), (DEALER_SCHEMA, db.dealer_rows))
+        for schema, rows in relations:
+            for serial, row in enumerate(rows):
+                expected[f"{schema.name}:{serial:06d}"] = {
+                    (f"{schema.name}:{a}", v) for a, v in row.items()
+                }
+        assert objects == expected
 
     def test_deterministic(self):
         a = car_database(n_cars=20, seed=4)

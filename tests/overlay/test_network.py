@@ -104,6 +104,19 @@ class TestDataPlacement:
         assert count == network.total_entries()
         assert count > len(WORDS) * 3  # base entries plus grams
 
+    def test_total_payload_bytes_counts_every_replica(self):
+        network = build_word_network(config=StoreConfig(seed=2, replication=2))
+        before = network.total_payload_bytes()
+        assert before == sum(
+            entry.payload_size() for peer in network.peers for entry in peer.store
+        )
+        triple = Triple("w:9999", TEXT_ATTR, "quince")
+        added = sum(
+            entry.payload_size() for entry in network.entry_factory.entries_for(triple)
+        )
+        network.insert_triples([triple])
+        assert network.total_payload_bytes() == before + 2 * added
+
     def test_replication_duplicates_entries(self):
         config = StoreConfig(seed=2, replication=2)
         single = PGridNetwork(8, StoreConfig(seed=2))

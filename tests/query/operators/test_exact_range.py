@@ -16,7 +16,13 @@ from repro.similarity.numeric import Interval
 from repro.storage.indexing import EntryKind
 from repro.storage.triple import Triple
 
-from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS, build_word_network
+from tests.conftest import (
+    LEN_ATTR,
+    TEXT_ATTR,
+    WORDS,
+    build_word_network,
+    word_triples,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +38,13 @@ class TestLookupObject:
 
     def test_missing_object(self, ctx):
         assert lookup_object(ctx, "w:nosuch") == ()
+
+    def test_every_object_is_its_triples(self, ctx):
+        objects = {}
+        for triple in word_triples():
+            objects.setdefault(triple.oid, set()).add(triple)
+        for oid, triples in objects.items():
+            assert set(lookup_object(ctx, oid)) == triples
 
 
 class TestSelectEquals:
@@ -102,6 +115,13 @@ class TestNumericSimilar:
             abs(len(w) - 6.0) for w in WORDS if abs(len(w) - 6.0) <= 1.0
         )
         assert sorted(m.distance for m in matches) == expected
+
+    @pytest.mark.parametrize("center,d", [(6.0, 1.0), (4.0, 0.0), (5.5, 2.5)])
+    def test_is_the_interval_range(self, ctx, center, d):
+        """``|x - v| <= d`` is the range ``[v - d, v + d]`` (Section 4)."""
+        matches = numeric_similar(ctx, LEN_ATTR, center, d)
+        triples = select_range(ctx, LEN_ATTR, Interval(center - d, center + d))
+        assert sorted(m.oid for m in matches) == sorted(t.oid for t in triples)
 
     def test_full_objects_fetched(self, ctx):
         matches = numeric_similar(ctx, LEN_ATTR, 4.0, 0.0)

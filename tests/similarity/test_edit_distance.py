@@ -3,6 +3,7 @@
 import pytest
 
 from repro.similarity.edit_distance import edit_distance
+from repro.similarity.verify import BatchVerifier
 from tests.reference.kernel import edit_distance_within
 
 KNOWN_PAIRS = [
@@ -47,6 +48,13 @@ class TestBandedVariant:
     def test_negative_d(self):
         assert edit_distance_within("same", "same", -1) == 0
         assert edit_distance_within("a", "b", -1) == 1
+
+    def test_within_distance_predicate(self):
+        for a, b, expected in KNOWN_PAIRS:
+            for d in range(4):
+                assert BatchVerifier(a, d).within(b) is (expected <= d), (a, b, d)
+        assert BatchVerifier("apple", 1).within("apply")
+        assert not BatchVerifier("apple", 2).within("orange")
 
     def test_band_wide_enough_equals_exact(self):
         words = ["overlay", "overload", "similar", "dissimilar", "peer"]

@@ -58,19 +58,20 @@ def test_no_pool_process_or_thread(root):
 
 
 def test_query_layer_verifies_through_the_verifier():
-    """The query layer's distance checks go through a pooled verifier
-    (``OperatorContext.make_verifier``), not the pure-python banded DP."""
-    offenders = [
-        path.relative_to(PACKAGE).as_posix()
+    """The query layer's distance checks go through a pooled verifier:
+    only ``OperatorContext.make_verifier`` (``operators/base.py``) builds
+    a ``BatchVerifier``, and the exact DP ``edit_distance`` computes
+    nothing but the ``dist()`` value of a VQL row (``executor.py``)."""
+    allowed = {"BatchVerifier": {"operators/base.py"}, "edit_distance": {"executor.py"}}
+    offenders = sorted(
+        (module, node.func.id)
         for path in sorted((PACKAGE / "query").rglob("*.py"))
-        if any(
-            isinstance(node, ast.ImportFrom)
-            and any(alias.name == "edit_distance_within" for alias in node.names)
-            or isinstance(node, ast.Attribute)
-            and node.attr == "edit_distance_within"
-            for node in ast.walk(ast.parse(path.read_text()))
-        )
-    ]
+        for module in [path.relative_to(PACKAGE / "query").as_posix()]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and module not in allowed.get(node.func.id, {module})
+    )
     assert offenders == []
 
 
