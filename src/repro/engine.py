@@ -41,12 +41,13 @@ entries name, and every other record of the partition follows the
 written replicas to their new version through one shared stamp.  Every
 record is still checked on every probe — one integer comparison against
 the contacted replica's store version — so a replica that missed the
-write is re-read, never answered for.  Anything that changes a store
-*behind* the engine's back moves the network-wide mutation token (the
-network ledger's tick, advanced by every
-:class:`~repro.storage.datastore.LocalDataStore` write, store
-replacement and membership change — an O(1) read), which every recorded
-operation re-checks; any unexplained change drops all memos at once.
+write is re-read, never answered for.  A store version is a token that
+replicas share only with their content, so diverged replicas never
+answer for each other, and repair needs no report.  Anything that
+changes a store *behind* the engine's back moves the network ledger's
+tick (advanced by every store write, store replacement and membership
+change — an O(1) read), which every recorded operation re-checks; any
+unexplained change drops all memos at once.
 """
 
 from __future__ import annotations
@@ -110,10 +111,7 @@ class RecoveryReport:
     """What one :meth:`QueryEngine.recover` call did.
 
     ``divergent_partitions`` lists the partitions anti-entropy repair had
-    to touch (replicas that missed writes while offline); only these
-    partitions' memo entries can be invalidated — and of those only what
-    a repaired replica answered — so zero divergence means zero
-    invalidation.
+    to touch (replicas that missed writes while offline).
     """
 
     recovered_peers: int = 0
@@ -386,12 +384,11 @@ class QueryEngine:
 
         Recovery alone changes no store.  With ``repair`` (the default)
         the engine audits replica consistency and repairs each divergent
-        partition (writes missed while a replica was down).  Repair
-        rewrites a lagging replica under keys no entry list names, so
-        within a repaired partition only what the replicas it left alone
-        answered stays cached — a fail/recover cycle with zero net data
-        change leaves every memo intact.  ``charge_messages`` prices the
-        anti-entropy traffic on the tracer under the ``repair`` phase.
+        partition (writes missed while a replica was down).  The memos
+        need no report of it: a rewritten replica's old version token is
+        never reported again, and its new one names its new content.
+        ``charge_messages`` prices the anti-entropy traffic on the
+        tracer under the ``repair`` phase.
         """
         from repro.overlay.replication import audit_replicas, repair_partition
 
@@ -401,27 +398,11 @@ class QueryEngine:
             return report
         audit = audit_replicas(self.network)
         report.divergent_partitions = list(audit.divergent_partitions)
-        repaired: dict[int, PartitionWrite] = {}
         for partition_index in audit.divergent_partitions:
-            stores = [
-                self.network.peer(peer_id).store
-                for peer_id in self.network.partition(partition_index).peer_ids
-            ]
-            before = [store.version for store in stores]
             report.entries_copied += repair_partition(
                 self.network, partition_index, charge_messages=charge_messages
             )
-            repaired[partition_index] = PartitionWrite(
-                entries=(),
-                removed=False,
-                versions={
-                    version: version
-                    for version, store in zip(before, stores)
-                    if store.version == version
-                },
-                uniform=False,
-            )
-        self._note_write(repaired)
+        self._mutation_token = self.network.store_version_token()
         return report
 
     # -- write-path maintenance ---------------------------------------------------------

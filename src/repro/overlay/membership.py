@@ -33,7 +33,6 @@ from repro.overlay import keys as keyspace
 from repro.overlay.network import PGridNetwork
 from repro.overlay.peer import Peer
 from repro.overlay.routing import Partition
-from repro.storage.datastore import LocalDataStore
 from repro.storage.indexing import IndexEntry
 
 
@@ -105,6 +104,7 @@ class MembershipManager:
         source = network.peer(partition.peer_ids[0])
         entries = list(source.store)
         peer.store.add_bulk(entries)
+        peer.store.adopt(source.store)  # a copy: one content, one token
         self._charge_transfer(source.peer_id, peer.peer_id, entries)
         self._build_routing_for(peer)
         return peer
@@ -122,16 +122,13 @@ class MembershipManager:
         # The incumbent peers specialize to the '0' side; the newcomer
         # takes '1'.  (P-Grid's pairwise exchange; sides are symmetric.)
         moved: list[IndexEntry] = []
+        tokens: dict[int, int] = {}
         for peer_id in partition.peer_ids:
             incumbent = network.peer(peer_id)
             incumbent.path = left_path
-            keep: list[IndexEntry] = []
-            for entry in incumbent.store:
-                if entry.key.startswith(right_path):
-                    moved.append(entry)
-                else:
-                    keep.append(entry)
-            self._replace_store(incumbent, keep)
+            leaving = [e for e in incumbent.store if e.key.startswith(right_path)]
+            incumbent.store.remove_bulk(leaving, tokens)
+            moved.extend(leaving)
         # Deduplicate the replica copies: the newcomer stores one copy.
         unique: dict[tuple, IndexEntry] = {}
         for entry in moved:
@@ -220,6 +217,7 @@ class MembershipManager:
         absorber = sibling_partitions[0]
         parent = path[:-1]
         entries = list(peer.store)
+        tokens: dict[int, int] = {}
         new_partitions = []
         for p in network.partitions:
             if p.index == partition.index:
@@ -233,7 +231,7 @@ class MembershipManager:
             receiver = network.peer(member)
             receiver.path = parent
             del receiver.routing_table[-1]
-            receiver.store.add_bulk(entries)
+            receiver.store.add_bulk(entries, tokens)
             self._charge_transfer(peer.peer_id, member, entries)
         peer.online = False
         self._redirect_references(path, absorber.peer_ids[0])
@@ -275,11 +273,6 @@ class MembershipManager:
         for partition in network.partitions:
             for peer_id in partition.peer_ids:
                 network.peer(peer_id).partition_index = partition.index
-
-    def _replace_store(self, peer: Peer, entries: list[IndexEntry]) -> None:
-        store = LocalDataStore()
-        store.add_bulk(entries)
-        peer.store = store
 
     def _build_routing_for(self, peer: Peer) -> None:
         network = self.network

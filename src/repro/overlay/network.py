@@ -49,11 +49,11 @@ class PartitionWrite(NamedTuple):
     entries: Sequence[IndexEntry]
     #: ``entries`` were removed, not added.
     removed: bool
-    #: Store version ``before -> after`` over *every* replica of the
-    #: partition; equal for a replica the write did not change (offline
-    #: under ``respect_online``, or holding nothing that was removed).
-    #: Where replicas at one version part ways, the version maps to where
-    #: the written ones went.
+    #: Store version token ``before -> after`` over *every* replica of
+    #: the partition; equal for a replica the write did not change
+    #: (offline under ``respect_online``, or holding nothing that was
+    #: removed).  One-to-one: where replicas at one token part ways, it
+    #: maps to the one new token the written ones share.
     versions: Mapping[int, int]
     #: Every replica whose version moved applied exactly ``entries`` —
     #: always true of an insert; false when diverged replicas removed
@@ -334,7 +334,8 @@ class PGridNetwork:
         partition's entries are the run of ``entries`` that ends at the
         next path: one ``bisect_left`` per partition finds it, and every
         replica takes that slice with one ``add_bulk`` — O(P log E), no
-        per-entry work.  A run whose first or last key its path does not
+        per-entry work — the replicas written from one version token then
+        sharing one.  A run whose first or last key its path does not
         prefix (only a key shorter than a path does that) is placed by
         the oracle, entry by entry, through :meth:`apply_entries`.
         ``entries`` must be sorted by ``key`` (ties in any order);
@@ -357,8 +358,9 @@ class PGridNetwork:
                 continue
             run = entries[start:end]
             if run[0].key.startswith(path) and run[-1].key.startswith(path):
+                tokens: dict[int, int] = {}
                 for peer_id in partitions[index].peer_ids:
-                    peers[peer_id].store.add_bulk(run)
+                    peers[peer_id].store.add_bulk(run, tokens)
             else:
                 self.apply_entries(run)
             start = end
@@ -382,7 +384,8 @@ class PGridNetwork:
         ``(applied, {partition index: PartitionWrite})`` — per touched
         partition the entries that counted and where every replica's
         store version went, so the caller can invalidate exactly what
-        those entries name and keep the rest of the partition.
+        those entries name and keep the rest of the partition.  The
+        replicas it changed from one token share one new token.
         """
         per_partition: dict[int, list[IndexEntry]] = {}
         for entry in entries:
@@ -393,23 +396,22 @@ class PGridNetwork:
         peers = self.peers
         for index, partition_entries in per_partition.items():
             versions: dict[int, int] = {}
+            moved: dict[int, int] = {}
             flags: list[list[bool]] = []
             contacted = False
             for peer_id in self.partitions[index].peer_ids:
                 peer = peers[peer_id]
                 store = peer.store
-                before = store.version
+                versions.setdefault(store.version, store.version)
                 if peer.online or not respect_online:
                     contacted = True
                     if remove:
-                        flags.append(store.remove_bulk(partition_entries))
+                        flags.append(store.remove_bulk(partition_entries, moved))
                     else:
-                        store.add_bulk(partition_entries)
-                after = store.version
-                if after != before or before not in versions:
-                    versions[before] = after
+                        store.add_bulk(partition_entries, moved)
             if not contacted:
                 continue
+            versions.update(moved)
             written, uniform = partition_entries, True
             if remove:
                 removed = flags[0]

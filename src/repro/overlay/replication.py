@@ -10,7 +10,6 @@ attributes to P-Grid.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from repro.overlay.messages import MessageType
@@ -46,14 +45,26 @@ def entry_signature(entry) -> tuple:
     )
 
 
+def _copies(store) -> dict:
+    """A store's entries keyed per copy, ``(signature, k)`` for the k-th
+    copy of an :func:`entry_signature`, so replicas' multisets merge and
+    compare as key sets."""
+    copies: dict = {}
+    for sig, entry in zip(map(entry_signature, store), store):
+        key = (sig, 0)
+        while key in copies:
+            key = (sig, key[1] + 1)
+        copies[key] = entry
+    return copies
+
+
 def audit_replicas(network: PGridNetwork) -> ReplicationReport:
     """Verify that all replicas of each partition store identical entries.
 
     Replicas are compared as multisets of :func:`entry_signature`.  A
-    write hands every replica the same entry objects, so a replica whose
-    store lists exactly the first replica's objects in the same order has
-    the same multiset by construction and is passed without computing a
-    signature; only the others pay the sorted comparison.
+    replica at the first replica's version token holds its content by
+    construction and is passed in O(1); only the others pay the sorted
+    comparison.
     """
     divergent: list[int] = []
     for partition in network.partitions:
@@ -61,7 +72,7 @@ def audit_replicas(network: PGridNetwork) -> ReplicationReport:
         first = stores[0]
         reference = None
         for store in stores[1:]:
-            if len(store) == len(first) and all(map(operator.is_, store, first)):
+            if store.version == first.version:
                 continue
             if reference is None:
                 reference = sorted(map(entry_signature, first))
@@ -83,10 +94,13 @@ def repair_partition(
 
     Models P-Grid's anti-entropy repair; returns the number of entries
     copied.  Only meaningful after failures have caused divergence (e.g.
-    inserts while a replica was offline).  Union and per-replica diff
-    both use :func:`entry_signature`, so repeated q-grams of one string
-    at different positions repair independently and a follow-up
-    :func:`audit_replicas` agrees with the result.
+    inserts while a replica was offline).  The union is a multiset of
+    :func:`entry_signature` (which tells repeated q-grams apart by
+    position), so a replica holding fewer copies of a signature than
+    another receives the difference and every replica ends with one
+    multiset, which a follow-up :func:`audit_replicas` agrees with.  A
+    rewritten replica shares a version token only with one listing its
+    very entries in its order (store order decides a memo's ties).
 
     ``charge_messages`` prices the anti-entropy exchange on the
     network's tracer under the ``repair`` phase: one ``FORWARD`` per
@@ -95,17 +109,18 @@ def repair_partition(
     """
     partition = network.partition(partition_index)
     stores = [network.peer(peer_id).store for peer_id in partition.peer_ids]
-    # Each replica's signatures, computed once: they build the union and
-    # answer that replica's presence test.
-    held = [{entry_signature(e): e for e in store} for store in stores]
-    union: dict[tuple, object] = {}
-    for signatures in held:
-        union.update(signatures)
+    # Each replica's copies, keyed once for the union and its own test.
+    held = [_copies(store) for store in stores]
+    union: dict = {}
+    for copies in held:
+        union.update(copies)
     copied = 0
+    rewritten = []
     for peer_id, store, present in zip(partition.peer_ids, stores, held):
-        missing = [entry for sig, entry in union.items() if sig not in present]
+        missing = [entry for key, entry in union.items() if key not in present]
         if missing:
-            store.add_bulk(missing)  # type: ignore[arg-type]
+            store.add_bulk(missing)
+            rewritten.append(store)
             copied += len(missing)
             if charge_messages:
                 network.tracer.send(
@@ -115,6 +130,13 @@ def repair_partition(
                     sum(entry.payload_size() for entry in missing),
                     phase="repair",
                 )
+    # The first identical list lends its token: kept ones, then newer ones.
+    settled = [store for store in stores if store not in rewritten]
+    for store in reversed(rewritten):
+        for other in settled:
+            if store.adopt(other):
+                break
+        settled.append(store)
     return copied
 
 

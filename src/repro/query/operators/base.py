@@ -356,7 +356,7 @@ class OperationScope:
 
 
 #: What a stamp is set to once no replica can validate it any more
-#: (store versions count up from zero).
+#: (store version tokens are never negative).
 DEAD_STAMP = -1
 
 
@@ -399,25 +399,19 @@ class VersionStamps:
         not goes with the write (``versions`` maps their common version
         to the written one's), so the lagging replica mismatches and is
         re-read.  A stamp at a version no replica reported is
-        unreachable (a repaired replica's, an earlier laggard's) and dies
-        rather than wait for some counter to reach its number; so do two
-        stamps arriving at one version — the comparison could no longer
-        tell their replicas apart.
+        unreachable (a repaired replica's old token, an earlier
+        laggard's) and dies, so what a partition holds stays bounded by
+        its replicas.
         """
         stamps = self._held.get(partition)
         if not stamps:
             return
         for stamp in stamps:
             stamp[0] = versions.get(stamp[0], DEAD_STAMP)
-        if len(stamps) == 1 and stamps[0][0] != DEAD_STAMP:
-            return  # the usual case: one lineage, carried
-        arrived = [stamp[0] for stamp in stamps]
-        for stamp in stamps:
-            if arrived.count(stamp[0]) > 1:
-                stamp[0] = DEAD_STAMP
-        self._held[partition] = [
-            stamp for stamp in stamps if stamp[0] != DEAD_STAMP
-        ]
+        if [DEAD_STAMP] in stamps:
+            self._held[partition] = [
+                stamp for stamp in stamps if stamp[0] != DEAD_STAMP
+            ]
 
     def clear(self) -> None:
         self._held.clear()
@@ -506,13 +500,6 @@ class FetchObjectsMemo:
       charged from the reconstructed triples, which are identical cached
       or not, so measured message/byte series do not change (pinned by
       tests).
-
-    Replicas are told apart by their version counters alone: two replicas
-    that diverged and then reached the same count are indistinguishable
-    to the comparison (the equal-version boundary; the naive region
-    column shares it, and
-    ``tests/query/operators/test_naive_memo.py::TestDivergedReplicas``
-    pins it there as an expected failure).
     """
 
     def __init__(self, network):

@@ -89,7 +89,7 @@ class RegionComparison:
     local_comparisons: int
     #: Largest number of comparisons any single peer performed.
     max_peer_comparisons: int
-    #: partition index -> store mutation counter of the scanned replica.
+    #: partition index -> store version token of the scanned replica.
     #: Replayed only while the contacted replicas still report these
     #: versions; any mismatch invalidates the cache entry.
     store_versions: dict[int, int]
@@ -129,7 +129,7 @@ class RegionColumn:
     compares, in store order — the attribute's values from its
     ``ATTR_VALUE`` entries (each value exactly once; non-string values
     are not comparable), or every entry's attribute *name* at schema
-    level — with the mutation counter of the store they were read from.
+    level — with the version token of the store they were read from.
     Across partitions, built on first use after any slice changed: the
     :meth:`index` from each distinct string to its rows, and the same
     strings as one :class:`~repro.similarity.kernels.EncodedColumn`.  A
@@ -255,12 +255,12 @@ class NaiveWorkloadMemo:
     Valid only while the network's stores are unchanged — benchmark
     cells satisfy this (bulk load, then a read-only workload) — and the
     contract is *enforced*: every cached outcome records the scanned
-    stores' mutation counters (:attr:`LocalDataStore.version
+    stores' version tokens (:attr:`LocalDataStore.version
     <repro.storage.datastore.LocalDataStore>`), and a replay whose
-    contacted replicas report any other version recomputes instead of
-    answering stale.  Replicas of a partition hold identical data, so
+    contacted replicas report any other token recomputes instead of
+    answering stale.  Replicas at one token hold one content, so
     outcomes are cached per *partition*, making hits independent of
-    which replica a broadcast happens to contact.
+    which of those replicas a broadcast happens to contact.
 
     The memo also retains one :class:`RegionColumn` per compared region,
     under the same rules: :meth:`clear` drops them, a write drops the

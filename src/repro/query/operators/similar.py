@@ -91,10 +91,10 @@ class GramScanMemo:
     lists of small integers and shared strings: a table adds no object
     per posting.
 
-    The memo is keyed per partition (replicas store identical data) and
-    is *cost-transparent*: delegation/result messages do not depend on
-    how candidates were computed, so measured series are bit-identical
-    with the memo on or off.
+    The memo is keyed per partition (replicas at one version token store
+    identical data) and is *cost-transparent*: delegation/result
+    messages do not depend on how candidates were computed, so measured
+    series are bit-identical with the memo on or off.
 
     **What keeps a table true.**  A live table's stamp equals the
     version of a store whose postings under the table's signature are

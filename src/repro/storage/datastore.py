@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Iterable, Iterator
-from operator import attrgetter
+from operator import attrgetter, is_
+from types import SimpleNamespace
 
 from repro.storage.indexing import EntryKind, IndexEntry
 from repro.storage.triple import ValueType
@@ -80,17 +81,18 @@ class LocalDataStore:
         self._keys: list[str] = []
         self._entries: list[IndexEntry] = []
         self._dirty = False
-        #: Mutation counter: bumped once by every call that changed the
-        #: store (``add``/``add_bulk``/``remove``/``remove_bulk``).
-        #: Workload memos snapshot it at compute time and treat any change
-        #: as a cache invalidation, turning the "static stores only"
-        #: contract into an enforced check instead of a convention.
+        #: Version token: the ledger's tick at the last call that changed
+        #: the store (or :meth:`attach`).  Two stores share a token only
+        #: through ``tokens`` (one batch written from one token) or
+        #: :meth:`adopt` (a checked copy), so an equal token means the
+        #: very entries in the very order, and workload memos trust a
+        #: record exactly while the replica they ask reports the token it
+        #: was built at.  Nothing outside this class assigns it.
         self.version = 0
         #: The owning network's shared ledger (any object with an integer
-        #: ``tick``), advanced together with ``version`` so the network
-        #: reads "did any store change?" in O(1).  ``None`` for a store
-        #: outside any network.
-        self._ledger = ledger
+        #: ``tick``), so the network reads "did any store change?" in
+        #: O(1).  A store outside any network counts on a tick of its own.
+        self._ledger = ledger if ledger is not None else SimpleNamespace(tick=0)
         #: Lazy ``key -> [entries]`` map; ``None`` until first use and
         #: again after a bulk load (small writes patch it in place).
         self._postings: dict[str, list[IndexEntry]] | None = None
@@ -116,18 +118,25 @@ class LocalDataStore:
         self._oids: list[str] | None = None
 
     def attach(self, ledger) -> None:
-        """Re-home this store on ``ledger`` (a peer adopting it).
-
-        Swapping a peer's store changes what the network holds, so the
-        adoption itself counts as one mutation on the new ledger.
-        """
+        """Re-home this store on ``ledger`` (a peer adopting it): one
+        mutation there, as it changes what the network holds."""
         self._ledger = ledger
-        ledger.tick += 1
+        self._mutated()
 
-    def _mutated(self) -> None:
-        self.version += 1
-        if self._ledger is not None:
-            self._ledger.tick += 1
+    def adopt(self, other: LocalDataStore) -> bool:
+        """Take ``other``'s version token if this store lists its very
+        entries in its order; returns whether it did (O(n))."""
+        if len(self) != len(other) or not all(map(is_, self, other)):
+            return False
+        self.version = other.version
+        return True
+
+    def _mutated(self, tokens: dict[int, int] | None = None) -> None:
+        ledger = self._ledger
+        ledger.tick += 1
+        before, self.version = self.version, ledger.tick
+        if tokens is not None:
+            self.version = tokens.setdefault(before, self.version)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -140,8 +149,13 @@ class LocalDataStore:
         """Insert one entry: the one-element :meth:`add_bulk`."""
         self.add_bulk((entry,))
 
-    def add_bulk(self, entries: Iterable[IndexEntry]) -> int:
+    def add_bulk(self, entries: Iterable[IndexEntry], tokens=None) -> int:
         """Insert many entries; returns the number added.
+
+        ``tokens`` (and :meth:`remove_bulk`'s) is one write's ``{token
+        before: token after}`` map, shared by the replicas it reaches: a
+        store entering at a token another left leaves at that one's new
+        token (one content, one batch), else at a fresh one it records.
 
         A batch small relative to a clean (sorted) store is inserted in
         place — each entry at ``bisect_right`` of its key, in batch
@@ -168,14 +182,14 @@ class LocalDataStore:
             self._oids = None
             if self._payload_total is not None:
                 self._payload_total += sum(e.payload_size() for e in batch)
-        self._mutated()
+        self._mutated(tokens)
         return len(batch)
 
     def remove(self, entry: IndexEntry) -> bool:
         """Remove one entry; returns False if it was not present."""
         return self.remove_bulk((entry,))[0]
 
-    def remove_bulk(self, entries: Iterable[IndexEntry]) -> list[bool]:
+    def remove_bulk(self, entries: Iterable[IndexEntry], tokens=None) -> list[bool]:
         """Remove many entries; one flag per given entry, in order.
 
         Equivalent to calling :meth:`remove` on each entry in turn — a
@@ -233,7 +247,7 @@ class LocalDataStore:
                 doomed.sort()
                 self._delete(key, lo, doomed)
         if True in flags:
-            self._mutated()
+            self._mutated(tokens)
         return flags
 
     # -- in-place maintenance: the one routine every mutation goes through ------

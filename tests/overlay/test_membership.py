@@ -8,6 +8,7 @@ from repro.overlay import keys as keyspace
 from repro.overlay import trie
 from repro.overlay.membership import MembershipManager
 from repro.overlay.network import PGridNetwork
+from repro.overlay.replication import audit_replicas
 from repro.storage.indexing import EntryKind
 
 from tests.conftest import (
@@ -195,6 +196,50 @@ class TestLeave:
         manager.leave(peer_id)
         with pytest.raises(OverlayError):
             manager.leave(peer_id)
+
+
+class TestReplicaTokens:
+    """Membership leaves replicas holding one content on one version
+    token, so the audit passes them in O(1) and their memos stay shared."""
+
+    @staticmethod
+    def partitions_on_one_token(network) -> bool:
+        return all(
+            len({network.peer(pid).store.version for pid in p.peer_ids}) == 1
+            for p in network.partitions
+            if all(network.peer(pid).online for pid in p.peer_ids)
+        )
+
+    def test_joins_and_a_merge_keep_one_token_per_partition(self):
+        network = build_word_network(
+            n_peers=8, config=StoreConfig(seed=7, replication=2)
+        )
+        manager = MembershipManager(network)
+        joined = manager.join()  # splits: the incumbents share one store
+        assert self.partitions_on_one_token(network)
+        split = network.partitions[joined.partition_index - 1]
+        assert len(split.peer_ids) == 2
+        second = manager.join()  # the newcomer's partition takes a replica
+        assert second.path == joined.path
+        assert self.partitions_on_one_token(network)
+        manager.leave(joined.peer_id)
+        manager.leave(second.peer_id)  # the last one: its sibling absorbs
+        absorber = network.partition_for(split.path[:-1])
+        assert absorber.peer_ids == split.peer_ids
+        assert self.partitions_on_one_token(network)
+        assert audit_replicas(network).consistent
+
+    def test_a_joining_replica_takes_its_source_token(self):
+        network = build_word_network(
+            n_peers=8, config=StoreConfig(seed=7, replication=2)
+        )
+        manager = MembershipManager(network)
+        partition = network.partitions[0]
+        manager.leave(partition.peer_ids[0])
+        source = network.peer(partition.peer_ids[1]).store
+        joined = manager.join()
+        assert joined.store.version == source.version
+        assert list(joined.store) == list(source)
 
 
 class TestUntrackedReferences:

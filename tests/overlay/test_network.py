@@ -280,6 +280,54 @@ class TestLedger:
             assert peer.partition_index == network.partition_for(peer.path).index
 
 
+class TestVersionTokens:
+    """A store's version is the ledger's tick at its last mutation; only
+    replicas with one history share one."""
+
+    def test_a_build_leaves_each_partition_on_one_token(self):
+        network = build_word_network(n_peers=24, config=StoreConfig(seed=7, replication=3))
+        tokens = []
+        for partition in network.partitions:
+            (token,) = {network.peer(pid).store.version for pid in partition.peer_ids}
+            tokens.append(token)
+        assert 0 not in tokens and len(set(tokens)) == len(tokens)
+
+    def test_every_mutation_draws_the_ledger_tick(self):
+        from repro.storage.datastore import LocalDataStore
+
+        network = build_word_network(n_peers=16)
+        store = network.peer(2).store
+        entry = next(iter(store))
+        store.add(entry)
+        assert store.version == network.ledger.tick
+        assert store.remove(entry)
+        assert store.version == network.ledger.tick
+        alone = LocalDataStore()
+        alone.add_bulk([entry, entry])
+        assert alone.version == 1  # its own tick
+        network.peer(3).store = alone
+        assert alone.version == network.ledger.tick
+
+    def test_replicas_written_from_one_token_share_one(self):
+        network = build_word_network(n_peers=24, config=StoreConfig(seed=7, replication=3))
+        entries = list(
+            network.entry_factory.entries_for(Triple("x:new", TEXT_ATTR, "apricot"))
+        )
+        home = network.partition_for(entries[0].key)
+        stores = [network.peer(pid).store for pid in home.peer_ids]
+        (built,) = {store.version for store in stores}
+        network.peer(home.peer_ids[2]).online = False
+        __, writes = network.apply_entries(entries, respect_online=True)
+        shared = stores[0].version
+        assert shared > built and [s.version for s in stores] == [shared, shared, built]
+        assert writes[home.index].versions == {built: shared}
+        network.peer(home.peer_ids[2]).online = True
+        __, writes = network.apply_entries(entries)  # a second copy each
+        first, lagged = stores[0].version, stores[2].version
+        assert stores[1].version == first and len({shared, built, first, lagged}) == 4
+        assert writes[home.index].versions == {shared: first, built: lagged}
+
+
 def _objects_per_value(values) -> dict:
     """``value -> {id(object)}`` over equal values held anywhere."""
     objects: dict = {}

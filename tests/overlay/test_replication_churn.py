@@ -1,5 +1,7 @@
 """Unit tests for replication analysis and churn injection."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.config import StoreConfig
@@ -74,12 +76,13 @@ class TestReplicationAudit:
                 }
                 assert entry_signature(entry) in present
 
-    def test_identical_replicas_compute_no_signature(
+    def test_equal_tokens_compute_no_signature(
         self, replicated_network, monkeypatch
     ):
-        """A bulk load hands every replica the same entry objects, so the
-        audit passes them on identity alone; a divergent partition pays
-        one signature per entry of the replicas it compares."""
+        """A bulk load leaves every replica of a partition on one version
+        token, so the audit passes them on the token alone; a divergent
+        partition pays one signature per entry of the replicas it
+        compares, and its repair leaves them on one token again."""
         network = replicated_network
         signed = []
 
@@ -100,6 +103,67 @@ class TestReplicationAudit:
         signed.clear()
         repair_partition(network, partition.index)
         assert len(signed) == sum(len(store) for store in stores) - 1
+        assert stores[0].version == stores[1].version
+        signed.clear()
+        assert audit_replicas(network).consistent
+        assert signed == []
+
+    def test_repair_copies_each_missing_copy(self, replicated_network):
+        """An entry held twice by one replica and once by the other is
+        one copy short there: repair copies that copy, and the replica
+        that needed nothing lends the repaired one its token."""
+        network = replicated_network
+        triple = Triple("w:7775", TEXT_ATTR, "twice")
+        entry = next(iter(network.entry_factory.entries_for(triple)))
+        partition = network.partition_for(entry.key)
+        full, short = (network.peer(pid).store for pid in partition.peer_ids)
+        full.add_bulk([entry, entry])
+        short.add(entry)
+        assert repair_partition(network, partition.index) == 1
+        assert len(full) == len(short) and full.version == short.version
+        assert audit_replicas(network).consistent
+
+    def test_replicas_all_rewritten_share_the_newest_token(
+        self, replicated_network
+    ):
+        """Entries that end their key's run go back where they were, so
+        both rewritten replicas list one order and share the newest
+        token."""
+        network = replicated_network
+        partition = network.partitions[0]
+        first, second = (network.peer(pid).store for pid in partition.peer_ids)
+        entries = list(first)
+        one, two = [
+            entry
+            for entry, after in zip(entries, [*entries[1:], None])
+            if after is None or after.key != entry.key
+        ][:2]
+        assert first.remove(one) and second.remove(two)
+        assert repair_partition(network, partition.index) == 2
+        assert first.version == second.version == network.ledger.tick
+        assert audit_replicas(network).consistent
+
+    def test_replicas_left_in_two_orders_keep_two_tokens(
+        self, replicated_network
+    ):
+        """An entry copied back behind the other entries of its key
+        leaves one multiset in two orders: consistent, but what a memo
+        read from one replica's order must not answer for the other."""
+        network = replicated_network
+        partition = network.partitions[0]
+        first, second = (network.peer(pid).store for pid in partition.peer_ids)
+        keys = Counter(entry.key for entry in first)
+        entries = list(first)
+        moved = next(
+            entry
+            for entry, after in zip(entries, entries[1:])
+            if after.key == entry.key
+        )
+        assert first.remove(moved)
+        assert repair_partition(network, partition.index) == 1
+        assert list(first) != list(second) and keys[moved.key] > 1
+        assert first.version != second.version
+        assert audit_replicas(network).consistent
 
     def test_repair_charges_messages_when_asked(self, replicated_network):
         network = replicated_network

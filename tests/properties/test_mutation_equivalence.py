@@ -43,13 +43,22 @@ retained region columns included, live through the writes and churn.
 After every rule the network ledger's O(1) bookkeeping is checked
 against the scans it replaced: the offline count, the mutation token
 (moves iff some store changed, never backwards) and every peer's
-partition index; and every cached record's stamp is either dead or the
-one its memo's stamp index holds for that partition and version.
+partition index; every cached record's stamp is either dead or the one
+its memo's stamp index holds for that partition and version; and the
+version token rule holds: replicas of a partition at one token list the
+same entries in the same order, so they hold one signature multiset.
+``reinsert_past_a_replica`` writes a live batch a second time past an
+offline replica, so a replica can lack a *copy* of an entry it holds,
+and may bring it back unrepaired, so two replicas can each miss a
+different write; after every ``recover`` the audit finds every
+partition consistent.
 
 Tier-1 runs 200 examples of 10 steps; ``--hypothesis-profile=deep``
 (registered in ``tests/conftest.py``; the ``mutate-smoke`` CI job) runs
 1000 of 30.
 """
+
+import operator
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -63,6 +72,7 @@ from hypothesis.stateful import (
 
 from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.engine import QueryEngine
+from repro.overlay.replication import audit_replicas
 from repro.query.operators.base import DEAD_STAMP
 from repro.query.operators.similar import similar
 from repro.storage.triple import Triple
@@ -196,6 +206,31 @@ class MutationEquivalence(RuleBasedStateMachine):
             self._insert(base, slot, 1, edit)
         self._same_answer(base, 1, initiator, strategy)
 
+    @precondition(lambda self: self.live_batches)
+    @rule(
+        pick=st.integers(min_value=0, max_value=10**6),
+        replica=st.integers(min_value=0, max_value=1),
+        back=st.booleans(),
+    )
+    def reinsert_past_a_replica(self, pick, replica, back):
+        """Insert a live batch again while one replica of its first
+        object's partition is down, so that replica ends a copy short;
+        with ``back`` it returns unrepaired, and a later write past the
+        other replica of that partition (any batch of the same slot)
+        parts the two replicas' histories."""
+        base, batch = self.live_batches[pick % len(self.live_batches)]
+        network = self.primary.network
+        oid_key = network.codec.oid_key(batch[0].oid)
+        peer_id = network.partition_for(oid_key).peer_ids[replica]
+        for engine in self.engines:
+            engine.churn.fail_peers([peer_id], protect_partitions=True)
+        applied = [e.insert(list(batch), respect_online=True) for e in self.engines]
+        assert applied[0] == applied[1]
+        self.live_batches.append((base, batch))
+        if back:
+            for engine in self.engines:
+                engine.network.peer(peer_id).online = True
+
     @rule(peer=st.integers(min_value=0, max_value=10**6))
     def fail_peer(self, peer):
         peer_id = peer % self.primary.n_peers
@@ -229,6 +264,8 @@ class MutationEquivalence(RuleBasedStateMachine):
             reports[0].divergent_partitions == reports[1].divergent_partitions
         )
         assert reports[0].entries_copied == reports[1].entries_copied
+        for engine in self.engines:
+            assert audit_replicas(engine.network).consistent
 
     # -- invariants ---------------------------------------------------------------
 
@@ -264,6 +301,29 @@ class MutationEquivalence(RuleBasedStateMachine):
             assert stamp[0] == DEAD_STAMP or any(
                 held is stamp for held in memo._stamps._held[partition]
             )
+        for memo in (fetch, scans):
+            for held in memo._stamps._held.values():
+                versions = [stamp[0] for stamp in held]
+                assert DEAD_STAMP not in versions
+                assert len(set(versions)) == len(versions)
+
+    @invariant()
+    def equal_tokens_hold_equal_content(self):
+        """A version token names one content: replicas at one token list
+        the same entry objects in the same order, so they hold one
+        signature multiset."""
+        if not hasattr(self, "engines"):
+            return
+        for engine in self.engines:
+            network = engine.network
+            for partition in network.partitions:
+                content: dict[int, list] = {}
+                for peer_id in partition.peer_ids:
+                    store = network.peer(peer_id).store
+                    held = list(store)
+                    first = content.setdefault(store.version, held)
+                    assert len(first) == len(held)
+                    assert all(map(operator.is_, first, held))
 
     @invariant()
     def ledger_matches_scans(self):

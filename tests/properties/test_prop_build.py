@@ -151,7 +151,8 @@ def numbered(keys):
 
 def placed_twins(n_peers, config, sample, entries):
     """Two networks over ``sample``: one filled by ``place_entries``, one
-    by per-entry bisection (one ``add_bulk`` per partition)."""
+    by per-entry bisection (one ``add_bulk`` per partition, its replicas
+    then on the first one's version token)."""
     placed = PGridNetwork(n_peers, config, sample_keys=sample)
     bisected = PGridNetwork(n_peers, config, sample_keys=sample)
     assert placed.place_entries(entries) == len(entries)
@@ -160,8 +161,14 @@ def placed_twins(n_peers, config, sample, entries):
         index = trie.find_responsible(bisected._paths, entry.key)
         per_partition.setdefault(index, []).append(entry)
     for index, run in per_partition.items():
-        for peer_id in bisected.partitions[index].peer_ids:
-            bisected.peers[peer_id].store.add_bulk(run)
+        stores = [
+            bisected.peers[peer_id].store
+            for peer_id in bisected.partitions[index].peer_ids
+        ]
+        for store in stores:
+            store.add_bulk(run)
+        for store in stores[1:]:
+            assert store.adopt(stores[0])
     return placed.peers, bisected.peers
 
 

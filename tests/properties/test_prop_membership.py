@@ -4,7 +4,9 @@ Random join/leave sequences must keep the partition cover complete and
 every stored item reachable — the invariant behind Algorithm 1's
 termination/correctness argument.  A leave picks any online peer, the
 network's original last replicas included (they merge into a trie
-sibling), and every online peer must then find every word.
+sibling), and every online peer must then find every word.  Membership
+moves every replica of a partition alike, so at any replication they
+stay on one version token throughout.
 
 Tier-1 runs the churn property at 50 examples;
 ``--hypothesis-profile=deep`` (registered in ``tests/conftest.py``; the
@@ -18,6 +20,7 @@ from repro.core.errors import OverlayError
 from repro.overlay import trie
 from repro.overlay.membership import MembershipManager
 from repro.overlay.network import PGridNetwork
+from repro.overlay.replication import audit_replicas
 from repro.storage.indexing import EntryKind
 from repro.storage.triple import Triple
 
@@ -29,8 +32,8 @@ CHURN_SETTINGS = (
 )
 
 
-def build(words, n_peers, seed):
-    config = StoreConfig(seed=seed)
+def build(words, n_peers, seed, replication=1):
+    config = StoreConfig(seed=seed, replication=replication)
     triples = [Triple(f"x:{i:03d}", ATTR, w) for i, w in enumerate(words)]
     probe = PGridNetwork(1, config)
     sample = [e.key for e in probe.entry_factory.entries_for_all(triples)]
@@ -76,6 +79,29 @@ class TestMembershipInvariants:
                     if e.kind is EntryKind.ATTR_VALUE and e.triple.attribute == ATTR
                 }
                 assert word in found, (word, start.peer_id)
+
+    @CHURN_SETTINGS
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.lists(st.none() | st.integers(min_value=0), max_size=12),
+        st.integers(1, 3),
+    )
+    def test_replicas_stay_on_one_token(self, n_peers, actions, replication):
+        network = build(WORDS, n_peers, 0, min(replication, n_peers))
+        manager = MembershipManager(network)
+        for pick in actions:
+            if pick is None:
+                manager.join()
+            else:
+                online = [p.peer_id for p in network.peers if p.online]
+                try:
+                    manager.leave(online[pick % len(online)])
+                except OverlayError:
+                    pass
+            for partition in network.partitions:
+                stores = [network.peer(pid).store for pid in partition.peer_ids]
+                assert len({store.version for store in stores}) == 1
+        assert audit_replicas(network).consistent
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=2, max_value=10), st.integers(1, 8))

@@ -1,11 +1,12 @@
 """Replica audit and anti-entropy repair == the signature-only reference.
 
-``audit_replicas`` passes a replica that lists the first replica's very
-entry objects in the same order without computing a signature, and
-``repair_partition`` computes each replica's signatures once; both must
-answer exactly what ``tests/reference/replication.py`` answers: the same
-divergent partitions, the same copied counts and repair traffic, the
-same stores afterwards.
+``audit_replicas`` passes a replica at the first replica's version token
+without computing a signature, and ``repair_partition`` computes each
+replica's signatures once; both must answer exactly what
+``tests/reference/replication.py`` answers: the same divergent
+partitions, the same copied counts and repair traffic, the same stores
+and version tokens afterwards — and after a repair no partition is
+divergent.
 
 Each replica's state is drawn from a partition's shared entry list: the
 same objects in the same order (the identity fast path), the same objects
@@ -101,14 +102,6 @@ def loaded_network(replication: int, states) -> PGridNetwork:
     return network
 
 
-def holds_a_signature_twice(network) -> bool:
-    for peer in network.peers:
-        signatures = [reference.signature(e) for e in peer.store]
-        if len(set(signatures)) != len(signatures):
-            return True
-    return False
-
-
 @st.composite
 def scenarios(draw):
     replication = draw(st.integers(min_value=1, max_value=3))
@@ -142,12 +135,8 @@ class TestAuditAndRepairEqualReference:
             got, expected = list(peer.store), list(twin_peer.store)
             assert len(got) == len(expected)
             assert all(a is b for a, b in zip(got, expected))
+            assert peer.store.version == twin_peer.store.version
         assert network.tracer.snapshot() == twin.tracer.snapshot()
 
-        after = reference.audit_divergent(network)
-        assert audit_replicas(network).divergent_partitions == after
-        # Repair copies what a replica lacks; it never drops a surplus
-        # copy, so only a replica holding one signature twice can stay
-        # divergent.
-        if not holds_a_signature_twice(network):
-            assert after == []
+        assert reference.audit_divergent(network) == []
+        assert audit_replicas(network).consistent

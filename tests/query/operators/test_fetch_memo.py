@@ -115,15 +115,8 @@ class TestVersionStamps:
         stamps.carry(0, {4: 5, 7: 8})
         assert unreachable == [DEAD_STAMP] and live == [8]
         assert stamps.stamp(0, 5) is not unreachable
-        stamps.carry(0, {})  # a repair that rewrote every replica
+        stamps.carry(0, {})  # a write that reports no replica still held
         assert live == [DEAD_STAMP] and len(stamps) == 0
-
-    def test_two_stamps_arriving_at_one_version_both_die(self):
-        stamps = VersionStamps()
-        ahead, behind = stamps.stamp(0, 6), stamps.stamp(0, 5)
-        stamps.carry(0, {6: 6, 5: 6})  # the laggard catches up by count
-        assert ahead == behind == [DEAD_STAMP]
-        assert stamps.stamp(0, 6) == [6]
 
 
 class TestReportedWrite:

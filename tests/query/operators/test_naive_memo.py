@@ -353,15 +353,10 @@ class TestTieRule:
 
 class TestDivergedReplicas:
     """Two replicas of one partition that each took one different write
-    hold equal store versions; the retained column must still answer
-    each replica from its own rows."""
+    (one write each, so equal mutation counts) hold different version
+    tokens; the retained column must answer each replica from its own
+    rows."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="equal-version boundary: a column slice is keyed by store "
-        "version alone, so equal-version replicas share one slice until "
-        "replicas carry a content digest",
-    )
     def test_equal_version_replica_answers_its_own_rows(self):
         network = build_word_network(
             n_peers=32, config=StoreConfig(seed=7, replication=2)
@@ -379,7 +374,7 @@ class TestDivergedReplicas:
             ):
                 if entry.key == keys[value]:
                     peer.store.add(entry)
-        assert replicas[0].store.version == replicas[1].store.version
+        assert replicas[0].store.version != replicas[1].store.version
         column = NaiveWorkloadMemo(network).column(
             codec.attr_prefix(TEXT_ATTR), TEXT_ATTR, False
         )

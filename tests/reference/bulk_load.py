@@ -4,7 +4,8 @@ Two derivations of every index entry — one (then through a throw-away
 one-peer probe network's factory) only to collect the keys the data-aware
 trie is balanced on, and one to fill the real network — and a per-entry
 bisection into a ``partition -> entries`` grouping, every replica then
-taking its partition's entries in generation order with one ``add_bulk``.
+taking its partition's entries in generation order with one ``add_bulk``
+(partitions in trie order) and the first replica's version token.
 Keys come from :class:`tests.reference.key_codec.ReferenceKeyCodec`, so
 nothing is remembered between the two derivations either.
 
@@ -134,7 +135,13 @@ def load_by_probe(
     for entry in reference_entries(triples, config, codec):
         index = trie.find_responsible(network._paths, entry.key)
         per_partition.setdefault(index, []).append(entry)
-    for index, entries in per_partition.items():
-        for peer_id in network.partitions[index].peer_ids:
-            network.peers[peer_id].store.add_bulk(entries)
+    for index, entries in sorted(per_partition.items()):
+        stores = [
+            network.peers[peer_id].store
+            for peer_id in network.partitions[index].peer_ids
+        ]
+        for store in stores:
+            store.add_bulk(entries)
+        for store in stores[1:]:  # empty before, equal after: one token
+            assert store.adopt(stores[0])
     return network

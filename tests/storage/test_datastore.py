@@ -1,6 +1,7 @@
 """Unit tests for the per-peer sorted datastore."""
 
 import operator
+from types import SimpleNamespace
 
 import pytest
 
@@ -70,6 +71,40 @@ class TestBasics:
     def test_remove_absent(self, store):
         foreign = entries_for_words(["nothere"])[0]
         assert not store.remove(foreign)
+
+
+class TestVersionToken:
+    """Stores share a token only through one write's ``tokens`` map or a
+    checked :meth:`LocalDataStore.adopt`."""
+
+    def test_one_write_from_one_token_leaves_one_token(self, loaded):
+        ledger = SimpleNamespace(tick=0)
+        a, b, c = (LocalDataStore(ledger) for __ in range(3))
+        for s in (a, b, c):
+            s.add_bulk(loaded)
+        assert b.adopt(a) and not c.adopt(LocalDataStore())
+        tokens: dict[int, int] = {}
+        extra = entries_for_words(["omega"])
+        for s in (a, b, c):
+            s.add_bulk(extra, tokens)
+        shared = a.version
+        assert b.version == shared != c.version and len(tokens) == 2
+        removed: dict[int, int] = {}
+        assert a.remove_bulk(extra[:1], removed) == [True]
+        assert b.remove_bulk(extra[:1], removed) == [True]
+        assert a.version == b.version and removed == {shared: a.version}
+
+    def test_a_store_adopts_only_its_very_entries_in_order(self, loaded):
+        ledger = SimpleNamespace(tick=0)
+        store, copy, equal = (LocalDataStore(ledger) for __ in range(3))
+        store.add_bulk(loaded)
+        copy.add_bulk(list(store))
+        assert copy.version != store.version
+        assert copy.adopt(store) and copy.version == store.version
+        equal.add_bulk(entries_for_words(["alpha", "beta", "gamma", "delta"]))
+        assert list(equal) == list(store) and not equal.adopt(store)
+        copy.add(next(iter(store)))
+        assert not copy.adopt(store) and copy.version != store.version
 
 
 class TestRemoveInLongRuns:

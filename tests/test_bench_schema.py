@@ -85,8 +85,93 @@ def test_readme_fault_block_is_the_written_shape(tool):
     for name, example in (("int", "1"), ("float", "0.5"), ("bool", "true")):
         text = re.sub(rf"\b{name}\b", example, text)
     documented = json.loads(text)
-    tool.check_fault_v1(documented)
+    tool.check(documented, tool.FAULT_V1)
     committed = json.loads((ROOT / "benchmarks" / "BENCH_fault.json").read_text())
     assert _key_paths(documented) == _key_paths(committed)
     for key in ("schema", "kind"):
         assert documented[key] == committed[key]
+
+
+def _first(mapping: dict) -> str:
+    return next(iter(mapping))
+
+
+def _parent(data, path):
+    """The container ``path[-1]`` names; a callable step picks a key from
+    the mapping it is given."""
+    for step in path[:-1]:
+        data = data[step(data) if callable(step) else step]
+    return data
+
+
+def _set(path, value):
+    return lambda data: _parent(data, path).__setitem__(path[-1], value)
+
+
+def _drop(*path):
+    return lambda data: _parent(data, path).__delitem__(path[-1])
+
+
+#: ``(committed file, edit, the one problem it must cause)``: for each
+#: baseline a dropped key, a wrong type, a bool where an int is due and,
+#: where the schema has them, empty ``datasets``/``cells``.
+REJECTIONS = [
+    ("fig1", _drop("scale", "seed"), "scale: missing key 'seed'"),
+    ("fig1", _set(["scale"], []), "$.scale: expected <class 'dict'>, got list"),
+    (
+        "fig1",
+        _set(["datasets", _first, "cells", 0, "peers"], "8"),
+        "datasets.bible.cells[0].peers: expected <class 'int'>, got str",
+    ),
+    (
+        "fig1",
+        _set(["datasets", _first, "cells", 0, "strategies", _first, "megabytes"], "1"),
+        "datasets.bible.cells[0].strategies.qsamples.megabytes: expected "
+        "(<class 'int'>, <class 'float'>), got str",
+    ),
+    ("fig1", _set(["scale", "words"], True), "scale.words: expected <class 'int'>, got bool"),
+    ("fig1", _set(["scale", "peer_counts", 0], "8"), "scale.peer_counts"),
+    ("fig1", _set(["datasets"], {}), "datasets: empty"),
+    ("fig1", _set(["datasets", _first, "cells"], []), "datasets.bible.cells: empty"),
+    ("fault", _drop("cells", 0, "repair"), "cells[0]: missing key 'repair'"),
+    (
+        "fault",
+        _set(["scale", "drop_probability"], "0.05"),
+        "scale.drop_probability: expected (<class 'int'>, <class 'float'>), got str",
+    ),
+    (
+        "fault",
+        _set(["cells", 0, "failed_peers"], True),
+        "cells[0].failed_peers: expected <class 'int'>, got bool",
+    ),
+    ("fault", _set(["cells"], []), "cells: empty"),
+    ("mutate", _drop("arms", "drop"), "arms: missing key 'drop'"),
+    ("mutate", _drop("elapsed_seconds"), "$: missing key 'elapsed_seconds'"),
+    (
+        "mutate",
+        _set(["recovery", "wall_seconds"], "1"),
+        "recovery.wall_seconds: expected (<class 'int'>, <class 'float'>), got str",
+    ),
+    (
+        "mutate",
+        _set(["workload", "ops"], True),
+        "workload.ops: expected <class 'int'>, got bool",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("name", "edit", "problem"),
+    REJECTIONS,
+    ids=[f"{name}-{problem.split(':')[0]}" for name, __, problem in REJECTIONS],
+)
+def test_an_edited_baseline_is_rejected(tool, tmp_path, name, edit, problem):
+    committed = ROOT / "benchmarks" / f"BENCH_{name}.json"
+    data = json.loads(committed.read_text())
+    assert tool.check_file(committed) == []
+    edit(data)
+    path = tmp_path / committed.name
+    path.write_text(json.dumps(data))
+    (found,) = tool.check_file(path)
+    assert found.startswith(f"{path}: [{data['schema']}] ")
+    assert problem in found

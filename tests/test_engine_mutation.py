@@ -411,8 +411,9 @@ class TestLaggingReplica:
 
     def test_repair_retires_the_stamps_of_the_replicas_it_rewrote(self):
         """Three replicas at three versions.  The middle one answers while
-        stale; repair then lifts the last one *to the middle one's old
-        version* — what the middle one answered must not speak for it."""
+        stale; repair then rewrites the middle and the last one onto the
+        fresh one's token — what the middle one answered must speak for
+        no replica, itself included."""
         engine = QueryEngine.build(
             9, word_triples(), StoreConfig(seed=7, replication=3)
         )
@@ -433,7 +434,7 @@ class TestLaggingReplica:
 
         assert two not in self._ask(engine, middle, fresh, last, oid=second)
         assert engine.recover(repair=True).divergent_partitions
-        assert last.store.version == versions[1]
+        assert last.store.version == middle.store.version == versions[0]
         for answering in (last, middle, fresh):
             silent = [peer for peer in (fresh, middle, last) if peer is not answering]
             assert two in self._ask(engine, answering, *silent, oid=second)
@@ -481,7 +482,7 @@ class TestLaggingReplica:
         ]
         key = network.codec.attr_value_key(TEXT_ATTR, "apr")
         home = network.partition_for(key)
-        __, lagging = (network.peer(peer_id) for peer_id in home.peer_ids)
+        fresh, lagging = (network.peer(peer_id) for peer_id in home.peer_ids)
         shared = next(  # stored on both replicas, with an entry at ``home``
             triple
             for triple in word_triples()
@@ -504,7 +505,9 @@ class TestLaggingReplica:
         assert asked_of_the_laggard() == {"x:two"}
         version = lagging.store.version
         assert engine.delete([only_fresh, shared]) > 0
-        assert lagging.store.version == version + 1  # written as well
+        # Written as well, onto a token of its own: it was written from
+        # another token than the fresh replica.
+        assert lagging.store.version not in (version, fresh.store.version)
         assert asked_of_the_laggard() == {"x:two"}
         assert candidate_oids_per_entry(lagging.store, key, *probe) == {"x:two"}
 
@@ -582,9 +585,9 @@ class TestMembershipChange:
     def test_query_after_split_sees_no_stale_memo_entry(self):
         """A split renumbers partitions under the index-keyed memos.
 
-        The split partition's store was written once after the bulk load
-        (version 2) and is replaced by two fresh stores at version 1 —
-        the case the old summed token could not see.  The token now
+        The split partition's store was written once after the bulk load,
+        the case the old summed token could not see (a store at version
+        2 split into two at version 1 kept the sum).  The token now
         moves with every membership change, so the next recorded
         operation drops every memo and answers — and charges — exactly
         like an engine that never cached anything.
@@ -682,9 +685,10 @@ class TestChurnRegression:
             assert memo.invalidations == 0
 
     def test_divergent_recovery_keeps_what_unrepaired_replicas_answered(self):
-        """Repair rewrites the lagging replicas only: in a repaired
-        partition a record stays valid exactly for the replicas repair
-        left alone, and nothing anywhere is dropped eagerly."""
+        """Repair rewrites the lagging replicas only, onto the token of
+        the replica it left alone: in a repaired partition a record of
+        that replica stays valid, now for every replica, and nothing
+        anywhere is dropped eagerly."""
         engine = QueryEngine.build(
             32, word_triples(), StoreConfig(seed=7, replication=2)
         )
@@ -715,6 +719,39 @@ class TestChurnRegression:
                 for peer_id in partition.peer_ids
                 if peer_id in left_alone
             }
+        for index in recovery.divergent_partitions:
+            tokens = {
+                network.peer(peer_id).store.version
+                for peer_id in network.partition(index).peer_ids
+            }
+            assert len(tokens) == 1
+
+    def test_repair_copies_a_copy_the_laggard_lacks(self):
+        """A triple inserted twice while one replica was down leaves that
+        replica one copy of each entry short of the other: repair copies
+        the missing copies, and the audit agrees afterwards."""
+        engine = QueryEngine.build(
+            8, word_triples(), StoreConfig(seed=7, replication=2)
+        )
+        network = engine.network
+        twice = Triple("x:1", TEXT_ATTR, "apricot")
+        engine.insert([twice])
+        entries = list(network.entry_factory.entries_for(twice))
+        home = network.partition_for(entries[0].key)
+        engine.churn.fail_peers([home.peer_ids[1]])
+        engine.insert([twice], respect_online=True)
+        assert home.index in audit_replicas(network).divergent_partitions
+        recovery = engine.recover()
+        assert recovery.divergent_partitions == [home.index]
+        assert recovery.entries_copied == sum(
+            network.partition_for(entry.key).index == home.index
+            for entry in entries
+        )
+        assert audit_replicas(network).consistent
+        for partition in network.partitions:
+            stores = [network.peer(peer_id).store for peer_id in partition.peer_ids]
+            assert len({len(store) for store in stores}) == 1
+            assert len({store.version for store in stores}) == 1
 
     def test_queries_correct_after_divergent_recovery(self):
         engine = QueryEngine.build(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 NUMBER = (int, float)
 
@@ -30,144 +31,113 @@ class SchemaProblem(Exception):
     """One validation failure, with a dotted path to the offender."""
 
 
-def _need(obj: dict, key: str, kinds, where: str):
-    if key not in obj:
-        raise SchemaProblem(f"{where}: missing key '{key}'")
-    value = obj[key]
-    if isinstance(value, bool) and bool not in (
-        kinds if isinstance(kinds, tuple) else (kinds,)
-    ):
-        raise SchemaProblem(f"{where}.{key}: expected {kinds}, got bool")
-    if not isinstance(value, kinds):
-        raise SchemaProblem(
-            f"{where}.{key}: expected {kinds}, got {type(value).__name__}"
-        )
-    return value
+class NonEmpty(NamedTuple):
+    """``shape``, and at least one item or key."""
+
+    shape: object
 
 
-def _need_keys(obj: dict, keys, kinds, where: str):
-    for key in keys:
-        _need(obj, key, kinds, where)
+# A shape is a type or a tuple of types (the value's JSON type; a bool
+# passes only where ``bool`` is named), a dict of required keys and their
+# shapes (``{str: shape}``: any keys, every value of ``shape``), a
+# one-element list ``[shape]`` (a list of such items), or ``NonEmpty``.
 
-
-# -- per-schema validators -----------------------------------------------------
-
-
-def check_fig1_v7(data: dict) -> None:
-    scale = _need(data, "scale", dict, "$")
-    _need_keys(scale, ("words", "titles", "repetitions", "seed"), int, "scale")
-    _need(scale, "full", bool, "scale")
-    _need(scale, "adaptive", bool, "scale")
-    peer_counts = _need(scale, "peer_counts", list, "scale")
-    if not all(isinstance(n, int) for n in peer_counts):
-        raise SchemaProblem("scale.peer_counts: expected a list of ints")
-    datasets = _need(data, "datasets", dict, "$")
-    if not datasets:
-        raise SchemaProblem("datasets: empty")
-    for name, dataset in datasets.items():
-        where = f"datasets.{name}"
-        _need(dataset, "sweep_seconds", NUMBER, where)
-        cells = _need(dataset, "cells", list, where)
-        if not cells:
-            raise SchemaProblem(f"{where}.cells: empty")
-        for index, cell in enumerate(cells):
-            cell_where = f"{where}.cells[{index}]"
-            _need(cell, "peers", int, cell_where)
-            _need_keys(
-                cell, ("wall_seconds", "build_seconds"), NUMBER, cell_where
-            )
-            _need_keys(
-                cell, ("total_entries", "stored_payload_bytes"), int, cell_where
-            )
-            strategies = _need(cell, "strategies", dict, cell_where)
-            for strategy, series in strategies.items():
-                series_where = f"{cell_where}.strategies.{strategy}"
-                _need(series, "messages", int, series_where)
-                _need(series, "megabytes", NUMBER, series_where)
-
-
-def check_fault_v1(data: dict) -> None:
-    scale = _need(data, "scale", dict, "$")
-    _need_keys(
-        scale,
-        ("words", "peers", "replication", "queries", "churn_inserts", "seed"),
-        int,
-        "scale",
-    )
-    _need(scale, "drop_probability", NUMBER, "scale")
-    _need(scale, "fractions", list, "scale")
-    cells = _need(data, "cells", list, "$")
-    if not cells:
-        raise SchemaProblem("cells: empty")
-    for index, cell in enumerate(cells):
-        where = f"cells[{index}]"
-        _need(cell, "fail_fraction", NUMBER, where)
-        _need_keys(cell, ("failed_peers", "dark_partitions"), int, where)
-        _need_keys(cell, ("under_failure", "repair", "post_repair"), dict, where)
-        _need(cell, "consistent_after_repair", bool, where)
-    _need(data, "elapsed_seconds", NUMBER, "$")
-
-
-def check_mutate_v1(data: dict) -> None:
-    scale = _need(data, "scale", dict, "$")
-    _need_keys(
-        scale,
-        (
-            "words", "peers", "replication", "steps", "queries_per_step",
-            "write_batch", "query_pool", "recovery_inserts", "seed",
-        ),
-        int,
-        "scale",
-    )
-    _need(scale, "recovery_fail_fraction", NUMBER, "scale")
-    workload = _need(data, "workload", dict, "$")
-    _need_keys(workload, ("ops", "queries", "writes"), int, "workload")
-    arms = _need(data, "arms", dict, "$")
-    for name in ("delta", "drop", "reference"):
-        arm = _need(arms, name, dict, "arms")
-        where = f"arms.{name}"
-        _need_keys(
-            arm,
-            ("messages", "payload_bytes", "queries", "memo_hits",
-             "memo_misses", "memo_invalidations", "memo_entries_end"),
-            int,
-            where,
-        )
-        _need_keys(arm, ("wall_seconds", "memo_hit_rate"), NUMBER, where)
-    staleness = _need(data, "staleness", dict, "$")
-    _need_keys(
-        staleness,
-        ("queries_compared", "stale_answers_delta", "stale_answers_drop"),
-        int,
-        "staleness",
-    )
-    retention = _need(data, "retention", dict, "$")
-    _need_keys(
-        retention,
-        ("delta_hit_rate", "drop_hit_rate", "advantage"),
-        NUMBER,
-        "retention",
-    )
-    recovery = _need(data, "recovery", dict, "$")
-    _need_keys(
-        recovery,
-        ("failed_peers", "recovered_peers", "divergent_partitions",
-         "entries_copied", "repair_messages", "repair_payload_bytes",
-         "memo_entries_before", "memo_entries_after"),
-        int,
-        "recovery",
-    )
-    _need(recovery, "wall_seconds", NUMBER, "recovery")
-    _need(data, "elapsed_seconds", NUMBER, "$")
-
-
-#: Declared schema tag -> validator.  Adding a schema version means
-#: adding exactly one entry here (and a benchmarks/README.md section).
-VALIDATORS = {
-    "repro-bench-fig1/v7": check_fig1_v7,
-    "repro-bench-fault/v1": check_fault_v1,
-    "repro-bench-mutate/v1": check_mutate_v1,
+FIG1_V7 = {
+    "scale": {
+        "words": int, "titles": int, "repetitions": int, "seed": int,
+        "full": bool, "adaptive": bool, "peer_counts": [int],
+    },
+    "datasets": NonEmpty({str: {
+        "sweep_seconds": NUMBER,
+        "cells": NonEmpty([{
+            "peers": int,
+            "wall_seconds": NUMBER, "build_seconds": NUMBER,
+            "total_entries": int, "stored_payload_bytes": int,
+            "strategies": {str: {"messages": int, "megabytes": NUMBER}},
+        }]),
+    }}),
 }
+
+FAULT_V1 = {
+    "scale": {
+        "words": int, "peers": int, "replication": int, "queries": int,
+        "churn_inserts": int, "seed": int,
+        "drop_probability": NUMBER, "fractions": list,
+    },
+    "cells": NonEmpty([{
+        "fail_fraction": NUMBER,
+        "failed_peers": int, "dark_partitions": int,
+        "under_failure": dict, "repair": dict, "post_repair": dict,
+        "consistent_after_repair": bool,
+    }]),
+    "elapsed_seconds": NUMBER,
+}
+
+_ARM = {
+    "messages": int, "payload_bytes": int, "queries": int, "memo_hits": int,
+    "memo_misses": int, "memo_invalidations": int, "memo_entries_end": int,
+    "wall_seconds": NUMBER, "memo_hit_rate": NUMBER,
+}
+
+MUTATE_V1 = {
+    "scale": {
+        "words": int, "peers": int, "replication": int, "steps": int,
+        "queries_per_step": int, "write_batch": int, "query_pool": int,
+        "recovery_inserts": int, "seed": int, "recovery_fail_fraction": NUMBER,
+    },
+    "workload": {"ops": int, "queries": int, "writes": int},
+    "arms": {"delta": _ARM, "drop": _ARM, "reference": _ARM},
+    "staleness": {
+        "queries_compared": int, "stale_answers_delta": int,
+        "stale_answers_drop": int,
+    },
+    "retention": {
+        "delta_hit_rate": NUMBER, "drop_hit_rate": NUMBER, "advantage": NUMBER,
+    },
+    "recovery": {
+        "failed_peers": int, "recovered_peers": int,
+        "divergent_partitions": int, "entries_copied": int,
+        "repair_messages": int, "repair_payload_bytes": int,
+        "memo_entries_before": int, "memo_entries_after": int,
+        "wall_seconds": NUMBER,
+    },
+    "elapsed_seconds": NUMBER,
+}
+
+#: Declared schema tag -> shape.  Adding a schema version means adding
+#: exactly one entry here (and a benchmarks/README.md section).
+SHAPES = {
+    "repro-bench-fig1/v7": FIG1_V7,
+    "repro-bench-fault/v1": FAULT_V1,
+    "repro-bench-mutate/v1": MUTATE_V1,
+}
+
+
+def check(value, shape, where: str = "$", label: str = "$") -> None:
+    """Raise :class:`SchemaProblem` where ``value`` departs from
+    ``shape``; ``where`` names ``value`` on the path to its items,
+    ``label`` in a type error."""
+    inner = shape.shape if isinstance(shape, NonEmpty) else shape
+    kinds = {dict: dict, list: list}.get(type(inner), inner)
+    named = kinds if isinstance(kinds, tuple) else (kinds,)
+    if not isinstance(value, kinds) or (
+        isinstance(value, bool) and bool not in named
+    ):
+        raise SchemaProblem(
+            f"{label}: expected {kinds}, got {type(value).__name__}"
+        )
+    if isinstance(shape, NonEmpty) and not value:
+        raise SchemaProblem(f"{where}: empty")
+    if isinstance(inner, list):
+        for index, item in enumerate(value):
+            check(item, inner[0], f"{where}[{index}]", f"{where}[{index}]")
+    elif isinstance(inner, dict):
+        wanted = dict.fromkeys(value, inner[str]) if str in inner else inner
+        for key, item_shape in wanted.items():
+            if key not in value:
+                raise SchemaProblem(f"{where}: missing key '{key}'")
+            path = key if where == "$" else f"{where}.{key}"
+            check(value[key], item_shape, path, f"{where}.{key}")
 
 
 def check_file(path: Path) -> list[str]:
@@ -181,12 +151,12 @@ def check_file(path: Path) -> list[str]:
     schema = data.get("schema")
     if not isinstance(schema, str):
         return [f"{path}: missing 'schema' tag"]
-    validator = VALIDATORS.get(schema)
-    if validator is None:
-        known = ", ".join(sorted(VALIDATORS))
+    shape = SHAPES.get(schema)
+    if shape is None:
+        known = ", ".join(sorted(SHAPES))
         return [f"{path}: unknown schema {schema!r} (known: {known})"]
     try:
-        validator(data)
+        check(data, shape)
     except SchemaProblem as exc:
         return [f"{path}: [{schema}] {exc}"]
     return []

@@ -49,7 +49,7 @@ ARCHITECTURE = "docs/ARCHITECTURE.md"
 
 #: Most lines the architecture document may have.  A ratchet: lower it
 #: whenever the document shrinks, never raise it.
-ARCHITECTURE_MAX_LINES = 1457
+ARCHITECTURE_MAX_LINES = 1452
 
 #: A heading titled after a change: ``### Bulk load (PR 23)``.
 CHANGE_TITLED_HEADING = re.compile(r"^#+ .*\(PR \d+\)")
