@@ -30,9 +30,12 @@ from __future__ import annotations
 
 from repro.core.errors import OverlayError
 from repro.overlay import keys as keyspace
+from repro.overlay.messages import MessageType
 from repro.overlay.network import PGridNetwork
 from repro.overlay.peer import Peer
+from repro.overlay.replication import entry_copies
 from repro.overlay.routing import Partition
+from repro.storage.datastore import group_by_token, write_through
 from repro.storage.indexing import IndexEntry
 
 
@@ -100,12 +103,13 @@ class MembershipManager:
             network.peer(peer_id).replicas = tuple(
                 i for i in new_ids if i != peer_id
             )
-        # The new replica copies the partition's data from a sibling.
+        # The new replica copies the partition's data from a sibling: it
+        # holds the sibling's content at the sibling's token.
         source = network.peer(partition.peer_ids[0])
-        entries = list(source.store)
-        peer.store.add_bulk(entries)
-        peer.store.adopt(source.store)  # a copy: one content, one token
-        self._charge_transfer(source.peer_id, peer.peer_id, entries)
+        peer.store.share(source.store)
+        self._charge_transfer(
+            source.peer_id, peer.peer_id, source.store.payload_bytes()
+        )
         self._build_routing_for(peer)
         return peer
 
@@ -121,23 +125,29 @@ class MembershipManager:
 
         # The incumbent peers specialize to the '0' side; the newcomer
         # takes '1'.  (P-Grid's pairwise exchange; sides are symmetric.)
-        moved: list[IndexEntry] = []
-        tokens: dict[int, int] = {}
-        for peer_id in partition.peer_ids:
-            incumbent = network.peer(peer_id)
+        # Incumbents on one content give up one list, copies included;
+        # diverged ones hand over the multiset union of theirs, as a
+        # repair would have made it.
+        incumbents = [network.peer(peer_id) for peer_id in partition.peer_ids]
+        for incumbent in incumbents:
             incumbent.path = left_path
-            leaving = [e for e in incumbent.store if e.key.startswith(right_path)]
-            incumbent.store.remove_bulk(leaving, tokens)
-            moved.extend(leaving)
-        # Deduplicate the replica copies: the newcomer stores one copy.
-        unique: dict[tuple, IndexEntry] = {}
-        for entry in moved:
-            unique[(entry.key, entry.kind.value, entry.triple, entry.gram,
-                    entry.position)] = entry
-        migrated = list(unique.values())
+        moved: list[list[IndexEntry]] = []
+        for group in group_by_token(p.store for p in incumbents).values():
+            leaving = [e for e in group[0] if e.key.startswith(right_path)]
+            write_through(group, leaving, remove=True)
+            moved.append(leaving)
+        if len(moved) == 1:
+            migrated = moved[0]
+        else:
+            union: dict = {}
+            for leaving in moved:
+                union.update(entry_copies(leaving))
+            migrated = list(union.values())
         new_peer.store.add_bulk(migrated)
         self._charge_transfer(
-            partition.peer_ids[0], new_peer.peer_id, migrated
+            partition.peer_ids[0],
+            new_peer.peer_id,
+            sum(e.payload_size() for e in migrated),
         )
 
         # Rebuild the partition table: replace the old leaf with two.
@@ -166,7 +176,9 @@ class MembershipManager:
     def leave(self, peer_id: int) -> None:
         """Remove a peer gracefully.
 
-        With surviving replicas the partition just shrinks.  A *last*
+        With surviving replicas the partition just shrinks, and every
+        reference to the departed peer now names the first survivor
+        (routing no longer fails over around it).  A *last*
         replica can only leave when its trie sibling is a single leaf:
         the sibling's peers then widen their path by one bit (a sound
         merge — their routing tables lose the deepest level, their stores
@@ -195,6 +207,7 @@ class MembershipManager:
                     i for i in survivors if i != survivor
                 )
             peer.online = False
+            self._redirect_references({peer_id}, survivors[0])
         else:
             self._merge_into_leaf_sibling(partition, peer)
         network.ledger.tick += 1  # as in join(): an empty peer writes no store
@@ -217,7 +230,7 @@ class MembershipManager:
         absorber = sibling_partitions[0]
         parent = path[:-1]
         entries = list(peer.store)
-        tokens: dict[int, int] = {}
+        payload = peer.store.payload_bytes()
         new_partitions = []
         for p in network.partitions:
             if p.index == partition.index:
@@ -227,30 +240,33 @@ class MembershipManager:
             else:
                 new_partitions.append(p)
         self._install_partitions(new_partitions)
-        for member in absorber.peer_ids:
-            receiver = network.peer(member)
+        receivers = [network.peer(member) for member in absorber.peer_ids]
+        for group in group_by_token(r.store for r in receivers).values():
+            write_through(group, entries)
+        for receiver in receivers:
             receiver.path = parent
             del receiver.routing_table[-1]
-            receiver.store.add_bulk(entries, tokens)
-            self._charge_transfer(peer.peer_id, member, entries)
+            self._charge_transfer(peer.peer_id, receiver.peer_id, payload)
         peer.online = False
-        self._redirect_references(path, absorber.peer_ids[0])
+        self._redirect_references(
+            {left.peer_id for left in network.peers if left.path == path},
+            absorber.peer_ids[0],
+        )
 
-    def _redirect_references(self, path: str, target: int) -> None:
-        """Point every routing reference into the merged-away ``path`` at
-        ``target``, a member of the absorbing partition.
+    def _redirect_references(self, gone: set[int], target: int) -> None:
+        """Point every routing reference to a peer in ``gone`` at
+        ``target``, a live peer of the partition they left.
 
-        The departed peer was the last live one of ``path``, so neither
-        it nor a replica that left before it can forward anything.  The
-        absorber's new path — the parent of ``path`` — lies in every
-        complementary subtrie that held ``path``, except at the
-        absorber's own deepest level, which the merge has deleted; so a
-        redirected reference stays in its level's subtrie, and no RNG
-        draw is spent on it.
+        Neither a departed peer nor a replica that left before it can
+        forward anything.  After a replica's leave ``target`` is a
+        survivor on the very same path.  After a merge it is a member of
+        the absorbing partition, whose new path — the parent of the
+        merged-away one — lies in every complementary subtrie that held
+        that path, except at the absorber's own deepest level, which the
+        merge has deleted.  Either way a redirected reference stays in
+        its level's subtrie, and no RNG draw is spent on it.
         """
-        peers = self.network.peers
-        gone = {left.peer_id for left in peers if left.path == path}
-        for other in peers:
+        for other in self.network.peers:
             table = other.routing_table
             for level, refs in enumerate(table):
                 if not gone.isdisjoint(refs):
@@ -298,12 +314,7 @@ class MembershipManager:
             table.append(tuple(refs))
         peer.routing_table = table
 
-    def _charge_transfer(
-        self, sender: int, receiver: int, entries: list[IndexEntry]
-    ) -> None:
-        from repro.overlay.messages import MessageType
-
-        payload = sum(e.payload_size() for e in entries)
+    def _charge_transfer(self, sender: int, receiver: int, payload: int) -> None:
         self.network.tracer.send(
             MessageType.RESULT, sender, receiver, payload, phase="membership"
         )

@@ -31,6 +31,7 @@ from repro.overlay.hashing import CompositeKeyCodec
 from repro.overlay.messages import MessageTracer
 from repro.overlay.peer import NetworkLedger, Peer
 from repro.overlay.routing import Partition, Router
+from repro.storage.datastore import group_by_token, write_through
 from repro.storage.indexing import EntryFactory, IndexEntry
 from repro.storage.triple import Triple
 
@@ -332,14 +333,16 @@ class PGridNetwork:
         :class:`EntryFactory`, and each network re-places the same entry
         list.  The trie's paths are sorted and prefix-free, so a
         partition's entries are the run of ``entries`` that ends at the
-        next path: one ``bisect_left`` per partition finds it, and every
-        replica takes that slice with one ``add_bulk`` — O(P log E), no
-        per-entry work — the replicas written from one version token then
-        sharing one.  A run whose first or last key its path does not
-        prefix (only a key shorter than a path does that) is placed by
+        next path: one ``bisect_left`` per partition finds it, and the
+        replicas take that slice as one group write — loaded once, held
+        by all at one version token — O(P log E), no per-entry work.  A
+        run whose first or last key its path does not prefix (only a key
+        shorter than a path does that) is placed by
         the oracle, entry by entry, through :meth:`apply_entries`.
-        ``entries`` must be sorted by ``key`` (ties in any order);
-        placement is oracle-based exactly like :meth:`insert_triples`.
+        ``entries`` must be sorted by ``key`` (ties in any order), and
+        the network's replicas of a partition on one version token (a
+        fresh network's are); placement is oracle-based exactly like
+        :meth:`insert_triples`.
         Returns the number of entries placed.
         """
         paths = self._paths
@@ -358,9 +361,7 @@ class PGridNetwork:
                 continue
             run = entries[start:end]
             if run[0].key.startswith(path) and run[-1].key.startswith(path):
-                tokens: dict[int, int] = {}
-                for peer_id in partitions[index].peer_ids:
-                    peers[peer_id].store.add_bulk(run, tokens)
+                write_through([peers[i].store for i in partitions[index].peer_ids], run)
             else:
                 self.apply_entries(run)
             start = end
@@ -376,8 +377,9 @@ class PGridNetwork:
 
         The write primitive of the engine's explicit mutation path:
         entries are grouped by responsible partition and applied to every
-        (optionally only online) replica, each contacted replica's store
-        seeing one bulk call with its partition's entries.
+        (optionally only online) replica: the contacted replicas at one
+        version token share one content, which takes the partition's
+        entries once (:func:`~repro.storage.datastore.write_through`).
         ``remove=True`` deletes instead of adding; a removal only counts
         when at least one contacted replica actually stored the entry
         (deleting absent data is a no-op that touches nothing).  Returns
@@ -396,22 +398,24 @@ class PGridNetwork:
         peers = self.peers
         for index, partition_entries in per_partition.items():
             versions: dict[int, int] = {}
-            moved: dict[int, int] = {}
-            flags: list[list[bool]] = []
-            contacted = False
+            contacted = []
             for peer_id in self.partitions[index].peer_ids:
                 peer = peers[peer_id]
                 store = peer.store
-                versions.setdefault(store.version, store.version)
+                versions[store.version] = store.version
                 if peer.online or not respect_online:
-                    contacted = True
-                    if remove:
-                        flags.append(store.remove_bulk(partition_entries, moved))
-                    else:
-                        store.add_bulk(partition_entries, moved)
+                    contacted.append(store)
             if not contacted:
                 continue
-            versions.update(moved)
+            # Replicas on one content answer alike: one flag list per content.
+            flags: list[list[bool]] = []
+            groups = (
+                group_by_token(contacted) if len(contacted) > 1
+                else {contacted[0].version: contacted}  # one replica: no grouping
+            )
+            for before, group in groups.items():
+                flags.append(write_through(group, partition_entries, remove))
+                versions[before] = group[0].version
             written, uniform = partition_entries, True
             if remove:
                 removed = flags[0]

@@ -10,10 +10,13 @@ attributes to P-Grid.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.overlay.messages import MessageType
 from repro.overlay.network import PGridNetwork
+from repro.storage.datastore import group_by_token, write_through
+from repro.storage.indexing import IndexEntry
 
 
 @dataclass
@@ -45,12 +48,12 @@ def entry_signature(entry) -> tuple:
     )
 
 
-def _copies(store) -> dict:
-    """A store's entries keyed per copy, ``(signature, k)`` for the k-th
-    copy of an :func:`entry_signature`, so replicas' multisets merge and
-    compare as key sets."""
+def entry_copies(entries: Iterable[IndexEntry]) -> dict:
+    """Entries (a store or a list: read twice) keyed per copy,
+    ``(signature, k)`` for the k-th copy of an :func:`entry_signature`,
+    so replicas' multisets merge and compare as key sets."""
     copies: dict = {}
-    for sig, entry in zip(map(entry_signature, store), store):
+    for sig, entry in zip(map(entry_signature, entries), entries):
         key = (sig, 0)
         while key in copies:
             key = (sig, key[1] + 1)
@@ -98,9 +101,12 @@ def repair_partition(
     :func:`entry_signature` (which tells repeated q-grams apart by
     position), so a replica holding fewer copies of a signature than
     another receives the difference and every replica ends with one
-    multiset, which a follow-up :func:`audit_replicas` agrees with.  A
-    rewritten replica shares a version token only with one listing its
-    very entries in its order (store order decides a memo's ties).
+    multiset, which a follow-up :func:`audit_replicas` agrees with.  The
+    work is per content, not per replica: the replicas at one token are
+    keyed once and, when they lag, take their missing entries as one
+    group write.  A rewritten replica shares a content and token only
+    with one listing its very entries in its order (store order decides
+    a memo's ties).
 
     ``charge_messages`` prices the anti-entropy exchange on the
     network's tracer under the ``repair`` phase: one ``FORWARD`` per
@@ -109,34 +115,44 @@ def repair_partition(
     """
     partition = network.partition(partition_index)
     stores = [network.peer(peer_id).store for peer_id in partition.peer_ids]
-    # Each replica's copies, keyed once for the union and its own test.
-    held = [_copies(store) for store in stores]
+    groups = group_by_token(stores)
+    # Each content is keyed once, for the union and for its own test.
+    held = {token: entry_copies(group[0]) for token, group in groups.items()}
     union: dict = {}
-    for copies in held:
-        union.update(copies)
-    copied = 0
-    rewritten = []
-    for peer_id, store, present in zip(partition.peer_ids, stores, held):
-        missing = [entry for key, entry in union.items() if key not in present]
-        if missing:
-            store.add_bulk(missing)
-            rewritten.append(store)
-            copied += len(missing)
-            if charge_messages:
+    for store in stores:
+        union.update(held[store.version])
+    missing = {
+        token: [entry for key, entry in union.items() if key not in copies]
+        for token, copies in held.items()
+    }
+    copied = sum(len(missing[store.version]) for store in stores)
+    if charge_messages:
+        for peer_id, store in zip(partition.peer_ids, stores):
+            lacking = missing[store.version]
+            if lacking:
                 network.tracer.send(
                     MessageType.FORWARD,
                     partition.peer_ids[0],
                     peer_id,
-                    sum(entry.payload_size() for entry in missing),
+                    sum(entry.payload_size() for entry in lacking),
                     phase="repair",
                 )
-    # The first identical list lends its token: kept ones, then newer ones.
-    settled = [store for store in stores if store not in rewritten]
-    for store in reversed(rewritten):
+    settled, rewritten = [], []
+    for token, group in groups.items():
+        if missing[token]:
+            write_through(group, missing[token])
+            rewritten.append(group)
+        else:
+            settled.append(group[0])
+    # The first identical list lends its content and token: kept ones,
+    # then newer ones.
+    for group in reversed(rewritten):
         for other in settled:
-            if store.adopt(other):
+            if group[0].adopt(other):
+                for store in group[1:]:
+                    store.share(other)
                 break
-        settled.append(store)
+        settled.append(group[0])
     return copied
 
 

@@ -41,6 +41,19 @@ the kind views, the value view and the oid column to be rebuilt by the
 next call that wants them.  A store nothing is ever removed from never
 holds a column, and one nothing reads a value from never holds a view.
 
+**Handle and content.**  A peer's :class:`LocalDataStore` is a *handle*:
+its ledger and its version token.  The lists and every structure above
+live in a *content* object, which the handles at one version token
+share — a partition's replicas hold the very entries in the very order,
+so they hold them once.  A write through a group of handles at one
+token (:func:`write_through`; a peer's own ``add``/``remove`` is the
+group of one) does its work once: in place when the group is every
+holder of the content, else on a **copy** the group moves to first
+(copy on write: the lists are copied, the lazy structures rebuilt on
+demand), so a holder outside the group never sees the write.  Either
+way the group leaves at one new token, and handles at one token hold
+one content object.
+
 The sorted lists stay the single source of truth.  The equivalence
 reference every read is property-tested against is the
 nothing-kept-between-calls store in ``tests/reference/datastore.py``.
@@ -49,7 +62,7 @@ nothing-kept-between-calls store in ``tests/reference/datastore.py``.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from operator import attrgetter, is_
 from types import SimpleNamespace
 
@@ -69,36 +82,31 @@ VALUE_KINDS = (EntryKind.ATTR_VALUE, EntryKind.VALUE)
 _entry_key = attrgetter("key")
 
 
-class LocalDataStore:
-    """Sorted key → entries store for one peer."""
+class _Content:
+    """One replica content: the sorted lists, every lazy structure over
+    them, and how many store handles hold it."""
 
     __slots__ = (
-        "_keys", "_entries", "_oids", "_dirty", "_postings", "_kind_views",
-        "_value_views", "_payload_total", "_ledger", "version",
+        "keys", "entries", "oids", "dirty", "postings", "kind_views",
+        "value_views", "payload_total", "holders",
     )
 
-    def __init__(self, ledger=None) -> None:
-        self._keys: list[str] = []
-        self._entries: list[IndexEntry] = []
-        self._dirty = False
-        #: Version token: the ledger's tick at the last call that changed
-        #: the store (or :meth:`attach`).  Two stores share a token only
-        #: through ``tokens`` (one batch written from one token) or
-        #: :meth:`adopt` (a checked copy), so an equal token means the
-        #: very entries in the very order, and workload memos trust a
-        #: record exactly while the replica they ask reports the token it
-        #: was built at.  Nothing outside this class assigns it.
-        self.version = 0
-        #: The owning network's shared ledger (any object with an integer
-        #: ``tick``), so the network reads "did any store change?" in
-        #: O(1).  A store outside any network counts on a tick of its own.
-        self._ledger = ledger if ledger is not None else SimpleNamespace(tick=0)
+    def __init__(
+        self,
+        keys: list[str],
+        entries: list[IndexEntry],
+        dirty: bool = False,
+        payload_total: int | None = None,
+    ) -> None:
+        self.keys = keys
+        self.entries = entries
+        self.dirty = dirty
         #: Lazy ``key -> [entries]`` map; ``None`` until first use and
         #: again after a bulk load (small writes patch it in place).
-        self._postings: dict[str, list[IndexEntry]] | None = None
+        self.postings: dict[str, list[IndexEntry]] | None = None
         #: Lazy per-kind ``(keys, entries)`` lists (key order); ``None``
         #: under the same rule as the postings map.
-        self._kind_views: (
+        self.kind_views: (
             dict[EntryKind, tuple[list[str], list[IndexEntry]]] | None
         ) = None
         #: Lazy ``{kind: {value: rows}}`` for :data:`VALUE_KINDS`, the rows
@@ -106,116 +114,59 @@ class LocalDataStore:
         #: is held bare, not in a list: nearly every value has one, and a
         #: list per value would add as many objects for the collector to
         #: walk as the view has values.
-        self._value_views: (
+        self.value_views: (
             dict[EntryKind, dict[ValueType, IndexEntry | list[IndexEntry]]]
             | None
         ) = None
         #: Running payload total; ``None`` when it must be recomputed.
-        self._payload_total: int | None = None
+        self.payload_total = payload_total
         #: Lazy column of each entry's ``triple.oid``, aligned with
-        #: ``_keys``/``_entries``; ``None`` until the first removal and
+        #: ``keys``/``entries``; ``None`` until the first removal and
         #: again after a bulk load.
-        self._oids: list[str] | None = None
+        self.oids: list[str] | None = None
+        #: Store handles holding this content.  Never below the true
+        #: count: an over-count only costs a write one needless copy.
+        self.holders = 1
 
-    def attach(self, ledger) -> None:
-        """Re-home this store on ``ledger`` (a peer adopting it): one
-        mutation there, as it changes what the network holds."""
-        self._ledger = ledger
-        self._mutated()
+    def copy(self) -> _Content:
+        """A content of its own with the same lists; the lazy maps and
+        views are left to be rebuilt by the reads that want them."""
+        twin = _Content(
+            self.keys.copy(), self.entries.copy(), self.dirty, self.payload_total
+        )
+        if self.oids is not None:
+            twin.oids = self.oids.copy()
+        return twin
 
-    def adopt(self, other: LocalDataStore) -> bool:
-        """Take ``other``'s version token if this store lists its very
-        entries in its order; returns whether it did (O(n))."""
-        if len(self) != len(other) or not all(map(is_, self, other)):
-            return False
-        self.version = other.version
-        return True
+    # -- writes: the one maintenance routine every mutation goes through -------
 
-    def _mutated(self, tokens: dict[int, int] | None = None) -> None:
-        ledger = self._ledger
-        ledger.tick += 1
-        before, self.version = self.version, ledger.tick
-        if tokens is not None:
-            self.version = tokens.setdefault(before, self.version)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[IndexEntry]:
-        self._ensure_sorted()
-        return iter(self._entries)
-
-    def add(self, entry: IndexEntry) -> None:
-        """Insert one entry: the one-element :meth:`add_bulk`."""
-        self.add_bulk((entry,))
-
-    def add_bulk(self, entries: Iterable[IndexEntry], tokens=None) -> int:
-        """Insert many entries; returns the number added.
-
-        ``tokens`` (and :meth:`remove_bulk`'s) is one write's ``{token
-        before: token after}`` map, shared by the replicas it reaches: a
-        store entering at a token another left leaves at that one's new
-        token (one content, one batch), else at a fresh one it records.
-
-        A batch small relative to a clean (sorted) store is inserted in
-        place — each entry at ``bisect_right`` of its key, in batch
-        order, with the secondary structures patched — so nothing the
-        write did not change is rebuilt.  Anything else (an empty or
-        still-unsorted store, a bulk load) appends and defers one sort to
-        the next read: O(n log n) overall instead of O(n²) repeated
-        insertion.  Both leave the store in the same order: a stable sort
-        also puts new entries behind existing equal keys, in batch order.
-        """
-        batch = entries if isinstance(entries, (list, tuple)) else list(entries)
-        if not batch:
-            return 0
-        if not self._dirty and len(batch) * _IN_PLACE_RATIO <= len(self._entries):
+    def add(self, batch: Sequence[IndexEntry]) -> None:
+        """Insert a non-empty batch (see :meth:`LocalDataStore.add_bulk`)."""
+        if not self.dirty and len(batch) * _IN_PLACE_RATIO <= len(self.entries):
             for entry in batch:
                 self._insert(entry)
         else:
-            self._keys.extend([entry.key for entry in batch])
-            self._entries.extend(batch)
-            self._dirty = True
-            self._postings = None
-            self._kind_views = None
-            self._value_views = None
-            self._oids = None
-            if self._payload_total is not None:
-                self._payload_total += sum(e.payload_size() for e in batch)
-        self._mutated(tokens)
-        return len(batch)
+            self.keys.extend([entry.key for entry in batch])
+            self.entries.extend(batch)
+            self.dirty = True
+            self.postings = None
+            self.kind_views = None
+            self.value_views = None
+            self.oids = None
+            if self.payload_total is not None:
+                self.payload_total += sum(e.payload_size() for e in batch)
 
-    def remove(self, entry: IndexEntry) -> bool:
-        """Remove one entry; returns False if it was not present."""
-        return self.remove_bulk((entry,))[0]
-
-    def remove_bulk(self, entries: Iterable[IndexEntry], tokens=None) -> list[bool]:
-        """Remove many entries; one flag per given entry, in order.
-
-        Equivalent to calling :meth:`remove` on each entry in turn — a
-        stored duplicate goes one at a time, so naming an entry twice
-        removes two copies if two exist — but each distinct key's run of
-        the sorted store is walked once for all entries of the batch
-        under it (a batch of triples of one attribute shares its gram
-        keys), and the store counts as mutated once, and only if
-        something was removed.
-
-        A gram key's run holds hundreds of entries, nearly all of other
-        objects, so an entry's stored copies are found in the oid column
-        with ``list.index`` bounded to the run — a C-speed scan that
-        compares identity first — and each hit is confirmed with ``==``.
-        The k-th mention of an entry takes its k-th equal stored copy in
-        run order.
-        """
-        batch = entries if isinstance(entries, (list, tuple)) else list(entries)
+    def remove(self, batch: Sequence[IndexEntry]) -> list[bool]:
+        """Remove a batch; one flag per entry (see
+        :meth:`LocalDataStore.remove_bulk`)."""
         flags = [False] * len(batch)
         by_key: dict[str, list[int]] = {}
         for position, entry in enumerate(batch):
             by_key.setdefault(entry.key, []).append(position)
-        self._ensure_sorted()
-        if self._oids is None:
-            self._oids = [entry.triple.oid for entry in self._entries]
-        keys, stored, oids = self._keys, self._entries, self._oids
+        self.ensure_sorted()
+        if self.oids is None:
+            self.oids = [entry.triple.oid for entry in self.entries]
+        keys, stored, oids = self.keys, self.entries, self.oids
         for key, positions in by_key.items():
             lo = bisect.bisect_left(keys, key)
             hi = bisect.bisect_right(keys, key, lo)
@@ -246,39 +197,35 @@ class LocalDataStore:
             if doomed:
                 doomed.sort()
                 self._delete(key, lo, doomed)
-        if True in flags:
-            self._mutated(tokens)
         return flags
-
-    # -- in-place maintenance: the one routine every mutation goes through ------
 
     def _insert(self, entry: IndexEntry) -> None:
         """Place one entry into the sorted store and every live structure."""
         key = entry.key
-        index = bisect.bisect_right(self._keys, key)
-        self._keys.insert(index, key)
-        self._entries.insert(index, entry)
-        if self._oids is not None:
-            self._oids.insert(index, entry.triple.oid)
-        if self._postings is not None:
+        index = bisect.bisect_right(self.keys, key)
+        self.keys.insert(index, key)
+        self.entries.insert(index, entry)
+        if self.oids is not None:
+            self.oids.insert(index, entry.triple.oid)
+        if self.postings is not None:
             # Behind the existing equal keys in the store, so last in the
             # posting list too.
-            posting = self._postings.get(key)
+            posting = self.postings.get(key)
             if posting is None:
-                self._postings[key] = [entry]
+                self.postings[key] = [entry]
             else:
                 posting.append(entry)
-        if self._kind_views is not None:
-            view = self._kind_views.get(entry.kind)
+        if self.kind_views is not None:
+            view = self.kind_views.get(entry.kind)
             if view is None:
-                self._kind_views[entry.kind] = ([key], [entry])
+                self.kind_views[entry.kind] = ([key], [entry])
             else:
                 at = bisect.bisect_right(view[0], key)
                 view[0].insert(at, key)
                 view[1].insert(at, entry)
         values = (
-            None if self._value_views is None
-            else self._value_views.get(entry.kind)
+            None if self.value_views is None
+            else self.value_views.get(entry.kind)
         )
         if values is not None:
             value = entry.triple.value
@@ -290,22 +237,22 @@ class LocalDataStore:
                 rows.insert(bisect.bisect_right(rows, key, key=_entry_key), entry)
             else:
                 values[value] = [rows, entry] if rows.key <= key else [entry, rows]
-        if self._payload_total is not None:
-            self._payload_total += entry.payload_size()
+        if self.payload_total is not None:
+            self.payload_total += entry.payload_size()
 
     def _delete(self, key: str, lo: int, doomed: list[int]) -> None:
         """Take the entries at the ascending offsets ``doomed`` of ``key``'s
         run, which starts at ``lo``, out of the sorted store and every live
         structure."""
-        del self._keys[lo : lo + len(doomed)]  # a run's keys are all equal
-        posting = None if self._postings is None else self._postings[key]
-        views = self._kind_views
-        value_views = self._value_views
+        del self.keys[lo : lo + len(doomed)]  # a run's keys are all equal
+        posting = None if self.postings is None else self.postings[key]
+        views = self.kind_views
+        value_views = self.value_views
         # Descending, so the offsets still to come — and the run ahead of
         # each doomed entry — stay where they were.
         for offset in reversed(doomed):
-            entry = self._entries.pop(lo + offset)
-            del self._oids[lo + offset]
+            entry = self.entries.pop(lo + offset)
+            del self.oids[lo + offset]
             if posting is not None:
                 del posting[offset]  # a posting list mirrors its key's run
             if views is not None:
@@ -318,7 +265,7 @@ class LocalDataStore:
                 if at >= len(view_entries) or view_entries[at] is not entry:
                     at = start + sum(
                         1
-                        for ahead in self._entries[lo : lo + offset]
+                        for ahead in self.entries[lo : lo + offset]
                         if ahead.kind is entry.kind
                     )
                 del view_keys[at]
@@ -343,18 +290,173 @@ class LocalDataStore:
                     del rows[at]
                     if len(rows) == 1:
                         values[value] = rows[0]
-            if self._payload_total is not None:
-                self._payload_total -= entry.payload_size()
+            if self.payload_total is not None:
+                self.payload_total -= entry.payload_size()
         if posting is not None and not posting:
-            del self._postings[key]
+            del self.postings[key]
+
+    # -- lazy structures -------------------------------------------------------
+
+    def build_postings(self) -> dict[str, list[IndexEntry]]:
+        self.ensure_sorted()
+        postings: dict[str, list[IndexEntry]] = {}
+        for key, entry in zip(self.keys, self.entries):
+            bucket = postings.get(key)
+            if bucket is None:
+                postings[key] = [entry]
+            else:
+                bucket.append(entry)
+        self.postings = postings
+        return postings
+
+    def build_kind_views(self) -> dict[EntryKind, tuple[list[str], list[IndexEntry]]]:
+        self.ensure_sorted()
+        views: dict[EntryKind, tuple[list[str], list[IndexEntry]]] = {}
+        for key, entry in zip(self.keys, self.entries):
+            view = views.get(entry.kind)
+            if view is None:
+                views[entry.kind] = ([key], [entry])
+            else:
+                view[0].append(key)
+                view[1].append(entry)
+        self.kind_views = views
+        return views
+
+    def build_value_views(self) -> dict[EntryKind, dict]:
+        self.ensure_sorted()
+        views: dict[EntryKind, dict] = {kind: {} for kind in VALUE_KINDS}
+        for entry in self.entries:
+            values = views.get(entry.kind)
+            if values is not None:
+                value = entry.triple.value
+                rows = values.get(value)
+                if rows is None:
+                    values[value] = entry
+                elif type(rows) is list:
+                    rows.append(entry)
+                else:
+                    values[value] = [rows, entry]
+        self.value_views = views
+        return views
+
+    def ensure_sorted(self) -> None:
+        if self.dirty:
+            order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
+            self.keys = [self.keys[i] for i in order]
+            self.entries = [self.entries[i] for i in order]
+            self.dirty = False
+
+
+class LocalDataStore:
+    """Sorted key → entries store for one peer: a handle on a content
+    that the handles at its version token share."""
+
+    __slots__ = ("_content", "_ledger", "version")
+
+    def __init__(self, ledger=None) -> None:
+        self._content = _Content([], [])
+        #: Version token: the ledger's tick at the last write through this
+        #: store (or :meth:`attach`).  Handles share a token only by one
+        #: group write (:func:`write_through`) or :meth:`share`/:meth:`adopt`,
+        #: and handles at one token share one content, so an equal token
+        #: means the very entries in the very order, and workload memos
+        #: trust a record exactly while the replica they ask reports the
+        #: token it was built at.  Nothing outside this module assigns it.
+        self.version = 0
+        #: The owning network's shared ledger (any object with an integer
+        #: ``tick``), so the network reads "did any store change?" in
+        #: O(1).  A store outside any network counts on a tick of its own.
+        self._ledger = ledger if ledger is not None else SimpleNamespace(tick=0)
+
+    def attach(self, ledger) -> None:
+        """Re-home this store on ``ledger`` (a peer adopting it): one
+        mutation there, as it changes what the network holds."""
+        self._ledger = ledger
+        if self._content.holders != 1:
+            _copy_for((self,))
+        ledger.tick += 1
+        self.version = ledger.tick
+
+    def share(self, other: LocalDataStore) -> None:
+        """Become a copy of ``other`` in O(1): hold its content at its
+        token (a joining replica taking its source's data)."""
+        content = other._content
+        if self._content is not content:
+            self._content.holders -= 1
+            content.holders += 1
+            self._content = content
+        self.version = other.version
+
+    def adopt(self, other: LocalDataStore) -> bool:
+        """:meth:`share` ``other``'s content and token if this store lists
+        its very entries in its order; returns whether it did (O(n))."""
+        if self._content is not other._content and (
+            len(self) != len(other) or not all(map(is_, self, other))
+        ):
+            return False
+        self.share(other)
+        return True
+
+    def __len__(self) -> int:
+        return len(self._content.entries)
+
+    def __iter__(self) -> Iterator[IndexEntry]:
+        content = self._content
+        content.ensure_sorted()
+        return iter(content.entries)
+
+    def add(self, entry: IndexEntry) -> None:
+        """Insert one entry: the one-element :meth:`add_bulk`."""
+        self.add_bulk((entry,))
+
+    def add_bulk(self, entries: Iterable[IndexEntry]) -> int:
+        """Insert many entries; returns the number added.
+
+        A batch small relative to a clean (sorted) store is inserted in
+        place — each entry at ``bisect_right`` of its key, in batch
+        order, with the secondary structures patched — so nothing the
+        write did not change is rebuilt.  Anything else (an empty or
+        still-unsorted store, a bulk load) appends and defers one sort to
+        the next read: O(n log n) overall instead of O(n²) repeated
+        insertion.  Both leave the store in the same order: a stable sort
+        also puts new entries behind existing equal keys, in batch order.
+        A content other handles hold is copied first (:func:`write_through`).
+        """
+        return len(write_through((self,), entries))
+
+    def remove(self, entry: IndexEntry) -> bool:
+        """Remove one entry; returns False if it was not present."""
+        return self.remove_bulk((entry,))[0]
+
+    def remove_bulk(self, entries: Iterable[IndexEntry]) -> list[bool]:
+        """Remove many entries; one flag per given entry, in order.
+
+        Equivalent to calling :meth:`remove` on each entry in turn — a
+        stored duplicate goes one at a time, so naming an entry twice
+        removes two copies if two exist — but each distinct key's run of
+        the sorted store is walked once for all entries of the batch
+        under it (a batch of triples of one attribute shares its gram
+        keys), and the store counts as mutated once, and only if
+        something was removed.
+
+        A gram key's run holds hundreds of entries, nearly all of other
+        objects, so an entry's stored copies are found in the oid column
+        with ``list.index`` bounded to the run — a C-speed scan that
+        compares identity first — and each hit is confirmed with ``==``.
+        The k-th mention of an entry takes its k-th equal stored copy in
+        run order.
+        """
+        return write_through((self,), entries, remove=True)
 
     # -- reads ---------------------------------------------------------------
 
     def lookup(self, key: str) -> list[IndexEntry]:
         """All entries stored under exactly ``key`` (postings-map probe)."""
-        if self._postings is None:
-            self._build_postings()
-        return list(self._postings.get(key, ()))
+        content = self._content
+        postings = content.postings
+        if postings is None:
+            postings = content.build_postings()
+        return list(postings.get(key, ()))
 
     def prefix_scan(self, prefix: str) -> list[IndexEntry]:
         """All entries whose key starts with ``prefix``.
@@ -362,22 +464,26 @@ class LocalDataStore:
         Mirrors Algorithm 1's ``key(d) ⊇ key`` condition: a search key that
         is shorter than stored keys matches every entry it prefixes.
         """
-        self._ensure_sorted()
-        lo, hi = _prefix_bounds(self._keys, prefix)
-        return self._entries[lo:hi]
+        content = self._content
+        content.ensure_sorted()
+        lo, hi = _prefix_bounds(content.keys, prefix)
+        return content.entries[lo:hi]
 
     def range_scan(self, lo_key: str, hi_key: str) -> list[IndexEntry]:
         """All entries with ``lo_key <= key <= hi_key`` (inclusive)."""
-        self._ensure_sorted()
-        lo = bisect.bisect_left(self._keys, lo_key)
-        hi = bisect.bisect_right(self._keys, hi_key)
-        return self._entries[lo:hi]
+        content = self._content
+        content.ensure_sorted()
+        lo = bisect.bisect_left(content.keys, lo_key)
+        hi = bisect.bisect_right(content.keys, hi_key)
+        return content.entries[lo:hi]
 
     def entries_of_kind(self, kind: EntryKind) -> Iterator[IndexEntry]:
         """All entries of one index family, in key order (cached view)."""
-        if self._kind_views is None:
-            self._build_kind_views()
-        view = self._kind_views.get(kind)
+        content = self._content
+        views = content.kind_views
+        if views is None:
+            views = content.build_kind_views()
+        view = views.get(kind)
         return iter(view[1] if view is not None else ())
 
     def entries_of_kind_prefix(
@@ -390,9 +496,11 @@ class LocalDataStore:
         index family, without filtering either the whole store or the
         whole kind view.
         """
-        if self._kind_views is None:
-            self._build_kind_views()
-        view = self._kind_views.get(kind)
+        content = self._content
+        views = content.kind_views
+        if views is None:
+            views = content.build_kind_views()
+        view = views.get(kind)
         if view is None:
             return []
         lo, hi = _prefix_bounds(view[0], prefix)
@@ -410,68 +518,92 @@ class LocalDataStore:
         booleans never reach a triple, and numbers that compare equal
         hash equal, so ``1`` finds the rows of ``1.0`` too.
         """
-        if self._value_views is None:
-            self._build_value_views()
-        rows = self._value_views[kind].get(value)
+        content = self._content
+        views = content.value_views
+        if views is None:
+            views = content.build_value_views()
+        rows = views[kind].get(value)
         if rows is None:
             return []
         return rows.copy() if type(rows) is list else [rows]
 
     def payload_bytes(self) -> int:
         """Total approximate payload size of all stored entries (cached)."""
-        if self._payload_total is None:
-            self._payload_total = sum(
-                entry.payload_size() for entry in self._entries
+        content = self._content
+        if content.payload_total is None:
+            content.payload_total = sum(
+                entry.payload_size() for entry in content.entries
             )
-        return self._payload_total
+        return content.payload_total
 
-    # -- secondary-index maintenance -----------------------------------------
 
-    def _build_postings(self) -> None:
-        self._ensure_sorted()
-        postings: dict[str, list[IndexEntry]] = {}
-        for key, entry in zip(self._keys, self._entries):
-            bucket = postings.get(key)
-            if bucket is None:
-                postings[key] = [entry]
-            else:
-                bucket.append(entry)
-        self._postings = postings
+# -- group writes ------------------------------------------------------------
 
-    def _build_kind_views(self) -> None:
-        self._ensure_sorted()
-        views: dict[EntryKind, tuple[list[str], list[IndexEntry]]] = {}
-        for key, entry in zip(self._keys, self._entries):
-            view = views.get(entry.kind)
-            if view is None:
-                views[entry.kind] = ([key], [entry])
-            else:
-                view[0].append(key)
-                view[1].append(entry)
-        self._kind_views = views
 
-    def _build_value_views(self) -> None:
-        self._ensure_sorted()
-        views: dict[EntryKind, dict] = {kind: {} for kind in VALUE_KINDS}
-        for entry in self._entries:
-            values = views.get(entry.kind)
-            if values is not None:
-                value = entry.triple.value
-                rows = values.get(value)
-                if rows is None:
-                    values[value] = entry
-                elif type(rows) is list:
-                    rows.append(entry)
-                else:
-                    values[value] = [rows, entry]
-        self._value_views = views
+def write_through(
+    stores: Sequence[LocalDataStore],
+    entries: Iterable[IndexEntry],
+    remove: bool = False,
+) -> list[bool]:
+    """Add (or remove) ``entries`` through ``stores`` — handles of one
+    ledger at one version token, such as a partition's contacted
+    replicas — once: their one content takes the batch, copied for them
+    first unless they are all its holders, and they leave at one new
+    token.  One flag per entry, as :meth:`LocalDataStore.remove_bulk`
+    (every one true for an add); a removal counts as a write, and keeps
+    its copy, only if it removed something."""
+    batch = entries if isinstance(entries, (list, tuple)) else list(entries)
+    if not batch:
+        return []
+    first = stores[0]
+    content = first._content
+    for store in stores[1:]:
+        # Equal tokens name one content, but never-written stores (token
+        # 0, empty) each start with their own.
+        if store._content is not content:
+            if store._content.entries or content.entries:
+                raise ValueError("a group write needs stores at one token")
+            store.share(first)
+    owned = content if content.holders == len(stores) else _copy_for(stores)
+    if not remove:
+        owned.add(batch)
+        flags = [True] * len(batch)
+    else:
+        flags = owned.remove(batch)
+        if True not in flags:
+            if owned is not content:  # nothing removed: back where they were
+                content.holders += len(stores)
+                for store in stores:
+                    store._content = content
+            return flags
+    ledger = first._ledger
+    ledger.tick += 1  # one tick, the new token of every store written
+    for store in stores:
+        store.version = ledger.tick
+    return flags
 
-    def _ensure_sorted(self) -> None:
-        if self._dirty:
-            order = sorted(range(len(self._keys)), key=self._keys.__getitem__)
-            self._keys = [self._keys[i] for i in order]
-            self._entries = [self._entries[i] for i in order]
-            self._dirty = False
+
+def group_by_token(
+    stores: Iterable[LocalDataStore],
+) -> dict[int, list[LocalDataStore]]:
+    """``stores`` grouped by version token, in order of first appearance:
+    each group holds one content and takes a write once."""
+    groups: dict[int, list[LocalDataStore]] = {}
+    for store in stores:
+        groups.setdefault(store.version, []).append(store)
+    return groups
+
+
+def _copy_for(stores: Sequence[LocalDataStore]) -> _Content:
+    """Copy on write: ``stores``, some but not all holders of their
+    content, move to a copy of it that they alone hold."""
+    content = stores[0]._content
+    content.holders -= len(stores)
+    content = content.copy()
+    content.holders = len(stores)
+    for store in stores:
+        store._content = content
+    return content
 
 
 def _prefix_bounds(keys: list[str], prefix: str) -> tuple[int, int]:

@@ -4,18 +4,21 @@ import pytest
 
 from repro.core.config import StoreConfig
 from repro.core.errors import OverlayError
+from repro.engine import QueryEngine
 from repro.overlay import keys as keyspace
 from repro.overlay import trie
 from repro.overlay.membership import MembershipManager
 from repro.overlay.network import PGridNetwork
 from repro.overlay.replication import audit_replicas
 from repro.storage.indexing import EntryKind
+from repro.storage.triple import Triple
 
 from tests.conftest import (
     TEXT_ATTR,
     WORDS,
     assert_untracked_references,
     build_word_network,
+    word_triples,
 )
 
 
@@ -240,6 +243,43 @@ class TestReplicaTokens:
         joined = manager.join()
         assert joined.store.version == source.version
         assert list(joined.store) == list(source)
+
+
+class TestSplitMigration:
+    def test_a_split_moves_every_copy(self):
+        """A triple stored twice reaches the newcomer twice: the
+        incumbents' one content hands over its list, copies included."""
+        engine = QueryEngine.build(
+            8, word_triples(), StoreConfig(seed=7, replication=2)
+        )
+        network = engine.network
+        twice = Triple("x:1", TEXT_ATTR, "apricot")
+        engine.insert([twice])
+        engine.insert([twice])
+        entry = next(iter(network.entry_factory.entries_for(twice)))
+        newcomer = MembershipManager(network)._split_partition(
+            network.partition_for(entry.key)
+        )
+        assert network.partition_for(entry.key).peer_ids == (newcomer.peer_id,)
+        assert newcomer.store.lookup(entry.key).count(entry) == 2
+        assert audit_replicas(network).consistent
+
+    def test_diverged_incumbents_hand_over_their_union(self):
+        """Incumbents on two contents give the newcomer the multiset
+        union of what leaves them, as a repair would have made it."""
+        network = build_word_network(
+            n_peers=8, config=StoreConfig(seed=7, replication=2)
+        )
+        entry = next(
+            iter(network.entry_factory.entries_for(Triple("x:2", TEXT_ATTR, "zz")))
+        )
+        partition = network.partition_for(entry.key)
+        first, second = (network.peer(pid).store for pid in partition.peer_ids)
+        first.add_bulk([entry, entry])
+        second.add(entry)
+        newcomer = MembershipManager(network)._split_partition(partition)
+        assert network.partition_for(entry.key).peer_ids == (newcomer.peer_id,)
+        assert newcomer.store.lookup(entry.key).count(entry) == 2
 
 
 class TestUntrackedReferences:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import StoreConfig
 from repro.core.errors import OverlayError
+from repro.engine import QueryEngine
 from repro.overlay import replication
 from repro.overlay.churn import ChurnController
 from repro.overlay.replication import (
@@ -18,7 +19,7 @@ from repro.overlay.replication import (
 )
 from repro.storage.triple import Triple
 
-from tests.conftest import TEXT_ATTR, build_word_network
+from tests.conftest import TEXT_ATTR, build_word_network, word_triples
 
 
 @pytest.fixture()
@@ -164,6 +165,25 @@ class TestReplicationAudit:
         assert list(first) != list(second) and keys[moved.key] > 1
         assert first.version != second.version
         assert audit_replicas(network).consistent
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="repair has no tombstones: a delete that missed an offline "
+        "replica is copied back from it",
+    )
+    def test_a_delete_past_an_offline_replica_stays_deleted(self):
+        engine = QueryEngine.build(
+            8, word_triples(), StoreConfig(seed=7, replication=2)
+        )
+        network = engine.network
+        doomed = Triple("x:1", TEXT_ATTR, "apricot")
+        engine.insert([doomed])
+        entry = next(iter(network.entry_factory.entries_for(doomed)))
+        home = network.partition_for(entry.key)
+        network.peer(home.peer_ids[1]).online = False
+        assert engine.delete([doomed], respect_online=True) > 0
+        engine.recover()
+        assert engine.lookup("x:1") == ()
 
     def test_repair_charges_messages_when_asked(self, replicated_network):
         network = replicated_network

@@ -52,7 +52,7 @@ class TestSharing:
             entries_a, entries_b = list(peer_a.store), list(peer_b.store)
             assert len(entries_a) == len(entries_b)
             assert all(x is y for x, y in zip(entries_a, entries_b))
-            assert peer_a.store._entries is not peer_b.store._entries
+            assert peer_a.store._content is not peer_b.store._content
 
     def test_another_config_or_value_type_derives_anew(self):
         triples = word_triples()

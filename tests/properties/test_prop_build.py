@@ -151,8 +151,8 @@ def numbered(keys):
 
 def placed_twins(n_peers, config, sample, entries):
     """Two networks over ``sample``: one filled by ``place_entries``, one
-    by per-entry bisection (one ``add_bulk`` per partition, its replicas
-    then on the first one's version token)."""
+    by per-entry bisection (one ``add_bulk`` per partition, its other
+    replicas then holding the first one's content at its version token)."""
     placed = PGridNetwork(n_peers, config, sample_keys=sample)
     bisected = PGridNetwork(n_peers, config, sample_keys=sample)
     assert placed.place_entries(entries) == len(entries)
@@ -165,10 +165,9 @@ def placed_twins(n_peers, config, sample, entries):
             bisected.peers[peer_id].store
             for peer_id in bisected.partitions[index].peer_ids
         ]
-        for store in stores:
-            store.add_bulk(run)
+        stores[0].add_bulk(run)
         for store in stores[1:]:
-            assert store.adopt(stores[0])
+            store.share(stores[0])
     return placed.peers, bisected.peers
 
 

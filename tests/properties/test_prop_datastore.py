@@ -2,8 +2,9 @@
 
 The store must behave exactly like a sorted multimap; the model is a
 plain list of ``(key, entry)`` pairs that every operation is checked
-against.  The state machine at the end holds it order-exactly equal to
-``tests/reference/datastore.py`` across interleaved writes and reads.
+against.  The state machines at the end hold it order-exactly equal to
+``tests/reference/datastore.py`` across interleaved writes and reads:
+one store, then handles sharing contents, each with a twin of its own.
 """
 
 import dataclasses
@@ -11,9 +12,9 @@ import operator
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.storage.datastore import VALUE_KINDS, LocalDataStore
+from repro.storage.datastore import VALUE_KINDS, LocalDataStore, write_through
 from repro.storage.indexing import EntryKind, IndexEntry
 from repro.storage.triple import Triple
 from tests.reference.datastore import ReferenceStore
@@ -352,4 +353,141 @@ TestStoreTwins.settings = (
     DEEP
     if settings.default is DEEP
     else settings(max_examples=150, stateful_step_count=25, deadline=None)
+)
+
+
+# -- handles sharing one content vs. one reference store each ----------------
+
+
+class SharedContents(RuleBasedStateMachine):
+    """Store handles on one ledger, each held order-exactly equal to a
+    ``ReferenceStore`` of its own, while handles at one version token
+    share one content.
+
+    A group write goes through any subset of one content's holders, so
+    it must take the copy whenever a holder sits out; a direct write is
+    the group of one; ``adopt`` shares only the very entries in their
+    order.  After every step, handles at one (written) token hold one
+    content object and handles on one content carry one token, and each
+    content counts its holders exactly.
+    """
+
+    @initialize(
+        loaded=st.lists(twin_entries, max_size=60),
+        n=st.integers(min_value=2, max_value=4),
+    )
+    def load(self, loaded, n):
+        self.ledger = SimpleNamespace(tick=0)
+        self.stores = [LocalDataStore(self.ledger) for __ in range(n)]
+        self.twins = [ReferenceStore() for __ in range(n)]
+        assert write_through(self.stores, loaded) == [True] * len(loaded)
+        for twin in self.twins:
+            twin.add_bulk(loaded)
+
+    def _group(self, data):
+        """Indices of a drawn non-empty subset of one content's holders."""
+        tokens = sorted({store.version for store in self.stores})
+        token = data.draw(st.sampled_from(tokens), label="token")
+        holders = [i for i, s in enumerate(self.stores) if s.version == token]
+        return data.draw(
+            st.lists(st.sampled_from(holders), min_size=1, unique=True),
+            label="group",
+        )
+
+    def _stored(self, data, index, max_size):
+        stored = list(self.twins[index])
+        if not stored:
+            return []
+        return data.draw(
+            st.lists(st.sampled_from(stored), max_size=max_size), label="stored"
+        )
+
+    # -- writes ---------------------------------------------------------------
+
+    @rule(data=st.data(), batch=st.lists(twin_entries, max_size=12))
+    def group_add(self, data, batch):
+        group = self._group(data)
+        stores = [self.stores[i] for i in group]
+        assert write_through(stores, batch) == [True] * len(batch)
+        for i in group:
+            self.twins[i].add_bulk(batch)
+
+    @rule(data=st.data(), strangers=st.lists(twin_entries, max_size=2))
+    def group_remove(self, data, strangers):
+        group = self._group(data)
+        batch = [*self._stored(data, group[0], 6), *strangers]
+        flags = write_through([self.stores[i] for i in group], batch, remove=True)
+        for i in group:
+            assert self.twins[i].remove_bulk(batch) == flags
+
+    @rule(data=st.data(), batch=st.lists(twin_entries, max_size=12))
+    def direct_add(self, data, batch):
+        i = data.draw(st.integers(0, len(self.stores) - 1), label="store")
+        assert self.stores[i].add_bulk(batch) == self.twins[i].add_bulk(batch)
+
+    @rule(data=st.data(), stranger=twin_entries)
+    def direct_remove(self, data, stranger):
+        i = data.draw(st.integers(0, len(self.stores) - 1), label="store")
+        batch = [*self._stored(data, i, 3), stranger]
+        assert self.stores[i].remove_bulk(batch) == self.twins[i].remove_bulk(batch)
+
+    @rule(data=st.data())
+    def adopt(self, data):
+        i, j = data.draw(
+            st.lists(st.integers(0, len(self.stores) - 1), min_size=2, max_size=2),
+            label="pair",
+        )
+        expected = same(self.twins[i], self.twins[j])
+        assert self.stores[i].adopt(self.stores[j]) is expected
+        if expected:
+            assert self.stores[i].version == self.stores[j].version
+
+    # -- reads ----------------------------------------------------------------
+
+    @rule(data=st.data(), key=twin_keys, prefix=prefixes)
+    def read(self, data, key, prefix):
+        i = data.draw(st.integers(0, len(self.stores) - 1), label="store")
+        store, twin = self.stores[i], self.twins[i]
+        assert same(store.lookup(key), twin.lookup(key))
+        assert same(store.prefix_scan(prefix), twin.prefix_scan(prefix))
+        for kind in EntryKind:
+            assert same(
+                store.entries_of_kind_prefix(kind, prefix),
+                twin.entries_of_kind_prefix(kind, prefix),
+            )
+        for value in {entry.triple.value for entry in twin}:
+            for kind in VALUE_KINDS:
+                assert same(
+                    store.entries_with_value(kind, value),
+                    twin.entries_with_value(kind, value),
+                )
+        assert store.payload_bytes() == twin.payload_bytes()
+
+    # -- invariants -----------------------------------------------------------
+
+    @invariant()
+    def one_token_one_content(self):
+        if not hasattr(self, "stores"):
+            return
+        holders: dict[int, int] = {}
+        for a in self.stores:
+            holders[id(a._content)] = holders.get(id(a._content), 0) + 1
+            assert len(a) == len(self.twins[self.stores.index(a)])
+            for b in self.stores:
+                if a.version or b.version:
+                    assert (a.version == b.version) is (a._content is b._content)
+        for a in self.stores:
+            assert a._content.holders == holders[id(a._content)]
+
+    def teardown(self):
+        if hasattr(self, "stores"):
+            for store, twin in zip(self.stores, self.twins):
+                assert same(store, twin)
+
+
+TestSharedContents = SharedContents.TestCase
+TestSharedContents.settings = (
+    DEEP
+    if settings.default is DEEP
+    else settings(max_examples=100, stateful_step_count=20, deadline=None)
 )

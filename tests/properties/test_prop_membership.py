@@ -4,7 +4,8 @@ Random join/leave sequences must keep the partition cover complete and
 every stored item reachable — the invariant behind Algorithm 1's
 termination/correctness argument.  A leave picks any online peer, the
 network's original last replicas included (they merge into a trie
-sibling), and every online peer must then find every word.  Membership
+sibling), and every online peer must then find every word, at
+replication 1 to 3.  Membership
 moves every replica of a partition alike, so at any replication they
 stay on one version token throughout.
 
@@ -45,6 +46,21 @@ def build(words, n_peers, seed, replication=1):
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf"]
 
 
+def assert_every_online_peer_finds_every_word(network) -> None:
+    keys = [network.codec.attr_value_key(ATTR, word) for word in WORDS]
+    for start in network.peers:
+        if not start.online:
+            continue
+        for word, key in zip(WORDS, keys):
+            entries, __ = network.router.retrieve(key, start.peer_id)
+            found = {
+                e.triple.value
+                for e in entries
+                if e.kind is EntryKind.ATTR_VALUE and e.triple.attribute == ATTR
+            }
+            assert word in found, (word, start.peer_id)
+
+
 class TestMembershipInvariants:
     @CHURN_SETTINGS
     @given(
@@ -52,9 +68,12 @@ class TestMembershipInvariants:
         # None = join; an int picks the online peer that leaves.
         st.lists(st.none() | st.integers(min_value=0), max_size=12),
         st.integers(0, 3),
+        st.integers(1, 3),
     )
-    def test_cover_and_reachability_survive_churn(self, n_peers, actions, seed):
-        network = build(WORDS, n_peers, seed)
+    def test_cover_and_reachability_survive_churn(
+        self, n_peers, actions, seed, replication
+    ):
+        network = build(WORDS, n_peers, seed, min(replication, n_peers))
         manager = MembershipManager(network)
         for pick in actions:
             if pick is None:
@@ -67,18 +86,19 @@ class TestMembershipInvariants:
                     pass  # deep-sibling and last-peer leaves legitimately refuse
             trie.validate_cover([p.path for p in network.partitions])
 
-        keys = [network.codec.attr_value_key(ATTR, word) for word in WORDS]
-        for start in network.peers:
-            if not start.online:
-                continue
-            for word, key in zip(WORDS, keys):
-                entries, __ = network.router.retrieve(key, start.peer_id)
-                found = {
-                    e.triple.value
-                    for e in entries
-                    if e.kind is EntryKind.ATTR_VALUE and e.triple.attribute == ATTR
-                }
-                assert word in found, (word, start.peer_id)
+        assert_every_online_peer_finds_every_word(network)
+
+    def test_replica_leaves_leave_no_reference_behind(self):
+        """A departed replica's references name a survivor: after these
+        leaves and a join, routing from peer 1 no longer ends at peers
+        that are all gone (``PartitionUnreachableError``)."""
+        network = build(WORDS, 6, 0, replication=2)
+        manager = MembershipManager(network)
+        manager.leave(5)
+        assert manager.join().peer_id == 6
+        manager.leave(0)
+        manager.leave(4)
+        assert_every_online_peer_finds_every_word(network)
 
     @CHURN_SETTINGS
     @given(

@@ -5,14 +5,18 @@ without computing a signature, and ``repair_partition`` computes each
 replica's signatures once; both must answer exactly what
 ``tests/reference/replication.py`` answers: the same divergent
 partitions, the same copied counts and repair traffic, the same stores
-and version tokens afterwards — and after a repair no partition is
-divergent.
+afterwards, with the same replicas sharing a version token and the same
+replicas keeping the token they had — and after a repair no partition is
+divergent.  (The reference writes replica by replica, so its new tokens
+are other ticks of the ledger.)
 
 Each replica's state is drawn from a partition's shared entry list: the
 same objects in the same order (the identity fast path), the same objects
 in another order (as a repair leaves a lagging replica), equal-but-distinct
-copies, one entry missing, one duplicate too many, or one entry swapped
-for its signature twin (the value ``1`` for ``"1"``).  The pool holds a
+copies, one entry missing, one duplicate too many, one entry swapped
+for its signature twin (the value ``1`` for ``"1"``), or the previous
+replica's very content at its token (``share``: a group repair writes
+it once).  The pool holds a
 string whose gram repeats at two positions, so one key carries two
 entries of one object that only the position tells apart.
 """
@@ -61,7 +65,9 @@ def copy_of(entry: IndexEntry) -> IndexEntry:
     return dataclasses.replace(entry, triple=dataclasses.replace(entry.triple))
 
 
-VARIANTS = ("same", "same", "shuffled", "copies", "missing", "duplicate", "twin")
+VARIANTS = (
+    "same", "same", "shuffled", "copies", "missing", "duplicate", "twin", "shared",
+)
 
 
 @st.composite
@@ -74,6 +80,9 @@ def replica_states(draw, replication: int, partitions: int):
         replicas = []
         for __ in range(replication):
             variant = draw(st.sampled_from(VARIANTS))
+            if variant == "shared" and replicas:
+                replicas.append(None)  # share the previous replica's content
+                continue
             held = list(shared)
             if variant == "shuffled":
                 held = draw(st.permutations(held))
@@ -97,9 +106,25 @@ def loaded_network(replication: int, states) -> PGridNetwork:
         replication * len(states), StoreConfig(seed=3, replication=replication)
     )
     for partition, replicas in zip(network.partitions, states):
+        previous = None
         for peer_id, held in zip(partition.peer_ids, replicas):
-            network.peer(peer_id).store.add_bulk(held)
+            store = network.peer(peer_id).store
+            if held is None:
+                store.share(previous)
+            else:
+                store.add_bulk(held)
+            previous = store
     return network
+
+
+def tokens(network) -> list[int]:
+    return [peer.store.version for peer in network.peers]
+
+
+def token_pattern(network) -> list[list[bool]]:
+    """Which stores share a version token."""
+    versions = tokens(network)
+    return [[a == b for b in versions] for a in versions]
 
 
 @st.composite
@@ -110,14 +135,18 @@ def scenarios(draw):
     return replication, states
 
 
+DEEP = settings.get_profile("deep")
+
+
 class TestAuditAndRepairEqualReference:
-    @settings(max_examples=300, deadline=None)
+    @(DEEP if settings.default is DEEP else settings(max_examples=300, deadline=None))
     @given(scenarios(), st.booleans())
     def test_audit_then_repair(self, scenario, charge_messages):
         replication, states = scenario
         network = loaded_network(replication, states)
         twin = loaded_network(replication, states)
 
+        before, twin_before = tokens(network), tokens(twin)
         report = audit_replicas(network)
         divergent = reference.audit_divergent(twin)
         assert report.divergent_partitions == divergent
@@ -135,7 +164,10 @@ class TestAuditAndRepairEqualReference:
             got, expected = list(peer.store), list(twin_peer.store)
             assert len(got) == len(expected)
             assert all(a is b for a, b in zip(got, expected))
-            assert peer.store.version == twin_peer.store.version
+        assert token_pattern(network) == token_pattern(twin)
+        # Which stores kept their token: a settled replica keeps its own.
+        kept = [a == b for a, b in zip(before, tokens(network))]
+        assert kept == [a == b for a, b in zip(twin_before, tokens(twin))]
         assert network.tracer.snapshot() == twin.tracer.snapshot()
 
         assert reference.audit_divergent(network) == []

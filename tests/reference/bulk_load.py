@@ -3,9 +3,10 @@
 Two derivations of every index entry — one (then through a throw-away
 one-peer probe network's factory) only to collect the keys the data-aware
 trie is balanced on, and one to fill the real network — and a per-entry
-bisection into a ``partition -> entries`` grouping, every replica then
-taking its partition's entries in generation order with one ``add_bulk``
-(partitions in trie order) and the first replica's version token.
+bisection into a ``partition -> entries`` grouping, the first replica
+then taking its partition's entries in generation order with one
+``add_bulk`` (partitions in trie order) and the others sharing its
+content and version token.
 Keys come from :class:`tests.reference.key_codec.ReferenceKeyCodec`, so
 nothing is remembered between the two derivations either.
 
@@ -140,8 +141,7 @@ def load_by_probe(
             network.peers[peer_id].store
             for peer_id in network.partitions[index].peer_ids
         ]
-        for store in stores:
-            store.add_bulk(entries)
-        for store in stores[1:]:  # empty before, equal after: one token
-            assert store.adopt(stores[0])
+        stores[0].add_bulk(entries)
+        for store in stores[1:]:  # one load: one content, one token
+            store.share(stores[0])
     return network

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import StoreConfig
 from repro.overlay.hashing import CompositeKeyCodec
-from repro.storage.datastore import LocalDataStore
+from repro.storage.datastore import LocalDataStore, group_by_token, write_through
 from repro.storage.indexing import EntryFactory, EntryKind, IndexEntry
 from repro.storage.triple import Triple
 from tests.reference.datastore import ReferenceStore
@@ -74,8 +74,9 @@ class TestBasics:
 
 
 class TestVersionToken:
-    """Stores share a token only through one write's ``tokens`` map or a
-    checked :meth:`LocalDataStore.adopt`."""
+    """Stores share a token only through one group write or a checked
+    :meth:`LocalDataStore.adopt`, and stores at one token share one
+    content."""
 
     def test_one_write_from_one_token_leaves_one_token(self, loaded):
         ledger = SimpleNamespace(tick=0)
@@ -83,16 +84,33 @@ class TestVersionToken:
         for s in (a, b, c):
             s.add_bulk(loaded)
         assert b.adopt(a) and not c.adopt(LocalDataStore())
-        tokens: dict[int, int] = {}
         extra = entries_for_words(["omega"])
-        for s in (a, b, c):
-            s.add_bulk(extra, tokens)
+        groups = group_by_token((a, b, c))
+        assert list(groups.values()) == [[a, b], [c]]
+        for group in groups.values():
+            assert write_through(group, extra) == [True] * len(extra)
         shared = a.version
-        assert b.version == shared != c.version and len(tokens) == 2
-        removed: dict[int, int] = {}
-        assert a.remove_bulk(extra[:1], removed) == [True]
-        assert b.remove_bulk(extra[:1], removed) == [True]
-        assert a.version == b.version and removed == {shared: a.version}
+        assert b.version == shared != c.version
+        assert a._content is b._content is not c._content
+        assert write_through((a, b), extra[:1], remove=True) == [True]
+        assert a.version == b.version == ledger.tick != shared
+        assert write_through((a, b), extra[:1], remove=True) == [False]
+        assert a.version == ledger.tick  # nothing removed, nothing written
+
+    def test_a_direct_write_leaves_the_other_holders_alone(self, loaded):
+        ledger = SimpleNamespace(tick=0)
+        a, b = LocalDataStore(ledger), LocalDataStore(ledger)
+        a.add_bulk(loaded)
+        b.share(a)
+        held = a._content
+        assert b.version == a.version and b._content is held
+        extra = entries_for_words(["omega"])
+        a.add_bulk(extra)  # a copy first: b still holds the load
+        assert list(b) == sorted(loaded, key=lambda e: e.key)
+        assert b._content is held and a._content is not held
+        assert len(a) == len(b) + len(extra) and a.version != b.version
+        assert not b.remove(extra[0]) and b.version != a.version
+        assert b.remove(loaded[0]) and b._content is held  # its own now
 
     def test_a_store_adopts_only_its_very_entries_in_order(self, loaded):
         ledger = SimpleNamespace(tick=0)
