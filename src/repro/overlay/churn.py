@@ -91,10 +91,11 @@ class ChurnController:
         return self._report(failed)
 
     def recover_all(self) -> int:
-        """Bring every peer back online; returns how many recovered."""
+        """Bring every offline peer back online, except those that left
+        the network; returns how many recovered."""
         recovered = 0
         for peer in self.network.peers:
-            if not peer.online:
+            if not peer.online and not peer.departed:
                 peer.online = True
                 recovered += 1
         return recovered

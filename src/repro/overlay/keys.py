@@ -3,9 +3,8 @@
 Keys are fixed-width binary strings represented as Python ``str`` of
 ``'0'``/``'1'`` characters.  Peer *paths* are variable-length prefixes of
 the same space.  This module provides the prefix algebra used by routing
-(Algorithm 1): common-prefix length, the complementary subtrie's prefix,
-and the conversion between binary strings and integer intervals used by
-range queries.
+(Algorithm 1) — the complementary subtrie's prefix — and the conversion
+between binary strings and integer intervals used by range queries.
 
 The string representation was chosen over packed integers deliberately:
 prefix relations — the heart of P-Grid routing — become plain
@@ -30,15 +29,6 @@ def validate_key(key: str) -> str:
     if not _BINARY_CHARS.issuperset(key):
         raise KeyspaceError(f"not a binary key: {key!r}")
     return key
-
-
-def common_prefix_len(a: str, b: str) -> int:
-    """Length of the longest common prefix of two binary strings."""
-    limit = min(len(a), len(b))
-    for i in range(limit):
-        if a[i] != b[i]:
-            return i
-    return limit
 
 
 def sibling_prefix(path: str, level: int) -> str:

@@ -191,6 +191,9 @@ class MembershipManager:
         That case raises :class:`OverlayError`, mirroring the paper's
         operating assumption that "at least one peer in each partition is
         reachable".
+
+        A peer that has left is marked departed: no recovery brings it
+        back online.
         """
         network = self.network
         peer = network.peer(peer_id)
@@ -210,6 +213,7 @@ class MembershipManager:
             self._redirect_references({peer_id}, survivors[0])
         else:
             self._merge_into_leaf_sibling(partition, peer)
+        peer.departed = True
         network.ledger.tick += 1  # as in join(): an empty peer writes no store
 
     def _merge_into_leaf_sibling(self, partition: Partition, peer: Peer) -> None:

@@ -50,7 +50,7 @@ class Peer:
 
     __slots__ = (
         "peer_id", "path", "partition_index", "routing_table", "replicas",
-        "_ledger", "_store", "_online",
+        "departed", "_ledger", "_store", "_online",
     )
 
     def __init__(
@@ -69,6 +69,9 @@ class Peer:
         self.routing_table: list[tuple[int, ...]] = []
         #: ids of peers with the same path (data replication refs).
         self.replicas: tuple[int, ...] = ()
+        #: Left the network through ``MembershipManager.leave``: offline
+        #: for good, so no recovery brings it back.
+        self.departed = False
         self._ledger = ledger
         self._store = LocalDataStore(ledger)
         self._online = True
@@ -104,15 +107,6 @@ class Peer:
                 f"(path length {len(self.path)})"
             )
         return self.routing_table[level]
-
-    def responsible_for(self, key: str) -> bool:
-        """Algorithm 1's responsibility test.
-
-        True when the peer's path is a prefix of the key (full-width
-        lookups) *or* the key is a proper prefix of the path (prefix
-        queries that this peer's whole partition satisfies).
-        """
-        return key.startswith(self.path) or self.path.startswith(key)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Peer(id={self.peer_id}, path={self.path!r}, items={len(self.store)})"

@@ -1,8 +1,10 @@
 """Prefix routing — Algorithm 1 and its multicast/batched variants.
 
 The :class:`Router` executes lookups hop-by-hop through the peers' routing
-tables, charging one ``ROUTE`` message per hop to the network's tracer.
-Three primitives cover everything the operators need:
+tables, charging one ``ROUTE`` message per hop to the network's tracer —
+on a healthy transport without a verbose log as one bulk ``ROUTE`` charge
+per walk, made when the walk ends or raises (identical counters).  Three
+primitives cover everything the operators need:
 
 * :meth:`Router.route` — Algorithm 1: walk to *a* peer responsible for a
   key.  Each hop strictly extends the common prefix with the target key,
@@ -71,31 +73,60 @@ class Router:
 
         Implements Algorithm 1's control flow; returns the final peer.
         Messages: one ``ROUTE`` per hop (the initiating peer's local
-        processing is free).
+        processing is free).  On a healthy transport without a verbose
+        log the walk's hops are charged at once when it ends, also when
+        it raises (identical counters).  Each level's pick makes exactly
+        the draws ``random.shuffle`` makes on a copy of its references.
         """
         keyspace.validate_key(key)
-        injector = self.network.fault_injector
-        if injector is not None and injector.active:
-            injector.session.record_target(self.network.partition_for(key))
-        peer = self.network.peer(start_id)
+        network = self.network
+        injector = network.fault_injector
+        faulty = injector is not None and injector.active
+        if faulty:
+            injector.session.record_target(network.partition_for(key))
+        peers = network.peers
+        peer = peers[start_id]
         if not peer.online:
             peer = self._reroute_from_offline(peer)
+        bulk = not faulty and not self.tracer.record_log
+        getrandbits = self.rng.getrandbits
         hops = 0
-        max_hops = MAX_HOPS_FACTOR * (self.network.max_depth + 1)
-        while not peer.responsible_for(key):
-            level = keyspace.common_prefix_len(peer.path, key)
-            next_peer = self._pick_reference(peer, level)
-            if not self._deliver(
-                MessageType.ROUTE, peer.peer_id, next_peer, phase=phase
-            ):
-                next_peer = self._failover_reference(peer, level, next_peer)
-            peer = next_peer
-            hops += 1
-            if hops > max_hops:
-                raise RoutingError(
-                    f"routing to {key!r} did not converge after {hops} hops"
-                )
-        return peer
+        max_hops = MAX_HOPS_FACTOR * (network.max_depth + 1)
+        try:
+            while True:
+                path = peer.path
+                if key.startswith(path) or path.startswith(key):
+                    return peer
+                # Neither is a prefix of the other, so their first n bits
+                # differ; the first difference, the XOR's highest bit, is
+                # the level.
+                n = len(path) if len(path) < len(key) else len(key)
+                level = n - (int(path[:n], 2) ^ int(key[:n], 2)).bit_length()
+                refs = peer.routing_table[level]
+                if len(refs) == 2:
+                    j = getrandbits(2)
+                    while j > 1:
+                        j = getrandbits(2)
+                    if not j:
+                        refs = refs[1], refs[0]
+                elif len(refs) > 2:
+                    refs = _shuffled(refs, getrandbits)
+                next_peer = peers[refs[0]]
+                if not next_peer.online:
+                    next_peer = self._first_online(peer, level, refs)
+                if not bulk and not self._deliver(
+                    MessageType.ROUTE, peer.peer_id, next_peer, phase=phase
+                ):
+                    next_peer = self._failover_reference(peer, level, next_peer)
+                peer = next_peer
+                hops += 1
+                if hops > max_hops:
+                    raise RoutingError(
+                        f"routing to {key!r} did not converge after {hops} hops"
+                    )
+        finally:
+            if bulk and hops:
+                self.tracer.send_bulk(MessageType.ROUTE, hops, 0, phase=phase)
 
     def retrieve(
         self, key: str, start_id: int, phase: str = "retrieve"
@@ -554,23 +585,19 @@ class Router:
 
     # -- internals ---------------------------------------------------------------
 
-    def _pick_reference(self, peer: Peer, level: int) -> Peer:
-        """Random live routing reference at ``level`` (Algorithm 1 line 5)."""
-        refs = peer.references(level)
-        if not refs:
-            raise RoutingError(
-                f"peer {peer.peer_id} has no references at level {level}"
-            )
-        order = list(refs)
-        self.rng.shuffle(order)
+    def _first_online(
+        self, peer: Peer, level: int, order: Sequence[int]
+    ) -> Peer:
+        """The first online reference of ``order``, or failing that the
+        first online replica sharing its partition (redundant routing
+        entries, Section 2), before the next reference."""
+        peers = self.network.peers
         for ref_id in order:
-            candidate = self.network.peer(ref_id)
+            candidate = peers[ref_id]
             if candidate.online:
                 return candidate
-            # Dead reference: try the replicas sharing its partition before
-            # giving up on the level (redundant routing entries, Section 2).
             for replica_id in candidate.replicas:
-                replica = self.network.peer(replica_id)
+                replica = peers[replica_id]
                 if replica.online:
                     return replica
         raise PartitionUnreachableError(
@@ -585,8 +612,7 @@ class Router:
         the draw sequence is the same either way."""
         order = partition.peer_ids
         if len(order) > 1:
-            order = list(order)
-            self.rng.shuffle(order)
+            order = _shuffled(order, self.rng.getrandbits)
         peers = self.network.peers
         for peer_id in order:
             peer = peers[peer_id]
@@ -608,6 +634,20 @@ class Router:
             f"initiating peer {peer.peer_id} and all its replicas are offline",
             peer_id=peer.peer_id,
         )
+
+
+def _shuffled(ids: Sequence[int], getrandbits) -> list[int]:
+    """A copy of ``ids`` put in the order ``random.shuffle`` gives it,
+    with its draws written out: for ``i = n-1 .. 1``, ``randbelow(i + 1)``
+    as ``getrandbits`` computes it, then a swap."""
+    order = list(ids)
+    for i in range(len(order) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 class Partition:

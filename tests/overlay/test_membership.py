@@ -1,5 +1,7 @@
 """Unit tests for dynamic membership (joins, leaves, merges)."""
 
+import random
+
 import pytest
 
 from repro.core.config import StoreConfig
@@ -7,6 +9,7 @@ from repro.core.errors import OverlayError
 from repro.engine import QueryEngine
 from repro.overlay import keys as keyspace
 from repro.overlay import trie
+from repro.overlay.churn import ChurnController
 from repro.overlay.membership import MembershipManager
 from repro.overlay.network import PGridNetwork
 from repro.overlay.replication import audit_replicas
@@ -199,6 +202,32 @@ class TestLeave:
         manager.leave(peer_id)
         with pytest.raises(OverlayError):
             manager.leave(peer_id)
+
+    def test_a_departed_replica_stays_departed(self):
+        # It used to come back: recover() counted it, it read online,
+        # and 31 of 200 initiator draws picked it.
+        engine = QueryEngine.build(
+            8, word_triples(), StoreConfig(seed=7, replication=2)
+        )
+        network = engine.network
+        gone = network.partitions[0].peer_ids[0]
+        MembershipManager(network).leave(gone)
+        assert engine.recover().recovered_peers == 0
+        assert not network.peer(gone).online
+        rng = random.Random(1)
+        assert gone not in {network.random_peer_id(rng) for __ in range(200)}
+        assert all_words_reachable(network)
+
+    def test_a_merged_away_peer_stays_departed(self):
+        network = build_word_network(n_peers=8)
+        manager = MembershipManager(network)
+        new_peer = manager.join()
+        manager.leave(new_peer.peer_id)
+        churn = ChurnController(network)
+        churn.fail_peers([0])
+        assert churn.recover_all() == 1
+        assert churn.offline_peer_ids() == [new_peer.peer_id]
+        assert all_words_reachable(network)
 
 
 class TestReplicaTokens:

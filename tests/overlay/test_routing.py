@@ -1,12 +1,17 @@
 """Unit tests for prefix routing (Algorithm 1) and its variants."""
 
+import random
+
 import pytest
 
 from repro.core.config import StoreConfig
-from repro.core.errors import PartitionUnreachableError
+from repro.core.errors import PartitionUnreachableError, RoutingError
 from repro.overlay.faults import FaultMode, FaultPlan
+from repro.overlay.network import PGridNetwork
+from repro.overlay.routing import MAX_HOPS_FACTOR
 
 from tests.conftest import TEXT_ATTR, build_word_network, bytes_by_phase
+from tests.reference.routing import ReferenceRouter, responsible_for
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +25,7 @@ class TestRoute:
         key = codec.attr_value_key(TEXT_ATTR, "apple")
         for start in range(0, network.n_peers, 7):
             peer = network.router.route(key, start)
-            assert peer.responsible_for(key)
+            assert responsible_for(peer, key)
 
     def test_logarithmic_hops(self, network):
         codec = network.codec
@@ -96,7 +101,7 @@ class TestRouteMany:
         answers = network.router.route_many(keys, 0)
         assert set(answers) == set(keys)
         for key, peer in answers.items():
-            assert peer.responsible_for(key)
+            assert responsible_for(peer, key)
 
     def test_batching_beats_individual_routing(self, network):
         codec = network.codec
@@ -227,7 +232,7 @@ class TestFailureHandling:
         # Kill one replica of the target partition; lookups must still work.
         network.peer(target.peer_ids[0]).online = False
         peer = network.router.route(key, network.peer(0).peer_id)
-        assert peer.responsible_for(key)
+        assert responsible_for(peer, key)
         assert peer.online
 
     def test_unreachable_partition_raises(self):
@@ -240,7 +245,7 @@ class TestFailureHandling:
         start = next(
             p.peer_id
             for p in network.peers
-            if p.online and not p.responsible_for(key)
+            if p.online and not responsible_for(p, key)
         )
         with pytest.raises(PartitionUnreachableError):
             network.router.route(key, start)
@@ -251,4 +256,50 @@ class TestFailureHandling:
         network.peer(0).online = False
         key = network.codec.attr_value_key(TEXT_ATTR, "apple")
         peer = network.router.route(key, 0)
-        assert peer.responsible_for(key)
+        assert responsible_for(peer, key)
+
+
+def _twin_pair(config: StoreConfig):
+    """Two equal networks: one routed by the one-loop walk, one by the
+    per-hop walk of ``tests/reference/routing.py``."""
+    network = PGridNetwork(32, config)
+    twin = PGridNetwork(32, config)
+    twin.router = ReferenceRouter(twin, random.Random(config.seed + 1))
+    return network, twin
+
+
+class TestWalkCharges:
+    """A walk's hops are charged once, when it ends — also when it raises."""
+
+    def test_a_walk_into_a_dark_partition_pays_its_hops(self):
+        network, twin = _twin_pair(StoreConfig(seed=9))
+        key = "1" * network.config.key_bits
+        for net in (network, twin):
+            for peer_id in net.partition_for(key).peer_ids:
+                net.peer(peer_id).online = False
+        counts = []
+        for start in range(network.n_peers):
+            before = network.tracer.message_count
+            for net in (network, twin):
+                if not net.peer(start).online:
+                    continue
+                with pytest.raises(PartitionUnreachableError):
+                    net.router.route(key, start)
+            counts.append(network.tracer.message_count - before)
+            assert network.tracer.snapshot() == twin.tracer.snapshot()
+        assert max(counts) > 0
+        assert network.router.rng.getstate() == twin.router.rng.getstate()
+
+    def test_a_walk_that_does_not_converge_pays_every_hop(self):
+        network, twin = _twin_pair(StoreConfig(seed=9))
+        key = "1" * network.config.key_bits
+        max_hops = MAX_HOPS_FACTOR * (network.max_depth + 1)
+        for net in (network, twin):
+            # Two peers of the 0-subtrie name each other at level 0.
+            first, second = net.peers[0], net.peers[1]
+            first.routing_table[0] = (second.peer_id,)
+            second.routing_table[0] = (first.peer_id,)
+            with pytest.raises(RoutingError, match="did not converge"):
+                net.router.route(key, first.peer_id)
+        assert network.tracer.message_count == max_hops + 1
+        assert network.tracer.snapshot() == twin.tracer.snapshot()

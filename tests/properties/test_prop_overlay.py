@@ -12,6 +12,7 @@ from repro.overlay.range_query import range_query
 from repro.storage.indexing import EntryKind
 from repro.storage.triple import Triple
 
+from tests.reference.routing import responsible_for
 from tests.reference.routing_tables import partitions_in_range_scan
 
 ATTR = "t:v"
@@ -57,7 +58,7 @@ class TestRoutingProperties:
         for word in words[:5]:
             key = network.codec.attr_value_key(ATTR, word)
             peer = network.router.route(key, (seed * 7) % network.n_peers)
-            assert peer.responsible_for(key)
+            assert responsible_for(peer, key)
 
 
 class TestRangeProperties:
